@@ -1,0 +1,8 @@
+"""Put the benchmark modules and the treeshift sources on the import path."""
+
+import os
+import sys
+
+BENCH = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ROOT = os.path.dirname(BENCH)
+sys.path[:0] = [BENCH, os.path.join(ROOT, "src")]
