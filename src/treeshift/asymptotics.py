@@ -11,12 +11,24 @@ silently assumed:
 * ``exact-one``   -- family-certified isometry, all limits are exactly 1
 * ``converged``   -- three consecutive partial-sum decrements below tol
 * ``max-depth``   -- depth or frontier budget exhausted; the estimate is
-                     still an upper bound
+                     still an upper bound, and ``depth`` is the n reached
 
 Adjoint side: the limit of S^n S*^n has one eigenvector per level, the
 vector h_u supported on the generation of u with infinite-product
 coefficients; its squared norm a_u is estimated from truncated products over
 the materialized generation.
+
+Level lumping: when every vertex of a level has the same children count and
+every weight depends only on its level (``ShiftOperator.is_level_homogeneous``:
+constant, geometric, step or exp-ray weights on the paths and the rootless
+binary tree), all vertices of a level share one weighted cone and one
+ancestor chain.  The forward descent then keeps a single representative per
+level, carrying the mass prod * sum over Chi(rep) of lambda^2, so the
+frontier stays at size 1, the frontier cap never binds, and s_n is exact out
+to convergence or the depth budget; one descent serves every vertex of a
+level.  The adjoint side extends one ancestor chain per level and scales it
+by the generation size.  Otherwise every cone and chain is walked vertex by
+vertex.
 """
 
 from __future__ import annotations
@@ -71,7 +83,9 @@ class AlphaEvaluator:
         self.max_depth = max_depth
         self.frontier_cap = frontier_cap
         self.isometry = operator.is_certified_isometry()
+        self.lumped = operator.is_level_homogeneous()
         self._cache: dict[str, VertexEstimate] = {}
+        self._by_level: dict[int, tuple] = {}
 
     def __call__(self, u: str) -> VertexEstimate:
         hit = self._cache.get(u)
@@ -83,8 +97,19 @@ class AlphaEvaluator:
     def _compute(self, u: str) -> VertexEstimate:
         if self.isometry:
             return VertexEstimate(u, 1.0, 1.0, EXACT_ONE, 0)
+        if not self.lumped:
+            return VertexEstimate(u, *self._descend(u))
+        lvl = self.operator.model.level(u)
+        hit = self._by_level.get(lvl)
+        if hit is None:
+            hit = self._by_level[lvl] = self._descend(u)
+        return VertexEstimate(u, *hit)
+
+    def _descend(self, u: str) -> tuple:
+        """(estimate, upper, status, depth) from the partial sums s_n(u)."""
         op = self.operator
         model = op.model
+        lumped = self.lumped
         # Flat unit-weight prefixes keep the partial sums exactly constant, so
         # convergence may not be declared before the frontier has passed them.
         min_depth = CONSECUTIVE_SMALL + 5
@@ -94,27 +119,34 @@ class AlphaEvaluator:
         frontier = {u: 1.0}
         s_prev = 1.0
         consecutive = 0
+        n = 0
         for n in range(1, self.max_depth + 1):
-            nxt: dict[str, float] = {}
-            for w, prod in frontier.items():
-                for v in model.children(w):
-                    nxt[v] = prod * op.weight(v) ** 2
+            if lumped:
+                # One representative stands for its whole level.
+                ((w, prod),) = frontier.items()
+                kids = model.children(w)
+                nxt = {kids[0]: prod * sum(op.weight(v) ** 2 for v in kids)} if kids else {}
+            else:
+                nxt = {}
+                for w, prod in frontier.items():
+                    for v in model.children(w):
+                        nxt[v] = prod * op.weight(v) ** 2
             if not nxt:
-                return VertexEstimate(u, 0.0, 0.0, EXACT_ZERO, n)
+                return 0.0, 0.0, EXACT_ZERO, n
             s = sum(nxt.values())
             if s > s_prev + 1e-12:
                 raise NotAContraction(s)  # partial sums must be nonincreasing
             if abs(s - s_prev) < self.tol:
                 consecutive += 1
                 if consecutive >= CONSECUTIVE_SMALL and n >= min_depth:
-                    return VertexEstimate(u, s, s, CONVERGED, n)
+                    return s, s, CONVERGED, n
             else:
                 consecutive = 0
             frontier = nxt
             s_prev = s
             if len(frontier) > self.frontier_cap:
                 break
-        return VertexEstimate(u, s_prev, s_prev, MAX_DEPTH, self.max_depth)
+        return s_prev, s_prev, MAX_DEPTH, n
 
 
 @dataclass
@@ -247,6 +279,21 @@ def _generation_complete(model, anchor_level: int) -> bool:
     return False
 
 
+def _ancestor_products(operator: ShiftOperator, v: str, depth: int) -> list:
+    """Running products of squared weights up the ancestor chain of v."""
+    model = operator.model
+    prods = []
+    prod = 1.0
+    w = v
+    for _ in range(depth):
+        prod *= operator.weight(w) ** 2
+        prods.append(prod)
+        w = model.parent(w)
+        if w is None:
+            break
+    return prods
+
+
 def _adjoint_level(operator: ShiftOperator, u: str, depth: int, tol: float,
                    frontier_cap: int):
     """(estimate record, HVector) for the level of u on a rootless model."""
@@ -279,21 +326,14 @@ def _adjoint_level(operator: ShiftOperator, u: str, depth: int, tol: float,
 
     # Extend every ancestor product to the full depth; record the partial
     # sums to certify convergence of the product tails.
-    chains = {}
-    for v in members:
-        prods = []
-        prod = 1.0
-        w = v
-        for _ in range(depth):
-            prod *= operator.weight(w) ** 2
-            prods.append(prod)
-            w = model.parent(w)
-            if w is None:
-                break
-        chains[v] = prods
-    sums = []
-    for d in range(depth):
-        sums.append(sum(p[min(d, len(p) - 1)] for p in chains.values()))
+    if operator.is_level_homogeneous():
+        # Every member's chain carries the same weights, level by level.
+        chain = _ancestor_products(operator, u, depth)
+        chains = dict.fromkeys(members, chain)
+        sums = [len(members) * chain[min(d, len(chain) - 1)] for d in range(depth)]
+    else:
+        chains = {v: _ancestor_products(operator, v, depth) for v in members}
+        sums = [sum(p[min(d, len(p) - 1)] for p in chains.values()) for d in range(depth)]
     consecutive = 0
     tail_ok = False
     for d in range(1, len(sums)):

@@ -64,6 +64,22 @@ class Reporter:
             print(line)
 
 
+def _checked(kind, ok, requirement: str):
+    """argparse type: parse with ``kind``, then require ``ok(value)``."""
+    def parse(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names the type on a parse failure
+    return parse
+
+
+_DEPTH = _checked(int, lambda n: n >= 1, ">= 1")
+_TOL = _checked(float, lambda x: 0.0 < x < math.inf, "finite and > 0")
+_ZERO_TH = _checked(float, lambda x: 0.0 <= x < math.inf, "finite and >= 0")
+
+
 def _parse_levels(txt: str):
     lo, _, hi = txt.partition(":")
     return int(lo), int(hi)
@@ -274,10 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--levels", default="-8:8",
                        help="window level range a:b (use --levels=-8:8 for negatives)")
         p.add_argument("--breadth", type=int, default=64, help="per-level breadth cap")
-        p.add_argument("--tol", type=float, default=1e-10)
-        p.add_argument("--zero-th", dest="zero_th", type=float, default=1e-9)
+        p.add_argument("--tol", type=_TOL, default=1e-10)
+        p.add_argument("--zero-th", dest="zero_th", type=_ZERO_TH, default=1e-9)
         p.add_argument("--rank-tol", dest="rank_tol", type=float, default=1e-8)
-        p.add_argument("--depth", type=int, default=64)
+        p.add_argument("--depth", type=_DEPTH, default=64)
         p.add_argument("--json", action="store_true", help="line-delimited JSON output")
 
     p = sub.add_parser("validate", help="structural validation and summary")

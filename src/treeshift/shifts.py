@@ -151,6 +151,12 @@ class ShiftOperator:
                     and abs(s1 * s1 + p1 * p1 - 1.0) <= 1e-12)
         return False
 
+    def is_level_homogeneous(self) -> bool:
+        """True when all vertices of a level share one weighted cone and one
+        ancestor chain: the tree has one children count per level and every
+        weight is a function of its vertex's level."""
+        return self.model.level_homogeneous and self.weights.level_only
+
     def dense_truncation(self, window: TreeWindow, cap: int = DENSE_CAP) -> np.ndarray:
         """Matrix of the compression P_W S P_W in the level-major basis order."""
         if len(window) > cap:

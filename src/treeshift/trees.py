@@ -50,6 +50,9 @@ class DirectedTreeModel:
 
     kind = "abstract"
     family = None
+    # Every vertex of a level has the same children count, so with level-only
+    # weights all vertices of a level share one weighted cone and one chain.
+    level_homogeneous = False
 
     def children(self, u: str) -> tuple[str, ...]:
         raise NotImplementedError
@@ -224,6 +227,7 @@ class RootedPath(DirectedTreeModel):
 
     kind = "procedural"
     family = "rooted-path"
+    level_homogeneous = True
 
     def children(self, u):
         self.require_vertex(u)
@@ -270,6 +274,7 @@ class BilateralPath(DirectedTreeModel):
 
     kind = "procedural"
     family = "bilateral-path"
+    level_homogeneous = True
 
     def children(self, u):
         self.require_vertex(u)
@@ -406,6 +411,7 @@ class RootlessBinary(DirectedTreeModel):
 
     kind = "procedural"
     family = "rootless-binary"
+    level_homogeneous = True
 
     @staticmethod
     def _parse(u):

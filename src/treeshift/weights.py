@@ -17,8 +17,28 @@ from .errors import WeightError
 from .trees import _is_primed, _primed_index
 
 
+def _positive(value, what: str) -> float:
+    """``value`` as a float; NaN, infinities and non-positive values are rejected."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise WeightError(f"{what} must be a number, got {value!r}") from None
+    if not 0.0 < x < math.inf:  # also false for NaN
+        raise WeightError(f"{what} must be finite and strictly positive, got {x}")
+    return x
+
+
+def _integer(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise WeightError(f"{what} must be an integer, got {value!r}") from None
+
+
 class WeightAssignment:
     kind = "abstract"
+    # The weight of a vertex is a function of its level alone.
+    level_only = False
 
     def weight(self, model, v: str) -> float:
         raise NotImplementedError
@@ -47,13 +67,15 @@ class MapWeights(WeightAssignment):
     kind = "map"
 
     def __init__(self, values: dict, default: float | None = None):
-        self.values = {k: float(c) for k, c in values.items()}
+        try:
+            self.values = {k: float(c) for k, c in values.items()}
+        except (TypeError, ValueError):
+            raise WeightError("map weights must be numbers") from None
         for k, c in self.values.items():
-            if c <= 0.0:
-                raise WeightError(f"weight at {k!r} must be strictly positive, got {c}")
-        if default is not None and default <= 0.0:
-            raise WeightError("default weight must be strictly positive")
-        self.default = default
+            if not 0.0 < c < math.inf:  # also false for NaN
+                raise WeightError(f"weight at {k!r} must be finite and strictly positive, "
+                                  f"got {c}")
+        self.default = None if default is None else _positive(default, "default weight")
 
     def weight(self, model, v):
         self._check_non_root(model, v)
@@ -83,11 +105,10 @@ class MapWeights(WeightAssignment):
 
 class ConstantWeights(WeightAssignment):
     kind = "constant"
+    level_only = True
 
     def __init__(self, value: float):
-        if value <= 0.0:
-            raise WeightError("constant weight must be strictly positive")
-        self.value = float(value)
+        self.value = _positive(value, "constant weight")
 
     def weight(self, model, v):
         self._check_non_root(model, v)
@@ -119,12 +140,13 @@ class ExpRayWeights(FamilyWeights):
     """
 
     name = "exp-ray"
+    level_only = True
 
     def __init__(self, base: float = 2.0, start_level: int = 1):
-        if base <= 1.0:
+        self.base = _positive(base, "exp-ray base")
+        if self.base <= 1.0:
             raise WeightError("exp-ray base must exceed 1")
-        self.base = float(base)
-        self.start_level = int(start_level)
+        self.start_level = _integer(start_level, "exp-ray start_level")
 
     def weight(self, model, v):
         self._check_non_root(model, v)
@@ -152,12 +174,11 @@ class GeometricWeights(FamilyWeights):
     """lambda_v = scale * ratio^{|level v|}: geometric decay away from the base."""
 
     name = "geometric"
+    level_only = True
 
     def __init__(self, scale: float, ratio: float):
-        if scale <= 0.0 or ratio <= 0.0:
-            raise WeightError("geometric scale and ratio must be strictly positive")
-        self.scale = float(scale)
-        self.ratio = float(ratio)
+        self.scale = _positive(scale, "geometric scale")
+        self.ratio = _positive(ratio, "geometric ratio")
 
     def weight(self, model, v):
         self._check_non_root(model, v)
@@ -174,13 +195,12 @@ class StepWeights(FamilyWeights):
     """lambda_v = high for levels above the cut, low at and below it."""
 
     name = "step"
+    level_only = True
 
     def __init__(self, low: float, high: float, cut: int = 0):
-        if low <= 0.0 or high <= 0.0:
-            raise WeightError("step weights must be strictly positive")
-        self.low = float(low)
-        self.high = float(high)
-        self.cut = int(cut)
+        self.low = _positive(low, "step low")
+        self.high = _positive(high, "step high")
+        self.cut = _integer(cut, "step cut")
 
     def weight(self, model, v):
         self._check_non_root(model, v)
@@ -204,13 +224,12 @@ class RayWeights(FamilyWeights):
 
     def __init__(self, spine: float, primed: float,
                  branch_spine: float | None = None, branch_primed: float | None = None):
-        for val in (spine, primed, branch_spine, branch_primed):
-            if val is not None and val <= 0.0:
-                raise WeightError("ray weights must be strictly positive")
-        self.spine = float(spine)
-        self.primed = float(primed)
-        self.branch_spine = float(branch_spine) if branch_spine is not None else None
-        self.branch_primed = float(branch_primed) if branch_primed is not None else None
+        self.spine = _positive(spine, "rays spine")
+        self.primed = _positive(primed, "rays primed")
+        self.branch_spine = (None if branch_spine is None
+                             else _positive(branch_spine, "rays branch_spine"))
+        self.branch_primed = (None if branch_primed is None
+                              else _positive(branch_primed, "rays branch_primed"))
 
     def weight(self, model, v):
         self._check_non_root(model, v)
@@ -278,11 +297,11 @@ class HashRandomWeights(FamilyWeights):
     name = "hash-random"
 
     def __init__(self, seed: int, low: float, high: float):
-        if not (0.0 < low <= high):
+        self.seed = _integer(seed, "hash-random seed")
+        self.low = _positive(low, "hash-random low")
+        self.high = _positive(high, "hash-random high")
+        if self.low > self.high:
             raise WeightError("need 0 < low <= high")
-        self.seed = int(seed)
-        self.low = float(low)
-        self.high = float(high)
 
     def weight(self, model, v):
         self._check_non_root(model, v)

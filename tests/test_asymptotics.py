@@ -15,12 +15,21 @@ from treeshift.asymptotics import (
     CONVERGED,
     EXACT_ONE,
     EXACT_ZERO,
+    FRONTIER_CAP,
     MAX_DEPTH,
 )
 from treeshift.errors import NotAContraction, StructuralViolation
 from treeshift.shifts import ShiftOperator, vector_to_dense
 from treeshift.trees import make_family, materialize_window
-from treeshift.weights import ConstantWeights, ExpRayWeights, MapWeights, StepWeights
+from treeshift.weights import (
+    ConstantWeights,
+    ExpRayWeights,
+    GeometricWeights,
+    HashRandomWeights,
+    MapWeights,
+    StepWeights,
+    WeightAssignment,
+)
 
 from conftest import contractive_operator, full_window, random_finite_tree
 
@@ -300,3 +309,131 @@ def test_alpha_evaluator_cache():
     ev = AlphaEvaluator(op)
     a = ev("4")
     assert ev("4") is a
+
+
+# -- level lumping ------------------------------------------------------------------
+
+class PerVertex(WeightAssignment):
+    """The same weights without the level-only mark, so every cone and every
+    ancestor chain is walked vertex by vertex."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def weight(self, model, v):
+        return self.inner.weight(model, v)
+
+    def max_weight(self):
+        return self.inner.max_weight()
+
+    def convergence_floor_level(self, model):
+        return self.inner.convergence_floor_level(model)
+
+
+class CountingConstant(ConstantWeights):
+    def __init__(self, value):
+        super().__init__(value)
+        self.calls = 0
+
+    def weight(self, model, v):
+        self.calls += 1
+        return super().weight(model, v)
+
+
+LEVEL_ONLY = [ConstantWeights(0.6), GeometricWeights(0.65, 0.9), StepWeights(0.5, 0.7, cut=0)]
+
+
+def _weights_id(weights):
+    return getattr(weights, "name", weights.kind)
+
+
+def _per_vertex(weights):
+    if isinstance(weights, ConstantWeights):
+        return MapWeights({}, default=weights.value)
+    return PerVertex(weights)
+
+
+@pytest.mark.parametrize("weights", LEVEL_ONLY, ids=_weights_id)
+def test_lumped_binary_matches_per_vertex(weights):
+    model = make_family("rootless-binary")
+    lumped = ShiftOperator(model, weights)
+    plain = ShiftOperator(model, _per_vertex(weights))
+    assert lumped.is_level_homogeneous() and not plain.is_level_homogeneous()
+    window = materialize_window(model, -1, 1)
+    # depth 10 keeps the per-vertex frontier (2^10) below the cap
+    fast = alpha_profile(lumped, window, max_depth=10)
+    slow = alpha_profile(plain, window, max_depth=10)
+    for u in window.order:
+        a, b = fast.record(u), slow.record(u)
+        assert (a.status, a.depth) == (b.status, b.depth) == (MAX_DEPTH, 10)
+        assert a.estimate == pytest.approx(b.estimate, rel=1e-12, abs=0)
+    fast_adj, slow_adj = adjoint_profile(lumped, window), adjoint_profile(plain, window)
+    for u in window.order:
+        a, b = fast_adj.profile.record(u), slow_adj.profile.record(u)
+        assert (a.status, a.depth, a.upper) == (b.status, b.depth, b.upper)
+        assert a.estimate == pytest.approx(b.estimate, rel=1e-12, abs=0)
+    for lvl, h in fast_adj.h_vectors.items():
+        other = slow_adj.h_vectors[lvl].coefficients.coeffs
+        assert set(h.coefficients.coeffs) == set(other)
+        for v, c in h.coefficients.items():
+            assert c == pytest.approx(other[v], rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("family", ["bilateral-path", "rooted-path"])
+@pytest.mark.parametrize("weights", [ConstantWeights(0.9), GeometricWeights(0.95, 0.9),
+                                     StepWeights(0.5, 1.0, cut=0), ExpRayWeights(2.0, 1),
+                                     ExpRayWeights(2.5, -2)], ids=_weights_id)
+def test_lumped_paths_are_bit_identical(family, weights):
+    model = make_family(family)
+    lumped = ShiftOperator(model, weights)
+    plain = ShiftOperator(model, _per_vertex(weights))
+    assert lumped.is_level_homogeneous()
+    lo = 0 if model.is_rooted else -4
+    window = materialize_window(model, lo, 4)
+    assert alpha_profile(lumped, window).records == alpha_profile(plain, window).records
+    fast, slow = adjoint_profile(lumped, window), adjoint_profile(plain, window)
+    assert fast.profile.records == slow.profile.records
+    for lvl, h in fast.h_vectors.items():
+        other = slow.h_vectors[lvl]
+        assert (h.norm_sq, h.status, h.gen_exact) == (other.norm_sq, other.status,
+                                                       other.gen_exact)
+        assert h.coefficients.coeffs == other.coefficients.coeffs
+
+
+def test_lumped_levels_share_one_descent():
+    model = make_family("rootless-binary")
+    weights = CountingConstant(0.6)
+    ev = AlphaEvaluator(ShiftOperator(model, weights))
+    window = materialize_window(model, 2, 2)
+    first = ev(window.order[0])
+    calls = weights.calls
+    for u in window.order[1:]:
+        rec = ev(u)
+        assert rec.vertex == u
+        assert (rec.estimate, rec.status, rec.depth) == (first.estimate, first.status,
+                                                         first.depth)
+    assert weights.calls == calls
+
+
+def test_binary_constant_decay_is_c0dot_with_few_weight_calls():
+    # lim (2 * 0.6^2)^n = 0; the per-vertex descent stopped at the frontier cap
+    # near n = 13 with an upper bound of about 0.014
+    model = make_family("rootless-binary")
+    weights = CountingConstant(0.6)
+    op = ShiftOperator(model, weights)
+    window = materialize_window(model, -8, 8)
+    profile = alpha_profile(op, window)
+    assert all(r.depth == 64 and r.estimate <= 1e-9 for r in profile.records.values())
+    cls = classify(op, profile, adjoint_profile(op, window))
+    assert cls.forward == "C0dot"
+    assert weights.calls < 10_000
+
+
+def test_frontier_cap_reports_depth_reached():
+    op = ShiftOperator(make_family("rootless-binary"), HashRandomWeights(3, 0.5, 0.7))
+    assert not op.is_level_homogeneous()
+    rec = AlphaEvaluator(op)("0")
+    assert rec.status == MAX_DEPTH
+    assert rec.depth < 64
+    # the descent stops at the first depth whose frontier 2^n exceeds the cap
+    assert 2 ** (rec.depth - 1) <= FRONTIER_CAP < 2 ** rec.depth

@@ -102,6 +102,16 @@ def test_asymptote_binary(specs, capsys):
     assert "cnu-unilateral" in out and "multiplicity inf" in out
 
 
+def test_binary_decay_is_stable(specs, tmp_path, capsys):
+    # lim (2 * 0.6^2)^n = 0 at every vertex: no isometric asymptote
+    decay = write(tmp_path, "decay.json", {"kind": "constant", "value": 0.6})
+    argv = ["--tree", specs["binary"], "--weights", decay, "--levels=-8:8"]
+    assert main(["analyze"] + argv) == 0
+    assert "classification: C0dot / Cdot0" in capsys.readouterr().out
+    assert main(["asymptote"] + argv) == 4
+    assert "StableSubtreeEmpty" in capsys.readouterr().err
+
+
 def test_adjoint_asymptote(specs, capsys):
     assert main(["adjoint-asymptote", "--tree", specs["bilateral"],
                  "--weights", specs["ones"], "--levels=-4:4"]) == 0
@@ -160,3 +170,35 @@ def test_oracle(specs, capsys):
     doc = next(d for d in lines if d["record"] == "oracle")
     assert doc["apply_residual"] == 0.0
     assert doc["cokernel"] == 2  # 1 + Br on the full finite window
+
+
+def test_constant_nan_weight_exit_code(specs, tmp_path, capsys):
+    nan = write(tmp_path, "nan.json", {"kind": "constant", "value": math.nan})
+    assert main(["analyze", "--tree", specs["binary"], "--weights", nan,
+                 "--levels", "0:1"]) == 2
+    captured = capsys.readouterr()
+    assert "WeightError" in captured.err and "certified" not in captured.out
+
+
+def test_nan_inside_map_exit_code(specs, tmp_path, capsys):
+    nan = write(tmp_path, "nan_map.json", {"kind": "map", "values": {"a": math.nan, "b": 0.5}})
+    assert main(["analyze", "--tree", specs["star"], "--weights", nan,
+                 "--levels", "0:2"]) == 2
+    captured = capsys.readouterr()
+    assert "WeightError" in captured.err and "norm" not in captured.out
+
+
+@pytest.mark.parametrize("flag,value", [("--depth", "0"), ("--depth", "-3"), ("--tol", "0"),
+                                        ("--tol", "-1"), ("--tol", "nan"),
+                                        ("--zero-th", "-1e-9")])
+def test_bad_numeric_flags_exit_code(specs, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--tree", specs["binary"], "--weights", specs["halves"],
+              "--levels", "0:1", f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+
+
+def test_zero_threshold_of_zero_is_accepted(specs, capsys):
+    assert main(["analyze", "--tree", specs["binary"], "--weights", specs["halves"],
+                 "--levels", "0:1", "--zero-th", "0", "--depth", "1"]) == 0

@@ -222,6 +222,28 @@ def test_weights_positivity_enforced():
         ConstantWeights(-0.5)
 
 
+@pytest.mark.parametrize("doc", [
+    {"kind": "constant", "value": math.nan},
+    {"kind": "constant", "value": math.inf},
+    {"kind": "map", "values": {"a": 0.5, "b": math.nan}},
+    {"kind": "map", "values": {"a": 0.5}, "default": math.nan},
+    {"kind": "map", "values": {"a": -math.inf}},
+    {"kind": "family", "name": "geometric", "params": {"scale": math.nan, "ratio": 0.8}},
+    {"kind": "family", "name": "geometric", "params": {"scale": 0.9, "ratio": math.inf}},
+    {"kind": "family", "name": "step", "params": {"low": 0.5, "high": math.nan}},
+    {"kind": "family", "name": "step", "params": {"low": 0.5, "high": 0.9, "cut": math.inf}},
+    {"kind": "family", "name": "exp-ray", "params": {"base": math.inf}},
+    {"kind": "family", "name": "exp-ray", "params": {"base": 2.0, "start_level": math.nan}},
+    {"kind": "family", "name": "rays", "params": {"spine": 0.7, "primed": math.nan}},
+    {"kind": "family", "name": "rays",
+     "params": {"spine": 0.7, "primed": 0.6, "branch_spine": math.inf}},
+    {"kind": "family", "name": "hash-random", "params": {"seed": 1, "low": 0.5, "high": math.inf}},
+])
+def test_non_finite_weights_rejected(doc):
+    with pytest.raises(WeightError):
+        weights_from_json(doc)
+
+
 def test_exp_ray_values():
     model = make_family("rooted-path")
     w = ExpRayWeights(2.0, 1)
