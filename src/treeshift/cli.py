@@ -8,6 +8,7 @@ precondition failed, 5 dimension cap, 6 shape mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -47,8 +48,8 @@ EXIT_SHAPE = 6
 
 _STRUCTURE_ERRORS = (errors.DisconnectedGraph, errors.MultipleParents,
                      errors.CircuitFound, errors.RootMismatch, errors.VertexNotFound,
-                     errors.WeightError, errors.StructuralViolation, ValueError,
-                     KeyError, OSError)
+                     errors.WeightError, errors.TreeSpecError, errors.StructuralViolation,
+                     errors.ScheduleTooShort, ValueError, KeyError, OSError)
 
 
 class Reporter:
@@ -75,7 +76,8 @@ def _checked(kind, ok, requirement: str):
     return parse
 
 
-_DEPTH = _checked(int, lambda n: n >= 1, ">= 1")
+_POSITIVE_INT = _checked(int, lambda n: n >= 1, ">= 1")
+_NONNEGATIVE_INT = _checked(int, lambda n: n >= 0, ">= 0")
 _TOL = _checked(float, lambda x: 0.0 < x < math.inf, "finite and > 0")
 _ZERO_TH = _checked(float, lambda x: 0.0 <= x < math.inf, "finite and >= 0")
 
@@ -255,10 +257,15 @@ def cmd_oracle(args, out: Reporter) -> int:
     worst_apply = 0.0
     for u in interior:
         image = operator.apply(SparseVector.basis(u))
-        dense = mat @ vector_to_dense(window, SparseVector.basis(u))
         worst_apply = max(worst_apply, float(np.max(np.abs(
-            dense - vector_to_dense(window, image, strict=False)))))
-    adj = float(np.max(np.abs(mat.T - operator.dense_truncation(window).T)))
+            mat[:, window.index_of(u)] - vector_to_dense(window, image, strict=False)))))
+    # S* e_u compressed to the window is row u of P_W S P_W: the adjoint
+    # checked against the transpose on every window vertex.
+    worst_adjoint = 0.0
+    for u in window.order:
+        image = operator.apply_adjoint(SparseVector.basis(u))
+        worst_adjoint = max(worst_adjoint, float(np.max(np.abs(
+            mat[window.index_of(u)] - vector_to_dense(window, image, strict=False)))))
     worst_power = 0.0
     for u in interior[: min(len(interior), 16)]:
         closed = operator.power_closed(u, 2)
@@ -272,10 +279,11 @@ def cmd_oracle(args, out: Reporter) -> int:
                  f"outside the window; interior checks exclude them")
     out.text(f"apply vs matrix (interior): {worst_apply:.3e}")
     out.text(f"power closed-form vs iteration: {worst_power:.3e}")
-    out.text(f"adjoint transpose check: {adj:.3e}")
+    out.text(f"adjoint vs matrix transpose: {worst_adjoint:.3e}")
     out.text(f"window cokernel: {coker} ({artificial} boundary-artificial)")
     out.record("oracle", {"apply_residual": worst_apply, "power_residual": worst_power,
-                          "cokernel": coker, "boundary_artificial": artificial})
+                          "adjoint_residual": worst_adjoint, "cokernel": coker,
+                          "boundary_artificial": artificial})
     return 0
 
 
@@ -292,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--breadth", type=int, default=64, help="per-level breadth cap")
         p.add_argument("--tol", type=_TOL, default=1e-10)
         p.add_argument("--zero-th", dest="zero_th", type=_ZERO_TH, default=1e-9)
-        p.add_argument("--rank-tol", dest="rank_tol", type=float, default=1e-8)
-        p.add_argument("--depth", type=_DEPTH, default=64)
+        p.add_argument("--rank-tol", dest="rank_tol", type=_TOL, default=1e-8)
+        p.add_argument("--depth", type=_POSITIVE_INT, default=64)
         p.add_argument("--json", action="store_true", help="line-delimited JSON output")
 
     p = sub.add_parser("validate", help="structural validation and summary")
@@ -313,14 +321,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cyclic")
     common(p, required=False)
     p.add_argument("--backward", help="backward shift spec JSON (instead of a tree)")
-    p.add_argument("--schedule", type=int, default=16, help="schedule length L")
-    p.add_argument("--window-k", dest="window_k", type=int, default=50)
+    p.add_argument("--schedule", type=_POSITIVE_INT, default=16, help="schedule length L")
+    p.add_argument("--window-k", dest="window_k", type=_NONNEGATIVE_INT, default=50)
     p.set_defaults(func=cmd_cyclic)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built on first use and kept for the process.
+    The ``func`` defaults are the ``cmd_*`` functions, which look up every
+    layer function in this module's globals at call time."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "cyclic" and not args.backward and not (args.tree and args.weights):
         parser.error("cyclic needs either --backward or both --tree and --weights")

@@ -65,6 +65,7 @@ class BackwardShiftSpec:
         for j, k in self.zero_positions:
             if not (0 <= j < self.branches) or k < 0:
                 raise ValueError(f"zero position {(j, k)} out of range")
+        self._prefix = {}  # branch -> running products P[0..t], extended on demand
 
     def weight(self, j: int, k: int) -> float:
         if (j, k) in self.zero_positions:
@@ -75,11 +76,22 @@ class BackwardShiftSpec:
         return w
 
     def prefix_products(self, j: int, upto: int) -> list[float]:
-        """P[t] = w_{j,0} * ... * w_{j,t-1} for t = 0..upto."""
-        out = [1.0]
-        for k in range(upto):
-            out.append(out[-1] * self.weight(j, k))
-        return out
+        """P[t] = w_{j,0} * ... * w_{j,t-1} for t = 0..upto.
+
+        The running product of each branch is kept and extended on demand, so
+        repeated calls evaluate every weight once; the caller gets a copy.
+        """
+        known = self._prefix.setdefault(j, [1.0])
+        for k in range(len(known) - 1, upto):
+            known.append(known[-1] * self.weight(j, k))
+        return known[: upto + 1]
+
+    def steps(self, depth: int) -> np.ndarray:
+        """steps[j, k] = w_{j,k} for k < depth (0.0 at zero positions): the
+        branch-wise action (B y)[j, k] = steps[j, k] * y[j, k + 1] of the
+        truncation to indices k <= depth."""
+        return np.array([[self.weight(j, k) for k in range(depth)]
+                         for j in range(self.branches)])
 
     def dense_matrix(self, depth: int, cap: int = DIMENSION_CAP) -> np.ndarray:
         """Truncation to indices k <= depth, basis order branch-major."""
@@ -87,11 +99,11 @@ class BackwardShiftSpec:
         if n > cap:
             raise DimensionCap(n, cap)
         mat = np.zeros((n, n))
+        steps = self.steps(depth)
         for j in range(self.branches):
             base = j * (depth + 1)
             for k in range(1, depth + 1):
-                w = 0.0 if (j, k - 1) in self.zero_positions else self.weight(j, k - 1)
-                mat[base + k - 1, base + k] = w
+                mat[base + k - 1, base + k] = steps[j, k - 1]
         return mat
 
 
@@ -202,10 +214,24 @@ def range_membership_report(spec: BackwardShiftSpec, candidate: CyclicCandidate,
 
 def ge_rank(matrix, rank_tol: float = RANK_TOL) -> int:
     """Numerical rank by Gaussian elimination with partial pivoting; a pivot
-    counts when it exceeds rank_tol times the largest entry of the input."""
+    counts when it exceeds rank_tol times the largest entry of the input.
+
+    Each elimination step updates only the rows below the pivot that have a
+    nonzero in the pivot column.  That is exact: on every other row the dense
+    update would subtract (0 / pivot) * (pivot row), which is a signed zero
+    when every entry is finite, so no entry, pivot choice or rank changes.
+    The entries and the tolerance must therefore be finite (ValueError
+    otherwise).  On a tree truncation (at most one nonzero per row) a step
+    then touches only the children of one vertex, and the cost drops from
+    O(n^3) to O(n^2): one column scan per pivot.
+    """
     a = np.array(matrix, dtype=float, copy=True)
     if a.ndim != 2:
         raise ValueError("matrix expected")
+    if not 0.0 <= rank_tol < math.inf:  # also false for NaN
+        raise ValueError(f"rank_tol must be finite and >= 0, got {rank_tol}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has non-finite entries")
     m, n = a.shape
     ref = np.max(np.abs(a)) if a.size else 0.0
     if ref == 0.0:
@@ -220,8 +246,8 @@ def ge_rank(matrix, rank_tol: float = RANK_TOL) -> int:
             continue
         if pivot_row != rank:
             a[[rank, pivot_row]] = a[[pivot_row, rank]]
-        below = a[rank + 1:, col] / pivot
-        a[rank + 1:, col:] -= np.outer(below, a[rank, col:])
+        rows = rank + 1 + np.flatnonzero(a[rank + 1:, col])
+        a[rows, col:] -= np.outer(a[rows, col] / pivot, a[rank, col:])
         rank += 1
     return rank
 
@@ -295,33 +321,28 @@ def verify_cyclic_candidate(spec: BackwardShiftSpec, candidate: CyclicCandidate,
                             rank_tol: float = RANK_TOL, cap: int = DIMENSION_CAP) -> KrylovVerification:
     """Krylov witness on the K-window.
 
-    B is truncated densely at the candidate's deepest support point (the
-    action of B only moves support down, so the iterates B^k f are exact
-    there), and the span of their projections onto the window {e_{j,k}:
-    k <= K} is rank-tested against the window dimension.
+    B is truncated at the candidate's deepest support point (the action of B
+    only moves support down, so the iterates B^k f are exact there) and
+    applied branch by branch, without forming its matrix; the span of the
+    iterates' projections onto the window {e_{j,k}: k <= K} is rank-tested
+    against the window dimension.
     """
     dim_window = spec.branches * (window_K + 1)
     if dim_window > cap:
         raise DimensionCap(dim_window, cap)
     depth = max(k for _, k in candidate.schedule)
     depth = max(depth, window_K)
-    big = spec.dense_matrix(depth, cap=max(cap, spec.branches * (depth + 1)))
-    f = candidate_vector(spec, candidate, depth)
-
-    # Window-projection index map (branch-major on both sides).
-    rows = []
-    for j in range(spec.branches):
-        base = j * (depth + 1)
-        rows.extend(range(base, base + window_K + 1))
-    rows = np.array(rows)
+    steps = spec.steps(depth)
+    grid = candidate_vector(spec, candidate, depth).reshape(spec.branches, depth + 1)
 
     n_cols = depth + 1
     cols = np.empty((dim_window, n_cols))
-    y = f.copy()
     for k in range(n_cols):
-        cols[:, k] = y[rows]
+        cols[:, k] = grid[:, : window_K + 1].ravel()  # branch-major window projection
         if k + 1 < n_cols:
-            y = big @ y
+            nxt = np.zeros_like(grid)
+            nxt[:, :-1] = steps * grid[:, 1:]
+            grid = nxt
     return verify_krylov_span(cols, dim_window, tol, rank_tol)
 
 

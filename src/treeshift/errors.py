@@ -89,3 +89,7 @@ class ShapeMismatch(TreeShiftError):
 
 class WeightError(TreeShiftError):
     pass
+
+
+class TreeSpecError(TreeShiftError, ValueError):
+    """A tree family name or parameter that the input spec gets wrong."""

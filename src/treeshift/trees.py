@@ -29,6 +29,7 @@ from .errors import (
     DisconnectedGraph,
     MultipleParents,
     RootMismatch,
+    TreeSpecError,
     VertexNotFound,
 )
 
@@ -325,13 +326,17 @@ class CombTree(DirectedTreeModel):
     family = "comb"
 
     def __init__(self, primed_leaf=None, unprimed_leaf=None):
+        for name, value in (("primed_leaf", primed_leaf), ("unprimed_leaf", unprimed_leaf)):
+            if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+                raise TreeSpecError(f"comb {name} must be an integer, got {value!r}")
         if primed_leaf is not None and primed_leaf < 1:
-            raise ValueError("primed_leaf must be >= 1")
+            raise TreeSpecError("primed_leaf must be >= 1")
         if unprimed_leaf is not None:
             if primed_leaf is None:
-                raise ValueError("an unprimed leaf requires a primed leaf (canonical labelling)")
+                raise TreeSpecError("an unprimed leaf requires a primed leaf "
+                                    "(canonical labelling)")
             if unprimed_leaf < primed_leaf:
-                raise ValueError("unprimed_leaf must be >= primed_leaf")
+                raise TreeSpecError("unprimed_leaf must be >= primed_leaf")
         self.primed_leaf = primed_leaf
         self.unprimed_leaf = unprimed_leaf
 
@@ -479,7 +484,7 @@ def make_family(tag: str, params: dict | None = None) -> DirectedTreeModel:
         return TildeTree()
     if tag == "comb":
         return CombTree(params.get("primed_leaf"), params.get("unprimed_leaf"))
-    raise ValueError(f"unknown family {tag!r}; expected one of {FAMILY_TAGS}")
+    raise TreeSpecError(f"unknown family {tag!r}; expected one of {FAMILY_TAGS}")
 
 
 def tree_from_json(doc) -> DirectedTreeModel:

@@ -10,6 +10,7 @@ type of the cyclicity module.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
 
@@ -335,7 +336,15 @@ def weights_from_json(doc) -> WeightAssignment:
         name = doc.get("name")
         if name not in _FAMILIES:
             raise WeightError(f"unknown weight family {name!r}")
-        return _FAMILIES[name](**doc.get("params", {}))
+        family = _FAMILIES[name]
+        params = doc.get("params", {})
+        signature = inspect.signature(family)
+        try:
+            signature.bind(**params)
+        except TypeError:  # unknown, missing or non-mapping params
+            raise WeightError(f"weight family {name!r} takes params "
+                              f"{list(signature.parameters)}, got {params!r}") from None
+        return family(**params)
     raise WeightError(f"unknown weight kind {kind!r}")
 
 

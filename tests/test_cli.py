@@ -5,7 +5,9 @@ import math
 
 import pytest
 
+from treeshift import cli
 from treeshift.cli import main
+from treeshift.shifts import ShiftOperator
 
 
 def write(tmp_path, name, doc):
@@ -169,7 +171,54 @@ def test_oracle(specs, capsys):
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     doc = next(d for d in lines if d["record"] == "oracle")
     assert doc["apply_residual"] == 0.0
+    assert doc["adjoint_residual"] == 0.0
     assert doc["cokernel"] == 2  # 1 + Br on the full finite window
+
+
+class _DoubledAdjoint(ShiftOperator):
+    def apply_adjoint(self, x):
+        return super().apply_adjoint(x).scaled(2.0)
+
+
+def test_oracle_adjoint_residual_catches_a_wrong_adjoint(specs, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "ShiftOperator", _DoubledAdjoint)
+    assert main(["oracle", "--tree", specs["star"], "--weights", specs["star_w"],
+                 "--levels", "0:2", "--json"]) == 0
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    doc = next(d for d in lines if d["record"] == "oracle")
+    assert doc["apply_residual"] == 0.0
+    assert doc["adjoint_residual"] == pytest.approx(0.8)  # |2*0.8 - 0.8| at vertex b
+    assert main(["oracle", "--tree", specs["star"], "--weights", specs["star_w"],
+                 "--levels", "0:2"]) == 0
+    assert "adjoint vs matrix transpose: 8.000e-01" in capsys.readouterr().out
+
+
+def test_parser_is_reused_across_calls(specs, capsys):
+    runs = [["validate", "--tree", specs["tilde"], "--levels=-3:3"],
+            ["analyze", "--tree", specs["star"], "--weights", specs["star_w"],
+             "--levels", "0:2", "--json"],
+            ["oracle", "--tree", specs["tilde"], "--weights", specs["tilde_w"], "--levels=-4:4"],
+            ["cyclic", "--backward", specs["backward"], "--window-k", "20", "--json"],
+            ["cyclic", "--tree", specs["tilde"], "--weights", specs["tilde_w"],
+             "--levels=-6:6", "--depth", "20"],
+            ["asymptote", "--tree", specs["star"], "--weights", specs["star_w"],
+             "--levels", "0:2"],
+            ["validate", "--tree", specs["star"], "--json"]]
+
+    def run_all(fresh):
+        seen = []
+        for argv in runs:
+            if fresh:
+                cli._parser.cache_clear()
+            code = main(argv)
+            captured = capsys.readouterr()
+            seen.append((code, captured.out, captured.err))
+        return seen
+
+    cached = run_all(fresh=False)
+    assert cli._parser() is cli._parser()
+    assert cached == run_all(fresh=True)
+    assert [code for code, _, _ in cached] == [0, 0, 0, 0, 0, 4, 0]
 
 
 def test_constant_nan_weight_exit_code(specs, tmp_path, capsys):
@@ -197,6 +246,54 @@ def test_bad_numeric_flags_exit_code(specs, capsys, flag, value):
               "--levels", "0:1", f"{flag}={value}"])
     assert exc.value.code == 2
     assert f"argument {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("--rank-tol", "nan"), ("--rank-tol", "-1"),
+                                        ("--rank-tol", "0"), ("--rank-tol", "inf")])
+def test_bad_rank_tol_exit_code(specs, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--tree", specs["star"], "--weights", specs["star_w"],
+              "--levels", "0:2", f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("--window-k", "-1"), ("--schedule", "0"),
+                                        ("--schedule", "-4")])
+def test_bad_backward_flags_exit_code(specs, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["cyclic", "--backward", specs["backward"], f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+
+
+def test_short_schedule_exit_code(specs, capsys):
+    assert main(["cyclic", "--backward", specs["backward"], "--schedule", "7"]) == 2
+    assert "ScheduleTooShort" in capsys.readouterr().err
+
+
+def test_smallest_backward_window_is_accepted(specs, capsys):
+    assert main(["cyclic", "--backward", specs["backward"], "--window-k", "0"]) == 0
+    assert "rank 2/2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("params", [{"lo": 0.5}, {"low": 0.5, "high": 0.7, "lo": 0.5},
+                                    {"high": 0.7}, [0.5, 0.7]])
+def test_bad_family_params_exit_code(specs, tmp_path, capsys, params):
+    path = write(tmp_path, "step.json", {"kind": "family", "name": "step", "params": params})
+    assert main(["analyze", "--tree", specs["bilateral"], "--weights", path,
+                 "--levels=-2:2"]) == 2
+    err = capsys.readouterr().err
+    assert "WeightError" in err and "'step'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("params", [{"primed_leaf": 2.5}, {"primed_leaf": "3"},
+                                    {"primed_leaf": True}, {"primed_leaf": 2, "unprimed_leaf": 4.0}])
+def test_non_integer_comb_leaf_exit_code(specs, tmp_path, capsys, params):
+    tree = write(tmp_path, "comb.json", {"family": "comb", "params": params})
+    assert main(["validate", "--tree", tree]) == 2
+    err = capsys.readouterr().err
+    assert "TreeSpecError" in err and "must be an integer" in err
 
 
 def test_zero_threshold_of_zero_is_accepted(specs, capsys):

@@ -8,6 +8,7 @@ import pytest
 
 from treeshift.asymptotics import adjoint_profile, alpha_profile, classify
 from treeshift.cyclicity import (
+    RANK_TOL,
     BackwardShiftSpec,
     VERDICT_ANCHORS,
     backward_spec_from_json,
@@ -22,12 +23,13 @@ from treeshift.cyclicity import (
     sigma_m,
     uniform_weight_rule,
     verify_cyclic_candidate,
+    verify_krylov_span,
 )
 from treeshift.errors import DimensionCap, ScheduleTooShort, ZeroWeight
 from treeshift.shifts import ShiftOperator
 from treeshift.sparse import SparseVector
 from treeshift.trees import make_family, materialize_window, validate_finite
-from treeshift.weights import ConstantWeights, MapWeights
+from treeshift.weights import ConstantWeights, HashRandomWeights, MapWeights
 
 from conftest import full_window, random_finite_tree
 
@@ -170,6 +172,101 @@ def test_ge_rank_agrees_with_numpy(rng):
         assert ge_rank(a) == np.linalg.matrix_rank(a, tol=1e-8)
 
 
+# Reference: elimination that updates every row below the pivot.
+def _ge_rank_dense(matrix, rank_tol=RANK_TOL):
+    a = np.array(matrix, dtype=float, copy=True)
+    m, n = a.shape
+    ref = np.max(np.abs(a)) if a.size else 0.0
+    if ref == 0.0:
+        return 0
+    rank = 0
+    for col in range(n):
+        if rank == m:
+            break
+        pivot_row = rank + int(np.argmax(np.abs(a[rank:, col])))
+        pivot = a[pivot_row, col]
+        if abs(pivot) <= rank_tol * ref:
+            continue
+        if pivot_row != rank:
+            a[[rank, pivot_row]] = a[[pivot_row, rank]]
+        below = a[rank + 1:, col] / pivot
+        a[rank + 1:, col:] -= np.outer(below, a[rank, col:])
+        rank += 1
+    return rank
+
+
+def _assert_same_rank(mat, tols=(RANK_TOL,)):
+    for tol in tols:
+        assert ge_rank(mat, tol) == _ge_rank_dense(mat, tol)
+
+
+def test_ge_rank_matches_dense_update_on_tree_truncations(rng):
+    for n in (2, 17, 60, 150, 300):
+        tree = random_finite_tree(rng, n)
+        op = ShiftOperator(tree, MapWeights({v: rng.uniform(0.05, 1.0)
+                                             for v in tree.vertices() if v != tree.root}))
+        _assert_same_rank(op.dense_truncation(full_window(tree)), (RANK_TOL, 1e-3, 0.0))
+        half = materialize_window(tree, 0, max(1, tree.depth() // 2), breadth=10 ** 6)
+        _assert_same_rank(op.dense_truncation(half))
+    for spec in ({"family": "tilde"}, {"family": "comb", "primed_leaf": 3},
+                 {"family": "comb", "primed_leaf": 2, "unprimed_leaf": 5}):
+        params = {k: v for k, v in spec.items() if k != "family"}
+        model = make_family(spec["family"], params)
+        op = ShiftOperator(model, HashRandomWeights(rng.randrange(1000), 0.3, 0.9))
+        for width in (3, 12):
+            _assert_same_rank(op.dense_truncation(materialize_window(model, -width, width)))
+
+
+def test_ge_rank_matches_dense_update_on_krylov_blocks():
+    for branches, L, K in ((1, 12, 40), (2, 16, 30), (3, 12, 20)):
+        spec = BackwardShiftSpec(branches, uniform_weight_rule(branches, 0.5, 0.99))
+        cand = construct_backward_cyclic(spec, L)
+        depth = max(K, max(k for _, k in cand.schedule))
+        big = spec.dense_matrix(depth, cap=10 ** 6)
+        y = candidate_vector(spec, cand, depth)
+        cols = []
+        for _ in range(depth + 1):
+            cols.append(y)
+            y = big @ y
+        block = np.array(cols).T
+        norms = np.linalg.norm(block, axis=0)
+        block[:, norms > 0] /= norms[norms > 0]
+        _assert_same_rank(block, (RANK_TOL, 1e-12))
+        _assert_same_rank(block[: K + 1])
+
+
+def test_ge_rank_matches_dense_update_on_dense_and_degenerate(rng):
+    def mat(m, n, draw):
+        return np.array([[draw() for _ in range(n)] for _ in range(m)])
+
+    cases = []
+    for m, n in ((1, 1), (5, 5), (8, 12), (12, 8), (20, 20)):
+        cases.append(mat(m, n, lambda: rng.gauss(0, 1)))
+        # small integers: many tied pivot magnitudes and exact cancellations
+        cases.append(mat(m, n, lambda: float(rng.randint(-2, 2))))
+        low = mat(m, 2, lambda: float(rng.randint(-3, 3))) @ mat(2, n, lambda: float(rng.randint(-3, 3)))
+        cases.append(low)
+        holed = mat(m, n, lambda: rng.gauss(0, 1))
+        holed[:, ::3] = 0.0  # exact-zero columns
+        holed[m // 2:] = holed[: m - m // 2]  # repeated rows
+        cases.append(holed)
+    cases.append(np.zeros((4, 6)))
+    cases.append(np.ones((6, 6)))
+    for case in cases:
+        _assert_same_rank(case, (RANK_TOL, 0.0, 0.5))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_ge_rank_rejects_non_finite_input(bad):
+    a = np.eye(3)
+    a[1, 2] = bad
+    with pytest.raises(ValueError):
+        ge_rank(a)
+    for tol in (bad, -1e-8):
+        with pytest.raises(ValueError):
+            ge_rank(np.eye(3), tol)
+
+
 def test_cokernel_formula_on_rooted_trees(rng):
     for _ in range(6):
         tree = random_finite_tree(rng, 40)
@@ -237,6 +334,57 @@ def test_zeroed_coefficient_detected():
     assert record.rank < baseline.rank
     assert baseline.max_residual <= 1e-6
     assert record.max_residual > 1e-2
+
+
+def _dense_iterate_verification(spec, cand, K, tol=1e-5, rank_tol=RANK_TOL):
+    """verify_cyclic_candidate with B applied as its dense truncation."""
+    depth = max(K, max(k for _, k in cand.schedule))
+    big = spec.dense_matrix(depth, cap=10 ** 6)
+    rows = np.concatenate([np.arange(j * (depth + 1), j * (depth + 1) + K + 1)
+                           for j in range(spec.branches)])
+    y = candidate_vector(spec, cand, depth)
+    cols = np.empty((len(rows), depth + 1))
+    for k in range(depth + 1):
+        cols[:, k] = y[rows]
+        y = big @ y
+    return verify_krylov_span(cols, len(rows), tol, rank_tol)
+
+
+def test_verify_matches_dense_iterate():
+    cases = []
+    for branches, L, K in ((1, 12, 40), (1, 20, 64), (2, 16, 30), (3, 12, 0), (3, 16, 60)):
+        spec = BackwardShiftSpec(branches, uniform_weight_rule(7 * branches, 0.5, 0.99))
+        cases.append((spec, construct_backward_cyclic(spec, L), K))
+    # zero weights only block some iterates; the candidate is built on a twin
+    zeroed = BackwardShiftSpec(2, 0.9, zeros=[(0, 2), (1, 4)])
+    cases.append((zeroed, construct_backward_cyclic(BackwardShiftSpec(2, 0.9), 16), 30))
+    for spec, cand, K in cases:
+        fast = verify_cyclic_candidate(spec, cand, K)
+        slow = _dense_iterate_verification(spec, cand, K)
+        assert (fast.rank, fast.dimension, fast.columns, fast.cyclic) == \
+            (slow.rank, slow.dimension, slow.columns, slow.cyclic)
+        assert fast.max_residual == slow.max_residual
+
+
+def _prefix_reference(spec, j, upto):
+    out = [1.0]
+    for k in range(upto):
+        out.append(out[-1] * spec.weight(j, k))
+    return out
+
+
+def test_prefix_products_memo_is_order_free_and_private():
+    rule = uniform_weight_rule(4, 0.5, 0.99)
+    plain = BackwardShiftSpec(2, rule, zeros=[(1, 5)])
+    for order in ([(0, 3), (0, 40), (0, 10), (1, 0), (1, 20), (1, 7)],
+                  [(1, 20), (0, 40), (0, 3), (1, 7), (1, 0), (0, 10)]):
+        spec = BackwardShiftSpec(2, rule, zeros=[(1, 5)])
+        for j, upto in order:
+            got = spec.prefix_products(j, upto)
+            assert got == _prefix_reference(plain, j, upto)
+            got[-1] = -1.0  # a caller mutating its copy
+            got.append(7.0)
+            assert spec.prefix_products(j, upto) == _prefix_reference(plain, j, upto)
 
 
 # -- dense-range / direct-sum cyclicity laws -------------------------------------------
