@@ -73,7 +73,7 @@ class AsymptoteDescriptor:
 
     def _beta_at(self, v):
         a_child = self.alpha(v)
-        a_parent = self.alpha(self.operator.model.parent(v))
+        a_parent = self.alpha(self.operator.parent(v))
         return self.operator.weight(v) * math.sqrt(a_child.estimate / a_parent.estimate)
 
 
@@ -85,14 +85,13 @@ def cnu_level_value(operator: ShiftOperator, alpha: AlphaEvaluator, members, dep
     member telescopes to (product of lambda^2) * alpha(member)/alpha(anchor),
     so no per-ancestor beta values are needed.
     """
-    model = operator.model
     total = 0.0
     for v in members:
         prod = 1.0
         w = v
         for _ in range(depth):
             prod *= operator.weight(w) ** 2
-            w = model.parent(w)
+            w = operator.parent(w)
             if w is None:
                 break
         anchor = alpha(w).estimate if w is not None else 1.0
@@ -129,7 +128,7 @@ def isometric_asymptote(operator: ShiftOperator, profile: AsymptoticProfile,
 
     beta = {}
     for v in stable.members:
-        p = model.parent(v)
+        p = operator.parent(v)
         if p is None or p not in stable.members:
             continue
         rv, rp = profile.record(v), profile.record(p)
@@ -200,12 +199,11 @@ def adjoint_isometric_asymptote(operator: ShiftOperator,
 def intertwining_residual(operator: ShiftOperator, descriptor: AsymptoteDescriptor,
                           profile: AsymptoticProfile, window: TreeWindow) -> float:
     """max over stable interior basis vectors of || A^(1/2) S e_u - U A^(1/2) e_u ||."""
-    model = operator.model
     worst = 0.0
     interior = set(window.forward_interior())
     for u in descriptor.stable.members & interior:
         lhs = SparseVector()
-        for v in model.children(u):
+        for v in operator.children(u):
             rec = profile.record(v) if v in window else descriptor.alpha(v)
             lhs.coeffs[v] = operator.weight(v) * math.sqrt(max(rec.estimate, 0.0))
         rhs = SparseVector()
@@ -288,7 +286,7 @@ def similar_to_coisometry(operator: ShiftOperator, window: TreeWindow,
     model = operator.model
     if model.is_rooted:
         return SimilarityAnswer("no", "rooted tree cannot carry a co-isometry similarity")
-    if any(len(model.children(u)) > 1 for u in window):
+    if any(len(operator.children(u)) > 1 for u in window):
         return SimilarityAnswer("no", "branching vertex present: |Chi(u)| <= 1 fails")
     if model.branching_total() is not None and model.branching_total()[0] > 0:
         return SimilarityAnswer("no", "family has positive branching index")
@@ -297,7 +295,8 @@ def similar_to_coisometry(operator: ShiftOperator, window: TreeWindow,
         return SimilarityAnswer("yes", "full weight product positive (closed form)")
     if closed is False:
         return SimilarityAnswer("no", "full weight product vanishes (closed form)")
-    log_sum = sum(math.log(operator.weight(u)) for u in window if model.parent(u) is not None)
+    log_sum = sum(math.log(operator.weight(u)) for u in window
+                  if operator.parent(u) is not None)
     if log_sum < math.log(1e-12):
         return SimilarityAnswer("no", f"window log-sum {log_sum:.3g} diverges")
     return SimilarityAnswer("undetermined", "no closed form; window log-sum inconclusive")

@@ -29,10 +29,19 @@ to convergence or the depth budget; one descent serves every vertex of a
 level.  The adjoint side extends one ancestor chain per level and scales it
 by the generation size.  Otherwise every cone and chain is walked vertex by
 vertex.
+
+Every walk asks the operator, not the model, for weights, children and
+parents.  ``ShiftOperator`` memoizes these per vertex, so the overlapping
+cones and ancestor chains of neighbouring window vertices evaluate each
+vertex once per analysis (the model's membership check and the weight checks
+still run on the first query).  A memoized query returns the very float or
+tuple of the first one, and the loops square, multiply and sum in the same
+order, so every estimate is bit-identical to an un-memoized walk.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -105,15 +114,21 @@ class AlphaEvaluator:
             hit = self._by_level[lvl] = self._descend(u)
         return VertexEstimate(u, *hit)
 
+    @functools.cached_property
+    def _floor(self):
+        """The weights' convergence floor level, read at the first descent."""
+        return self.operator.weights.convergence_floor_level(self.operator.model)
+
     def _descend(self, u: str) -> tuple:
         """(estimate, upper, status, depth) from the partial sums s_n(u)."""
         op = self.operator
         model = op.model
+        children, weight = op.children, op.weight
         lumped = self.lumped
         # Flat unit-weight prefixes keep the partial sums exactly constant, so
         # convergence may not be declared before the frontier has passed them.
         min_depth = CONSECUTIVE_SMALL + 5
-        floor = op.weights.convergence_floor_level(model)
+        floor = self._floor
         if floor is not None:
             min_depth = max(min_depth, floor - model.level(u) + CONSECUTIVE_SMALL + 2)
         frontier = {u: 1.0}
@@ -124,13 +139,13 @@ class AlphaEvaluator:
             if lumped:
                 # One representative stands for its whole level.
                 ((w, prod),) = frontier.items()
-                kids = model.children(w)
-                nxt = {kids[0]: prod * sum(op.weight(v) ** 2 for v in kids)} if kids else {}
+                kids = children(w)
+                nxt = {kids[0]: prod * sum(weight(v) ** 2 for v in kids)} if kids else {}
             else:
                 nxt = {}
                 for w, prod in frontier.items():
-                    for v in model.children(w):
-                        nxt[v] = prod * op.weight(v) ** 2
+                    for v in children(w):
+                        nxt[v] = prod * weight(v) ** 2
             if not nxt:
                 return 0.0, 0.0, EXACT_ZERO, n
             s = sum(nxt.values())
@@ -281,14 +296,13 @@ def _generation_complete(model, anchor_level: int) -> bool:
 
 def _ancestor_products(operator: ShiftOperator, v: str, depth: int) -> list:
     """Running products of squared weights up the ancestor chain of v."""
-    model = operator.model
     prods = []
     prod = 1.0
     w = v
     for _ in range(depth):
         prod *= operator.weight(w) ** 2
         prods.append(prod)
-        w = model.parent(w)
+        w = operator.parent(w)
         if w is None:
             break
     return prods
@@ -302,15 +316,15 @@ def _adjoint_level(operator: ShiftOperator, u: str, depth: int, tol: float,
     anchor = u
     gen_exact = _generation_complete(model, model.level(u))
     for d in range(1, depth + 1):
-        parent = model.parent(anchor)
+        parent = operator.parent(anchor)
         if parent is None:
             break
-        siblings = [v for v in model.children(parent) if v != anchor]
+        siblings = [v for v in operator.children(parent) if v != anchor]
         new = dict.fromkeys(siblings)
         for _ in range(d - 1):
             grown: dict[str, None] = {}
             for w in new:
-                for v in model.children(w):
+                for v in operator.children(w):
                     grown[v] = None
             new = grown
             if len(members) + len(new) > frontier_cap:
@@ -333,7 +347,10 @@ def _adjoint_level(operator: ShiftOperator, u: str, depth: int, tol: float,
         sums = [len(members) * chain[min(d, len(chain) - 1)] for d in range(depth)]
     else:
         chains = {v: _ancestor_products(operator, v, depth) for v in members}
-        sums = [sum(p[min(d, len(p) - 1)] for p in chains.values()) for d in range(depth)]
+        # A chain that ended at a root holds its last product out to the full
+        # depth; column d then sums p[min(d, len(p) - 1)] in member order.
+        rows = [p + p[-1:] * (depth - len(p)) for p in chains.values()]
+        sums = [sum(col) for col in zip(*rows)]
     consecutive = 0
     tail_ok = False
     for d in range(1, len(sums)):

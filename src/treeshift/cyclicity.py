@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionCap, ScheduleTooShort, ZeroWeight
+from .errors import DimensionCap, ScheduleTooShort, WeightError, ZeroWeight
 from .trees import branching_index, leaves
+from .weights import _integer
 
 DIMENSION_CAP = 4096
 RANK_TOL = 1e-8
@@ -66,13 +67,23 @@ class BackwardShiftSpec:
             if not (0 <= j < self.branches) or k < 0:
                 raise ValueError(f"zero position {(j, k)} out of range")
         self._prefix = {}  # branch -> running products P[0..t], extended on demand
+        self._weights = {}  # (j, k) -> w_{j,k}, evaluated once
 
     def weight(self, j: int, k: int) -> float:
+        """w_{j,k} from the rule, range-checked, on every call."""
         if (j, k) in self.zero_positions:
             return 0.0
         w = float(self._rule(j, k))
         if not (0.0 < w <= 1.0):
             raise ZeroWeight((j, k)) if w <= 0.0 else ValueError(f"weight {w} > 1 at {(j, k)}")
+        return w
+
+    def _weight(self, j: int, k: int) -> float:
+        """``weight`` memoized per position: the rule and its range check run
+        on the first query, later ones return the same float."""
+        w = self._weights.get((j, k))
+        if w is None:
+            w = self._weights[(j, k)] = self.weight(j, k)
         return w
 
     def prefix_products(self, j: int, upto: int) -> list[float]:
@@ -83,14 +94,14 @@ class BackwardShiftSpec:
         """
         known = self._prefix.setdefault(j, [1.0])
         for k in range(len(known) - 1, upto):
-            known.append(known[-1] * self.weight(j, k))
+            known.append(known[-1] * self._weight(j, k))
         return known[: upto + 1]
 
     def steps(self, depth: int) -> np.ndarray:
         """steps[j, k] = w_{j,k} for k < depth (0.0 at zero positions): the
         branch-wise action (B y)[j, k] = steps[j, k] * y[j, k + 1] of the
         truncation to indices k <= depth."""
-        return np.array([[self.weight(j, k) for k in range(depth)]
+        return np.array([[self._weight(j, k) for k in range(depth)]
                          for j in range(self.branches)])
 
     def dense_matrix(self, depth: int, cap: int = DIMENSION_CAP) -> np.ndarray:
@@ -207,7 +218,7 @@ def range_membership_report(spec: BackwardShiftSpec, candidate: CyclicCandidate,
     for (j, k), x in zip(candidate.schedule, candidate.xi):
         prod = 1.0
         for i in range(k, k + n):
-            prod *= spec.weight(j, i)
+            prod *= spec._weight(j, i)
         total += (x / prod) ** 2
     return total
 
@@ -346,20 +357,52 @@ def verify_cyclic_candidate(spec: BackwardShiftSpec, candidate: CyclicCandidate,
     return verify_krylov_span(cols, dim_window, tol, rank_tol)
 
 
+def _unit_interval(wdoc: dict, key: str) -> float:
+    """A weight-rule number in (0, 1]; NaN and non-numbers are rejected."""
+    value = wdoc.get(key)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 < value <= 1.0:
+        raise WeightError(f"backward {wdoc.get('kind')} weight {key} must be a number "
+                          f"in (0, 1], got {value!r}")
+    return float(value)
+
+
 def backward_spec_from_json(doc) -> BackwardShiftSpec:
     """{"branches": k, "weights": {"kind": "constant"|"hash-random", ...},
-    "zeros": [[j, k], ...]}"""
+    "zeros": [[j, k], ...]}
+
+    Validated before anything runs: the rule must give weights in (0, 1] (a
+    constant ``value`` in (0, 1]; a hash-random ``low`` <= ``high`` in (0, 1]
+    and an integer ``seed``), so zero weights enter only as listed ``zeros``.
+    Bad weights raise WeightError, a bad shape ValueError.
+    """
     if isinstance(doc, str):
         doc = json.loads(doc)
+    if not isinstance(doc, dict):
+        raise ValueError(f"a backward shift spec must be a JSON object, got {doc!r}")
     wdoc = doc.get("weights", {"kind": "constant", "value": 1.0})
+    if not isinstance(wdoc, dict):
+        raise WeightError(f"backward weights must be a JSON object, got {wdoc!r}")
     if wdoc.get("kind") == "constant":
-        rule = float(wdoc["value"])
+        rule = _unit_interval(wdoc, "value")
     elif wdoc.get("kind") == "hash-random":
-        rule = uniform_weight_rule(int(wdoc.get("seed", 0)), float(wdoc["low"]),
-                                   float(wdoc["high"]))
+        low, high = _unit_interval(wdoc, "low"), _unit_interval(wdoc, "high")
+        if low > high:
+            raise WeightError(f"backward hash-random weights need low <= high, "
+                              f"got {low} > {high}")
+        rule = uniform_weight_rule(_integer(wdoc.get("seed", 0), "backward hash-random seed"),
+                                   low, high)
     else:
-        raise ValueError(f"unknown backward weight kind {wdoc.get('kind')!r}")
-    return BackwardShiftSpec(doc["branches"], rule, zeros=doc.get("zeros", ()))
+        raise WeightError(f"unknown backward weight kind {wdoc.get('kind')!r}")
+    if "branches" not in doc:
+        raise ValueError("a backward shift spec needs a 'branches' field")
+    branches = _integer(doc["branches"], "backward branches", ValueError)
+    zeros = doc.get("zeros", [])
+    if not isinstance(zeros, list) or not all(isinstance(z, list) and len(z) == 2
+                                              for z in zeros):
+        raise ValueError(f"backward zeros must be a list of [branch, index] pairs, got {zeros!r}")
+    zeros = [(_integer(j, "zero branch", ValueError), _integer(k, "zero index", ValueError))
+             for j, k in zeros]
+    return BackwardShiftSpec(branches, rule, zeros=zeros)
 
 
 @dataclass

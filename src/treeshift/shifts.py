@@ -15,6 +15,7 @@ from .weights import BinarySpineWeights, ConstantWeights, RayWeights, WeightAssi
 
 DENSE_CAP = 4096
 CONTRACTION_SLACK = 1e-12
+_UNSEEN = object()  # parent memo miss; None is a valid parent (the root's)
 
 
 @dataclass
@@ -39,21 +40,52 @@ def _children_bound_outside(model, window):
 
 
 class ShiftOperator:
-    """Weighted shift S on a directed tree: e_u -> sum over children v of lambda_v e_v."""
+    """Weighted shift S on a directed tree: e_u -> sum over children v of lambda_v e_v.
+
+    The model and the weights are fixed once the operator is built.  The
+    operator memoizes, per vertex, the weight lambda_v and the tree queries
+    ``children(u)`` and ``parent(u)``, and ``operator_norm`` per window, so an
+    analysis that walks overlapping cones and ancestor chains evaluates each
+    vertex once.  The first query of a vertex still goes through the model
+    and the weight assignment, so its membership check and its weight checks
+    run (and raise at the same vertex) as without the memo; later queries
+    return the same float or tuple, so every product and sum built from them
+    is unchanged.  The memos live as long as the operator: the CLI builds one
+    per call.
+    """
 
     def __init__(self, model, weights: WeightAssignment):
         self.model = model
         self.weights = weights
+        self._weights: dict[str, float] = {}
+        self._children: dict[str, tuple] = {}
+        self._parents: dict[str, str | None] = {}
+        self._norms: dict[TreeWindow, NormBound] = {}
 
     def weight(self, v: str) -> float:
-        return self.weights.weight(self.model, v)
+        w = self._weights.get(v)
+        if w is None:
+            w = self._weights[v] = self.weights.weight(self.model, v)
+        return w
+
+    def children(self, u: str) -> tuple:
+        kids = self._children.get(u)
+        if kids is None:
+            kids = self._children[u] = self.model.children(u)
+        return kids
+
+    def parent(self, u: str):
+        p = self._parents.get(u, _UNSEEN)
+        if p is _UNSEEN:
+            p = self._parents[u] = self.model.parent(u)
+        return p
 
     def apply(self, x: SparseVector) -> SparseVector:
         out = SparseVector()
         for u, c in x.items():
             if u not in self.model:
                 raise UnknownVertex(u)
-            for v in self.model.children(u):
+            for v in self.children(u):
                 out.coeffs[v] = out.coeffs.get(v, 0.0) + c * self.weight(v)
         out.coeffs = {k: c for k, c in out.coeffs.items() if c != 0.0}
         return out
@@ -63,7 +95,7 @@ class ShiftOperator:
         for u, c in x.items():
             if u not in self.model:
                 raise UnknownVertex(u)
-            p = self.model.parent(u)
+            p = self.parent(u)
             if p is None:
                 continue
             out.coeffs[p] = out.coeffs.get(p, 0.0) + c * self.weight(u)
@@ -80,7 +112,7 @@ class ShiftOperator:
         for _ in range(n):
             nxt: dict[str, float] = {}
             for w, prod in frontier.items():
-                for v in self.model.children(w):
+                for v in self.children(w):
                     nxt[v] = prod * self.weight(v)
             frontier = nxt
             if not frontier:
@@ -96,7 +128,7 @@ class ShiftOperator:
         prod = 1.0
         w = u
         for _ in range(n):
-            p = self.model.parent(w)
+            p = self.parent(w)
             if p is None:
                 return SparseVector()
             prod *= self.weight(w)
@@ -104,7 +136,7 @@ class ShiftOperator:
         return SparseVector({w: prod})
 
     def _column_norm(self, u: str) -> float:
-        return math.sqrt(sum(self.weight(v) ** 2 for v in self.model.children(u)))
+        return math.sqrt(sum(self.weight(v) ** 2 for v in self.children(u)))
 
     def operator_norm(self, window: TreeWindow) -> NormBound:
         """sup over u of sqrt(sum of squared children weights).
@@ -112,8 +144,15 @@ class ShiftOperator:
         Finite models are scanned exhaustively.  For procedural models the
         scan covers the window and its outside parents, and the tail beyond
         the window is bounded by max_weight * sqrt(children bound); the
-        result is certified whenever that bound exists.
+        result is certified whenever that bound exists.  The bound is
+        computed once per window and then returned from the cache.
         """
+        bound = self._norms.get(window)
+        if bound is None:
+            bound = self._norms[window] = self._operator_norm(window)
+        return bound
+
+    def _operator_norm(self, window: TreeWindow) -> NormBound:
         if isinstance(self.model, FiniteTree):
             value = max(self._column_norm(u) for u in self.model.vertices())
             return NormBound(value, value, True)
@@ -121,7 +160,7 @@ class ShiftOperator:
             return NormBound(1.0, 1.0, True)
         scan = set(window.order)
         for u in window.top_boundary():
-            scan.add(self.model.parent(u))
+            scan.add(self.parent(u))
         window_value = max(self._column_norm(u) for u in scan)
         top = self.weights.max_weight()
         if top is None:
@@ -164,7 +203,7 @@ class ShiftOperator:
         n = len(window)
         mat = np.zeros((n, n))
         for j, u in enumerate(window.order):
-            for v in self.model.children(u):
+            for v in self.children(u):
                 if v in window:
                     mat[window.index_of(v), j] = self.weight(v)
         return mat

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotAContraction, ShapeMismatch
+from .errors import NotAContraction, ShapeMismatch, WeightError
 from .shifts import ShiftOperator
 from .sparse import SparseVector
 from .trees import CombTree, TreeWindow
@@ -37,11 +37,17 @@ def _require_comb(operator: ShiftOperator, need_leaf: bool) -> CombTree:
 
 
 def ray_products(operator: ShiftOperator, upto: int):
-    """(spine, primed) cumulative weight products lambda_1..k and lambda_1'..k'."""
+    """(spine, primed) cumulative weight products lambda_1..k and lambda_1'..k'.
+
+    The g vectors need their reciprocals, so a product that underflows to 0
+    raises WeightError.
+    """
     spine, primed = [1.0], [1.0]
     for j in range(1, upto + 1):
         spine.append(spine[-1] * operator.weight(str(j)))
         primed.append(primed[-1] * operator.weight(f"{j}'"))
+        if spine[-1] == 0.0 or primed[-1] == 0.0:
+            raise WeightError(f"the weight products down to level {j} underflow to 0")
     return spine, primed
 
 

@@ -13,27 +13,52 @@ import hashlib
 import inspect
 import json
 import math
+import numbers
+import sys
 
 from .errors import WeightError
 from .trees import _is_primed, _primed_index
 
 
-def _positive(value, what: str) -> float:
-    """``value`` as a float; NaN, infinities and non-positive values are rejected."""
+# The largest weight whose square is a finite double; every analysis squares
+# weights, and a square that overflows raises instead of giving inf.
+MAX_WEIGHT = math.sqrt(sys.float_info.max)
+
+
+def _positive(value, what: str, top: float = math.inf) -> float:
+    """``value`` as a float in (0, top]; NaN, infinities, non-positive values
+    and non-numbers are rejected."""
     try:
         x = float(value)
     except (TypeError, ValueError):
         raise WeightError(f"{what} must be a number, got {value!r}") from None
     if not 0.0 < x < math.inf:  # also false for NaN
         raise WeightError(f"{what} must be finite and strictly positive, got {x}")
+    if x > top:
+        raise WeightError(f"{what} must be at most {top:.6g}, so that its square is finite, "
+                          f"got {x}")
     return x
 
 
-def _integer(value, what: str) -> int:
+def _integer(value, what: str, error=WeightError) -> int:
+    """``value`` as an int.  Ints and integral floats are accepted; booleans,
+    fractions, NaN, infinities and non-numbers raise ``error``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+            isinstance(value, numbers.Integral) or float(value).is_integer()):
+        raise error(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _computed(rule, family: str, v: str) -> float:
+    """Weight ``rule()`` of a level formula; a value that overflows, or
+    underflows to 0, is not a usable weight and raises WeightError."""
     try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise WeightError(f"{what} must be an integer, got {value!r}") from None
+        w = rule()
+    except OverflowError:
+        w = math.inf
+    if not 0.0 < w <= MAX_WEIGHT:
+        raise WeightError(f"{family} weight at {v!r} is out of range ({w})")
+    return w
 
 
 class WeightAssignment:
@@ -68,15 +93,10 @@ class MapWeights(WeightAssignment):
     kind = "map"
 
     def __init__(self, values: dict, default: float | None = None):
-        try:
-            self.values = {k: float(c) for k, c in values.items()}
-        except (TypeError, ValueError):
-            raise WeightError("map weights must be numbers") from None
-        for k, c in self.values.items():
-            if not 0.0 < c < math.inf:  # also false for NaN
-                raise WeightError(f"weight at {k!r} must be finite and strictly positive, "
-                                  f"got {c}")
-        self.default = None if default is None else _positive(default, "default weight")
+        self.values = {k: _positive(c, f"weight at {k!r}", MAX_WEIGHT)
+                       for k, c in values.items()}
+        self.default = (None if default is None
+                        else _positive(default, "default weight", MAX_WEIGHT))
 
     def weight(self, model, v):
         self._check_non_root(model, v)
@@ -109,7 +129,7 @@ class ConstantWeights(WeightAssignment):
     level_only = True
 
     def __init__(self, value: float):
-        self.value = _positive(value, "constant weight")
+        self.value = _positive(value, "constant weight", MAX_WEIGHT)
 
     def weight(self, model, v):
         self._check_non_root(model, v)
@@ -154,7 +174,7 @@ class ExpRayWeights(FamilyWeights):
         lvl = model.level(v)
         if lvl < self.start_level:
             return 1.0
-        return math.exp(-self.base ** (-lvl))
+        return _computed(lambda: math.exp(-self.base ** (-lvl)), self.name, v)
 
     def max_weight(self):
         return 1.0
@@ -183,7 +203,8 @@ class GeometricWeights(FamilyWeights):
 
     def weight(self, model, v):
         self._check_non_root(model, v)
-        return self.scale * self.ratio ** abs(model.level(v))
+        lvl = model.level(v)
+        return _computed(lambda: self.scale * self.ratio ** abs(lvl), self.name, v)
 
     def max_weight(self):
         return self.scale if self.ratio <= 1.0 else None
@@ -225,12 +246,12 @@ class RayWeights(FamilyWeights):
 
     def __init__(self, spine: float, primed: float,
                  branch_spine: float | None = None, branch_primed: float | None = None):
-        self.spine = _positive(spine, "rays spine")
-        self.primed = _positive(primed, "rays primed")
+        self.spine = _positive(spine, "rays spine", MAX_WEIGHT)
+        self.primed = _positive(primed, "rays primed", MAX_WEIGHT)
         self.branch_spine = (None if branch_spine is None
-                             else _positive(branch_spine, "rays branch_spine"))
+                             else _positive(branch_spine, "rays branch_spine", MAX_WEIGHT))
         self.branch_primed = (None if branch_primed is None
-                              else _positive(branch_primed, "rays branch_primed"))
+                              else _positive(branch_primed, "rays branch_primed", MAX_WEIGHT))
 
     def weight(self, model, v):
         self._check_non_root(model, v)
@@ -299,8 +320,8 @@ class HashRandomWeights(FamilyWeights):
 
     def __init__(self, seed: int, low: float, high: float):
         self.seed = _integer(seed, "hash-random seed")
-        self.low = _positive(low, "hash-random low")
-        self.high = _positive(high, "hash-random high")
+        self.low = _positive(low, "hash-random low", MAX_WEIGHT)
+        self.high = _positive(high, "hash-random high", MAX_WEIGHT)
         if self.low > self.high:
             raise WeightError("need 0 < low <= high")
 
@@ -324,17 +345,30 @@ _FAMILIES = {
 }
 
 
+def _field(doc: dict, key: str, what: str):
+    if key not in doc:
+        raise WeightError(f"{what} needs a {key!r} field")
+    return doc[key]
+
+
 def weights_from_json(doc) -> WeightAssignment:
+    """Build a weight assignment from its JSON doc (or JSON text); a doc of
+    the wrong shape, a missing field or a bad value raises WeightError."""
     if isinstance(doc, str):
         doc = json.loads(doc)
+    if not isinstance(doc, dict):
+        raise WeightError(f"a weight spec must be a JSON object, got {doc!r}")
     kind = doc.get("kind")
     if kind == "map":
-        return MapWeights(doc["values"], doc.get("default"))
+        values = _field(doc, "values", "map weights")
+        if not isinstance(values, dict):
+            raise WeightError(f"map weight values must be an object, got {values!r}")
+        return MapWeights(values, doc.get("default"))
     if kind == "constant":
-        return ConstantWeights(doc["value"])
+        return ConstantWeights(_field(doc, "value", "constant weights"))
     if kind == "family":
         name = doc.get("name")
-        if name not in _FAMILIES:
+        if not isinstance(name, str) or name not in _FAMILIES:
             raise WeightError(f"unknown weight family {name!r}")
         family = _FAMILIES[name]
         params = doc.get("params", {})

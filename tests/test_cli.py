@@ -299,3 +299,80 @@ def test_non_integer_comb_leaf_exit_code(specs, tmp_path, capsys, params):
 def test_zero_threshold_of_zero_is_accepted(specs, capsys):
     assert main(["analyze", "--tree", specs["binary"], "--weights", specs["halves"],
                  "--levels", "0:1", "--zero-th", "0", "--depth", "1"]) == 0
+
+
+@pytest.mark.parametrize("weights", [
+    {"kind": "constant", "value": 0}, {"kind": "constant", "value": 1.5},
+    {"kind": "constant", "value": -0.5}, {"kind": "constant", "value": math.nan},
+    {"kind": "constant", "value": "0.5"}, {"kind": "constant"},
+    {"kind": "hash-random", "seed": 3, "low": 0.5, "high": 1.5},
+    {"kind": "hash-random", "seed": 3, "low": 0.0, "high": 0.9},
+    {"kind": "hash-random", "seed": 3, "low": 0.9, "high": 0.5},
+    {"kind": "hash-random", "seed": 3, "low": math.nan, "high": 0.9},
+    {"kind": "hash-random", "seed": 3, "low": 0.5, "high": math.nan},
+    {"kind": "hash-random", "seed": 3, "low": 0.5, "high": math.inf},
+    {"kind": "hash-random", "seed": 2.5, "low": 0.5, "high": 0.9},
+    {"kind": "hash-random", "seed": True, "low": 0.5, "high": 0.9},
+    {"kind": "hash-random", "seed": math.nan, "low": 0.5, "high": 0.9},
+    {"kind": "hash-random", "seed": 3, "high": 0.9},
+    {"kind": "geometric", "value": 0.5}, [0.5],
+])
+def test_bad_backward_weights_exit_before_output(tmp_path, capsys, weights):
+    spec = write(tmp_path, "bad.json", {"branches": 1, "weights": weights})
+    assert main(["cyclic", "--backward", spec, "--schedule", "4", "--window-k", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "WeightError" in captured.err
+
+
+@pytest.mark.parametrize("doc", [
+    [1], {"weights": {"kind": "constant", "value": 0.5}}, {"branches": 1.5},
+    {"branches": True}, {"branches": "2"}, {"branches": 0},
+    {"branches": 1, "zeros": [[0]]}, {"branches": 1, "zeros": 3},
+    {"branches": 1, "zeros": [[0, 2.5]]}, {"branches": 1, "zeros": [[1, 0]]},
+])
+def test_bad_backward_shape_exit_before_output(tmp_path, capsys, doc):
+    spec = write(tmp_path, "bad.json", doc)
+    assert main(["cyclic", "--backward", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
+def test_backward_zero_weights_come_only_from_zeros(tmp_path, capsys):
+    spec = write(tmp_path, "zeros.json", {"branches": 1, "weights": {"kind": "constant",
+                                                                     "value": 1},
+                                          "zeros": [[0, 3.0]]})
+    assert main(["cyclic", "--backward", spec]) == 0
+    assert "1 zero weight(s)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name,key,params", [
+    ("step", "cut", {"low": 0.5, "high": 0.7}),
+    ("exp-ray", "start_level", {"base": 2.0}),
+    ("hash-random", "seed", {"low": 0.5, "high": 0.7}),
+])
+@pytest.mark.parametrize("value", [2.5, True, "2", math.nan])
+def test_non_integer_family_params_exit_code(specs, tmp_path, capsys, name, key, params,
+                                            value):
+    path = write(tmp_path, "w.json", {"kind": "family", "name": name,
+                                      "params": {**params, key: value}})
+    assert main(["analyze", "--tree", specs["bilateral"], "--weights", path,
+                 "--levels=-2:2"]) == 2
+    err = capsys.readouterr().err
+    assert "WeightError" in err and "must be an integer" in err
+
+
+@pytest.mark.parametrize("name,key,params", [
+    ("step", "cut", {"low": 0.5, "high": 0.7}),
+    ("exp-ray", "start_level", {"base": 2.0}),
+    ("hash-random", "seed", {"low": 0.5, "high": 0.7}),
+])
+def test_integral_float_family_params_are_accepted(specs, tmp_path, capsys, name, key, params):
+    outputs = []
+    for value in (2, 2.0):
+        path = write(tmp_path, "w.json", {"kind": "family", "name": name,
+                                          "params": {**params, key: value}})
+        assert main(["analyze", "--tree", specs["bilateral"], "--weights", path,
+                     "--levels=-2:2", "--json"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]

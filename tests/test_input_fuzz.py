@@ -1,0 +1,159 @@
+"""Fuzz test of the JSON input boundary through ``main``.
+
+Weight docs and backward-shift specs are drawn from a grammar around the real
+schemas, with wrong types, NaN and infinities, and missing and extra keys.
+Every input must end in one of the documented exit codes; an escaped
+exception fails the test with its traceback.  The runs are derandomized and
+bounded, so the suite stays deterministic and fast.
+"""
+
+import contextlib
+import io
+import json
+import math
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from treeshift.cli import main
+
+EXIT_CODES = {0, 2, 3, 4, 5, 6}
+FUZZ = settings(derandomize=True, database=None, max_examples=150, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+FINITE_TREE = {"vertices": ["r", "a", "b", "c", "d", "e"],
+               "edges": [["r", "a"], ["r", "b"], ["a", "c"], ["a", "d"], ["d", "e"]]}
+TILDE = {"family": "tilde", "params": {}}
+VERTICES = ["r", "a", "b", "c", "d", "e", "0", "1", "1'", "2'", "-1", "3"]
+
+EXTREME = st.sampled_from([5e-324, 1e-300, 1e300, 1.7976931348623157e308])
+UNIT = st.floats(0.05, 1.0)
+JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                 st.lists(st.integers(-2, 2), max_size=2),
+                 st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=1))
+ODD = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.integers(),
+                st.sampled_from([0.0, -0.5, 1.5, 2.5, 1e300, 1e-300, math.nan]), JUNK)
+
+
+def _wide(good):
+    """``good``, or now and then a magnitude at the edge of the double range."""
+    return st.one_of(good, good, good, EXTREME)
+
+
+def _ordered(draw):
+    low, high = draw(UNIT), draw(UNIT)
+    return min(low, high), max(low, high)
+
+
+@st.composite
+def valid_weight_docs(draw):
+    kind = draw(st.sampled_from(["map", "map-default", "constant", "exp-ray", "geometric",
+                                 "step", "rays", "binary-spine", "hash-random"]))
+    if kind.startswith("map"):
+        keys = draw(st.lists(st.sampled_from(VERTICES), unique=True))
+        doc = {"kind": "map", "values": {k: draw(UNIT) for k in keys}}
+        if kind == "map-default":
+            doc["default"] = draw(UNIT)
+        return doc
+    if kind == "constant":
+        return {"kind": "constant", "value": draw(UNIT)}
+    if kind == "exp-ray":
+        params = {"base": draw(_wide(st.floats(1.05, 4.0))),
+                  "start_level": draw(st.integers(-3, 3))}
+    elif kind == "geometric":
+        params = {"scale": draw(_wide(UNIT)), "ratio": draw(_wide(st.floats(0.5, 1.5)))}
+    elif kind == "step":
+        params = {"low": draw(UNIT), "high": draw(UNIT), "cut": draw(st.integers(-3, 3))}
+    elif kind == "rays":
+        params = {"spine": draw(UNIT), "primed": draw(UNIT)}
+    elif kind == "hash-random":
+        low, high = _ordered(draw)
+        params = {"seed": draw(st.integers(0, 2 ** 31)), "low": low, "high": high}
+    else:
+        params = {}
+    return {"kind": "family", "name": kind, "params": params}
+
+
+@st.composite
+def valid_backward_specs(draw):
+    branches = draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        weights = {"kind": "constant", "value": draw(UNIT)}
+    else:
+        low, high = _ordered(draw)
+        weights = {"kind": "hash-random", "seed": draw(st.integers(0, 2 ** 31)),
+                   "low": low, "high": high}
+    zeros = draw(st.lists(st.tuples(st.integers(0, branches - 1), st.integers(0, 6)),
+                          max_size=2))
+    return {"branches": branches, "weights": weights, "zeros": [list(z) for z in zeros]}
+
+
+def _objects(doc):
+    """Every JSON object inside ``doc``, outermost first."""
+    if isinstance(doc, dict):
+        yield doc
+        for value in doc.values():
+            yield from _objects(value)
+
+
+@st.composite
+def mutated(draw, valid):
+    """A valid doc, then up to three edits: a key dropped, an unknown key
+    added, or a value replaced by an odd number or a value of the wrong type."""
+    doc = draw(valid)
+    for _ in range(draw(st.integers(0, 3))):
+        objects = list(_objects(doc))
+        edit = draw(st.sampled_from(["drop", "add", "retype", "replace-doc"]))
+        target = draw(st.sampled_from(objects)) if objects else None
+        if edit == "replace-doc" or target is None:
+            doc = draw(st.one_of(ODD, st.just(doc)))
+        elif edit == "add":
+            target[draw(st.sampled_from(["extra", "kind", "value", "seed", "low"]))] = draw(
+                st.one_of(UNIT, ODD))
+        elif target:
+            key = draw(st.sampled_from(sorted(target)))
+            if edit == "drop":
+                del target[key]
+            else:
+                target[key] = draw(ODD)
+    return doc
+
+
+WEIGHT_DOCS = mutated(valid_weight_docs())
+BACKWARD_SPECS = mutated(valid_backward_specs())
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "finite.json").write_text(json.dumps(FINITE_TREE))
+    (path / "tilde.json").write_text(json.dumps(TILDE))
+    return path
+
+
+def _run(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@FUZZ
+@given(doc=WEIGHT_DOCS)
+def test_weight_docs_exit_with_a_documented_code(workdir, doc):
+    weights = workdir / "weights.json"
+    weights.write_text(json.dumps(doc))
+    for tree, levels in (("finite.json", "0:3"), ("tilde.json", "-3:3")):
+        for command in ("analyze", "asymptote", "adjoint-asymptote", "oracle", "similarity",
+                        "cyclic"):
+            code = _run([command, "--tree", str(workdir / tree), "--weights", str(weights),
+                         f"--levels={levels}", "--depth", "16"])
+            assert code in EXIT_CODES, (command, tree, doc, code)
+
+
+@FUZZ
+@given(doc=BACKWARD_SPECS)
+def test_backward_specs_exit_with_a_documented_code(workdir, doc):
+    spec = workdir / "backward.json"
+    spec.write_text(json.dumps(doc))
+    code = _run(["cyclic", "--backward", str(spec), "--schedule", "4", "--window-k", "8"])
+    assert code in EXIT_CODES, (doc, code)

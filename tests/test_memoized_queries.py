@@ -1,0 +1,418 @@
+"""Per-vertex memoization on ShiftOperator changes no number.
+
+The reference functions below are the un-memoized descent, ancestor products,
+adjoint level sweep, c.n.u. level sum and dense oracle residuals as they were
+before the operator cached its weights and tree queries: every loop asks the
+model and the weight assignment directly, once per visit.  The memoized code
+must reproduce their results bit for bit (compared through ``repr``, which
+round-trips every float exactly).
+"""
+
+import json
+import math
+import random
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from treeshift import cli
+from treeshift.asymptote import cnu_level_value
+from treeshift.asymptotics import (
+    CONSECUTIVE_SMALL,
+    CONVERGED,
+    DEFAULT_MAX_DEPTH,
+    DEFAULT_TOL,
+    EXACT_ZERO,
+    FRONTIER_CAP,
+    MAX_DEPTH,
+    ADJOINT_GEN_CAP,
+    AlphaEvaluator,
+    VertexEstimate,
+    _generation_complete,
+    adjoint_profile,
+    alpha_profile,
+)
+from treeshift.cli import main
+from treeshift.errors import NotAContraction, WeightError
+from treeshift.shifts import ShiftOperator, vector_to_dense
+from treeshift.sparse import SparseVector
+from treeshift.trees import make_family, materialize_window
+from treeshift.weights import HashRandomWeights, MapWeights
+
+from conftest import contractive_operator, full_window, random_finite_tree
+
+
+# -- the un-memoized reference --------------------------------------------------------
+
+def ref_descend(op, u, tol=DEFAULT_TOL, max_depth=DEFAULT_MAX_DEPTH,
+                frontier_cap=FRONTIER_CAP):
+    """Per-vertex partial sums s_n(u), asking the model and weights on every visit."""
+    model, weights = op.model, op.weights
+    min_depth = CONSECUTIVE_SMALL + 5
+    floor = weights.convergence_floor_level(model)
+    if floor is not None:
+        min_depth = max(min_depth, floor - model.level(u) + CONSECUTIVE_SMALL + 2)
+    frontier = {u: 1.0}
+    s_prev = 1.0
+    consecutive = 0
+    n = 0
+    for n in range(1, max_depth + 1):
+        nxt = {}
+        for w, prod in frontier.items():
+            for v in model.children(w):
+                nxt[v] = prod * weights.weight(model, v) ** 2
+        if not nxt:
+            return 0.0, 0.0, EXACT_ZERO, n
+        s = sum(nxt.values())
+        if s > s_prev + 1e-12:
+            raise NotAContraction(s)
+        if abs(s - s_prev) < tol:
+            consecutive += 1
+            if consecutive >= CONSECUTIVE_SMALL and n >= min_depth:
+                return s, s, CONVERGED, n
+        else:
+            consecutive = 0
+        frontier = nxt
+        s_prev = s
+        if len(frontier) > frontier_cap:
+            break
+    return s_prev, s_prev, MAX_DEPTH, n
+
+
+class RefAlpha:
+    def __init__(self, op):
+        self.op = op
+        self.cache = {}
+
+    def __call__(self, u):
+        if u not in self.cache:
+            self.cache[u] = VertexEstimate(u, *ref_descend(self.op, u))
+        return self.cache[u]
+
+
+def ref_ancestor_products(op, v, depth):
+    model, weights = op.model, op.weights
+    prods = []
+    prod = 1.0
+    w = v
+    for _ in range(depth):
+        prod *= weights.weight(model, w) ** 2
+        prods.append(prod)
+        w = model.parent(w)
+        if w is None:
+            break
+    return prods
+
+
+def ref_adjoint_level(op, u, depth=DEFAULT_MAX_DEPTH, tol=DEFAULT_TOL,
+                      frontier_cap=ADJOINT_GEN_CAP):
+    """(estimate, upper, status, h coefficients, gen_exact) of the level of u."""
+    model = op.model
+    members = [u]
+    anchor = u
+    gen_exact = _generation_complete(model, model.level(u))
+    for d in range(1, depth + 1):
+        parent = model.parent(anchor)
+        if parent is None:
+            break
+        new = dict.fromkeys(v for v in model.children(parent) if v != anchor)
+        for _ in range(d - 1):
+            grown = {}
+            for w in new:
+                for v in model.children(w):
+                    grown[v] = None
+            new = grown
+            if len(members) + len(new) > frontier_cap:
+                break
+        if len(members) + len(new) > frontier_cap:
+            anchor = parent
+            break
+        members.extend(new)
+        anchor = parent
+        if _generation_complete(model, model.level(anchor)):
+            gen_exact = True
+            break
+    chains = {v: ref_ancestor_products(op, v, depth) for v in members}
+    sums = [sum(p[min(d, len(p) - 1)] for p in chains.values()) for d in range(depth)]
+    consecutive = 0
+    tail_ok = False
+    for d in range(1, len(sums)):
+        if abs(sums[d] - sums[d - 1]) < tol:
+            consecutive += 1
+            if consecutive >= CONSECUTIVE_SMALL:
+                tail_ok = True
+        else:
+            consecutive = 0
+    estimate = sums[-1] if sums else 0.0
+    status = CONVERGED if (gen_exact and tail_ok) else MAX_DEPTH
+    coeffs = {v: math.sqrt(chains[v][-1]) for v in members}
+    return estimate, (estimate if gen_exact else 1.0), status, coeffs, gen_exact
+
+
+def ref_cnu_level_value(op, alpha, members, depth, threshold):
+    model, weights = op.model, op.weights
+    total = 0.0
+    for v in members:
+        prod = 1.0
+        w = v
+        for _ in range(depth):
+            prod *= weights.weight(model, w) ** 2
+            w = model.parent(w)
+            if w is None:
+                break
+        anchor = alpha(w).estimate if w is not None else 1.0
+        if anchor <= threshold:
+            continue
+        total += prod * alpha(v).estimate / anchor
+    return total
+
+
+def ref_oracle_residuals(op, window):
+    """(apply, adjoint) residuals against the dense truncation, with a dense
+    coordinate vector per basis image."""
+    model, weights = op.model, op.weights
+    mat = np.zeros((len(window), len(window)))
+    for j, u in enumerate(window.order):
+        for v in model.children(u):
+            if v in window:
+                mat[window.index_of(v), j] = weights.weight(model, v)
+    worst_apply = 0.0
+    for u in window.forward_interior():
+        image = op.apply(SparseVector.basis(u))
+        worst_apply = max(worst_apply, float(np.max(np.abs(
+            mat[:, window.index_of(u)] - vector_to_dense(window, image, strict=False)))))
+    worst_adjoint = 0.0
+    for u in window.order:
+        image = op.apply_adjoint(SparseVector.basis(u))
+        worst_adjoint = max(worst_adjoint, float(np.max(np.abs(
+            mat[window.index_of(u)] - vector_to_dense(window, image, strict=False)))))
+    return worst_apply, worst_adjoint
+
+
+# -- cases ------------------------------------------------------------------------------
+
+def padded_map(rng, width, primed_upto):
+    """Explicit weights on part of the window, padded with 1; the two children
+    of the branch vertex share a squared sum below 1."""
+    values = {str(n): rng.uniform(0.6, 1.0) for n in range(-width, width + 1)
+              if rng.random() < 0.5}
+    values.update({f"{k}'": rng.uniform(0.6, 1.0) for k in range(2, primed_upto + 1)
+                   if rng.random() < 0.5})
+    if primed_upto:
+        theta = rng.uniform(0.2, math.pi / 2 - 0.2)
+        values["1"] = 0.999 * math.cos(theta)
+        values["1'"] = 0.999 * math.sin(theta)
+    return MapWeights(values, default=1.0)
+
+
+def window_cases():
+    rng = random.Random(5150)
+    tilde, bilateral = make_family("tilde"), make_family("bilateral-path")
+    comb = make_family("comb", {"primed_leaf": 6})
+    cases = [
+        ("tilde-hash", tilde, HashRandomWeights(11, 0.35, 0.65), -9, 9),
+        ("tilde-map", tilde, padded_map(rng, 10, 10), -10, 10),
+        ("comb-hash", comb, HashRandomWeights(12, 0.3, 0.7), -6, 8),
+        ("comb-map", comb, padded_map(rng, 8, 6), -8, 8),
+        ("bilateral-hash", bilateral, HashRandomWeights(13, 0.4, 0.95), -8, 8),
+        ("bilateral-map", bilateral, padded_map(rng, 12, 0), -12, 12),
+        ("binary-hash", make_family("rootless-binary"), HashRandomWeights(14, 0.02, 0.1), 0, 2),
+    ]
+    for name, model, weights, lo, hi in cases:
+        yield pytest.param(model, weights, lo, hi, id=name)
+
+
+WINDOW_CASES = list(window_cases())
+
+
+def finite_operators(count=6):
+    rng = random.Random(77)
+    for i in range(count):
+        tree = random_finite_tree(rng, rng.randint(2, 120))
+        yield contractive_operator(rng, tree)
+
+
+# -- bit-equal records -------------------------------------------------------------------
+
+def assert_forward_matches(op, window):
+    assert not op.is_level_homogeneous()
+    profile = alpha_profile(op, window)
+    reference = RefAlpha(ShiftOperator(op.model, op.weights))
+    assert repr(profile.records) == repr({u: reference(u) for u in window.order})
+
+
+def assert_adjoint_matches(op, window):
+    adjoint = adjoint_profile(op, window)
+    for lvl in window.levels():
+        est, upper, status, coeffs, gen_exact = ref_adjoint_level(op, window.vertices_at(lvl)[0])
+        h = adjoint.h_vectors[lvl]
+        assert repr((h.norm_sq, h.status, h.gen_exact, h.coefficients.coeffs)) == \
+            repr((est, status, gen_exact, coeffs))
+        for u in window.vertices_at(lvl):
+            rec = adjoint.profile.record(u)
+            assert repr((rec.estimate, rec.upper, rec.status)) == repr((est, upper, status))
+
+
+@pytest.mark.parametrize("model,weights,lo,hi", WINDOW_CASES)
+def test_window_alpha_records_bit_equal(model, weights, lo, hi):
+    op = ShiftOperator(model, weights)
+    assert_forward_matches(op, materialize_window(model, lo, hi))
+
+
+@pytest.mark.parametrize("model,weights,lo,hi", WINDOW_CASES)
+def test_window_adjoint_records_and_h_vectors_bit_equal(model, weights, lo, hi):
+    op = ShiftOperator(model, weights)
+    assert_adjoint_matches(op, materialize_window(model, lo, hi))
+
+
+@pytest.mark.parametrize("model,weights,lo,hi", WINDOW_CASES)
+def test_cnu_level_value_bit_equal(model, weights, lo, hi):
+    op = ShiftOperator(model, weights)
+    window = materialize_window(model, lo, hi)
+    alpha = AlphaEvaluator(op)
+    reference = RefAlpha(ShiftOperator(model, weights))
+    for lvl in window.levels():
+        members = window.vertices_at(lvl)
+        for depth in (1, 5, DEFAULT_MAX_DEPTH):
+            got = cnu_level_value(op, alpha, members, depth, 1e-9)
+            want = ref_cnu_level_value(op, reference, members, depth, 1e-9)
+            assert repr(got) == repr(want)
+
+
+def test_random_finite_trees_bit_equal():
+    for op in finite_operators():
+        window = full_window(op.model)
+        assert_forward_matches(op, window)
+        assert adjoint_profile(op, window).rooted_certified
+
+
+# -- oracle residuals --------------------------------------------------------------------
+
+class _WrongApply(ShiftOperator):
+    """Images with a spurious entry 2 at the parent: the worst entry lies off
+    the support of the matrix column."""
+
+    def apply(self, x):
+        out = super().apply(x)
+        for u, c in x.items():
+            p = self.model.parent(u)
+            if p is not None:
+                out.coeffs[p] = out.coeffs.get(p, 0.0) + 2.0 * c
+        return out
+
+
+class _WrongAdjoint(ShiftOperator):
+    """Adjoint images that lose their entry and gain 0.125 at each child: the
+    worst entry lies on the support of the matrix row."""
+
+    def apply_adjoint(self, x):
+        return SparseVector({v: 0.125 for u in x.coeffs for v in self.model.children(u)})
+
+
+def _oracle_record(tmp_path, capsys, tree_doc, weights_doc, levels):
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps(tree_doc))
+    weights = tmp_path / "weights.json"
+    weights.write_text(json.dumps(weights_doc))
+    argv = ["oracle", "--tree", str(tree), "--weights", str(weights), f"--levels={levels}",
+            "--breadth", "1000", "--json"]
+    assert main(argv) == 0
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    return next(d for d in lines if d["record"] == "oracle")
+
+
+def _oracle_cases():
+    rng = random.Random(9)
+    tree = random_finite_tree(rng, 60)
+    op = contractive_operator(rng, tree)
+    finite_doc = {"vertices": sorted(tree.vertices()),
+                  "edges": [[tree.parent(v), v] for v in tree.vertices() if v != tree.root]}
+    yield finite_doc, op.weights.to_json(), f"0:{tree.depth()}"
+    yield {"family": "tilde", "params": {}}, HashRandomWeights(3, 0.3, 0.65).to_json(), "-6:6"
+    yield ({"family": "comb", "params": {"primed_leaf": 4}},
+           padded_map(rng, 6, 4).to_json(), "-6:6")
+
+
+@pytest.mark.parametrize("operator_class", [ShiftOperator, _WrongApply, _WrongAdjoint],
+                         ids=["exact", "wrong-apply", "wrong-adjoint"])
+def test_oracle_residuals_bit_equal(tmp_path, capsys, monkeypatch, operator_class):
+    monkeypatch.setattr(cli, "ShiftOperator", operator_class)
+    for tree_doc, weights_doc, levels in _oracle_cases():
+        record = _oracle_record(tmp_path, capsys, tree_doc, weights_doc, levels)
+        model = cli.load_tree(str(tmp_path / "tree.json"))
+        op = operator_class(model, cli.load_weights(str(tmp_path / "weights.json")))
+        lo, hi = (int(x) for x in levels.split(":"))
+        window = materialize_window(model, lo, hi, 1000)
+        want_apply, want_adjoint = ref_oracle_residuals(op, window)
+        assert repr((record["apply_residual"], record["adjoint_residual"])) == \
+            repr((want_apply, want_adjoint))
+        if operator_class is _WrongApply:
+            assert want_apply > 0.0 and want_adjoint == 0.0
+        elif operator_class is _WrongAdjoint:
+            assert want_adjoint > 0.0 and want_apply == 0.0
+        else:
+            assert want_apply == want_adjoint == 0.0
+
+
+# -- memo behaviour ----------------------------------------------------------------------
+
+class CountingHash(HashRandomWeights):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = Counter()
+
+    def weight(self, model, v):
+        self.calls[v] += 1
+        return super().weight(model, v)
+
+
+def test_each_weight_evaluated_at_most_once_per_operator():
+    model = make_family("tilde")
+    weights = CountingHash(21, 0.35, 0.65)
+    op = ShiftOperator(model, weights)
+    window = materialize_window(model, -8, 8)
+    alpha_profile(op, window)
+    adjoint_profile(op, window)
+    op.operator_norm(window)
+    op.dense_truncation(window)
+    for u in window.order:
+        op.apply(SparseVector.basis(u))
+        op.apply_adjoint(SparseVector.basis(u))
+    assert weights.calls and max(weights.calls.values()) == 1
+    # a second operator on the same weights evaluates afresh
+    fresh = ShiftOperator(model, weights)
+    fresh.weight("3")
+    assert weights.calls["3"] == 2
+
+
+def test_unassigned_map_vertex_still_raises():
+    model = make_family("tilde")
+    op = ShiftOperator(model, MapWeights({"1": 0.6, "1'": 0.7}))
+    for _ in range(2):  # a failed evaluation is not memoized
+        with pytest.raises(WeightError, match="no weight assigned to vertex '2'"):
+            op.weight("2")
+    with pytest.raises(WeightError):
+        alpha_profile(op, materialize_window(model, 0, 2))
+
+
+def test_unassigned_map_vertex_exit_code(tmp_path, capsys):
+    tree = tmp_path / "tilde.json"
+    tree.write_text(json.dumps({"family": "tilde", "params": {}}))
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps({"kind": "map", "values": {"1": 0.6, "1'": 0.7}}))
+    assert main(["analyze", "--tree", str(tree), "--weights", str(weights),
+                 "--levels=-2:2"]) == 2
+    assert "no weight assigned" in capsys.readouterr().err
+
+
+def test_norm_is_cached_per_window():
+    model = make_family("bilateral-path")
+    weights = MapWeights({"2": 0.5, "6": 0.9}, default=0.3)
+    op = ShiftOperator(model, weights)
+    low, high = materialize_window(model, -3, 0), materialize_window(model, 0, 6)
+    a, b = op.operator_norm(low), op.operator_norm(high)
+    assert (a.window_value, b.window_value) == (0.3, 0.9)
+    for window, bound in ((low, a), (high, b)):
+        assert op.operator_norm(window) is bound
+        assert ShiftOperator(model, weights).operator_norm(window) == bound
