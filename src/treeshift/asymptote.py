@@ -9,11 +9,8 @@ the generation sums of its infinite weight products vanish.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import AdjointStable, StableSubtreeEmpty
 from .asymptotics import (
@@ -62,6 +59,7 @@ class AsymptoteDescriptor:
     def dense_truncation(self, window: TreeWindow):
         """Matrix of U compressed to the stable members of the window; returns
         (matrix, member order)."""
+        import numpy as np
         members = [u for u in window.order if u in self.stable.members]
         index = {u: i for i, u in enumerate(members)}
         mat = np.zeros((len(members), len(members)))
@@ -310,7 +308,3 @@ def boundary_deficiency(window: TreeWindow, members=None) -> int:
         if members is None or u in members:
             count += 1
     return count
-
-
-def descriptor_to_json_line(descriptor: AsymptoteDescriptor) -> str:
-    return json.dumps(descriptor.to_json())

@@ -1,8 +1,12 @@
 """Command-line front end: ingest tree and weight specs, run the analyses,
 emit text or line-delimited JSON reports.
 
-Exit codes: 0 ok, 2 structural violation, 3 not a contraction, 4 asymptote
-precondition failed, 5 dimension cap, 6 shape mismatch.
+Exit codes: 0 ok, 1 standard output closed early (a broken pipe), 2
+structural violation, 3 not a contraction, 4 asymptote precondition failed,
+5 dimension cap, 6 shape mismatch.
+
+numpy is imported inside the functions that build dense arrays, so the
+matrix-free subcommands start without loading it.
 """
 
 from __future__ import annotations
@@ -11,9 +15,8 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
-
-import numpy as np
 
 from . import errors
 from .asymptote import (
@@ -40,6 +43,7 @@ from .sparse import SparseVector
 from .trees import branching_index, leaves, load_tree, materialize_window
 from .weights import load_weights
 
+EXIT_BROKEN_PIPE = 1
 EXIT_STRUCTURE = 2
 EXIT_CONTRACTION = 3
 EXIT_ASYMPTOTE = 4
@@ -194,7 +198,7 @@ def cmd_adjoint_asymptote(args, out: Reporter) -> int:
 def cmd_cyclic(args, out: Reporter) -> int:
     if args.backward:
         with open(args.backward) as fh:
-            spec = backward_spec_from_json(json.load(fh))
+            spec = backward_spec_from_json(fh.read())
         verdict = cyclicity_verdict(spec, None)
         out.text(f"verdict: {verdict.verdict} [{verdict.rule}] {verdict.reason}")
         out.record("verdict", verdict.to_json())
@@ -255,6 +259,7 @@ def _worst_residual(lines: np.ndarray, support, window, images) -> float:
     taken on that union alone; the line maxima are then folded in the order
     of ``images``.
     """
+    import numpy as np
     n = lines.shape[1]
     order, image = [], {}  # image: k * n + position -> coordinate
     for k, vector in images:
@@ -278,6 +283,7 @@ def _worst_residual(lines: np.ndarray, support, window, images) -> float:
 
 def cmd_oracle(args, out: Reporter) -> int:
     """Dense-truncation cross-checks of the closed-form operations."""
+    import numpy as np
     model = load_tree(args.tree)
     weights = load_weights(args.weights)
     operator = ShiftOperator(model, weights)
@@ -369,7 +375,15 @@ def main(argv=None) -> int:
         parser.error("cyclic needs either --backward or both --tree and --weights")
     out = Reporter(getattr(args, "json", False))
     try:
-        return args.func(args, out)
+        code = args.func(args, out)
+        sys.stdout.flush()  # a reader that closed early surfaces here, not at exit
+        return code
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; point it at devnull so that
+        # flush cannot fail too.  No error line: the reader chose to stop.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except errors.NotAContraction as exc:
         print(f"error: not a contraction: {exc}", file=sys.stderr)
         return EXIT_CONTRACTION

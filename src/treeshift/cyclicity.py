@@ -15,8 +15,6 @@ import json
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import DimensionCap, ScheduleTooShort, WeightError, ZeroWeight
 from .trees import branching_index, leaves
 from .weights import _integer
@@ -101,11 +99,13 @@ class BackwardShiftSpec:
         """steps[j, k] = w_{j,k} for k < depth (0.0 at zero positions): the
         branch-wise action (B y)[j, k] = steps[j, k] * y[j, k + 1] of the
         truncation to indices k <= depth."""
+        import numpy as np
         return np.array([[self._weight(j, k) for k in range(depth)]
                          for j in range(self.branches)])
 
     def dense_matrix(self, depth: int, cap: int = DIMENSION_CAP) -> np.ndarray:
         """Truncation to indices k <= depth, basis order branch-major."""
+        import numpy as np
         n = self.branches * (depth + 1)
         if n > cap:
             raise DimensionCap(n, cap)
@@ -203,6 +203,7 @@ def construct_backward_cyclic(spec: BackwardShiftSpec, L: int) -> CyclicCandidat
 
 def candidate_vector(spec: BackwardShiftSpec, candidate: CyclicCandidate, depth: int) -> np.ndarray:
     """Dense coordinates of the candidate on the branch-major truncation."""
+    import numpy as np
     out = np.zeros(spec.branches * (depth + 1))
     for (j, k), x in zip(candidate.schedule, candidate.xi):
         if k <= depth:
@@ -236,6 +237,7 @@ def ge_rank(matrix, rank_tol: float = RANK_TOL) -> int:
     then touches only the children of one vertex, and the cost drops from
     O(n^3) to O(n^2): one column scan per pivot.
     """
+    import numpy as np
     a = np.array(matrix, dtype=float, copy=True)
     if a.ndim != 2:
         raise ValueError("matrix expected")
@@ -264,6 +266,7 @@ def ge_rank(matrix, rank_tol: float = RANK_TOL) -> int:
 
 
 def _normalize_columns(mat: np.ndarray) -> np.ndarray:
+    import numpy as np
     out = mat.copy()
     norms = np.linalg.norm(out, axis=0)
     nz = norms > 0.0
@@ -274,6 +277,7 @@ def _normalize_columns(mat: np.ndarray) -> np.ndarray:
 def krylov_rank(matrix, vector, rank_tol: float = RANK_TOL, cap: int = DIMENSION_CAP) -> int:
     """Rank of [x, Mx, ..., M^(d-1)x].  Columns are normalized first so the
     pivot threshold is scale-free (column scaling never changes rank)."""
+    import numpy as np
     mat = np.asarray(matrix, dtype=float)
     d = mat.shape[0]
     if mat.shape != (d, d):
@@ -292,6 +296,7 @@ def krylov_rank(matrix, vector, rank_tol: float = RANK_TOL, cap: int = DIMENSION
 def cokernel_dimension(matrix, rank_tol: float = RANK_TOL, cap: int = DIMENSION_CAP) -> int:
     """d - rank(matrix); on tree windows the top boundary rows are artificial
     deficiencies that callers subtract when reporting (window-edge analysis)."""
+    import numpy as np
     mat = np.asarray(matrix, dtype=float)
     d = mat.shape[0]
     if d > cap:
@@ -317,6 +322,7 @@ def verify_krylov_span(columns: np.ndarray, dimension: int, tol: float,
     double-precision noise floor instead: weak directions are part of the
     true span, only rounding artifacts are discarded.
     """
+    import numpy as np
     normalized = _normalize_columns(columns)
     rank = ge_rank(normalized, rank_tol)
     u, s, _ = np.linalg.svd(normalized, full_matrices=False)
@@ -338,6 +344,7 @@ def verify_cyclic_candidate(spec: BackwardShiftSpec, candidate: CyclicCandidate,
     iterates' projections onto the window {e_{j,k}: k <= K} is rank-tested
     against the window dimension.
     """
+    import numpy as np
     dim_window = spec.branches * (window_K + 1)
     if dim_window > cap:
         raise DimensionCap(dim_window, cap)

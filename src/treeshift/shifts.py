@@ -6,8 +6,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import UnknownVertex, WindowTooLarge
 from .sparse import SparseVector
 from .trees import BilateralPath, CombTree, FiniteTree, RootedPath, RootlessBinary, TreeWindow
@@ -158,9 +156,11 @@ class ShiftOperator:
             return NormBound(value, value, True)
         if self.is_certified_isometry():
             return NormBound(1.0, 1.0, True)
-        scan = set(window.order)
+        # In window order, then the outside parents: the vertex a WeightError
+        # names does not depend on the string hash seed.
+        scan = dict.fromkeys(window.order)
         for u in window.top_boundary():
-            scan.add(self.parent(u))
+            scan[self.parent(u)] = None
         window_value = max(self._column_norm(u) for u in scan)
         top = self.weights.max_weight()
         if top is None:
@@ -198,6 +198,7 @@ class ShiftOperator:
 
     def dense_truncation(self, window: TreeWindow, cap: int = DENSE_CAP) -> np.ndarray:
         """Matrix of the compression P_W S P_W in the level-major basis order."""
+        import numpy as np
         if len(window) > cap:
             raise WindowTooLarge(len(window), cap)
         n = len(window)
@@ -215,6 +216,7 @@ def vector_to_dense(window: TreeWindow, x: SparseVector, strict: bool = True) ->
     With strict=True any support outside the window is an error; otherwise it
     is silently compressed away (the P_W projection).
     """
+    import numpy as np
     out = np.zeros(len(window))
     for u, c in x.items():
         if u in window:

@@ -12,11 +12,8 @@ bounded.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import NotAContraction, ShapeMismatch, WeightError
 from .shifts import ShiftOperator
@@ -151,6 +148,7 @@ class SimilarityWitness:
         return top
 
     def x_matrix(self) -> np.ndarray:
+        import numpy as np
         win = self.window
         n = len(win)
         mat = np.zeros((n, n))
@@ -168,6 +166,7 @@ class SimilarityWitness:
         """W + N (or the tilde analogue) on the window basis: the spine shifts
         with the original weights, the primed ray shifts with the g-norm
         ratios, and the branch edge into 1' carries nothing."""
+        import numpy as np
         win = self.window
         n = len(win)
         mat = np.zeros((n, n))
@@ -202,6 +201,7 @@ def _x_apply(operator: ShiftOperator, primed_max: int, norms, x: SparseVector) -
 def _witness(operator, window, kind, mode, ratio, primed_max, norms,
              unprimed_leaf) -> SimilarityWitness:
     """Assemble blocks, target weights, and the adjoint intertwining residual."""
+    import numpy as np
     spine, primed = ray_products(operator, primed_max)
     blocks = []
     for k in range(1, primed_max + 1):
@@ -310,7 +310,3 @@ def direct_sum_decomposition(x: SparseVector, operator: ShiftOperator) -> Decomp
             e_part.coeffs[u] = c
     residual = (x - (e_part + g_part)).norm()
     return Decomposition(e_part, g_part, mu, nu, residual)
-
-
-def witness_to_json_line(witness: SimilarityWitness) -> str:
-    return json.dumps(witness.to_json())

@@ -488,17 +488,37 @@ def make_family(tag: str, params: dict | None = None) -> DirectedTreeModel:
 
 
 def tree_from_json(doc) -> DirectedTreeModel:
-    """Build a model from the JSON input schema (finite or procedural)."""
+    """Build a model from its JSON doc or JSON text (finite or procedural).
+
+    The shape of the doc is checked first: an object with a ``family`` and
+    optional object ``params``, or with ``vertices`` (a list of string ids)
+    and ``edges`` (a list of [parent, child] id pairs).  Any other shape
+    raises TreeSpecError.
+    """
     if isinstance(doc, str):
         doc = json.loads(doc)
+    if not isinstance(doc, dict):
+        raise TreeSpecError(f"a tree spec must be a JSON object, got {doc!r:.60}")
     if "family" in doc:
-        return make_family(doc["family"], doc.get("params"))
-    return validate_finite(doc["vertices"], doc["edges"], doc.get("root"))
+        params = doc.get("params")
+        if params is not None and not isinstance(params, dict):
+            raise TreeSpecError(f"tree params must be a JSON object, got {params!r:.60}")
+        return make_family(doc["family"], params)
+    vertices, edges = doc.get("vertices"), doc.get("edges")
+    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
+        raise TreeSpecError("a finite tree needs 'vertices', a list of string ids, "
+                            f"got {vertices!r:.60}")
+    if not isinstance(edges, list) or not all(
+            isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)
+            and isinstance(e[1], str) for e in edges):
+        raise TreeSpecError("a finite tree needs 'edges', a list of [parent, child] "
+                            f"string id pairs, got {edges!r:.60}")
+    return validate_finite(vertices, edges, doc.get("root"))
 
 
 def load_tree(path) -> DirectedTreeModel:
     with open(path) as fh:
-        return tree_from_json(json.load(fh))
+        return tree_from_json(fh.read())
 
 
 class TreeWindow:

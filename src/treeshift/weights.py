@@ -384,4 +384,4 @@ def weights_from_json(doc) -> WeightAssignment:
 
 def load_weights(path) -> WeightAssignment:
     with open(path) as fh:
-        return weights_from_json(json.load(fh))
+        return weights_from_json(fh.read())

@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import treeshift
 from treeshift import cli
 from treeshift.cli import main
 from treeshift.shifts import ShiftOperator
@@ -376,3 +380,101 @@ def test_integral_float_family_params_are_accepted(specs, tmp_path, capsys, name
                      "--levels=-2:2", "--json"]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("doc", [
+    None, [1], 3,
+    {"vertices": None, "edges": []}, {"vertices": ["r"], "edges": {}},
+    {"vertices": "r", "edges": []}, {"edges": []}, {"vertices": ["r"]},
+    {"vertices": ["r", 1], "edges": []}, {"vertices": ["r", "a"], "edges": [["r"]]},
+    {"vertices": ["r", "a"], "edges": [["r", ["a"]]]}, {"vertices": ["r", "a"], "edges": [1]},
+    {"family": "comb", "params": [1]}, {"family": "tilde", "params": 2},
+], ids=repr)
+def test_malformed_tree_doc_exit_code(tmp_path, capsys, doc):
+    path = write(tmp_path, "tree.json", doc)
+    assert main(["validate", "--tree", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: TreeSpecError: ") and err.count("\n") == 1
+
+
+def _subprocess_env():
+    """The environment of a fresh interpreter that imports this checkout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(treeshift.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+def test_weight_error_names_the_same_vertex_under_every_hash_seed(specs, tmp_path):
+    weights = write(tmp_path, "partial.json", {"kind": "map", "values": {"a": 0.6, "b": 0.8}})
+    argv = [sys.executable, "-m", "treeshift.cli", "analyze", "--tree", specs["tilde"],
+            "--weights", weights, "--levels=-2:2"]
+    errs = set()
+    for seed in range(1, 7):
+        done = subprocess.run(argv, env={**_subprocess_env(), "PYTHONHASHSEED": str(seed)},
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        errs.add(done.stderr)
+    assert len(errs) == 1 and "WeightError" in errs.pop()
+
+
+def test_reader_closing_early_exits_1_without_an_error_line(specs, tmp_path):
+    # About 200 kB of records: more than the pipe holds, so the writer is
+    # still printing when the reader goes away.
+    decay = write(tmp_path, "decay.json", {"kind": "constant", "value": 0.6})
+    argv = [sys.executable, "-m", "treeshift.cli", "analyze", "--json", "--tree",
+            specs["binary"], "--weights", decay, "--levels", "0:9", "--breadth", "256"]
+    proc = subprocess.Popen(argv, env=_subprocess_env(), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    try:
+        assert json.loads(proc.stdout.readline())["record"] == "norm"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+        proc.wait()
+    assert err == b""
+
+
+_COLD_START = """
+import sys
+
+import treeshift
+import treeshift.cli
+from treeshift.cli import main
+
+assert "numpy" not in sys.modules, "importing treeshift loads numpy"
+star, star_w, binary, decay, tilde, tilde_w, backward = sys.argv[1:]
+for argv, code in (
+        (["validate", "--tree", star], 0),
+        (["analyze", "--tree", binary, "--weights", decay, "--levels=0:2"], 0),
+        (["asymptote", "--tree", binary, "--weights", decay, "--levels=0:2"], 4),
+        (["cyclic", "--tree", tilde, "--weights", tilde_w, "--levels=-6:6"], 0)):
+    assert main(argv) == code, argv
+    assert "numpy" not in sys.modules, f"{argv[0]} loads numpy"
+assert main(["oracle", "--tree", star, "--weights", star_w, "--levels", "0:2"]) == 0
+assert main(["cyclic", "--backward", backward, "--window-k", "8"]) == 0
+assert "numpy" in sys.modules, "the dense subcommands ran without numpy"
+"""
+
+
+def test_matrix_free_subcommands_start_without_numpy(specs, tmp_path):
+    """A fresh interpreter, as the ``treeshift`` command starts, imports
+    numpy only for the dense subcommands."""
+    decay = write(tmp_path, "decay.json", {"kind": "constant", "value": 0.6})
+    argv = [sys.executable, "-c", _COLD_START, specs["star"], specs["star_w"], specs["binary"],
+            decay, specs["tilde"], specs["tilde_w"], specs["backward"]]
+    done = subprocess.run(argv, env={**_subprocess_env(), "PYTHONDONTWRITEBYTECODE": "1"},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_a_file_holding_a_json_string_is_not_decoded_twice(specs, tmp_path, capsys):
+    tree = write(tmp_path, "tree.json", json.dumps({"family": "tilde", "params": {}}))
+    weights = write(tmp_path, "weights.json", json.dumps({"kind": "constant", "value": 0.5}))
+    backward = write(tmp_path, "backward.json", json.dumps({"branches": 1}))
+    assert main(["validate", "--tree", tree]) == 2
+    assert main(["analyze", "--tree", specs["tilde"], "--weights", weights]) == 2
+    assert main(["cyclic", "--backward", backward]) == 2
+    errors = [line.split(":")[1].strip() for line in capsys.readouterr().err.splitlines()]
+    assert errors == ["TreeSpecError", "WeightError", "ValueError"]

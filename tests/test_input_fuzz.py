@@ -1,10 +1,10 @@
 """Fuzz test of the JSON input boundary through ``main``.
 
-Weight docs and backward-shift specs are drawn from a grammar around the real
-schemas, with wrong types, NaN and infinities, and missing and extra keys.
-Every input must end in one of the documented exit codes; an escaped
-exception fails the test with its traceback.  The runs are derandomized and
-bounded, so the suite stays deterministic and fast.
+Tree docs, weight docs and backward-shift specs are drawn from a grammar
+around the real schemas, with wrong types, NaN and infinities, and missing
+and extra keys.  Every input must end in one of the documented exit codes;
+an escaped exception fails the test with its traceback.  The runs are
+derandomized and bounded, so the suite stays deterministic and fast.
 """
 
 import contextlib
@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from treeshift.cli import main
+from treeshift.trees import FAMILY_TAGS
 
 EXIT_CODES = {0, 2, 3, 4, 5, 6}
 FUZZ = settings(derandomize=True, database=None, max_examples=150, deadline=None,
@@ -120,6 +121,31 @@ def mutated(draw, valid):
     return doc
 
 
+@st.composite
+def valid_tree_docs(draw):
+    """A family with its params, or a finite tree on a few of ``VERTICES``;
+    now and then one vertex or edge entry is replaced by an odd value."""
+    if draw(st.booleans()):
+        family = draw(st.sampled_from(FAMILY_TAGS))
+        params = {}
+        if family == "comb" and draw(st.booleans()):
+            params["primed_leaf"] = draw(st.integers(1, 3))
+            if draw(st.booleans()):
+                params["unprimed_leaf"] = params["primed_leaf"] + draw(st.integers(0, 2))
+        return {"family": family, "params": params}
+    names = draw(st.lists(st.sampled_from(VERTICES), min_size=1, max_size=6, unique=True))
+    edges = [[draw(st.sampled_from(names[:i])), names[i]] for i in range(1, len(names))]
+    doc = {"vertices": names, "edges": edges}
+    if draw(st.booleans()):
+        doc["root"] = names[0]
+    if draw(st.integers(0, 3)) == 0:
+        target = draw(st.sampled_from([names, edges] + edges))
+        if target:
+            target[draw(st.integers(0, len(target) - 1))] = draw(ODD)
+    return doc
+
+
+TREE_DOCS = mutated(valid_tree_docs())
 WEIGHT_DOCS = mutated(valid_weight_docs())
 BACKWARD_SPECS = mutated(valid_backward_specs())
 
@@ -129,6 +155,7 @@ def workdir(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz")
     (path / "finite.json").write_text(json.dumps(FINITE_TREE))
     (path / "tilde.json").write_text(json.dumps(TILDE))
+    (path / "half.json").write_text(json.dumps({"kind": "constant", "value": 0.5}))
     return path
 
 
@@ -157,3 +184,16 @@ def test_backward_specs_exit_with_a_documented_code(workdir, doc):
     spec.write_text(json.dumps(doc))
     code = _run(["cyclic", "--backward", str(spec), "--schedule", "4", "--window-k", "8"])
     assert code in EXIT_CODES, (doc, code)
+
+
+@FUZZ
+@given(doc=TREE_DOCS)
+def test_tree_docs_exit_with_a_documented_code(workdir, doc):
+    tree = workdir / "tree.json"
+    tree.write_text(json.dumps(doc))
+    code = _run(["validate", "--tree", str(tree), "--levels=-3:3"])
+    assert code in EXIT_CODES, ("validate", doc, code)
+    for command in ("analyze", "asymptote", "oracle", "similarity", "cyclic"):
+        code = _run([command, "--tree", str(tree), "--weights", str(workdir / "half.json"),
+                     "--levels=-3:3", "--depth", "16"])
+        assert code in EXIT_CODES, (command, doc, code)
