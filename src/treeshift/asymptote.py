@@ -23,11 +23,11 @@ from .asymptotics import (
     EXACT_ONE,
     EXACT_ZERO,
     StableSubtree,
+    ancestor_products,
 )
 from .shifts import ShiftOperator
 from .sparse import SparseVector
-from .trees import BilateralPath, CombTree, FiniteTree, RootedPath, TreeWindow
-from .weights import ConstantWeights, ExpRayWeights, MapWeights, StepWeights
+from .trees import TreeWindow
 
 UNILATERAL = "unilateral"
 CNU_UNILATERAL = "cnu-unilateral"
@@ -85,17 +85,11 @@ def cnu_level_value(operator: ShiftOperator, alpha: AlphaEvaluator, members, dep
     """
     total = 0.0
     for v in members:
-        prod = 1.0
-        w = v
-        for _ in range(depth):
-            prod *= operator.weight(w) ** 2
-            w = operator.parent(w)
-            if w is None:
-                break
+        prods, w = ancestor_products(operator, v, depth)
         anchor = alpha(w).estimate if w is not None else 1.0
         if anchor <= threshold:
             continue
-        total += prod * alpha(v).estimate / anchor
+        total += (prods[-1] if prods else 1.0) * alpha(v).estimate / anchor
     return total
 
 
@@ -144,12 +138,9 @@ def isometric_asymptote(operator: ShiftOperator, profile: AsymptoticProfile,
             if members:
                 by_level[lvl] = cnu_level_value(operator, alpha, members, depth,
                                                 zero_threshold)
-        top = min(by_level)
-        cnu_value = by_level[top]
-        if cnu_value <= zero_threshold:
-            cls, mult = CNU_UNILATERAL, br
-        else:
-            cls, mult = BILATERAL_PLUS, br
+        cnu_value = by_level[min(by_level)]
+        cls = CNU_UNILATERAL if cnu_value <= zero_threshold else BILATERAL_PLUS
+        mult = br
     return AsymptoteDescriptor(beta, cls, mult, br_exact, cnu_value, by_level,
                                stable, operator, alpha)
 
@@ -167,14 +158,6 @@ class AdjointAsymptoteDescriptor:
                 "coefficients": {str(k): v for k, v in sorted(self.coefficients.items())}}
 
 
-def _has_last_level(model) -> bool:
-    if isinstance(model, CombTree):
-        return model.unprimed_leaf is not None
-    if isinstance(model, FiniteTree):
-        return True
-    return False
-
-
 def adjoint_isometric_asymptote(operator: ShiftOperator,
                                 adjoint: AdjointAsymptotics,
                                 zero_threshold: float = DEFAULT_ZERO_THRESHOLD
@@ -190,7 +173,7 @@ def adjoint_isometric_asymptote(operator: ShiftOperator,
         below = adjoint.h_vectors.get(lvl - 1)
         if below is not None and below.norm_sq > zero_threshold:
             coefficients[lvl] = math.sqrt(a / below.norm_sq)
-    shift_type = "simple-unilateral" if _has_last_level(operator.model) else "simple-bilateral"
+    shift_type = "simple-unilateral" if operator.model.has_last_level else "simple-bilateral"
     return AdjointAsymptoteDescriptor(shift_type, coefficients, dict(adjoint.h_vectors))
 
 
@@ -252,29 +235,12 @@ def similar_to_isometry(operator: ShiftOperator, profile: AsymptoticProfile,
             return SimilarityAnswer("no", f"forward limit below {zero_threshold} at {u}")
     if operator.is_certified_isometry():
         return SimilarityAnswer("yes", "certified isometry: all forward limits are 1")
-    model, w = operator.model, operator.weights
-    if isinstance(w, ExpRayWeights) and isinstance(model, (RootedPath, BilateralPath)):
-        inf_value = math.exp(2.0 * w.tail_log_sum(w.start_level - 1))
-        return SimilarityAnswer("yes", f"closed-form infimum {inf_value:.6g} > 0")
-    if isinstance(w, ConstantWeights) and isinstance(model, (RootedPath, BilateralPath)):
-        if w.value < 1.0:
-            return SimilarityAnswer("no", "constant weight < 1 on a chain: limits vanish")
+    log_infimum = operator.weights.chain_log_infimum(operator.model)
+    if log_infimum == -math.inf:
+        return SimilarityAnswer("no", "constant weight < 1 on a chain: limits vanish")
+    if log_infimum is not None:
+        return SimilarityAnswer("yes", f"closed-form infimum {math.exp(log_infimum):.6g} > 0")
     return SimilarityAnswer("undetermined", "no symbolic infimum for this family")
-
-
-def _full_product_positive(weights, model):
-    """Closed-form sign of the two-sided infinite weight product, or None."""
-    if isinstance(weights, ConstantWeights):
-        return weights.value >= 1.0
-    if isinstance(weights, ExpRayWeights):
-        return True  # log-sum is a finite geometric series
-    if isinstance(weights, StepWeights):
-        return weights.low >= 1.0 and weights.high >= 1.0
-    if isinstance(weights, MapWeights) and weights.default is not None:
-        if weights.default >= 1.0:
-            return all(v > 0.0 for v in weights.values.values())
-        return False
-    return None
 
 
 def similar_to_coisometry(operator: ShiftOperator, window: TreeWindow,
@@ -288,7 +254,7 @@ def similar_to_coisometry(operator: ShiftOperator, window: TreeWindow,
         return SimilarityAnswer("no", "branching vertex present: |Chi(u)| <= 1 fails")
     if model.branching_total() is not None and model.branching_total()[0] > 0:
         return SimilarityAnswer("no", "family has positive branching index")
-    closed = _full_product_positive(operator.weights, model)
+    closed = operator.weights.full_product_positive()
     if closed is True:
         return SimilarityAnswer("yes", "full weight product positive (closed form)")
     if closed is False:

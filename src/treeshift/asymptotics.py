@@ -18,8 +18,9 @@ vector h_u supported on the generation of u with infinite-product
 coefficients; its squared norm a_u is estimated from truncated products over
 the materialized generation.
 
-Level lumping: when every vertex of a level has the same children count and
-every weight depends only on its level (``ShiftOperator.is_level_homogeneous``:
+Level lumping: when every vertex has the same children count (the tree's
+``children_per_vertex``) and every weight depends only on its level (the
+weights' ``level_only``; ``ShiftOperator.is_level_homogeneous`` tests both:
 constant, geometric, step or exp-ray weights on the paths and the rootless
 binary tree), all vertices of a level share one weighted cone and one
 ancestor chain.  The forward descent then keeps a single representative per
@@ -49,7 +50,7 @@ from dataclasses import dataclass, field
 from .errors import NotAContraction, StructuralViolation
 from .sparse import SparseVector
 from .shifts import CONTRACTION_SLACK, ShiftOperator
-from .trees import BilateralPath, CombTree, FiniteTree, RootedPath, TreeWindow
+from .trees import TreeWindow
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_DEPTH = 64
@@ -188,7 +189,7 @@ class AsymptoticProfile:
         return "\n".join(json.dumps(self.records[u].to_json()) for u in self.window.order)
 
 
-def _require_contraction(operator: ShiftOperator, window: TreeWindow):
+def require_contraction(operator: ShiftOperator, window: TreeWindow):
     norm = operator.operator_norm(window)
     if norm.value > 1.0 + CONTRACTION_SLACK:
         raise NotAContraction(norm.value)
@@ -199,7 +200,7 @@ def alpha_profile(operator: ShiftOperator, window: TreeWindow, tol: float = DEFA
                   max_depth: int = DEFAULT_MAX_DEPTH,
                   evaluator: AlphaEvaluator | None = None) -> AsymptoticProfile:
     """Forward limit eigenvalue for every window vertex."""
-    norm = _require_contraction(operator, window)
+    norm = require_contraction(operator, window)
     if evaluator is None:
         evaluator = AlphaEvaluator(operator, tol, max_depth)
     records = {u: evaluator(u) for u in window.order}
@@ -216,9 +217,6 @@ class StableSubtree:
     branching: tuple  # (value, exact)
     model: object
 
-    def __contains__(self, u):
-        return u in self.members
-
     def members_at(self, lvl):
         return [u for u in self.window.vertices_at(lvl) if u in self.members]
 
@@ -233,20 +231,13 @@ def _stable_branching(profile: AsymptoticProfile, members: set):
         kids = [v for v in model.children(u) if v in members]
         if len(kids) > 1:
             count += len(kids) - 1
-    if isinstance(model, FiniteTree):
+    if model.vertices() is not None:
         return (count, True)
     symbolic = model.branching_total()
     if members == set(profile.window.order) and symbolic is not None:
         if profile.all_settled() or symbolic[0] == 0:
             return symbolic
-    if isinstance(model, (RootedPath, BilateralPath)):
-        return (0, True)
-    if isinstance(model, CombTree):
-        # The only candidate branch vertex is "0"; its membership pattern is
-        # visible whenever the window contains it.
-        if "0" in profile.window:
-            return (count, True)
-    return (count, False)
+    return (count, model.branching_in(profile.window))
 
 
 def stable_subtree(profile: AsymptoticProfile,
@@ -287,15 +278,13 @@ class HVector:
 
 def _generation_complete(model, anchor_level: int) -> bool:
     """True when no branch vertex can appear above the current anchor."""
-    if isinstance(model, (RootedPath, BilateralPath)):
-        return True
-    if isinstance(model, CombTree):
-        return anchor_level <= 0
-    return False
+    return model.generation_complete(anchor_level)
 
 
-def _ancestor_products(operator: ShiftOperator, v: str, depth: int) -> list:
-    """Running products of squared weights up the ancestor chain of v."""
+def ancestor_products(operator: ShiftOperator, v: str, depth: int) -> tuple:
+    """Running products of squared weights up the ancestor chain of v, at
+    most ``depth`` of them, and the ancestor the walk stopped at (None when
+    it passed the root)."""
     prods = []
     prod = 1.0
     w = v
@@ -305,7 +294,7 @@ def _ancestor_products(operator: ShiftOperator, v: str, depth: int) -> list:
         w = operator.parent(w)
         if w is None:
             break
-    return prods
+    return prods, w
 
 
 def _adjoint_level(operator: ShiftOperator, u: str, depth: int, tol: float,
@@ -314,7 +303,7 @@ def _adjoint_level(operator: ShiftOperator, u: str, depth: int, tol: float,
     model = operator.model
     members = [u]
     anchor = u
-    gen_exact = _generation_complete(model, model.level(u))
+    gen_exact = model.generation_complete(model.level(u))
     for d in range(1, depth + 1):
         parent = operator.parent(anchor)
         if parent is None:
@@ -334,7 +323,7 @@ def _adjoint_level(operator: ShiftOperator, u: str, depth: int, tol: float,
             break
         members.extend(new)
         anchor = parent
-        if _generation_complete(model, model.level(anchor)):
+        if model.generation_complete(model.level(anchor)):
             gen_exact = True
             break
 
@@ -342,11 +331,11 @@ def _adjoint_level(operator: ShiftOperator, u: str, depth: int, tol: float,
     # sums to certify convergence of the product tails.
     if operator.is_level_homogeneous():
         # Every member's chain carries the same weights, level by level.
-        chain = _ancestor_products(operator, u, depth)
+        chain, _ = ancestor_products(operator, u, depth)
         chains = dict.fromkeys(members, chain)
         sums = [len(members) * chain[min(d, len(chain) - 1)] for d in range(depth)]
     else:
-        chains = {v: _ancestor_products(operator, v, depth) for v in members}
+        chains = {v: ancestor_products(operator, v, depth)[0] for v in members}
         # A chain that ended at a root holds its last product out to the full
         # depth; column d then sums p[min(d, len(p) - 1)] in member order.
         rows = [p + p[-1:] * (depth - len(p)) for p in chains.values()]
@@ -387,7 +376,7 @@ def adjoint_profile(operator: ShiftOperator, window: TreeWindow,
     one computation per window level (the vectors and values are constant
     along a level by construction).
     """
-    norm = _require_contraction(operator, window)
+    norm = require_contraction(operator, window)
     model = window.model
     if model.is_rooted:
         records = {u: VertexEstimate(u, 0.0, 0.0, EXACT_ZERO, 0) for u in window.order}
@@ -422,32 +411,23 @@ class ClassificationC:
                 "adjoint_certified": self.adjoint_certified, "notes": list(self.notes)}
 
 
-def _categorize(records, zero_threshold, one_threshold):
-    cats = {}
+def _classify_side(records, zero_threshold, one_threshold):
+    values = set()
     certified = True
-    for u, r in records.items():
+    for r in records.values():
         if r.status == EXACT_ONE:
-            cats[u] = "one"
+            values.add("one")
         elif r.status == EXACT_ZERO:
-            cats[u] = "zero"
+            values.add("zero")
         elif r.estimate <= zero_threshold:
             # The estimate is an upper bound, so smallness is one-sided safe.
-            cats[u] = "zero"
+            values.add("zero")
             certified = False
         elif r.estimate >= one_threshold and r.status == CONVERGED:
-            cats[u] = "one"
+            values.add("one")
             certified = False
         else:
-            cats[u] = "undetermined"
-            certified = False
-    return cats, certified
-
-
-def _classify_side(records, zero_threshold, one_threshold):
-    cats, certified = _categorize(records, zero_threshold, one_threshold)
-    values = set(cats.values())
-    if "undetermined" in values:
-        return "undetermined", False
+            return "undetermined", False
     if values == {"one"}:
         return "one", certified
     if values <= {"zero"}:

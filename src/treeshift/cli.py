@@ -86,14 +86,9 @@ _TOL = _checked(float, lambda x: 0.0 < x < math.inf, "finite and > 0")
 _ZERO_TH = _checked(float, lambda x: 0.0 <= x < math.inf, "finite and >= 0")
 
 
-def _parse_levels(txt: str):
-    lo, _, hi = txt.partition(":")
-    return int(lo), int(hi)
-
-
 def _window(args, model):
-    lo, hi = _parse_levels(args.levels)
-    return materialize_window(model, lo, hi, args.breadth)
+    lo, _, hi = args.levels.partition(":")
+    return materialize_window(model, int(lo), int(hi), args.breadth)
 
 
 def _branching_text(value):
@@ -104,7 +99,7 @@ def cmd_validate(args, out: Reporter) -> int:
     model = load_tree(args.tree)
     window = _window(args, model)
     br, br_exact = branching_index(model, window)
-    leafset = sorted(leaves(model, None if model.leaf_set() is not None else window))
+    leafset = sorted(leaves(model, window))
     out.text(f"{model.describe()}")
     out.text(f"leaves: {leafset if leafset else 'none'}")
     out.text(f"window [{window.level_lo}:{window.level_hi}] has {len(window)} vertices")
@@ -115,11 +110,14 @@ def cmd_validate(args, out: Reporter) -> int:
     return 0
 
 
-def _analysis(args, need_adjoint=True):
+def _operator(args):
     model = load_tree(args.tree)
-    weights = load_weights(args.weights)
-    operator = ShiftOperator(model, weights)
-    window = _window(args, model)
+    operator = ShiftOperator(model, load_weights(args.weights))
+    return model, operator, _window(args, model)
+
+
+def _analysis(args, need_adjoint=True):
+    model, operator, window = _operator(args)
     profile = alpha_profile(operator, window, tol=args.tol, max_depth=args.depth)
     adjoint = adjoint_profile(operator, window, depth=args.depth, tol=args.tol) \
         if need_adjoint else None
@@ -232,10 +230,7 @@ def cmd_cyclic(args, out: Reporter) -> int:
 
 
 def cmd_similarity(args, out: Reporter) -> int:
-    model = load_tree(args.tree)
-    weights = load_weights(args.weights)
-    operator = ShiftOperator(model, weights)
-    window = _window(args, model)
+    model, operator, window = _operator(args)
     if getattr(model, "primed_leaf", None) is not None:
         witness = build_leaf_similarity(operator, window)
     else:
@@ -284,10 +279,7 @@ def _worst_residual(lines: np.ndarray, support, window, images) -> float:
 def cmd_oracle(args, out: Reporter) -> int:
     """Dense-truncation cross-checks of the closed-form operations."""
     import numpy as np
-    model = load_tree(args.tree)
-    weights = load_weights(args.weights)
-    operator = ShiftOperator(model, weights)
-    window = _window(args, model)
+    model, operator, window = _operator(args)
     mat = operator.dense_truncation(window)
     nonzero = np.nonzero(mat)  # (rows, columns) of the entries, read once
 
@@ -325,23 +317,23 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="weighted shifts on directed trees")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, required=True):
+    def tree_flags(p, required=True):
         p.add_argument("--tree", required=required, help="tree spec JSON path")
-        p.add_argument("--weights", required=required, help="weight spec JSON path")
         p.add_argument("--levels", default="-8:8",
                        help="window level range a:b (use --levels=-8:8 for negatives)")
         p.add_argument("--breadth", type=int, default=64, help="per-level breadth cap")
+        p.add_argument("--json", action="store_true", help="line-delimited JSON output")
+
+    def common(p, required=True):
+        tree_flags(p, required)
+        p.add_argument("--weights", required=required, help="weight spec JSON path")
         p.add_argument("--tol", type=_TOL, default=1e-10)
         p.add_argument("--zero-th", dest="zero_th", type=_ZERO_TH, default=1e-9)
         p.add_argument("--rank-tol", dest="rank_tol", type=_TOL, default=1e-8)
         p.add_argument("--depth", type=_POSITIVE_INT, default=64)
-        p.add_argument("--json", action="store_true", help="line-delimited JSON output")
 
     p = sub.add_parser("validate", help="structural validation and summary")
-    p.add_argument("--tree", required=True)
-    p.add_argument("--levels", default="-8:8")
-    p.add_argument("--breadth", type=int, default=64)
-    p.add_argument("--json", action="store_true")
+    tree_flags(p)
     p.set_defaults(func=cmd_validate)
 
     for name, fn in (("analyze", cmd_analyze), ("asymptote", cmd_asymptote),

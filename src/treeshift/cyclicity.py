@@ -10,14 +10,13 @@ infinite-dimensional statement is the theorem's job, not the artifact's).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
 
-from .errors import DimensionCap, ScheduleTooShort, WeightError, ZeroWeight
+from .errors import DimensionCap, ScheduleTooShort, WeightError, ZeroWeight, shown
 from .trees import branching_index, leaves
-from .weights import _integer
+from .weights import _integer, hash_unit
 
 DIMENSION_CAP = 4096
 RANK_TOL = 1e-8
@@ -39,9 +38,7 @@ def uniform_weight_rule(seed: int, low: float, high: float):
     """Deterministic pseudo-random weights in [low, high], keyed by (branch, index)."""
 
     def rule(j, k):
-        digest = hashlib.blake2b(f"{seed}:{j}:{k}".encode(), digest_size=8).digest()
-        unit = int.from_bytes(digest, "big") / 2.0 ** 64
-        return low + (high - low) * unit
+        return low + (high - low) * hash_unit(f"{seed}:{j}:{k}")
 
     return rule
 
@@ -131,10 +128,6 @@ class CyclicCandidate:
     @property
     def length(self):
         return len(self.schedule)
-
-    def coefficient(self, l: int) -> float:
-        """1-based stage index, matching the construction."""
-        return self.xi[l - 1]
 
     def entries(self):
         """[(j, k, xi)] with 1-based stage order."""
@@ -369,7 +362,7 @@ def _unit_interval(wdoc: dict, key: str) -> float:
     value = wdoc.get(key)
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 < value <= 1.0:
         raise WeightError(f"backward {wdoc.get('kind')} weight {key} must be a number "
-                          f"in (0, 1], got {value!r}")
+                          f"in (0, 1], got {shown(value)}")
     return float(value)
 
 
@@ -385,10 +378,10 @@ def backward_spec_from_json(doc) -> BackwardShiftSpec:
     if isinstance(doc, str):
         doc = json.loads(doc)
     if not isinstance(doc, dict):
-        raise ValueError(f"a backward shift spec must be a JSON object, got {doc!r}")
+        raise ValueError(f"a backward shift spec must be a JSON object, got {shown(doc)}")
     wdoc = doc.get("weights", {"kind": "constant", "value": 1.0})
     if not isinstance(wdoc, dict):
-        raise WeightError(f"backward weights must be a JSON object, got {wdoc!r}")
+        raise WeightError(f"backward weights must be a JSON object, got {shown(wdoc)}")
     if wdoc.get("kind") == "constant":
         rule = _unit_interval(wdoc, "value")
     elif wdoc.get("kind") == "hash-random":
@@ -399,14 +392,15 @@ def backward_spec_from_json(doc) -> BackwardShiftSpec:
         rule = uniform_weight_rule(_integer(wdoc.get("seed", 0), "backward hash-random seed"),
                                    low, high)
     else:
-        raise WeightError(f"unknown backward weight kind {wdoc.get('kind')!r}")
+        raise WeightError(f"unknown backward weight kind {shown(wdoc.get('kind'))}")
     if "branches" not in doc:
         raise ValueError("a backward shift spec needs a 'branches' field")
     branches = _integer(doc["branches"], "backward branches", ValueError)
     zeros = doc.get("zeros", [])
     if not isinstance(zeros, list) or not all(isinstance(z, list) and len(z) == 2
                                               for z in zeros):
-        raise ValueError(f"backward zeros must be a list of [branch, index] pairs, got {zeros!r}")
+        raise ValueError(f"backward zeros must be a list of [branch, index] pairs, "
+                         f"got {shown(zeros)}")
     zeros = [(_integer(j, "zero branch", ValueError), _integer(k, "zero index", ValueError))
              for j, k in zeros]
     return BackwardShiftSpec(branches, rule, zeros=zeros)
@@ -453,8 +447,7 @@ def cyclicity_verdict(model, classification, window=None) -> CyclicityVerdict:
         return backward_shift_verdict(model)
 
     br, br_exact = branching_index(model, window)
-    leafset = leaves(model, None) if model.leaf_set() is not None else leaves(model, window)
-    nleaves = len(leafset)
+    nleaves = len(leaves(model, window))
     rooted = model.is_rooted
     fwd = classification.forward
     adj = classification.adjoint

@@ -1,5 +1,17 @@
 """Exception hierarchy shared by all treeshift modules."""
 
+import json
+
+
+def shown(value) -> str:
+    """An offending input value for an error message: as JSON (``null``,
+    ``true``), or its repr when it is not JSON, cut to 60 characters."""
+    try:
+        text = json.dumps(value)
+    except (TypeError, ValueError):
+        text = repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
 
 class TreeShiftError(Exception):
     """Base class for all treeshift errors."""
@@ -36,6 +48,12 @@ class VertexNotFound(TreeShiftError):
 
 class UnknownVertex(VertexNotFound):
     pass
+
+
+class EmptyWindow(VertexNotFound):
+    def __init__(self, level_lo, level_hi):
+        TreeShiftError.__init__(self, f"window [{level_lo},{level_hi}] contains no vertices")
+        self.vertex = None
 
 
 class WindowTooLarge(TreeShiftError):

@@ -6,10 +6,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import UnknownVertex, WindowTooLarge
+from .errors import UnknownVertex, WeightError, WindowTooLarge
 from .sparse import SparseVector
-from .trees import BilateralPath, CombTree, FiniteTree, RootedPath, RootlessBinary, TreeWindow
-from .weights import BinarySpineWeights, ConstantWeights, RayWeights, WeightAssignment
+from .trees import TreeWindow
+from .weights import WeightAssignment
 
 DENSE_CAP = 4096
 CONTRACTION_SLACK = 1e-12
@@ -26,17 +26,6 @@ class NormBound:
     certified: bool
 
 
-def _children_bound_outside(model, window):
-    """Max children count a vertex outside the window can have."""
-    if isinstance(model, FiniteTree):
-        return 0
-    if isinstance(model, CombTree):
-        return 1 if "0" in window else 2
-    if isinstance(model, (RootedPath, BilateralPath)):
-        return 1
-    return model.max_children()
-
-
 class ShiftOperator:
     """Weighted shift S on a directed tree: e_u -> sum over children v of lambda_v e_v.
 
@@ -49,10 +38,15 @@ class ShiftOperator:
     run (and raise at the same vertex) as without the memo; later queries
     return the same float or tuple, so every product and sum built from them
     is unchanged.  The memos live as long as the operator: the CLI builds one
-    per call.
+    per call.  Weights that read family vertex ids reject, here, a tree whose
+    ids they cannot read.
     """
 
     def __init__(self, model, weights: WeightAssignment):
+        families = weights.tree_families
+        if families is not None and model.family not in families:
+            raise WeightError(f"{weights.name} weights need a {' or '.join(families)} "
+                              f"tree, got {model.describe()}")
         self.model = model
         self.weights = weights
         self._weights: dict[str, float] = {}
@@ -139,7 +133,7 @@ class ShiftOperator:
     def operator_norm(self, window: TreeWindow) -> NormBound:
         """sup over u of sqrt(sum of squared children weights).
 
-        Finite models are scanned exhaustively.  For procedural models the
+        Explicit models are scanned exhaustively.  For procedural models the
         scan covers the window and its outside parents, and the tail beyond
         the window is bounded by max_weight * sqrt(children bound); the
         result is certified whenever that bound exists.  The bound is
@@ -151,8 +145,9 @@ class ShiftOperator:
         return bound
 
     def _operator_norm(self, window: TreeWindow) -> NormBound:
-        if isinstance(self.model, FiniteTree):
-            value = max(self._column_norm(u) for u in self.model.vertices())
+        vertices = self.model.vertices()
+        if vertices is not None:
+            value = max(self._column_norm(u) for u in vertices)
             return NormBound(value, value, True)
         if self.is_certified_isometry():
             return NormBound(1.0, 1.0, True)
@@ -163,38 +158,21 @@ class ShiftOperator:
             scan[self.parent(u)] = None
         window_value = max(self._column_norm(u) for u in scan)
         top = self.weights.max_weight()
-        if top is None:
+        fan = self.model.children_bound(window)
+        if top is None or fan is None:
             return NormBound(window_value, window_value, False)
-        outside = top * math.sqrt(_children_bound_outside(self.model, window))
+        outside = top * math.sqrt(fan)
         return NormBound(max(window_value, outside), window_value, True)
 
-    def is_contraction(self, window: TreeWindow) -> bool:
-        return self.operator_norm(window).value <= 1.0 + CONTRACTION_SLACK
-
     def is_certified_isometry(self) -> bool:
-        """Family-level isometry certificates (children square-sums all 1)."""
-        m, w = self.model, self.weights
-        if isinstance(w, ConstantWeights):
-            if isinstance(m, RootlessBinary):
-                return abs(2.0 * w.value ** 2 - 1.0) <= 1e-12
-            if isinstance(m, (RootedPath, BilateralPath)):
-                return abs(w.value - 1.0) <= 1e-12
-        if isinstance(w, BinarySpineWeights) and isinstance(m, RootlessBinary):
-            return True
-        if isinstance(w, RayWeights) and isinstance(m, CombTree):
-            if m.leaf_set():
-                return False
-            s1 = w.branch_spine if w.branch_spine is not None else w.spine
-            p1 = w.branch_primed if w.branch_primed is not None else w.primed
-            return (abs(w.spine - 1.0) <= 1e-12 and abs(w.primed - 1.0) <= 1e-12
-                    and abs(s1 * s1 + p1 * p1 - 1.0) <= 1e-12)
-        return False
+        """Family-level isometry certificate (children square-sums all 1)."""
+        return self.weights.isometry_on(self.model)
 
     def is_level_homogeneous(self) -> bool:
         """True when all vertices of a level share one weighted cone and one
-        ancestor chain: the tree has one children count per level and every
+        ancestor chain: every vertex has the same children count and every
         weight is a function of its vertex's level."""
-        return self.model.level_homogeneous and self.weights.level_only
+        return self.model.children_per_vertex is not None and self.weights.level_only
 
     def dense_truncation(self, window: TreeWindow, cap: int = DENSE_CAP) -> np.ndarray:
         """Matrix of the compression P_W S P_W in the level-major basis order."""

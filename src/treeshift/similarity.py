@@ -15,11 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import NotAContraction, ShapeMismatch, WeightError
+from .asymptotics import require_contraction
+from .errors import ShapeMismatch, WeightError
 from .shifts import ShiftOperator
 from .sparse import SparseVector
 from .trees import CombTree, TreeWindow
-from .weights import ExpRayWeights, ConstantWeights, MapWeights, RayWeights
 
 
 def _require_comb(operator: ShiftOperator, need_leaf: bool) -> CombTree:
@@ -82,15 +82,16 @@ def ratio_bounded(operator: ShiftOperator, horizon: int = 64,
                   blow_up: float = 1e6) -> RatioCertificate:
     """Track partial maxima of prod_{j<=k} lambda_j'/lambda_j.
 
-    Closed forms cover per-ray constants and padded maps; otherwise the
-    partial maxima run to the horizon, with an evidence certificate as soon
-    as a partial product exceeds the blow-up bound.
+    A geometric ratio law (the weights' ``ratio_geometric``) is decided in
+    closed form.  Otherwise the partial maxima run to the horizon, at least
+    past the level where the weights say the ratios settle at 1 (then the
+    sup is exact), with an evidence certificate as soon as a partial
+    product exceeds the blow-up bound.
     """
     w = operator.weights
-    if isinstance(w, RayWeights):
-        first = ((w.branch_primed if w.branch_primed is not None else w.primed)
-                 / (w.branch_spine if w.branch_spine is not None else w.spine))
-        step = w.primed / w.spine
+    law = w.ratio_geometric()
+    if law is not None:
+        first, step = law
         if step <= 1.0:
             return RatioCertificate("bounded", max(first, first * step), True)
         if first > blow_up:
@@ -98,11 +99,10 @@ def ratio_bounded(operator: ShiftOperator, horizon: int = 64,
         k = 1 + max(1, int(math.ceil(math.log(blow_up / first) / math.log(step))))
         return RatioCertificate("unbounded-evidence", first * step ** (k - 1), True,
                                 at=k, value=first * step ** (k - 1))
-    exact = isinstance(w, (ConstantWeights, ExpRayWeights))
-    if isinstance(w, MapWeights) and w.default is not None:
-        support = [abs(int(v[:-1] if v.endswith("'") else v)) for v in w.values]
-        horizon = max(horizon, max(support, default=0) + 1)
-        exact = True
+    settled = w.ratio_settled_from()
+    exact = settled is not None
+    if exact:
+        horizon = max(horizon, settled)
     ratio = 1.0
     sup = 0.0
     for k in range(1, horizon + 1):
@@ -253,9 +253,7 @@ def build_tilde_quasiaffinity(operator: ShiftOperator, window: TreeWindow,
     """Quasiaffinity (always) or similarity (bounded ratios) of a leafless
     Br=1 shift to the direct sum of a bilateral and a unilateral shift."""
     _require_comb(operator, need_leaf=False)
-    norm = operator.operator_norm(window)
-    if norm.value > 1.0 + 1e-12:
-        raise NotAContraction(norm.value)
+    require_contraction(operator, window)
     primed_max = max((lvl for lvl in window.levels() if f"{lvl}'" in window), default=0)
     if primed_max < 1:
         raise ShapeMismatch("window does not reach the primed ray")

@@ -27,10 +27,12 @@ from collections import deque
 from .errors import (
     CircuitFound,
     DisconnectedGraph,
+    EmptyWindow,
     MultipleParents,
     RootMismatch,
     TreeSpecError,
     VertexNotFound,
+    shown,
 )
 
 INFINITE = math.inf
@@ -51,9 +53,11 @@ class DirectedTreeModel:
 
     kind = "abstract"
     family = None
-    # Every vertex of a level has the same children count, so with level-only
-    # weights all vertices of a level share one weighted cone and one chain.
-    level_homogeneous = False
+    # Family hooks answer family-specific questions in closed form; the
+    # defaults (None, False) mean "no closed form".  One children count for
+    # every vertex (then level-only weights give one cone per level):
+    children_per_vertex = None
+    has_last_level = False  # a deepest level: the adjoint asymptote is unilateral
 
     def children(self, u: str) -> tuple[str, ...]:
         raise NotImplementedError
@@ -76,9 +80,26 @@ class DirectedTreeModel:
         """Integer level; 0 at the root (rooted) or the family base vertex."""
         raise NotImplementedError
 
-    def spine_vertex(self, lvl: int):
-        """Canonical vertex at a level, used to seed windows.  None if absent."""
+    def seeds(self, lvl: int) -> list:
+        """Vertices a window at level ``lvl`` grows from; empty for an absent
+        level (levels are contiguous, so every deeper one is absent too)."""
         raise NotImplementedError
+
+    def vertices(self):
+        """Every vertex, level-major, when the tree is explicit; else None."""
+        return None
+
+    def children_bound(self, window):
+        """Most children a vertex outside ``window`` can have, or None."""
+        return self.children_per_vertex
+
+    def generation_complete(self, lvl: int) -> bool:
+        """True when no branch vertex lies above level ``lvl``."""
+        return False
+
+    def branching_in(self, window) -> bool:
+        """True when ``window`` shows every branch vertex of the tree."""
+        return False
 
     def branching_total(self):
         """(Br(T), exact) when the family determines it symbolically, else None."""
@@ -87,9 +108,6 @@ class DirectedTreeModel:
     def leaf_set(self):
         """Symbolically known leaf set, or None when only windows can tell."""
         return None
-
-    def max_children(self) -> int:
-        raise NotImplementedError
 
     def require_vertex(self, u: str):
         if u not in self:
@@ -106,6 +124,7 @@ class FiniteTree(DirectedTreeModel):
     """Explicit finite directed tree, always rooted (finite trees cannot be rootless)."""
 
     kind = "finite"
+    has_last_level = True
 
     def __init__(self, vertices, parent_map, root):
         self._vertices = set(vertices)
@@ -122,6 +141,7 @@ class FiniteTree(DirectedTreeModel):
             for v in self._children[u]:
                 self._level[v] = self._level[u] + 1
                 queue.append(v)
+        self._order = sorted(self._vertices, key=lambda v: (self._level[v], v))
 
     def children(self, u):
         self.require_vertex(u)
@@ -146,12 +166,11 @@ class FiniteTree(DirectedTreeModel):
         self.require_vertex(u)
         return self._level[u]
 
-    def spine_vertex(self, lvl):
-        at = sorted(v for v, l in self._level.items() if l == lvl)
-        return at[0] if at else None
+    def seeds(self, lvl):
+        return sorted(v for v, l in self._level.items() if l == lvl)
 
     def vertices(self):
-        return sorted(self._vertices, key=lambda v: (self._level[v], v))
+        return list(self._order)
 
     def depth(self) -> int:
         return max(self._level.values())
@@ -162,9 +181,6 @@ class FiniteTree(DirectedTreeModel):
 
     def leaf_set(self):
         return {u for u in self._vertices if not self._children[u]}
-
-    def max_children(self):
-        return max((len(c) for c in self._children.values()), default=0)
 
 
 def validate_finite(vertices, edges, declared_root=None) -> FiniteTree:
@@ -223,59 +239,12 @@ def validate_finite(vertices, edges, declared_root=None) -> FiniteTree:
     return FiniteTree(verts, parent, root)
 
 
-class RootedPath(DirectedTreeModel):
-    """Z+ with root 0 and edges (n, n+1)."""
-
-    kind = "procedural"
-    family = "rooted-path"
-    level_homogeneous = True
-
-    def children(self, u):
-        self.require_vertex(u)
-        return (str(int(u) + 1),)
-
-    def parent(self, u):
-        self.require_vertex(u)
-        n = int(u)
-        return None if n == 0 else str(n - 1)
-
-    def __contains__(self, u):
-        try:
-            return int(u) >= 0
-        except ValueError:
-            return False
-
-    @property
-    def is_rooted(self):
-        return True
-
-    @property
-    def root(self):
-        return "0"
-
-    def level(self, u):
-        self.require_vertex(u)
-        return int(u)
-
-    def spine_vertex(self, lvl):
-        return str(lvl) if lvl >= 0 else None
-
-    def branching_total(self):
-        return (0, True)
-
-    def leaf_set(self):
-        return set()
-
-    def max_children(self):
-        return 1
-
-
 class BilateralPath(DirectedTreeModel):
     """Z with edges (n, n+1); rootless, leafless; level-0 base is vertex 0."""
 
     kind = "procedural"
     family = "bilateral-path"
-    level_homogeneous = True
+    children_per_vertex = 1
 
     def children(self, u):
         self.require_vertex(u)
@@ -300,8 +269,8 @@ class BilateralPath(DirectedTreeModel):
         self.require_vertex(u)
         return int(u)
 
-    def spine_vertex(self, lvl):
-        return str(lvl)
+    def seeds(self, lvl):
+        return [str(lvl)]
 
     def branching_total(self):
         return (0, True)
@@ -309,8 +278,39 @@ class BilateralPath(DirectedTreeModel):
     def leaf_set(self):
         return set()
 
-    def max_children(self):
-        return 1
+    def generation_complete(self, lvl):
+        return True
+
+    def branching_in(self, window):
+        return True
+
+
+class RootedPath(BilateralPath):
+    """Z+ with root 0 and edges (n, n+1)."""
+
+    family = "rooted-path"
+
+    def parent(self, u):
+        self.require_vertex(u)
+        n = int(u)
+        return None if n == 0 else str(n - 1)
+
+    def __contains__(self, u):
+        try:
+            return int(u) >= 0
+        except ValueError:
+            return False
+
+    @property
+    def is_rooted(self):
+        return True
+
+    @property
+    def root(self):
+        return "0"
+
+    def seeds(self, lvl):
+        return [str(lvl)] if lvl >= 0 else []
 
 
 class CombTree(DirectedTreeModel):
@@ -328,7 +328,7 @@ class CombTree(DirectedTreeModel):
     def __init__(self, primed_leaf=None, unprimed_leaf=None):
         for name, value in (("primed_leaf", primed_leaf), ("unprimed_leaf", unprimed_leaf)):
             if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
-                raise TreeSpecError(f"comb {name} must be an integer, got {value!r}")
+                raise TreeSpecError(f"comb {name} must be an integer, got {shown(value)}")
         if primed_leaf is not None and primed_leaf < 1:
             raise TreeSpecError("primed_leaf must be >= 1")
         if unprimed_leaf is not None:
@@ -339,6 +339,7 @@ class CombTree(DirectedTreeModel):
                 raise TreeSpecError("unprimed_leaf must be >= primed_leaf")
         self.primed_leaf = primed_leaf
         self.unprimed_leaf = unprimed_leaf
+        self.has_last_level = unprimed_leaf is not None
 
     def children(self, u):
         self.require_vertex(u)
@@ -382,10 +383,10 @@ class CombTree(DirectedTreeModel):
         self.require_vertex(u)
         return _primed_index(u) if _is_primed(u) else int(u)
 
-    def spine_vertex(self, lvl):
+    def seeds(self, lvl):
         if self.unprimed_leaf is not None and lvl > self.unprimed_leaf:
-            return None
-        return str(lvl)
+            return []
+        return [str(lvl)]
 
     def branching_total(self):
         return (1, True)
@@ -398,8 +399,16 @@ class CombTree(DirectedTreeModel):
             out.add(str(self.unprimed_leaf))
         return out
 
-    def max_children(self):
-        return 2
+    # The only branch vertex is "0"; its two children are the spine's "1" and
+    # the primed ray's "1'".
+    def children_bound(self, window):
+        return 1 if "0" in window else 2
+
+    def generation_complete(self, lvl):
+        return lvl <= 0
+
+    def branching_in(self, window):
+        return "0" in window
 
 
 class TildeTree(CombTree):
@@ -407,16 +416,13 @@ class TildeTree(CombTree):
 
     family = "tilde"
 
-    def __init__(self):
-        super().__init__(None, None)
-
 
 class RootlessBinary(DirectedTreeModel):
     """Rootless tree with |Chi(u)| = 2 everywhere; spine indexed by Z."""
 
     kind = "procedural"
     family = "rootless-binary"
-    level_homogeneous = True
+    children_per_vertex = 2
 
     @staticmethod
     def _parse(u):
@@ -459,8 +465,8 @@ class RootlessBinary(DirectedTreeModel):
         m, w = self._parse(u)
         return m + len(w)
 
-    def spine_vertex(self, lvl):
-        return str(lvl)
+    def seeds(self, lvl):
+        return [str(lvl)]
 
     def branching_total(self):
         return (INFINITE, True)
@@ -468,23 +474,15 @@ class RootlessBinary(DirectedTreeModel):
     def leaf_set(self):
         return set()
 
-    def max_children(self):
-        return 2
-
 
 def make_family(tag: str, params: dict | None = None) -> DirectedTreeModel:
     params = params or {}
-    if tag == "rooted-path":
-        return RootedPath()
-    if tag == "bilateral-path":
-        return BilateralPath()
-    if tag == "rootless-binary":
-        return RootlessBinary()
-    if tag == "tilde":
-        return TildeTree()
     if tag == "comb":
         return CombTree(params.get("primed_leaf"), params.get("unprimed_leaf"))
-    raise TreeSpecError(f"unknown family {tag!r}; expected one of {FAMILY_TAGS}")
+    for family in (RootedPath, BilateralPath, RootlessBinary, TildeTree):
+        if family.family == tag:
+            return family()
+    raise TreeSpecError(f"unknown family {shown(tag)}; expected one of {FAMILY_TAGS}")
 
 
 def tree_from_json(doc) -> DirectedTreeModel:
@@ -498,21 +496,21 @@ def tree_from_json(doc) -> DirectedTreeModel:
     if isinstance(doc, str):
         doc = json.loads(doc)
     if not isinstance(doc, dict):
-        raise TreeSpecError(f"a tree spec must be a JSON object, got {doc!r:.60}")
+        raise TreeSpecError(f"a tree spec must be a JSON object, got {shown(doc)}")
     if "family" in doc:
         params = doc.get("params")
         if params is not None and not isinstance(params, dict):
-            raise TreeSpecError(f"tree params must be a JSON object, got {params!r:.60}")
+            raise TreeSpecError(f"tree params must be a JSON object, got {shown(params)}")
         return make_family(doc["family"], params)
     vertices, edges = doc.get("vertices"), doc.get("edges")
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise TreeSpecError("a finite tree needs 'vertices', a list of string ids, "
-                            f"got {vertices!r:.60}")
+                            f"got {shown(vertices)}")
     if not isinstance(edges, list) or not all(
             isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)
             and isinstance(e[1], str) for e in edges):
         raise TreeSpecError("a finite tree needs 'edges', a list of [parent, child] "
-                            f"string id pairs, got {edges!r:.60}")
+                            f"string id pairs, got {shown(edges)}")
     return validate_finite(vertices, edges, doc.get("root"))
 
 
@@ -591,33 +589,22 @@ class TreeWindow:
 
 
 def materialize_window(model, level_lo, level_hi, breadth=64) -> TreeWindow:
-    """BFS a window downward from the canonical seed at ``level_lo``.
+    """BFS a window downward from the model's seeds at ``level_lo``.
 
     Per-level breadth is clamped on the children side only, so the window is
-    parent-closed by construction.  For finite trees the seed is every vertex
-    of the lowest populated level in range.
+    parent-closed by construction.  A rooted window starts at level 0 at the
+    earliest; a window whose first level is empty raises EmptyWindow.
     """
     if level_lo > level_hi:
         raise ValueError("window level range is empty")
     if breadth < 1:
         raise ValueError("breadth cap must be positive")
 
-    if isinstance(model, FiniteTree):
-        lvl = max(level_lo, 0)
-        current: list[str] = []
-        while lvl <= level_hi and not current:
-            current = sorted(v for v in model.vertices() if model.level(v) == lvl)
-            if not current:
-                lvl += 1
-    else:
-        lvl = max(level_lo, 0) if model.is_rooted else level_lo
-        seed = model.spine_vertex(lvl)
-        if seed is None or lvl > level_hi:
-            raise VertexNotFound(f"window [{level_lo},{level_hi}] contains no vertices")
-        current = [seed]
-
+    lvl = max(level_lo, 0) if model.is_rooted else level_lo
+    current = model.seeds(lvl)[:breadth] if lvl <= level_hi else []
+    if not current:
+        raise EmptyWindow(level_lo, level_hi)
     collected: list[str] = []
-    current = current[:breadth]
     while current and lvl <= level_hi:
         collected.extend(current)
         nxt: list[str] = []
@@ -625,8 +612,6 @@ def materialize_window(model, level_lo, level_hi, breadth=64) -> TreeWindow:
             nxt.extend(model.children(u))
         current = sorted(set(nxt))[:breadth]
         lvl += 1
-    if not collected:
-        raise VertexNotFound(f"window [{level_lo},{level_hi}] contains no vertices")
     collected.sort(key=lambda v: (model.level(v), v))
     return TreeWindow(model, level_lo, level_hi, breadth, collected)
 
@@ -689,11 +674,10 @@ def branching_index(model, window: TreeWindow | None = None):
 
 
 def leaves(model, window: TreeWindow | None = None) -> set:
-    """Leaf set; symbolic for the built-in families, exact for finite models."""
+    """Leaf set: the model's symbolic one when it has one (finite models and
+    the built-in families), else the leaves among the window's vertices."""
     known = model.leaf_set()
     if known is not None:
-        if window is not None:
-            return {u for u in known if u in window}
         return set(known)
     if window is None:
         raise ValueError("a window is required for models without a symbolic leaf set")

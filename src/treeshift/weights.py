@@ -9,14 +9,13 @@ type of the cyclicity module.
 
 from __future__ import annotations
 
-import hashlib
 import inspect
 import json
 import math
 import numbers
 import sys
 
-from .errors import WeightError
+from .errors import WeightError, shown
 from .trees import _is_primed, _primed_index
 
 
@@ -31,7 +30,7 @@ def _positive(value, what: str, top: float = math.inf) -> float:
     try:
         x = float(value)
     except (TypeError, ValueError):
-        raise WeightError(f"{what} must be a number, got {value!r}") from None
+        raise WeightError(f"{what} must be a number, got {shown(value)}") from None
     if not 0.0 < x < math.inf:  # also false for NaN
         raise WeightError(f"{what} must be finite and strictly positive, got {x}")
     if x > top:
@@ -45,7 +44,7 @@ def _integer(value, what: str, error=WeightError) -> int:
     fractions, NaN, infinities and non-numbers raise ``error``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
             isinstance(value, numbers.Integral) or float(value).is_integer()):
-        raise error(f"{what} must be an integer, got {value!r}")
+        raise error(f"{what} must be an integer, got {shown(value)}")
     return int(value)
 
 
@@ -61,10 +60,43 @@ def _computed(rule, family: str, v: str) -> float:
     return w
 
 
+def hash_unit(key: str) -> float:
+    """Uniform value in [0, 1) from the keyed blake2b digest of ``key``."""
+    import hashlib  # loads OpenSSL, which only hashed weights need
+    digest = hashlib.blake2b(key.encode(), digest_size=8).digest()
+    return int.from_bytes(digest, "big") / 2.0 ** 64
+
+
 class WeightAssignment:
     kind = "abstract"
     # The weight of a vertex is a function of its level alone.
     level_only = False
+    # Family hooks answer family-specific questions in closed form; the
+    # defaults (None, False) mean "no closed form".  The tree families whose
+    # vertex ids the weights read (None: any tree):
+    tree_families = None
+
+    def isometry_on(self, model) -> bool:
+        """True when every children square-sum on ``model`` is exactly 1."""
+        return False
+
+    def full_product_positive(self):
+        """Whether the two-sided infinite weight product is positive, or None."""
+        return None
+
+    def chain_log_infimum(self, model):
+        """Log of the infimum of the forward limits on ``model`` when it is a
+        single-child chain: -inf when the limits vanish, None when unknown."""
+        return None
+
+    def ratio_geometric(self):
+        """(first, step): a comb's primed-to-spine weight ratio at level 1 and
+        at every deeper level, when that is the whole law; else None."""
+        return None
+
+    def ratio_settled_from(self):
+        """A level past which a comb's primed-to-spine ratios are 1, or None."""
+        return None
 
     def weight(self, model, v: str) -> float:
         raise NotImplementedError
@@ -117,6 +149,19 @@ class MapWeights(WeightAssignment):
             return None
         return max(model.level(v) for v in self.values) + 1
 
+    def full_product_positive(self):
+        if self.default is None:
+            return None
+        if self.default >= 1.0:
+            return all(v > 0.0 for v in self.values.values())
+        return False
+
+    def ratio_settled_from(self):
+        if self.default is None:
+            return None
+        support = [abs(_primed_index(v) if _is_primed(v) else int(v)) for v in self.values]
+        return max(support, default=0) + 1
+
     def to_json(self):
         doc = {"kind": "map", "values": dict(self.values)}
         if self.default is not None:
@@ -137,6 +182,24 @@ class ConstantWeights(WeightAssignment):
 
     def max_weight(self):
         return self.value
+
+    def isometry_on(self, model):
+        if model.children_per_vertex == 2:
+            return abs(2.0 * self.value ** 2 - 1.0) <= 1e-12
+        if model.children_per_vertex == 1:
+            return abs(self.value - 1.0) <= 1e-12
+        return False
+
+    def full_product_positive(self):
+        return self.value >= 1.0
+
+    def chain_log_infimum(self, model):
+        if model.children_per_vertex == 1 and self.value < 1.0:
+            return -math.inf
+        return None
+
+    def ratio_settled_from(self):
+        return 0
 
     def to_json(self):
         return {"kind": "constant", "value": self.value}
@@ -181,6 +244,20 @@ class ExpRayWeights(FamilyWeights):
 
     def convergence_floor_level(self, model):
         return self.start_level
+
+    def full_product_positive(self):
+        return True  # log-sum is a finite geometric series
+
+    def chain_log_infimum(self, model):
+        if model.children_per_vertex != 1:
+            return None
+        # The forward limits grow with the level, so the infimum is the limit
+        # at the root of the rooted path, and below start_level on the
+        # bilateral path.
+        return 2.0 * self.tail_log_sum(0 if model.is_rooted else self.start_level - 1)
+
+    def ratio_settled_from(self):
+        return 0
 
     def params(self):
         return {"base": self.base, "start_level": self.start_level}
@@ -234,6 +311,9 @@ class StepWeights(FamilyWeights):
     def convergence_floor_level(self, model):
         return self.cut + 1 if abs(self.low - 1.0) <= 1e-15 else None
 
+    def full_product_positive(self):
+        return self.low >= 1.0 and self.high >= 1.0
+
     def params(self):
         return {"low": self.low, "high": self.high, "cut": self.cut}
 
@@ -243,6 +323,7 @@ class RayWeights(FamilyWeights):
     the two children of the branching vertex."""
 
     name = "rays"
+    tree_families = ("tilde", "comb")
 
     def __init__(self, spine: float, primed: float,
                  branch_spine: float | None = None, branch_primed: float | None = None):
@@ -252,24 +333,28 @@ class RayWeights(FamilyWeights):
                              else _positive(branch_spine, "rays branch_spine", MAX_WEIGHT))
         self.branch_primed = (None if branch_primed is None
                               else _positive(branch_primed, "rays branch_primed", MAX_WEIGHT))
+        # The weights of "1" and "1'", the two children of the branch vertex.
+        self.first = (self.spine if self.branch_spine is None else self.branch_spine,
+                      self.primed if self.branch_primed is None else self.branch_primed)
 
     def weight(self, model, v):
         self._check_non_root(model, v)
         if _is_primed(v):
-            if _primed_index(v) == 1 and self.branch_primed is not None:
-                return self.branch_primed
-            return self.primed
-        if int(v) == 1 and self.branch_spine is not None:
-            return self.branch_spine
-        return self.spine
+            return self.first[1] if _primed_index(v) == 1 else self.primed
+        return self.first[0] if int(v) == 1 else self.spine
 
     def max_weight(self):
-        vals = [self.spine, self.primed]
-        if self.branch_spine is not None:
-            vals.append(self.branch_spine)
-        if self.branch_primed is not None:
-            vals.append(self.branch_primed)
-        return max(vals)
+        return max(self.spine, self.primed, *self.first)
+
+    def isometry_on(self, model):
+        if model.leaf_set():
+            return False
+        s1, p1 = self.first
+        return (abs(self.spine - 1.0) <= 1e-12 and abs(self.primed - 1.0) <= 1e-12
+                and abs(s1 * s1 + p1 * p1 - 1.0) <= 1e-12)
+
+    def ratio_geometric(self):
+        return self.first[1] / self.first[0], self.primed / self.spine
 
     def params(self):
         out = {"spine": self.spine, "primed": self.primed}
@@ -290,6 +375,7 @@ class BinarySpineWeights(FamilyWeights):
     """
 
     name = "binary-spine"
+    tree_families = ("rootless-binary",)
 
     def weight(self, model, v):
         self._check_non_root(model, v)
@@ -304,6 +390,9 @@ class BinarySpineWeights(FamilyWeights):
 
     def max_weight(self):
         return 1.0
+
+    def isometry_on(self, model):
+        return True
 
     def params(self):
         return {}
@@ -327,9 +416,7 @@ class HashRandomWeights(FamilyWeights):
 
     def weight(self, model, v):
         self._check_non_root(model, v)
-        digest = hashlib.blake2b(f"{self.seed}:{v}".encode(), digest_size=8).digest()
-        unit = int.from_bytes(digest, "big") / 2.0 ** 64
-        return self.low + (self.high - self.low) * unit
+        return self.low + (self.high - self.low) * hash_unit(f"{self.seed}:{v}")
 
     def max_weight(self):
         return self.high
@@ -357,19 +444,19 @@ def weights_from_json(doc) -> WeightAssignment:
     if isinstance(doc, str):
         doc = json.loads(doc)
     if not isinstance(doc, dict):
-        raise WeightError(f"a weight spec must be a JSON object, got {doc!r}")
+        raise WeightError(f"a weight spec must be a JSON object, got {shown(doc)}")
     kind = doc.get("kind")
     if kind == "map":
         values = _field(doc, "values", "map weights")
         if not isinstance(values, dict):
-            raise WeightError(f"map weight values must be an object, got {values!r}")
+            raise WeightError(f"map weight values must be an object, got {shown(values)}")
         return MapWeights(values, doc.get("default"))
     if kind == "constant":
         return ConstantWeights(_field(doc, "value", "constant weights"))
     if kind == "family":
         name = doc.get("name")
         if not isinstance(name, str) or name not in _FAMILIES:
-            raise WeightError(f"unknown weight family {name!r}")
+            raise WeightError(f"unknown weight family {shown(name)}")
         family = _FAMILIES[name]
         params = doc.get("params", {})
         signature = inspect.signature(family)
@@ -377,9 +464,9 @@ def weights_from_json(doc) -> WeightAssignment:
             signature.bind(**params)
         except TypeError:  # unknown, missing or non-mapping params
             raise WeightError(f"weight family {name!r} takes params "
-                              f"{list(signature.parameters)}, got {params!r}") from None
+                              f"{list(signature.parameters)}, got {shown(params)}") from None
         return family(**params)
-    raise WeightError(f"unknown weight kind {kind!r}")
+    raise WeightError(f"unknown weight kind {shown(kind)}")
 
 
 def load_weights(path) -> WeightAssignment:

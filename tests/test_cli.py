@@ -478,3 +478,73 @@ def test_a_file_holding_a_json_string_is_not_decoded_twice(specs, tmp_path, caps
     assert main(["cyclic", "--backward", backward]) == 2
     errors = [line.split(":")[1].strip() for line in capsys.readouterr().err.splitlines()]
     assert errors == ["TreeSpecError", "WeightError", "ValueError"]
+
+
+def test_a_window_below_a_finite_tree_fails_at_once(tmp_path):
+    """The levels of a tree are contiguous: an empty first level ends the
+    window build, however deep the requested range reaches."""
+    path = write(tmp_path, "path.json", {"vertices": ["r", "a", "b"],
+                                         "edges": [["r", "a"], ["a", "b"]]})
+    argv = [sys.executable, "-m", "treeshift.cli", "validate", "--tree", path,
+            "--levels=5:1000000000000"]
+    done = subprocess.run(argv, env=_subprocess_env(), capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == "error: EmptyWindow: window [5,1000000000000] contains no vertices\n"
+
+
+@pytest.mark.parametrize("tree,levels", [
+    ({"vertices": ["r", "a"], "edges": [["r", "a"]]}, "3:9"),
+    ({"vertices": ["r", "a"], "edges": [["r", "a"]]}, "-4:-1"),
+    ({"family": "rooted-path"}, "-4:-1"),
+    ({"family": "comb", "params": {"primed_leaf": 2, "unprimed_leaf": 4}}, "6:9")])
+def test_empty_window_message(tmp_path, capsys, tree, levels):
+    assert main(["validate", "--tree", write(tmp_path, "tree.json", tree),
+                 f"--levels={levels}"]) == 2
+    out, err = capsys.readouterr()
+    lo, hi = levels.split(":")
+    assert out == "" and err == f"error: EmptyWindow: window [{lo},{hi}] contains no vertices\n"
+
+
+@pytest.mark.parametrize("value,shown", [(None, "null"), (True, "true"), ("1'", '"1\'"')])
+def test_bad_values_are_shown_as_json(tmp_path, capsys, value, shown):
+    tilde = write(tmp_path, "tilde.json", {"family": "tilde"})
+    runs = [["validate", "--tree", write(tmp_path, "tree.json", value)],
+            ["cyclic", "--backward", write(tmp_path, "backward.json", {
+                "branches": 1, "weights": {"kind": "constant", "value": value}})],
+            ["cyclic", "--backward", write(tmp_path, "seed.json", {
+                "branches": 1, "weights": {"kind": "hash-random", "seed": value,
+                                           "low": 0.5, "high": 0.9}})]]
+    if value is not None:  # a null leaf is the default: no leaf
+        runs.append(["validate", "--tree", write(tmp_path, "comb.json", {
+            "family": "comb", "params": {"primed_leaf": value}})])
+        runs.append(["analyze", "--tree", tilde, "--weights", write(tmp_path, "step.json", {
+            "kind": "family", "name": "step", "params": {"low": 0.5, "high": 0.6,
+                                                         "cut": value}})])
+    if value is not True:  # a boolean weight reads as the number 1
+        runs.append(["analyze", "--tree", tilde, "--weights", write(
+            tmp_path, "weights.json", {"kind": "constant", "value": value})])
+    for argv in runs:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.endswith(f"got {shown}\n") and err.count("\n") == 1, err
+
+
+def test_long_bad_values_are_cut(tmp_path, capsys):
+    long_list = list(range(10_000))
+    tilde = write(tmp_path, "tilde.json", {"family": "tilde"})
+    runs = {
+        "tree": ["validate", "--tree", write(tmp_path, "tree.json", long_list)],
+        "map": ["analyze", "--tree", tilde, "--weights",
+                write(tmp_path, "map.json", {"kind": "map", "values": long_list})],
+        "params": ["analyze", "--tree", tilde, "--weights",
+                   write(tmp_path, "params.json", {"kind": "family", "name": "step",
+                                                   "params": long_list})],
+        "zeros": ["cyclic", "--backward",
+                  write(tmp_path, "zeros.json", {"branches": 1, "zeros": long_list})],
+    }
+    cut = json.dumps(long_list)[:57] + "..."
+    for name, argv in runs.items():
+        assert main(argv) == 2, name
+        err = capsys.readouterr().err
+        assert err.endswith(f"got {cut}\n") and err.count("\n") == 1, (name, err)

@@ -1,0 +1,600 @@
+"""Family closed forms as hooks on the tree and weight classes.
+
+The reference functions below are the module-level dispatch helpers the hooks
+replaced, kept verbatim (``isinstance`` arms and all).  Every hook must give
+the same answer on every built-in tree, a comb with leaves and a finite tree,
+paired with every weight family and with the subclass patterns the suite
+uses.  The one intended difference, the closed-form infimum of ``exp-ray``
+weights on the rooted path below level 1, is tested on its own.  An AST check
+keeps concrete-class dispatch from coming back outside ``trees`` and
+``weights``.
+"""
+
+import ast
+import json
+import math
+import os
+import re
+from collections import Counter
+
+import pytest
+
+import treeshift
+from treeshift import trees, weights
+from treeshift.asymptote import SimilarityAnswer, similar_to_isometry
+from treeshift.asymptotics import (
+    CONVERGED,
+    EXACT_ZERO,
+    _generation_complete,
+    _stable_branching,
+    alpha_profile,
+    stable_subtree,
+)
+from treeshift.cli import main
+from treeshift.errors import VertexNotFound, WeightError
+from treeshift.shifts import NormBound, ShiftOperator
+from treeshift.similarity import RatioCertificate, ratio_bounded
+from treeshift.trees import (
+    BilateralPath,
+    CombTree,
+    FiniteTree,
+    RootedPath,
+    RootlessBinary,
+    TreeWindow,
+    make_family,
+    materialize_window,
+    validate_finite,
+)
+from treeshift.weights import (
+    BinarySpineWeights,
+    ConstantWeights,
+    ExpRayWeights,
+    GeometricWeights,
+    HashRandomWeights,
+    MapWeights,
+    RayWeights,
+    StepWeights,
+    WeightAssignment,
+)
+
+
+# -- the deleted dispatch helpers, verbatim ---------------------------------------------
+
+def ref_max_children(model):
+    """The deleted ``max_children`` methods, one arm per class."""
+    if isinstance(model, FiniteTree):
+        return max((len(c) for c in model._children.values()), default=0)
+    if isinstance(model, (RootedPath, BilateralPath)):
+        return 1
+    return 2  # CombTree, RootlessBinary
+
+
+def ref_level_homogeneous(model):
+    """The deleted ``level_homogeneous`` class attributes."""
+    return isinstance(model, (RootedPath, BilateralPath, RootlessBinary))
+
+
+def ref_spine_vertex(model, lvl):
+    """The deleted ``spine_vertex`` methods of the procedural families."""
+    if isinstance(model, RootedPath):
+        return str(lvl) if lvl >= 0 else None
+    if isinstance(model, CombTree):
+        if model.unprimed_leaf is not None and lvl > model.unprimed_leaf:
+            return None
+        return str(lvl)
+    return str(lvl)
+
+
+def ref_materialize_window(model, level_lo, level_hi, breadth=64):
+    if level_lo > level_hi:
+        raise ValueError("window level range is empty")
+    if breadth < 1:
+        raise ValueError("breadth cap must be positive")
+
+    if isinstance(model, FiniteTree):
+        lvl = max(level_lo, 0)
+        current = []
+        while lvl <= level_hi and not current:
+            current = sorted(v for v in model.vertices() if model.level(v) == lvl)
+            if not current:
+                lvl += 1
+    else:
+        lvl = max(level_lo, 0) if model.is_rooted else level_lo
+        seed = ref_spine_vertex(model, lvl)
+        if seed is None or lvl > level_hi:
+            raise VertexNotFound(f"window [{level_lo},{level_hi}] contains no vertices")
+        current = [seed]
+
+    collected = []
+    current = current[:breadth]
+    while current and lvl <= level_hi:
+        collected.extend(current)
+        nxt = []
+        for u in current:
+            nxt.extend(model.children(u))
+        current = sorted(set(nxt))[:breadth]
+        lvl += 1
+    if not collected:
+        raise VertexNotFound(f"window [{level_lo},{level_hi}] contains no vertices")
+    collected.sort(key=lambda v: (model.level(v), v))
+    return TreeWindow(model, level_lo, level_hi, breadth, collected)
+
+
+def ref_children_bound_outside(model, window):
+    """Max children count a vertex outside the window can have."""
+    if isinstance(model, FiniteTree):
+        return 0
+    if isinstance(model, CombTree):
+        return 1 if "0" in window else 2
+    if isinstance(model, (RootedPath, BilateralPath)):
+        return 1
+    return ref_max_children(model)
+
+
+def ref_is_certified_isometry(m, w):
+    """Family-level isometry certificates (children square-sums all 1)."""
+    if isinstance(w, ConstantWeights):
+        if isinstance(m, RootlessBinary):
+            return abs(2.0 * w.value ** 2 - 1.0) <= 1e-12
+        if isinstance(m, (RootedPath, BilateralPath)):
+            return abs(w.value - 1.0) <= 1e-12
+    if isinstance(w, BinarySpineWeights) and isinstance(m, RootlessBinary):
+        return True
+    if isinstance(w, RayWeights) and isinstance(m, CombTree):
+        if m.leaf_set():
+            return False
+        s1 = w.branch_spine if w.branch_spine is not None else w.spine
+        p1 = w.branch_primed if w.branch_primed is not None else w.primed
+        return (abs(w.spine - 1.0) <= 1e-12 and abs(w.primed - 1.0) <= 1e-12
+                and abs(s1 * s1 + p1 * p1 - 1.0) <= 1e-12)
+    return False
+
+
+def ref_operator_norm(op, window):
+    if isinstance(op.model, FiniteTree):
+        value = max(op._column_norm(u) for u in op.model.vertices())
+        return NormBound(value, value, True)
+    if ref_is_certified_isometry(op.model, op.weights):
+        return NormBound(1.0, 1.0, True)
+    scan = dict.fromkeys(window.order)
+    for u in window.top_boundary():
+        scan[op.parent(u)] = None
+    window_value = max(op._column_norm(u) for u in scan)
+    top = op.weights.max_weight()
+    if top is None:
+        return NormBound(window_value, window_value, False)
+    outside = top * math.sqrt(ref_children_bound_outside(op.model, window))
+    return NormBound(max(window_value, outside), window_value, True)
+
+
+def ref_has_last_level(model):
+    if isinstance(model, CombTree):
+        return model.unprimed_leaf is not None
+    if isinstance(model, FiniteTree):
+        return True
+    return False
+
+
+def ref_full_product_positive(weights, model):
+    """Closed-form sign of the two-sided infinite weight product, or None."""
+    if isinstance(weights, ConstantWeights):
+        return weights.value >= 1.0
+    if isinstance(weights, ExpRayWeights):
+        return True  # log-sum is a finite geometric series
+    if isinstance(weights, StepWeights):
+        return weights.low >= 1.0 and weights.high >= 1.0
+    if isinstance(weights, MapWeights) and weights.default is not None:
+        if weights.default >= 1.0:
+            return all(v > 0.0 for v in weights.values.values())
+        return False
+    return None
+
+
+def ref_similar_to_isometry(operator, profile, zero_threshold=1e-9):
+    for u in profile.window.order:
+        rec = profile.record(u)
+        if rec.status == EXACT_ZERO:
+            return SimilarityAnswer("no", f"forward limit vanishes exactly at {u}")
+        if rec.status == CONVERGED and rec.estimate <= zero_threshold:
+            return SimilarityAnswer("no", f"forward limit below {zero_threshold} at {u}")
+    if ref_is_certified_isometry(operator.model, operator.weights):
+        return SimilarityAnswer("yes", "certified isometry: all forward limits are 1")
+    model, w = operator.model, operator.weights
+    if isinstance(w, ExpRayWeights) and isinstance(model, (RootedPath, BilateralPath)):
+        inf_value = math.exp(2.0 * w.tail_log_sum(w.start_level - 1))
+        return SimilarityAnswer("yes", f"closed-form infimum {inf_value:.6g} > 0")
+    if isinstance(w, ConstantWeights) and isinstance(model, (RootedPath, BilateralPath)):
+        if w.value < 1.0:
+            return SimilarityAnswer("no", "constant weight < 1 on a chain: limits vanish")
+    return SimilarityAnswer("undetermined", "no symbolic infimum for this family")
+
+
+def ref_generation_complete(model, anchor_level):
+    """True when no branch vertex can appear above the current anchor."""
+    if isinstance(model, (RootedPath, BilateralPath)):
+        return True
+    if isinstance(model, CombTree):
+        return anchor_level <= 0
+    return False
+
+
+def ref_stable_branching(profile, members):
+    model = profile.window.model
+    count = 0
+    for u in members:
+        kids = [v for v in model.children(u) if v in members]
+        if len(kids) > 1:
+            count += len(kids) - 1
+    if isinstance(model, FiniteTree):
+        return (count, True)
+    symbolic = model.branching_total()
+    if members == set(profile.window.order) and symbolic is not None:
+        if profile.all_settled() or symbolic[0] == 0:
+            return symbolic
+    if isinstance(model, (RootedPath, BilateralPath)):
+        return (0, True)
+    if isinstance(model, CombTree):
+        if "0" in profile.window:
+            return (count, True)
+    return (count, False)
+
+
+def ref_ratio_bounded(operator, horizon=64, blow_up=1e6):
+    w = operator.weights
+    if isinstance(w, RayWeights):
+        first = ((w.branch_primed if w.branch_primed is not None else w.primed)
+                 / (w.branch_spine if w.branch_spine is not None else w.spine))
+        step = w.primed / w.spine
+        if step <= 1.0:
+            return RatioCertificate("bounded", max(first, first * step), True)
+        if first > blow_up:
+            return RatioCertificate("unbounded-evidence", first, True, at=1, value=first)
+        k = 1 + max(1, int(math.ceil(math.log(blow_up / first) / math.log(step))))
+        return RatioCertificate("unbounded-evidence", first * step ** (k - 1), True,
+                                at=k, value=first * step ** (k - 1))
+    exact = isinstance(w, (ConstantWeights, ExpRayWeights))
+    if isinstance(w, MapWeights) and w.default is not None:
+        support = [abs(int(v[:-1] if v.endswith("'") else v)) for v in w.values]
+        horizon = max(horizon, max(support, default=0) + 1)
+        exact = True
+    ratio = 1.0
+    sup = 0.0
+    for k in range(1, horizon + 1):
+        ratio *= operator.weight(f"{k}'") / operator.weight(str(k))
+        sup = max(sup, ratio)
+        if ratio > blow_up:
+            return RatioCertificate("unbounded-evidence", sup, exact, at=k, value=ratio)
+    return RatioCertificate("bounded", sup, exact)
+
+
+# -- the cases --------------------------------------------------------------------------
+
+TREES = {
+    "rooted-path": lambda: make_family("rooted-path"),
+    "bilateral-path": lambda: make_family("bilateral-path"),
+    "rootless-binary": lambda: make_family("rootless-binary"),
+    "tilde": lambda: make_family("tilde"),
+    "comb": lambda: make_family("comb", {"primed_leaf": 3}),
+    "comb-two-leaves": lambda: make_family("comb", {"primed_leaf": 2, "unprimed_leaf": 4}),
+    "finite": lambda: validate_finite(["0", "1", "1'", "2", "2'", "3"],
+                                      [["0", "1"], ["0", "1'"], ["1", "2"], ["1'", "2'"],
+                                       ["2", "3"]]),
+}
+
+
+class HalfConstant(ConstantWeights):
+    def __init__(self):
+        super().__init__(0.5)
+
+
+class PaddedMap(MapWeights):
+    def __init__(self):
+        super().__init__({"1": 0.6, "1'": 0.7, "-2": 0.9}, default=1.0)
+
+
+class Bare(WeightAssignment):
+    def weight(self, model, v):
+        self._check_non_root(model, v)
+        return 0.6
+
+    def max_weight(self):
+        return 0.6
+
+
+WEIGHTS = {
+    "map": lambda: MapWeights({"1": 0.6, "1'": 0.7}, default=1.0),
+    "map-decaying": lambda: MapWeights({"1": 0.6, "1'": 0.7}, default=0.5),
+    "map-unpadded": lambda: MapWeights({"1": 0.6, "1'": 0.7, "2": 0.5, "2'": 0.4, "3": 0.3}),
+    "constant-binary-isometry": lambda: ConstantWeights(1 / math.sqrt(2)),
+    "constant-one": lambda: ConstantWeights(1.0),
+    "constant-near-one": lambda: ConstantWeights(1.0 - 6e-13),
+    "constant-half": lambda: ConstantWeights(0.5),
+    "exp-ray": lambda: ExpRayWeights(2.0, 1),
+    "exp-ray-deep": lambda: ExpRayWeights(2.5, 3),
+    "geometric": lambda: GeometricWeights(0.9, 0.8),
+    "step": lambda: StepWeights(0.5, 1.0, cut=0),
+    "step-ones": lambda: StepWeights(1.0, 1.0, cut=0),
+    "rays": lambda: RayWeights(0.7, 0.6),
+    "rays-isometry": lambda: RayWeights(1.0, 1.0, branch_spine=0.6, branch_primed=0.8),
+    "rays-growing": lambda: RayWeights(0.5, 0.9, branch_spine=0.4, branch_primed=0.3),
+    "binary-spine": lambda: BinarySpineWeights(),
+    "hash-random": lambda: HashRandomWeights(7, 0.5, 0.9),
+    "constant-subclass": HalfConstant,
+    "map-subclass": PaddedMap,
+    "bare-subclass": Bare,
+}
+
+READABLE = {"rays": ("tilde", "comb"), "binary-spine": ("rootless-binary",)}
+
+
+def readable(model, w):
+    families = READABLE.get(getattr(w, "name", None))
+    return families is None or model.family in families
+
+
+def outcome(fn, *args):
+    """The value of ``fn(*args)``, or the type and text of what it raised."""
+    try:
+        return ("value", fn(*args))
+    except Exception as exc:
+        return ("raised", type(exc).__name__, str(exc))
+
+
+def windows_of(model):
+    """A window around level 0, and one below it (a comb's branch vertex "0"
+    lies outside it)."""
+    return [materialize_window(model, -3, 3), materialize_window(model, 1, 3)]
+
+
+# -- tree hooks -------------------------------------------------------------------------
+
+@pytest.mark.parametrize("tree", TREES)
+def test_tree_hooks_match_the_deleted_dispatch(tree):
+    model = TREES[tree]()
+    assert model.has_last_level == ref_has_last_level(model)
+    assert (model.children_per_vertex is not None) == ref_level_homogeneous(model)
+    if model.children_per_vertex is not None:
+        assert model.children_per_vertex == ref_max_children(model)
+    assert (model.vertices() is None) == (not isinstance(model, FiniteTree))
+    for window in windows_of(model):
+        if model.vertices() is None:
+            assert model.children_bound(window) == ref_children_bound_outside(model, window)
+    for lvl in range(-6, 7):
+        assert _generation_complete(model, lvl) == ref_generation_complete(model, lvl)
+        assert model.generation_complete(lvl) == ref_generation_complete(model, lvl)
+    for lo, hi in ((-3, 3), (-6, -1), (0, 0), (2, 9), (3, 6), (4, 5), (5, 9), (-1, 0)):
+        for breadth in (1, 64):
+            old = outcome(ref_materialize_window, model, lo, hi, breadth)
+            if old[0] == "raised":
+                assert old[1] == "VertexNotFound"
+                with pytest.raises(VertexNotFound) as caught:
+                    materialize_window(model, lo, hi, breadth)
+                assert str(caught.value) == f"window [{lo},{hi}] contains no vertices"
+            else:
+                assert materialize_window(model, lo, hi, breadth).order == old[1].order
+
+
+def test_rooted_path_is_a_bilateral_path_with_a_root():
+    rooted, bilateral = make_family("rooted-path"), make_family("bilateral-path")
+    assert isinstance(rooted, BilateralPath)
+    assert rooted.is_rooted and rooted.root == "0" and not bilateral.is_rooted
+    assert rooted.parent("0") is None and bilateral.parent("0") == "-1"
+    assert "-1" not in rooted and "-1" in bilateral and "a" not in rooted
+    assert rooted.seeds(-1) == [] and bilateral.seeds(-1) == ["-1"]
+    assert rooted.children("4") == bilateral.children("4") == ("5",)
+
+
+# -- weight hooks -----------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", WEIGHTS)
+@pytest.mark.parametrize("tree", TREES)
+def test_weight_hooks_match_the_deleted_dispatch(tree, name):
+    model, w = TREES[tree](), WEIGHTS[name]()
+    if not readable(model, w):
+        with pytest.raises(WeightError):
+            ShiftOperator(model, w)
+        return
+    op = ShiftOperator(model, w)
+    assert op.is_certified_isometry() == ref_is_certified_isometry(model, w)
+    assert op.is_level_homogeneous() == (ref_level_homogeneous(model) and w.level_only)
+    assert w.full_product_positive() == ref_full_product_positive(w, model)
+    for window in windows_of(model):
+        op = ShiftOperator(model, w)
+        assert (outcome(op.operator_norm, window)
+                == outcome(ref_operator_norm, ShiftOperator(model, w), window))
+        profile = outcome(alpha_profile, op, window)
+        if profile[0] == "raised":
+            continue
+        profile = profile[1]
+        new, old = similar_to_isometry(op, profile), ref_similar_to_isometry(op, profile)
+        if not (isinstance(w, ExpRayWeights) and model.is_rooted and w.start_level < 1):
+            assert new == old
+        members = {u for u in window.order if profile.estimate(u) > 1e-9}
+        for subset in (members, set(window.order), set(window.order[:3]), set()):
+            assert _stable_branching(profile, subset) == ref_stable_branching(profile, subset)
+        stable = outcome(stable_subtree, profile)
+        if stable[0] == "value":
+            assert stable[1].branching == ref_stable_branching(profile, stable[1].members)
+    if isinstance(model, CombTree):
+        assert outcome(ratio_bounded, op) == outcome(ref_ratio_bounded, op)
+        for horizon, blow_up in ((1, 1e6), (3, 2.0)):
+            assert (outcome(ratio_bounded, op, horizon, blow_up)
+                    == outcome(ref_ratio_bounded, ShiftOperator(model, w), horizon, blow_up))
+
+
+def test_hooks_make_no_counted_queries():
+    """No hook asks the tree for children, parents or membership, or the
+    weights for a weight, so the benchmark's traced counters are unchanged."""
+    counts = Counter()
+
+    def counting(cls, methods):
+        def counted(orig, event):
+            def method(obj, *args):
+                counts[event] += 1
+                return orig(obj, *args)
+            return method
+        return type(cls.__name__, (cls,), {m: counted(getattr(cls, m), m) for m in methods})
+
+    for tree in TREES:
+        for name in WEIGHTS:
+            model, w = TREES[tree](), WEIGHTS[name]()
+            if not readable(model, w):
+                continue
+            window = windows_of(model)[0]
+            model.__class__ = counting(type(model), ("children", "parent", "__contains__"))
+            w.__class__ = counting(type(w), ("weight",))
+            counts.clear()
+            op = ShiftOperator(model, w)
+            op.is_certified_isometry()
+            op.is_level_homogeneous()
+            w.full_product_positive()
+            w.chain_log_infimum(model)
+            w.ratio_geometric()
+            w.ratio_settled_from()
+            model.vertices()
+            model.children_bound(window)
+            model.branching_in(window)
+            model.has_last_level
+            for lvl in range(-4, 5):
+                model.seeds(lvl)
+                model.generation_complete(lvl)
+            assert not counts, (tree, name, counts)
+
+
+# -- weights only read the vertex ids of their tree families ----------------------------
+
+FAMILY_DOCS = {
+    "exp-ray": {"base": 2.0, "start_level": 1},
+    "geometric": {"scale": 0.5, "ratio": 0.9},
+    "step": {"low": 0.5, "high": 0.6, "cut": 0},
+    "rays": {"spine": 0.7, "primed": 0.6},
+    "binary-spine": {},
+    "hash-random": {"seed": 7, "low": 0.3, "high": 0.6},
+}
+TREE_DOCS = {
+    "rooted-path": {"family": "rooted-path"},
+    "bilateral-path": {"family": "bilateral-path"},
+    "rootless-binary": {"family": "rootless-binary"},
+    "tilde": {"family": "tilde", "params": {}},
+    "comb": {"family": "comb", "params": {"primed_leaf": 2, "unprimed_leaf": 4}},
+    "finite": {"vertices": ["r", "a", "b", "c"], "edges": [["r", "a"], ["r", "b"], ["a", "c"]]},
+}
+
+
+@pytest.mark.parametrize("name", FAMILY_DOCS)
+@pytest.mark.parametrize("tree", TREE_DOCS)
+def test_weight_families_reject_trees_whose_ids_they_cannot_read(tree, name, tmp_path,
+                                                                 capsys):
+    doc = {"kind": "family", "name": name, "params": FAMILY_DOCS[name]}
+    model, w = trees.tree_from_json(TREE_DOCS[tree]), weights.weights_from_json(doc)
+    accepted = name not in READABLE or tree in READABLE[name]
+    tree_path, weights_path = tmp_path / "tree.json", tmp_path / "weights.json"
+    tree_path.write_text(json.dumps(TREE_DOCS[tree]))
+    weights_path.write_text(json.dumps(doc))
+    code = main(["analyze", "--tree", str(tree_path), "--weights", str(weights_path),
+                 "--levels=0:2"])
+    out, err = capsys.readouterr()
+    if accepted:
+        ShiftOperator(model, w)
+        assert code in (0, 3) and "need a" not in err
+        return
+    with pytest.raises(WeightError) as caught:
+        ShiftOperator(model, w)
+    message = str(caught.value)
+    assert message.startswith(f"{name} weights need a ") and model.describe() in message
+    assert code == 2 and out == ""
+    assert err == f"error: WeightError: {message}\n"
+
+
+# -- the closed-form infimum of exp-ray weights on the rooted path ----------------------
+
+@pytest.mark.parametrize("start_level", [-70, -3, 0, 1, 2, 3])
+def test_rooted_path_exp_ray_infimum_is_the_root_limit(start_level):
+    op = ShiftOperator(make_family("rooted-path"), ExpRayWeights(2.0, start_level))
+    profile = alpha_profile(op, materialize_window(op.model, 0, 2))
+    root_limit = profile.estimate("0")
+    closed = math.exp(op.weights.chain_log_infimum(op.model))
+    assert closed == pytest.approx(root_limit, rel=0, abs=1e-9)
+    assert min(profile.estimate(u) for u in profile.window.order) == root_limit
+    answer = similar_to_isometry(op, profile)
+    assert answer.answer == "yes"
+    assert answer.reason == f"closed-form infimum {closed:.6g} > 0"
+    if start_level >= 1:  # unchanged from the bilateral formula
+        assert answer == ref_similar_to_isometry(op, profile)
+
+
+def test_rooted_path_exp_ray_infimum_through_the_cli(tmp_path, capsys):
+    tree, weights_path = tmp_path / "rooted.json", tmp_path / "exp.json"
+    tree.write_text(json.dumps({"family": "rooted-path", "params": {}}))
+    weights_path.write_text(json.dumps({"kind": "family", "name": "exp-ray",
+                                        "params": {"base": 2.0, "start_level": -3}}))
+    assert main(["analyze", "--tree", str(tree), "--weights", str(weights_path),
+                 "--levels=0:2"]) == 0
+    out = capsys.readouterr().out
+    alpha0 = float(re.search(r"alpha\[0\] = (\S+)", out).group(1))
+    printed = float(re.search(r"closed-form infimum (\S+) > 0", out).group(1))
+    assert alpha0 == pytest.approx(math.exp(-2.0), abs=1e-9)
+    assert printed == float(f"{alpha0:.6g}")
+
+
+def test_bilateral_path_exp_ray_infimum_is_below_start_level():
+    op = ShiftOperator(make_family("bilateral-path"), ExpRayWeights(2.0, 0))
+    profile = alpha_profile(op, materialize_window(op.model, -3, 1))
+    closed = math.exp(op.weights.chain_log_infimum(op.model))
+    assert closed == pytest.approx(math.exp(-4.0), rel=1e-12)
+    for u in ("-3", "-2", "-1"):
+        assert closed == pytest.approx(profile.estimate(u), rel=0, abs=1e-9)
+    assert similar_to_isometry(op, profile) == ref_similar_to_isometry(op, profile)
+
+
+# -- no concrete-class dispatch outside trees and weights -------------------------------
+
+# (module, enclosing function, class): the two dispatch sites that stay.
+ALLOWED_DISPATCH = {("cyclicity", "cyclicity_verdict", "BackwardShiftSpec"),
+                    ("similarity", "_require_comb", "CombTree")}
+
+
+def _family_classes():
+    names = {"BackwardShiftSpec"}
+    for module, base in ((trees, trees.DirectedTreeModel), (weights, weights.WeightAssignment)):
+        names |= {name for name, obj in vars(module).items()
+                  if isinstance(obj, type) and issubclass(obj, base)}
+    return names
+
+
+def _dispatch_sites(path, classes):
+    tree = ast.parse(open(path).read())
+    sites = set()
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == "isinstance" and len(child.args) == 2):
+                target = child.args[1]
+                names = target.elts if isinstance(target, ast.Tuple) else [target]
+                for name in names:
+                    label = name.id if isinstance(name, ast.Name) else getattr(name, "attr", "")
+                    if label in classes:
+                        sites.add((function, label, child.lineno))
+            visit(child, function)
+
+    visit(tree, None)
+    return sites
+
+
+def test_no_family_dispatch_outside_trees_and_weights():
+    package = os.path.dirname(treeshift.__file__)
+    classes = _family_classes()
+    assert {"CombTree", "FiniteTree", "RootedPath", "ConstantWeights"} <= classes
+    found = set()
+    for filename in sorted(os.listdir(package)):
+        module = filename[:-3]
+        if not filename.endswith(".py") or module in ("trees", "weights"):
+            continue
+        for function, label, line in _dispatch_sites(os.path.join(package, filename), classes):
+            found.add((module, function, label))
+            assert (module, function, label) in ALLOWED_DISPATCH, f"{filename}:{line}"
+    assert found == ALLOWED_DISPATCH
