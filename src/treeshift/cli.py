@@ -204,13 +204,18 @@ def cmd_cyclic(args, out: Reporter) -> int:
             candidate = construct_backward_cyclic(spec, args.schedule)
             record = verify_cyclic_candidate(spec, candidate, args.window_k,
                                              rank_tol=args.rank_tol)
-            out.text(f"candidate verified: rank {record.rank}/{record.dimension}, "
-                     f"residual {record.max_residual:.3e}")
+            certified = "certified" if record.certified else "not certified"
+            out.text(f"candidate verified: rank {record.rank}/{record.dimension} mod "
+                     f"{record.modulus} ({certified}), numerical rank "
+                     f"{record.numerical_rank}, residual {record.max_residual:.3e}")
             membership = range_membership_report(spec, candidate, 2)
             out.text(f"range membership partial sum (n=2): {membership:.6g}")
             out.record("krylov", {"rank": record.rank, "dimension": record.dimension,
                                   "residual": record.max_residual, "cyclic": record.cyclic,
-                                  "range_membership_n2": membership})
+                                  "range_membership_n2": membership,
+                                  "certified": record.certified,
+                                  "numerical_rank": record.numerical_rank,
+                                  "modulus": record.modulus})
             if args.json:
                 for line in candidate.to_json_lines().splitlines():
                     print(line)

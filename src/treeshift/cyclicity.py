@@ -6,6 +6,16 @@ basis vectors and then rescales tail coefficients until every stage bound
 Sigma_m drops below 2^-m; on the truncation the bounds are checked exactly
 as computed, which certifies cyclicity of the truncated operator (the
 infinite-dimensional statement is the theorem's job, not the artifact's).
+
+The candidate's Krylov matrix on a window is written down in closed form:
+the entry at (j, i) in column k is xi * w_{j,i} ... w_{j,s-1} when
+s = i + k is a support point on branch j, and 0 otherwise.  Every weight and
+coefficient is a double, hence an exact dyadic rational, so the same matrix
+is also built over F_p (p = 2^31 - 1) and its rank there is computed
+exactly.  Rank mod p never exceeds the rank over Q, so full rank mod p is a
+proof of full rank; anything less is "not certified", never "not cyclic".
+The floating-point matrix only feeds the SVD behind the span residual and
+the labelled numerical rank.
 """
 
 from __future__ import annotations
@@ -13,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .errors import DimensionCap, ScheduleTooShort, WeightError, ZeroWeight, shown
 from .trees import branching_index, leaves
@@ -20,6 +31,9 @@ from .weights import _integer, hash_unit
 
 DIMENSION_CAP = 4096
 RANK_TOL = 1e-8
+# A Mersenne prime: 2^31 = 1 (mod p), so 2^-k = 2^(-k mod 31), and a product
+# of two residues fits in an int64.
+MODULUS = 2 ** 31 - 1
 
 VERDICT_ANCHORS = {
     "R1": ["§6 co-rank"],
@@ -151,22 +165,29 @@ def sigma_m(candidate: CyclicCandidate, spec: BackwardShiftSpec, m: int) -> floa
     L = candidate.length
     if not (1 <= m <= L):
         raise ValueError(f"m must be in 1..{L}")
-    sched = candidate.schedule
-    xi = candidate.xi
-    k_m = sched[m - 1][1]
-    k_prev = sched[m - 2][1] if m >= 2 else -1
-    j_m = sched[m - 1][0]
-    kmax = sched[-1][1]
-    prefix = {j: spec.prefix_products(j, kmax) for j in set(j for j, _ in sched)}
+    return _sigma(candidate.schedule, candidate.xi, _schedule_prefix(spec, candidate.schedule), m)
 
+
+def _schedule_prefix(spec: BackwardShiftSpec, schedule) -> dict:
+    """Prefix products up to the last stage's index on every scheduled branch."""
+    kmax = schedule[-1][1]
+    return {j: spec.prefix_products(j, kmax) for j in set(j for j, _ in schedule)}
+
+
+def _sigma(schedule, xi, prefix, m: int) -> float:
+    """``sigma_m`` on precomputed prefix products.  xi_l * P_{j_l}[k_l] is
+    formed once per tail stage; every term is then the same chain of
+    roundings as (xi_l * P[k_l] / P[k_l - k] / denom) ** 2."""
+    j_m, k_m = schedule[m - 1]
+    k_prev = schedule[m - 2][1] if m >= 2 else -1
+    head, p_m = xi[m - 1] * prefix[j_m][k_m], prefix[j_m]
+    tail = [(x * prefix[j][k], prefix[j], k) for (j, k), x in zip(schedule[m:], xi[m:])]
     best = 0.0
     for k in range(k_prev + 1, k_m + 1):
-        denom = xi[m - 1] * prefix[j_m][k_m] / prefix[j_m][k_m - k]
+        denom = head / p_m[k_m - k]
         total = 0.0
-        for l in range(m + 1, L + 1):
-            j_l, k_l = sched[l - 1]
-            num = xi[l - 1] * prefix[j_l][k_l] / prefix[j_l][k_l - k]
-            total += (num / denom) ** 2
+        for top, p, k_l in tail:
+            total += (top / p[k_l - k] / denom) ** 2
         best = max(best, total)
     return best
 
@@ -181,16 +202,18 @@ def construct_backward_cyclic(spec: BackwardShiftSpec, L: int) -> CyclicCandidat
         raise ScheduleTooShort(f"need L >= {4 * spec.branches} for {spec.branches} branches")
     candidate = CyclicCandidate(schedule=default_schedule(spec.branches, L),
                                 xi=[2.0 ** (-l) for l in range(1, L + 1)])
+    schedule, xi = candidate.schedule, candidate.xi
+    prefix = _schedule_prefix(spec, schedule)
     for m in range(1, L + 1):
-        s = sigma_m(candidate, spec, m)
+        s = _sigma(schedule, xi, prefix, m)
         if s > 2.0 ** (-m):
             # The hair above the exact rescale keeps the recomputed Sigma_m
             # strictly below the bound despite round-off.
             factor = math.sqrt(2.0 ** m * s) * (1.0 + 1e-12)
             for l in range(m + 1, L + 1):
-                candidate.xi[l - 1] /= factor
+                xi[l - 1] /= factor
             candidate.modifications.append((m, s, factor))
-    candidate.sigma_final = [sigma_m(candidate, spec, m) for m in range(1, L + 1)]
+    candidate.sigma_final = [_sigma(schedule, xi, prefix, m) for m in range(1, L + 1)]
     return candidate
 
 
@@ -304,26 +327,155 @@ class KrylovVerification:
     max_residual: float
     columns: int
     cyclic: bool
+    numerical_rank: int  # singular values above rank_tol * the largest
+    certified: bool  # rank is exact (mod `modulus`) and equals dimension
+    modulus: int | None  # None when `rank` is a floating-point pivot count
+
+
+def _span_verification(normalized, rank: int, dimension: int, tol: float, rank_tol: float,
+                       modulus: int | None) -> KrylovVerification:
+    """Finish a span check from its normalized columns and a rank.
+
+    The projector for the residual keeps every singular direction above the
+    double-precision noise floor: weak directions are part of the true span,
+    only rounding artifacts are discarded.  The numerical rank counts the
+    singular values above rank_tol times the largest.
+    """
+    import numpy as np
+    u, s, _ = np.linalg.svd(normalized, full_matrices=False)
+    floor = s[0] * max(normalized.shape) * np.finfo(float).eps * 8.0 if s.size else 0.0
+    basis = u[:, s > floor]
+    residual = float(np.max(np.sqrt(np.clip(1.0 - np.sum(basis ** 2, axis=1), 0.0, None))))
+    numerical = int(np.count_nonzero(s > rank_tol * s[0])) if s.size else 0
+    return KrylovVerification(rank=rank, dimension=dimension, max_residual=residual,
+                              columns=normalized.shape[1],
+                              cyclic=(rank == dimension and residual <= tol),
+                              numerical_rank=numerical,
+                              certified=modulus is not None and rank == dimension,
+                              modulus=modulus)
 
 
 def verify_krylov_span(columns: np.ndarray, dimension: int, tol: float,
                        rank_tol: float = RANK_TOL) -> KrylovVerification:
     """Rank and worst basis-projection residual of a set of span columns.
 
-    The rank figure counts Gaussian-elimination pivots at rank_tol.  The
-    projector for the residual keeps every singular direction above the
-    double-precision noise floor instead: weak directions are part of the
-    true span, only rounding artifacts are discarded.
+    The rank figure counts Gaussian-elimination pivots at rank_tol; it is a
+    numerical figure, never a certificate.
+    """
+    normalized = _normalize_columns(columns)
+    return _span_verification(normalized, ge_rank(normalized, rank_tol), dimension, tol,
+                              rank_tol, modulus=None)
+
+
+def _field(x):
+    """Doubles as residues mod p, as an int64 array of the same shape.
+
+    frexp writes x exactly as M * 2^(e - 53) with M an integer below 2^53
+    (subnormals included), and x maps to M * 2^((e - 53) mod 31): the ring
+    map from the dyadic rationals to F_p, since 2^31 = 1 (mod p).
     """
     import numpy as np
-    normalized = _normalize_columns(columns)
-    rank = ge_rank(normalized, rank_tol)
-    u, s, _ = np.linalg.svd(normalized, full_matrices=False)
-    floor = s[0] * max(normalized.shape) * np.finfo(float).eps * 8.0 if s.size else 0.0
-    basis = u[:, s > floor]
-    residual = float(np.max(np.sqrt(np.clip(1.0 - np.sum(basis ** 2, axis=1), 0.0, None))))
-    return KrylovVerification(rank=rank, dimension=dimension, max_residual=residual,
-                              columns=columns.shape[1], cyclic=(rank == dimension and residual <= tol))
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("Krylov entries must be finite")
+    mantissa, exponent = np.frexp(x)
+    m = (mantissa * 2.0 ** 53).astype(np.int64) % MODULUS
+    return (m << ((exponent.astype(np.int64) - 53) % 31)) % MODULUS
+
+
+def _mulmod(a: int, b: int) -> int:
+    return a * b % MODULUS
+
+
+def _suffix_products(residues: list) -> list:
+    """out[i] = residues[i] * ... * residues[-1] mod p; out[len] = 1."""
+    return list(accumulate(reversed(residues), _mulmod, initial=1))[::-1]
+
+
+def _support(candidate: CyclicCandidate) -> dict:
+    """{(j, s): xi}; a repeated position keeps its last coefficient, as in
+    ``candidate_vector``."""
+    return dict(zip(candidate.schedule, candidate.xi))
+
+
+def _window_matrix(support: dict, steps, window_K: int, depth: int):
+    """Window rows (j, i <= K), branch-major, of [f, Bf, ..., B^depth f].
+
+    B^k e_{j,s} = w_{j,s-1} ... w_{j,s-k} e_{j,s-k}, so each support point
+    fills row (j, s - k) of column k with the running product of
+    [xi, w_{j,s-1}, ..., w_{j,0}], multiplied in the order B applies them.
+    """
+    import numpy as np
+    mat = np.zeros((steps.shape[0] * (window_K + 1), depth + 1))
+    for (j, s), x in support.items():
+        chain = np.cumprod(np.concatenate(([x], steps[j, :s][::-1])))
+        ks = np.arange(max(0, s - window_K), s + 1)
+        mat[j * (window_K + 1) + s - ks, ks] = chain[ks]
+    return mat
+
+
+def _window_matrix_mod_p(support: dict, steps, window_K: int, depth: int):
+    """``_window_matrix`` over F_p: the entries are the exact chain products
+    xi * w_{j,i} ... w_{j,s-1} mod p, zero weights included (no prefix
+    ratios).  For s >= K the chain splits at K: w_{j,i} ... w_{j,K-1} is
+    shared by every such point of branch j, and w_{j,K} ... w_{j,s-1} is
+    one running product along the branch."""
+    import numpy as np
+    K = window_K
+    residues = _field(steps).tolist()
+    window = [np.array(_suffix_products(r[:K]), dtype=np.int64) for r in residues]
+    beyond = [list(accumulate(r[K:], _mulmod, initial=1)) for r in residues]
+    coefficients = _field(list(support.values())).tolist()
+    mat = np.zeros((len(residues) * (K + 1), depth + 1), dtype=np.int64)
+    for ((j, s), c) in zip(support, coefficients):
+        if s >= K:
+            chain = c * beyond[j][s - K] % MODULUS * window[j] % MODULUS
+        else:
+            chain = np.array(_suffix_products(residues[j][:s]), dtype=np.int64) * c % MODULUS
+        i = np.arange(chain.size)
+        mat[j * (K + 1) + i, s - i] = chain
+    return mat
+
+
+def _rank_mod_p(mat) -> int:
+    """Rank over F_p of an int64 matrix with entries in [0, p), by elimination
+    in place.
+
+    Columns are taken from the right.  Each row waits at its rightmost
+    nonzero column.  At column c the first waiting row is the pivot; every
+    other one becomes pivot[c] * row - row[c] * pivot (no inverse needed),
+    all in one step, and then waits at its next nonzero to the left.  A
+    waiting row is zero right of c, so an update touches only columns < c.
+    When no two rows share their rightmost column (one branch of a backward
+    shift), nothing is updated at all.
+    """
+    import numpy as np
+    n = mat.shape[1]
+    waiting = [[] for _ in range(n)]
+
+    def wait(rows, block):
+        nonzero = block != 0
+        last = (block.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1)).tolist()
+        for r, c, live in zip(rows, last, nonzero.any(axis=1).tolist()):
+            if live:
+                waiting[c].append(r)
+
+    wait(range(mat.shape[0]), mat)
+    rank = 0
+    for col in range(n - 1, -1, -1):
+        if not waiting[col]:
+            continue
+        rank += 1
+        pivot, *others = waiting[col]
+        if others and col:
+            block = mat[others, :col]
+            block *= mat[pivot, col]  # residues are below 2^31: every step fits in int64
+            block -= mat[others, col, None] * mat[pivot, :col]
+            block %= MODULUS
+            mat[others, :col] = block
+            wait(others, block)
+        mat[others, col] = 0
+    return rank
 
 
 def verify_cyclic_candidate(spec: BackwardShiftSpec, candidate: CyclicCandidate,
@@ -332,29 +484,24 @@ def verify_cyclic_candidate(spec: BackwardShiftSpec, candidate: CyclicCandidate,
     """Krylov witness on the K-window.
 
     B is truncated at the candidate's deepest support point (the action of B
-    only moves support down, so the iterates B^k f are exact there) and
-    applied branch by branch, without forming its matrix; the span of the
-    iterates' projections onto the window {e_{j,k}: k <= K} is rank-tested
-    against the window dimension.
+    only moves support down, so the iterates B^k f are exact there).  The
+    window projections {e_{j,k}: k <= K} of the iterates form a matrix known
+    in closed form.  Its rank is computed exactly over F_p (``modulus``):
+    rank mod p is at most the true rank, so a full rank is ``certified``.
+    The same matrix in doubles gives the span residual and the
+    ``numerical_rank`` at rank_tol, both labelled numerical.
     """
-    import numpy as np
     dim_window = spec.branches * (window_K + 1)
     if dim_window > cap:
         raise DimensionCap(dim_window, cap)
     depth = max(k for _, k in candidate.schedule)
     depth = max(depth, window_K)
     steps = spec.steps(depth)
-    grid = candidate_vector(spec, candidate, depth).reshape(spec.branches, depth + 1)
-
-    n_cols = depth + 1
-    cols = np.empty((dim_window, n_cols))
-    for k in range(n_cols):
-        cols[:, k] = grid[:, : window_K + 1].ravel()  # branch-major window projection
-        if k + 1 < n_cols:
-            nxt = np.zeros_like(grid)
-            nxt[:, :-1] = steps * grid[:, 1:]
-            grid = nxt
-    return verify_krylov_span(cols, dim_window, tol, rank_tol)
+    support = _support(candidate)
+    # The exact matrix is eliminated and dropped before the SVD allocates.
+    rank = _rank_mod_p(_window_matrix_mod_p(support, steps, window_K, depth))
+    normalized = _normalize_columns(_window_matrix(support, steps, window_K, depth))
+    return _span_verification(normalized, rank, dim_window, tol, rank_tol, modulus=MODULUS)
 
 
 def _unit_interval(wdoc: dict, key: str) -> float:

@@ -26,11 +26,11 @@ MAX_WEIGHT = math.sqrt(sys.float_info.max)
 
 def _positive(value, what: str, top: float = math.inf) -> float:
     """``value`` as a float in (0, top]; NaN, infinities, non-positive values
-    and non-numbers are rejected."""
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        raise WeightError(f"{what} must be a number, got {shown(value)}") from None
+    and non-numbers (booleans and numeric strings among them) are rejected."""
+    # float and int first: the ABC check is slow, and maps call this per value
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+        raise WeightError(f"{what} must be a number, got {shown(value)}")
+    x = float(value)
     if not 0.0 < x < math.inf:  # also false for NaN
         raise WeightError(f"{what} must be finite and strictly positive, got {x}")
     if x > top:

@@ -548,3 +548,42 @@ def test_long_bad_values_are_cut(tmp_path, capsys):
         assert main(argv) == 2, name
         err = capsys.readouterr().err
         assert err.endswith(f"got {cut}\n") and err.count("\n") == 1, (name, err)
+
+
+@pytest.mark.parametrize("value,shown", [(True, "true"), (False, "false"), ("0.5", '"0.5"'),
+                                         (" 7e-1 ", '" 7e-1 "'), ("1", '"1"')])
+def test_weight_numbers_reject_booleans_and_strings(tmp_path, capsys, value, shown):
+    tilde = write(tmp_path, "tilde.json", {"family": "tilde"})
+    docs = {
+        "constant": {"kind": "constant", "value": value},
+        "map": {"kind": "map", "values": {"1": 0.5, "1'": value}, "default": 0.5},
+        "map-default": {"kind": "map", "values": {"1": 0.5}, "default": value},
+        "geometric": {"kind": "family", "name": "geometric",
+                      "params": {"scale": 0.5, "ratio": value}},
+        "rays": {"kind": "family", "name": "rays", "params": {"spine": value, "primed": 0.5}},
+    }
+    for name, doc in docs.items():
+        argv = ["analyze", "--tree", tilde, "--weights", write(tmp_path, f"{name}.json", doc)]
+        assert main(argv) == 2, name
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith(f"must be a number, got {shown}\n"), (name, err)
+        assert err.count("\n") == 1, (name, err)
+
+
+def test_cyclic_backward_reports_the_exact_certificate(tmp_path, capsys):
+    spec = write(tmp_path, "one.json", {"branches": 1, "weights": {
+        "kind": "hash-random", "seed": 1, "low": 0.5, "high": 0.99}})
+    assert main(["cyclic", "--backward", spec, "--schedule", "40", "--window-k", "200",
+                 "--json"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    krylov = [r for r in records if r.get("record") == "krylov"]
+    assert len(krylov) == 1
+    krylov = krylov[0]
+    assert (krylov["rank"], krylov["dimension"], krylov["certified"], krylov["modulus"]) == \
+        (201, 201, True, 2 ** 31 - 1)
+    assert 0 < krylov["numerical_rank"] <= 201
+
+    short = write(tmp_path, "three.json", {"branches": 3})
+    assert main(["cyclic", "--backward", short, "--schedule", "12", "--window-k", "40"]) == 0
+    out = capsys.readouterr().out
+    assert "rank 79/123 mod 2147483647 (not certified), numerical rank" in out

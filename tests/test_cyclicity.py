@@ -498,3 +498,234 @@ def test_backward_spec_json():
     assert spec.branches == 2
     assert spec.weight(0, 3) == 0.0
     assert spec.weight(1, 3) == 0.9
+
+
+# -- exact Krylov rank over F_p ---------------------------------------------------------
+
+from fractions import Fraction
+
+from treeshift import cyclicity
+from treeshift.cyclicity import MODULUS, CyclicCandidate, _field, _rank_mod_p
+
+
+def _iterated_window_matrix(spec, cand, K):
+    """The window Krylov matrix from depth + 1 steps of B applied branch by
+    branch, as verify_cyclic_candidate computed it before the closed form."""
+    depth = max(max(k for _, k in cand.schedule), K)
+    steps = spec.steps(depth)
+    grid = candidate_vector(spec, cand, depth).reshape(spec.branches, depth + 1)
+    cols = np.empty((spec.branches * (K + 1), depth + 1))
+    for k in range(depth + 1):
+        cols[:, k] = grid[:, : K + 1].ravel()
+        if k + 1 < depth + 1:
+            nxt = np.zeros_like(grid)
+            nxt[:, :-1] = steps * grid[:, 1:]
+            grid = nxt
+    return cols
+
+
+def _closed_form_window_matrix(spec, cand, K):
+    depth = max(max(k for _, k in cand.schedule), K)
+    return cyclicity._window_matrix(cyclicity._support(cand), spec.steps(depth), K, depth)
+
+
+def _window_cases():
+    cases = []
+    for branches, L, K in ((1, 12, 40), (1, 20, 64), (2, 16, 30), (2, 8, 0), (3, 12, 0),
+                           (3, 16, 60), (1, 16, 200)):
+        spec = BackwardShiftSpec(branches, uniform_weight_rule(3 * branches + L, 0.5, 0.99))
+        cases.append((spec, construct_backward_cyclic(spec, L), K))
+    zeroed = BackwardShiftSpec(2, 0.9, zeros=[(0, 2), (1, 4)])
+    cases.append((zeroed, construct_backward_cyclic(BackwardShiftSpec(2, 0.9), 16), 30))
+    # signed coefficients, a signed zero and a repeated position (last one wins)
+    signed = CyclicCandidate(schedule=[(0, 1), (1, 3), (0, 6), (1, 10), (0, 6)],
+                             xi=[-0.5, -0.0, 0.25, -1e-300, -0.125])
+    cases.append((BackwardShiftSpec(2, 0.75, zeros=[(1, 2)]), signed, 8))
+    return cases
+
+
+def test_closed_form_window_matrix_is_bit_identical_to_the_iterate():
+    for spec, cand, K in _window_cases():
+        fast = _closed_form_window_matrix(spec, cand, K)
+        slow = _iterated_window_matrix(spec, cand, K)
+        assert fast.shape == slow.shape
+        assert np.array_equal(fast, slow)
+        assert np.array_equal(np.signbit(fast), np.signbit(slow))
+
+
+def _field_reference(x):
+    num, den = Fraction(x).as_integer_ratio()
+    return num * pow(den, -1, MODULUS) % MODULUS
+
+
+def test_field_is_the_dyadic_ring_map(rng):
+    specials = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0 ** 31, 2.0 ** -31, 3.0 * 2.0 ** 60,
+                5e-324, -5e-324, 2.0 ** -1022, 1.7976931348623157e308, 0.1, 0.99]
+    assert _field(specials).tolist() == [_field_reference(x) for x in specials]
+    assert _field(2.0 ** 31) == 1 and _field(0.5) * 2 % MODULUS == 1
+    pairs = [(3.0 * 2.0 ** -600, 5.0 * 2.0 ** -470), (5e-324, 2.0 ** 40),
+             (2.0 ** -1022, 0.75), (-(2.0 ** -1060), 3.0)]
+    for _ in range(300):
+        a = rng.randrange(1, 2 ** 26) * 2.0 ** rng.randint(-560, 480)
+        b = -rng.randrange(1, 2 ** 26) * 2.0 ** rng.randint(-560, 480)
+        pairs.append((a, b))
+    for a, b in pairs:
+        if Fraction(a) * Fraction(b) != Fraction(a * b):
+            continue  # the product rounded; the map is multiplicative on exact products
+        assert _field(a * b) == _field(a) * _field(b) % MODULUS
+        assert _field(a * b) == _field_reference(a * b)
+    with pytest.raises(ValueError):
+        _field([1.0, math.nan])
+
+
+def _rank_mod_p_reference(rows):
+    """Left-to-right Gauss-Jordan over F_p with modular inverses."""
+    a = [[x % MODULUS for x in row] for row in rows]
+    rank = 0
+    for col in range(len(a[0]) if a else 0):
+        pivot = next((r for r in range(rank, len(a)) if a[r][col]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        inv = pow(a[rank][col], -1, MODULUS)
+        for r in range(rank + 1, len(a)):
+            if a[r][col]:
+                f = a[r][col] * inv % MODULUS
+                a[r] = [(x - f * y) % MODULUS for x, y in zip(a[r], a[rank])]
+        rank += 1
+    return rank
+
+
+def test_rank_mod_p_matches_reference(rng):
+    cases = [np.zeros((3, 4), dtype=np.int64), np.ones((4, 4), dtype=np.int64),
+             np.eye(5, dtype=np.int64), np.array([[MODULUS - 1, 1], [1, MODULUS - 1]])]
+    for m, n in ((1, 1), (4, 7), (7, 4), (12, 12), (20, 9)):
+        dense = np.array([[rng.randrange(MODULUS) for _ in range(n)] for _ in range(m)])
+        cases.append(dense)
+        low = (np.array([[rng.randrange(3) for _ in range(2)] for _ in range(m)])
+               @ np.array([[rng.randrange(3) for _ in range(n)] for _ in range(2)]))
+        cases.append(low)
+        sparse = dense * np.array([[rng.random() < 0.25 for _ in range(n)] for _ in range(m)])
+        sparse[m // 2:] = sparse[: m - m // 2]  # repeated rows
+        cases.append(sparse)
+    for spec, cand, K in _window_cases():
+        depth = max(max(k for _, k in cand.schedule), K)
+        cases.append(cyclicity._window_matrix_mod_p(cyclicity._support(cand),
+                                                    spec.steps(depth), K, depth))
+    for case in cases:
+        want = _rank_mod_p_reference(case.tolist())
+        assert _rank_mod_p(np.array(case, dtype=np.int64)) == want
+
+
+def test_exact_matrix_is_the_field_image_of_the_exact_chain_products():
+    for spec, cand, K in _window_cases():
+        depth = max(max(k for _, k in cand.schedule), K)
+        exact = cyclicity._window_matrix_mod_p(cyclicity._support(cand), spec.steps(depth),
+                                               K, depth)
+        want = np.zeros_like(exact)
+        for (j, s), x in cyclicity._support(cand).items():
+            for i in range(min(s, K) + 1):
+                value = Fraction(x)
+                for t in range(i, s):
+                    value *= Fraction(spec.weight(j, t))
+                want[j * (K + 1) + i, s - i] = _field_reference(value)
+        assert np.array_equal(exact, want)
+
+
+@pytest.mark.parametrize("branches,L,K", [(1, 40, 200), (2, 30, 150), (3, 36, 120)])
+def test_exact_rank_certifies_where_the_float_rank_falls_short(branches, L, K):
+    spec = BackwardShiftSpec(branches, uniform_weight_rule(1, 0.5, 0.99))
+    record = verify_cyclic_candidate(spec, construct_backward_cyclic(spec, L), K)
+    assert record.rank == record.dimension == branches * (K + 1)
+    assert record.certified and record.modulus == MODULUS
+    assert record.numerical_rank < record.dimension  # the float spectrum alone is short
+
+
+def test_exact_rank_with_zero_weights():
+    spec = BackwardShiftSpec(2, 0.9, zeros=[(0, 2), (1, 4)])
+    record = verify_cyclic_candidate(spec, construct_backward_cyclic(BackwardShiftSpec(2, 0.9),
+                                                                     16), 30)
+    assert (record.rank, record.dimension, record.certified) == (58, 62, False)
+
+
+def test_zeroed_coefficient_lowers_the_certified_rank():
+    spec = BackwardShiftSpec(1, 1.0)
+    cand = construct_backward_cyclic(spec, 12)
+    baseline = verify_cyclic_candidate(spec, cand, 78)
+    assert baseline.certified and baseline.rank == baseline.dimension == 79
+    broken = copy.deepcopy(cand)
+    broken.xi[-1] = 0.0
+    record = verify_cyclic_candidate(spec, broken, 78)
+    assert record.rank < baseline.rank and not record.certified and not record.cyclic
+
+
+def test_float_span_check_is_never_certified():
+    record = verify_krylov_span(np.eye(4), 4, tol=1e-5)
+    assert (record.rank, record.numerical_rank, record.certified, record.modulus) == \
+        (4, 4, False, None)
+
+
+def test_verify_cyclic_candidate_runs_no_float_elimination(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ge_rank called")
+
+    monkeypatch.setattr(cyclicity, "ge_rank", refuse)
+    for spec, cand, K in _window_cases():
+        verify_cyclic_candidate(spec, cand, K)
+
+
+def _construct_reference(spec, L):
+    """construct_backward_cyclic with Sigma_m recomputed from scratch per stage."""
+    def sigma(candidate, m):
+        sched, xi = candidate.schedule, candidate.xi
+        k_m, j_m = sched[m - 1][1], sched[m - 1][0]
+        k_prev = sched[m - 2][1] if m >= 2 else -1
+        prefix = {j: spec.prefix_products(j, sched[-1][1]) for j in set(j for j, _ in sched)}
+        best = 0.0
+        for k in range(k_prev + 1, k_m + 1):
+            denom = xi[m - 1] * prefix[j_m][k_m] / prefix[j_m][k_m - k]
+            total = 0.0
+            for l in range(m + 1, L + 1):
+                j_l, k_l = sched[l - 1]
+                num = xi[l - 1] * prefix[j_l][k_l] / prefix[j_l][k_l - k]
+                total += (num / denom) ** 2
+            best = max(best, total)
+        return best
+
+    candidate = CyclicCandidate(schedule=default_schedule(spec.branches, L),
+                                xi=[2.0 ** (-l) for l in range(1, L + 1)])
+    for m in range(1, L + 1):
+        s = sigma(candidate, m)
+        if s > 2.0 ** (-m):
+            factor = math.sqrt(2.0 ** m * s) * (1.0 + 1e-12)
+            for l in range(m + 1, L + 1):
+                candidate.xi[l - 1] /= factor
+            candidate.modifications.append((m, s, factor))
+    candidate.sigma_final = [sigma(candidate, m) for m in range(1, L + 1)]
+    return candidate
+
+
+def test_hoisted_sigma_tables_give_bit_identical_candidates():
+    for branches, L, weights in ((1, 4, 1.0), (1, 40, uniform_weight_rule(1, 0.5, 0.99)),
+                                 (2, 24, uniform_weight_rule(2, 0.5, 0.99)), (2, 16, 0.9),
+                                 (3, 20, uniform_weight_rule(3, 0.1, 1.0)), (3, 12, 1e-3)):
+        fast = construct_backward_cyclic(BackwardShiftSpec(branches, weights), L)
+        slow = _construct_reference(BackwardShiftSpec(branches, weights), L)
+        assert fast.schedule == slow.schedule
+        assert fast.xi == slow.xi
+        assert fast.modifications == slow.modifications
+        assert fast.sigma_final == slow.sigma_final
+        for m in (1, L // 2, L):
+            assert sigma_m(fast, BackwardShiftSpec(branches, weights), m) == fast.sigma_final[m - 1]
+
+
+def test_one_short_is_not_certified_and_numerical_rank_follows_rank_tol():
+    spec = BackwardShiftSpec(2, uniform_weight_rule(1, 0.5, 0.99))
+    cand = construct_backward_cyclic(spec, 24)  # k_L = 300: 301 columns for 302 rows
+    for rank_tol in (1e-8, 1e-3):
+        record = verify_cyclic_candidate(spec, cand, 150, rank_tol=rank_tol)
+        assert (record.rank, record.dimension, record.certified) == (301, 302, False)
+        cols = _iterated_window_matrix(spec, cand, 150)
+        norms = np.linalg.norm(cols, axis=0)
+        s = np.linalg.svd(cols / norms, compute_uv=False)
+        assert record.numerical_rank == int(np.sum(s > rank_tol * s[0]))
