@@ -237,7 +237,7 @@ def similar_to_isometry(operator: ShiftOperator, profile: AsymptoticProfile,
         return SimilarityAnswer("yes", "certified isometry: all forward limits are 1")
     log_infimum = operator.weights.chain_log_infimum(operator.model)
     if log_infimum == -math.inf:
-        return SimilarityAnswer("no", "constant weight < 1 on a chain: limits vanish")
+        return SimilarityAnswer("no", "closed form on a chain: the forward limits vanish")
     if log_infimum is not None:
         return SimilarityAnswer("yes", f"closed-form infimum {math.exp(log_infimum):.6g} > 0")
     return SimilarityAnswer("undetermined", "no symbolic infimum for this family")

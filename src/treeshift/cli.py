@@ -1,9 +1,10 @@
 """Command-line front end: ingest tree and weight specs, run the analyses,
 emit text or line-delimited JSON reports.
 
-Exit codes: 0 ok, 1 standard output closed early (a broken pipe), 2
-structural violation, 3 not a contraction, 4 asymptote precondition failed,
-5 dimension cap, 6 shape mismatch.
+Exit codes: 0 ok, 1 standard output closed early (a broken pipe), else the
+``exit_code`` of the ``TreeShiftError`` that ended the run: 2 bad input, 3
+not a contraction, 4 asymptote precondition failed, 5 dimension or window
+cap, 6 shape mismatch.  Any other exception is a bug: exit 1, traceback.
 
 numpy is imported inside the functions that build dense arrays, so the
 matrix-free subcommands start without loading it.
@@ -44,16 +45,6 @@ from .trees import branching_index, leaves, load_tree, materialize_window
 from .weights import load_weights
 
 EXIT_BROKEN_PIPE = 1
-EXIT_STRUCTURE = 2
-EXIT_CONTRACTION = 3
-EXIT_ASYMPTOTE = 4
-EXIT_DIMENSION = 5
-EXIT_SHAPE = 6
-
-_STRUCTURE_ERRORS = (errors.DisconnectedGraph, errors.MultipleParents,
-                     errors.CircuitFound, errors.RootMismatch, errors.VertexNotFound,
-                     errors.WeightError, errors.TreeSpecError, errors.StructuralViolation,
-                     errors.ScheduleTooShort, ValueError, KeyError, OSError)
 
 
 class Reporter:
@@ -86,9 +77,12 @@ _TOL = _checked(float, lambda x: 0.0 < x < math.inf, "finite and > 0")
 _ZERO_TH = _checked(float, lambda x: 0.0 <= x < math.inf, "finite and >= 0")
 
 
-def _window(args, model):
-    lo, _, hi = args.levels.partition(":")
-    return materialize_window(model, int(lo), int(hi), args.breadth)
+def level_range(text):
+    lo, _, hi = text.partition(":")
+    return int(lo), int(hi)
+
+
+_LEVELS = _checked(level_range, lambda levels: levels[0] <= levels[1], "a:b with a <= b")
 
 
 def _branching_text(value):
@@ -97,7 +91,7 @@ def _branching_text(value):
 
 def cmd_validate(args, out: Reporter) -> int:
     model = load_tree(args.tree)
-    window = _window(args, model)
+    window = materialize_window(model, *args.levels, args.breadth)
     br, br_exact = branching_index(model, window)
     leafset = sorted(leaves(model, window))
     out.text(f"{model.describe()}")
@@ -113,7 +107,7 @@ def cmd_validate(args, out: Reporter) -> int:
 def _operator(args):
     model = load_tree(args.tree)
     operator = ShiftOperator(model, load_weights(args.weights))
-    return model, operator, _window(args, model)
+    return model, operator, materialize_window(model, *args.levels, args.breadth)
 
 
 def _analysis(args, need_adjoint=True):
@@ -195,8 +189,7 @@ def cmd_adjoint_asymptote(args, out: Reporter) -> int:
 
 def cmd_cyclic(args, out: Reporter) -> int:
     if args.backward:
-        with open(args.backward) as fh:
-            spec = backward_spec_from_json(fh.read())
+        spec = backward_spec_from_json(errors.read_input(args.backward, errors.TreeSpecError))
         verdict = cyclicity_verdict(spec, None)
         out.text(f"verdict: {verdict.verdict} [{verdict.rule}] {verdict.reason}")
         out.record("verdict", verdict.to_json())
@@ -324,9 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def tree_flags(p, required=True):
         p.add_argument("--tree", required=required, help="tree spec JSON path")
-        p.add_argument("--levels", default="-8:8",
+        p.add_argument("--levels", type=_LEVELS, default="-8:8",
                        help="window level range a:b (use --levels=-8:8 for negatives)")
-        p.add_argument("--breadth", type=int, default=64, help="per-level breadth cap")
+        p.add_argument("--breadth", type=_POSITIVE_INT, default=64, help="per-level breadth cap")
         p.add_argument("--json", action="store_true", help="line-delimited JSON output")
 
     def common(p, required=True):
@@ -381,21 +374,9 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except errors.NotAContraction as exc:
-        print(f"error: not a contraction: {exc}", file=sys.stderr)
-        return EXIT_CONTRACTION
-    except (errors.StableSubtreeEmpty, errors.AdjointStable) as exc:
+    except errors.TreeShiftError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_ASYMPTOTE
-    except (errors.DimensionCap, errors.WindowTooLarge) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
-    except errors.ShapeMismatch as exc:
-        print(f"error: ShapeMismatch: {exc}", file=sys.stderr)
-        return EXIT_SHAPE
-    except _STRUCTURE_ERRORS as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_STRUCTURE
+        return exc.exit_code
 
 
 def entry():

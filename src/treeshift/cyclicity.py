@@ -25,9 +25,10 @@ import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .errors import DimensionCap, ScheduleTooShort, WeightError, ZeroWeight, shown
+from .errors import (DimensionCap, ScheduleTooShort, TreeSpecError, WeightError, ZeroWeight,
+                     decoded, shown)
 from .trees import branching_index, leaves
-from .weights import _integer, hash_unit
+from .weights import _integer, _required, hash_unit
 
 DIMENSION_CAP = 4096
 RANK_TOL = 1e-8
@@ -68,13 +69,13 @@ class BackwardShiftSpec:
 
     def __init__(self, branches: int, weights=1.0, zeros=()):
         if branches < 1:
-            raise ValueError("need at least one branch")
+            raise TreeSpecError("need at least one branch")
         self.branches = int(branches)
         self._rule = weights if callable(weights) else (lambda j, k, c=float(weights): c)
         self.zero_positions = frozenset((int(j), int(k)) for j, k in zeros)
         for j, k in self.zero_positions:
             if not (0 <= j < self.branches) or k < 0:
-                raise ValueError(f"zero position {(j, k)} out of range")
+                raise TreeSpecError(f"zero position {(j, k)} out of range")
         self._prefix = {}  # branch -> running products P[0..t], extended on demand
         self._weights = {}  # (j, k) -> w_{j,k}, evaluated once
 
@@ -84,7 +85,7 @@ class BackwardShiftSpec:
             return 0.0
         w = float(self._rule(j, k))
         if not (0.0 < w <= 1.0):
-            raise ZeroWeight((j, k)) if w <= 0.0 else ValueError(f"weight {w} > 1 at {(j, k)}")
+            raise ZeroWeight((j, k)) if w <= 0.0 else WeightError(f"weight {w} > 1 at {(j, k)}")
         return w
 
     def _weight(self, j: int, k: int) -> float:
@@ -520,12 +521,11 @@ def backward_spec_from_json(doc) -> BackwardShiftSpec:
     Validated before anything runs: the rule must give weights in (0, 1] (a
     constant ``value`` in (0, 1]; a hash-random ``low`` <= ``high`` in (0, 1]
     and an integer ``seed``), so zero weights enter only as listed ``zeros``.
-    Bad weights raise WeightError, a bad shape ValueError.
+    Bad weights raise WeightError; bad JSON or a bad shape TreeSpecError.
     """
-    if isinstance(doc, str):
-        doc = json.loads(doc)
+    doc = decoded(doc, TreeSpecError, "a backward shift spec")
     if not isinstance(doc, dict):
-        raise ValueError(f"a backward shift spec must be a JSON object, got {shown(doc)}")
+        raise TreeSpecError(f"a backward shift spec must be a JSON object, got {shown(doc)}")
     wdoc = doc.get("weights", {"kind": "constant", "value": 1.0})
     if not isinstance(wdoc, dict):
         raise WeightError(f"backward weights must be a JSON object, got {shown(wdoc)}")
@@ -540,16 +540,15 @@ def backward_spec_from_json(doc) -> BackwardShiftSpec:
                                    low, high)
     else:
         raise WeightError(f"unknown backward weight kind {shown(wdoc.get('kind'))}")
-    if "branches" not in doc:
-        raise ValueError("a backward shift spec needs a 'branches' field")
-    branches = _integer(doc["branches"], "backward branches", ValueError)
+    branches = _integer(_required(doc, "branches", "a backward shift spec", TreeSpecError),
+                        "backward branches", TreeSpecError)
     zeros = doc.get("zeros", [])
     if not isinstance(zeros, list) or not all(isinstance(z, list) and len(z) == 2
                                               for z in zeros):
-        raise ValueError(f"backward zeros must be a list of [branch, index] pairs, "
-                         f"got {shown(zeros)}")
-    zeros = [(_integer(j, "zero branch", ValueError), _integer(k, "zero index", ValueError))
-             for j, k in zeros]
+        raise TreeSpecError(f"backward zeros must be a list of [branch, index] pairs, "
+                            f"got {shown(zeros)}")
+    zeros = [(_integer(j, "zero branch", TreeSpecError),
+              _integer(k, "zero index", TreeSpecError)) for j, k in zeros]
     return BackwardShiftSpec(branches, rule, zeros=zeros)
 
 

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all treeshift modules."""
+"""Exception hierarchy shared by all treeshift modules, and the input readers that raise it."""
 
 import json
 
@@ -13,8 +13,27 @@ def shown(value) -> str:
     return text if len(text) <= 60 else text[:57] + "..."
 
 
+def read_input(path, error) -> str:
+    """The text of the file at ``path``; an unreadable one raises ``error`` naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
+        raise error(f"cannot read {str(path)!r}: {reason}") from None
+
+
+def decoded(doc, error, what: str):
+    """``doc`` decoded when it is JSON text, else ``doc``; bad JSON raises ``error``."""
+    try:
+        return json.loads(doc) if isinstance(doc, str) else doc
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} is not valid JSON: {exc}") from None
+
+
 class TreeShiftError(Exception):
-    """Base class for all treeshift errors."""
+    """Base class for all treeshift errors; ``exit_code`` is the CLI's exit status."""
+    exit_code = 2
 
 
 class DisconnectedGraph(TreeShiftError):
@@ -57,6 +76,8 @@ class EmptyWindow(VertexNotFound):
 
 
 class WindowTooLarge(TreeShiftError):
+    exit_code = 5
+
     def __init__(self, size, cap):
         super().__init__(f"window has {size} vertices, cap is {cap}")
         self.size = size
@@ -64,8 +85,10 @@ class WindowTooLarge(TreeShiftError):
 
 
 class NotAContraction(TreeShiftError):
+    exit_code = 3
+
     def __init__(self, norm):
-        super().__init__(f"operator norm {norm} exceeds 1")
+        super().__init__(f"not a contraction: operator norm {norm} exceeds 1")
         self.norm = norm
 
 
@@ -77,11 +100,11 @@ class StructuralViolation(TreeShiftError):
 
 
 class StableSubtreeEmpty(TreeShiftError):
-    pass
+    exit_code = 4
 
 
 class AdjointStable(TreeShiftError):
-    pass
+    exit_code = 4
 
 
 class ZeroWeight(TreeShiftError):
@@ -95,6 +118,8 @@ class ScheduleTooShort(TreeShiftError):
 
 
 class DimensionCap(TreeShiftError):
+    exit_code = 5
+
     def __init__(self, size, cap):
         super().__init__(f"dimension {size} exceeds cap {cap}")
         self.size = size
@@ -102,7 +127,7 @@ class DimensionCap(TreeShiftError):
 
 
 class ShapeMismatch(TreeShiftError):
-    pass
+    exit_code = 6
 
 
 class WeightError(TreeShiftError):

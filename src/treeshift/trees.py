@@ -20,7 +20,6 @@ Vertex ids are strings.  Procedural families use structured tokens:
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 
@@ -32,10 +31,14 @@ from .errors import (
     RootMismatch,
     TreeSpecError,
     VertexNotFound,
+    WindowTooLarge,
+    decoded,
+    read_input,
     shown,
 )
 
 INFINITE = math.inf
+WINDOW_CAP = 2 ** 18  # most vertices a window may hold
 
 FAMILY_TAGS = ("rooted-path", "bilateral-path", "rootless-binary", "tilde", "comb")
 
@@ -186,11 +189,11 @@ class FiniteTree(DirectedTreeModel):
 def validate_finite(vertices, edges, declared_root=None) -> FiniteTree:
     """Check connectivity, unique parents and circuit-freeness; return the model.
 
-    Raises DisconnectedGraph, MultipleParents, CircuitFound or RootMismatch.
+    Raises TreeSpecError, DisconnectedGraph, MultipleParents, CircuitFound or RootMismatch.
     """
     verts = list(dict.fromkeys(vertices))
     if not verts:
-        raise ValueError("vertex list is empty")
+        raise TreeSpecError("a finite tree needs at least one vertex")
     vset = set(verts)
     parent: dict[str, str] = {}
     for u, v in dict.fromkeys(tuple(e) for e in edges):
@@ -219,21 +222,11 @@ def validate_finite(vertices, edges, declared_root=None) -> FiniteTree:
         for w in chain:
             state[w] = 2
 
+    # No circuit: every parent chain ends at a parentless vertex, so one root means connected.
     roots = [v for v in verts if v not in parent]
     if len(roots) != 1:
         raise DisconnectedGraph(f"found {len(roots)} parentless vertices: {sorted(roots)[:4]}")
     root = roots[0]
-
-    # Connectivity: every vertex must reach the unique root along parents.
-    for v in verts:
-        u = v
-        seen = 0
-        while u != root:
-            u = parent.get(u)
-            seen += 1
-            if u is None or seen > len(verts):
-                raise DisconnectedGraph(f"vertex {v!r} does not reach the root")
-
     if declared_root is not None and declared_root != root:
         raise RootMismatch(declared_root, root)
     return FiniteTree(verts, parent, root)
@@ -491,10 +484,9 @@ def tree_from_json(doc) -> DirectedTreeModel:
     The shape of the doc is checked first: an object with a ``family`` and
     optional object ``params``, or with ``vertices`` (a list of string ids)
     and ``edges`` (a list of [parent, child] id pairs).  Any other shape
-    raises TreeSpecError.
+    raises TreeSpecError, and so does text that is not JSON.
     """
-    if isinstance(doc, str):
-        doc = json.loads(doc)
+    doc = decoded(doc, TreeSpecError, "a tree spec")
     if not isinstance(doc, dict):
         raise TreeSpecError(f"a tree spec must be a JSON object, got {shown(doc)}")
     if "family" in doc:
@@ -515,8 +507,7 @@ def tree_from_json(doc) -> DirectedTreeModel:
 
 
 def load_tree(path) -> DirectedTreeModel:
-    with open(path) as fh:
-        return tree_from_json(fh.read())
+    return tree_from_json(read_input(path, TreeSpecError))
 
 
 class TreeWindow:
@@ -593,10 +584,9 @@ def materialize_window(model, level_lo, level_hi, breadth=64) -> TreeWindow:
 
     Per-level breadth is clamped on the children side only, so the window is
     parent-closed by construction.  A rooted window starts at level 0 at the
-    earliest; a window whose first level is empty raises EmptyWindow.
+    earliest.  An empty first level or range raises EmptyWindow; a level that
+    takes the window past WINDOW_CAP vertices raises WindowTooLarge.
     """
-    if level_lo > level_hi:
-        raise ValueError("window level range is empty")
     if breadth < 1:
         raise ValueError("breadth cap must be positive")
 
@@ -607,6 +597,8 @@ def materialize_window(model, level_lo, level_hi, breadth=64) -> TreeWindow:
     collected: list[str] = []
     while current and lvl <= level_hi:
         collected.extend(current)
+        if len(collected) > WINDOW_CAP:
+            raise WindowTooLarge(len(collected), WINDOW_CAP)
         nxt: list[str] = []
         for u in current:
             nxt.extend(model.children(u))

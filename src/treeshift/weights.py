@@ -10,13 +10,12 @@ type of the cyclicity module.
 from __future__ import annotations
 
 import inspect
-import json
 import math
 import numbers
 import sys
 
-from .errors import WeightError, shown
-from .trees import _is_primed, _primed_index
+from .errors import VertexNotFound, WeightError, decoded, read_input, shown
+from .trees import TildeTree, _is_primed, _primed_index
 
 
 # The largest weight whose square is a finite double; every analysis squares
@@ -145,9 +144,15 @@ class MapWeights(WeightAssignment):
         return top
 
     def convergence_floor_level(self, model):
-        if self.default is None or abs(self.default - 1.0) > 1e-15 or not self.values:
+        if self.default is None or abs(self.default - 1.0) > 1e-15:
             return None
-        return max(model.level(v) for v in self.values) + 1
+        levels = []
+        for v in self.values:
+            try:
+                levels.append(model.level(v))
+            except VertexNotFound:
+                pass  # a key that is not a vertex carries no weight
+        return max(levels) + 1 if levels else None
 
     def full_product_positive(self):
         if self.default is None:
@@ -159,8 +164,8 @@ class MapWeights(WeightAssignment):
     def ratio_settled_from(self):
         if self.default is None:
             return None
-        support = [abs(_primed_index(v) if _is_primed(v) else int(v)) for v in self.values]
-        return max(support, default=0) + 1
+        tilde = TildeTree()  # holds every comb vertex; other keys carry no weight
+        return max((abs(tilde.level(v)) for v in self.values if v in tilde), default=0) + 1
 
     def to_json(self):
         doc = {"kind": "map", "values": dict(self.values)}
@@ -432,27 +437,26 @@ _FAMILIES = {
 }
 
 
-def _field(doc: dict, key: str, what: str):
+def _required(doc: dict, key: str, what: str, error=WeightError):
     if key not in doc:
-        raise WeightError(f"{what} needs a {key!r} field")
+        raise error(f"{what} needs a {key!r} field")
     return doc[key]
 
 
 def weights_from_json(doc) -> WeightAssignment:
-    """Build a weight assignment from its JSON doc (or JSON text); a doc of
-    the wrong shape, a missing field or a bad value raises WeightError."""
-    if isinstance(doc, str):
-        doc = json.loads(doc)
+    """Build a weight assignment from its JSON doc (or JSON text); bad JSON,
+    a doc of the wrong shape, a missing field or a bad value raises WeightError."""
+    doc = decoded(doc, WeightError, "a weight spec")
     if not isinstance(doc, dict):
         raise WeightError(f"a weight spec must be a JSON object, got {shown(doc)}")
     kind = doc.get("kind")
     if kind == "map":
-        values = _field(doc, "values", "map weights")
+        values = _required(doc, "values", "map weights")
         if not isinstance(values, dict):
             raise WeightError(f"map weight values must be an object, got {shown(values)}")
         return MapWeights(values, doc.get("default"))
     if kind == "constant":
-        return ConstantWeights(_field(doc, "value", "constant weights"))
+        return ConstantWeights(_required(doc, "value", "constant weights"))
     if kind == "family":
         name = doc.get("name")
         if not isinstance(name, str) or name not in _FAMILIES:
@@ -470,5 +474,4 @@ def weights_from_json(doc) -> WeightAssignment:
 
 
 def load_weights(path) -> WeightAssignment:
-    with open(path) as fh:
-        return weights_from_json(fh.read())
+    return weights_from_json(read_input(path, WeightError))

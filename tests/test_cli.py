@@ -477,7 +477,7 @@ def test_a_file_holding_a_json_string_is_not_decoded_twice(specs, tmp_path, caps
     assert main(["analyze", "--tree", specs["tilde"], "--weights", weights]) == 2
     assert main(["cyclic", "--backward", backward]) == 2
     errors = [line.split(":")[1].strip() for line in capsys.readouterr().err.splitlines()]
-    assert errors == ["TreeSpecError", "WeightError", "ValueError"]
+    assert errors == ["TreeSpecError", "WeightError", "TreeSpecError"]
 
 
 def test_a_window_below_a_finite_tree_fails_at_once(tmp_path):
@@ -587,3 +587,44 @@ def test_cyclic_backward_reports_the_exact_certificate(tmp_path, capsys):
     assert main(["cyclic", "--backward", short, "--schedule", "12", "--window-k", "40"]) == 0
     out = capsys.readouterr().out
     assert "rank 79/123 mod 2147483647 (not certified), numerical rank" in out
+
+
+@pytest.mark.parametrize("flag,value", [("--levels", "abc"), ("--levels", "5:1"),
+                                        ("--levels", "3"), ("--levels", "1:x"),
+                                        ("--breadth", "0"), ("--breadth", "-2"),
+                                        ("--breadth", "two")])
+def test_bad_window_flags_exit_code(specs, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--tree", specs["tilde"], f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+
+
+def test_a_finite_tree_without_vertices_exits_2(tmp_path, capsys):
+    tree = write(tmp_path, "empty.json", {"vertices": [], "edges": []})
+    assert main(["validate", "--tree", tree]) == 2
+    assert capsys.readouterr().err == \
+        "error: TreeSpecError: a finite tree needs at least one vertex\n"
+
+
+@pytest.mark.parametrize("command,family,default", [("similarity", "tilde", 0.5),
+                                                    ("analyze", "bilateral-path", 1.0)])
+def test_map_keys_that_are_not_vertices_carry_no_weight(tmp_path, capsys, command, family,
+                                                        default):
+    tree = write(tmp_path, "tree.json", {"family": family})
+    weights = write(tmp_path, "weights.json",
+                    {"kind": "map", "values": {"x": 0.5, "1": 0.6}, "default": default})
+    assert main([command, "--tree", tree, "--weights", weights, "--levels=-2:2"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_a_window_past_the_vertex_cap_exits_5(tmp_path):
+    """The cap is checked as levels are added, so a range of 10^8 levels
+    fails in about a second instead of exhausting memory."""
+    tree = write(tmp_path, "rooted.json", {"family": "rooted-path"})
+    argv = [sys.executable, "-m", "treeshift.cli", "validate", "--tree", tree,
+            "--levels=0:100000000"]
+    done = subprocess.run(argv, env=_subprocess_env(), capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 5 and done.stdout == ""
+    assert done.stderr == "error: WindowTooLarge: window has 262145 vertices, cap is 262144\n"

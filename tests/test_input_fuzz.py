@@ -1,10 +1,13 @@
-"""Fuzz test of the JSON input boundary through ``main``.
+"""Fuzz test of the input boundary through ``main``.
 
 Tree docs, weight docs and backward-shift specs are drawn from a grammar
 around the real schemas, with wrong types, NaN and infinities, and missing
-and extra keys.  Every input must end in one of the documented exit codes;
-an escaped exception fails the test with its traceback.  The runs are
-derandomized and bounded, so the suite stays deterministic and fast.
+and extra keys; numeric flags get negative, zero, NaN, infinite and
+non-numeric values; input files go missing, turn into directories, hold
+bytes that are not UTF-8 or JSON cut short.  Every input must end in one of
+the documented exit codes (an argparse rejection counts as 2); an escaped
+exception fails the test with its traceback.  The runs are derandomized and
+bounded, so the suite stays deterministic and fast.
 """
 
 import contextlib
@@ -16,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from treeshift import cli, errors
 from treeshift.cli import main
 from treeshift.trees import FAMILY_TAGS
 
@@ -155,7 +159,9 @@ def workdir(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz")
     (path / "finite.json").write_text(json.dumps(FINITE_TREE))
     (path / "tilde.json").write_text(json.dumps(TILDE))
+    (path / "binary.json").write_text(json.dumps({"family": "rootless-binary"}))
     (path / "half.json").write_text(json.dumps({"kind": "constant", "value": 0.5}))
+    (path / "backward.json").write_text(json.dumps({"branches": 2}))
     return path
 
 
@@ -197,3 +203,130 @@ def test_tree_docs_exit_with_a_documented_code(workdir, doc):
         code = _run([command, "--tree", str(tree), "--weights", str(workdir / "half.json"),
                      "--levels=-3:3", "--depth", "16"])
         assert code in EXIT_CODES, (command, doc, code)
+
+
+# -- numeric flags --------------------------------------------------------------
+
+BAD_NUMBERS = st.sampled_from(["-1", "-0.5", "0", "0.0", "nan", "inf", "-inf", "1e999", "x",
+                               "", "1.5", "1e-320"])
+
+
+def _numbers(good):
+    """A flag value: usually one in range, else negative, zero, NaN, an
+    infinity, a fraction or not a number at all."""
+    return st.one_of(good, BAD_NUMBERS)
+
+
+def _level_range(pair):
+    return f"{pair[0]}:{pair[1]}"
+
+
+LEVELS = st.one_of(st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(_level_range),
+                   st.sampled_from(["abc", "3", ":", "1:x", "nan:1", "1.5:2", "0:inf"]))
+TOLERANCE = _numbers(st.floats(1e-12, 1e-2).map(repr))
+WINDOW_FLAGS = {"--levels": LEVELS, "--breadth": _numbers(st.integers(1, 8).map(str))}
+ANALYSIS_FLAGS = {**WINDOW_FLAGS, "--depth": _numbers(st.integers(1, 64).map(str)),
+                  "--tol": TOLERANCE, "--zero-th": _numbers(st.floats(0.0, 1e-2).map(repr)),
+                  "--rank-tol": TOLERANCE}
+BACKWARD_FLAGS = {"--schedule": _numbers(st.integers(1, 24).map(str)),
+                  "--window-k": _numbers(st.integers(0, 64).map(str)), "--rank-tol": TOLERANCE}
+
+
+def _exit(argv):
+    """(exit code, stderr) of ``main(argv)``; an argparse rejection is its
+    ``SystemExit`` code."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def _assert_documented(argv, code, err):
+    """A documented exit code, and a stderr that fits it: nothing on success,
+    argparse's message naming a flag, or one line naming the TreeShiftError
+    whose exit code it is."""
+    assert code in EXIT_CODES, (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+    if code == 0:
+        assert err == "", (argv, err)
+    elif err.startswith("usage:"):
+        assert code == 2 and "error: argument --" in err, (argv, err)
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        error = getattr(errors, err.split(":")[1].strip(), None)
+        assert isinstance(error, type) and issubclass(error, errors.TreeShiftError), (argv, err)
+        assert error.exit_code == code, (argv, err)
+
+
+@FUZZ
+@given(command=st.sampled_from(["validate", "analyze", "asymptote", "adjoint-asymptote",
+                                "oracle", "similarity", "cyclic"]),
+       tree=st.sampled_from(["finite.json", "tilde.json", "binary.json"]),
+       flags=st.fixed_dictionaries({}, optional=ANALYSIS_FLAGS))
+def test_tree_flags_exit_with_a_documented_code(workdir, command, tree, flags):
+    argv = [command, "--tree", str(workdir / tree)]
+    if command == "validate":
+        flags = {k: v for k, v in flags.items() if k in WINDOW_FLAGS}
+    else:
+        argv += ["--weights", str(workdir / "half.json")]
+    argv += [f"{flag}={value}" for flag, value in flags.items()]
+    _assert_documented(argv, *_exit(argv))
+
+
+@FUZZ
+@given(flags=st.fixed_dictionaries({}, optional=BACKWARD_FLAGS))
+def test_backward_flags_exit_with_a_documented_code(workdir, flags):
+    argv = ["cyclic", "--backward", str(workdir / "backward.json")]
+    argv += [f"{flag}={value}" for flag, value in flags.items()]
+    _assert_documented(argv, *_exit(argv))
+
+
+# -- input files ------------------------------------------------------------------
+
+GOOD_FILES = {"--tree": "tilde.json", "--weights": "half.json", "--backward": "backward.json"}
+NOT_UTF8 = st.sampled_from([b"\xff", b"\x80", b"\xc3(", b"\xed\xa0\x80"])
+
+
+@FUZZ
+@given(slot=st.sampled_from(sorted(GOOD_FILES)),
+       how=st.sampled_from(["missing", "directory", "not-utf8", "truncated"]),
+       data=st.data())
+def test_unreadable_files_exit_2_with_a_typed_line(workdir, slot, how, data):
+    text = (workdir / GOOD_FILES[slot]).read_bytes()
+    cut = data.draw(st.integers(0, len(text) - 1))
+    bad = workdir / "bad"
+    if how == "missing":
+        bad = workdir / "missing.json"
+    elif how == "directory":
+        bad = workdir
+    elif how == "not-utf8":
+        bad.write_bytes(text[:cut] + data.draw(NOT_UTF8) + text[cut:])
+    else:
+        bad.write_bytes(text[:cut])
+    if slot == "--backward":
+        argv = ["cyclic", "--backward", str(bad)]
+    else:
+        files = {**GOOD_FILES, slot: bad}
+        argv = ["analyze", "--tree", str(workdir / files["--tree"]),
+                "--weights", str(workdir / files["--weights"])]
+    code, err = _exit(argv)
+    assert code == 2, (argv, err)
+    name = "WeightError" if slot == "--weights" else "TreeSpecError"
+    assert err.startswith(f"error: {name}: ") and err.count("\n") == 1, (argv, err)
+    # a file error names the path; a JSON error says where the text breaks
+    assert (repr(str(bad)) if how != "truncated" else "is not valid JSON: ") in err, err
+
+
+# -- anything else is a bug -------------------------------------------------------
+
+def test_an_error_that_is_not_a_treeshift_error_propagates(workdir, monkeypatch):
+    def broken(*args, **kwargs):
+        raise KeyError("not an input error")
+
+    monkeypatch.setattr(cli, "alpha_profile", broken)
+    with pytest.raises(KeyError, match="not an input error"):
+        _run(["analyze", "--tree", str(workdir / "tilde.json"),
+              "--weights", str(workdir / "half.json"), "--levels=-2:2"])
