@@ -198,9 +198,14 @@ def cmd_cyclic(args, out: Reporter) -> int:
             record = verify_cyclic_candidate(spec, candidate, args.window_k,
                                              rank_tol=args.rank_tol)
             certified = "certified" if record.certified else "not certified"
+            # Rank is at most the column count, so a window deeper than the
+            # candidate's support cannot be certified.
+            short = (f"; the window is deeper than the candidate's support, so the rank is "
+                     f"short by counting ({record.columns} columns < {record.dimension} rows)"
+                     if record.columns < record.dimension else "")
             out.text(f"candidate verified: rank {record.rank}/{record.dimension} mod "
                      f"{record.modulus} ({certified}), numerical rank "
-                     f"{record.numerical_rank}, residual {record.max_residual:.3e}")
+                     f"{record.numerical_rank}, residual {record.max_residual:.3e}{short}")
             membership = range_membership_report(spec, candidate, 2)
             out.text(f"range membership partial sum (n=2): {membership:.6g}")
             out.record("krylov", {"rank": record.rank, "dimension": record.dimension,
@@ -208,7 +213,7 @@ def cmd_cyclic(args, out: Reporter) -> int:
                                   "range_membership_n2": membership,
                                   "certified": record.certified,
                                   "numerical_rank": record.numerical_rank,
-                                  "modulus": record.modulus})
+                                  "modulus": record.modulus, "columns": record.columns})
             if args.json:
                 for line in candidate.to_json_lines().splitlines():
                     print(line)

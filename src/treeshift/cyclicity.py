@@ -15,7 +15,10 @@ is also built over F_p (p = 2^31 - 1) and its rank there is computed
 exactly.  Rank mod p never exceeds the rank over Q, so full rank mod p is a
 proof of full rank; anything less is "not certified", never "not cyclic".
 The floating-point matrix only feeds the SVD behind the span residual and
-the labelled numerical rank.
+the labelled numerical rank.  A window wider than it is tall is reduced to
+its square LQ factor before that SVD, which leaves the left singular vectors
+and singular values as they are; the residual's last digits are at rounding
+level and depend on the LAPACK build.
 """
 
 from __future__ import annotations
@@ -283,12 +286,12 @@ def ge_rank(matrix, rank_tol: float = RANK_TOL) -> int:
 
 
 def _normalize_columns(mat: np.ndarray) -> np.ndarray:
+    """Scale each nonzero column of a float matrix to unit norm, in place."""
     import numpy as np
-    out = mat.copy()
-    norms = np.linalg.norm(out, axis=0)
+    norms = np.linalg.norm(mat, axis=0)
     nz = norms > 0.0
-    out[:, nz] /= norms[nz]
-    return out
+    mat[:, nz] /= norms[nz]
+    return mat
 
 
 def krylov_rank(matrix, vector, rank_tol: float = RANK_TOL, cap: int = DIMENSION_CAP) -> int:
@@ -333,6 +336,21 @@ class KrylovVerification:
     modulus: int | None  # None when `rank` is a floating-point pivot count
 
 
+def _left_svd(mat):
+    """U and the singular values of a float matrix; its right factor is
+    never formed.
+
+    A wide m x n matrix (n > m) is L Q^T with Q orthonormal, so its m x m LQ
+    factor L has the same U and singular values, and the SVD runs on L.  Tall
+    and square matrices take the direct SVD, where a QR first does not pay.
+    """
+    import numpy as np
+    m, n = mat.shape
+    reduced = np.linalg.qr(mat.T, mode="r").T if n > m else mat
+    u, s, _ = np.linalg.svd(reduced, full_matrices=False)
+    return u, s
+
+
 def _span_verification(normalized, rank: int, dimension: int, tol: float, rank_tol: float,
                        modulus: int | None) -> KrylovVerification:
     """Finish a span check from its normalized columns and a rank.
@@ -341,9 +359,14 @@ def _span_verification(normalized, rank: int, dimension: int, tol: float, rank_t
     double-precision noise floor: weak directions are part of the true span,
     only rounding artifacts are discarded.  The numerical rank counts the
     singular values above rank_tol times the largest.
+
+    A wide matrix is reduced to its m x m LQ factor first (``_left_svd``);
+    the noise floor still scales with the larger side of the matrix as given.
+    The residual's last digits are at rounding level and depend on the
+    LAPACK build.
     """
     import numpy as np
-    u, s, _ = np.linalg.svd(normalized, full_matrices=False)
+    u, s = _left_svd(normalized)
     floor = s[0] * max(normalized.shape) * np.finfo(float).eps * 8.0 if s.size else 0.0
     basis = u[:, s > floor]
     residual = float(np.max(np.sqrt(np.clip(1.0 - np.sum(basis ** 2, axis=1), 0.0, None))))
@@ -363,7 +386,8 @@ def verify_krylov_span(columns: np.ndarray, dimension: int, tol: float,
     The rank figure counts Gaussian-elimination pivots at rank_tol; it is a
     numerical figure, never a certificate.
     """
-    normalized = _normalize_columns(columns)
+    import numpy as np
+    normalized = _normalize_columns(np.array(columns, dtype=float))
     return _span_verification(normalized, ge_rank(normalized, rank_tol), dimension, tol,
                               rank_tol, modulus=None)
 

@@ -79,7 +79,10 @@ class WindowTooLarge(TreeShiftError):
     exit_code = 5
 
     def __init__(self, size, cap):
-        super().__init__(f"window has {size} vertices, cap is {cap}")
+        """``size`` None: the window was stopped as it passed the cap, so its
+        full size is unknown."""
+        super().__init__(f"window has {size} vertices, cap is {cap}" if size is not None
+                         else f"window has more than the cap of {cap} vertices")
         self.size = size
         self.cap = cap
 

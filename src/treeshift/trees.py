@@ -598,7 +598,7 @@ def materialize_window(model, level_lo, level_hi, breadth=64) -> TreeWindow:
     while current and lvl <= level_hi:
         collected.extend(current)
         if len(collected) > WINDOW_CAP:
-            raise WindowTooLarge(len(collected), WINDOW_CAP)
+            raise WindowTooLarge(None, WINDOW_CAP)
         nxt: list[str] = []
         for u in current:
             nxt.extend(model.children(u))

@@ -589,6 +589,31 @@ def test_cyclic_backward_reports_the_exact_certificate(tmp_path, capsys):
     assert "rank 79/123 mod 2147483647 (not certified), numerical rank" in out
 
 
+@pytest.mark.parametrize("branches,L,K,columns", [(2, 24, 150, 301), (1, 40, 200, 821),
+                                                   (2, 10, 27, 56)])
+def test_cyclic_backward_says_when_the_window_is_deeper_than_the_support(
+        tmp_path, capsys, branches, L, K, columns):
+    spec = write(tmp_path, "spec.json", {"branches": branches, "weights": {
+        "kind": "hash-random", "seed": 1, "low": 0.5, "high": 0.99}})
+    argv = ["cyclic", "--backward", spec, "--schedule", str(L), "--window-k", str(K)]
+    assert main(argv + ["--json"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    krylov = next(r for r in records if r.get("record") == "krylov")
+    assert set(krylov) == {"record", "rank", "dimension", "residual", "cyclic",
+                           "range_membership_n2", "certified", "numerical_rank", "modulus",
+                           "columns"}
+    assert (krylov["columns"], krylov["dimension"]) == (columns, branches * (K + 1))
+    assert main(argv) == 0
+    line = next(x for x in capsys.readouterr().out.splitlines()
+                if x.startswith("candidate verified"))
+    note = (f"; the window is deeper than the candidate's support, so the rank is short by "
+            f"counting ({columns} columns < {branches * (K + 1)} rows)")
+    if columns < branches * (K + 1):
+        assert not krylov["certified"] and line.endswith(note)
+    else:
+        assert krylov["certified"] and "deeper" not in line
+
+
 @pytest.mark.parametrize("flag,value", [("--levels", "abc"), ("--levels", "5:1"),
                                         ("--levels", "3"), ("--levels", "1:x"),
                                         ("--breadth", "0"), ("--breadth", "-2"),
@@ -627,4 +652,5 @@ def test_a_window_past_the_vertex_cap_exits_5(tmp_path):
     done = subprocess.run(argv, env=_subprocess_env(), capture_output=True, text=True,
                           timeout=60)
     assert done.returncode == 5 and done.stdout == ""
-    assert done.stderr == "error: WindowTooLarge: window has 262145 vertices, cap is 262144\n"
+    assert done.stderr == ("error: WindowTooLarge: window has more than the cap of 262144 "
+                           "vertices\n")

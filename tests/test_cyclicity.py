@@ -674,6 +674,100 @@ def test_verify_cyclic_candidate_runs_no_float_elimination(monkeypatch):
         verify_cyclic_candidate(spec, cand, K)
 
 
+def _direct_span_verification(normalized, rank, dimension, tol, rank_tol, modulus):
+    """``_span_verification`` as it was before wide matrices were reduced to
+    their LQ factor: one direct SVD of the normalized columns."""
+    u, s, _ = np.linalg.svd(normalized, full_matrices=False)
+    floor = s[0] * max(normalized.shape) * np.finfo(float).eps * 8.0 if s.size else 0.0
+    basis = u[:, s > floor]
+    residual = float(np.max(np.sqrt(np.clip(1.0 - np.sum(basis ** 2, axis=1), 0.0, None))))
+    numerical = int(np.count_nonzero(s > rank_tol * s[0])) if s.size else 0
+    return cyclicity.KrylovVerification(rank=rank, dimension=dimension, max_residual=residual,
+                                        columns=normalized.shape[1],
+                                        cyclic=(rank == dimension and residual <= tol),
+                                        numerical_rank=numerical,
+                                        certified=modulus is not None and rank == dimension,
+                                        modulus=modulus)
+
+
+def _span_cases():
+    """The window cases plus the three certified reproductions, with each
+    one's normalized window matrix."""
+    cases = list(_window_cases())
+    for branches, L, K in ((1, 40, 200), (2, 30, 150), (3, 36, 120)):
+        spec = BackwardShiftSpec(branches, uniform_weight_rule(1, 0.5, 0.99))
+        cases.append((spec, construct_backward_cyclic(spec, L), K))
+    return [(spec, cand, K,
+             cyclicity._normalize_columns(_closed_form_window_matrix(spec, cand, K)))
+            for spec, cand, K in cases]
+
+
+def _noise_floor(s, shape):
+    return s[0] * max(shape) * np.finfo(float).eps * 8.0
+
+
+def test_wide_windows_keep_the_full_svd_spectrum():
+    wide = [case for case in _span_cases() if case[3].shape[1] > case[3].shape[0]]
+    assert len(wide) >= 9
+    for spec, cand, K, normalized in wide:
+        u, s = cyclicity._left_svd(normalized)
+        full = np.linalg.svd(normalized, compute_uv=False)
+        assert u.shape == (normalized.shape[0], full.size) and s.shape == full.shape
+        assert np.max(np.abs(s - full)) <= 1e-13 * full[0]
+        floor = _noise_floor(s, normalized.shape)
+        assert np.count_nonzero(s > floor) == \
+            np.count_nonzero(full > _noise_floor(full, normalized.shape))
+        record = verify_cyclic_candidate(spec, cand, K)
+        assert record.numerical_rank == np.count_nonzero(full > RANK_TOL * full[0])
+        direct = _direct_span_verification(normalized, record.rank, record.dimension, 1e-5,
+                                           RANK_TOL, MODULUS)
+        assert abs(record.max_residual - direct.max_residual) <= 1e-7
+        assert (record.rank, record.dimension, record.columns, record.cyclic,
+                record.numerical_rank, record.certified, record.modulus) == \
+            (direct.rank, direct.dimension, direct.columns, direct.cyclic,
+             direct.numerical_rank, direct.certified, direct.modulus)
+
+
+def test_tall_and_square_windows_take_the_direct_svd_bit_for_bit():
+    narrow = [case for case in _span_cases() if case[3].shape[1] <= case[3].shape[0]]
+    assert {case[3].shape[1] < case[3].shape[0] for case in narrow} == {True, False}
+    for spec, cand, K, normalized in narrow:
+        u, s = cyclicity._left_svd(normalized)
+        want_u, want_s, _ = np.linalg.svd(normalized, full_matrices=False)
+        assert np.array_equal(u, want_u) and np.array_equal(s, want_s)
+        record = verify_cyclic_candidate(spec, cand, K)
+        direct = _direct_span_verification(normalized, record.rank, record.dimension, 1e-5,
+                                           RANK_TOL, MODULUS)
+        assert repr(record) == repr(direct)
+
+
+def test_noise_floor_scales_with_the_wide_side():
+    """999 copies of e1 and one column tilted by 1e-12: the tilt is above the
+    floor of the 2 x 2 LQ factor but below that of the 2 x 1000 matrix, so it
+    is rounding noise and the e2 row stays out of the span."""
+    columns = np.zeros((2, 1000))
+    columns[0] = 1.0
+    columns[:, 0] = (math.cos(1e-12), math.sin(1e-12))
+    record = verify_krylov_span(columns, 2, tol=1e-5)
+    assert record.max_residual == 1.0 and record.columns == 1000
+    s = np.linalg.svd(columns, compute_uv=False)
+    assert _noise_floor(s, (2, 2)) < s[1] < _noise_floor(s, columns.shape)
+
+
+def test_normalize_columns_works_in_place():
+    mat = np.array([[3.0, 0.0], [4.0, 0.0]])
+    assert cyclicity._normalize_columns(mat) is mat
+    assert mat.tolist() == [[0.6, 0.0], [0.8, 0.0]]
+
+
+def test_verify_krylov_span_leaves_its_columns_alone():
+    columns = np.array([[3.0, 0.0, 1.0], [4.0, 0.0, 1.0]])
+    kept = columns.copy()
+    record = verify_krylov_span(columns, 2, tol=1e-5)
+    assert np.array_equal(columns, kept)
+    assert (record.rank, record.numerical_rank, record.columns) == (2, 2, 3)
+
+
 def _construct_reference(spec, L):
     """construct_backward_cyclic with Sigma_m recomputed from scratch per stage."""
     def sigma(candidate, m):

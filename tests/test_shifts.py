@@ -163,6 +163,16 @@ def test_dense_cap():
         op.dense_truncation(window, cap=10)
 
 
+def test_dense_cap_names_the_true_window_size():
+    """A built window has a known size, so the message states it; only a
+    window stopped while it was built says "more than"."""
+    op = ShiftOperator(make_family("rootless-binary"), ConstantWeights(0.5))
+    window = materialize_window(op.model, 0, 5, breadth=64)
+    with pytest.raises(WindowTooLarge) as caught:
+        op.dense_truncation(window, cap=10)
+    assert str(caught.value) == f"window has {len(window)} vertices, cap is 10"
+
+
 def test_dense_to_vector_roundtrip():
     op = star()
     window = full_window(op.model)
