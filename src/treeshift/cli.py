@@ -198,21 +198,29 @@ def cmd_cyclic(args, out: Reporter) -> int:
             record = verify_cyclic_candidate(spec, candidate, args.window_k,
                                              rank_tol=args.rank_tol)
             certified = "certified" if record.certified else "not certified"
-            # Rank is at most the column count, so a window deeper than the
-            # candidate's support cannot be certified.
+            if record.decided:
+                # The exact rank settles the window: the float SVD never runs.
+                residual, numerical_rank, cyclic = None, None, record.certified
+                numerical = "numerical rank and residual not computed"
+            else:
+                residual, numerical_rank = record.max_residual, record.numerical_rank
+                cyclic = record.cyclic
+                numerical = f"numerical rank {numerical_rank}, residual {residual:.3e}"
+            # Rank is at most the number of nonzero Krylov columns, k_L + 1, so
+            # a window deeper than the candidate's support cannot be certified.
             short = (f"; the window is deeper than the candidate's support, so the rank is "
-                     f"short by counting ({record.columns} columns < {record.dimension} rows)"
-                     if record.columns < record.dimension else "")
+                     f"short by counting ({record.support_columns} columns < "
+                     f"{record.dimension} rows)"
+                     if record.support_columns < record.dimension else "")
             out.text(f"candidate verified: rank {record.rank}/{record.dimension} mod "
-                     f"{record.modulus} ({certified}), numerical rank "
-                     f"{record.numerical_rank}, residual {record.max_residual:.3e}{short}")
+                     f"{record.modulus} ({certified}), {numerical}{short}")
             membership = range_membership_report(spec, candidate, 2)
             out.text(f"range membership partial sum (n=2): {membership:.6g}")
             out.record("krylov", {"rank": record.rank, "dimension": record.dimension,
-                                  "residual": record.max_residual, "cyclic": record.cyclic,
+                                  "residual": residual, "cyclic": cyclic,
                                   "range_membership_n2": membership,
                                   "certified": record.certified,
-                                  "numerical_rank": record.numerical_rank,
+                                  "numerical_rank": numerical_rank,
                                   "modulus": record.modulus, "columns": record.columns})
             if args.json:
                 for line in candidate.to_json_lines().splitlines():

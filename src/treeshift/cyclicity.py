@@ -15,9 +15,12 @@ is also built over F_p (p = 2^31 - 1) and its rank there is computed
 exactly.  Rank mod p never exceeds the rank over Q, so full rank mod p is a
 proof of full rank; anything less is "not certified", never "not cyclic".
 The floating-point matrix only feeds the SVD behind the span residual and
-the labelled numerical rank.  A window wider than it is tall is reduced to
-its square LQ factor before that SVD, which leaves the left singular vectors
-and singular values as they are; the residual's last digits are at rounding
+the labelled numerical rank.  Those are built only when the exact rank
+leaves the window undecided, or when a caller reads them: a window that is
+certified, or short by counting (fewer nonzero Krylov columns k_L + 1 than
+rows), needs no SVD.  A window wider than it is tall is reduced to its
+square LQ factor before that SVD, which leaves the left singular vectors and
+singular values as they are; the residual's last digits are at rounding
 level and depend on the LAPACK build.
 """
 
@@ -246,7 +249,9 @@ def range_membership_report(spec: BackwardShiftSpec, candidate: CyclicCandidate,
 
 def ge_rank(matrix, rank_tol: float = RANK_TOL) -> int:
     """Numerical rank by Gaussian elimination with partial pivoting; a pivot
-    counts when it exceeds rank_tol times the largest entry of the input.
+    counts when it exceeds rank_tol times the largest entry of the input.  It
+    is a floating-point figure, never a certificate: a small true pivot below
+    the threshold is counted as zero.
 
     Each elimination step updates only the rows below the pivot that have a
     nonzero in the pivot column.  That is exact: on every other row the dense
@@ -295,8 +300,9 @@ def _normalize_columns(mat: np.ndarray) -> np.ndarray:
 
 
 def krylov_rank(matrix, vector, rank_tol: float = RANK_TOL, cap: int = DIMENSION_CAP) -> int:
-    """Rank of [x, Mx, ..., M^(d-1)x].  Columns are normalized first so the
-    pivot threshold is scale-free (column scaling never changes rank)."""
+    """Numerical rank (``ge_rank``) of [x, Mx, ..., M^(d-1)x], never a
+    certificate.  Columns are normalized first so the pivot threshold is
+    scale-free (column scaling never changes rank)."""
     import numpy as np
     mat = np.asarray(matrix, dtype=float)
     d = mat.shape[0]
@@ -314,8 +320,10 @@ def krylov_rank(matrix, vector, rank_tol: float = RANK_TOL, cap: int = DIMENSION
 
 
 def cokernel_dimension(matrix, rank_tol: float = RANK_TOL, cap: int = DIMENSION_CAP) -> int:
-    """d - rank(matrix); on tree windows the top boundary rows are artificial
-    deficiencies that callers subtract when reporting (window-edge analysis)."""
+    """d - rank(matrix), with the numerical rank of ``ge_rank``: a numerical
+    figure, never a certificate.  On tree windows the top boundary rows are
+    artificial deficiencies that callers subtract when reporting (window-edge
+    analysis)."""
     import numpy as np
     mat = np.asarray(matrix, dtype=float)
     d = mat.shape[0]
@@ -326,6 +334,13 @@ def cokernel_dimension(matrix, rank_tol: float = RANK_TOL, cap: int = DIMENSION_
 
 @dataclass
 class KrylovVerification:
+    """The record of a span check.
+
+    A record made by ``deferred`` holds only its exact part at first; its
+    float diagnostics (``max_residual``, ``cyclic`` and ``numerical_rank``)
+    are computed on the first read of any of them, once.
+    """
+
     rank: int
     dimension: int
     max_residual: float
@@ -334,6 +349,44 @@ class KrylovVerification:
     numerical_rank: int  # singular values above rank_tol * the largest
     certified: bool  # rank is exact (mod `modulus`) and equals dimension
     modulus: int | None  # None when `rank` is a floating-point pivot count
+    # k_L + 1, the Krylov columns B^k f (k <= k_L) that can be nonzero; None
+    # when the columns do not come from a candidate.
+    support_columns: int | None = field(default=None, repr=False, compare=False)
+
+    @classmethod
+    def deferred(cls, diagnose, **exact) -> KrylovVerification:
+        """A record of the fields in ``exact`` whose float diagnostics are
+        copied from the record ``diagnose()`` returns, when first read."""
+        record = object.__new__(cls)
+        record.__dict__.update(exact, _diagnose=diagnose)
+        return record
+
+    def __getattr__(self, name):
+        # Reached only for unset attributes: a deferred record's diagnostics.
+        if name in ("max_residual", "cyclic", "numerical_rank") and "_diagnose" in self.__dict__:
+            self._settle()
+            return getattr(self, name)
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def _settle(self):
+        done = self._diagnose()
+        self.max_residual, self.cyclic, self.numerical_rank = \
+            done.max_residual, done.cyclic, done.numerical_rank
+        del self._diagnose
+
+    def __getstate__(self):
+        # The pending closure cannot be pickled; the values it gives can.
+        if "_diagnose" in self.__dict__:
+            self._settle()
+        return self.__dict__
+
+    @property
+    def decided(self) -> bool:
+        """True when the exact rank settles the window without the float
+        diagnostics: it is certified, or short by counting (fewer nonzero
+        Krylov columns than rows)."""
+        return self.certified or (self.support_columns is not None
+                                  and self.support_columns < self.dimension)
 
 
 def _left_svd(mat):
@@ -383,8 +436,9 @@ def verify_krylov_span(columns: np.ndarray, dimension: int, tol: float,
                        rank_tol: float = RANK_TOL) -> KrylovVerification:
     """Rank and worst basis-projection residual of a set of span columns.
 
-    The rank figure counts Gaussian-elimination pivots at rank_tol; it is a
-    numerical figure, never a certificate.
+    Both ``rank`` (Gaussian-elimination pivots at rank_tol) and
+    ``numerical_rank`` are numerical ranks, never certificates: the record is
+    never ``certified``.
     """
     import numpy as np
     normalized = _normalize_columns(np.array(columns, dtype=float))
@@ -513,20 +567,36 @@ def verify_cyclic_candidate(spec: BackwardShiftSpec, candidate: CyclicCandidate,
     window projections {e_{j,k}: k <= K} of the iterates form a matrix known
     in closed form.  Its rank is computed exactly over F_p (``modulus``):
     rank mod p is at most the true rank, so a full rank is ``certified``.
-    The same matrix in doubles gives the span residual and the
-    ``numerical_rank`` at rank_tol, both labelled numerical.
+    Only the k_L + 1 columns up to the deepest support point k_L can be
+    nonzero (``support_columns``), so fewer of them than rows leaves the rank
+    short by counting.
+
+    The same matrix in doubles gives the span residual, the ``numerical_rank``
+    at rank_tol and the float ``cyclic``, all labelled numerical.  Where the
+    exact rank decides the window (``decided``: certified or short by
+    counting) they are computed on their first read, if ever; otherwise
+    before the record is returned.  Either way the values are the same.
     """
     dim_window = spec.branches * (window_K + 1)
     if dim_window > cap:
         raise DimensionCap(dim_window, cap)
-    depth = max(k for _, k in candidate.schedule)
-    depth = max(depth, window_K)
+    deepest = max(k for _, k in candidate.schedule)
+    depth = max(deepest, window_K)
     steps = spec.steps(depth)
     support = _support(candidate)
     # The exact matrix is eliminated and dropped before the SVD allocates.
     rank = _rank_mod_p(_window_matrix_mod_p(support, steps, window_K, depth))
-    normalized = _normalize_columns(_window_matrix(support, steps, window_K, depth))
-    return _span_verification(normalized, rank, dim_window, tol, rank_tol, modulus=MODULUS)
+
+    def diagnose():
+        normalized = _normalize_columns(_window_matrix(support, steps, window_K, depth))
+        return _span_verification(normalized, rank, dim_window, tol, rank_tol, modulus=MODULUS)
+
+    record = KrylovVerification.deferred(
+        diagnose, rank=rank, dimension=dim_window, columns=depth + 1,
+        certified=rank == dim_window, modulus=MODULUS, support_columns=deepest + 1)
+    if not record.decided:
+        record._settle()
+    return record
 
 
 def _unit_interval(wdoc: dict, key: str) -> float:

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import treeshift
-from treeshift import cli
+from treeshift import cli, cyclicity
 from treeshift.cli import main
 from treeshift.shifts import ShiftOperator
 
@@ -581,12 +581,60 @@ def test_cyclic_backward_reports_the_exact_certificate(tmp_path, capsys):
     krylov = krylov[0]
     assert (krylov["rank"], krylov["dimension"], krylov["certified"], krylov["modulus"]) == \
         (201, 201, True, 2 ** 31 - 1)
-    assert 0 < krylov["numerical_rank"] <= 201
+    assert krylov["numerical_rank"] is None
 
     short = write(tmp_path, "three.json", {"branches": 3})
     assert main(["cyclic", "--backward", short, "--schedule", "12", "--window-k", "40"]) == 0
     out = capsys.readouterr().out
     assert "rank 79/123 mod 2147483647 (not certified), numerical rank" in out
+
+
+def test_cyclic_backward_certified_window_is_cyclic_whatever_the_float_residual(
+        tmp_path, capsys):
+    spec = write(tmp_path, "one.json", {"branches": 1, "weights": {
+        "kind": "hash-random", "seed": 1, "low": 0.5, "high": 0.99}})
+    assert main(["cyclic", "--backward", spec, "--schedule", "40", "--window-k", "200",
+                 "--json"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    krylov = next(r for r in records if r.get("record") == "krylov")
+    assert (krylov["certified"], krylov["cyclic"]) == (True, True)
+    assert krylov["residual"] is None and krylov["numerical_rank"] is None
+
+
+def test_cyclic_backward_short_window_names_its_nonzero_columns(tmp_path, capsys):
+    spec = write(tmp_path, "one.json", {"branches": 1, "weights": {
+        "kind": "hash-random", "seed": 1, "low": 0.5, "high": 0.99}})
+    assert main(["cyclic", "--backward", spec, "--schedule", "16", "--window-k", "200"]) == 0
+    line = next(x for x in capsys.readouterr().out.splitlines()
+                if x.startswith("candidate verified"))
+    assert line == ("candidate verified: rank 137/201 mod 2147483647 (not certified), "
+                    "numerical rank and residual not computed; the window is deeper than the "
+                    "candidate's support, so the rank is short by counting (137 columns < "
+                    "201 rows)")
+
+
+# The (J, L, K) shapes of the backward-cyclic benchmark workload.
+BENCHMARK_SHAPES = ((1, 16, 40), (1, 16, 50), (1, 20, 64), (1, 24, 100), (1, 30, 120),
+                    (1, 40, 200), (2, 16, 40), (2, 20, 80), (2, 24, 150), (3, 12, 40),
+                    (3, 16, 60), (3, 20, 100))
+
+
+@pytest.mark.parametrize("branches,L,K", BENCHMARK_SHAPES)
+def test_cyclic_backward_runs_no_svd_where_the_exact_rank_decides(tmp_path, capsys,
+                                                                  monkeypatch, branches, L, K):
+    def refuse(mat):
+        raise AssertionError("float SVD on a decided window")
+
+    monkeypatch.setattr(cyclicity, "_left_svd", refuse)
+    spec = write(tmp_path, "spec.json", {"branches": branches, "weights": {
+        "kind": "hash-random", "seed": 5, "low": 0.5, "high": 0.99}})
+    assert main(["cyclic", "--backward", spec, "--schedule", str(L), "--window-k", str(K),
+                 "--json"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    krylov = next(r for r in records if r.get("record") == "krylov")
+    assert krylov["residual"] is None and krylov["numerical_rank"] is None
+    assert krylov["cyclic"] == krylov["certified"]
+    assert krylov["certified"] == (branches * (K + 1) <= L * (L + 1) // 2 + 1)
 
 
 @pytest.mark.parametrize("branches,L,K,columns", [(2, 24, 150, 301), (1, 40, 200, 821),

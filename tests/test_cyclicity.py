@@ -2,6 +2,7 @@
 
 import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -823,3 +824,55 @@ def test_one_short_is_not_certified_and_numerical_rank_follows_rank_tol():
         norms = np.linalg.norm(cols, axis=0)
         s = np.linalg.svd(cols / norms, compute_uv=False)
         assert record.numerical_rank == int(np.sum(s > rank_tol * s[0]))
+
+
+def _counting_svd(monkeypatch):
+    """Wrap ``_left_svd`` so a test can see how often the float SVD runs."""
+    calls = []
+    left_svd = cyclicity._left_svd
+
+    def counted(mat):
+        calls.append(mat.shape)
+        return left_svd(mat)
+
+    monkeypatch.setattr(cyclicity, "_left_svd", counted)
+    return calls
+
+
+@pytest.mark.parametrize("branches,L,K,certified", [(1, 40, 200, True), (3, 36, 120, True),
+                                                    (1, 16, 200, False), (2, 24, 150, False)])
+def test_decided_windows_run_the_svd_once_on_first_read(monkeypatch, branches, L, K,
+                                                        certified):
+    spec = BackwardShiftSpec(branches, uniform_weight_rule(1, 0.5, 0.99))
+    cand = construct_backward_cyclic(spec, L)
+    calls = _counting_svd(monkeypatch)
+    record = verify_cyclic_candidate(spec, cand, K)
+    assert record.decided and record.certified == certified and calls == []
+    assert record.support_columns == max(k for _, k in cand.schedule) + 1
+    if not certified:
+        assert record.support_columns < record.dimension
+    first = record.max_residual
+    assert len(calls) == 1
+    normalized = cyclicity._normalize_columns(_closed_form_window_matrix(spec, cand, K))
+    want = cyclicity._span_verification(normalized, record.rank, record.dimension, 1e-5,
+                                        RANK_TOL, MODULUS)
+    assert repr(record) == repr(want) and repr(first) == repr(want.max_residual)
+    assert (record.cyclic, record.numerical_rank) == (want.cyclic, want.numerical_rank)
+    assert len(calls) == 2  # the one read above, and the reference
+    fresh = verify_cyclic_candidate(spec, cand, K)
+    assert repr(pickle.loads(pickle.dumps(fresh))) == repr(want)
+    assert repr(copy.deepcopy(verify_cyclic_candidate(spec, cand, K))) == repr(want)
+
+
+def test_an_undecided_window_is_diagnosed_before_it_is_returned(monkeypatch):
+    spec = BackwardShiftSpec(1, 1.0)
+    broken = construct_backward_cyclic(spec, 12)
+    broken.xi[-1] = 0.0  # k_L + 1 = 79 columns still reach every row
+    calls = _counting_svd(monkeypatch)
+    record = verify_cyclic_candidate(spec, broken, 78)
+    assert calls == [(79, 79)] and not record.decided
+    assert (record.rank, record.dimension, record.support_columns) == (67, 79, 79)
+    normalized = cyclicity._normalize_columns(_closed_form_window_matrix(spec, broken, 78))
+    direct = _direct_span_verification(normalized, 67, 79, 1e-5, RANK_TOL, MODULUS)
+    assert repr(record) == repr(direct)
+    assert len(calls) == 1
