@@ -321,7 +321,9 @@ def krylov_rank(matrix, vector, rank_tol: float = RANK_TOL, cap: int = DIMENSION
 
 def cokernel_dimension(matrix, rank_tol: float = RANK_TOL, cap: int = DIMENSION_CAP) -> int:
     """d - rank(matrix), with the numerical rank of ``ge_rank``: a numerical
-    figure, never a certificate.  On tree windows the top boundary rows are
+    figure, never a certificate.  For the truncation of a tree window use
+    ``ShiftOperator.window_cokernel``, which counts the same number exactly
+    without the matrix.  On tree windows the top boundary rows are
     artificial deficiencies that callers subtract when reporting (window-edge
     analysis)."""
     import numpy as np
@@ -424,12 +426,11 @@ def _span_verification(normalized, rank: int, dimension: int, tol: float, rank_t
     basis = u[:, s > floor]
     residual = float(np.max(np.sqrt(np.clip(1.0 - np.sum(basis ** 2, axis=1), 0.0, None))))
     numerical = int(np.count_nonzero(s > rank_tol * s[0])) if s.size else 0
+    certified = modulus is not None and rank == dimension
     return KrylovVerification(rank=rank, dimension=dimension, max_residual=residual,
                               columns=normalized.shape[1],
-                              cyclic=(rank == dimension and residual <= tol),
-                              numerical_rank=numerical,
-                              certified=modulus is not None and rank == dimension,
-                              modulus=modulus)
+                              cyclic=certified or (rank == dimension and residual <= tol),
+                              numerical_rank=numerical, certified=certified, modulus=modulus)
 
 
 def verify_krylov_span(columns: np.ndarray, dimension: int, tol: float,
@@ -571,11 +572,13 @@ def verify_cyclic_candidate(spec: BackwardShiftSpec, candidate: CyclicCandidate,
     nonzero (``support_columns``), so fewer of them than rows leaves the rank
     short by counting.
 
-    The same matrix in doubles gives the span residual, the ``numerical_rank``
-    at rank_tol and the float ``cyclic``, all labelled numerical.  Where the
-    exact rank decides the window (``decided``: certified or short by
-    counting) they are computed on their first read, if ever; otherwise
-    before the record is returned.  Either way the values are the same.
+    The same matrix in doubles gives the span residual and the
+    ``numerical_rank`` at rank_tol, both labelled numerical.  ``cyclic`` is
+    true on a certified window, whatever its residual; elsewhere it is the
+    float test (full rank and residual within tol).  Where the exact rank
+    decides the window (``decided``: certified or short by counting) these
+    three fields are computed on their first read, if ever; otherwise before
+    the record is returned.  Either way the values are the same.
     """
     dim_window = spec.branches * (window_K + 1)
     if dim_window > cap:

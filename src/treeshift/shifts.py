@@ -174,6 +174,19 @@ class ShiftOperator:
         weight is a function of its vertex's level."""
         return self.model.children_per_vertex is not None and self.weights.level_only
 
+    def window_cokernel(self, window: TreeWindow) -> int:
+        """Exact dim ker (P_W S P_W)^*: len(window) minus the rank of the
+        window truncation, counted without building it.
+
+        Each vertex has at most one parent, so the columns S e_u restricted
+        to the window have disjoint supports, and the rank is the number of
+        window vertices with a nonzero weight on some in-window child.  No
+        elimination and no tolerance: a tiny positive weight still counts.
+        """
+        rank = sum(1 for u in window.order
+                   if any(v in window and self.weight(v) != 0.0 for v in self.children(u)))
+        return len(window) - rank
+
     def dense_truncation(self, window: TreeWindow, cap: int = DENSE_CAP) -> np.ndarray:
         """Matrix of the compression P_W S P_W in the level-major basis order."""
         import numpy as np

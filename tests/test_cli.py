@@ -179,6 +179,47 @@ def test_oracle(specs, capsys):
     assert doc["cokernel"] == 2  # 1 + Br on the full finite window
 
 
+def test_oracle_counts_a_tiny_weight_in_the_window_cokernel(tmp_path, capsys):
+    """b = 1e-12 sits below the float rank threshold of 1e-8 times the
+    largest entry, so an elimination counts its column as zero (cokernel 2).
+    The columns of a tree truncation have disjoint supports, so the rank is
+    3 and the cokernel exactly 1 (the root)."""
+    tree = write(tmp_path, "path.json", {"vertices": ["r", "a", "b", "c"],
+                                         "edges": [["r", "a"], ["a", "b"], ["b", "c"]],
+                                         "root": "r"})
+    weights = write(tmp_path, "path_w.json",
+                    {"kind": "map", "values": {"a": 0.5, "b": 1e-12, "c": 0.5}})
+    argv = ["oracle", "--tree", tree, "--weights", weights, "--levels", "0:3"]
+    assert main(argv) == 0
+    assert "window cokernel: 1 (exact count, 0 boundary-artificial)" in \
+        capsys.readouterr().out.splitlines()
+    assert main(argv + ["--json"]) == 0
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert next(d for d in lines if d["record"] == "oracle")["cokernel"] == 1
+
+
+def test_no_command_runs_a_float_rank(specs, monkeypatch, capsys):
+    """The float ranks stay library helpers: the oracle counts its cokernel
+    and ``cyclic --backward`` ranks over F_p."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("float rank called")
+
+    for name in ("ge_rank", "krylov_rank", "cokernel_dimension", "verify_krylov_span"):
+        monkeypatch.setattr(cyclicity, name, refuse)
+    monkeypatch.setattr(cli, "cokernel_dimension", refuse)
+    for argv in (["oracle", "--tree", specs["star"], "--weights", specs["star_w"],
+                  "--levels", "0:2"],
+                 ["oracle", "--tree", specs["tilde"], "--weights", specs["tilde_w"],
+                  "--levels=-4:4", "--json"],
+                 ["cyclic", "--backward", specs["backward"], "--window-k", "20"],
+                 ["cyclic", "--tree", specs["tilde"], "--weights", specs["tilde_w"],
+                  "--levels=-6:6", "--depth", "20"],
+                 ["similarity", "--tree", specs["tilde"], "--weights", specs["tilde_w"],
+                  "--levels=-4:4"]):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+
+
 class _DoubledAdjoint(ShiftOperator):
     def apply_adjoint(self, x):
         return super().apply_adjoint(x).scaled(2.0)

@@ -309,6 +309,25 @@ def test_verify_single_branch_reference_numbers():
     assert record.cyclic
 
 
+def test_certified_window_is_cyclic_whatever_its_residual():
+    """The exact F_p rank proves full rank here, while the float span residual
+    reads 1.0 (numerical rank 60 of 201): ``cyclic`` follows the certificate."""
+    spec = BackwardShiftSpec(1, uniform_weight_rule(1, 0.5, 0.99))
+    record = verify_cyclic_candidate(spec, construct_backward_cyclic(spec, 40), 200)
+    assert record.certified and record.rank == record.dimension == 201
+    assert record.max_residual > 1e-5 and record.numerical_rank < 201
+    assert record.cyclic
+
+
+def test_uncertified_record_keeps_the_float_cyclic_test():
+    columns = np.eye(4)[:, :3]  # rank 3 of 4: not cyclic, and never certified
+    record = verify_krylov_span(columns, 4, 1e-5)
+    assert (record.rank, record.certified, record.modulus, record.cyclic) == \
+        (3, False, None, False)
+    record = verify_krylov_span(np.eye(4), 4, 1e-5)
+    assert (record.certified, record.cyclic) == (False, True)
+
+
 def test_verify_two_branch_reference_numbers():
     spec = BackwardShiftSpec(2, 0.9)
     cand = construct_backward_cyclic(spec, 16)
@@ -677,17 +696,19 @@ def test_verify_cyclic_candidate_runs_no_float_elimination(monkeypatch):
 
 def _direct_span_verification(normalized, rank, dimension, tol, rank_tol, modulus):
     """``_span_verification`` as it was before wide matrices were reduced to
-    their LQ factor: one direct SVD of the normalized columns."""
+    their LQ factor: one direct SVD of the normalized columns.  ``cyclic``
+    follows the library's rule: certified, or full rank within tol."""
     u, s, _ = np.linalg.svd(normalized, full_matrices=False)
     floor = s[0] * max(normalized.shape) * np.finfo(float).eps * 8.0 if s.size else 0.0
     basis = u[:, s > floor]
     residual = float(np.max(np.sqrt(np.clip(1.0 - np.sum(basis ** 2, axis=1), 0.0, None))))
     numerical = int(np.count_nonzero(s > rank_tol * s[0])) if s.size else 0
+    certified = modulus is not None and rank == dimension
     return cyclicity.KrylovVerification(rank=rank, dimension=dimension, max_residual=residual,
                                         columns=normalized.shape[1],
-                                        cyclic=(rank == dimension and residual <= tol),
-                                        numerical_rank=numerical,
-                                        certified=modulus is not None and rank == dimension,
+                                        cyclic=certified or (rank == dimension
+                                                             and residual <= tol),
+                                        numerical_rank=numerical, certified=certified,
                                         modulus=modulus)
 
 

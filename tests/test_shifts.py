@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from treeshift.cyclicity import cokernel_dimension
 from treeshift.errors import UnknownVertex, WeightError, WindowTooLarge
 from treeshift.shifts import ShiftOperator, dense_to_vector, vector_to_dense
 from treeshift.sparse import SparseVector
@@ -12,6 +13,7 @@ from treeshift.trees import make_family, materialize_window, validate_finite
 from treeshift.weights import (
     ConstantWeights,
     ExpRayWeights,
+    HashRandomWeights,
     MapWeights,
     weights_from_json,
 )
@@ -171,6 +173,66 @@ def test_dense_cap_names_the_true_window_size():
     with pytest.raises(WindowTooLarge) as caught:
         op.dense_truncation(window, cap=10)
     assert str(caught.value) == f"window has {len(window)} vertices, cap is 10"
+
+
+def _float_cokernel(op, window):
+    return cokernel_dimension(op.dense_truncation(window))
+
+
+def test_window_cokernel_matches_the_float_cokernel_on_random_trees(rng):
+    for n in (1, 2, 5, 30, 120, 400):
+        tree = random_finite_tree(rng, n)
+        op = ShiftOperator(tree, MapWeights(random_weight_map(rng, tree, 1e-6, 1.0)))
+        window = full_window(tree)
+        assert op.window_cokernel(window) == _float_cokernel(op, window)
+        # a partial window: its top boundary and its cut-off children
+        if tree.depth() >= 2:
+            part = materialize_window(tree, 1, tree.depth() - 1, breadth=10 ** 6)
+            assert op.window_cokernel(part) == _float_cokernel(op, part)
+
+
+@pytest.mark.parametrize("tag,params,lo,hi", [
+    ("tilde", None, -8, 8),
+    ("comb", {"primed_leaf": 3}, -6, 9),
+    ("comb", {"primed_leaf": 2, "unprimed_leaf": 5}, -4, 7),
+    ("bilateral-path", None, -10, 10),
+])
+def test_window_cokernel_matches_the_float_cokernel_on_family_windows(tag, params, lo, hi):
+    model = make_family(tag, params)
+    window = materialize_window(model, lo, hi, breadth=64)
+    for seed in range(4):
+        for weights in (HashRandomWeights(seed, 1e-6, 1.0), HashRandomWeights(seed, 0.5, 0.99)):
+            op = ShiftOperator(model, weights)
+            assert op.window_cokernel(window) == _float_cokernel(op, window)
+
+
+def test_window_cokernel_drops_the_column_of_a_zero_weight():
+    """An exact 0.0 weight empties its parent's column in both counts.  The
+    weight loaders reject zero weights, so the map is edited after loading."""
+    tree = validate_finite(["r", "a", "b", "c", "d"],
+                           [("r", "a"), ("r", "b"), ("a", "c"), ("b", "d")])
+    weights = MapWeights({"a": 0.6, "b": 0.8, "c": 0.5, "d": 0.5})
+    window = full_window(tree)
+    base = ShiftOperator(tree, weights)
+    assert base.window_cokernel(window) == _float_cokernel(base, window) == 2
+    weights.values["d"] = 0.0
+    zeroed = ShiftOperator(tree, weights)
+    assert zeroed.window_cokernel(window) == _float_cokernel(zeroed, window) == 3
+    weights.values["a"] = 0.0  # r keeps its column through b
+    zeroed = ShiftOperator(tree, weights)
+    assert zeroed.window_cokernel(window) == _float_cokernel(zeroed, window) == 3
+
+
+def test_window_cokernel_builds_no_matrix(monkeypatch):
+    op = ShiftOperator(make_family("tilde"), HashRandomWeights(3, 0.5, 0.9))
+    window = materialize_window(op.model, -6, 6)
+    want = _float_cokernel(op, window)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense_truncation called")
+
+    monkeypatch.setattr(ShiftOperator, "dense_truncation", refuse)
+    assert ShiftOperator(op.model, op.weights).window_cokernel(window) == want
 
 
 def test_dense_to_vector_roundtrip():
