@@ -23,13 +23,17 @@ Level lumping: when every vertex has the same children count (the tree's
 weights' ``level_only``; ``ShiftOperator.is_level_homogeneous`` tests both:
 constant, geometric, step or exp-ray weights on the paths and the rootless
 binary tree), all vertices of a level share one weighted cone and one
-ancestor chain.  The forward descent then keeps a single representative per
-level, carrying the mass prod * sum over Chi(rep) of lambda^2, so the
-frontier stays at size 1, the frontier cap never binds, and s_n is exact out
-to convergence or the depth budget; one descent serves every vertex of a
-level.  The adjoint side extends one ancestor chain per level and scales it
-by the generation size.  Otherwise every cone and chain is walked vertex by
-vertex.
+ancestor chain, and both sides run on per-level numbers.  The forward
+descent multiplies s_n = s_(n-1) * q_l, where q_l, the sum of lambda^2 over
+the children of a level-l vertex, is read from a per-level table on the
+``AlphaEvaluator``, filled once per level by the same children and weight
+queries and summation order as a walk of one representative.  The frontier
+cap never binds, s_n is exact out to convergence or the depth budget, and
+one descent serves every vertex of a level.  The adjoint side counts the
+generation instead of listing it, (c - 1) * c^(d - 1) vertices at step d
+for c children per vertex, and scales one ancestor chain per level by that
+count; the vertex ids are walked only when the h vector's coefficients are
+read.  Otherwise every cone and chain is walked vertex by vertex.
 
 Every walk asks the operator, not the model, for weights, children and
 parents.  ``ShiftOperator`` memoizes these per vertex, so the overlapping
@@ -96,6 +100,11 @@ class AlphaEvaluator:
         self.lumped = operator.is_level_homogeneous()
         self._cache: dict[str, VertexEstimate] = {}
         self._by_level: dict[int, tuple] = {}
+        # Lumped operators only: level -> (a vertex of the next level, the sum
+        # over the children of a vertex of the level of lambda^2), or () for a
+        # level without children.  Each level is filled once, by its first
+        # descent.
+        self._steps: dict[int, tuple] = {}
 
     def __call__(self, u: str) -> VertexEstimate:
         hit = self._cache.get(u)
@@ -112,7 +121,7 @@ class AlphaEvaluator:
         lvl = self.operator.model.level(u)
         hit = self._by_level.get(lvl)
         if hit is None:
-            hit = self._by_level[lvl] = self._descend(u)
+            hit = self._by_level[lvl] = self._descend(u, lvl)
         return VertexEstimate(u, *hit)
 
     @functools.cached_property
@@ -120,12 +129,17 @@ class AlphaEvaluator:
         """The weights' convergence floor level, read at the first descent."""
         return self.operator.weights.convergence_floor_level(self.operator.model)
 
-    def _descend(self, u: str) -> tuple:
-        """(estimate, upper, status, depth) from the partial sums s_n(u)."""
+    def _descend(self, u: str, lvl: int | None = None) -> tuple:
+        """(estimate, upper, status, depth) from the partial sums s_n(u).
+
+        A lumped operator passes ``lvl``, the level of u: one representative
+        stands for its whole level, so s_n = s_(n-1) * q with q read from the
+        level table."""
         op = self.operator
         model = op.model
         children, weight = op.children, op.weight
         lumped = self.lumped
+        steps = self._steps
         # Flat unit-weight prefixes keep the partial sums exactly constant, so
         # convergence may not be declared before the frontier has passed them.
         min_depth = CONSECUTIVE_SMALL + 5
@@ -133,23 +147,31 @@ class AlphaEvaluator:
         if floor is not None:
             min_depth = max(min_depth, floor - model.level(u) + CONSECUTIVE_SMALL + 2)
         frontier = {u: 1.0}
+        rep = u
         s_prev = 1.0
         consecutive = 0
         n = 0
         for n in range(1, self.max_depth + 1):
             if lumped:
-                # One representative stands for its whole level.
-                ((w, prod),) = frontier.items()
-                kids = children(w)
-                nxt = {kids[0]: prod * sum(weight(v) ** 2 for v in kids)} if kids else {}
+                step = steps.get(lvl)
+                if step is None:
+                    kids = children(rep)
+                    q = sum(weight(v) ** 2 for v in kids)
+                    step = steps[lvl] = (kids[0], q) if kids else ()
+                if not step:
+                    return 0.0, 0.0, EXACT_ZERO, n
+                rep, q = step
+                lvl += 1
+                s = s_prev * q
             else:
                 nxt = {}
                 for w, prod in frontier.items():
                     for v in children(w):
                         nxt[v] = prod * weight(v) ** 2
-            if not nxt:
-                return 0.0, 0.0, EXACT_ZERO, n
-            s = sum(nxt.values())
+                if not nxt:
+                    return 0.0, 0.0, EXACT_ZERO, n
+                s = sum(nxt.values())
+                frontier = nxt
             if s > s_prev + 1e-12:
                 raise NotAContraction(s)  # partial sums must be nonincreasing
             if abs(s - s_prev) < self.tol:
@@ -158,7 +180,6 @@ class AlphaEvaluator:
                     return s, s, CONVERGED, n
             else:
                 consecutive = 0
-            frontier = nxt
             s_prev = s
             if len(frontier) > self.frontier_cap:
                 break
@@ -266,7 +287,10 @@ def stable_subtree(profile: AsymptoticProfile,
 @dataclass
 class HVector:
     """Adjoint-limit eigenvector of one level: truncated-product coefficients
-    over the materialized generation."""
+    over the materialized generation.
+
+    A record made by ``deferred`` walks its generation for the vertex ids
+    only when ``coefficients`` is first read."""
 
     level: int
     coefficients: SparseVector
@@ -274,6 +298,30 @@ class HVector:
     status: str
     depth: int
     gen_exact: bool
+
+    @classmethod
+    def deferred(cls, build, **fields) -> HVector:
+        """A record of ``fields`` whose coefficients are ``build()``."""
+        h = object.__new__(cls)
+        h.__dict__.update(fields, _build=build)
+        return h
+
+    def __getattr__(self, name):
+        # Reached only for unset attributes: a deferred record's coefficients.
+        if name == "coefficients" and "_build" in self.__dict__:
+            self._settle()
+            return self.coefficients
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def _settle(self):
+        self.coefficients = self._build()
+        del self._build
+
+    def __getstate__(self):
+        # The pending walk holds the operator; the vector it gives is pickled.
+        if "_build" in self.__dict__:
+            self._settle()
+        return self.__dict__
 
 
 def _generation_complete(model, anchor_level: int) -> bool:
@@ -297,43 +345,65 @@ def ancestor_products(operator: ShiftOperator, v: str, depth: int) -> tuple:
     return prods, w
 
 
-def _adjoint_level(operator: ShiftOperator, u: str, depth: int, tol: float,
-                   frontier_cap: int):
-    """(estimate record, HVector) for the level of u on a rootless model."""
+def _generation(operator: ShiftOperator, u: str, depth: int, frontier_cap: int,
+                fan: int | None = None) -> tuple:
+    """(size, members, gen_exact) of the generation of u that the adjoint
+    sweep materializes.
+
+    Step d climbs to the d-th ancestor and adds the vertices d levels below
+    it that are not below the previous anchor.  The sweep stops before the
+    members would pass ``frontier_cap`` and once the generation is complete.
+    With ``fan``, the children count of every vertex, step d adds
+    (fan - 1) * fan^(d - 1) vertices, which are counted and not listed:
+    ``members`` is then None.
+    """
     model = operator.model
     members = [u]
+    size = 1
     anchor = u
     gen_exact = model.generation_complete(model.level(u))
     for d in range(1, depth + 1):
         parent = operator.parent(anchor)
         if parent is None:
             break
-        siblings = [v for v in operator.children(parent) if v != anchor]
-        new = dict.fromkeys(siblings)
-        for _ in range(d - 1):
-            grown: dict[str, None] = {}
-            for w in new:
-                for v in operator.children(w):
-                    grown[v] = None
-            new = grown
-            if len(members) + len(new) > frontier_cap:
-                break
-        if len(members) + len(new) > frontier_cap:
-            anchor = parent
+        if fan is None:
+            new = dict.fromkeys(v for v in operator.children(parent) if v != anchor)
+            for _ in range(d - 1):
+                grown: dict[str, None] = {}
+                for w in new:
+                    for v in operator.children(w):
+                        grown[v] = None
+                new = grown
+                if size + len(new) > frontier_cap:
+                    break
+            added = len(new)
+        else:
+            new, added = (), (fan - 1) * fan ** (d - 1)
+        if size + added > frontier_cap:
             break
         members.extend(new)
+        size += added
         anchor = parent
         if model.generation_complete(model.level(anchor)):
             gen_exact = True
             break
+    return size, (members if fan is None else None), gen_exact
+
+
+def _adjoint_level(operator: ShiftOperator, u: str, depth: int, tol: float,
+                   frontier_cap: int):
+    """(estimate record, HVector) for the level of u on a rootless model."""
+    model = operator.model
+    lumped = operator.is_level_homogeneous()
+    size, members, gen_exact = _generation(
+        operator, u, depth, frontier_cap, model.children_per_vertex if lumped else None)
 
     # Extend every ancestor product to the full depth; record the partial
     # sums to certify convergence of the product tails.
-    if operator.is_level_homogeneous():
+    if lumped:
         # Every member's chain carries the same weights, level by level.
         chain, _ = ancestor_products(operator, u, depth)
-        chains = dict.fromkeys(members, chain)
-        sums = [len(members) * chain[min(d, len(chain) - 1)] for d in range(depth)]
+        sums = [size * chain[min(d, len(chain) - 1)] for d in range(depth)]
     else:
         chains = {v: ancestor_products(operator, v, depth)[0] for v in members}
         # A chain that ended at a root holds its last product out to the full
@@ -351,9 +421,16 @@ def _adjoint_level(operator: ShiftOperator, u: str, depth: int, tol: float,
             consecutive = 0
     estimate = sums[-1] if sums else 0.0
     status = CONVERGED if (gen_exact and tail_ok) else MAX_DEPTH
-    coeffs = SparseVector({v: math.sqrt(chains[v][-1]) for v in members})
-    lvl = model.level(u)
-    h = HVector(lvl, coeffs, estimate, status, depth, gen_exact)
+    fields = {"level": model.level(u), "norm_sq": estimate, "status": status,
+              "depth": depth, "gen_exact": gen_exact}
+    if lumped:
+        # One coefficient for every member; their ids are walked on demand.
+        coeff = math.sqrt(chain[-1])
+        h = HVector.deferred(lambda: SparseVector(dict.fromkeys(
+            _generation(operator, u, depth, frontier_cap)[1], coeff)), **fields)
+    else:
+        h = HVector(coefficients=SparseVector({v: math.sqrt(chains[v][-1]) for v in members}),
+                    **fields)
     return VertexEstimate(u, estimate, estimate if gen_exact else 1.0, status, depth), h
 
 

@@ -340,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--weights", required=required, help="weight spec JSON path")
         p.add_argument("--tol", type=_TOL, default=1e-10)
         p.add_argument("--zero-th", dest="zero_th", type=_ZERO_TH, default=1e-9)
-        p.add_argument("--rank-tol", dest="rank_tol", type=_TOL, default=1e-8)
         p.add_argument("--depth", type=_POSITIVE_INT, default=64)
 
     p = sub.add_parser("validate", help="structural validation and summary")
@@ -359,6 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backward", help="backward shift spec JSON (instead of a tree)")
     p.add_argument("--schedule", type=_POSITIVE_INT, default=16, help="schedule length L")
     p.add_argument("--window-k", dest="window_k", type=_NONNEGATIVE_INT, default=50)
+    p.add_argument("--rank-tol", dest="rank_tol", type=_TOL, default=1e-8,
+                   help="singular-value cut of the --backward numerical_rank")
     p.set_defaults(func=cmd_cyclic)
     return parser
 

@@ -1,26 +1,37 @@
 """Forward and adjoint limit profiles, stable subtree, classification."""
 
+import copy
+import json
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from treeshift.asymptotics import (
     AlphaEvaluator,
+    HVector,
+    VertexEstimate,
     adjoint_profile,
     alpha_profile,
+    ancestor_products,
     classify,
     stable_subtree,
     _adjoint_level,
+    CONSECUTIVE_SMALL,
     CONVERGED,
+    DEFAULT_MAX_DEPTH,
+    DEFAULT_TOL,
     EXACT_ONE,
     EXACT_ZERO,
     FRONTIER_CAP,
     MAX_DEPTH,
 )
+from treeshift.cli import main
 from treeshift.errors import NotAContraction, StructuralViolation
 from treeshift.shifts import ShiftOperator, vector_to_dense
-from treeshift.trees import make_family, materialize_window
+from treeshift.sparse import SparseVector
+from treeshift.trees import RootlessBinary, make_family, materialize_window
 from treeshift.weights import (
     ConstantWeights,
     ExpRayWeights,
@@ -32,6 +43,7 @@ from treeshift.weights import (
 )
 
 from conftest import contractive_operator, full_window, random_finite_tree
+from test_memoized_queries import ref_adjoint_level
 
 
 def exp_path(base=2.0, start=1):
@@ -437,3 +449,135 @@ def test_frontier_cap_reports_depth_reached():
     assert rec.depth < 64
     # the descent stops at the first depth whose frontier 2^n exceeds the cap
     assert 2 ** (rec.depth - 1) <= FRONTIER_CAP < 2 ** rec.depth
+
+
+# -- counted generations and the forward level table ----------------------------------
+
+COUNTED_CASES = [
+    pytest.param("rootless-binary", ConstantWeights(0.6), ("-1", "0:1", "-1:11"),
+                 id="binary-constant"),
+    pytest.param("rootless-binary", GeometricWeights(0.65, 0.9), ("-1", "0:1", "-1:11"),
+                 id="binary-geometric"),
+    pytest.param("rootless-binary", StepWeights(0.5, 0.7, cut=0), ("-1", "0:1", "-1:11"),
+                 id="binary-step"),
+    pytest.param("bilateral-path", ExpRayWeights(2.0, -3), ("-5", "-3", "0", "2"),
+                 id="bilateral-exp-ray"),
+]
+
+
+@pytest.mark.parametrize("family,weights,vertices", COUNTED_CASES)
+@pytest.mark.parametrize("cap", [1, 2, 3, 511, 512, 513, 1023, 1024])
+def test_counted_generation_matches_the_walked_one(family, weights, vertices, cap):
+    op = ShiftOperator(make_family(family), weights)
+    assert op.is_level_homogeneous()
+    for u in vertices:
+        rec, h = _adjoint_level(op, u, DEFAULT_MAX_DEPTH, DEFAULT_TOL, cap)
+        assert "coefficients" not in vars(h)  # the generation was counted
+        est, upper, status, coeffs, gen_exact = ref_adjoint_level(op, u, frontier_cap=cap)
+        assert repr(h.coefficients.coeffs) == repr(coeffs)
+        assert (rec.status, h.status, h.gen_exact) == (status, status, gen_exact)
+        # One chain times the walked generation's size.  The reference adds
+        # the members' equal products one by one, which rounds differently.
+        chain = ancestor_products(op, u, DEFAULT_MAX_DEPTH)[0]
+        lumped = len(coeffs) * chain[min(DEFAULT_MAX_DEPTH, len(chain)) - 1]
+        assert repr((rec.estimate, h.norm_sq, rec.upper)) == \
+            repr((lumped, lumped, lumped if gen_exact else 1.0))
+        assert rec.estimate == pytest.approx(est, rel=1e-12, abs=0)
+
+
+def test_analyze_on_a_level_homogeneous_binary_tree_makes_few_children_calls(
+        tmp_path, monkeypatch, capsys):
+    calls = []
+    children = RootlessBinary.children
+
+    def counting(self, u):
+        calls.append(u)
+        return children(self, u)
+
+    monkeypatch.setattr(RootlessBinary, "children", counting)
+    tree, weights = tmp_path / "binary.json", tmp_path / "constant.json"
+    tree.write_text(json.dumps({"family": "rootless-binary", "params": {}}))
+    weights.write_text(json.dumps({"kind": "constant", "value": 0.6}))
+    assert main(["analyze", "--tree", str(tree), "--weights", str(weights),
+                 "--levels=0:2"]) == 0
+    assert "forward limits" in capsys.readouterr().out
+    # walking every generation of the three levels made 1,167 calls
+    assert len(calls) <= 100
+
+
+def test_h_coefficients_are_walked_only_when_read(monkeypatch):
+    model = make_family("rootless-binary")
+    op = ShiftOperator(model, ConstantWeights(0.6))
+    window = materialize_window(model, -1, 1)
+    adj = adjoint_profile(op, window)
+    walked = {lvl: ref_adjoint_level(op, window.vertices_at(lvl)[0])[3]
+              for lvl in window.levels()}
+    assert all("coefficients" not in vars(h) for h in adj.h_vectors.values())
+    calls = []
+    children = op.children
+    monkeypatch.setattr(op, "children", lambda u: calls.append(u) or children(u))
+
+    h = adj.h_vectors[1]
+    assert repr(h.coefficients.coeffs) == repr(walked[1])
+    assert calls and "_build" not in vars(h)
+    calls.clear()
+    assert h.coefficients is h.coefficients and not calls
+    eager = HVector(h.level, SparseVector(walked[1]), h.norm_sq, h.status, h.depth,
+                    h.gen_exact)
+    assert repr(h) == repr(eager)
+    with pytest.raises(AttributeError):
+        h.members  # noqa: B018
+
+    copied = copy.deepcopy(adj.h_vectors[-1])
+    pickled = pickle.loads(pickle.dumps(adj.h_vectors[0]))
+    for lvl, other in ((-1, copied), (0, pickled)):
+        assert vars(other).keys() == vars(eager).keys()
+        assert repr(other.coefficients.coeffs) == repr(walked[lvl])
+        assert repr(adj.h_vectors[lvl].coefficients.coeffs) == repr(walked[lvl])
+
+
+def old_lumped_descend(op, u, tol=DEFAULT_TOL, max_depth=DEFAULT_MAX_DEPTH):
+    """The one-representative descent before the level table: it asks the
+    model and the weights about the children of its own representatives."""
+    model, weights = op.model, op.weights
+    min_depth = CONSECUTIVE_SMALL + 5
+    floor = weights.convergence_floor_level(model)
+    if floor is not None:
+        min_depth = max(min_depth, floor - model.level(u) + CONSECUTIVE_SMALL + 2)
+    frontier = {u: 1.0}
+    s_prev = 1.0
+    consecutive = 0
+    n = 0
+    for n in range(1, max_depth + 1):
+        ((w, prod),) = frontier.items()
+        kids = model.children(w)
+        if not kids:
+            return 0.0, 0.0, EXACT_ZERO, n
+        nxt = {kids[0]: prod * sum(weights.weight(model, v) ** 2 for v in kids)}
+        s = sum(nxt.values())
+        if abs(s - s_prev) < tol:
+            consecutive += 1
+            if consecutive >= CONSECUTIVE_SMALL and n >= min_depth:
+                return s, s, CONVERGED, n
+        else:
+            consecutive = 0
+        frontier = nxt
+        s_prev = s
+    return s_prev, s_prev, MAX_DEPTH, n
+
+
+@pytest.mark.parametrize("weights", LEVEL_ONLY, ids=_weights_id)
+def test_level_table_records_do_not_depend_on_the_vertex_that_filled_it(weights):
+    model = make_family("rootless-binary")
+    window = materialize_window(model, 0, 2)
+    assert window.vertices_at(1) == ["0:1", "1"]  # off the spine first
+    op = ShiftOperator(model, weights)
+    want = repr({u: VertexEstimate(u, *old_lumped_descend(op, u)) for u in window.order})
+    assert repr(alpha_profile(op, window).records) == want
+    # deepest level first, from its last off-spine vertex: the table's
+    # representatives then come from another branch than the window order's
+    for first in (window.order[::-1], ["0:11", "0:1", "0"]):
+        ev = AlphaEvaluator(ShiftOperator(model, weights))
+        for u in first:
+            ev(u)
+        assert repr({u: ev(u) for u in window.order}) == want

@@ -297,10 +297,19 @@ def test_bad_numeric_flags_exit_code(specs, capsys, flag, value):
                                         ("--rank-tol", "0"), ("--rank-tol", "inf")])
 def test_bad_rank_tol_exit_code(specs, capsys, flag, value):
     with pytest.raises(SystemExit) as exc:
-        main(["oracle", "--tree", specs["star"], "--weights", specs["star_w"],
-              "--levels", "0:2", f"{flag}={value}"])
+        main(["cyclic", "--backward", specs["backward"], f"{flag}={value}"])
     assert exc.value.code == 2
     assert f"argument {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "asymptote", "adjoint-asymptote",
+                                     "similarity", "oracle"])
+def test_rank_tol_is_rejected_where_nothing_reads_it(specs, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--tree", specs["star"], "--weights", specs["star_w"],
+              "--levels", "0:2", "--rank-tol", "1e-8"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --rank-tol 1e-8" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag,value", [("--window-k", "-1"), ("--schedule", "0"),

@@ -226,8 +226,7 @@ LEVELS = st.one_of(st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(_level_
 TOLERANCE = _numbers(st.floats(1e-12, 1e-2).map(repr))
 WINDOW_FLAGS = {"--levels": LEVELS, "--breadth": _numbers(st.integers(1, 8).map(str))}
 ANALYSIS_FLAGS = {**WINDOW_FLAGS, "--depth": _numbers(st.integers(1, 64).map(str)),
-                  "--tol": TOLERANCE, "--zero-th": _numbers(st.floats(0.0, 1e-2).map(repr)),
-                  "--rank-tol": TOLERANCE}
+                  "--tol": TOLERANCE, "--zero-th": _numbers(st.floats(0.0, 1e-2).map(repr))}
 BACKWARD_FLAGS = {"--schedule": _numbers(st.integers(1, 24).map(str)),
                   "--window-k": _numbers(st.integers(0, 64).map(str)), "--rank-tol": TOLERANCE}
 
