@@ -51,6 +51,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from .deferred import Deferred
 from .errors import NotAContraction, StructuralViolation
 from .sparse import SparseVector
 from .shifts import CONTRACTION_SLACK, ShiftOperator
@@ -267,15 +268,17 @@ def stable_subtree(profile: AsymptoticProfile,
     laws (parent-closed, leafless, root-preserving) asserted on the window."""
     window = profile.window
     model = window.model
-    members = {u for u in window.order if profile.estimate(u) > zero_threshold}
-
-    for u in members:
+    # Checked in window order, so the vertex a violation names does not
+    # depend on the string hash seed.
+    kept = [u for u in window.order if profile.estimate(u) > zero_threshold]
+    members = set(kept)
+    for u in kept:
         p = model.parent(u)
         if p is not None and p in window and p not in members:
             raise StructuralViolation("parent-closed", u)
     interior = set(window.forward_interior())
-    for u in members & interior:
-        if not any(v in members for v in model.children(u)):
+    for u in kept:
+        if u in interior and not any(v in members for v in model.children(u)):
             raise StructuralViolation("leafless", u)
     if model.is_rooted and members and model.root in window and model.root not in members:
         raise StructuralViolation("root-preserving", model.root)
@@ -285,12 +288,14 @@ def stable_subtree(profile: AsymptoticProfile,
 
 
 @dataclass
-class HVector:
+class HVector(Deferred):
     """Adjoint-limit eigenvector of one level: truncated-product coefficients
     over the materialized generation.
 
     A record made by ``deferred`` walks its generation for the vertex ids
     only when ``coefficients`` is first read."""
+
+    pending = ("coefficients",)
 
     level: int
     coefficients: SparseVector
@@ -298,30 +303,6 @@ class HVector:
     status: str
     depth: int
     gen_exact: bool
-
-    @classmethod
-    def deferred(cls, build, **fields) -> HVector:
-        """A record of ``fields`` whose coefficients are ``build()``."""
-        h = object.__new__(cls)
-        h.__dict__.update(fields, _build=build)
-        return h
-
-    def __getattr__(self, name):
-        # Reached only for unset attributes: a deferred record's coefficients.
-        if name == "coefficients" and "_build" in self.__dict__:
-            self._settle()
-            return self.coefficients
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-
-    def _settle(self):
-        self.coefficients = self._build()
-        del self._build
-
-    def __getstate__(self):
-        # The pending walk holds the operator; the vector it gives is pickled.
-        if "_build" in self.__dict__:
-            self._settle()
-        return self.__dict__
 
 
 def _generation_complete(model, anchor_level: int) -> bool:
@@ -426,8 +407,8 @@ def _adjoint_level(operator: ShiftOperator, u: str, depth: int, tol: float,
     if lumped:
         # One coefficient for every member; their ids are walked on demand.
         coeff = math.sqrt(chain[-1])
-        h = HVector.deferred(lambda: SparseVector(dict.fromkeys(
-            _generation(operator, u, depth, frontier_cap)[1], coeff)), **fields)
+        h = HVector.deferred(lambda: {"coefficients": SparseVector(dict.fromkeys(
+            _generation(operator, u, depth, frontier_cap)[1], coeff))}, **fields)
     else:
         h = HVector(coefficients=SparseVector({v: math.sqrt(chains[v][-1]) for v in members}),
                     **fields)

@@ -6,8 +6,9 @@ Exit codes: 0 ok, 1 standard output closed early (a broken pipe), else the
 not a contraction, 4 asymptote precondition failed, 5 dimension or window
 cap, 6 shape mismatch.  Any other exception is a bug: exit 1, traceback.
 
-numpy is imported inside the functions that build dense arrays, so the
-matrix-free subcommands start without loading it.
+This module imports no numpy; the library functions that build dense arrays
+import it when they run, so only ``similarity`` and ``cyclic --backward``
+load it.
 """
 
 from __future__ import annotations
@@ -255,55 +256,37 @@ def cmd_similarity(args, out: Reporter) -> int:
     return 0
 
 
-def _worst_residual(lines: np.ndarray, support, window, images) -> float:
-    """Worst entry of |lines[k] - image| over the pairs (k, image) in
-    ``images``, each image a sparse vector compressed to the window.
-
-    ``support`` holds the (line, position) index arrays of the nonzero
-    entries of ``lines``.  Outside the union of a line's support and its
-    image's support both sides are exactly 0, so each line's maximum is
-    taken on that union alone; the line maxima are then folded in the order
-    of ``images``.
-    """
-    import numpy as np
-    n = lines.shape[1]
-    order, image = [], {}  # image: k * n + position -> coordinate
-    for k, vector in images:
-        order.append(k)
-        for v, c in vector.items():
-            if v in window:
-                image[k * n + window.index_of(v)] = c
-    checked = np.zeros(len(lines), dtype=bool)
-    checked[order] = True
-    line, position = (idx[checked[support[0]]] for idx in support)
-    keys = list(set((line * n + position).tolist()).union(image))
-    rows, columns = np.divmod(np.array(keys, dtype=np.int64), n)
-    coords = np.array([image.get(key, 0.0) for key in keys])
-    per_line = np.zeros(len(lines))
-    np.maximum.at(per_line, rows, np.abs(lines[rows, columns] - coords))
+def _worst_residual(lines: dict, window, images) -> float:
+    """Worst entry of |line - image| over the pairs (u, image) in ``images``:
+    the line of u is ``lines[u]``, a dict of truncation entries, and the image
+    a sparse vector compressed to the window.  Outside the union of the two
+    supports both sides are exactly 0."""
     worst = 0.0
-    for k in order:
-        worst = max(worst, float(per_line[k]))
+    for u, vector in images:
+        line = lines.get(u, {})
+        image = {v: c for v, c in vector.items() if v in window}
+        for v in line.keys() | image.keys():
+            worst = max(worst, abs(line.get(v, 0.0) - image.get(v, 0.0)))
     return worst
 
 
 def cmd_oracle(args, out: Reporter) -> int:
-    """Dense-truncation cross-checks of the closed-form operations."""
-    import numpy as np
+    """Cross-checks of the closed-form operations against the entries of the
+    window truncation P_W S P_W, grouped by column and by row."""
     model, operator, window = _operator(args)
-    mat = operator.dense_truncation(window)
-    nonzero = np.nonzero(mat)  # (rows, columns) of the entries, read once
-
-    interior = [u for u in window.forward_interior()]
-    worst_apply = _worst_residual(mat.T, nonzero[::-1], window, (
-        (window.index_of(u), operator.apply(SparseVector.basis(u))) for u in interior))
+    columns, rows = {}, {}
+    for v, u, w in operator.window_entries(window):
+        columns.setdefault(u, {})[v] = w
+        rows.setdefault(v, {})[u] = w
+    interior = list(window.forward_interior())
+    worst_apply = _worst_residual(columns, window, (
+        (u, operator.apply(SparseVector.basis(u))) for u in interior))
     # S* e_u compressed to the window is row u of P_W S P_W: the adjoint
     # checked against the transpose on every window vertex.
-    worst_adjoint = _worst_residual(mat, nonzero, window, (
-        (window.index_of(u), operator.apply_adjoint(SparseVector.basis(u)))
-        for u in window.order))
+    worst_adjoint = _worst_residual(rows, window, (
+        (u, operator.apply_adjoint(SparseVector.basis(u))) for u in window.order))
     worst_power = 0.0
-    for u in interior[: min(len(interior), 16)]:
+    for u in interior[:16]:
         closed = operator.power_closed(u, 2)
         iterated = operator.apply(operator.apply(SparseVector.basis(u)))
         worst_power = max(worst_power, (closed - iterated).norm())

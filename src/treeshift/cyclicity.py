@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 
+from .deferred import Deferred
 from .errors import (DimensionCap, ScheduleTooShort, TreeSpecError, WeightError, ZeroWeight,
                      decoded, shown)
 from .trees import branching_index, leaves
@@ -335,13 +336,15 @@ def cokernel_dimension(matrix, rank_tol: float = RANK_TOL, cap: int = DIMENSION_
 
 
 @dataclass
-class KrylovVerification:
+class KrylovVerification(Deferred):
     """The record of a span check.
 
     A record made by ``deferred`` holds only its exact part at first; its
     float diagnostics (``max_residual``, ``cyclic`` and ``numerical_rank``)
     are computed on the first read of any of them, once.
     """
+
+    pending = ("max_residual", "cyclic", "numerical_rank")
 
     rank: int
     dimension: int
@@ -354,33 +357,6 @@ class KrylovVerification:
     # k_L + 1, the Krylov columns B^k f (k <= k_L) that can be nonzero; None
     # when the columns do not come from a candidate.
     support_columns: int | None = field(default=None, repr=False, compare=False)
-
-    @classmethod
-    def deferred(cls, diagnose, **exact) -> KrylovVerification:
-        """A record of the fields in ``exact`` whose float diagnostics are
-        copied from the record ``diagnose()`` returns, when first read."""
-        record = object.__new__(cls)
-        record.__dict__.update(exact, _diagnose=diagnose)
-        return record
-
-    def __getattr__(self, name):
-        # Reached only for unset attributes: a deferred record's diagnostics.
-        if name in ("max_residual", "cyclic", "numerical_rank") and "_diagnose" in self.__dict__:
-            self._settle()
-            return getattr(self, name)
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-
-    def _settle(self):
-        done = self._diagnose()
-        self.max_residual, self.cyclic, self.numerical_rank = \
-            done.max_residual, done.cyclic, done.numerical_rank
-        del self._diagnose
-
-    def __getstate__(self):
-        # The pending closure cannot be pickled; the values it gives can.
-        if "_diagnose" in self.__dict__:
-            self._settle()
-        return self.__dict__
 
     @property
     def decided(self) -> bool:
@@ -592,7 +568,8 @@ def verify_cyclic_candidate(spec: BackwardShiftSpec, candidate: CyclicCandidate,
 
     def diagnose():
         normalized = _normalize_columns(_window_matrix(support, steps, window_K, depth))
-        return _span_verification(normalized, rank, dim_window, tol, rank_tol, modulus=MODULUS)
+        done = _span_verification(normalized, rank, dim_window, tol, rank_tol, modulus=MODULUS)
+        return {name: getattr(done, name) for name in KrylovVerification.pending}
 
     record = KrylovVerification.deferred(
         diagnose, rank=rank, dimension=dim_window, columns=depth + 1,

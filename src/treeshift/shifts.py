@@ -1,5 +1,5 @@
 """The weighted shift operator: sparse application, closed-form powers, norm,
-and the dense truncation that backs every brute-force oracle comparison."""
+and the entries of the window truncation that back the oracle comparisons."""
 
 from __future__ import annotations
 
@@ -174,30 +174,34 @@ class ShiftOperator:
         weight is a function of its vertex's level."""
         return self.model.children_per_vertex is not None and self.weights.level_only
 
+    def window_entries(self, window: TreeWindow):
+        """The entries of the window truncation P_W S P_W: ``(v, u, lambda_v)``
+        for each in-window child v of each window vertex u, column by column
+        in window order.  Each vertex has at most one parent, so there are at
+        most len(window) - 1 of them."""
+        for u in window.order:
+            for v in self.children(u):
+                if v in window:
+                    yield v, u, self.weight(v)
+
     def window_cokernel(self, window: TreeWindow) -> int:
         """Exact dim ker (P_W S P_W)^*: len(window) minus the rank of the
         window truncation, counted without building it.
 
-        Each vertex has at most one parent, so the columns S e_u restricted
-        to the window have disjoint supports, and the rank is the number of
-        window vertices with a nonzero weight on some in-window child.  No
+        The columns S e_u restricted to the window have disjoint supports, so
+        the rank is the number of columns with a nonzero entry.  No
         elimination and no tolerance: a tiny positive weight still counts.
         """
-        rank = sum(1 for u in window.order
-                   if any(v in window and self.weight(v) != 0.0 for v in self.children(u)))
-        return len(window) - rank
+        return len(window) - len({u for _, u, w in self.window_entries(window) if w != 0.0})
 
     def dense_truncation(self, window: TreeWindow, cap: int = DENSE_CAP) -> np.ndarray:
         """Matrix of the compression P_W S P_W in the level-major basis order."""
         import numpy as np
         if len(window) > cap:
             raise WindowTooLarge(len(window), cap)
-        n = len(window)
-        mat = np.zeros((n, n))
-        for j, u in enumerate(window.order):
-            for v in self.children(u):
-                if v in window:
-                    mat[window.index_of(v), j] = self.weight(v)
+        mat = np.zeros((len(window), len(window)))
+        for v, u, w in self.window_entries(window):
+            mat[window.index_of(v), window.index_of(u)] = w
         return mat
 
 

@@ -238,6 +238,44 @@ def test_oracle_adjoint_residual_catches_a_wrong_adjoint(specs, monkeypatch, cap
     assert "adjoint vs matrix transpose: 8.000e-01" in capsys.readouterr().out
 
 
+class _DoubledApply(ShiftOperator):
+    def apply(self, x):
+        return super().apply(x).scaled(2.0)
+
+
+def test_oracle_apply_residual_catches_a_wrong_apply(specs, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "ShiftOperator", _DoubledApply)
+    assert main(["oracle", "--tree", specs["star"], "--weights", specs["star_w"],
+                 "--levels", "0:2", "--json"]) == 0
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    doc = next(d for d in lines if d["record"] == "oracle")
+    assert doc["apply_residual"] == pytest.approx(0.8)  # |0.8 - 2*0.8| at vertex b
+    assert doc["adjoint_residual"] == 0.0
+
+
+def test_oracle_builds_no_matrix(specs, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense truncation built")
+
+    monkeypatch.setattr(ShiftOperator, "dense_truncation", refuse)
+    for argv in (["oracle", "--tree", specs["star"], "--weights", specs["star_w"],
+                  "--levels", "0:2"],
+                 ["oracle", "--tree", specs["tilde"], "--weights", specs["tilde_w"],
+                  "--levels=-4:4", "--json"]):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+
+
+def test_oracle_runs_past_the_dense_cap(specs, capsys):
+    """4,201 window vertices: more than DENSE_CAP, within WINDOW_CAP."""
+    assert main(["oracle", "--tree", specs["bilateral"], "--weights", specs["halves"],
+                 "--levels=-2100:2100", "--json"]) == 0
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    doc = next(d for d in lines if d["record"] == "oracle")
+    assert doc["apply_residual"] == doc["adjoint_residual"] == doc["power_residual"] == 0.0
+    assert doc["cokernel"] == 1
+
+
 def test_parser_is_reused_across_calls(specs, capsys):
     runs = [["validate", "--tree", specs["tilde"], "--levels=-3:3"],
             ["analyze", "--tree", specs["star"], "--weights", specs["star_w"],
@@ -467,6 +505,20 @@ def test_weight_error_names_the_same_vertex_under_every_hash_seed(specs, tmp_pat
     assert len(errs) == 1 and "WeightError" in errs.pop()
 
 
+def test_structural_violation_names_the_same_vertex_under_every_hash_seed(specs, tmp_path):
+    weights = write(tmp_path, "geometric.json", {"kind": "family", "name": "geometric",
+                                                  "params": {"scale": 0.65, "ratio": 0.9}})
+    argv = [sys.executable, "-m", "treeshift.cli", "analyze", "--tree", specs["binary"],
+            "--weights", weights, "--levels=-2:2", "--depth", "12"]
+    errs = []
+    for seed in (0, 1):
+        done = subprocess.run(argv, env={**_subprocess_env(), "PYTHONHASHSEED": str(seed)},
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        errs.append(done.stderr)
+    assert errs[0] == errs[1] and "StructuralViolation" in errs[0]
+
+
 def test_reader_closing_early_exits_1_without_an_error_line(specs, tmp_path):
     # About 200 kB of records: more than the pipe holds, so the writer is
     # still printing when the reader goes away.
@@ -499,10 +551,10 @@ for argv, code in (
         (["validate", "--tree", star], 0),
         (["analyze", "--tree", binary, "--weights", decay, "--levels=0:2"], 0),
         (["asymptote", "--tree", binary, "--weights", decay, "--levels=0:2"], 4),
-        (["cyclic", "--tree", tilde, "--weights", tilde_w, "--levels=-6:6"], 0)):
+        (["cyclic", "--tree", tilde, "--weights", tilde_w, "--levels=-6:6"], 0),
+        (["oracle", "--tree", star, "--weights", star_w, "--levels", "0:2"], 0)):
     assert main(argv) == code, argv
     assert "numpy" not in sys.modules, f"{argv[0]} loads numpy"
-assert main(["oracle", "--tree", star, "--weights", star_w, "--levels", "0:2"]) == 0
 assert main(["cyclic", "--backward", backward, "--window-k", "8"]) == 0
 assert "numpy" in sys.modules, "the dense subcommands ran without numpy"
 """
