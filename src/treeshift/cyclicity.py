@@ -10,10 +10,12 @@ infinite-dimensional statement is the theorem's job, not the artifact's).
 The candidate's Krylov matrix on a window is written down in closed form:
 the entry at (j, i) in column k is xi * w_{j,i} ... w_{j,s-1} when
 s = i + k is a support point on branch j, and 0 otherwise.  Every weight and
-coefficient is a double, hence an exact dyadic rational, so the same matrix
-is also built over F_p (p = 2^31 - 1) and its rank there is computed
-exactly.  Rank mod p never exceeds the rank over Q, so full rank mod p is a
-proof of full rank; anything less is "not certified", never "not cyclic".
+coefficient is a double, hence an exact dyadic rational, so the matrix has
+an image over F_p (p = 2^31 - 1), whose rank is computed exactly without
+forming it: each row is a shift of one polynomial series per branch, and the
+rank is read off a shifted order basis of those series.  Rank mod p never
+exceeds the rank over Q, so full rank mod p is a proof of full rank;
+anything less is "not certified", never "not cyclic".
 The floating-point matrix only feeds the SVD behind the span residual and
 the labelled numerical rank.  Those are built only when the exact rank
 leaves the window undecided, or when a caller reads them: a window that is
@@ -28,12 +30,12 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 from .deferred import Deferred
-from .errors import (DimensionCap, ScheduleTooShort, TreeSpecError, WeightError, ZeroWeight,
-                     decoded, shown)
+from .errors import (DimensionCap, ScheduleTooShort, StageUnderflow, TreeSpecError, WeightError,
+                     ZeroWeight, decoded, shown)
 from .trees import branching_index, leaves
 from .weights import _integer, _required, hash_unit
 
@@ -185,18 +187,22 @@ def _schedule_prefix(spec: BackwardShiftSpec, schedule) -> dict:
 def _sigma(schedule, xi, prefix, m: int) -> float:
     """``sigma_m`` on precomputed prefix products.  xi_l * P_{j_l}[k_l] is
     formed once per tail stage; every term is then the same chain of
-    roundings as (xi_l * P[k_l] / P[k_l - k] / denom) ** 2."""
+    roundings as (xi_l * P[k_l] / P[k_l - k] / denom) ** 2.  A divisor that
+    underflows to 0.0 raises StageUnderflow."""
     j_m, k_m = schedule[m - 1]
     k_prev = schedule[m - 2][1] if m >= 2 else -1
     head, p_m = xi[m - 1] * prefix[j_m][k_m], prefix[j_m]
     tail = [(x * prefix[j][k], prefix[j], k) for (j, k), x in zip(schedule[m:], xi[m:])]
     best = 0.0
-    for k in range(k_prev + 1, k_m + 1):
-        denom = head / p_m[k_m - k]
-        total = 0.0
-        for top, p, k_l in tail:
-            total += (top / p[k_l - k] / denom) ** 2
-        best = max(best, total)
+    try:
+        for k in range(k_prev + 1, k_m + 1):
+            denom = head / p_m[k_m - k]
+            total = 0.0
+            for top, p, k_l in tail:
+                total += (top / p[k_l - k] / denom) ** 2
+            best = max(best, total)
+    except ZeroDivisionError:
+        raise StageUnderflow(m) from None
     return best
 
 
@@ -439,15 +445,6 @@ def _field(x):
     return (m << ((exponent.astype(np.int64) - 53) % 31)) % MODULUS
 
 
-def _mulmod(a: int, b: int) -> int:
-    return a * b % MODULUS
-
-
-def _suffix_products(residues: list) -> list:
-    """out[i] = residues[i] * ... * residues[-1] mod p; out[len] = 1."""
-    return list(accumulate(reversed(residues), _mulmod, initial=1))[::-1]
-
-
 def _support(candidate: CyclicCandidate) -> dict:
     """{(j, s): xi}; a repeated position keeps its last coefficient, as in
     ``candidate_vector``."""
@@ -470,68 +467,88 @@ def _window_matrix(support: dict, steps, window_K: int, depth: int):
     return mat
 
 
-def _window_matrix_mod_p(support: dict, steps, window_K: int, depth: int):
-    """``_window_matrix`` over F_p: the entries are the exact chain products
-    xi * w_{j,i} ... w_{j,s-1} mod p, zero weights included (no prefix
-    ratios).  For s >= K the chain splits at K: w_{j,i} ... w_{j,K-1} is
-    shared by every such point of branch j, and w_{j,K} ... w_{j,s-1} is
-    one running product along the branch."""
-    import numpy as np
-    K = window_K
-    residues = _field(steps).tolist()
-    window = [np.array(_suffix_products(r[:K]), dtype=np.int64) for r in residues]
-    beyond = [list(accumulate(r[K:], _mulmod, initial=1)) for r in residues]
-    coefficients = _field(list(support.values())).tolist()
-    mat = np.zeros((len(residues) * (K + 1), depth + 1), dtype=np.int64)
-    for ((j, s), c) in zip(support, coefficients):
-        if s >= K:
-            chain = c * beyond[j][s - K] % MODULUS * window[j] % MODULUS
-        else:
-            chain = np.array(_suffix_products(residues[j][:s]), dtype=np.int64) * c % MODULUS
-        i = np.arange(chain.size)
-        mat[j * (K + 1) + i, s - i] = chain
-    return mat
+def _rank_from_order_basis(support: dict, steps, window_K: int, depth: int) -> int:
+    """Rank over F_p of the window Krylov matrix, read off a shifted order
+    basis of its row series; neither the basis nor the matrix is formed.
 
+    Read column k as the coefficient of y^(D-k) (D = depth).  Row (j, i)
+    scaled by P_j(i) = w_{j,0} ... w_{j,i-1} is then y^i R_j(y) mod y^(D+1),
+    R_j = sum of xi_s P_j(s) y^(D-s) over the support points s of branch j.
+    A weight w_{j,z} = 0 (mod p) cuts its branch: rows a..min(z, K) see only
+    the support points in [a, z] and form a component c of d_c + 1 rows,
+    whose rows may be scaled by any nonzero constant (so P reads a zero
+    residue as 1).  The rank is the number of rows minus the dimension of
+    {(Q_c): deg Q_c <= d_c, sum Q_c R_c = 0 mod y^(D+1)}; a component with
+    no nonzero support point adds as much to both and is dropped.
 
-def _rank_mod_p(mat) -> int:
-    """Rank over F_p of an int64 matrix with entries in [0, p), by elimination
-    in place.
-
-    Columns are taken from the right.  Each row waits at its rightmost
-    nonzero column.  At column c the first waiting row is the pivot; every
-    other one becomes pivot[c] * row - row[c] * pivot (no inverse needed),
-    all in one step, and then waits at its next nonzero to the left.  A
-    waiting row is zero right of c, so an update touches only columns < c.
-    When no two rows share their rightmost column (one branch of a backward
-    shift), nothing is updated at all.
+    That dimension comes from the iterative sigma-basis of Beckermann and
+    Labahn (SIAM J. Matrix Anal. Appl. 15, 1994) with shifted degrees
+    delta_c = -d_c, kept as residual series only: at each order t the live
+    series with the least delta (lowest index on ties) eliminates
+    coefficient t from the others, is multiplied by y, and its delta grows
+    by 1.  The relations within the bounds number sum max(0, 1 - delta_c).
+    delta only grows, so the walk stops once every live delta is positive,
+    and a lone live series takes all remaining orders in one shift.
     """
     import numpy as np
-    n = mat.shape[1]
-    waiting = [[] for _ in range(n)]
-
-    def wait(rows, block):
-        nonzero = block != 0
-        last = (block.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1)).tolist()
-        for r, c, live in zip(rows, last, nonzero.any(axis=1).tolist()):
-            if live:
-                waiting[c].append(r)
-
-    wait(range(mat.shape[0]), mat)
-    rank = 0
-    for col in range(n - 1, -1, -1):
-        if not waiting[col]:
-            continue
-        rank += 1
-        pivot, *others = waiting[col]
-        if others and col:
-            block = mat[others, :col]
-            block *= mat[pivot, col]  # residues are below 2^31: every step fits in int64
-            block -= mat[others, col, None] * mat[pivot, :col]
-            block %= MODULUS
-            mat[others, :col] = block
-            wait(others, block)
-        mat[others, col] = 0
-    return rank
+    K, D = window_K, depth
+    residues = _field(steps)
+    # P mod p, the running products by doubling; a zero residue reads as 1.
+    prefix = np.ones((residues.shape[0], D + 1), dtype=np.int64)
+    prefix[:, 1:] = np.where(residues == 0, 1, residues)
+    shift = 1
+    while shift <= D:
+        prefix[:, shift:] = prefix[:, shift:] * prefix[:, :-shift] % MODULUS
+        shift *= 2
+    cuts = [np.flatnonzero(r == 0).tolist() for r in residues]
+    components = {}  # (j, a) -> (d_c, {exponent: coefficient})
+    for (j, s), x in zip(support, _field(list(support.values())).tolist()):
+        n = bisect_left(cuts[j], s)  # the cuts of branch j below s
+        a = cuts[j][n - 1] + 1 if n else 0
+        if x == 0 or a > K:
+            continue  # a zero coefficient, or no window row reaches s
+        end = min(cuts[j][n], K) if n < len(cuts[j]) else K
+        terms = components.setdefault((j, a), (end - a, {}))[1]
+        terms[D - s + a] = x * int(prefix[j, s]) % MODULUS
+    keys = sorted(components)
+    bounds = [components[key][0] for key in keys]
+    wake = [min(components[key][1]) for key in keys]  # no live series is nonzero below wake
+    series = np.zeros((len(keys), D + 1), dtype=np.int64)
+    for row, key in zip(series, keys):
+        row[list(components[key][1])] = list(components[key][1].values())
+    delta = [-d for d in bounds]
+    shifted = [0] * len(keys)  # series c holds its coefficient t at t - shifted[c]
+    live = list(range(len(keys)))
+    t = min(wake, default=D + 1)
+    while t <= D and any(delta[c] < 1 for c in live):
+        if len(live) == 1:
+            delta[live[0]] += D + 1 - t  # the last pivot (or the only series): nonzero at t
+            break
+        hot = []
+        for c in [c for c in live if wake[c] == t]:
+            rest = series[c, t - shifted[c]: D + 1 - shifted[c]]
+            if rest[0]:
+                hot.append(c)
+            elif rest.any():
+                wake[c] = t + int((rest != 0).argmax())
+            else:
+                live.remove(c)
+        pivot = min(hot, key=delta.__getitem__)
+        tail = series[pivot, t - shifted[pivot]: D + 1 - shifted[pivot]]
+        head = int(tail[0])
+        for c in hot:
+            if c != pivot:
+                rest = series[c, t - shifted[c]: D + 1 - shifted[c]]
+                x = int(rest[0])
+                rest *= head  # residues are below 2^31: every step fits in int64
+                rest -= x * tail
+                rest %= MODULUS
+                wake[c] = t + 1
+        shifted[pivot] += 1
+        wake[pivot] = t + 1
+        delta[pivot] += 1
+        t += 1
+    return sum(bounds) + len(bounds) - sum(max(0, 1 - d) for d in delta)
 
 
 def verify_cyclic_candidate(spec: BackwardShiftSpec, candidate: CyclicCandidate,
@@ -542,8 +559,10 @@ def verify_cyclic_candidate(spec: BackwardShiftSpec, candidate: CyclicCandidate,
     B is truncated at the candidate's deepest support point (the action of B
     only moves support down, so the iterates B^k f are exact there).  The
     window projections {e_{j,k}: k <= K} of the iterates form a matrix known
-    in closed form.  Its rank is computed exactly over F_p (``modulus``):
-    rank mod p is at most the true rank, so a full rank is ``certified``.
+    in closed form.  Its rank over F_p (``modulus``) is exact and comes from
+    an order basis of its row series (``_rank_from_order_basis``), with no
+    matrix built: rank mod p is at most the true rank, so a full rank is
+    ``certified``.
     Only the k_L + 1 columns up to the deepest support point k_L can be
     nonzero (``support_columns``), so fewer of them than rows leaves the rank
     short by counting.
@@ -563,8 +582,7 @@ def verify_cyclic_candidate(spec: BackwardShiftSpec, candidate: CyclicCandidate,
     depth = max(deepest, window_K)
     steps = spec.steps(depth)
     support = _support(candidate)
-    # The exact matrix is eliminated and dropped before the SVD allocates.
-    rank = _rank_mod_p(_window_matrix_mod_p(support, steps, window_K, depth))
+    rank = _rank_from_order_basis(support, steps, window_K, depth)
 
     def diagnose():
         normalized = _normalize_columns(_window_matrix(support, steps, window_K, depth))

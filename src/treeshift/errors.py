@@ -129,6 +129,15 @@ class DimensionCap(TreeShiftError):
         self.cap = cap
 
 
+class StageUnderflow(TreeShiftError):
+    exit_code = 5
+
+    def __init__(self, stage):
+        super().__init__(f"stage {stage}: a divisor of the bound Sigma_{stage} underflows "
+                         f"to 0.0 in double precision")
+        self.stage = stage
+
+
 class ShapeMismatch(TreeShiftError):
     exit_code = 6
 

@@ -804,3 +804,27 @@ def test_a_window_past_the_vertex_cap_exits_5(tmp_path):
     assert done.returncode == 5 and done.stdout == ""
     assert done.stderr == ("error: WindowTooLarge: window has more than the cap of 262144 "
                            "vertices\n")
+
+
+@pytest.mark.parametrize("weights,schedule,stage", [
+    ({"kind": "constant", "value": 0.5}, 39, 38),
+    ({"kind": "hash-random", "seed": 3, "low": 1e-200, "high": 1e-200}, 4, 1),
+    ({"kind": "hash-random", "seed": 3, "low": 0.5, "high": 0.99}, 50, 44)])
+def test_a_stage_bound_that_underflows_exits_5_naming_the_stage(tmp_path, capsys, weights,
+                                                                 schedule, stage):
+    spec = write(tmp_path, "spec.json", {"branches": 1, "weights": weights})
+    for fmt in ([], ["--json"]):
+        assert main(["cyclic", "--backward", spec, "--schedule", str(schedule),
+                     "--window-k", "40"] + fmt) == 5
+        out, err = capsys.readouterr()
+        assert err == (f"error: StageUnderflow: stage {stage}: a divisor of the bound "
+                       f"Sigma_{stage} underflows to 0.0 in double precision\n")
+        assert "candidate verified" not in out and '"krylov"' not in out
+
+
+def test_the_longest_constant_half_schedule_still_runs(tmp_path, capsys):
+    spec = write(tmp_path, "spec.json", {"branches": 1,
+                                         "weights": {"kind": "constant", "value": 0.5}})
+    assert main(["cyclic", "--backward", spec, "--schedule", "38", "--window-k", "40"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and "candidate verified: rank 41/41" in out

@@ -26,7 +26,7 @@ from treeshift.cyclicity import (
     verify_cyclic_candidate,
     verify_krylov_span,
 )
-from treeshift.errors import DimensionCap, ScheduleTooShort, ZeroWeight
+from treeshift.errors import DimensionCap, ScheduleTooShort, StageUnderflow, ZeroWeight
 from treeshift.shifts import ShiftOperator
 from treeshift.sparse import SparseVector
 from treeshift.trees import make_family, materialize_window, validate_finite
@@ -71,6 +71,20 @@ def test_sigma_last_stage_empty_tail():
     spec = BackwardShiftSpec(1, 1.0)
     cand = construct_backward_cyclic(spec, 12)
     assert sigma_m(cand, spec, 12) == 0.0
+
+
+def test_a_stage_bound_divisor_that_underflows_names_its_stage():
+    """0.5^703 underflows to 0.0, so stage 38 of a 39-stage schedule divides
+    by zero; 38 stages stay clear of it."""
+    spec = BackwardShiftSpec(1, 0.5)
+    with pytest.raises(StageUnderflow) as caught:
+        construct_backward_cyclic(spec, 39)
+    assert caught.value.stage == 38 and caught.value.exit_code == 5
+    cand = construct_backward_cyclic(spec, 38)
+    assert cand.sigma_final == [sigma_m(cand, spec, m) for m in range(1, 39)]
+    tiny = CyclicCandidate(default_schedule(1, 39), [2.0 ** (-l - 400) for l in range(1, 40)])
+    with pytest.raises(StageUnderflow):
+        sigma_m(tiny, spec, 38)  # xi_38 * 0.5^703 = 2^-1141 is 0.0
 
 
 def test_construction_postcondition_and_idempotence():
@@ -525,7 +539,7 @@ def test_backward_spec_json():
 from fractions import Fraction
 
 from treeshift import cyclicity
-from treeshift.cyclicity import MODULUS, CyclicCandidate, _field, _rank_mod_p
+from treeshift.cyclicity import MODULUS, CyclicCandidate, _field
 
 
 def _iterated_window_matrix(spec, cand, K):
@@ -616,40 +630,91 @@ def _rank_mod_p_reference(rows):
     return rank
 
 
+# 1 - 2^-31 = p / 2^31 and p * 2^-40 are doubles whose residue mod p is zero.
+RESIDUE_ZERO = (1.0 - 2.0 ** -31, MODULUS * 2.0 ** -40)
+
+
+def _exact_window_rows(spec, cand, K):
+    """The window Krylov matrix over F_p, each entry the field image of the
+    exact chain product xi * w_{j,i} ... w_{j,s-1} in Fractions."""
+    depth = max(max(k for _, k in cand.schedule), K)
+    rows = [[0] * (depth + 1) for _ in range(spec.branches * (K + 1))]
+    for (j, s), x in cyclicity._support(cand).items():
+        value = Fraction(x)
+        for i in range(s, -1, -1):
+            if i <= K:
+                rows[j * (K + 1) + i][s - i] = _field_reference(value)
+            if i:
+                value *= Fraction(spec.weight(j, i - 1))
+    return rows
+
+
+def _order_basis_rank(spec, cand, K):
+    depth = max(max(k for _, k in cand.schedule), K)
+    return cyclicity._rank_from_order_basis(cyclicity._support(cand), spec.steps(depth), K,
+                                            depth)
+
+
+def _rank_cases():
+    """The window cases plus zero residues, zeros, K = 0 and K past the
+    support, signed zeros, repeated positions and up to four branches."""
+    cases = list(_window_cases())
+    cut = {(0, 5), (0, 21), (1, 0), (1, 33)}
+    patchy = BackwardShiftSpec(2, lambda j, k: RESIDUE_ZERO[k % 2] if (j, k) in cut else 0.9)
+    cases.append((patchy, construct_backward_cyclic(patchy, 16), 30))
+    for branches, L, K in ((2, 12, 20), (3, 12, 0), (1, 8, 40)):
+        flat = BackwardShiftSpec(branches, RESIDUE_ZERO[0])  # every residue is zero
+        cases.append((flat, construct_backward_cyclic(flat, L), K))
+    zeroed = BackwardShiftSpec(3, 0.9, zeros=[(0, 2), (1, 30), (2, 7), (2, 50)])
+    cases.append((zeroed, construct_backward_cyclic(BackwardShiftSpec(3, 0.9), 12), 30))
+    for branches, L, K in ((2, 8, 60), (3, 12, 100), (4, 16, 0), (4, 16, 20), (4, 20, 40)):
+        spec = BackwardShiftSpec(branches, uniform_weight_rule(branches + K, 0.5, 0.99))
+        cases.append((spec, construct_backward_cyclic(spec, L), K))
+    signed = CyclicCandidate(schedule=[(2, 1), (0, 3), (3, 3), (1, 6), (2, 1), (3, 10)],
+                             xi=[-0.5, 0.25, -0.0, 0.0, 0.75, -2.0 ** -40])
+    cases.append((BackwardShiftSpec(4, RESIDUE_ZERO[1] * 2.0 ** 8), signed, 5))
+    cases.append((BackwardShiftSpec(4, 0.75, zeros=[(3, 4)]), signed, 12))
+    return cases
+
+
+def _random_case(rng):
+    """A small candidate on 1 to 4 branches: weights drawn from doubles that
+    include zero residues and listed zeros, coefficients with signed zeros and
+    repeated positions, and a window from K = 0 to past the support."""
+    branches = rng.randint(1, 4)
+    pool = RESIDUE_ZERO + (0.5, 0.75, 1.0, 0.9)
+    table = {}
+
+    def rule(j, k):
+        if (j, k) not in table:
+            table[(j, k)] = rng.choice(pool) if rng.random() < 0.3 else rng.uniform(0.5, 1.0)
+        return table[(j, k)]
+
+    zeros = [(rng.randrange(branches), rng.randrange(30)) for _ in range(rng.choice((0, 1, 3)))]
+    schedule = [(rng.randrange(branches), rng.randrange(40)) for _ in range(rng.randint(1, 12))]
+    xi = [rng.choice((0.0, -0.0, -1.0, 1.0)) * rng.uniform(0.1, 1.0) for _ in schedule]
+    cand = CyclicCandidate(schedule=schedule, xi=xi)
+    return BackwardShiftSpec(branches, rule, zeros=zeros), cand, rng.choice((0, 1, 3, 10, 25, 45))
+
+
 def test_rank_mod_p_matches_reference(rng):
-    cases = [np.zeros((3, 4), dtype=np.int64), np.ones((4, 4), dtype=np.int64),
-             np.eye(5, dtype=np.int64), np.array([[MODULUS - 1, 1], [1, MODULUS - 1]])]
-    for m, n in ((1, 1), (4, 7), (7, 4), (12, 12), (20, 9)):
-        dense = np.array([[rng.randrange(MODULUS) for _ in range(n)] for _ in range(m)])
-        cases.append(dense)
-        low = (np.array([[rng.randrange(3) for _ in range(2)] for _ in range(m)])
-               @ np.array([[rng.randrange(3) for _ in range(n)] for _ in range(2)]))
-        cases.append(low)
-        sparse = dense * np.array([[rng.random() < 0.25 for _ in range(n)] for _ in range(m)])
-        sparse[m // 2:] = sparse[: m - m // 2]  # repeated rows
-        cases.append(sparse)
-    for spec, cand, K in _window_cases():
-        depth = max(max(k for _, k in cand.schedule), K)
-        cases.append(cyclicity._window_matrix_mod_p(cyclicity._support(cand),
-                                                    spec.steps(depth), K, depth))
-    for case in cases:
-        want = _rank_mod_p_reference(case.tolist())
-        assert _rank_mod_p(np.array(case, dtype=np.int64)) == want
+    deficient = 0
+    for _ in range(150):
+        spec, cand, K = _random_case(rng)
+        want = _rank_mod_p_reference(_exact_window_rows(spec, cand, K))
+        assert _order_basis_rank(spec, cand, K) == want, (cand, K)
+        deficient += want < spec.branches * (K + 1)
+    assert deficient >= 50
 
 
 def test_exact_matrix_is_the_field_image_of_the_exact_chain_products():
-    for spec, cand, K in _window_cases():
-        depth = max(max(k for _, k in cand.schedule), K)
-        exact = cyclicity._window_matrix_mod_p(cyclicity._support(cand), spec.steps(depth),
-                                               K, depth)
-        want = np.zeros_like(exact)
-        for (j, s), x in cyclicity._support(cand).items():
-            for i in range(min(s, K) + 1):
-                value = Fraction(x)
-                for t in range(i, s):
-                    value *= Fraction(spec.weight(j, t))
-                want[j * (K + 1) + i, s - i] = _field_reference(value)
-        assert np.array_equal(exact, want)
+    """The order-basis rank is the rank of the field image of the exact
+    chain products, and ``verify_cyclic_candidate`` reports it."""
+    for spec, cand, K in _rank_cases():
+        want = _rank_mod_p_reference(_exact_window_rows(spec, cand, K))
+        assert _order_basis_rank(spec, cand, K) == want, (spec.branches, cand.schedule, K)
+        record = verify_cyclic_candidate(spec, cand, K)
+        assert (record.rank, record.certified) == (want, want == spec.branches * (K + 1))
 
 
 @pytest.mark.parametrize("branches,L,K", [(1, 40, 200), (2, 30, 150), (3, 36, 120)])

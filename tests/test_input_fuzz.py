@@ -186,7 +186,7 @@ def test_weight_docs_exit_with_a_documented_code(workdir, doc):
 @FUZZ
 @given(doc=BACKWARD_SPECS)
 def test_backward_specs_exit_with_a_documented_code(workdir, doc):
-    spec = workdir / "backward.json"
+    spec = workdir / "backward-fuzzed.json"  # backward.json stays the flag tests' fixture
     spec.write_text(json.dumps(doc))
     code = _run(["cyclic", "--backward", str(spec), "--schedule", "4", "--window-k", "8"])
     assert code in EXIT_CODES, (doc, code)
@@ -329,3 +329,11 @@ def test_an_error_that_is_not_a_treeshift_error_propagates(workdir, monkeypatch)
     with pytest.raises(KeyError, match="not an input error"):
         _run(["analyze", "--tree", str(workdir / "tilde.json"),
               "--weights", str(workdir / "half.json"), "--levels=-2:2"])
+
+
+def test_the_good_files_are_never_overwritten(workdir):
+    """The flag and unreadable-file tests read these fixtures after the doc
+    fuzz has run, so the fuzzed docs must go to files of their own."""
+    assert json.loads((workdir / "backward.json").read_text()) == {"branches": 2}
+    assert json.loads((workdir / "half.json").read_text()) == {"kind": "constant", "value": 0.5}
+    assert json.loads((workdir / "tilde.json").read_text()) == TILDE
