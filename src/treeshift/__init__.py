@@ -15,7 +15,6 @@ from .cyclicity import (
     cokernel_dimension,
     construct_backward_cyclic,
     cyclicity_verdict,
-    krylov_rank,
     sigma_m,
     verify_cyclic_candidate,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "gen_n",
     "intertwining_residual",
     "isometric_asymptote",
-    "krylov_rank",
     "leaves",
     "level_index",
     "load_tree",

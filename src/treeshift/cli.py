@@ -6,9 +6,9 @@ Exit codes: 0 ok, 1 standard output closed early (a broken pipe), else the
 not a contraction, 4 asymptote precondition failed, 5 dimension or window
 cap, 6 shape mismatch.  Any other exception is a bug: exit 1, traceback.
 
-This module imports no numpy; the library functions that build dense arrays
-import it when they run, so only ``similarity`` and ``cyclic --backward``
-load it.
+This module imports no numpy; the library functions that need it import it
+when they run, so only ``cyclic --backward`` (the exact Krylov rank) loads
+it.
 """
 
 from __future__ import annotations
@@ -196,17 +196,8 @@ def cmd_cyclic(args, out: Reporter) -> int:
         out.record("verdict", verdict.to_json())
         if not spec.zero_positions:
             candidate = construct_backward_cyclic(spec, args.schedule)
-            record = verify_cyclic_candidate(spec, candidate, args.window_k,
-                                             rank_tol=args.rank_tol)
+            record = verify_cyclic_candidate(spec, candidate, args.window_k)
             certified = "certified" if record.certified else "not certified"
-            if record.decided:
-                # The exact rank settles the window: the float SVD never runs.
-                residual, numerical_rank, cyclic = None, None, record.certified
-                numerical = "numerical rank and residual not computed"
-            else:
-                residual, numerical_rank = record.max_residual, record.numerical_rank
-                cyclic = record.cyclic
-                numerical = f"numerical rank {numerical_rank}, residual {residual:.3e}"
             # Rank is at most the number of nonzero Krylov columns, k_L + 1, so
             # a window deeper than the candidate's support cannot be certified.
             short = (f"; the window is deeper than the candidate's support, so the rank is "
@@ -214,14 +205,13 @@ def cmd_cyclic(args, out: Reporter) -> int:
                      f"{record.dimension} rows)"
                      if record.support_columns < record.dimension else "")
             out.text(f"candidate verified: rank {record.rank}/{record.dimension} mod "
-                     f"{record.modulus} ({certified}), {numerical}{short}")
+                     f"{record.modulus} ({certified}){short}")
             membership = range_membership_report(spec, candidate, 2)
             out.text(f"range membership partial sum (n=2): {membership:.6g}")
             out.record("krylov", {"rank": record.rank, "dimension": record.dimension,
-                                  "residual": residual, "cyclic": cyclic,
+                                  "cyclic": record.certified,
                                   "range_membership_n2": membership,
                                   "certified": record.certified,
-                                  "numerical_rank": numerical_rank,
                                   "modulus": record.modulus, "columns": record.columns})
             if args.json:
                 for line in candidate.to_json_lines().splitlines():
@@ -341,8 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backward", help="backward shift spec JSON (instead of a tree)")
     p.add_argument("--schedule", type=_POSITIVE_INT, default=16, help="schedule length L")
     p.add_argument("--window-k", dest="window_k", type=_NONNEGATIVE_INT, default=50)
-    p.add_argument("--rank-tol", dest="rank_tol", type=_TOL, default=1e-8,
-                   help="singular-value cut of the --backward numerical_rank")
     p.set_defaults(func=cmd_cyclic)
     return parser
 

@@ -16,14 +16,9 @@ forming it: each row is a shift of one polynomial series per branch, and the
 rank is read off a shifted order basis of those series.  Rank mod p never
 exceeds the rank over Q, so full rank mod p is a proof of full rank;
 anything less is "not certified", never "not cyclic".
-The floating-point matrix only feeds the SVD behind the span residual and
-the labelled numerical rank.  Those are built only when the exact rank
-leaves the window undecided, or when a caller reads them: a window that is
-certified, or short by counting (fewer nonzero Krylov columns k_L + 1 than
-rows), needs no SVD.  A window wider than it is tall is reduced to its
-square LQ factor before that SVD, which leaves the left singular vectors and
-singular values as they are; the residual's last digits are at rounding
-level and depend on the LAPACK build.
+That rank is the whole check: no floating-point Krylov matrix is built.
+``ge_rank`` and ``cokernel_dimension`` are float rank helpers for library
+callers; no backward-shift path calls them.
 """
 
 from __future__ import annotations
@@ -33,7 +28,6 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .deferred import Deferred
 from .errors import (DimensionCap, ScheduleTooShort, StageUnderflow, TreeSpecError, WeightError,
                      ZeroWeight, decoded, shown)
 from .trees import branching_index, leaves
@@ -124,20 +118,6 @@ class BackwardShiftSpec:
         return np.array([[self._weight(j, k) for k in range(depth)]
                          for j in range(self.branches)])
 
-    def dense_matrix(self, depth: int, cap: int = DIMENSION_CAP) -> np.ndarray:
-        """Truncation to indices k <= depth, basis order branch-major."""
-        import numpy as np
-        n = self.branches * (depth + 1)
-        if n > cap:
-            raise DimensionCap(n, cap)
-        mat = np.zeros((n, n))
-        steps = self.steps(depth)
-        for j in range(self.branches):
-            base = j * (depth + 1)
-            for k in range(1, depth + 1):
-                mat[base + k - 1, base + k] = steps[j, k - 1]
-        return mat
-
 
 @dataclass
 class CyclicCandidate:
@@ -209,11 +189,16 @@ def _sigma(schedule, xi, prefix, m: int) -> float:
 def construct_backward_cyclic(spec: BackwardShiftSpec, L: int) -> CyclicCandidate:
     """Build the truncated cyclic candidate and run the sequential rescaling
     loop until Sigma_m <= 2^-m holds for every m <= L (exactly as computed
-    on the truncation)."""
+    on the truncation).  The loop needs prefix products up to the deepest
+    index k_L = L(L+1)/2 on every scheduled branch, so k_L + 1 above
+    DIMENSION_CAP raises DimensionCap before anything is built."""
     if spec.zero_positions:
         raise ZeroWeight(min(spec.zero_positions))
     if L < 4 * spec.branches:
         raise ScheduleTooShort(f"need L >= {4 * spec.branches} for {spec.branches} branches")
+    support_columns = L * (L + 1) // 2 + 1
+    if support_columns > DIMENSION_CAP:
+        raise DimensionCap(support_columns, DIMENSION_CAP)
     candidate = CyclicCandidate(schedule=default_schedule(spec.branches, L),
                                 xi=[2.0 ** (-l) for l in range(1, L + 1)])
     schedule, xi = candidate.schedule, candidate.xi
@@ -229,16 +214,6 @@ def construct_backward_cyclic(spec: BackwardShiftSpec, L: int) -> CyclicCandidat
             candidate.modifications.append((m, s, factor))
     candidate.sigma_final = [_sigma(schedule, xi, prefix, m) for m in range(1, L + 1)]
     return candidate
-
-
-def candidate_vector(spec: BackwardShiftSpec, candidate: CyclicCandidate, depth: int) -> np.ndarray:
-    """Dense coordinates of the candidate on the branch-major truncation."""
-    import numpy as np
-    out = np.zeros(spec.branches * (depth + 1))
-    for (j, k), x in zip(candidate.schedule, candidate.xi):
-        if k <= depth:
-            out[j * (depth + 1) + k] = x
-    return out
 
 
 def range_membership_report(spec: BackwardShiftSpec, candidate: CyclicCandidate, n: int) -> float:
@@ -297,35 +272,6 @@ def ge_rank(matrix, rank_tol: float = RANK_TOL) -> int:
     return rank
 
 
-def _normalize_columns(mat: np.ndarray) -> np.ndarray:
-    """Scale each nonzero column of a float matrix to unit norm, in place."""
-    import numpy as np
-    norms = np.linalg.norm(mat, axis=0)
-    nz = norms > 0.0
-    mat[:, nz] /= norms[nz]
-    return mat
-
-
-def krylov_rank(matrix, vector, rank_tol: float = RANK_TOL, cap: int = DIMENSION_CAP) -> int:
-    """Numerical rank (``ge_rank``) of [x, Mx, ..., M^(d-1)x], never a
-    certificate.  Columns are normalized first so the pivot threshold is
-    scale-free (column scaling never changes rank)."""
-    import numpy as np
-    mat = np.asarray(matrix, dtype=float)
-    d = mat.shape[0]
-    if mat.shape != (d, d):
-        raise ValueError("square matrix expected")
-    if d > cap:
-        raise DimensionCap(d, cap)
-    cols = np.empty((d, d))
-    y = np.asarray(vector, dtype=float).copy()
-    for k in range(d):
-        cols[:, k] = y
-        if k + 1 < d:
-            y = mat @ y
-    return ge_rank(_normalize_columns(cols), rank_tol)
-
-
 def cokernel_dimension(matrix, rank_tol: float = RANK_TOL, cap: int = DIMENSION_CAP) -> int:
     """d - rank(matrix), with the numerical rank of ``ge_rank``: a numerical
     figure, never a certificate.  For the truncation of a tree window use
@@ -342,91 +288,15 @@ def cokernel_dimension(matrix, rank_tol: float = RANK_TOL, cap: int = DIMENSION_
 
 
 @dataclass
-class KrylovVerification(Deferred):
-    """The record of a span check.
+class KrylovVerification:
+    """The exact record of a window Krylov check."""
 
-    A record made by ``deferred`` holds only its exact part at first; its
-    float diagnostics (``max_residual``, ``cyclic`` and ``numerical_rank``)
-    are computed on the first read of any of them, once.
-    """
-
-    pending = ("max_residual", "cyclic", "numerical_rank")
-
-    rank: int
+    rank: int  # over F_p, p = `modulus`: at most the true rank
     dimension: int
-    max_residual: float
     columns: int
-    cyclic: bool
-    numerical_rank: int  # singular values above rank_tol * the largest
-    certified: bool  # rank is exact (mod `modulus`) and equals dimension
-    modulus: int | None  # None when `rank` is a floating-point pivot count
-    # k_L + 1, the Krylov columns B^k f (k <= k_L) that can be nonzero; None
-    # when the columns do not come from a candidate.
-    support_columns: int | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def decided(self) -> bool:
-        """True when the exact rank settles the window without the float
-        diagnostics: it is certified, or short by counting (fewer nonzero
-        Krylov columns than rows)."""
-        return self.certified or (self.support_columns is not None
-                                  and self.support_columns < self.dimension)
-
-
-def _left_svd(mat):
-    """U and the singular values of a float matrix; its right factor is
-    never formed.
-
-    A wide m x n matrix (n > m) is L Q^T with Q orthonormal, so its m x m LQ
-    factor L has the same U and singular values, and the SVD runs on L.  Tall
-    and square matrices take the direct SVD, where a QR first does not pay.
-    """
-    import numpy as np
-    m, n = mat.shape
-    reduced = np.linalg.qr(mat.T, mode="r").T if n > m else mat
-    u, s, _ = np.linalg.svd(reduced, full_matrices=False)
-    return u, s
-
-
-def _span_verification(normalized, rank: int, dimension: int, tol: float, rank_tol: float,
-                       modulus: int | None) -> KrylovVerification:
-    """Finish a span check from its normalized columns and a rank.
-
-    The projector for the residual keeps every singular direction above the
-    double-precision noise floor: weak directions are part of the true span,
-    only rounding artifacts are discarded.  The numerical rank counts the
-    singular values above rank_tol times the largest.
-
-    A wide matrix is reduced to its m x m LQ factor first (``_left_svd``);
-    the noise floor still scales with the larger side of the matrix as given.
-    The residual's last digits are at rounding level and depend on the
-    LAPACK build.
-    """
-    import numpy as np
-    u, s = _left_svd(normalized)
-    floor = s[0] * max(normalized.shape) * np.finfo(float).eps * 8.0 if s.size else 0.0
-    basis = u[:, s > floor]
-    residual = float(np.max(np.sqrt(np.clip(1.0 - np.sum(basis ** 2, axis=1), 0.0, None))))
-    numerical = int(np.count_nonzero(s > rank_tol * s[0])) if s.size else 0
-    certified = modulus is not None and rank == dimension
-    return KrylovVerification(rank=rank, dimension=dimension, max_residual=residual,
-                              columns=normalized.shape[1],
-                              cyclic=certified or (rank == dimension and residual <= tol),
-                              numerical_rank=numerical, certified=certified, modulus=modulus)
-
-
-def verify_krylov_span(columns: np.ndarray, dimension: int, tol: float,
-                       rank_tol: float = RANK_TOL) -> KrylovVerification:
-    """Rank and worst basis-projection residual of a set of span columns.
-
-    Both ``rank`` (Gaussian-elimination pivots at rank_tol) and
-    ``numerical_rank`` are numerical ranks, never certificates: the record is
-    never ``certified``.
-    """
-    import numpy as np
-    normalized = _normalize_columns(np.array(columns, dtype=float))
-    return _span_verification(normalized, ge_rank(normalized, rank_tol), dimension, tol,
-                              rank_tol, modulus=None)
+    certified: bool  # rank equals dimension
+    modulus: int
+    support_columns: int  # k_L + 1: the Krylov columns B^k f that can be nonzero
 
 
 def _field(x):
@@ -446,25 +316,8 @@ def _field(x):
 
 
 def _support(candidate: CyclicCandidate) -> dict:
-    """{(j, s): xi}; a repeated position keeps its last coefficient, as in
-    ``candidate_vector``."""
+    """{(j, s): xi}; a repeated position keeps its last coefficient."""
     return dict(zip(candidate.schedule, candidate.xi))
-
-
-def _window_matrix(support: dict, steps, window_K: int, depth: int):
-    """Window rows (j, i <= K), branch-major, of [f, Bf, ..., B^depth f].
-
-    B^k e_{j,s} = w_{j,s-1} ... w_{j,s-k} e_{j,s-k}, so each support point
-    fills row (j, s - k) of column k with the running product of
-    [xi, w_{j,s-1}, ..., w_{j,0}], multiplied in the order B applies them.
-    """
-    import numpy as np
-    mat = np.zeros((steps.shape[0] * (window_K + 1), depth + 1))
-    for (j, s), x in support.items():
-        chain = np.cumprod(np.concatenate(([x], steps[j, :s][::-1])))
-        ks = np.arange(max(0, s - window_K), s + 1)
-        mat[j * (window_K + 1) + s - ks, ks] = chain[ks]
-    return mat
 
 
 def _rank_from_order_basis(support: dict, steps, window_K: int, depth: int) -> int:
@@ -552,8 +405,7 @@ def _rank_from_order_basis(support: dict, steps, window_K: int, depth: int) -> i
 
 
 def verify_cyclic_candidate(spec: BackwardShiftSpec, candidate: CyclicCandidate,
-                            window_K: int, tol: float = 1e-5,
-                            rank_tol: float = RANK_TOL, cap: int = DIMENSION_CAP) -> KrylovVerification:
+                            window_K: int, cap: int = DIMENSION_CAP) -> KrylovVerification:
     """Krylov witness on the K-window.
 
     B is truncated at the candidate's deepest support point (the action of B
@@ -562,39 +414,20 @@ def verify_cyclic_candidate(spec: BackwardShiftSpec, candidate: CyclicCandidate,
     in closed form.  Its rank over F_p (``modulus``) is exact and comes from
     an order basis of its row series (``_rank_from_order_basis``), with no
     matrix built: rank mod p is at most the true rank, so a full rank is
-    ``certified``.
+    ``certified``, and anything less is "not certified", never "not cyclic".
     Only the k_L + 1 columns up to the deepest support point k_L can be
     nonzero (``support_columns``), so fewer of them than rows leaves the rank
     short by counting.
-
-    The same matrix in doubles gives the span residual and the
-    ``numerical_rank`` at rank_tol, both labelled numerical.  ``cyclic`` is
-    true on a certified window, whatever its residual; elsewhere it is the
-    float test (full rank and residual within tol).  Where the exact rank
-    decides the window (``decided``: certified or short by counting) these
-    three fields are computed on their first read, if ever; otherwise before
-    the record is returned.  Either way the values are the same.
     """
     dim_window = spec.branches * (window_K + 1)
     if dim_window > cap:
         raise DimensionCap(dim_window, cap)
     deepest = max(k for _, k in candidate.schedule)
     depth = max(deepest, window_K)
-    steps = spec.steps(depth)
-    support = _support(candidate)
-    rank = _rank_from_order_basis(support, steps, window_K, depth)
-
-    def diagnose():
-        normalized = _normalize_columns(_window_matrix(support, steps, window_K, depth))
-        done = _span_verification(normalized, rank, dim_window, tol, rank_tol, modulus=MODULUS)
-        return {name: getattr(done, name) for name in KrylovVerification.pending}
-
-    record = KrylovVerification.deferred(
-        diagnose, rank=rank, dimension=dim_window, columns=depth + 1,
-        certified=rank == dim_window, modulus=MODULUS, support_columns=deepest + 1)
-    if not record.decided:
-        record._settle()
-    return record
+    rank = _rank_from_order_basis(_support(candidate), spec.steps(depth), window_K, depth)
+    return KrylovVerification(rank=rank, dimension=dim_window, columns=depth + 1,
+                              certified=rank == dim_window, modulus=MODULUS,
+                              support_columns=deepest + 1)
 
 
 def _unit_interval(wdoc: dict, key: str) -> float:

@@ -200,15 +200,22 @@ def _x_apply(operator: ShiftOperator, primed_max: int, norms, x: SparseVector) -
 
 def _witness(operator, window, kind, mode, ratio, primed_max, norms,
              unprimed_leaf) -> SimilarityWitness:
-    """Assemble blocks, target weights, and the adjoint intertwining residual."""
-    import numpy as np
+    """Assemble blocks, target weights, and the adjoint intertwining residual.
+
+    Block k is B = [[1, a], [0, b]], the coordinates of e_k and the
+    normalized g_k (a = p/|g_k| and b = -q/|g_k|, with p and q the reciprocal
+    spine and primed weight products), so det B = b exactly, and B^-1 = [[1, x], [0, y]] (x = -a/b, y = 1/b) has
+    the 2-norm (hypot(1 + |y|, x) + hypot(1 - |y|, x)) / 2, the largest
+    singular value of a 2 x 2 matrix in closed form: no cancellation, and
+    no weight ratio is squared.
+    """
     spine, primed = ray_products(operator, primed_max)
     blocks = []
     for k in range(1, primed_max + 1):
-        p, q = 1.0 / spine[k], 1.0 / primed[k]
-        block = np.array([[1.0, p / norms[k]], [0.0, -q / norms[k]]])
-        blocks.append({"k": k, "det": float(np.linalg.det(block)),
-                       "inverse_norm": float(np.linalg.norm(np.linalg.inv(block), 2))})
+        a, b = 1.0 / spine[k] / norms[k], -1.0 / primed[k] / norms[k]
+        x, y = -a / b, abs(1.0 / b)
+        blocks.append({"k": k, "det": b,
+                       "inverse_norm": (math.hypot(1.0 + y, x) + math.hypot(1.0 - y, x)) / 2.0})
     target_primed = {k: norms[k - 1] / norms[k] for k in range(2, primed_max + 1)}
 
     def target_adjoint(u):

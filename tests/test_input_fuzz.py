@@ -228,7 +228,7 @@ WINDOW_FLAGS = {"--levels": LEVELS, "--breadth": _numbers(st.integers(1, 8).map(
 ANALYSIS_FLAGS = {**WINDOW_FLAGS, "--depth": _numbers(st.integers(1, 64).map(str)),
                   "--tol": TOLERANCE, "--zero-th": _numbers(st.floats(0.0, 1e-2).map(repr))}
 BACKWARD_FLAGS = {"--schedule": _numbers(st.integers(1, 24).map(str)),
-                  "--window-k": _numbers(st.integers(0, 64).map(str)), "--rank-tol": TOLERANCE}
+                  "--window-k": _numbers(st.integers(0, 64).map(str))}
 
 
 def _exit(argv):

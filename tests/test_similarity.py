@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from treeshift.cyclicity import ge_rank, krylov_rank
+from treeshift.cyclicity import ge_rank
 from treeshift.errors import NotAContraction, ShapeMismatch
 from treeshift.shifts import ShiftOperator
 from treeshift.similarity import (
@@ -25,6 +25,8 @@ from treeshift.weights import (
     RayWeights,
     WeightAssignment,
 )
+
+from krylov_reference import krylov_rank, verify_krylov_span
 
 
 def random_tilde_operator(seed):
@@ -92,6 +94,27 @@ def test_leaf_similarity_rejects_wrong_shape():
     tilde_op = ShiftOperator(make_family("tilde"), ConstantWeights(0.5))
     with pytest.raises(ShapeMismatch):
         build_leaf_similarity(tilde_op, materialize_window(tilde_op.model, -4, 4))
+
+
+def test_block_determinants_and_inverse_norms_match_numpy():
+    """The closed-form 2 x 2 block figures against numpy's LU determinant and
+    SVD norm, on bounded and on blowing-up product ratios."""
+    for op, build, levels in (
+            (ShiftOperator(make_family("comb", {"primed_leaf": 6}),
+                           RayWeights(spine=0.6, primed=0.55)), build_leaf_similarity, (-5, 6)),
+            (random_tilde_operator(3), build_tilde_quasiaffinity, (-8, 12)),
+            (ShiftOperator(make_family("tilde"), RayWeights(spine=0.5, primed=0.85)),
+             build_tilde_quasiaffinity, (-6, 40))):
+        witness = build(op, materialize_window(op.model, *levels))
+        assert len(witness.blocks) >= 6
+        for block in witness.blocks:
+            k = block["k"]
+            g, norm = g_vector(op, k), witness.g_norms[k]
+            mat = np.array([[1.0, g[str(k)] / norm], [0.0, g[f"{k}'"] / norm]])
+            assert block["det"] == mat[1, 1]
+            assert block["det"] == pytest.approx(np.linalg.det(mat), rel=1e-15)
+            assert block["inverse_norm"] == pytest.approx(
+                np.linalg.norm(np.linalg.inv(mat), 2), rel=1e-15)
 
 
 def test_block_structure_invertible():
@@ -207,8 +230,7 @@ def test_two_leaf_shift_krylov_verified_cyclic():
     # block; composing the backward cyclic candidate (re-indexed onto the
     # spine) with the primed block's seed gives a window-verified cyclic
     # vector for the tree shift itself
-    from treeshift.cyclicity import (BackwardShiftSpec, construct_backward_cyclic,
-                                     verify_krylov_span)
+    from treeshift.cyclicity import BackwardShiftSpec, construct_backward_cyclic
     from treeshift.shifts import vector_to_dense
     from treeshift.trees import materialize_window
 
