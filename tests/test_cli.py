@@ -345,13 +345,23 @@ def test_bad_numeric_flags_exit_code(specs, capsys, flag, value):
     assert f"argument {flag}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["analyze", "asymptote", "adjoint-asymptote",
-                                     "similarity", "oracle", "cyclic"])
-def test_rank_tol_is_rejected_where_nothing_reads_it(specs, capsys, command):
-    inputs = (["--backward", specs["backward"]] if command == "cyclic" else
-              ["--tree", specs["star"], "--weights", specs["star_w"], "--levels", "0:2"])
+@pytest.mark.parametrize("flag,value", [("--rank-tol", "nan"), ("--rank-tol", "-1"),
+                                        ("--rank-tol", "0"), ("--rank-tol", "inf")])
+def test_bad_rank_tol_exit_code(specs, capsys, flag, value):
+    """``cyclic --backward`` has no ``--rank-tol`` either: any value is an
+    unrecognized argument."""
     with pytest.raises(SystemExit) as exc:
-        main([command, *inputs, "--rank-tol", "1e-8"])
+        main(["cyclic", "--backward", specs["backward"], f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}={value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "asymptote", "adjoint-asymptote",
+                                     "similarity", "oracle"])
+def test_rank_tol_is_rejected_where_nothing_reads_it(specs, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--tree", specs["star"], "--weights", specs["star_w"],
+              "--levels", "0:2", "--rank-tol", "1e-8"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --rank-tol 1e-8" in capsys.readouterr().err
 

@@ -732,9 +732,17 @@ def test_zeroed_coefficient_lowers_the_certified_rank():
     broken.xi[-1] = 0.0
     record = verify_cyclic_candidate(spec, broken, 78)
     assert record.rank < baseline.rank and not record.certified
-    # k_L + 1 = 79 columns still reach every row: the exact rank, not the
-    # counting, is what falls short
+
+
+def test_an_undecided_window_is_diagnosed_before_it_is_returned():
+    """k_L + 1 = 79 columns still reach every row, so counting cannot decide
+    the window: the returned record says that the exact rank falls short."""
+    spec = BackwardShiftSpec(1, 1.0)
+    broken = construct_backward_cyclic(spec, 12)
+    broken.xi[-1] = 0.0
+    record = verify_cyclic_candidate(spec, broken, 78)
     assert (record.rank, record.dimension, record.support_columns) == (67, 79, 79)
+    assert not record.certified
 
 
 def test_verify_cyclic_candidate_runs_no_float_elimination(monkeypatch):
