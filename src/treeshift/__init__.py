@@ -12,6 +12,7 @@ from .asymptote import (
 from .asymptotics import adjoint_profile, alpha_profile, classify, stable_subtree
 from .cyclicity import (
     BackwardShiftSpec,
+    backward_shift_verdict,
     cokernel_dimension,
     construct_backward_cyclic,
     cyclicity_verdict,
@@ -32,7 +33,6 @@ from .trees import (
     chi_n,
     gen_n,
     leaves,
-    level_index,
     load_tree,
     make_family,
     materialize_window,
@@ -49,6 +49,7 @@ __all__ = [
     "adjoint_isometric_asymptote",
     "adjoint_profile",
     "alpha_profile",
+    "backward_shift_verdict",
     "branching_index",
     "build_leaf_similarity",
     "build_tilde_quasiaffinity",
@@ -64,7 +65,6 @@ __all__ = [
     "intertwining_residual",
     "isometric_asymptote",
     "leaves",
-    "level_index",
     "load_tree",
     "load_weights",
     "make_family",

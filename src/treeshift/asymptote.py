@@ -108,13 +108,13 @@ def cnu_test(descriptor: AsymptoteDescriptor, window: TreeWindow,
 
 
 def isometric_asymptote(operator: ShiftOperator, profile: AsymptoticProfile,
-                        stable: StableSubtree, depth: int = DEFAULT_MAX_DEPTH,
-                        zero_threshold: float | None = None) -> AsymptoteDescriptor:
-    """Construct U = S_beta on the stable subtree and classify it."""
+                        stable: StableSubtree,
+                        depth: int = DEFAULT_MAX_DEPTH) -> AsymptoteDescriptor:
+    """Construct U = S_beta on the stable subtree and classify it; the c.n.u.
+    test reads the subtree's own zero threshold."""
     if not stable.members:
         raise StableSubtreeEmpty("the shift is stable; no isometric asymptote of interest")
-    if zero_threshold is None:
-        zero_threshold = stable.zero_threshold
+    zero_threshold = stable.zero_threshold
     alpha = profile.evaluator or AlphaEvaluator(operator, profile.tol)
     model = operator.model
 
@@ -252,7 +252,7 @@ def similar_to_coisometry(operator: ShiftOperator, window: TreeWindow,
         return SimilarityAnswer("no", "rooted tree cannot carry a co-isometry similarity")
     if any(len(operator.children(u)) > 1 for u in window):
         return SimilarityAnswer("no", "branching vertex present: |Chi(u)| <= 1 fails")
-    if model.branching_total() is not None and model.branching_total()[0] > 0:
+    if model.branching_total()[0] > 0:
         return SimilarityAnswer("no", "family has positive branching index")
     closed = operator.weights.full_product_positive()
     if closed is True:

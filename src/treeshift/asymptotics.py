@@ -256,7 +256,7 @@ def _stable_branching(profile: AsymptoticProfile, members: set):
     if model.vertices() is not None:
         return (count, True)
     symbolic = model.branching_total()
-    if members == set(profile.window.order) and symbolic is not None:
+    if members == set(profile.window.order):
         if profile.all_settled() or symbolic[0] == 0:
             return symbolic
     return (count, model.branching_in(profile.window))
@@ -303,11 +303,6 @@ class HVector(Deferred):
     status: str
     depth: int
     gen_exact: bool
-
-
-def _generation_complete(model, anchor_level: int) -> bool:
-    """True when no branch vertex can appear above the current anchor."""
-    return model.generation_complete(anchor_level)
 
 
 def ancestor_products(operator: ShiftOperator, v: str, depth: int) -> tuple:

@@ -32,6 +32,7 @@ from .asymptote import (
 )
 from .asymptotics import adjoint_profile, alpha_profile, classify, stable_subtree
 from .cyclicity import (
+    backward_shift_verdict,
     backward_spec_from_json,
     cokernel_dimension,  # noqa: F401  (perfbench/tracing.py wraps it)
     construct_backward_cyclic,
@@ -93,8 +94,8 @@ def _branching_text(value):
 def cmd_validate(args, out: Reporter) -> int:
     model = load_tree(args.tree)
     window = materialize_window(model, *args.levels, args.breadth)
-    br, br_exact = branching_index(model, window)
-    leafset = sorted(leaves(model, window))
+    br, br_exact = branching_index(model)
+    leafset = sorted(leaves(model))
     out.text(f"{model.describe()}")
     out.text(f"leaves: {leafset if leafset else 'none'}")
     out.text(f"window [{window.level_lo}:{window.level_hi}] has {len(window)} vertices")
@@ -191,7 +192,7 @@ def cmd_adjoint_asymptote(args, out: Reporter) -> int:
 def cmd_cyclic(args, out: Reporter) -> int:
     if args.backward:
         spec = backward_spec_from_json(errors.read_input(args.backward, errors.TreeSpecError))
-        verdict = cyclicity_verdict(spec, None)
+        verdict = backward_shift_verdict(spec)
         out.text(f"verdict: {verdict.verdict} [{verdict.rule}] {verdict.reason}")
         out.record("verdict", verdict.to_json())
         if not spec.zero_positions:
@@ -222,7 +223,7 @@ def cmd_cyclic(args, out: Reporter) -> int:
         return 0
     model, operator, window, profile, adjoint = _analysis(args)
     cls = classify(operator, profile, adjoint, zero_threshold=args.zero_th)
-    verdict = cyclicity_verdict(model, cls, window)
+    verdict = cyclicity_verdict(model, cls)
     out.text(f"classification: {cls.forward} / {cls.adjoint}")
     out.text(f"verdict: {verdict.verdict} [{verdict.rule}] {verdict.reason}")
     for blocker in verdict.blockers:

@@ -508,17 +508,15 @@ def backward_shift_verdict(spec: BackwardShiftSpec) -> CyclicityVerdict:
                     f"backward shift with {zeros} zero weights: range co-dimension >= 2")
 
 
-def cyclicity_verdict(model, classification, window=None) -> CyclicityVerdict:
-    """First matching structural/asymptotic rule wins; Unknown lists blockers.
+def cyclicity_verdict(model, classification) -> CyclicityVerdict:
+    """Verdict for a shift on a tree: the first matching structural/asymptotic
+    rule wins; Unknown lists blockers.
 
     `classification` provides `.forward` and `.adjoint` in
     {C0dot, C1dot, Cdot0, Cdot1, mixed, undetermined}.
     """
-    if isinstance(model, BackwardShiftSpec):
-        return backward_shift_verdict(model)
-
-    br, br_exact = branching_index(model, window)
-    nleaves = len(leaves(model, window))
+    br, _ = branching_index(model)
+    nleaves = len(leaves(model))
     rooted = model.is_rooted
     fwd = classification.forward
     adj = classification.adjoint
@@ -554,8 +552,6 @@ def cyclicity_verdict(model, classification, window=None) -> CyclicityVerdict:
     if not rooted and br == 1 and nleaves == 1:
         blockers.append("one-leaf Br=1 tree with stable adjoint orbits: cyclicity equals "
                         "that of the underlying bilateral shift, which is undecided")
-    if not br_exact:
-        blockers.append("branching index only known on the window")
     if not blockers:
         blockers.append("no rule matches this configuration")
     return _verdict("unknown", None, "no decisive rule", blockers)

@@ -7,7 +7,10 @@ construction and expose pure ``children``/``parent`` queries so that the
 infinite vertex set never has to be materialized.  All numeric work happens
 on a :class:`TreeWindow`, a finite, parent-closed slab of consecutive levels.
 
-Vertex ids are strings.  Procedural families use structured tokens:
+Vertex ids are strings.  Procedural families use structured tokens, and a
+family holds exactly the ids its ``seeds``, ``children`` and ``parent``
+produce, so integers are written canonically (``str(int(s)) == s``: no
+sign ``+``, no leading zero, no padding, no ``_``):
 
 * path / spine vertices: the level as a decimal integer, e.g. ``"-3"``
 * the primed ray of the tilde/comb families: ``"4'"`` for the vertex four
@@ -16,6 +19,10 @@ Vertex ids are strings.  Procedural families use structured tokens:
   the spine level the vertex hangs off and ``w`` is a binary word starting
   with ``"1"`` (the spine child of ``"m"`` is ``"m+1"``, its sibling is
   ``"m:1"``).
+
+A :class:`TreeWindow` is the record of its own breadth-first walk: the walk
+visits one level at a time, each in id order, so it already holds the
+canonical order and every vertex's level.
 """
 
 from __future__ import annotations
@@ -51,6 +58,16 @@ def _primed_index(v: str) -> int:
     return int(v[:-1])
 
 
+def _integer_id(s: str):
+    """The integer ``s`` spells canonically, or None (``"03"``, ``"+3"``,
+    ``" 3"``, ``"9_9"`` and ``"-0"`` are not canonical)."""
+    try:
+        n = int(s)
+    except ValueError:
+        return None
+    return n if str(n) == s else None
+
+
 class DirectedTreeModel:
     """Query contract shared by finite and procedural models."""
 
@@ -84,8 +101,17 @@ class DirectedTreeModel:
         raise NotImplementedError
 
     def seeds(self, lvl: int) -> list:
-        """Vertices a window at level ``lvl`` grows from; empty for an absent
-        level (levels are contiguous, so every deeper one is absent too)."""
+        """Vertices a window at level ``lvl`` grows from, in id order; empty
+        for an absent level (levels are contiguous, so every deeper one is
+        absent too)."""
+        raise NotImplementedError
+
+    def branching_total(self):
+        """(Br(T), True): the branching index of the whole tree."""
+        raise NotImplementedError
+
+    def leaf_set(self):
+        """The leaf set of the whole tree."""
         raise NotImplementedError
 
     def vertices(self):
@@ -104,22 +130,14 @@ class DirectedTreeModel:
         """True when ``window`` shows every branch vertex of the tree."""
         return False
 
-    def branching_total(self):
-        """(Br(T), exact) when the family determines it symbolically, else None."""
-        return None
-
-    def leaf_set(self):
-        """Symbolically known leaf set, or None when only windows can tell."""
-        return None
-
     def require_vertex(self, u: str):
         if u not in self:
             raise VertexNotFound(u)
 
     def describe(self) -> str:
         rooted = "rooted" if self.is_rooted else "rootless"
-        br = self.branching_total()
-        br_txt = "?" if br is None else ("inf" if br[0] == INFINITE else str(br[0]))
+        br = self.branching_total()[0]
+        br_txt = "inf" if br == INFINITE else str(br)
         return f"{self.kind}({self.family or 'finite'}): {rooted}, Br={br_txt}"
 
 
@@ -248,11 +266,7 @@ class BilateralPath(DirectedTreeModel):
         return str(int(u) - 1)
 
     def __contains__(self, u):
-        try:
-            int(u)
-            return True
-        except ValueError:
-            return False
+        return _integer_id(u) is not None
 
     @property
     def is_rooted(self):
@@ -289,10 +303,8 @@ class RootedPath(BilateralPath):
         return None if n == 0 else str(n - 1)
 
     def __contains__(self, u):
-        try:
-            return int(u) >= 0
-        except ValueError:
-            return False
+        n = _integer_id(u)
+        return n is not None and n >= 0
 
     @property
     def is_rooted(self):
@@ -357,16 +369,11 @@ class CombTree(DirectedTreeModel):
 
     def __contains__(self, u):
         if _is_primed(u):
-            try:
-                k = _primed_index(u)
-            except ValueError:
-                return False
-            return k >= 1 and (self.primed_leaf is None or k <= self.primed_leaf)
-        try:
-            n = int(u)
-        except ValueError:
-            return False
-        return self.unprimed_leaf is None or n <= self.unprimed_leaf
+            k = _integer_id(u[:-1])
+            return k is not None and k >= 1 and (self.primed_leaf is None
+                                                 or k <= self.primed_leaf)
+        n = _integer_id(u)
+        return n is not None and (self.unprimed_leaf is None or n <= self.unprimed_leaf)
 
     @property
     def is_rooted(self):
@@ -441,13 +448,10 @@ class RootlessBinary(DirectedTreeModel):
         return f"{m}:{w[:-1]}"
 
     def __contains__(self, u):
-        try:
-            m, w = self._parse(u)
-        except ValueError:
+        m, colon, w = u.partition(":")
+        if _integer_id(m) is None:
             return False
-        if not w:
-            return True
-        return w[0] == "1" and all(c in "01" for c in w)
+        return not colon or (w[:1] == "1" and all(c in "01" for c in w))
 
     @property
     def is_rooted(self):
@@ -513,21 +517,22 @@ def load_tree(path) -> DirectedTreeModel:
 class TreeWindow:
     """Finite, parent-closed slab of a tree between two levels.
 
-    Vertices are kept in the canonical dense-truncation order: level-major,
-    then id-lexicographic.
+    The window is the record of the breadth-first walk that built it:
+    ``by_level`` maps each level, in increasing order, to its vertices in
+    id order, so ``order`` (their concatenation) is the canonical
+    dense-truncation order, level-major then id-lexicographic, and every
+    level is known without asking the model.
     """
 
-    def __init__(self, model, level_lo, level_hi, breadth, ordered):
+    def __init__(self, model, level_lo, level_hi, breadth, by_level):
         self.model = model
         self.level_lo = level_lo
         self.level_hi = level_hi
         self.breadth = breadth
-        self.order = list(ordered)
+        self.by_level: dict[int, list[str]] = by_level
+        self.order = [v for vs in by_level.values() for v in vs]
         self._index = {v: i for i, v in enumerate(self.order)}
-        self._levels = {v: model.level(v) for v in self.order}
-        self.by_level: dict[int, list[str]] = {}
-        for v in self.order:
-            self.by_level.setdefault(self._levels[v], []).append(v)
+        self._levels = {v: lvl for lvl, vs in by_level.items() for v in vs}
 
     def __contains__(self, u):
         return u in self._index
@@ -574,7 +579,7 @@ class TreeWindow:
     def check_parent_closed(self):
         for u in self.order:
             p = self.model.parent(u)
-            if p is not None and self.model.level(p) >= self.level_lo and p not in self._index:
+            if p is not None and self._levels[u] > self.level_lo and p not in self._index:
                 return False
         return True
 
@@ -594,18 +599,19 @@ def materialize_window(model, level_lo, level_hi, breadth=64) -> TreeWindow:
     current = model.seeds(lvl)[:breadth] if lvl <= level_hi else []
     if not current:
         raise EmptyWindow(level_lo, level_hi)
-    collected: list[str] = []
+    by_level: dict[int, list[str]] = {}
+    size = 0
     while current and lvl <= level_hi:
-        collected.extend(current)
-        if len(collected) > WINDOW_CAP:
+        by_level[lvl] = current
+        size += len(current)
+        if size > WINDOW_CAP:
             raise WindowTooLarge(None, WINDOW_CAP)
         nxt: list[str] = []
         for u in current:
             nxt.extend(model.children(u))
         current = sorted(set(nxt))[:breadth]
         lvl += 1
-    collected.sort(key=lambda v: (model.level(v), v))
-    return TreeWindow(model, level_lo, level_hi, breadth, collected)
+    return TreeWindow(model, level_lo, level_hi, breadth, by_level)
 
 
 def chi_n(model, verts, n: int) -> set:
@@ -642,35 +648,12 @@ def gen_n(model, u: str, n: int) -> set:
     return out
 
 
-def level_index(model, u: str) -> int:
-    return model.level(u)
+def branching_index(model):
+    """Branching index Br(T) = sum over vertices of (children count - 1)+,
+    as (value, exact); every model knows it for the whole tree."""
+    return model.branching_total()
 
 
-def branching_index(model, window: TreeWindow | None = None):
-    """Branching index Br(T) = sum over vertices of (children count - 1)+.
-
-    Returns (value, exact).  Finite models and the built-in families are
-    exact; otherwise the window-restricted partial sum is flagged inexact.
-    """
-    symbolic = model.branching_total()
-    if symbolic is not None:
-        return symbolic
-    if window is None:
-        raise ValueError("a window is required for models without a symbolic Br")
-    partial = 0
-    for u in window:
-        c = len(model.children(u))
-        if c > 1:
-            partial += c - 1
-    return (partial, False)
-
-
-def leaves(model, window: TreeWindow | None = None) -> set:
-    """Leaf set: the model's symbolic one when it has one (finite models and
-    the built-in families), else the leaves among the window's vertices."""
-    known = model.leaf_set()
-    if known is not None:
-        return set(known)
-    if window is None:
-        raise ValueError("a window is required for models without a symbolic leaf set")
-    return {u for u in window if not model.children(u)}
+def leaves(model) -> set:
+    """Leaf set of the whole tree."""
+    return set(model.leaf_set())

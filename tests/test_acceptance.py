@@ -20,6 +20,7 @@ from treeshift.cyclicity import (
     BackwardShiftSpec,
     CyclicCandidate,
     VERDICT_ANCHORS,
+    backward_shift_verdict,
     cokernel_dimension,
     construct_backward_cyclic,
     cyclicity_verdict,
@@ -285,7 +286,7 @@ def _tree_fixture(op, lo, hi):
     window = materialize_window(op.model, lo, hi)
     profile = alpha_profile(op, window)
     adjoint = adjoint_profile(op, window)
-    return cyclicity_verdict(op.model, classify(op, profile, adjoint), window)
+    return cyclicity_verdict(op.model, classify(op, profile, adjoint))
 
 
 def test_criterion_11_verdict_fixture_suite():
@@ -301,7 +302,7 @@ def test_criterion_11_verdict_fixture_suite():
                                                  ConstantWeights(1 / math.sqrt(2))), 0, 4),
                      ("non-cyclic", "R2")))
     fixtures.append(("R3 one zero",
-                     cyclicity_verdict(BackwardShiftSpec(2, 0.9, zeros=[(1, 3)]), None),
+                     backward_shift_verdict(BackwardShiftSpec(2, 0.9, zeros=[(1, 3)])),
                      ("cyclic", "R3")))
     two_leaves = ShiftOperator(make_family("comb", {"primed_leaf": 2, "unprimed_leaf": 4}),
                                MapWeights({"1": 0.6, "1'": 0.7}, default=1.0))
@@ -333,8 +334,8 @@ def test_criterion_11_verdict_fixture_suite():
                                                  ConstantWeights(0.6)), -5, 5),
                      ("unknown", None)))
     fixtures.append(("negative: two zeros",
-                     cyclicity_verdict(BackwardShiftSpec(2, 0.9,
-                                                         zeros=[(0, 2), (1, 5)]), None),
+                     backward_shift_verdict(BackwardShiftSpec(2, 0.9,
+                                                              zeros=[(0, 2), (1, 5)])),
                      ("non-cyclic", "R3")))
 
     assert len(fixtures) == 12

@@ -299,6 +299,15 @@ def test_similar_to_coisometry_answers():
     assert similar_to_coisometry(half, window, adj).answer == "no"
 
 
+@pytest.mark.parametrize("family, params", [("tilde", None), ("comb", {"primed_leaf": 2})])
+def test_similar_to_coisometry_above_the_branch_vertex(family, params):
+    op = ShiftOperator(make_family(family, params), ConstantWeights(0.6))
+    window = materialize_window(op.model, 1, 4)
+    assert not any(len(op.children(u)) > 1 for u in window)
+    answer = similar_to_coisometry(op, window, adjoint_profile(op, window))
+    assert (answer.answer, answer.reason) == ("no", "family has positive branching index")
+
+
 def test_similar_to_coisometry_closed_forms():
     exp = ShiftOperator(make_family("bilateral-path"), ExpRayWeights(2.0, 1))
     window = materialize_window(exp.model, -5, 5)

@@ -404,6 +404,19 @@ def test_non_integer_comb_leaf_exit_code(specs, tmp_path, capsys, params):
     assert "TreeSpecError" in err and "must be an integer" in err
 
 
+def test_a_map_key_that_is_no_vertex_carries_no_level(specs, tmp_path, capsys):
+    # "9_9" parses as the integer 99 but is no bilateral-path vertex, so it
+    # must not deepen the descent's convergence floor.
+    outputs = []
+    for values in ({"2": 0.5, "9_9": 0.7}, {"2": 0.5}):
+        weights = write(tmp_path, "map.json", {"kind": "map", "values": values, "default": 1.0})
+        assert main(["analyze", "--tree", specs["bilateral"], "--weights", weights,
+                     "--levels=0:2"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert "alpha[0] = 0.25 (converged, depth 8)" in outputs[0]
+    assert outputs[0] == outputs[1]
+
+
 def test_zero_threshold_of_zero_is_accepted(specs, capsys):
     assert main(["analyze", "--tree", specs["binary"], "--weights", specs["halves"],
                  "--levels", "0:1", "--zero-th", "0", "--depth", "1"]) == 0

@@ -11,6 +11,7 @@ from treeshift.cyclicity import (
     RANK_TOL,
     BackwardShiftSpec,
     VERDICT_ANCHORS,
+    backward_shift_verdict,
     backward_spec_from_json,
     cokernel_dimension,
     construct_backward_cyclic,
@@ -501,14 +502,14 @@ def _classify(op, lo, hi):
     window = materialize_window(op.model, lo, hi)
     profile = alpha_profile(op, window)
     adjoint = adjoint_profile(op, window)
-    return classify(op, profile, adjoint), window
+    return classify(op, profile, adjoint)
 
 
 def test_verdict_backward_shift_rules():
-    cyclic = cyclicity_verdict(BackwardShiftSpec(2, 0.9, zeros=[(0, 3)]), None)
+    cyclic = backward_shift_verdict(BackwardShiftSpec(2, 0.9, zeros=[(0, 3)]))
     assert (cyclic.verdict, cyclic.rule) == ("cyclic", "R3")
     assert cyclic.anchors == VERDICT_ANCHORS["R3"]
-    blocked = cyclicity_verdict(BackwardShiftSpec(2, 0.9, zeros=[(0, 3), (1, 5)]), None)
+    blocked = backward_shift_verdict(BackwardShiftSpec(2, 0.9, zeros=[(0, 3), (1, 5)]))
     assert (blocked.verdict, blocked.rule) == ("non-cyclic", "R3")
 
 
@@ -517,29 +518,29 @@ def test_verdict_r1_rooted_branching(rng):
     op = ShiftOperator(tree, MapWeights({"a": 0.6, "b": 0.8}))
     window = full_window(tree)
     cls = classify(op, alpha_profile(op, window), adjoint_profile(op, window))
-    verdict = cyclicity_verdict(tree, cls, window)
+    verdict = cyclicity_verdict(tree, cls)
     assert (verdict.verdict, verdict.rule) == ("non-cyclic", "R1")
 
 
 def test_verdict_r2_rootless_binary():
     op = ShiftOperator(make_family("rootless-binary"), ConstantWeights(1 / math.sqrt(2)))
-    cls, window = _classify(op, 0, 4)
-    verdict = cyclicity_verdict(op.model, cls, window)
+    cls = _classify(op, 0, 4)
+    verdict = cyclicity_verdict(op.model, cls)
     assert (verdict.verdict, verdict.rule) == ("non-cyclic", "R2")
 
 
 def test_verdict_r6_tilde_c1dot():
     op = ShiftOperator(make_family("tilde"), MapWeights({"1": 0.6, "1'": 0.7}, default=1.0))
-    cls, window = _classify(op, -6, 6)
+    cls = _classify(op, -6, 6)
     assert cls.forward == "C1dot"
-    verdict = cyclicity_verdict(op.model, cls, window)
+    verdict = cyclicity_verdict(op.model, cls)
     assert (verdict.verdict, verdict.rule) == ("non-cyclic", "R6")
 
 
 def test_verdict_unknown_with_blockers():
     op = ShiftOperator(make_family("bilateral-path"), ConstantWeights(0.5))
-    cls, window = _classify(op, -5, 5)
-    verdict = cyclicity_verdict(op.model, cls, window)
+    cls = _classify(op, -5, 5)
+    verdict = cyclicity_verdict(op.model, cls)
     assert verdict.verdict == "unknown"
     assert verdict.blockers
 

@@ -16,6 +16,7 @@ import math
 import os
 import re
 from collections import Counter
+from itertools import groupby
 
 import pytest
 
@@ -25,7 +26,6 @@ from treeshift.asymptote import SimilarityAnswer, similar_to_isometry
 from treeshift.asymptotics import (
     CONVERGED,
     EXACT_ZERO,
-    _generation_complete,
     _stable_branching,
     alpha_profile,
     stable_subtree,
@@ -117,7 +117,8 @@ def ref_materialize_window(model, level_lo, level_hi, breadth=64):
     if not collected:
         raise VertexNotFound(f"window [{level_lo},{level_hi}] contains no vertices")
     collected.sort(key=lambda v: (model.level(v), v))
-    return TreeWindow(model, level_lo, level_hi, breadth, collected)
+    return TreeWindow(model, level_lo, level_hi, breadth,
+                      {lvl: list(vs) for lvl, vs in groupby(collected, model.level)})
 
 
 def ref_children_bound_outside(model, window):
@@ -360,7 +361,6 @@ def test_tree_hooks_match_the_deleted_dispatch(tree):
         if model.vertices() is None:
             assert model.children_bound(window) == ref_children_bound_outside(model, window)
     for lvl in range(-6, 7):
-        assert _generation_complete(model, lvl) == ref_generation_complete(model, lvl)
         assert model.generation_complete(lvl) == ref_generation_complete(model, lvl)
     for lo, hi in ((-3, 3), (-6, -1), (0, 0), (2, 9), (3, 6), (4, 5), (5, 9), (-1, 0)):
         for breadth in (1, 64):
@@ -549,9 +549,8 @@ def test_bilateral_path_exp_ray_infimum_is_below_start_level():
 
 # -- no concrete-class dispatch outside trees and weights -------------------------------
 
-# (module, enclosing function, class): the two dispatch sites that stay.
-ALLOWED_DISPATCH = {("cyclicity", "cyclicity_verdict", "BackwardShiftSpec"),
-                    ("similarity", "_require_comb", "CombTree")}
+# (module, enclosing function, class): the one dispatch site that stays.
+ALLOWED_DISPATCH = {("similarity", "_require_comb", "CombTree")}
 
 
 def _family_classes():

@@ -29,7 +29,6 @@ from treeshift.asymptotics import (
     ADJOINT_GEN_CAP,
     AlphaEvaluator,
     VertexEstimate,
-    _generation_complete,
     adjoint_profile,
     alpha_profile,
 )
@@ -111,7 +110,7 @@ def ref_adjoint_level(op, u, depth=DEFAULT_MAX_DEPTH, tol=DEFAULT_TOL,
     model = op.model
     members = [u]
     anchor = u
-    gen_exact = _generation_complete(model, model.level(u))
+    gen_exact = model.generation_complete(model.level(u))
     for d in range(1, depth + 1):
         parent = model.parent(anchor)
         if parent is None:
@@ -130,7 +129,7 @@ def ref_adjoint_level(op, u, depth=DEFAULT_MAX_DEPTH, tol=DEFAULT_TOL,
             break
         members.extend(new)
         anchor = parent
-        if _generation_complete(model, model.level(anchor)):
+        if model.generation_complete(model.level(anchor)):
             gen_exact = True
             break
     chains = {v: ref_ancestor_products(op, v, depth) for v in members}

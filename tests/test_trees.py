@@ -17,7 +17,6 @@ from treeshift.trees import (
     chi_n,
     gen_n,
     leaves,
-    level_index,
     make_family,
     materialize_window,
     tree_from_json,
@@ -101,20 +100,20 @@ def test_branching_symbolic_families():
 def test_branching_window_count_matches_dense(rng):
     tree = random_finite_tree(rng, 60)
     window = materialize_window(tree, 0, tree.depth(), breadth=100)
-    br, exact = branching_index(tree, window)
+    br, exact = branching_index(tree)
     assert exact
     manual = sum(max(len(tree.children(u)) - 1, 0) for u in window)
     assert br == manual
 
 
 def test_level_index():
-    assert level_index(make_family("rooted-path"), "0") == 0
-    assert level_index(make_family("tilde"), "4'") == 4
-    assert level_index(make_family("bilateral-path"), "-5") == -5
+    assert make_family("rooted-path").level("0") == 0
+    assert make_family("tilde").level("4'") == 4
+    assert make_family("bilateral-path").level("-5") == -5
     binary = make_family("rootless-binary")
-    assert level_index(binary, "2:101") == 5
+    assert binary.level("2:101") == 5
     with pytest.raises(VertexNotFound):
-        level_index(make_family("rooted-path"), "-1")
+        make_family("rooted-path").level("-1")
 
 
 def test_leaves():
@@ -217,6 +216,25 @@ def test_finite_window_skips_empty_levels():
     assert set(window.order) == {"r", "a"}
 
 
+@pytest.mark.parametrize("family", FAMILIES + ["comb", "finite"])
+def test_window_takes_its_levels_from_its_own_walk(family, rng):
+    model = random_finite_tree(rng, 40) if family == "finite" else make_family(
+        family, {"primed_leaf": 3, "unprimed_leaf": 5} if family == "comb" else None)
+    calls = []
+
+    class LevelCounting(type(model)):
+        def level(self, u):
+            calls.append(u)
+            return super().level(u)
+
+    model.__class__ = LevelCounting
+    window = materialize_window(model, -3, 6, breadth=8)
+    assert window.check_parent_closed()
+    assert calls == []
+    assert window.order == sorted(window.order, key=lambda v: (model.level(v), v))
+    assert all(window.level_of(u) == model.level(u) for u in window)
+
+
 # -- JSON ingestion -------------------------------------------------------------
 
 def test_tree_json_roundtrip_finite():
@@ -240,3 +258,17 @@ def test_vertex_id_text_roundtrip(rng):
         assert u in binary
         # parse: level + branch word survive the text form
         assert binary.level(u) == binary.level(str(u))
+
+
+@pytest.mark.parametrize("family, vertex", [
+    ("bilateral-path", "03"), ("bilateral-path", "+3"), ("bilateral-path", " 3"),
+    ("bilateral-path", "9_9"), ("bilateral-path", "-0"), ("rooted-path", "03"),
+    ("tilde", "03'"), ("tilde", "+1'"), ("tilde", "1_0"), ("comb", "02'"),
+    ("rootless-binary", "3:"), ("rootless-binary", "03:1"), ("rootless-binary", "+3"),
+])
+def test_families_hold_only_canonical_ids(family, vertex):
+    model = make_family(family, {"primed_leaf": 3} if family == "comb" else None)
+    assert vertex not in model
+    for query in (model.children, model.parent, model.level):
+        with pytest.raises(VertexNotFound):
+            query(vertex)
