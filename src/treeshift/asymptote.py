@@ -243,8 +243,7 @@ def similar_to_isometry(operator: ShiftOperator, profile: AsymptoticProfile,
     return SimilarityAnswer("undetermined", "no symbolic infimum for this family")
 
 
-def similar_to_coisometry(operator: ShiftOperator, window: TreeWindow,
-                          adjoint: AdjointAsymptotics) -> SimilarityAnswer:
+def similar_to_coisometry(operator: ShiftOperator, window: TreeWindow) -> SimilarityAnswer:
     """Structural gate (rootless, no branching) and then positivity of the
     full weight product via family closed forms or window log-sums."""
     model = operator.model

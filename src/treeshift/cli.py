@@ -151,7 +151,7 @@ def cmd_analyze(args, out: Reporter) -> int:
         out.text(f"  {note}")
     out.record("classification", cls.to_json())
     sim_iso = similar_to_isometry(operator, profile, args.zero_th)
-    sim_co = similar_to_coisometry(operator, window, adjoint)
+    sim_co = similar_to_coisometry(operator, window)
     out.text(f"similar to isometry: {sim_iso.answer} ({sim_iso.reason})")
     out.text(f"similar to co-isometry: {sim_co.answer} ({sim_co.reason})")
     out.record("similar-to-isometry", sim_iso.to_json())

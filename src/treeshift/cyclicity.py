@@ -28,10 +28,11 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
+from .deferred import Deferred
 from .errors import (DimensionCap, ScheduleTooShort, StageUnderflow, TreeSpecError, WeightError,
                      ZeroWeight, decoded, shown)
 from .trees import branching_index, leaves
-from .weights import _integer, _required, hash_unit
+from .weights import _integer, _required, hash_unit, unit_hasher
 
 DIMENSION_CAP = 4096
 RANK_TOL = 1e-8
@@ -53,11 +54,20 @@ VERDICT_ANCHORS = {
 
 
 def uniform_weight_rule(seed: int, low: float, high: float):
-    """Deterministic pseudo-random weights in [low, high], keyed by (branch, index)."""
+    """Deterministic pseudo-random weights in [low, high], keyed by (branch, index).
+
+    ``rule(j, k)`` hashes one key; ``rule.run(j, start, stop)`` gives the
+    same floats for k in [start, stop), hashing the key prefix once.
+    """
 
     def rule(j, k):
         return low + (high - low) * hash_unit(f"{seed}:{j}:{k}")
 
+    def run(j, start, stop):
+        units = unit_hasher(f"{seed}:{j}:")(map(str, range(start, stop)))
+        return [low + (high - low) * u for u in units]
+
+    rule.run = run
     return rule
 
 
@@ -65,39 +75,52 @@ class BackwardShiftSpec:
     """Backward shift of finite multiplicity: B e_{j,0} = 0,
     B e_{j,k} = w_{j,k-1} e_{j,k-1}, weights in [0,1].
 
-    `weights` is a constant or a rule (j, k) -> weight; `zeros` lists
-    positions whose weight is forced to 0 (recorded, so the verdict engine
-    and the split construction can see them).
+    `weights` is a constant or a rule (j, k) -> weight; a rule with a
+    ``run(j, start, stop)`` method gives the weights of an index range in one
+    call.  `zeros` lists positions whose weight is forced to 0 (recorded, so
+    the verdict engine and the split construction can see them).
     """
 
     def __init__(self, branches: int, weights=1.0, zeros=()):
         if branches < 1:
             raise TreeSpecError("need at least one branch")
         self.branches = int(branches)
-        self._rule = weights if callable(weights) else (lambda j, k, c=float(weights): c)
+        if callable(weights):
+            self._rule = weights
+            self._run = getattr(weights, "run", None)
+        else:
+            c = float(weights)
+            self._rule = lambda j, k: c
+            self._run = lambda j, start, stop: [c] * (stop - start)
         self.zero_positions = frozenset((int(j), int(k)) for j, k in zeros)
         for j, k in self.zero_positions:
             if not (0 <= j < self.branches) or k < 0:
                 raise TreeSpecError(f"zero position {(j, k)} out of range")
-        self._prefix = {}  # branch -> running products P[0..t], extended on demand
-        self._weights = {}  # (j, k) -> w_{j,k}, evaluated once
+        self._runs = {}  # branch -> ([w_{j,0}, ...], [P[0], P[1], ...]), extended on demand
 
     def weight(self, j: int, k: int) -> float:
         """w_{j,k} from the rule, range-checked, on every call."""
         if (j, k) in self.zero_positions:
             return 0.0
-        w = float(self._rule(j, k))
-        if not (0.0 < w <= 1.0):
-            raise ZeroWeight((j, k)) if w <= 0.0 else WeightError(f"weight {w} > 1 at {(j, k)}")
-        return w
+        return _checked(j, k, float(self._rule(j, k)))
 
-    def _weight(self, j: int, k: int) -> float:
-        """``weight`` memoized per position: the rule and its range check run
-        on the first query, later ones return the same float."""
-        w = self._weights.get((j, k))
-        if w is None:
-            w = self._weights[(j, k)] = self.weight(j, k)
-        return w
+    def _extend(self, j: int, stop: int) -> tuple:
+        """The weights w_{j,k} for k < stop and the running products P[0..stop]
+        of branch j, as the kept lists themselves (callers must not change
+        them).  Each weight is evaluated and range-checked once, in index
+        order; zero positions read 0.0, as in ``weight``."""
+        weights, prefix = self._runs.setdefault(j, ([], [1.0]))
+        start = len(weights)
+        if start < stop:
+            if self._run is None:
+                new = [self.weight(j, k) for k in range(start, stop)]
+            else:
+                new = self._run(j, start, stop)
+            for k, w in enumerate(new, start):
+                w = 0.0 if (j, k) in self.zero_positions else _checked(j, k, w)
+                weights.append(w)
+                prefix.append(prefix[-1] * w)
+        return weights, prefix
 
     def prefix_products(self, j: int, upto: int) -> list[float]:
         """P[t] = w_{j,0} * ... * w_{j,t-1} for t = 0..upto.
@@ -105,24 +128,33 @@ class BackwardShiftSpec:
         The running product of each branch is kept and extended on demand, so
         repeated calls evaluate every weight once; the caller gets a copy.
         """
-        known = self._prefix.setdefault(j, [1.0])
-        for k in range(len(known) - 1, upto):
-            known.append(known[-1] * self._weight(j, k))
-        return known[: upto + 1]
+        return self._extend(j, upto)[1][: upto + 1]
 
     def steps(self, depth: int) -> np.ndarray:
         """steps[j, k] = w_{j,k} for k < depth (0.0 at zero positions): the
         branch-wise action (B y)[j, k] = steps[j, k] * y[j, k + 1] of the
         truncation to indices k <= depth."""
         import numpy as np
-        return np.array([[self._weight(j, k) for k in range(depth)]
-                         for j in range(self.branches)])
+        return np.array([self._extend(j, depth)[0][:depth] for j in range(self.branches)])
+
+
+def _checked(j: int, k: int, w: float) -> float:
+    """``w`` when it is a weight in (0, 1]; else ZeroWeight or WeightError
+    naming (j, k)."""
+    if not (0.0 < w <= 1.0):
+        raise ZeroWeight((j, k)) if w <= 0.0 else WeightError(f"weight {w} > 1 at {(j, k)}")
+    return w
 
 
 @dataclass
-class CyclicCandidate:
+class CyclicCandidate(Deferred):
     """Support schedule, coefficients, and the rescaling history of the
-    sequential Sigma_m modification loop."""
+    sequential Sigma_m modification loop.
+
+    ``construct_backward_cyclic`` leaves ``sigma_final``, the stage bounds of
+    the final coefficients, to be computed on its first read."""
+
+    pending = ("sigma_final",)
 
     schedule: list  # [(j_l, k_l)] for l = 1..L, stored 0-based in the list
     xi: list  # strictly positive coefficients, same indexing
@@ -199,9 +231,9 @@ def construct_backward_cyclic(spec: BackwardShiftSpec, L: int) -> CyclicCandidat
     support_columns = L * (L + 1) // 2 + 1
     if support_columns > DIMENSION_CAP:
         raise DimensionCap(support_columns, DIMENSION_CAP)
-    candidate = CyclicCandidate(schedule=default_schedule(spec.branches, L),
-                                xi=[2.0 ** (-l) for l in range(1, L + 1)])
-    schedule, xi = candidate.schedule, candidate.xi
+    schedule = default_schedule(spec.branches, L)
+    xi = [2.0 ** (-l) for l in range(1, L + 1)]
+    modifications = []
     prefix = _schedule_prefix(spec, schedule)
     for m in range(1, L + 1):
         s = _sigma(schedule, xi, prefix, m)
@@ -211,9 +243,13 @@ def construct_backward_cyclic(spec: BackwardShiftSpec, L: int) -> CyclicCandidat
             factor = math.sqrt(2.0 ** m * s) * (1.0 + 1e-12)
             for l in range(m + 1, L + 1):
                 xi[l - 1] /= factor
-            candidate.modifications.append((m, s, factor))
-    candidate.sigma_final = [_sigma(schedule, xi, prefix, m) for m in range(1, L + 1)]
-    return candidate
+            modifications.append((m, s, factor))
+    # The bounds are those of the candidate as returned, even if a caller
+    # later changes its lists.
+    final = tuple(schedule), tuple(xi)
+    return CyclicCandidate.deferred(
+        lambda: {"sigma_final": [_sigma(*final, prefix, m) for m in range(1, L + 1)]},
+        schedule=schedule, xi=xi, modifications=modifications)
 
 
 def range_membership_report(spec: BackwardShiftSpec, candidate: CyclicCandidate, n: int) -> float:
@@ -223,8 +259,8 @@ def range_membership_report(spec: BackwardShiftSpec, candidate: CyclicCandidate,
     total = 0.0
     for (j, k), x in zip(candidate.schedule, candidate.xi):
         prod = 1.0
-        for i in range(k, k + n):
-            prod *= spec._weight(j, i)
+        for w in spec._extend(j, k + n)[0][k: k + n]:
+            prod *= w
         total += (x / prod) ** 2
     return total
 

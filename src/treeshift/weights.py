@@ -66,6 +66,27 @@ def hash_unit(key: str) -> float:
     return int.from_bytes(digest, "big") / 2.0 ** 64
 
 
+def unit_hasher(prefix: str):
+    """The function ``suffixes -> [hash_unit(prefix + s) for s in suffixes]``.
+
+    blake2b is a streaming hash: a copy of the state fed ``prefix``, fed
+    ``s``, has the digest of ``prefix + s``.  So the prefix is hashed once,
+    here, and each unit costs one state copy.
+    """
+    import hashlib  # loads OpenSSL, which only hashed weights need
+    state = hashlib.blake2b(prefix.encode(), digest_size=8)
+
+    def units(suffixes) -> list[float]:
+        out = []
+        for s in suffixes:
+            h = state.copy()
+            h.update(s.encode())
+            out.append(int.from_bytes(h.digest(), "big") / 2.0 ** 64)
+        return out
+
+    return units
+
+
 class WeightAssignment:
     kind = "abstract"
     # The weight of a vertex is a function of its level alone.
@@ -418,10 +439,13 @@ class HashRandomWeights(FamilyWeights):
         self.high = _positive(high, "hash-random high", MAX_WEIGHT)
         if self.low > self.high:
             raise WeightError("need 0 < low <= high")
+        self._units = None  # unit_hasher of f"{seed}:", made on first use
 
     def weight(self, model, v):
         self._check_non_root(model, v)
-        return self.low + (self.high - self.low) * hash_unit(f"{self.seed}:{v}")
+        if self._units is None:
+            self._units = unit_hasher(f"{self.seed}:")
+        return self.low + (self.high - self.low) * self._units((str(v),))[0]
 
     def max_weight(self):
         return self.high

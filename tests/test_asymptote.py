@@ -285,18 +285,15 @@ def test_similar_to_isometry_answers(rng):
 def test_similar_to_coisometry_answers():
     tilde = ShiftOperator(make_family("tilde"), MapWeights({"1": 0.6, "1'": 0.7}, default=1.0))
     window = materialize_window(tilde.model, -5, 5)
-    adj = adjoint_profile(tilde, window)
-    assert similar_to_coisometry(tilde, window, adj).answer == "no"
+    assert similar_to_coisometry(tilde, window).answer == "no"
 
     ones = ShiftOperator(make_family("bilateral-path"), ConstantWeights(1.0))
     window = materialize_window(ones.model, -5, 5)
-    adj = adjoint_profile(ones, window)
-    assert similar_to_coisometry(ones, window, adj).answer == "yes"
+    assert similar_to_coisometry(ones, window).answer == "yes"
 
     half = ShiftOperator(make_family("bilateral-path"), ConstantWeights(0.5))
     window = materialize_window(half.model, -5, 5)
-    adj = adjoint_profile(half, window)
-    assert similar_to_coisometry(half, window, adj).answer == "no"
+    assert similar_to_coisometry(half, window).answer == "no"
 
 
 @pytest.mark.parametrize("family, params", [("tilde", None), ("comb", {"primed_leaf": 2})])
@@ -304,26 +301,23 @@ def test_similar_to_coisometry_above_the_branch_vertex(family, params):
     op = ShiftOperator(make_family(family, params), ConstantWeights(0.6))
     window = materialize_window(op.model, 1, 4)
     assert not any(len(op.children(u)) > 1 for u in window)
-    answer = similar_to_coisometry(op, window, adjoint_profile(op, window))
+    answer = similar_to_coisometry(op, window)
     assert (answer.answer, answer.reason) == ("no", "family has positive branching index")
 
 
 def test_similar_to_coisometry_closed_forms():
     exp = ShiftOperator(make_family("bilateral-path"), ExpRayWeights(2.0, 1))
     window = materialize_window(exp.model, -5, 5)
-    adj = adjoint_profile(exp, window)
     # the two-sided log-sum is a finite geometric series: product positive
-    assert similar_to_coisometry(exp, window, adj).answer == "yes"
+    assert similar_to_coisometry(exp, window).answer == "yes"
 
     padded = ShiftOperator(make_family("bilateral-path"),
                            MapWeights({"0": 0.6}, default=1.0))
-    adj = adjoint_profile(padded, window)
-    assert similar_to_coisometry(padded, window, adj).answer == "yes"
+    assert similar_to_coisometry(padded, window).answer == "yes"
 
     leaky = ShiftOperator(make_family("bilateral-path"),
                           MapWeights({"0": 0.6}, default=0.9))
-    adj = adjoint_profile(leaky, window)
-    assert similar_to_coisometry(leaky, window, adj).answer == "no"
+    assert similar_to_coisometry(leaky, window).answer == "no"
 
 
 def test_descriptor_json_shape():

@@ -575,6 +575,7 @@ import treeshift.cli
 from treeshift.cli import main
 
 assert "numpy" not in sys.modules, "importing treeshift loads numpy"
+assert "hashlib" not in sys.modules, "importing treeshift loads hashlib"
 star, star_w, binary, decay, tilde, tilde_w, backward = sys.argv[1:]
 for argv, code in (
         (["validate", "--tree", star], 0),

@@ -23,11 +23,12 @@ from treeshift.cyclicity import (
     uniform_weight_rule,
     verify_cyclic_candidate,
 )
-from treeshift.errors import DimensionCap, ScheduleTooShort, StageUnderflow, ZeroWeight
+from treeshift.errors import (DimensionCap, ScheduleTooShort, StageUnderflow, WeightError,
+                              ZeroWeight)
 from treeshift.shifts import ShiftOperator
 from treeshift.sparse import SparseVector
 from treeshift.trees import make_family, materialize_window, validate_finite
-from treeshift.weights import ConstantWeights, HashRandomWeights, MapWeights
+from treeshift.weights import ConstantWeights, HashRandomWeights, MapWeights, hash_unit, unit_hasher
 
 from conftest import full_window, random_finite_tree
 from krylov_reference import (
@@ -441,6 +442,82 @@ def test_prefix_products_memo_is_order_free_and_private():
             assert spec.prefix_products(j, upto) == _prefix_reference(plain, j, upto)
 
 
+def _membership_reference(spec, candidate, n):
+    total = 0.0
+    for (j, k), x in zip(candidate.schedule, candidate.xi):
+        prod = 1.0
+        for i in range(k, k + n):
+            prod *= spec.weight(j, i)
+        total += (x / prod) ** 2
+    return total
+
+
+def _read(spec, plain, reader, j, stop):
+    """Read branch j up to index ``stop`` through one public reader of
+    ``spec`` and compare with the per-index weights of ``plain``."""
+    if reader == "prefix":
+        assert spec.prefix_products(j, stop) == _prefix_reference(plain, j, stop)
+    elif reader == "steps":
+        assert spec.steps(stop)[j].tolist() == [plain.weight(j, k) for k in range(stop)]
+    else:
+        cand = CyclicCandidate(schedule=[(j, stop - 2), (j, stop // 2)], xi=[0.5, 0.25])
+        if any((j, k + i) in plain.zero_positions for _, k in cand.schedule for i in (0, 1)):
+            return  # the partial sum divides by the weights
+        assert range_membership_report(spec, cand, 2) == _membership_reference(plain, cand, 2)
+
+
+@pytest.mark.parametrize("weights", [uniform_weight_rule(0, 0.5, 0.99),
+                                     uniform_weight_rule(97, 0.1, 1.0),
+                                     uniform_weight_rule(929756531, 0.7, 0.7), 0.5, 1.0,
+                                     lambda j, k: 0.5 + 0.4 * ((3 * j + k) % 7) / 7],
+                         ids=["hash-0", "hash-97", "hash-flat", "const-0.5", "const-1",
+                              "callable"])
+@pytest.mark.parametrize("branches", [1, 2, 3])
+@pytest.mark.parametrize("zeros", [(), ((0, 5),), ((0, 0), (0, 400))])
+def test_weight_runs_equal_the_per_index_weights(weights, branches, zeros):
+    """Weights evaluated in runs, read in uneven runs through every reader and
+    in several orders, are the floats ``weight(j, k)`` gives, bit for bit."""
+    plain = BackwardShiftSpec(branches, weights, zeros=zeros)
+    readers = ("prefix", "steps", "membership")
+    for shift in range(len(readers)):
+        spec = BackwardShiftSpec(branches, weights, zeros=zeros)
+        order = readers[shift:] + readers[:shift]
+        for step, stop in enumerate((10, 37, 820)):
+            for j in range(branches):
+                _read(spec, plain, order[(step + j) % 3], j, stop)
+            for j in reversed(range(branches)):
+                _read(spec, plain, order[(step + j + 1) % 3], j, stop // 3)
+
+
+def test_unit_hasher_gives_the_one_shot_units():
+    keys = ["0", "1", "-3", "2'", "17'", "5:1", "-4:0", "v001", "root", ""]
+    for prefix in ("0:", "929756531:", "3:1:", "-2:0:", ""):
+        assert unit_hasher(prefix)(keys) == [hash_unit(prefix + key) for key in keys]
+    model = make_family("rootless-binary")
+    weights = HashRandomWeights(3, 0.5, 0.7)
+    for v in ("0", "-3", "2:0", "2:1", "-1:1"):
+        assert weights.weight(model, v) == 0.5 + (0.7 - 0.5) * hash_unit(f"3:{v}")
+    rule = uniform_weight_rule(929756531, 0.5, 0.99)
+    assert rule.run(1, 3, 40) == [0.5 + (0.99 - 0.5) * hash_unit(f"929756531:1:{k}")
+                                  for k in range(3, 40)]
+
+
+def test_a_weight_out_of_range_is_named_by_its_position_in_a_run():
+    spec = BackwardShiftSpec(1, lambda j, k: 1.5 if (j, k) == (0, 7) else 0.5)
+    with pytest.raises(WeightError, match=r"\(0, 7\)"):
+        spec.prefix_products(0, 20)
+    assert spec.prefix_products(0, 7) == [0.5 ** t for t in range(8)]
+    with pytest.raises(WeightError, match=r"\(0, 7\)"):
+        spec.steps(20)
+    # a batch rule past 1 fails at its first such index, in index order
+    rule = uniform_weight_rule(5, 0.5, 1.5)
+    first = next(k for k in range(100) if rule(1, k) > 1.0)
+    with pytest.raises(WeightError, match=rf"\(1, {first}\)"):
+        BackwardShiftSpec(2, rule).prefix_products(1, 100)
+    with pytest.raises(ZeroWeight):
+        BackwardShiftSpec(1, lambda j, k: 0.0 if k == 3 else 0.5).steps(10)
+
+
 # -- dense-range / direct-sum cyclicity laws -------------------------------------------
 
 def _weighted_cycle(rng, n):
@@ -823,6 +900,36 @@ def test_hoisted_sigma_tables_give_bit_identical_candidates():
         assert fast.sigma_final == slow.sigma_final
         for m in (1, L // 2, L):
             assert sigma_m(fast, BackwardShiftSpec(branches, weights), m) == fast.sigma_final[m - 1]
+
+
+def test_construction_makes_one_sigma_pass_until_sigma_final_is_read(monkeypatch):
+    calls = []
+    sigma = cyclicity._sigma
+    monkeypatch.setattr(cyclicity, "_sigma", lambda *args: calls.append(args[-1]) or sigma(*args))
+    for branches, L in ((1, 40), (2, 24), (3, 12)):
+        calls.clear()
+        cand = construct_backward_cyclic(
+            BackwardShiftSpec(branches, uniform_weight_rule(branches, 0.5, 0.99)), L)
+        assert calls == list(range(1, L + 1))
+        assert len(cand.sigma_final) == L
+        assert calls == 2 * list(range(1, L + 1))
+        assert len(cand.sigma_final) == L and len(calls) == 2 * L  # computed once
+
+
+def test_sigma_final_is_the_same_read_copied_or_pickled():
+    import pickle
+    for branches, L, weights in ((1, 40, uniform_weight_rule(1, 0.5, 0.99)), (2, 16, 0.9),
+                                 (3, 20, uniform_weight_rule(3, 0.1, 1.0))):
+        expected = _construct_reference(BackwardShiftSpec(branches, weights), L).sigma_final
+        build = lambda: construct_backward_cyclic(BackwardShiftSpec(branches, weights), L)
+        assert build().sigma_final == expected
+        assert copy.deepcopy(build()).sigma_final == expected
+        assert pickle.loads(pickle.dumps(build())).sigma_final == expected
+        # the bounds are those of the candidate as built, even after a caller
+        # changes its coefficients
+        changed = build()
+        changed.xi[-1] = 1.0
+        assert changed.sigma_final == expected
 
 
 @pytest.mark.parametrize("branches,L,K,certified", [(1, 40, 200, True), (3, 36, 120, True),
