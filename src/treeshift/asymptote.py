@@ -43,7 +43,6 @@ class AsymptoteDescriptor:
     beta: dict  # vertex -> weight, on stable-subtree interior window vertices
     classification: str
     multiplicity: float  # count or math.inf
-    multiplicity_exact: bool
     cnu_value: float | None
     cnu_by_level: dict
     stable: StableSubtree
@@ -115,7 +114,7 @@ def isometric_asymptote(operator: ShiftOperator, profile: AsymptoticProfile,
     if not stable.members:
         raise StableSubtreeEmpty("the shift is stable; no isometric asymptote of interest")
     zero_threshold = stable.zero_threshold
-    alpha = profile.evaluator or AlphaEvaluator(operator, profile.tol)
+    alpha = profile.evaluator
     model = operator.model
 
     beta = {}
@@ -127,7 +126,7 @@ def isometric_asymptote(operator: ShiftOperator, profile: AsymptoticProfile,
         if rv.status in _USABLE and rp.status in _USABLE:
             beta[v] = operator.weight(v) * math.sqrt(rv.estimate / rp.estimate)
 
-    br, br_exact = stable.branching
+    br = stable.branching[0]
     if model.is_rooted:
         mult = br + 1 if br != math.inf else math.inf
         cls, cnu_value, by_level = UNILATERAL, None, {}
@@ -141,8 +140,7 @@ def isometric_asymptote(operator: ShiftOperator, profile: AsymptoticProfile,
         cnu_value = by_level[min(by_level)]
         cls = CNU_UNILATERAL if cnu_value <= zero_threshold else BILATERAL_PLUS
         mult = br
-    return AsymptoteDescriptor(beta, cls, mult, br_exact, cnu_value, by_level,
-                               stable, operator, alpha)
+    return AsymptoteDescriptor(beta, cls, mult, cnu_value, by_level, stable, operator, alpha)
 
 
 @dataclass
@@ -251,7 +249,7 @@ def similar_to_coisometry(operator: ShiftOperator, window: TreeWindow) -> Simila
         return SimilarityAnswer("no", "rooted tree cannot carry a co-isometry similarity")
     if any(len(operator.children(u)) > 1 for u in window):
         return SimilarityAnswer("no", "branching vertex present: |Chi(u)| <= 1 fails")
-    if model.branching_total()[0] > 0:
+    if model.branching_total() > 0:
         return SimilarityAnswer("no", "family has positive branching index")
     closed = operator.weights.full_product_positive()
     if closed is True:

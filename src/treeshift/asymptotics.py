@@ -92,11 +92,10 @@ class AlphaEvaluator:
     """Cached per-vertex evaluation of the forward limit eigenvalues."""
 
     def __init__(self, operator: ShiftOperator, tol: float = DEFAULT_TOL,
-                 max_depth: int = DEFAULT_MAX_DEPTH, frontier_cap: int = FRONTIER_CAP):
+                 max_depth: int = DEFAULT_MAX_DEPTH):
         self.operator = operator
         self.tol = tol
         self.max_depth = max_depth
-        self.frontier_cap = frontier_cap
         self.isometry = operator.is_certified_isometry()
         self.lumped = operator.is_level_homogeneous()
         self._cache: dict[str, VertexEstimate] = {}
@@ -182,20 +181,18 @@ class AlphaEvaluator:
             else:
                 consecutive = 0
             s_prev = s
-            if len(frontier) > self.frontier_cap:
+            if len(frontier) > FRONTIER_CAP:
                 break
         return s_prev, s_prev, MAX_DEPTH, n
 
 
 @dataclass
 class AsymptoticProfile:
-    """Per-window-vertex estimates of the forward (alpha) or adjoint (a) limits."""
+    """Per-window-vertex estimates of the forward (alpha) or adjoint (a)
+    limits; a forward profile carries the evaluator that made it."""
 
-    kind: str  # "forward" | "adjoint"
     records: dict
     window: TreeWindow
-    tol: float
-    contraction_certified: bool
     evaluator: AlphaEvaluator | None = None
 
     def record(self, u: str) -> VertexEstimate:
@@ -212,21 +209,17 @@ class AsymptoticProfile:
 
 
 def require_contraction(operator: ShiftOperator, window: TreeWindow):
-    norm = operator.operator_norm(window)
-    if norm.value > 1.0 + CONTRACTION_SLACK:
-        raise NotAContraction(norm.value)
-    return norm
+    norm = operator.operator_norm(window).value
+    if norm > 1.0 + CONTRACTION_SLACK:
+        raise NotAContraction(norm)
 
 
 def alpha_profile(operator: ShiftOperator, window: TreeWindow, tol: float = DEFAULT_TOL,
-                  max_depth: int = DEFAULT_MAX_DEPTH,
-                  evaluator: AlphaEvaluator | None = None) -> AsymptoticProfile:
+                  max_depth: int = DEFAULT_MAX_DEPTH) -> AsymptoticProfile:
     """Forward limit eigenvalue for every window vertex."""
-    norm = require_contraction(operator, window)
-    if evaluator is None:
-        evaluator = AlphaEvaluator(operator, tol, max_depth)
-    records = {u: evaluator(u) for u in window.order}
-    return AsymptoticProfile("forward", records, window, tol, norm.certified, evaluator)
+    require_contraction(operator, window)
+    evaluator = AlphaEvaluator(operator, tol, max_depth)
+    return AsymptoticProfile({u: evaluator(u) for u in window.order}, window, evaluator)
 
 
 @dataclass
@@ -257,8 +250,8 @@ def _stable_branching(profile: AsymptoticProfile, members: set):
         return (count, True)
     symbolic = model.branching_total()
     if members == set(profile.window.order):
-        if profile.all_settled() or symbolic[0] == 0:
-            return symbolic
+        if profile.all_settled() or symbolic == 0:
+            return (symbolic, True)
     return (count, model.branching_in(profile.window))
 
 
@@ -421,31 +414,28 @@ ADJOINT_GEN_CAP = 512
 
 
 def adjoint_profile(operator: ShiftOperator, window: TreeWindow,
-                    depth: int = DEFAULT_MAX_DEPTH, tol: float = DEFAULT_TOL,
-                    frontier_cap: int = ADJOINT_GEN_CAP) -> AdjointAsymptotics:
+                    depth: int = DEFAULT_MAX_DEPTH, tol: float = DEFAULT_TOL
+                    ) -> AdjointAsymptotics:
     """Adjoint limit eigenvalues a_u per level, plus the h eigenvectors.
 
     Rooted trees are certified stable with no numerics.  Rootless ones get
     one computation per window level (the vectors and values are constant
     along a level by construction).
     """
-    norm = require_contraction(operator, window)
-    model = window.model
-    if model.is_rooted:
+    require_contraction(operator, window)
+    if window.model.is_rooted:
         records = {u: VertexEstimate(u, 0.0, 0.0, EXACT_ZERO, 0) for u in window.order}
-        prof = AsymptoticProfile("adjoint", records, window, tol, norm.certified)
-        return AdjointAsymptotics(prof, {}, rooted_certified=True)
+        return AdjointAsymptotics(AsymptoticProfile(records, window), {}, rooted_certified=True)
 
     records = {}
     h_by_level = {}
     for lvl in window.levels():
         rep = window.vertices_at(lvl)[0]
-        rec, h = _adjoint_level(operator, rep, depth, tol, frontier_cap)
+        rec, h = _adjoint_level(operator, rep, depth, tol, ADJOINT_GEN_CAP)
         h_by_level[lvl] = h
         for u in window.vertices_at(lvl):
             records[u] = VertexEstimate(u, rec.estimate, rec.upper, rec.status, rec.depth)
-    prof = AsymptoticProfile("adjoint", records, window, tol, norm.certified)
-    return AdjointAsymptotics(prof, h_by_level)
+    return AdjointAsymptotics(AsymptoticProfile(records, window), h_by_level)
 
 
 @dataclass
@@ -464,7 +454,7 @@ class ClassificationC:
                 "adjoint_certified": self.adjoint_certified, "notes": list(self.notes)}
 
 
-def _classify_side(records, zero_threshold, one_threshold):
+def _classify_side(records, zero_threshold):
     values = set()
     certified = True
     for r in records.values():
@@ -476,7 +466,7 @@ def _classify_side(records, zero_threshold, one_threshold):
             # The estimate is an upper bound, so smallness is one-sided safe.
             values.add("zero")
             certified = False
-        elif r.estimate >= one_threshold and r.status == CONVERGED:
+        elif r.estimate >= DEFAULT_ONE_THRESHOLD and r.status == CONVERGED:
             values.add("one")
             certified = False
         else:
@@ -490,10 +480,9 @@ def _classify_side(records, zero_threshold, one_threshold):
 
 def classify(operator: ShiftOperator, forward: AsymptoticProfile,
              adjoint: AdjointAsymptotics,
-             zero_threshold: float = DEFAULT_ZERO_THRESHOLD,
-             one_threshold: float = DEFAULT_ONE_THRESHOLD) -> ClassificationC:
+             zero_threshold: float = DEFAULT_ZERO_THRESHOLD) -> ClassificationC:
     notes = []
-    fwd_side, fwd_cert = _classify_side(forward.records, zero_threshold, one_threshold)
+    fwd_side, fwd_cert = _classify_side(forward.records, zero_threshold)
     fwd = {"one": "C1dot", "zero": "C0dot"}.get(fwd_side, fwd_side)
     notes.append(f"forward: {fwd} ({'certified' if fwd_cert else 'numerical'})")
 
@@ -501,8 +490,7 @@ def classify(operator: ShiftOperator, forward: AsymptoticProfile,
         adj, adj_cert = "Cdot0", True
         notes.append("adjoint: Cdot0 (certified: rooted tree)")
     else:
-        adj_side, adj_cert = _classify_side(adjoint.profile.records, zero_threshold,
-                                            one_threshold)
+        adj_side, adj_cert = _classify_side(adjoint.profile.records, zero_threshold)
         adj = {"one": "Cdot1", "zero": "Cdot0"}.get(adj_side, adj_side)
         notes.append(f"adjoint: {adj} ({'certified' if adj_cert else 'numerical'})")
     return ClassificationC(fwd, adj, fwd_cert, adj_cert, notes)

@@ -94,7 +94,7 @@ def _branching_text(value):
 def cmd_validate(args, out: Reporter) -> int:
     model = load_tree(args.tree)
     window = materialize_window(model, *args.levels, args.breadth)
-    br, br_exact = branching_index(model)
+    br = branching_index(model)
     leafset = sorted(leaves(model))
     out.text(f"{model.describe()}")
     out.text(f"leaves: {leafset if leafset else 'none'}")
@@ -102,7 +102,7 @@ def cmd_validate(args, out: Reporter) -> int:
     out.record("tree", {"kind": model.kind, "family": model.family,
                         "rooted": model.is_rooted, "root": model.root,
                         "leaves": leafset, "branching": _branching_text(br),
-                        "branching_exact": br_exact, "window_size": len(window)})
+                        "branching_exact": True, "window_size": len(window)})
     return 0
 
 
@@ -234,7 +234,9 @@ def cmd_cyclic(args, out: Reporter) -> int:
 
 def cmd_similarity(args, out: Reporter) -> int:
     model, operator, window = _operator(args)
-    if getattr(model, "primed_leaf", None) is not None:
+    # A comb has leaves exactly when it has a primed leaf; both builders
+    # reject any other model.
+    if model.leaf_set():
         witness = build_leaf_similarity(operator, window)
     else:
         witness = build_tilde_quasiaffinity(operator, window)

@@ -77,8 +77,9 @@ class BackwardShiftSpec:
 
     `weights` is a constant or a rule (j, k) -> weight; a rule with a
     ``run(j, start, stop)`` method gives the weights of an index range in one
-    call.  `zeros` lists positions whose weight is forced to 0 (recorded, so
-    the verdict engine and the split construction can see them).
+    call, and any other rule is run one index at a time.  `zeros` lists
+    positions whose weight is forced to 0 (recorded, so the verdict engine
+    and the split construction can see them).
     """
 
     def __init__(self, branches: int, weights=1.0, zeros=()):
@@ -86,8 +87,9 @@ class BackwardShiftSpec:
             raise TreeSpecError("need at least one branch")
         self.branches = int(branches)
         if callable(weights):
-            self._rule = weights
-            self._run = getattr(weights, "run", None)
+            rule = self._rule = weights
+            self._run = getattr(weights, "run", None) or (
+                lambda j, start, stop: [float(rule(j, k)) for k in range(start, stop)])
         else:
             c = float(weights)
             self._rule = lambda j, k: c
@@ -112,11 +114,7 @@ class BackwardShiftSpec:
         weights, prefix = self._runs.setdefault(j, ([], [1.0]))
         start = len(weights)
         if start < stop:
-            if self._run is None:
-                new = [self.weight(j, k) for k in range(start, stop)]
-            else:
-                new = self._run(j, start, stop)
-            for k, w in enumerate(new, start):
+            for k, w in enumerate(self._run(j, start, stop), start):
                 w = 0.0 if (j, k) in self.zero_positions else _checked(j, k, w)
                 weights.append(w)
                 prefix.append(prefix[-1] * w)
@@ -441,7 +439,7 @@ def _rank_from_order_basis(support: dict, steps, window_K: int, depth: int) -> i
 
 
 def verify_cyclic_candidate(spec: BackwardShiftSpec, candidate: CyclicCandidate,
-                            window_K: int, cap: int = DIMENSION_CAP) -> KrylovVerification:
+                            window_K: int) -> KrylovVerification:
     """Krylov witness on the K-window.
 
     B is truncated at the candidate's deepest support point (the action of B
@@ -456,8 +454,8 @@ def verify_cyclic_candidate(spec: BackwardShiftSpec, candidate: CyclicCandidate,
     short by counting.
     """
     dim_window = spec.branches * (window_K + 1)
-    if dim_window > cap:
-        raise DimensionCap(dim_window, cap)
+    if dim_window > DIMENSION_CAP:
+        raise DimensionCap(dim_window, DIMENSION_CAP)
     deepest = max(k for _, k in candidate.schedule)
     depth = max(deepest, window_K)
     rank = _rank_from_order_basis(_support(candidate), spec.steps(depth), window_K, depth)
@@ -551,7 +549,7 @@ def cyclicity_verdict(model, classification) -> CyclicityVerdict:
     `classification` provides `.forward` and `.adjoint` in
     {C0dot, C1dot, Cdot0, Cdot1, mixed, undetermined}.
     """
-    br, _ = branching_index(model)
+    br = branching_index(model)
     nleaves = len(leaves(model))
     rooted = model.is_rooted
     fwd = classification.forward

@@ -186,21 +186,23 @@ class SimilarityWitness:
         return self.operator.dense_truncation(self.window)
 
 
-def _x_apply(operator: ShiftOperator, primed_max: int, norms, x: SparseVector) -> SparseVector:
+def _x_apply(g: dict, norms: dict, x: SparseVector) -> SparseVector:
+    """X x, with X e_k' = g_k / |g_k| for the k in ``g`` and X e_u = e_u otherwise."""
     out = SparseVector()
     for u, c in x.items():
-        if u.endswith("'") and 1 <= int(u[:-1]) <= primed_max:
+        if u.endswith("'") and int(u[:-1]) in g:
             k = int(u[:-1])
-            out.add_scaled(g_vector(operator, k), c / norms[k])
+            out.add_scaled(g[k], c / norms[k])
         else:
             out.coeffs[u] = out.coeffs.get(u, 0.0) + c
     out.coeffs = {k: c for k, c in out.coeffs.items() if c != 0.0}
     return out
 
 
-def _witness(operator, window, kind, mode, ratio, primed_max, norms,
+def _witness(operator, window, kind, mode, ratio, primed_max,
              unprimed_leaf) -> SimilarityWitness:
-    """Assemble blocks, target weights, and the adjoint intertwining residual.
+    """Assemble the g vectors and their norms, blocks, target weights, and the
+    adjoint intertwining residual, all from one table of ray products.
 
     Block k is B = [[1, a], [0, b]], the coordinates of e_k and the
     normalized g_k (a = p/|g_k| and b = -q/|g_k|, with p and q the reciprocal
@@ -210,6 +212,11 @@ def _witness(operator, window, kind, mode, ratio, primed_max, norms,
     no weight ratio is squared.
     """
     spine, primed = ray_products(operator, primed_max)
+    g = {k: SparseVector({str(k): 1.0 / spine[k], f"{k}'": -1.0 / primed[k]})
+         for k in range(1, primed_max + 1)}
+    norms = {0: 1.0}
+    norms.update((k, math.hypot(1.0 / spine[k], 1.0 / primed[k]))
+                 for k in range(1, primed_max + 1))
     blocks = []
     for k in range(1, primed_max + 1):
         a, b = 1.0 / spine[k] / norms[k], -1.0 / primed[k] / norms[k]
@@ -231,9 +238,8 @@ def _witness(operator, window, kind, mode, ratio, primed_max, norms,
         p = window.model.parent(u)
         if p is None or p not in window:
             continue
-        lhs = _x_apply(operator, primed_max, norms, target_adjoint(u))
-        rhs = operator.apply_adjoint(_x_apply(operator, primed_max, norms,
-                                              SparseVector.basis(u)))
+        lhs = _x_apply(g, norms, target_adjoint(u))
+        rhs = operator.apply_adjoint(_x_apply(g, norms, SparseVector.basis(u)))
         residual = max(residual, (lhs - rhs).norm())
 
     return SimilarityWitness(kind=kind, mode=mode, blocks=blocks, residual=residual,
@@ -247,16 +253,11 @@ def build_leaf_similarity(operator: ShiftOperator, window: TreeWindow) -> Simila
     """Similarity of a Br=1 shift with a primed leaf to the direct sum of a
     spine shift and a nilpotent block on the primed ray."""
     model = _require_comb(operator, need_leaf=True)
-    k0 = model.primed_leaf
-    norms = {k: g_norm(operator, k) for k in range(0, k0 + 1)}
-    norms[0] = 1.0
-    witness = _witness(operator, window, "leaf-similarity", "similar", None, k0,
-                       norms, model.unprimed_leaf)
-    return witness
+    return _witness(operator, window, "leaf-similarity", "similar", None, model.primed_leaf,
+                    model.unprimed_leaf)
 
 
-def build_tilde_quasiaffinity(operator: ShiftOperator, window: TreeWindow,
-                              horizon: int = 64) -> SimilarityWitness:
+def build_tilde_quasiaffinity(operator: ShiftOperator, window: TreeWindow) -> SimilarityWitness:
     """Quasiaffinity (always) or similarity (bounded ratios) of a leafless
     Br=1 shift to the direct sum of a bilateral and a unilateral shift."""
     _require_comb(operator, need_leaf=False)
@@ -264,12 +265,9 @@ def build_tilde_quasiaffinity(operator: ShiftOperator, window: TreeWindow,
     primed_max = max((lvl for lvl in window.levels() if f"{lvl}'" in window), default=0)
     if primed_max < 1:
         raise ShapeMismatch("window does not reach the primed ray")
-    cert = ratio_bounded(operator, horizon=max(horizon, primed_max))
+    cert = ratio_bounded(operator, horizon=max(64, primed_max))
     mode = "similar" if cert.status == "bounded" else "quasiaffine-only"
-    norms = {k: g_norm(operator, k) for k in range(0, primed_max + 1)}
-    norms[0] = 1.0
-    return _witness(operator, window, "tilde-quasiaffinity", mode, cert, primed_max,
-                    norms, None)
+    return _witness(operator, window, "tilde-quasiaffinity", mode, cert, primed_max, None)
 
 
 @dataclass

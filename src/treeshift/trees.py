@@ -107,7 +107,7 @@ class DirectedTreeModel:
         raise NotImplementedError
 
     def branching_total(self):
-        """(Br(T), True): the branching index of the whole tree."""
+        """Br(T), the branching index of the whole tree."""
         raise NotImplementedError
 
     def leaf_set(self):
@@ -124,11 +124,11 @@ class DirectedTreeModel:
 
     def generation_complete(self, lvl: int) -> bool:
         """True when no branch vertex lies above level ``lvl``."""
-        return False
+        return self.branching_total() == 0
 
     def branching_in(self, window) -> bool:
         """True when ``window`` shows every branch vertex of the tree."""
-        return False
+        return self.branching_total() == 0
 
     def require_vertex(self, u: str):
         if u not in self:
@@ -136,7 +136,7 @@ class DirectedTreeModel:
 
     def describe(self) -> str:
         rooted = "rooted" if self.is_rooted else "rootless"
-        br = self.branching_total()[0]
+        br = self.branching_total()
         br_txt = "inf" if br == INFINITE else str(br)
         return f"{self.kind}({self.family or 'finite'}): {rooted}, Br={br_txt}"
 
@@ -197,8 +197,7 @@ class FiniteTree(DirectedTreeModel):
         return max(self._level.values())
 
     def branching_total(self):
-        total = sum(len(c) - 1 for c in self._children.values() if len(c) > 1)
-        return (total, True)
+        return sum(len(c) - 1 for c in self._children.values() if len(c) > 1)
 
     def leaf_set(self):
         return {u for u in self._vertices if not self._children[u]}
@@ -280,16 +279,10 @@ class BilateralPath(DirectedTreeModel):
         return [str(lvl)]
 
     def branching_total(self):
-        return (0, True)
+        return 0
 
     def leaf_set(self):
         return set()
-
-    def generation_complete(self, lvl):
-        return True
-
-    def branching_in(self, window):
-        return True
 
 
 class RootedPath(BilateralPath):
@@ -389,7 +382,7 @@ class CombTree(DirectedTreeModel):
         return [str(lvl)]
 
     def branching_total(self):
-        return (1, True)
+        return 1
 
     def leaf_set(self):
         out = set()
@@ -466,7 +459,7 @@ class RootlessBinary(DirectedTreeModel):
         return [str(lvl)]
 
     def branching_total(self):
-        return (INFINITE, True)
+        return INFINITE
 
     def leaf_set(self):
         return set()
@@ -524,11 +517,10 @@ class TreeWindow:
     level is known without asking the model.
     """
 
-    def __init__(self, model, level_lo, level_hi, breadth, by_level):
+    def __init__(self, model, level_lo, level_hi, by_level):
         self.model = model
         self.level_lo = level_lo
         self.level_hi = level_hi
-        self.breadth = breadth
         self.by_level: dict[int, list[str]] = by_level
         self.order = [v for vs in by_level.values() for v in vs]
         self._index = {v: i for i, v in enumerate(self.order)}
@@ -611,7 +603,7 @@ def materialize_window(model, level_lo, level_hi, breadth=64) -> TreeWindow:
             nxt.extend(model.children(u))
         current = sorted(set(nxt))[:breadth]
         lvl += 1
-    return TreeWindow(model, level_lo, level_hi, breadth, by_level)
+    return TreeWindow(model, level_lo, level_hi, by_level)
 
 
 def chi_n(model, verts, n: int) -> set:
@@ -649,8 +641,8 @@ def gen_n(model, u: str, n: int) -> set:
 
 
 def branching_index(model):
-    """Branching index Br(T) = sum over vertices of (children count - 1)+,
-    as (value, exact); every model knows it for the whole tree."""
+    """Branching index Br(T) = sum over vertices of (children count - 1)+;
+    every model knows it for the whole tree."""
     return model.branching_total()
 
 

@@ -232,11 +232,16 @@ class ConstantWeights(WeightAssignment):
 
 
 class FamilyWeights(WeightAssignment):
+    """A named weight law.  The constructor stores each argument under its
+    own name, so ``params`` reads them back by the names of the signature
+    that ``weights_from_json`` binds; an argument left None is omitted."""
+
     kind = "family"
     name = "abstract"
 
     def params(self) -> dict:
-        raise NotImplementedError
+        values = {name: getattr(self, name) for name in inspect.signature(type(self)).parameters}
+        return {name: value for name, value in values.items() if value is not None}
 
     def to_json(self):
         return {"kind": "family", "name": self.name, "params": self.params()}
@@ -285,9 +290,6 @@ class ExpRayWeights(FamilyWeights):
     def ratio_settled_from(self):
         return 0
 
-    def params(self):
-        return {"base": self.base, "start_level": self.start_level}
-
     def tail_log_sum(self, from_level: int) -> float:
         """sum over l > from_level of log lambda at level l (single-child chain)."""
         m = max(from_level + 1, self.start_level)
@@ -311,9 +313,6 @@ class GeometricWeights(FamilyWeights):
 
     def max_weight(self):
         return self.scale if self.ratio <= 1.0 else None
-
-    def params(self):
-        return {"scale": self.scale, "ratio": self.ratio}
 
 
 class StepWeights(FamilyWeights):
@@ -339,9 +338,6 @@ class StepWeights(FamilyWeights):
 
     def full_product_positive(self):
         return self.low >= 1.0 and self.high >= 1.0
-
-    def params(self):
-        return {"low": self.low, "high": self.high, "cut": self.cut}
 
 
 class RayWeights(FamilyWeights):
@@ -382,14 +378,6 @@ class RayWeights(FamilyWeights):
     def ratio_geometric(self):
         return self.first[1] / self.first[0], self.primed / self.spine
 
-    def params(self):
-        out = {"spine": self.spine, "primed": self.primed}
-        if self.branch_spine is not None:
-            out["branch_spine"] = self.branch_spine
-        if self.branch_primed is not None:
-            out["branch_primed"] = self.branch_primed
-        return out
-
 
 class BinarySpineWeights(FamilyWeights):
     """Isometric weights on the rootless binary tree with a distinguished spine.
@@ -420,9 +408,6 @@ class BinarySpineWeights(FamilyWeights):
     def isometry_on(self, model):
         return True
 
-    def params(self):
-        return {}
-
 
 class HashRandomWeights(FamilyWeights):
     """Deterministic pseudo-random weight per vertex, uniform in [low, high].
@@ -449,9 +434,6 @@ class HashRandomWeights(FamilyWeights):
 
     def max_weight(self):
         return self.high
-
-    def params(self):
-        return {"seed": self.seed, "low": self.low, "high": self.high}
 
 
 _FAMILIES = {

@@ -294,7 +294,7 @@ def test_cokernel_formula_on_rooted_trees(rng):
                                              for v in tree.vertices() if v != tree.root}))
         window = full_window(tree)
         mat = op.dense_truncation(window)
-        br, _ = tree.branching_total()
+        br = tree.branching_total()
         assert cokernel_dimension(mat) == 1 + br
 
 

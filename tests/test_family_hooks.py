@@ -6,8 +6,8 @@ the same answer on every built-in tree, a comb with leaves and a finite tree,
 paired with every weight family and with the subclass patterns the suite
 uses.  The one intended difference, the closed-form infimum of ``exp-ray``
 weights on the rooted path below level 1, is tested on its own.  An AST check
-keeps concrete-class dispatch from coming back outside ``trees`` and
-``weights``.
+keeps concrete-class dispatch, by ``isinstance`` or by probing an attribute
+only a family class has, from coming back outside ``trees`` and ``weights``.
 """
 
 import ast
@@ -117,7 +117,7 @@ def ref_materialize_window(model, level_lo, level_hi, breadth=64):
     if not collected:
         raise VertexNotFound(f"window [{level_lo},{level_hi}] contains no vertices")
     collected.sort(key=lambda v: (model.level(v), v))
-    return TreeWindow(model, level_lo, level_hi, breadth,
+    return TreeWindow(model, level_lo, level_hi,
                       {lvl: list(vs) for lvl, vs in groupby(collected, model.level)})
 
 
@@ -228,7 +228,7 @@ def ref_stable_branching(profile, members):
             count += len(kids) - 1
     if isinstance(model, FiniteTree):
         return (count, True)
-    symbolic = model.branching_total()
+    symbolic = (model.branching_total(), True)
     if members == set(profile.window.order) and symbolic is not None:
         if profile.all_settled() or symbolic[0] == 0:
             return symbolic
@@ -561,7 +561,38 @@ def _family_classes():
     return names
 
 
-def _dispatch_sites(path, classes):
+def _class_attributes(classdef):
+    """Names a class body binds, and the ``self.<name>`` its methods assign."""
+    names = set()
+    for stmt in classdef.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(stmt.name)
+            names |= {node.attr for node in ast.walk(stmt)
+                      if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                      and isinstance(node.value, ast.Name) and node.value.id == "self"}
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def _family_attributes(classes):
+    """Attributes that a family class defines and the base class of its
+    hierarchy does not: probing one of them is family dispatch too."""
+    found = set()
+    for module, base in ((trees, "DirectedTreeModel"), (weights, "WeightAssignment")):
+        defs = {node.name: node for node in ast.parse(open(module.__file__).read()).body
+                if isinstance(node, ast.ClassDef)}
+        common = _class_attributes(defs[base])
+        for name in classes & defs.keys() - {base}:
+            found |= _class_attributes(defs[name]) - common
+    return found
+
+
+def _dispatch_sites(path, classes, attributes):
+    """(function, class or attribute, line) of every ``isinstance`` test
+    against a family class and every ``getattr``/``hasattr`` probe of a
+    family attribute in the module at ``path``."""
     tree = ast.parse(open(path).read())
     sites = set()
 
@@ -578,6 +609,11 @@ def _dispatch_sites(path, classes):
                     label = name.id if isinstance(name, ast.Name) else getattr(name, "attr", "")
                     if label in classes:
                         sites.add((function, label, child.lineno))
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id in ("getattr", "hasattr") and len(child.args) >= 2
+                    and isinstance(child.args[1], ast.Constant)
+                    and child.args[1].value in attributes):
+                sites.add((function, child.args[1].value, child.lineno))
             visit(child, function)
 
     visit(tree, None)
@@ -588,12 +624,16 @@ def test_no_family_dispatch_outside_trees_and_weights():
     package = os.path.dirname(treeshift.__file__)
     classes = _family_classes()
     assert {"CombTree", "FiniteTree", "RootedPath", "ConstantWeights"} <= classes
+    attributes = _family_attributes(classes)
+    assert {"primed_leaf", "unprimed_leaf", "first", "tail_log_sum"} <= attributes
+    assert not {"children", "leaf_set", "has_last_level", "weight"} & attributes
     found = set()
     for filename in sorted(os.listdir(package)):
         module = filename[:-3]
         if not filename.endswith(".py") or module in ("trees", "weights"):
             continue
-        for function, label, line in _dispatch_sites(os.path.join(package, filename), classes):
+        for function, label, line in _dispatch_sites(os.path.join(package, filename), classes,
+                                                     attributes):
             found.add((module, function, label))
             assert (module, function, label) in ALLOWED_DISPATCH, f"{filename}:{line}"
     assert found == ALLOWED_DISPATCH

@@ -282,6 +282,14 @@ def test_weights_json_roundtrip():
         {"kind": "constant", "value": 0.70710678},
         {"kind": "family", "name": "exp-ray", "params": {"base": 2.0, "start_level": 1}},
         {"kind": "family", "name": "geometric", "params": {"scale": 0.9, "ratio": 0.8}},
+        {"kind": "family", "name": "step", "params": {"low": 0.5, "high": 1.0, "cut": -2}},
+        {"kind": "family", "name": "rays", "params": {"spine": 0.7, "primed": 0.6}},
+        {"kind": "family", "name": "rays",
+         "params": {"spine": 1.0, "primed": 1.0, "branch_spine": 0.6, "branch_primed": 0.8}},
+        {"kind": "family", "name": "rays", "params": {"spine": 0.7, "primed": 0.6,
+                                                      "branch_primed": 0.5}},
+        {"kind": "family", "name": "binary-spine", "params": {}},
+        {"kind": "family", "name": "hash-random", "params": {"seed": 7, "low": 0.5, "high": 0.9}},
     ):
         w = weights_from_json(doc)
         assert w.to_json() == doc

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from treeshift import similarity
 from treeshift.cyclicity import ge_rank
 from treeshift.errors import NotAContraction, ShapeMismatch
 from treeshift.shifts import ShiftOperator
@@ -115,6 +116,29 @@ def test_block_determinants_and_inverse_norms_match_numpy():
             assert block["det"] == pytest.approx(np.linalg.det(mat), rel=1e-15)
             assert block["inverse_norm"] == pytest.approx(
                 np.linalg.norm(np.linalg.inv(mat), 2), rel=1e-15)
+
+
+def test_each_witness_build_reads_the_ray_products_once(monkeypatch):
+    """One table of ray products serves the g vectors, their norms and the
+    blocks of a witness; the norms are those of ``g_norm``, bit for bit."""
+    calls = []
+    original = similarity.ray_products
+
+    def counted(operator, upto):
+        calls.append(upto)
+        return original(operator, upto)
+
+    monkeypatch.setattr(similarity, "ray_products", counted)
+    for op, build, levels in (
+            (ShiftOperator(make_family("comb", {"primed_leaf": 6, "unprimed_leaf": 8}),
+                           RayWeights(spine=0.6, primed=0.55)), build_leaf_similarity, (-5, 8)),
+            (random_tilde_operator(3), build_tilde_quasiaffinity, (-8, 12))):
+        calls.clear()
+        witness = build(op, materialize_window(op.model, *levels))
+        assert len(calls) == 1
+        assert witness.g_norms[0] == 1.0
+        for block in witness.blocks:
+            assert witness.g_norms[block["k"]] == g_norm(op, block["k"])
 
 
 def test_block_structure_invertible():

@@ -91,17 +91,16 @@ def test_gen_n_tilde_picks_up_primed_ray():
 # -- branching index / levels / leaves ----------------------------------------
 
 def test_branching_symbolic_families():
-    assert branching_index(make_family("tilde")) == (1, True)
-    assert branching_index(make_family("bilateral-path")) == (0, True)
-    assert branching_index(make_family("rootless-binary")) == (math.inf, True)
-    assert branching_index(make_family("comb", {"primed_leaf": 3})) == (1, True)
+    assert branching_index(make_family("tilde")) == 1
+    assert branching_index(make_family("bilateral-path")) == 0
+    assert branching_index(make_family("rootless-binary")) == math.inf
+    assert branching_index(make_family("comb", {"primed_leaf": 3})) == 1
 
 
 def test_branching_window_count_matches_dense(rng):
     tree = random_finite_tree(rng, 60)
     window = materialize_window(tree, 0, tree.depth(), breadth=100)
-    br, exact = branching_index(tree)
-    assert exact
+    br = branching_index(tree)
     manual = sum(max(len(tree.children(u)) - 1, 0) for u in window)
     assert br == manual
 
