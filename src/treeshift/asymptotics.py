@@ -7,7 +7,9 @@ Monotonicity means every partial sum is a certified upper bound; lower
 bounds do not exist in general, so convergence is reported as a status, not
 silently assumed:
 
-* ``exact-zero``  -- the descendant frontier died out (finite trees, leaves)
+* ``exact-zero``  -- the descendant frontier died out (finite trees, leaves);
+                     off the lumped path, a window vertex whose children are
+                     all exact-zero is read off them, depth 1 + the deepest's
 * ``exact-one``   -- family-certified isometry, all limits are exactly 1
 * ``converged``   -- three consecutive partial-sum decrements below tol
 * ``max-depth``   -- depth or frontier budget exhausted; the estimate is
@@ -33,7 +35,8 @@ one descent serves every vertex of a level.  The adjoint side counts the
 generation instead of listing it, (c - 1) * c^(d - 1) vertices at step d
 for c children per vertex, and scales one ancestor chain per level by that
 count; the vertex ids are walked only when the h vector's coefficients are
-read.  Otherwise every cone and chain is walked vertex by vertex.
+read.  Otherwise every cone that does not die inside the window is walked
+vertex by vertex.
 
 Every walk asks the operator, not the model, for weights, children and
 parents.  ``ShiftOperator`` memoizes these per vertex, so the overlapping
@@ -47,9 +50,11 @@ order, so every estimate is bit-identical to an un-memoized walk.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from operator import mul
 
 from .deferred import Deferred
 from .errors import NotAContraction, StructuralViolation
@@ -216,9 +221,23 @@ def require_contraction(operator: ShiftOperator, window: TreeWindow):
 
 def alpha_profile(operator: ShiftOperator, window: TreeWindow, tol: float = DEFAULT_TOL,
                   max_depth: int = DEFAULT_MAX_DEPTH) -> AsymptoticProfile:
-    """Forward limit eigenvalue for every window vertex."""
+    """Forward limit eigenvalue for every window vertex.  A cone that dies
+    within ``max_depth`` is read off its children's records; the rest descend."""
     require_contraction(operator, window)
     evaluator = AlphaEvaluator(operator, tol, max_depth)
+    if not (evaluator.isometry or evaluator.lumped):
+        cache, children = evaluator._cache, operator.children
+        for level in reversed(window.by_level.values()):
+            for u in level:
+                depth = 0
+                for v in children(u):
+                    rec = cache.get(v)
+                    if rec is None or rec.status != EXACT_ZERO:
+                        break
+                    depth = max(depth, rec.depth)
+                else:
+                    if depth < max_depth:
+                        cache[u] = VertexEstimate(u, 0.0, 0.0, EXACT_ZERO, depth + 1)
     return AsymptoticProfile({u: evaluator(u) for u in window.order}, window, evaluator)
 
 
@@ -300,18 +319,10 @@ class HVector(Deferred):
 
 def ancestor_products(operator: ShiftOperator, v: str, depth: int) -> tuple:
     """Running products of squared weights up the ancestor chain of v, at
-    most ``depth`` of them, and the ancestor the walk stopped at (None when
-    it passed the root)."""
-    prods = []
-    prod = 1.0
-    w = v
-    for _ in range(depth):
-        prod *= operator.weight(w) ** 2
-        prods.append(prod)
-        w = operator.parent(w)
-        if w is None:
-            break
-    return prods, w
+    most ``depth`` of them, formed left to right as a walk would, and the
+    ancestor the walk stopped at (None when it passed the root)."""
+    squares, ancestors = operator.ancestor_chain(v, depth)
+    return list(itertools.accumulate(squares, mul)), ancestors[-1]
 
 
 def _generation(operator: ShiftOperator, u: str, depth: int, frontier_cap: int,

@@ -47,6 +47,8 @@ from .trees import branching_index, leaves, load_tree, materialize_window
 from .weights import load_weights
 
 EXIT_BROKEN_PIPE = 1
+# The bytes of json.dumps(doc, sort_keys=True), without a new encoder per record.
+_ENCODE = json.JSONEncoder(sort_keys=True).encode
 
 
 class Reporter:
@@ -55,7 +57,7 @@ class Reporter:
 
     def record(self, kind: str, payload: dict):
         if self.as_json:
-            print(json.dumps({"record": kind, **payload}, sort_keys=True))
+            print(_ENCODE({"record": kind, **payload}))
 
     def text(self, line: str):
         if not self.as_json:
@@ -257,9 +259,13 @@ def _worst_residual(lines: dict, window, images) -> float:
     worst = 0.0
     for u, vector in images:
         line = lines.get(u, {})
-        image = {v: c for v, c in vector.items() if v in window}
-        for v in line.keys() | image.keys():
-            worst = max(worst, abs(line.get(v, 0.0) - image.get(v, 0.0)))
+        image = vector.coeffs
+        # Line entries all lie in the window: only image-only entries need the test.
+        for v, c in line.items():
+            worst = max(worst, abs(c - image.get(v, 0.0)))
+        for v, c in image.items():
+            if v not in line and v in window:
+                worst = max(worst, abs(c))
     return worst
 
 

@@ -31,10 +31,12 @@ class ShiftOperator:
 
     The model and the weights are fixed once the operator is built.  The
     operator memoizes, per vertex, the weight lambda_v and the tree queries
-    ``children(u)`` and ``parent(u)``, and ``operator_norm`` per window, so an
-    analysis that walks overlapping cones and ancestor chains evaluates each
-    vertex once.  The first query of a vertex still goes through the model
-    and the weight assignment, so its membership check and its weight checks
+    ``children(u)`` and ``parent(u)``, ``operator_norm`` per window, and
+    ``ancestor_chain`` per vertex and depth, so an analysis that walks
+    overlapping cones and ancestor chains evaluates each vertex once, and a
+    vertex whose parent's chain is known does not walk its own.  The first
+    query of a vertex still goes through the model and the weight
+    assignment, so its membership check and its weight checks
     run (and raise at the same vertex) as without the memo; later queries
     return the same float or tuple, so every product and sum built from them
     is unchanged.  The memos live as long as the operator: the CLI builds one
@@ -53,6 +55,8 @@ class ShiftOperator:
         self._children: dict[str, tuple] = {}
         self._parents: dict[str, str | None] = {}
         self._norms: dict[TreeWindow, NormBound] = {}
+        # depth -> vertex -> (squared weights, ancestors) of ``ancestor_chain``
+        self._chains: dict[int, dict[str, tuple]] = {}
 
     def weight(self, v: str) -> float:
         w = self._weights.get(v)
@@ -71,6 +75,30 @@ class ShiftOperator:
         if p is _UNSEEN:
             p = self._parents[u] = self.model.parent(u)
         return p
+
+    def ancestor_chain(self, v: str, depth: int) -> tuple:
+        """(squares of lambda at v and at up to ``depth`` - 1 ancestors, the
+        vertices walked: v first, last the stop, None past the root).  When
+        the parent's chain is memoized, v's is its own square and itself
+        prepended to it, cut to length: the same floats, without a walk."""
+        table = self._chains.setdefault(depth, {})
+        chain = table.get(v)
+        if chain is None:
+            square = self.weight(v) ** 2
+            above = table.get(self.parent(v))
+            if above is not None:
+                chain = (((square,) + above[0])[:depth], ((v,) + above[1])[:depth + 1])
+            else:
+                squares, ancestors, w = [], [v], v
+                for _ in range(depth):
+                    squares.append(self.weight(w) ** 2)
+                    w = self.parent(w)
+                    ancestors.append(w)
+                    if w is None:
+                        break
+                chain = (tuple(squares), tuple(ancestors))
+            table[v] = chain
+        return chain
 
     def apply(self, x: SparseVector) -> SparseVector:
         out = SparseVector()

@@ -128,6 +128,7 @@ class SimilarityWitness:
     unprimed_leaf: int | None = None
     target_primed_weights: dict = field(default_factory=dict)  # k -> weight into k'
     g_norms: dict = field(default_factory=dict)
+    g_vectors: dict = field(default_factory=dict)  # k -> g_k, for the primed columns of X
 
     def block_inverse_bound(self) -> float:
         return max((b["inverse_norm"] for b in self.blocks), default=1.0)
@@ -140,22 +141,15 @@ class SimilarityWitness:
 
     # -- dense window realizations (oracle food) --
 
-    def _primed_max(self):
-        top = max((lvl for lvl in self.window.levels() if f"{lvl}'" in self.window),
-                  default=0)
-        if self.primed_leaf is not None:
-            top = min(top, self.primed_leaf)
-        return top
-
     def x_matrix(self) -> np.ndarray:
         import numpy as np
         win = self.window
         n = len(win)
         mat = np.zeros((n, n))
         for j, u in enumerate(win.order):
-            if u.endswith("'") and int(u[:-1]) <= self._primed_max():
+            if u.endswith("'") and int(u[:-1]) in self.g_vectors:
                 k = int(u[:-1])
-                g = g_vector(self.operator, k).scaled(1.0 / self.g_norms[k])
+                g = self.g_vectors[k].scaled(1.0 / self.g_norms[k])
                 for v, c in g.items():
                     mat[win.index_of(v), j] = c
             else:
@@ -246,7 +240,8 @@ def _witness(operator, window, kind, mode, ratio, primed_max,
                              ratio=ratio, window=window, operator=operator,
                              primed_leaf=primed_max if kind == "leaf-similarity" else None,
                              unprimed_leaf=unprimed_leaf,
-                             target_primed_weights=target_primed, g_norms=norms)
+                             target_primed_weights=target_primed, g_norms=norms,
+                             g_vectors=g)
 
 
 def build_leaf_similarity(operator: ShiftOperator, window: TreeWindow) -> SimilarityWitness:

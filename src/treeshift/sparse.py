@@ -19,7 +19,9 @@ class SparseVector:
 
     @classmethod
     def basis(cls, u):
-        return cls({u: 1.0})
+        v = cls()
+        v.coeffs = {u: 1.0}
+        return v
 
     def copy(self):
         v = SparseVector()

@@ -31,7 +31,7 @@ from treeshift.cli import main
 from treeshift.errors import NotAContraction, StructuralViolation
 from treeshift.shifts import ShiftOperator, vector_to_dense
 from treeshift.sparse import SparseVector
-from treeshift.trees import RootlessBinary, make_family, materialize_window
+from treeshift.trees import RootlessBinary, make_family, materialize_window, validate_finite
 from treeshift.weights import (
     ConstantWeights,
     ExpRayWeights,
@@ -43,7 +43,7 @@ from treeshift.weights import (
 )
 
 from conftest import contractive_operator, full_window, random_finite_tree
-from test_memoized_queries import ref_adjoint_level
+from test_memoized_queries import ref_adjoint_level, ref_descend
 
 
 def exp_path(base=2.0, start=1):
@@ -116,6 +116,61 @@ def test_dense_oracle_nilpotent_alpha(rng):
     power = np.linalg.matrix_power(mat, tree.depth() + 1)
     gram = power.T @ power
     assert np.max(np.abs(gram)) == 0.0  # alpha is exactly the zero diagonal
+
+
+# -- exact-zero cones read off their children ---------------------------------------
+
+def chain_operator(length, weight):
+    """The finite path c00 -> c01 -> ... with one constant weight."""
+    names = [f"c{i:02d}" for i in range(length)]
+    tree = validate_finite(names, list(zip(names, names[1:])))
+    return ShiftOperator(tree, ConstantWeights(weight))
+
+
+def test_a_dying_chain_reads_exact_zero_at_its_height():
+    """Tiny weights make the descent's decrements small at once; the cone
+    still dies inside the window, so the limit is exactly 0, not
+    'converged'."""
+    op = chain_operator(20, 0.01)
+    prof = alpha_profile(op, full_window(op.model))
+    for i in range(20):
+        assert prof.record(f"c{i:02d}") == VertexEstimate(f"c{i:02d}", 0.0, 0.0, EXACT_ZERO,
+                                                          20 - i)
+
+
+def test_a_cone_wider_than_the_frontier_cap_reads_exact_zero(tmp_path, capsys):
+    """r -> m -> 5,000 leaves: the descent from m stops at the frontier cap,
+    but every child of m is a leaf, so m and r are exact-zero, the stable
+    subtree is empty (no 'leafless' violation) and there is no asymptote."""
+    leaves = [f"l{i}" for i in range(5000)]
+    assert len(leaves) > FRONTIER_CAP
+    tree = tmp_path / "star.json"
+    tree.write_text(json.dumps({"vertices": ["r", "m"] + leaves,
+                                "edges": [["r", "m"]] + [["m", leaf] for leaf in leaves]}))
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps({"kind": "constant", "value": 0.01}))
+    argv = ["--tree", str(tree), "--weights", str(weights), "--levels=0:2", "--breadth", "6000"]
+    assert main(["analyze", *argv]) == 0
+    out = capsys.readouterr().out
+    assert "alpha[r] = 0 (exact-zero, depth 3)" in out
+    assert "alpha[m] = 0 (exact-zero, depth 2)" in out
+    assert "stable subtree: 0/5002 window vertices" in out
+    assert main(["asymptote", *argv]) == 4
+    assert "StableSubtreeEmpty" in capsys.readouterr().err
+
+
+def test_a_path_longer_than_the_depth_budget_still_descends():
+    """A cone within the budget is read off; one past it keeps the descent's
+    max-depth record, bit for bit."""
+    op = chain_operator(20, 0.999)
+    prof = alpha_profile(op, full_window(op.model), max_depth=10)
+    assert prof.record("c10") == VertexEstimate("c10", 0.0, 0.0, EXACT_ZERO, 10)
+    reference = ShiftOperator(op.model, op.weights)
+    for i in range(10):
+        u = f"c{i:02d}"
+        assert prof.record(u).status == MAX_DEPTH
+        assert repr(prof.record(u)) == repr(VertexEstimate(u, *ref_descend(reference, u,
+                                                                          max_depth=10)))
 
 
 # -- stable subtree ----------------------------------------------------------------

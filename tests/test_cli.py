@@ -13,6 +13,8 @@ import treeshift
 from treeshift import cli, cyclicity
 from treeshift.cli import main
 from treeshift.shifts import ShiftOperator
+from treeshift.sparse import SparseVector
+from treeshift.trees import make_family, materialize_window
 
 
 def write(tmp_path, name, doc):
@@ -265,6 +267,21 @@ def test_oracle_apply_residual_catches_a_wrong_apply(specs, monkeypatch, capsys)
     doc = next(d for d in lines if d["record"] == "oracle")
     assert doc["apply_residual"] == pytest.approx(0.8)  # |0.8 - 2*0.8| at vertex b
     assert doc["adjoint_residual"] == 0.0
+
+
+@pytest.mark.parametrize("line,image,want", [
+    ({"1": 0.5}, {}, 0.5),  # an entry of the line only
+    ({}, {"-1": 0.25}, 0.25),  # an entry of the image only, inside the window
+    ({}, {"7": 3.0}, 0.0),  # an image entry outside the window is compressed away
+    ({"1": 0.5}, {"1": 0.375}, 0.125),  # one entry on both sides
+    ({"1": 0.5}, {"1": 0.5, "-1": 0.25, "7": 3.0}, 0.25),
+], ids=["line-only", "image-only", "outside", "shared", "mixed"])
+def test_worst_residual_reads_every_entry_it_must(line, image, want):
+    window = materialize_window(make_family("bilateral-path"), -2, 2)
+    images = [("0", SparseVector(image)), ("2", SparseVector({"-2": 0.0625}))]
+    # The second pair has no line: its in-window image entry is its residual.
+    assert cli._worst_residual({"0": line}, window, images) == max(want, 0.0625)
+    assert cli._worst_residual({"0": line}, window, images[:1]) == want
 
 
 def test_oracle_builds_no_matrix(specs, monkeypatch, capsys):

@@ -31,6 +31,7 @@ from treeshift.asymptotics import (
     VertexEstimate,
     adjoint_profile,
     alpha_profile,
+    ancestor_products,
 )
 from treeshift.cli import main
 from treeshift.errors import NotAContraction, WeightError
@@ -91,6 +92,7 @@ class RefAlpha:
 
 
 def ref_ancestor_products(op, v, depth):
+    """(products, the ancestor the walk stopped at), walked up from v alone."""
     model, weights = op.model, op.weights
     prods = []
     prod = 1.0
@@ -101,7 +103,7 @@ def ref_ancestor_products(op, v, depth):
         w = model.parent(w)
         if w is None:
             break
-    return prods
+    return prods, w
 
 
 def ref_adjoint_level(op, u, depth=DEFAULT_MAX_DEPTH, tol=DEFAULT_TOL,
@@ -132,7 +134,7 @@ def ref_adjoint_level(op, u, depth=DEFAULT_MAX_DEPTH, tol=DEFAULT_TOL,
         if model.generation_complete(model.level(anchor)):
             gen_exact = True
             break
-    chains = {v: ref_ancestor_products(op, v, depth) for v in members}
+    chains = {v: ref_ancestor_products(op, v, depth)[0] for v in members}
     sums = [sum(p[min(d, len(p) - 1)] for p in chains.values()) for d in range(depth)]
     consecutive = 0
     tail_ok = False
@@ -277,6 +279,55 @@ def test_cnu_level_value_bit_equal(model, weights, lo, hi):
             got = cnu_level_value(op, alpha, members, depth, 1e-9)
             want = ref_cnu_level_value(op, reference, members, depth, 1e-9)
             assert repr(got) == repr(want)
+
+
+def chain_cases():
+    cases = [("tilde", make_family("tilde"), HashRandomWeights(41, 0.35, 0.65), -9, 9),
+             ("comb", make_family("comb", {"primed_leaf": 6}), HashRandomWeights(42, 0.3, 0.7),
+              -6, 8),
+             ("bilateral", make_family("bilateral-path"), HashRandomWeights(43, 0.4, 0.95),
+              -12, 12),
+             ("binary", make_family("rootless-binary"), HashRandomWeights(44, 0.02, 0.1), -2, 3)]
+    for name, model, weights, lo, hi in cases:
+        yield pytest.param(model, weights, lo, hi, id=name)
+
+
+@pytest.mark.parametrize("model,weights,lo,hi", list(chain_cases()))
+def test_ancestor_chains_bit_equal_in_any_query_order(model, weights, lo, hi):
+    """Chains derived from a parent's chain equal a walk up from the vertex
+    alone, whether parents or children are asked first, with two depths
+    sharing one operator."""
+    window = materialize_window(model, lo, hi, 1000)
+    for order in (window.order, window.order[::-1]):  # parents first, children first
+        op = ShiftOperator(model, weights)
+        for v in order:
+            for depth in (3, DEFAULT_MAX_DEPTH):
+                assert repr(ancestor_products(op, v, depth)) == \
+                    repr(ref_ancestor_products(op, v, depth))
+
+
+class CountingOperator(ShiftOperator):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.weight_calls = 0
+
+    def weight(self, v):
+        self.weight_calls += 1
+        return super().weight(v)
+
+
+def test_adjoint_chains_of_consecutive_levels_share_one_walk():
+    """On a bilateral window -W:W each level's chain extends the one below
+    it: O(depth + W) weight queries, not (2W + 1) * depth."""
+    width, depth = 40, DEFAULT_MAX_DEPTH
+    model = make_family("bilateral-path")
+    op = CountingOperator(model, HashRandomWeights(8, 0.4, 0.95))
+    adjoint_profile(op, materialize_window(model, -width, width), depth=depth)
+    levels = 2 * width + 1
+    # the norm's scan (the window and the parent above it), one walk of
+    # depth, then one new square per level
+    assert op.weight_calls <= (levels + 1) + depth + levels
+    assert op.weight_calls < levels * depth // 10
 
 
 def test_random_finite_trees_bit_equal():

@@ -1,4 +1,5 @@
-"""tools/output_digest.py: one digest line, the same in every process."""
+"""tools/output_digest.py: one digest line, the same in every process and
+under every string hash seed."""
 
 import os
 import re
@@ -9,14 +10,19 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_output_digest_repeats_across_processes():
+    """The forward read-off, the ancestor chains and the oracle all iterate
+    dicts keyed by vertex-id strings; no byte of output may follow their
+    hash order."""
     argv = [sys.executable, os.path.join(ROOT, "tools", "output_digest.py"),
-            "--workloads", "backward-cyclic", "--seeds", "1", "--rounds", "1"]
-    lines = set()
-    for _ in range(2):
-        done = subprocess.run(argv, env={**os.environ, "PYTHONHASHSEED": "0"},
+            "--workloads", "backward-cyclic", "irregular-windows", "--seeds", "1",
+            "--rounds", "1"]
+    lines = []
+    for hash_seed in ("0", "1"):
+        done = subprocess.run(argv, env={**os.environ, "PYTHONHASHSEED": hash_seed},
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        lines.add(done.stdout)
-    (line,) = lines
-    # 12 instances per backward-cyclic round, each in text and with --json
-    assert re.fullmatch(r"runs 24 sha256 [0-9a-f]{64}\n", line)
+        lines.append(done.stdout)
+    assert lines[0] == lines[1]
+    # 12 backward-cyclic and 25 irregular-windows instances, each in text and
+    # with --json
+    assert re.fullmatch(r"runs 74 sha256 [0-9a-f]{64}\n", lines[0])

@@ -118,9 +118,28 @@ def test_block_determinants_and_inverse_norms_match_numpy():
                 np.linalg.norm(np.linalg.inv(mat), 2), rel=1e-15)
 
 
+def reference_x_matrix(witness):
+    """X on the window, with one ``g_vector`` per primed column below the
+    top primed level the window and the primed leaf allow."""
+    win = witness.window
+    top = max((lvl for lvl in win.levels() if f"{lvl}'" in win), default=0)
+    if witness.primed_leaf is not None:
+        top = min(top, witness.primed_leaf)
+    mat = np.zeros((len(win), len(win)))
+    for j, u in enumerate(win.order):
+        if u.endswith("'") and int(u[:-1]) <= top:
+            k = int(u[:-1])
+            for v, c in g_vector(witness.operator, k).scaled(1.0 / witness.g_norms[k]).items():
+                mat[win.index_of(v), j] = c
+        else:
+            mat[j, j] = 1.0
+    return mat
+
+
 def test_each_witness_build_reads_the_ray_products_once(monkeypatch):
-    """One table of ray products serves the g vectors, their norms and the
-    blocks of a witness; the norms are those of ``g_norm``, bit for bit."""
+    """One table of ray products serves the g vectors, their norms, the
+    blocks and the X matrix of a witness; the norms are those of ``g_norm``
+    and X is the matrix of one ``g_vector`` per column, bit for bit."""
     calls = []
     original = similarity.ray_products
 
@@ -129,9 +148,13 @@ def test_each_witness_build_reads_the_ray_products_once(monkeypatch):
         return original(operator, upto)
 
     monkeypatch.setattr(similarity, "ray_products", counted)
+    comb = make_family("comb", {"primed_leaf": 6, "unprimed_leaf": 8})
     for op, build, levels in (
-            (ShiftOperator(make_family("comb", {"primed_leaf": 6, "unprimed_leaf": 8}),
-                           RayWeights(spine=0.6, primed=0.55)), build_leaf_similarity, (-5, 8)),
+            (ShiftOperator(comb, RayWeights(spine=0.6, primed=0.55)), build_leaf_similarity,
+             (-5, 8)),
+            # the window stops above the primed leaf
+            (ShiftOperator(comb, RayWeights(spine=0.6, primed=0.55)), build_leaf_similarity,
+             (-5, 4)),
             (random_tilde_operator(3), build_tilde_quasiaffinity, (-8, 12))):
         calls.clear()
         witness = build(op, materialize_window(op.model, *levels))
@@ -139,6 +162,10 @@ def test_each_witness_build_reads_the_ray_products_once(monkeypatch):
         assert witness.g_norms[0] == 1.0
         for block in witness.blocks:
             assert witness.g_norms[block["k"]] == g_norm(op, block["k"])
+        calls.clear()
+        x = witness.x_matrix()
+        assert not calls
+        assert np.array_equal(x, reference_x_matrix(witness))
 
 
 def test_block_structure_invertible():
