@@ -76,13 +76,27 @@ class AsymptoteDescriptor:
 
 def cnu_level_value(operator: ShiftOperator, alpha: AlphaEvaluator, members, depth: int,
                     threshold: float) -> float:
-    """Truncated generation sum of the asymptote's squared weight products.
+    """Truncated generation sum of the asymptote's squared weight products
+    over ``members``, stable vertices of one level.
 
     The product of beta^2 along the chain from the depth-D ancestor down to a
     member telescopes to (product of lambda^2) * alpha(member)/alpha(anchor),
-    so no per-ancestor beta values are needed.
+    so no per-ancestor beta values are needed.  On a rootless lumped operator
+    every member has the level's chain and an anchor depth levels up, so the
+    one term is added once per member; a rooted chain stops at the root, so
+    each member walks its own.
     """
     total = 0.0
+    if alpha.lumped and members and not operator.model.is_rooted:
+        lvl = operator.model.level(members[0])
+        prods = operator.level_chain(lvl, depth)
+        anchor = alpha.at_level(lvl - depth)[0]
+        if anchor <= threshold:
+            return total
+        term = (prods[-1] if prods else 1.0) * alpha.at_level(lvl)[0] / anchor
+        for _ in members:
+            total += term
+        return total
     for v in members:
         prods, w = ancestor_products(operator, v, depth)
         anchor = alpha(w).estimate if w is not None else 1.0

@@ -25,18 +25,18 @@ Level lumping: when every vertex has the same children count (the tree's
 weights' ``level_only``; ``ShiftOperator.is_level_homogeneous`` tests both:
 constant, geometric, step or exp-ray weights on the paths and the rootless
 binary tree), all vertices of a level share one weighted cone and one
-ancestor chain, and both sides run on per-level numbers.  The forward
-descent multiplies s_n = s_(n-1) * q_l, where q_l, the sum of lambda^2 over
-the children of a level-l vertex, is read from a per-level table on the
-``AlphaEvaluator``, filled once per level by the same children and weight
-queries and summation order as a walk of one representative.  The frontier
-cap never binds, s_n is exact out to convergence or the depth budget, and
-one descent serves every vertex of a level.  The adjoint side counts the
-generation instead of listing it, (c - 1) * c^(d - 1) vertices at step d
-for c children per vertex, and scales one ancestor chain per level by that
-count; the vertex ids are walked only when the h vector's coefficients are
-read.  Otherwise every cone that does not die inside the window is walked
-vertex by vertex.
+ancestor chain, and both sides run on the weights' level law and never form
+a vertex id outside the window.  The forward descent multiplies
+s_n = s_(n-1) * q_l, where q_l, the sum of lambda^2 over the c children of a
+level-l vertex, is c copies of lambda^2 at level l + 1, kept per level on the
+``AlphaEvaluator`` and summed as a walk of the children would sum them.  The
+frontier cap never binds, s_n is exact out to convergence or the depth
+budget, and one descent serves every vertex of a level.  The adjoint side
+counts the generation by level instead of listing it, (c - 1) * c^(d - 1)
+vertices at step d, and scales the level's chain of lambda^2 products
+(``ShiftOperator.level_chain``) by that count; the vertex ids are walked only
+when the h vector's coefficients are read.  Otherwise every cone that does
+not die inside the window is walked vertex by vertex.
 
 Every walk asks the operator, not the model, for weights, children and
 parents.  ``ShiftOperator`` memoizes these per vertex, so the overlapping
@@ -75,6 +75,7 @@ EXACT_ZERO = "exact-zero"
 EXACT_ONE = "exact-one"
 
 _SETTLED = (CONVERGED, EXACT_ZERO, EXACT_ONE)
+_ONE = (1.0, 1.0, EXACT_ONE, 0)  # every record of a certified isometry
 
 
 @dataclass
@@ -94,7 +95,8 @@ class VertexEstimate:
 
 
 class AlphaEvaluator:
-    """Cached per-vertex evaluation of the forward limit eigenvalues."""
+    """Cached per-vertex evaluation of the forward limit eigenvalues; on a
+    certified isometry or a lumped operator, one record per level."""
 
     def __init__(self, operator: ShiftOperator, tol: float = DEFAULT_TOL,
                  max_depth: int = DEFAULT_MAX_DEPTH):
@@ -105,11 +107,7 @@ class AlphaEvaluator:
         self.lumped = operator.is_level_homogeneous()
         self._cache: dict[str, VertexEstimate] = {}
         self._by_level: dict[int, tuple] = {}
-        # Lumped operators only: level -> (a vertex of the next level, the sum
-        # over the children of a vertex of the level of lambda^2), or () for a
-        # level without children.  Each level is filled once, by its first
-        # descent.
-        self._steps: dict[int, tuple] = {}
+        self._steps: dict[int, float] = {}  # lumped: level -> q_l of ``_descend``
 
     def __call__(self, u: str) -> VertexEstimate:
         hit = self._cache.get(u)
@@ -120,54 +118,53 @@ class AlphaEvaluator:
 
     def _compute(self, u: str) -> VertexEstimate:
         if self.isometry:
-            return VertexEstimate(u, 1.0, 1.0, EXACT_ONE, 0)
+            return VertexEstimate(u, *_ONE)
         if not self.lumped:
             return VertexEstimate(u, *self._descend(u))
-        lvl = self.operator.model.level(u)
+        return VertexEstimate(u, *self.at_level(self.operator.model.level(u)))
+
+    def at_level(self, lvl: int) -> tuple:
+        """(estimate, upper, status, depth) of every vertex of level ``lvl``,
+        on a certified isometry or a lumped operator."""
         hit = self._by_level.get(lvl)
         if hit is None:
-            hit = self._by_level[lvl] = self._descend(u, lvl)
-        return VertexEstimate(u, *hit)
+            hit = self._by_level[lvl] = _ONE if self.isometry else self._descend(None, lvl)
+        return hit
 
     @functools.cached_property
     def _floor(self):
         """The weights' convergence floor level, read at the first descent."""
         return self.operator.weights.convergence_floor_level(self.operator.model)
 
-    def _descend(self, u: str, lvl: int | None = None) -> tuple:
+    def _descend(self, u: str | None, lvl: int | None = None) -> tuple:
         """(estimate, upper, status, depth) from the partial sums s_n(u).
 
-        A lumped operator passes ``lvl``, the level of u: one representative
-        stands for its whole level, so s_n = s_(n-1) * q with q read from the
-        level table."""
+        A lumped operator passes u = None and ``lvl``: every vertex of that
+        level has the same cone, so s_n = s_(n-1) * q_l, where q_l, the sum
+        of lambda^2 over the c children of a level-l vertex, is c copies of
+        the level's square summed as a walk would sum them."""
         op = self.operator
-        model = op.model
         children, weight = op.children, op.weight
-        lumped = self.lumped
         steps = self._steps
         # Flat unit-weight prefixes keep the partial sums exactly constant, so
         # convergence may not be declared before the frontier has passed them.
         min_depth = CONSECUTIVE_SMALL + 5
         floor = self._floor
         if floor is not None:
-            min_depth = max(min_depth, floor - model.level(u) + CONSECUTIVE_SMALL + 2)
+            top = op.model.level(u) if lvl is None else lvl
+            min_depth = max(min_depth, floor - top + CONSECUTIVE_SMALL + 2)
         frontier = {u: 1.0}
-        rep = u
         s_prev = 1.0
         consecutive = 0
         n = 0
         for n in range(1, self.max_depth + 1):
-            if lumped:
-                step = steps.get(lvl)
-                if step is None:
-                    kids = children(rep)
-                    q = sum(weight(v) ** 2 for v in kids)
-                    step = steps[lvl] = (kids[0], q) if kids else ()
-                if not step:
-                    return 0.0, 0.0, EXACT_ZERO, n
-                rep, q = step
-                lvl += 1
+            if lvl is not None:
+                q = steps.get(lvl)
+                if q is None:
+                    q = steps[lvl] = sum(itertools.repeat(op.level_square(lvl + 1),
+                                                          op.model.children_per_vertex))
                 s = s_prev * q
+                lvl += 1
             else:
                 nxt = {}
                 for w, prod in frontier.items():
@@ -333,20 +330,20 @@ def _generation(operator: ShiftOperator, u: str, depth: int, frontier_cap: int,
     Step d climbs to the d-th ancestor and adds the vertices d levels below
     it that are not below the previous anchor.  The sweep stops before the
     members would pass ``frontier_cap`` and once the generation is complete.
-    With ``fan``, the children count of every vertex, step d adds
-    (fan - 1) * fan^(d - 1) vertices, which are counted and not listed:
-    ``members`` is then None.
+    With ``fan``, the children count of every vertex of a rootless tree,
+    step d adds (fan - 1) * fan^(d - 1) vertices, which are counted by level
+    and not listed: ``members`` is then None and no parent is asked for.
     """
     model = operator.model
     members = [u]
     size = 1
-    anchor = u
-    gen_exact = model.generation_complete(model.level(u))
+    anchor, lvl = u, model.level(u)
+    gen_exact = model.generation_complete(lvl)
     for d in range(1, depth + 1):
-        parent = operator.parent(anchor)
-        if parent is None:
-            break
         if fan is None:
+            parent = operator.parent(anchor)
+            if parent is None:
+                break
             new = dict.fromkeys(v for v in operator.children(parent) if v != anchor)
             for _ in range(d - 1):
                 grown: dict[str, None] = {}
@@ -358,13 +355,13 @@ def _generation(operator: ShiftOperator, u: str, depth: int, frontier_cap: int,
                     break
             added = len(new)
         else:
-            new, added = (), (fan - 1) * fan ** (d - 1)
+            parent, new, added = None, (), (fan - 1) * fan ** (d - 1)
         if size + added > frontier_cap:
             break
         members.extend(new)
         size += added
-        anchor = parent
-        if model.generation_complete(model.level(anchor)):
+        anchor, lvl = parent, lvl - 1
+        if model.generation_complete(lvl):
             gen_exact = True
             break
     return size, (members if fan is None else None), gen_exact
@@ -374,6 +371,7 @@ def _adjoint_level(operator: ShiftOperator, u: str, depth: int, tol: float,
                    frontier_cap: int):
     """(estimate record, HVector) for the level of u on a rootless model."""
     model = operator.model
+    lvl = model.level(u)
     lumped = operator.is_level_homogeneous()
     size, members, gen_exact = _generation(
         operator, u, depth, frontier_cap, model.children_per_vertex if lumped else None)
@@ -381,9 +379,9 @@ def _adjoint_level(operator: ShiftOperator, u: str, depth: int, tol: float,
     # Extend every ancestor product to the full depth; record the partial
     # sums to certify convergence of the product tails.
     if lumped:
-        # Every member's chain carries the same weights, level by level.
-        chain, _ = ancestor_products(operator, u, depth)
-        sums = [size * chain[min(d, len(chain) - 1)] for d in range(depth)]
+        # Every member's chain is the level's chain, and none ends at a root.
+        chain = operator.level_chain(lvl, depth)
+        sums = [size * p for p in chain]
     else:
         chains = {v: ancestor_products(operator, v, depth)[0] for v in members}
         # A chain that ended at a root holds its last product out to the full
@@ -401,7 +399,7 @@ def _adjoint_level(operator: ShiftOperator, u: str, depth: int, tol: float,
             consecutive = 0
     estimate = sums[-1] if sums else 0.0
     status = CONVERGED if (gen_exact and tail_ok) else MAX_DEPTH
-    fields = {"level": model.level(u), "norm_sq": estimate, "status": status,
+    fields = {"level": lvl, "norm_sq": estimate, "status": status,
               "depth": depth, "gen_exact": gen_exact}
     if lumped:
         # One coefficient for every member; their ids are walked on demand.

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 
 from .errors import UnknownVertex, WeightError, WindowTooLarge
 from .sparse import SparseVector
@@ -34,7 +36,10 @@ class ShiftOperator:
     ``children(u)`` and ``parent(u)``, ``operator_norm`` per window, and
     ``ancestor_chain`` per vertex and depth, so an analysis that walks
     overlapping cones and ancestor chains evaluates each vertex once, and a
-    vertex whose parent's chain is known does not walk its own.  The first
+    vertex whose parent's chain is known does not walk its own.  For
+    ``level_only`` weights it also keeps lambda^2 per level
+    (``level_square``), from which ``level_chain`` forms a level's ancestor
+    products with no vertex id at all.  The first
     query of a vertex still goes through the model and the weight
     assignment, so its membership check and its weight checks
     run (and raise at the same vertex) as without the memo; later queries
@@ -57,6 +62,7 @@ class ShiftOperator:
         self._norms: dict[TreeWindow, NormBound] = {}
         # depth -> vertex -> (squared weights, ancestors) of ``ancestor_chain``
         self._chains: dict[int, dict[str, tuple]] = {}
+        self._level_squares: dict[int, float] = {}
 
     def weight(self, v: str) -> float:
         w = self._weights.get(v)
@@ -99,6 +105,21 @@ class ShiftOperator:
                 chain = (tuple(squares), tuple(ancestors))
             table[v] = chain
         return chain
+
+    def level_square(self, lvl: int) -> float:
+        """lambda^2 at every vertex of level ``lvl``, for ``level_only``
+        weights: the square of the very float ``weight`` gives there."""
+        square = self._level_squares.get(lvl)
+        if square is None:
+            square = self._level_squares[lvl] = self.weights.level_weight(lvl) ** 2
+        return square
+
+    def level_chain(self, lvl: int, depth: int) -> list:
+        """Running products of lambda^2 at levels lvl, lvl - 1, ..., lvl -
+        depth + 1, formed left to right: on a rootless level-homogeneous
+        operator, the ``ancestor_chain`` products of every vertex of level
+        ``lvl``, bit for bit."""
+        return list(accumulate(map(self.level_square, range(lvl, lvl - depth, -1)), mul))
 
     def apply(self, x: SparseVector) -> SparseVector:
         out = SparseVector()

@@ -47,15 +47,16 @@ def _integer(value, what: str, error=WeightError) -> int:
     return int(value)
 
 
-def _computed(rule, family: str, v: str) -> float:
-    """Weight ``rule()`` of a level formula; a value that overflows, or
-    underflows to 0, is not a usable weight and raises WeightError."""
+def _computed(rule, family: str, lvl: int) -> float:
+    """Weight ``rule()`` of a level formula at level ``lvl``; a value that
+    overflows, or underflows to 0, is not a usable weight and raises
+    WeightError."""
     try:
         w = rule()
     except OverflowError:
         w = math.inf
     if not 0.0 < w <= MAX_WEIGHT:
-        raise WeightError(f"{family} weight at {v!r} is out of range ({w})")
+        raise WeightError(f"{family} weight at level {lvl} is out of range ({w})")
     return w
 
 
@@ -119,6 +120,12 @@ class WeightAssignment:
         return None
 
     def weight(self, model, v: str) -> float:
+        """lambda_v.  A ``level_only`` law states ``level_weight`` alone."""
+        self._check_non_root(model, v)
+        return self.level_weight(model.level(v))
+
+    def level_weight(self, lvl: int) -> float:
+        """lambda at every non-root vertex of level ``lvl`` (``level_only``)."""
         raise NotImplementedError
 
     def max_weight(self):
@@ -202,8 +209,7 @@ class ConstantWeights(WeightAssignment):
     def __init__(self, value: float):
         self.value = _positive(value, "constant weight", MAX_WEIGHT)
 
-    def weight(self, model, v):
-        self._check_non_root(model, v)
+    def level_weight(self, lvl):
         return self.value
 
     def max_weight(self):
@@ -263,12 +269,10 @@ class ExpRayWeights(FamilyWeights):
             raise WeightError("exp-ray base must exceed 1")
         self.start_level = _integer(start_level, "exp-ray start_level")
 
-    def weight(self, model, v):
-        self._check_non_root(model, v)
-        lvl = model.level(v)
+    def level_weight(self, lvl):
         if lvl < self.start_level:
             return 1.0
-        return _computed(lambda: math.exp(-self.base ** (-lvl)), self.name, v)
+        return _computed(lambda: math.exp(-self.base ** (-lvl)), self.name, lvl)
 
     def max_weight(self):
         return 1.0
@@ -306,10 +310,8 @@ class GeometricWeights(FamilyWeights):
         self.scale = _positive(scale, "geometric scale")
         self.ratio = _positive(ratio, "geometric ratio")
 
-    def weight(self, model, v):
-        self._check_non_root(model, v)
-        lvl = model.level(v)
-        return _computed(lambda: self.scale * self.ratio ** abs(lvl), self.name, v)
+    def level_weight(self, lvl):
+        return _computed(lambda: self.scale * self.ratio ** abs(lvl), self.name, lvl)
 
     def max_weight(self):
         return self.scale if self.ratio <= 1.0 else None
@@ -326,9 +328,8 @@ class StepWeights(FamilyWeights):
         self.high = _positive(high, "step high")
         self.cut = _integer(cut, "step cut")
 
-    def weight(self, model, v):
-        self._check_non_root(model, v)
-        return self.high if model.level(v) > self.cut else self.low
+    def level_weight(self, lvl):
+        return self.high if lvl > self.cut else self.low
 
     def max_weight(self):
         return max(self.low, self.high)

@@ -8,6 +8,7 @@ import pickle
 import numpy as np
 import pytest
 
+from treeshift.asymptote import cnu_level_value
 from treeshift.asymptotics import (
     AlphaEvaluator,
     HVector,
@@ -560,6 +561,48 @@ def test_analyze_on_a_level_homogeneous_binary_tree_makes_few_children_calls(
     assert len(calls) <= 100
 
 
+@pytest.mark.parametrize("command,family,cls,doc,lo,hi", [
+    ("analyze", "rootless-binary", ConstantWeights, {"kind": "constant", "value": 0.6}, 0, 2),
+    ("analyze", "rootless-binary", GeometricWeights,
+     {"kind": "family", "name": "geometric", "params": {"scale": 0.65, "ratio": 0.9}}, -2, 2),
+    ("asymptote", "rootless-binary", ConstantWeights,
+     {"kind": "constant", "value": 1 / math.sqrt(2)}, 0, 2),
+    ("asymptote", "bilateral-path", ExpRayWeights,
+     {"kind": "family", "name": "exp-ray", "params": {"base": 2.0, "start_level": -3}}, -3, 3),
+    ("analyze", "rooted-path", StepWeights,
+     {"kind": "family", "name": "step", "params": {"low": 0.5, "high": 1.0}}, 0, 3),
+], ids=["analyze-binary-constant", "analyze-binary-geometric", "asymptote-binary-isometry",
+        "asymptote-bilateral-exp-ray", "analyze-rooted-step"])
+def test_lumped_runs_ask_for_the_weights_of_the_window_alone(
+        tmp_path, monkeypatch, capsys, command, family, cls, doc, lo, hi):
+    """Past the window the lumped path reads the level law: the per-vertex
+    weight queries do not grow with --depth, and stay within the window's
+    vertices, their children and the top boundary's parents."""
+    calls = []
+    weight = cls.weight
+
+    def counting(self, model, v):
+        calls.append(v)
+        return weight(self, model, v)
+
+    monkeypatch.setattr(cls, "weight", counting)
+    tree, weights = tmp_path / "tree.json", tmp_path / "weights.json"
+    tree.write_text(json.dumps({"family": family, "params": {}}))
+    weights.write_text(json.dumps(doc))
+    counts = []
+    for depth in ("64", "640"):
+        calls.clear()
+        assert main([command, "--tree", str(tree), "--weights", str(weights),
+                     f"--levels={lo}:{hi}", "--depth", depth]) == 0
+        counts.append(len(calls))
+    assert "error" not in capsys.readouterr().err
+    model = make_family(family)
+    window = materialize_window(model, lo, hi)
+    bound = (len(window) + sum(len(model.children(u)) for u in window)
+             + len({model.parent(u) for u in window.top_boundary()} - {None}))
+    assert counts[0] == counts[1] <= bound
+
+
 def test_h_coefficients_are_walked_only_when_read(monkeypatch):
     model = make_family("rootless-binary")
     op = ShiftOperator(model, ConstantWeights(0.6))
@@ -621,18 +664,103 @@ def old_lumped_descend(op, u, tol=DEFAULT_TOL, max_depth=DEFAULT_MAX_DEPTH):
     return s_prev, s_prev, MAX_DEPTH, n
 
 
-@pytest.mark.parametrize("weights", LEVEL_ONLY, ids=_weights_id)
-def test_level_table_records_do_not_depend_on_the_vertex_that_filled_it(weights):
-    model = make_family("rootless-binary")
-    window = materialize_window(model, 0, 2)
-    assert window.vertices_at(1) == ["0:1", "1"]  # off the spine first
+# -- the level law -----------------------------------------------------------------------
+
+# The rootless binary tree's window 0:2 lists level 1 off the spine first
+# ("0:1", then "1"); the paths carry all four level-only families.
+LAW_CASES = [
+    pytest.param("rootless-binary", w, 0, 2, id=_weights_id(w)) for w in LEVEL_ONLY
+] + [
+    pytest.param(family, w, 0 if family == "rooted-path" else -4, 4,
+                 id=f"{family}-{_weights_id(w)}")
+    for family in ("bilateral-path", "rooted-path")
+    for w in (ConstantWeights(0.9), GeometricWeights(0.95, 0.9), StepWeights(0.5, 1.0, cut=0),
+              ExpRayWeights(2.5, -2))
+]
+
+
+@pytest.mark.parametrize("family,weights,lo,hi", LAW_CASES)
+def test_level_table_records_do_not_depend_on_the_vertex_that_filled_it(family, weights, lo,
+                                                                         hi):
+    model = make_family(family)
+    window = materialize_window(model, lo, hi)
     op = ShiftOperator(model, weights)
+    assert op.is_level_homogeneous()
     want = repr({u: VertexEstimate(u, *old_lumped_descend(op, u)) for u in window.order})
     assert repr(alpha_profile(op, window).records) == want
-    # deepest level first, from its last off-spine vertex: the table's
-    # representatives then come from another branch than the window order's
-    for first in (window.order[::-1], ["0:11", "0:1", "0"]):
+    orders = [window.order[::-1]]
+    if family == "rootless-binary":
+        assert window.vertices_at(1) == ["0:1", "1"]
+        # deepest level first, from its last off-spine vertex: another branch
+        # than the window order's
+        orders.append(["0:11", "0:1", "0"])
+    for first in orders:
         ev = AlphaEvaluator(ShiftOperator(model, weights))
         for u in first:
             ev(u)
         assert repr({u: ev(u) for u in window.order}) == want
+
+
+class OldLumpedAlpha:
+    """Forward records of ``old_lumped_descend``, one per vertex id."""
+
+    def __init__(self, op):
+        self.op, self.cache = op, {}
+
+    def __call__(self, u):
+        if u not in self.cache:
+            self.cache[u] = VertexEstimate(u, *old_lumped_descend(self.op, u))
+        return self.cache[u]
+
+
+def walked_cnu_level_value(op, alpha, members, depth, threshold):
+    """``cnu_level_value`` as a loop over each member's own ancestor chain."""
+    total = 0.0
+    for v in members:
+        prods, w = ancestor_products(op, v, depth)
+        anchor = alpha(w).estimate if w is not None else 1.0
+        if anchor <= threshold:
+            continue
+        total += (prods[-1] if prods else 1.0) * alpha(v).estimate / anchor
+    return total
+
+
+# a rooted tree's adjoint is certified stable without a chain
+@pytest.mark.parametrize("family,weights,lo,hi",
+                         [case for case in LAW_CASES if case.values[0] != "rooted-path"])
+def test_level_law_adjoint_equals_a_chain_of_ancestor_products(family, weights, lo, hi):
+    model = make_family(family)
+    window = materialize_window(model, lo, hi)
+    adjoint = adjoint_profile(ShiftOperator(model, weights), window)
+    walked = ShiftOperator(model, weights)
+    for lvl in window.levels():
+        rep = window.vertices_at(lvl)[0]
+        _, _, status, coeffs, gen_exact = ref_adjoint_level(walked, rep)
+        chain = ancestor_products(walked, rep, DEFAULT_MAX_DEPTH)[0]
+        norm_sq = len(coeffs) * chain[-1]
+        assert repr(adjoint.h_vectors[lvl].norm_sq) == repr(norm_sq)
+        for u in window.vertices_at(lvl):
+            rec = adjoint.profile.record(u)
+            assert repr((rec.estimate, rec.upper, rec.status)) == \
+                repr((norm_sq, norm_sq if gen_exact else 1.0, status))
+
+
+@pytest.mark.parametrize("family,weights,lo,hi", LAW_CASES)
+def test_level_law_cnu_value_equals_a_walk_of_every_member(family, weights, lo, hi):
+    model = make_family(family)
+    rooted = model.is_rooted
+    # A rooted chain that reaches the root asks for the root's weight.  Binary
+    # levels 3 and 4 add one term 8 and 16 times, which a product would round
+    # differently.
+    window = materialize_window(model, 3 if rooted else lo, hi + (3 if rooted else 2))
+    op = ShiftOperator(model, weights)
+    alpha = AlphaEvaluator(op)
+    reference = OldLumpedAlpha(ShiftOperator(model, weights))
+    for lvl in window.levels():
+        members = window.vertices_at(lvl)
+        for depth in ((1, 3) if rooted else (1, 5, DEFAULT_MAX_DEPTH)):
+            for threshold in (1e-9, 0.5):
+                want = walked_cnu_level_value(ShiftOperator(model, weights), reference,
+                                              members, depth, threshold)
+                assert repr(cnu_level_value(op, alpha, members, depth, threshold)) == \
+                    repr(want)

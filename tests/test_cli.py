@@ -531,6 +531,24 @@ def test_malformed_tree_doc_exit_code(tmp_path, capsys, doc):
     assert err.startswith("error: TreeSpecError: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("law,levels,line", [
+    # 0.5 * 0.5^1074 underflows to 0: met by the forward descent below a deep
+    # window, and by the adjoint chain above a shallow one
+    ({"name": "geometric", "params": {"scale": 0.5, "ratio": 0.5}}, "1070:1071",
+     "geometric weight at level 1074 is out of range (0.0)"),
+    ({"name": "geometric", "params": {"scale": 0.5, "ratio": 0.5}}, "-1071:-1070",
+     "geometric weight at level -1074 is out of range (0.0)"),
+    # exp(-2^10) underflows to 0, six levels above the window
+    ({"name": "exp-ray", "params": {"base": 2.0, "start_level": -20}}, "-5:-4",
+     "exp-ray weight at level -10 is out of range (0.0)"),
+])
+def test_a_level_law_out_of_range_names_its_level(specs, tmp_path, capsys, law, levels, line):
+    weights = write(tmp_path, "law.json", {"kind": "family", **law})
+    assert main(["analyze", "--tree", specs["bilateral"], "--weights", weights,
+                 f"--levels={levels}"]) == 2
+    assert capsys.readouterr() == ("", f"error: WeightError: {line}\n")
+
+
 def _subprocess_env():
     """The environment of a fresh interpreter that imports this checkout."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(treeshift.__file__)))
