@@ -6,6 +6,10 @@ basis vectors and then rescales tail coefficients until every stage bound
 Sigma_m drops below 2^-m; on the truncation the bounds are checked exactly
 as computed, which certifies cyclicity of the truncated operator (the
 infinite-dimensional statement is the theorem's job, not the artifact's).
+Sigma_m is a max over the k of its stage; the exact loop runs only at the
+k that one float sweep marks as binding, or at every k of a stage the sweep
+cannot vouch for (``_binding_indices``), so the bounds, the rescales and the
+errors are those of the full loop.
 
 The candidate's Krylov matrix on a window is written down in closed form:
 the entry at (j, i) in column k is xi * w_{j,i} ... w_{j,s-1} when
@@ -27,6 +31,8 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import mul
 
 from .deferred import Deferred
 from .errors import (DimensionCap, ScheduleTooShort, StageUnderflow, TreeSpecError, WeightError,
@@ -39,6 +45,12 @@ RANK_TOL = 1e-8
 # A Mersenne prime: 2^31 = 1 (mod p), so 2^-k = 2^(-k mod 31), and a product
 # of two residues fits in an int64.
 MODULUS = 2 ** 31 - 1
+# ``_binding_indices``: a stage runs ``_sigma`` only at the k whose sweep total
+# is within SWEEP_MARGIN of the stage's largest, while every factor it reads
+# is at least SWEEP_FLOOR and that largest total lies in SWEEP_RANGE.
+SWEEP_MARGIN = 1e-6
+SWEEP_FLOOR = 2.0 ** -1022  # the least normal double
+SWEEP_RANGE = (2.0 ** -900, 2.0 ** 900)
 
 VERDICT_ANCHORS = {
     "R1": ["§6 co-rank"],
@@ -110,14 +122,24 @@ class BackwardShiftSpec:
         """The weights w_{j,k} for k < stop and the running products P[0..stop]
         of branch j, as the kept lists themselves (callers must not change
         them).  Each weight is evaluated and range-checked once, in index
-        order; zero positions read 0.0, as in ``weight``."""
+        order; zero positions read 0.0, as in ``weight``.
+
+        A run is screened as a whole (its min, max and sum); only a run that
+        fails the screen is checked index by index, which names the first bad
+        (j, k).  The products are formed left to right, as one at a time."""
         weights, prefix = self._runs.setdefault(j, ([], [1.0]))
         start = len(weights)
         if start < stop:
-            for k, w in enumerate(self._run(j, start, stop), start):
-                w = 0.0 if (j, k) in self.zero_positions else _checked(j, k, w)
-                weights.append(w)
-                prefix.append(prefix[-1] * w)
+            run = list(self._run(j, start, stop))
+            if 0.0 < min(run) and max(run) <= 1.0 and (total := sum(run)) == total:  # no NaN
+                for zj, k in self.zero_positions:
+                    if zj == j and start <= k < stop:
+                        run[k - start] = 0.0
+            else:
+                run = [0.0 if (j, k) in self.zero_positions else _checked(j, k, w)
+                       for k, w in enumerate(run, start)]
+            weights += run
+            prefix[-1:] = accumulate(run, mul, initial=prefix[-1])
         return weights, prefix
 
     def prefix_products(self, j: int, upto: int) -> list[float]:
@@ -194,18 +216,19 @@ def _schedule_prefix(spec: BackwardShiftSpec, schedule) -> dict:
     return {j: spec.prefix_products(j, kmax) for j in set(j for j, _ in schedule)}
 
 
-def _sigma(schedule, xi, prefix, m: int) -> float:
-    """``sigma_m`` on precomputed prefix products.  xi_l * P_{j_l}[k_l] is
-    formed once per tail stage; every term is then the same chain of
-    roundings as (xi_l * P[k_l] / P[k_l - k] / denom) ** 2.  A divisor that
-    underflows to 0.0 raises StageUnderflow."""
+def _sigma(schedule, xi, prefix, m: int, ks=None) -> float:
+    """``sigma_m`` on precomputed prefix products, as the max over the k of
+    ``ks`` (default: every k of the stage).  xi_l * P_{j_l}[k_l] is formed
+    once per tail stage; every term is then the same chain of roundings as
+    (xi_l * P[k_l] / P[k_l - k] / denom) ** 2.  A divisor that underflows to
+    0.0 raises StageUnderflow."""
     j_m, k_m = schedule[m - 1]
     k_prev = schedule[m - 2][1] if m >= 2 else -1
     head, p_m = xi[m - 1] * prefix[j_m][k_m], prefix[j_m]
     tail = [(x * prefix[j][k], prefix[j], k) for (j, k), x in zip(schedule[m:], xi[m:])]
     best = 0.0
     try:
-        for k in range(k_prev + 1, k_m + 1):
+        for k in range(k_prev + 1, k_m + 1) if ks is None else ks:
             denom = head / p_m[k_m - k]
             total = 0.0
             for top, p, k_l in tail:
@@ -214,6 +237,51 @@ def _sigma(schedule, xi, prefix, m: int) -> float:
     except ZeroDivisionError:
         raise StageUnderflow(m) from None
     return best
+
+
+def _binding_indices(schedule, prefix) -> list:
+    """Per stage m, the k at which ``_sigma`` can take its max: those whose
+    float sweep total comes within SWEEP_MARGIN of the stage's largest, or
+    None where the sweep cannot vouch for that (run every k).
+
+    The sweep evaluates every stage total of Sigma_m on the initial
+    coefficients xi_l = 2^-l in one vectorised pass.  A rescale at stage
+    m' < m divides xi_m and every later xi_l by the same factor, so the
+    ratios xi_l / xi_m that a stage total reads move by at most 2m roundings.
+    While every factor of a term is a normal double (``construct_backward_cyclic``
+    checks the floor on the current xi) and the stage's largest sweep total
+    lies in SWEEP_RANGE (no term overflows its square; terms that underflow
+    are far below it), the sweep total and the exact total agree to about
+    1e-14 at every k, far inside the margin, so the exact max over the kept k
+    is the exact max over all of them.  The last stage has no tail, so its
+    total is 0.0 at every k and no k is kept.
+    """
+    import numpy as np
+    branches = sorted(prefix)
+    width = len(prefix[branches[0]])
+    table = np.array([prefix[j] for j in branches]).ravel()
+    row = {j: r * width for r, j in enumerate(branches)}
+    ends = np.array([row[j] + k for j, k in schedule])  # the flat positions of P_{j_l}[k_l]
+    top = 2.0 ** -np.arange(1.0, len(schedule) + 1) * table[ends]
+    # ks: 0..k_{L-1}, each in the one stage m with k_{m-1} < k <= k_m (the
+    # stages with a tail).  Term i is tail stage l > m at k = at[i]: stage l
+    # contributes at every k <= k_{l-1}.
+    stops = np.array([k for _, k in schedule[:-1]]) + 1
+    ks = np.arange(stops[-1])
+    stage = np.searchsorted(stops, ks, side="right")  # m - 1
+    at = np.arange(stops.sum()) - np.repeat(np.cumsum(stops) - stops, stops)
+    with np.errstate(all="ignore"):  # a zero, an overflow or a NaN only fails the range test
+        denom = top[stage] / table[ends[stage] - ks]
+        ratio = np.repeat(top[1:], stops) / table[np.repeat(ends[1:], stops) - at] / denom[at]
+        totals = np.bincount(at, weights=ratio * ratio, minlength=ks.size)
+        best = np.maximum.reduceat(totals, np.r_[0, stops[:-1]])
+        kept = np.flatnonzero(totals >= (1.0 - SWEEP_MARGIN) * best[stage])
+    low, high = SWEEP_RANGE
+    binding = [[] if low <= b <= high else None for b in best.tolist()] + [[]]
+    for k, m in zip(kept.tolist(), stage[kept].tolist()):
+        if binding[m] is not None:
+            binding[m].append(k)
+    return binding
 
 
 def construct_backward_cyclic(spec: BackwardShiftSpec, L: int) -> CyclicCandidate:
@@ -233,8 +301,15 @@ def construct_backward_cyclic(spec: BackwardShiftSpec, L: int) -> CyclicCandidat
     xi = [2.0 ** (-l) for l in range(1, L + 1)]
     modifications = []
     prefix = _schedule_prefix(spec, schedule)
+    binding = _binding_indices(schedule, prefix)
+    # floor[m - 1] = min over l >= m of P_{j_l}[k_l]; xi never grows along the
+    # schedule, so xi_L * floor[m - 1] bounds every xi_l * P_{j_l}[k_l] that
+    # stage m reads, and with them (the weights are at most 1) every prefix
+    # entry it divides by.
+    floor = list(accumulate(reversed([prefix[j][k] for j, k in schedule]), min))[::-1]
     for m in range(1, L + 1):
-        s = _sigma(schedule, xi, prefix, m)
+        ks = binding[m - 1] if xi[-1] * floor[m - 1] >= SWEEP_FLOOR else None
+        s = _sigma(schedule, xi, prefix, m, ks)
         if s > 2.0 ** (-m):
             # The hair above the exact rescale keeps the recomputed Sigma_m
             # strictly below the bound despite round-off.
@@ -406,8 +481,10 @@ def _rank_from_order_basis(support: dict, steps, window_K: int, depth: int) -> i
     delta = [-d for d in bounds]
     shifted = [0] * len(keys)  # series c holds its coefficient t at t - shifted[c]
     live = list(range(len(keys)))
+    needy = len(live)  # live series with delta < 1: every series starts at delta <= 0
+    scratch = np.empty(D + 1, dtype=np.int64)
     t = min(wake, default=D + 1)
-    while t <= D and any(delta[c] < 1 for c in live):
+    while t <= D and needy:
         if len(live) == 1:
             delta[live[0]] += D + 1 - t  # the last pivot (or the only series): nonzero at t
             break
@@ -416,24 +493,30 @@ def _rank_from_order_basis(support: dict, steps, window_K: int, depth: int) -> i
             rest = series[c, t - shifted[c]: D + 1 - shifted[c]]
             if rest[0]:
                 hot.append(c)
-            elif rest.any():
-                wake[c] = t + int((rest != 0).argmax())
+                continue
+            nonzero = np.flatnonzero(rest)
+            if nonzero.size:
+                wake[c] = t + int(nonzero[0])
             else:
                 live.remove(c)
+                needy -= delta[c] < 1
         pivot = min(hot, key=delta.__getitem__)
         tail = series[pivot, t - shifted[pivot]: D + 1 - shifted[pivot]]
         head = int(tail[0])
+        product = scratch[: tail.size]
         for c in hot:
             if c != pivot:
                 rest = series[c, t - shifted[c]: D + 1 - shifted[c]]
-                x = int(rest[0])
-                rest *= head  # residues are below 2^31: every step fits in int64
-                rest -= x * tail
-                rest %= MODULUS
+                # residues are below 2^31: every step fits in int64
+                np.multiply(tail, int(rest[0]), out=product)
+                np.multiply(rest, head, out=rest)
+                np.subtract(rest, product, out=rest)
+                np.remainder(rest, MODULUS, out=rest)
                 wake[c] = t + 1
         shifted[pivot] += 1
         wake[pivot] = t + 1
         delta[pivot] += 1
+        needy -= delta[pivot] == 1
         t += 1
     return sum(bounds) + len(bounds) - sum(max(0, 1 - d) for d in delta)
 

@@ -84,7 +84,8 @@ class ShiftOperator:
 
     def ancestor_chain(self, v: str, depth: int) -> tuple:
         """(squares of lambda at v and at up to ``depth`` - 1 ancestors, the
-        vertices walked: v first, last the stop, None past the root).  When
+        vertices walked: v first, last the stop, None when the walk would
+        have to pass the root, whose weight it never asks for).  When
         the parent's chain is memoized, v's is its own square and itself
         prepended to it, cut to length: the same floats, without a walk."""
         table = self._chains.setdefault(depth, {})
@@ -97,11 +98,12 @@ class ShiftOperator:
             else:
                 squares, ancestors, w = [], [v], v
                 for _ in range(depth):
-                    squares.append(self.weight(w) ** 2)
-                    w = self.parent(w)
-                    ancestors.append(w)
-                    if w is None:
+                    parent = self.parent(w)
+                    if parent is None:  # w is the root, which carries no weight
+                        ancestors.append(None)
                         break
+                    squares.append(self.weight(w) ** 2)
+                    ancestors.append(w := parent)
                 chain = (tuple(squares), tuple(ancestors))
             table[v] = chain
         return chain

@@ -13,6 +13,7 @@ import inspect
 import math
 import numbers
 import sys
+from functools import cache
 
 from .errors import VertexNotFound, WeightError, decoded, read_input, shown
 from .trees import TildeTree, _is_primed, _primed_index
@@ -47,6 +48,12 @@ def _integer(value, what: str, error=WeightError) -> int:
     return int(value)
 
 
+@cache
+def _signature(family: type) -> inspect.Signature:
+    """The constructor signature of a weight family, read once per class."""
+    return inspect.signature(family)
+
+
 def _computed(rule, family: str, lvl: int) -> float:
     """Weight ``rule()`` of a level formula at level ``lvl``; a value that
     overflows, or underflows to 0, is not a usable weight and raises
@@ -75,14 +82,15 @@ def unit_hasher(prefix: str):
     here, and each unit costs one state copy.
     """
     import hashlib  # loads OpenSSL, which only hashed weights need
-    state = hashlib.blake2b(prefix.encode(), digest_size=8)
+    copy = hashlib.blake2b(prefix.encode(), digest_size=8).copy
+    from_bytes = int.from_bytes
 
     def units(suffixes) -> list[float]:
         out = []
         for s in suffixes:
-            h = state.copy()
+            h = copy()
             h.update(s.encode())
-            out.append(int.from_bytes(h.digest(), "big") / 2.0 ** 64)
+            out.append(from_bytes(h.digest(), "big") / 2.0 ** 64)
         return out
 
     return units
@@ -246,7 +254,7 @@ class FamilyWeights(WeightAssignment):
     name = "abstract"
 
     def params(self) -> dict:
-        values = {name: getattr(self, name) for name in inspect.signature(type(self)).parameters}
+        values = {name: getattr(self, name) for name in _signature(type(self)).parameters}
         return {name: value for name, value in values.items() if value is not None}
 
     def to_json(self):
@@ -470,7 +478,7 @@ def weights_from_json(doc) -> WeightAssignment:
             raise WeightError(f"unknown weight family {shown(name)}")
         family = _FAMILIES[name]
         params = doc.get("params", {})
-        signature = inspect.signature(family)
+        signature = _signature(family)
         try:
             signature.bind(**params)
         except TypeError:  # unknown, missing or non-mapping params

@@ -518,6 +518,22 @@ def test_a_weight_out_of_range_is_named_by_its_position_in_a_run():
         BackwardShiftSpec(1, lambda j, k: 0.0 if k == 3 else 0.5).steps(10)
 
 
+def test_a_screened_run_still_names_a_nan_and_spares_listed_zeros():
+    """A run is screened by its min, max and sum: a NaN inside it (which min
+    and max pass over) still fails at its own index, and a listed zero reads
+    0.0 whatever the rule gives there, within the screen or without it."""
+    def rule(j, k):
+        return 0.5
+
+    rule.run = lambda j, start, stop: [math.nan if k == 7 else 0.5 for k in range(start, stop)]
+    with pytest.raises(WeightError, match=r"\(0, 7\)"):
+        BackwardShiftSpec(1, rule).prefix_products(0, 20)
+    for bad in (0.5, 1.5):
+        rule.run = lambda j, start, stop: [bad if k == 3 else 0.5 for k in range(start, stop)]
+        spec = BackwardShiftSpec(1, rule, zeros=[(0, 3)])
+        assert spec.prefix_products(0, 5) == [1.0, 0.5, 0.25, 0.125, 0.0, 0.0]
+
+
 # -- dense-range / direct-sum cyclicity laws -------------------------------------------
 
 def _weighted_cycle(rng, n):
@@ -870,8 +886,11 @@ def _construct_reference(spec, L):
             total = 0.0
             for l in range(m + 1, L + 1):
                 j_l, k_l = sched[l - 1]
-                num = xi[l - 1] * prefix[j_l][k_l] / prefix[j_l][k_l - k]
-                total += (num / denom) ** 2
+                try:
+                    num = xi[l - 1] * prefix[j_l][k_l] / prefix[j_l][k_l - k]
+                    total += (num / denom) ** 2
+                except ZeroDivisionError:
+                    raise StageUnderflow(m) from None
             best = max(best, total)
         return best
 
@@ -888,24 +907,99 @@ def _construct_reference(spec, L):
     return candidate
 
 
+def _hoisted_cases():
+    for seed in (1, 2, 7, 97, 113):
+        yield 1, 44, uniform_weight_rule(seed, 0.5, 0.99)
+        yield 2, 24, uniform_weight_rule(seed, 0.5, 0.99)
+    yield from ((1, 4, 1.0), (1, 40, uniform_weight_rule(1, 0.5, 0.99)), (2, 16, 0.9),
+                (3, 20, uniform_weight_rule(3, 0.1, 1.0)), (3, 12, 1e-3),
+                (3, 16, uniform_weight_rule(5, 0.3, 0.6)))
+    yield 1, 16, 0.9  # every k of a stage ties in the sweep
+    # Near underflow: the last stages of L = 38 read products below the least
+    # normal double and run over every k; the seed-929756531 spec at L = 40
+    # has the subnormal stage bound of the `subnormal-sigma` known defect.
+    yield 1, 38, 0.5
+    yield 1, 40, uniform_weight_rule(929756531, 0.5, 0.99)
+
+
 def test_hoisted_sigma_tables_give_bit_identical_candidates():
-    for branches, L, weights in ((1, 4, 1.0), (1, 40, uniform_weight_rule(1, 0.5, 0.99)),
-                                 (2, 24, uniform_weight_rule(2, 0.5, 0.99)), (2, 16, 0.9),
-                                 (3, 20, uniform_weight_rule(3, 0.1, 1.0)), (3, 12, 1e-3)):
+    """The sweep-guided construction gives the reference's candidate bit for
+    bit: every xi, every modification and every final stage bound."""
+    for branches, L, weights in _hoisted_cases():
         fast = construct_backward_cyclic(BackwardShiftSpec(branches, weights), L)
         slow = _construct_reference(BackwardShiftSpec(branches, weights), L)
         assert fast.schedule == slow.schedule
-        assert fast.xi == slow.xi
-        assert fast.modifications == slow.modifications
-        assert fast.sigma_final == slow.sigma_final
+        assert repr(fast.xi) == repr(slow.xi)
+        assert repr(fast.modifications) == repr(slow.modifications)
+        assert repr(fast.sigma_final) == repr(slow.sigma_final)
         for m in (1, L // 2, L):
-            assert sigma_m(fast, BackwardShiftSpec(branches, weights), m) == fast.sigma_final[m - 1]
+            assert sigma_m(fast, BackwardShiftSpec(branches, weights), m) == \
+                fast.sigma_final[m - 1]
+
+
+@pytest.mark.parametrize("branches,L,weights", [(1, 39, 0.5), (1, 50, 0.5),
+                                                (1, 44, uniform_weight_rule(929756531, 0.5, 0.99))])
+def test_a_stage_underflow_names_the_reference_stage(branches, L, weights):
+    with pytest.raises(StageUnderflow) as slow:
+        _construct_reference(BackwardShiftSpec(branches, weights), L)
+    with pytest.raises(StageUnderflow) as fast:
+        construct_backward_cyclic(BackwardShiftSpec(branches, weights), L)
+    assert fast.value.stage == slow.value.stage
+
+
+def _visited(monkeypatch, spec, L):
+    """{stage: the k at which the construction's exact pass evaluates it}."""
+    visits = {}
+    sigma = cyclicity._sigma
+
+    def counting(schedule, xi, prefix, m, ks=None):
+        k_prev = schedule[m - 2][1] if m >= 2 else -1
+        visits[m] = list(range(k_prev + 1, schedule[m - 1][1] + 1) if ks is None else ks)
+        return sigma(schedule, xi, prefix, m, ks)
+
+    monkeypatch.setattr(cyclicity, "_sigma", counting)
+    construct_backward_cyclic(spec, L)
+    monkeypatch.undo()
+    return visits
+
+
+def test_the_exact_pass_visits_only_the_binding_indices(monkeypatch):
+    """On a hash-random (1, 40) spec the sweep leaves one k per stage with a
+    tail, out of the 821 of k_0 + 1 .. k_40; the last stage has an empty
+    tail, so its bound is 0.0 with no k visited."""
+    visits = _visited(monkeypatch, BackwardShiftSpec(1, uniform_weight_rule(1, 0.5, 0.99)), 40)
+    assert sum(map(len, visits.values())) == 39
+    assert visits[40] == []
+    # Constant weights make every k of a stage tie, so every k is kept.
+    visits = _visited(monkeypatch, BackwardShiftSpec(2, 0.9), 16)
+    assert sum(map(len, visits.values())) == 137 - 16
+    # Each stage decides for itself: past the least normal double, a stage
+    # runs over every k of (k_{m-1}, k_m].
+    visits = _visited(monkeypatch, BackwardShiftSpec(1, uniform_weight_rule(1, 0.5, 0.99)), 44)
+    assert [m for m, ks in visits.items() if len(ks) > 1] == [41, 42, 43, 44]
+    assert all(len(ks) == 1 for m, ks in visits.items() if m < 41)
+
+
+def test_the_sweep_vouches_only_for_stage_totals_in_its_range():
+    """A stage whose sweep totals underflow (one weight 2^-600 that only the
+    last tail term reads) or overflow (one weight 2^-600 at k = 0, which
+    every stage's k = k_m reads) gets None, every k; the others keep the k
+    of their largest totals (here all of them: constant weights tie)."""
+    def binding(weight, L):
+        spec = BackwardShiftSpec(1, weight)
+        schedule = default_schedule(1, L)
+        return cyclicity._binding_indices(schedule, cyclicity._schedule_prefix(spec, schedule))
+
+    under = binding(lambda j, k: 2.0 ** -600 if k == 35 else 0.9, 8)
+    assert under == [[0], [2, 3], [4, 5, 6], [7, 8, 9, 10], [11, 12, 13, 14, 15],
+                     [16, 17, 18, 19, 20, 21], None, []]
+    assert binding(lambda j, k: 2.0 ** -600 if k == 0 else 0.9, 8) == [None] * 7 + [[]]
 
 
 def test_construction_makes_one_sigma_pass_until_sigma_final_is_read(monkeypatch):
     calls = []
     sigma = cyclicity._sigma
-    monkeypatch.setattr(cyclicity, "_sigma", lambda *args: calls.append(args[-1]) or sigma(*args))
+    monkeypatch.setattr(cyclicity, "_sigma", lambda *args: calls.append(args[3]) or sigma(*args))
     for branches, L in ((1, 40), (2, 24), (3, 12)):
         calls.clear()
         cand = construct_backward_cyclic(

@@ -38,7 +38,7 @@ from treeshift.errors import NotAContraction, WeightError
 from treeshift.shifts import ShiftOperator, vector_to_dense
 from treeshift.sparse import SparseVector
 from treeshift.trees import make_family, materialize_window
-from treeshift.weights import HashRandomWeights, MapWeights
+from treeshift.weights import ConstantWeights, HashRandomWeights, MapWeights
 
 from conftest import contractive_operator, full_window, random_finite_tree
 
@@ -304,6 +304,27 @@ def test_ancestor_chains_bit_equal_in_any_query_order(model, weights, lo, hi):
             for depth in (3, DEFAULT_MAX_DEPTH):
                 assert repr(ancestor_products(op, v, depth)) == \
                     repr(ref_ancestor_products(op, v, depth))
+
+
+def test_an_ancestor_chain_stops_at_the_root():
+    """On a rooted tree the walk never asks for the root's weight: a chain
+    that would pass the root ends there, with None as its stop, whether the
+    chain is walked or derived from a parent's."""
+    for order in (range(1, 7), range(6, 0, -1)):  # parents first, children first
+        op = ShiftOperator(make_family("rooted-path"), ConstantWeights(0.9))
+        for level in order:
+            for depth in (1, 2, level, level + 1, DEFAULT_MAX_DEPTH):
+                steps = min(depth, level)
+                walked = tuple(str(level - i) for i in range(steps + 1))
+                assert op.ancestor_chain(str(level), depth) == (
+                    (0.9 ** 2,) * steps, walked + ((None,) if depth > level else ()))
+    op = ShiftOperator(make_family("rooted-path"), ConstantWeights(0.9))
+    alpha = AlphaEvaluator(op)
+    prods, stop = ancestor_products(op, "3", DEFAULT_MAX_DEPTH)
+    assert stop is None and len(prods) == 3
+    assert cnu_level_value(op, alpha, ["3"], DEFAULT_MAX_DEPTH, 1e-9) == \
+        prods[-1] * alpha("3").estimate
+    assert cnu_level_value(op, alpha, ["3"], 2, 1e-9) == 0.6561000000000001
 
 
 class CountingOperator(ShiftOperator):
