@@ -487,8 +487,7 @@ def _classify_side(records, zero_threshold):
     return "mixed", certified
 
 
-def classify(operator: ShiftOperator, forward: AsymptoticProfile,
-             adjoint: AdjointAsymptotics,
+def classify(forward: AsymptoticProfile, adjoint: AdjointAsymptotics,
              zero_threshold: float = DEFAULT_ZERO_THRESHOLD) -> ClassificationC:
     notes = []
     fwd_side, fwd_cert = _classify_side(forward.records, zero_threshold)

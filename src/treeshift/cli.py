@@ -40,7 +40,8 @@ from .cyclicity import (
     range_membership_report,
     verify_cyclic_candidate,
 )
-from .shifts import ShiftOperator, vector_to_dense  # noqa: F401  (perfbench/tracing.py wraps it)
+from .shifts import (CONTRACTION_SLACK, ShiftOperator,
+                     vector_to_dense)  # noqa: F401  (perfbench/tracing.py wraps it)
 from .similarity import build_leaf_similarity, build_tilde_quasiaffinity
 from .sparse import SparseVector
 from .trees import branching_index, leaves, load_tree, materialize_window
@@ -126,7 +127,7 @@ def cmd_analyze(args, out: Reporter) -> int:
     model, operator, window, profile, adjoint = _analysis(args)
     norm = operator.operator_norm(window)
     out.text(f"norm: {norm.value:.12g} ({'certified' if norm.certified else 'window only'})")
-    out.text(f"contraction: {'yes' if norm.value <= 1.0 + 1e-12 else 'no'}")
+    out.text(f"contraction: {'yes' if norm.value <= 1.0 + CONTRACTION_SLACK else 'no'}")
     out.record("norm", {"value": norm.value, "window_value": norm.window_value,
                         "certified": norm.certified})
     out.text("forward limits:")
@@ -147,7 +148,7 @@ def cmd_analyze(args, out: Reporter) -> int:
         out.text(f"  a[level {lvl}] = {rep.estimate:.12g} ({rep.status})")
     for u in window.order:
         out.record("a", adjoint.profile.record(u).to_json())
-    cls = classify(operator, profile, adjoint, zero_threshold=args.zero_th)
+    cls = classify(profile, adjoint, zero_threshold=args.zero_th)
     out.text(f"classification: {cls.forward} / {cls.adjoint}")
     for note in cls.notes:
         out.text(f"  {note}")
@@ -224,7 +225,7 @@ def cmd_cyclic(args, out: Reporter) -> int:
                     out.text(f"  f[{j},{k}] = {x:.12g}")
         return 0
     model, operator, window, profile, adjoint = _analysis(args)
-    cls = classify(operator, profile, adjoint, zero_threshold=args.zero_th)
+    cls = classify(profile, adjoint, zero_threshold=args.zero_th)
     verdict = cyclicity_verdict(model, cls)
     out.text(f"classification: {cls.forward} / {cls.adjoint}")
     out.text(f"verdict: {verdict.verdict} [{verdict.rule}] {verdict.reason}")

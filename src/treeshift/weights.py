@@ -67,6 +67,11 @@ def _computed(rule, family: str, lvl: int) -> float:
     return w
 
 
+def _copies(count: float, term: float) -> float:
+    """The sum of ``count`` copies of ``term``; ``count`` may be infinite."""
+    return count * term if term else 0.0
+
+
 def hash_unit(key: str) -> float:
     """Uniform value in [0, 1) from the keyed blake2b digest of ``key``."""
     import hashlib  # loads OpenSSL, which only hashed weights need
@@ -109,14 +114,27 @@ class WeightAssignment:
         """True when every children square-sum on ``model`` is exactly 1."""
         return False
 
+    def tail_log_sum(self, from_level: float):
+        """sum over levels l > from_level (-inf: every level) of log lambda_l for
+        a level law, which the two hooks below read: -inf when the product
+        vanishes, +inf when it diverges, NaN when both; None when unknown."""
+        return None
+
     def full_product_positive(self):
         """Whether the two-sided infinite weight product is positive, or None."""
-        return None
+        total = self.tail_log_sum(-math.inf)
+        return None if total is None else total > -math.inf  # NaN: a part vanishes
 
     def chain_log_infimum(self, model):
         """Log of the infimum of the forward limits on ``model`` when it is a
         single-child chain: -inf when the limits vanish, None when unknown."""
-        return None
+        tail = (self.tail_log_sum(0 if model.is_rooted else -math.inf)
+                if model.children_per_vertex == 1 else None)
+        if tail is None or tail == -math.inf:
+            return tail  # -inf: the limits vanish, or fall to 0 as the level falls
+        # With no weight above 1 the forward limits grow with the level: the infimum
+        # is the limit at the root of a rooted path, or as the level falls.
+        return 2.0 * tail if (self.max_weight() or math.inf) <= 1.0 else None
 
     def ratio_geometric(self):
         """(first, step): a comb's primed-to-spine weight ratio at level 1 and
@@ -124,8 +142,9 @@ class WeightAssignment:
         return None
 
     def ratio_settled_from(self):
-        """A level past which a comb's primed-to-spine ratios are 1, or None."""
-        return None
+        """A level past which a comb's primed-to-spine ratios are 1, or None
+        (0 for a level law, which gives k and k' the same weight)."""
+        return 0 if self.level_only else None
 
     def weight(self, model, v: str) -> float:
         """lambda_v.  A ``level_only`` law states ``level_weight`` alone."""
@@ -191,11 +210,7 @@ class MapWeights(WeightAssignment):
         return max(levels) + 1 if levels else None
 
     def full_product_positive(self):
-        if self.default is None:
-            return None
-        if self.default >= 1.0:
-            return all(v > 0.0 for v in self.values.values())
-        return False
+        return None if self.default is None else self.default >= 1.0
 
     def ratio_settled_from(self):
         if self.default is None:
@@ -230,16 +245,8 @@ class ConstantWeights(WeightAssignment):
             return abs(self.value - 1.0) <= 1e-12
         return False
 
-    def full_product_positive(self):
-        return self.value >= 1.0
-
-    def chain_log_infimum(self, model):
-        if model.children_per_vertex == 1 and self.value < 1.0:
-            return -math.inf
-        return None
-
-    def ratio_settled_from(self):
-        return 0
+    def tail_log_sum(self, from_level):
+        return _copies(math.inf, math.log(self.value))
 
     def to_json(self):
         return {"kind": "constant", "value": self.value}
@@ -288,22 +295,8 @@ class ExpRayWeights(FamilyWeights):
     def convergence_floor_level(self, model):
         return self.start_level
 
-    def full_product_positive(self):
-        return True  # log-sum is a finite geometric series
-
-    def chain_log_infimum(self, model):
-        if model.children_per_vertex != 1:
-            return None
-        # The forward limits grow with the level, so the infimum is the limit
-        # at the root of the rooted path, and below start_level on the
-        # bilateral path.
-        return 2.0 * self.tail_log_sum(0 if model.is_rooted else self.start_level - 1)
-
-    def ratio_settled_from(self):
-        return 0
-
-    def tail_log_sum(self, from_level: int) -> float:
-        """sum over l > from_level of log lambda at level l (single-child chain)."""
+    def tail_log_sum(self, from_level):
+        # a finite geometric series: the weights are 1 below start_level
         m = max(from_level + 1, self.start_level)
         return -(self.base ** (-m)) * self.base / (self.base - 1.0)
 
@@ -323,6 +316,10 @@ class GeometricWeights(FamilyWeights):
 
     def max_weight(self):
         return self.scale if self.ratio <= 1.0 else None
+
+    def tail_log_sum(self, from_level):
+        # log lambda_l = log scale + |l| log ratio, above from_level without end
+        return _copies(math.inf, math.log(self.ratio) or math.log(self.scale))
 
 
 class StepWeights(FamilyWeights):
@@ -345,8 +342,9 @@ class StepWeights(FamilyWeights):
     def convergence_floor_level(self, model):
         return self.cut + 1 if abs(self.low - 1.0) <= 1e-15 else None
 
-    def full_product_positive(self):
-        return self.low >= 1.0 and self.high >= 1.0
+    def tail_log_sum(self, from_level):
+        return (_copies(max(self.cut - from_level, 0), math.log(self.low))
+                + _copies(math.inf, math.log(self.high)))
 
 
 class RayWeights(FamilyWeights):

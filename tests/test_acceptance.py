@@ -163,7 +163,7 @@ def test_criterion_6_intertwining_and_isometry_law():
         lo = 0 if op.model.is_rooted else -6
         window = materialize_window(op.model, lo, 6)
         profile = alpha_profile(op, window)
-        cls = classify(op, profile, adjoint_profile(op, window))
+        cls = classify(profile, adjoint_profile(op, window))
         assert cls.forward == "C1dot"
         stable = stable_subtree(profile)
         descriptor = isometric_asymptote(op, profile, stable)
@@ -286,7 +286,7 @@ def _tree_fixture(op, lo, hi):
     window = materialize_window(op.model, lo, hi)
     profile = alpha_profile(op, window)
     adjoint = adjoint_profile(op, window)
-    return cyclicity_verdict(op.model, classify(op, profile, adjoint))
+    return cyclicity_verdict(op.model, classify(profile, adjoint))
 
 
 def test_criterion_11_verdict_fixture_suite():

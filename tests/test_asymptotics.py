@@ -324,7 +324,7 @@ def test_adjoint_eigen_equation_dense_oracle(rng):
 def test_classify_finite_certified(rng):
     op = contractive_operator(rng, random_finite_tree(rng, 25))
     window = full_window(op.model)
-    cls = classify(op, alpha_profile(op, window), adjoint_profile(op, window))
+    cls = classify(alpha_profile(op, window), adjoint_profile(op, window))
     assert (cls.forward, cls.adjoint) == ("C0dot", "Cdot0")
     assert cls.forward_certified and cls.adjoint_certified
 
@@ -332,7 +332,7 @@ def test_classify_finite_certified(rng):
 def test_classify_binary_isometry():
     op = ShiftOperator(make_family("rootless-binary"), ConstantWeights(1 / math.sqrt(2)))
     window = materialize_window(op.model, 0, 4)
-    cls = classify(op, alpha_profile(op, window), adjoint_profile(op, window))
+    cls = classify(alpha_profile(op, window), adjoint_profile(op, window))
     assert (cls.forward, cls.adjoint) == ("C1dot", "Cdot0")
     assert cls.forward_certified
 
@@ -340,14 +340,14 @@ def test_classify_binary_isometry():
 def test_classify_unitary_bilateral():
     op = ShiftOperator(make_family("bilateral-path"), ConstantWeights(1.0))
     window = materialize_window(op.model, -4, 4)
-    cls = classify(op, alpha_profile(op, window), adjoint_profile(op, window))
+    cls = classify(alpha_profile(op, window), adjoint_profile(op, window))
     assert (cls.forward, cls.adjoint) == ("C1dot", "Cdot1")
 
 
 def test_classify_step_weights_c1dot_cdot0():
     op = ShiftOperator(make_family("bilateral-path"), StepWeights(0.5, 1.0, cut=0))
     window = materialize_window(op.model, -6, 6)
-    cls = classify(op, alpha_profile(op, window), adjoint_profile(op, window))
+    cls = classify(alpha_profile(op, window), adjoint_profile(op, window))
     assert (cls.forward, cls.adjoint) == ("C1dot", "Cdot0")
 
 
@@ -358,7 +358,7 @@ def test_classify_undetermined_when_depth_exhausted():
     window = materialize_window(op.model, -3, 3)
     prof = alpha_profile(op, window, max_depth=48)
     assert any(r.status == MAX_DEPTH for r in prof.records.values())
-    cls = classify(op, prof, adjoint_profile(op, window, depth=48))
+    cls = classify(prof, adjoint_profile(op, window, depth=48))
     assert cls.forward == "undetermined"
 
 
@@ -492,7 +492,7 @@ def test_binary_constant_decay_is_c0dot_with_few_weight_calls():
     window = materialize_window(model, -8, 8)
     profile = alpha_profile(op, window)
     assert all(r.depth == 64 and r.estimate <= 1e-9 for r in profile.records.values())
-    cls = classify(op, profile, adjoint_profile(op, window))
+    cls = classify(profile, adjoint_profile(op, window))
     assert cls.forward == "C0dot"
     assert weights.calls < 10_000
 

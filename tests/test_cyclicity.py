@@ -595,7 +595,7 @@ def _classify(op, lo, hi):
     window = materialize_window(op.model, lo, hi)
     profile = alpha_profile(op, window)
     adjoint = adjoint_profile(op, window)
-    return classify(op, profile, adjoint)
+    return classify(profile, adjoint)
 
 
 def test_verdict_backward_shift_rules():
@@ -610,7 +610,7 @@ def test_verdict_r1_rooted_branching(rng):
     tree = validate_finite(["r", "a", "b"], [("r", "a"), ("r", "b")])
     op = ShiftOperator(tree, MapWeights({"a": 0.6, "b": 0.8}))
     window = full_window(tree)
-    cls = classify(op, alpha_profile(op, window), adjoint_profile(op, window))
+    cls = classify(alpha_profile(op, window), adjoint_profile(op, window))
     verdict = cyclicity_verdict(tree, cls)
     assert (verdict.verdict, verdict.rule) == ("non-cyclic", "R1")
 

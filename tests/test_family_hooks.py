@@ -1,16 +1,21 @@
 """Family closed forms as hooks on the tree and weight classes.
 
 The reference functions below are the module-level dispatch helpers the hooks
-replaced, kept verbatim (``isinstance`` arms and all).  Every hook must give
-the same answer on every built-in tree, a comb with leaves and a finite tree,
-paired with every weight family and with the subclass patterns the suite
-uses.  The one intended difference, the closed-form infimum of ``exp-ray``
-weights on the rooted path below level 1, is tested on its own.  An AST check
-keeps concrete-class dispatch, by ``isinstance`` or by probing an attribute
-only a family class has, from coming back outside ``trees`` and ``weights``.
+replaced, kept verbatim (``isinstance`` arms and all), with arms for the
+``geometric`` and ``step`` laws written by hand from each law where the
+derived level-law hooks close a question the old helpers left open.  Every
+hook must give the same answer on every built-in tree, a comb with leaves and
+a finite tree, paired with every weight family and with the subclass patterns
+the suite uses.  The one intended difference, the closed-form infimum of
+``exp-ray`` weights on the rooted path below level 1, is tested on its own.
+An AST check keeps concrete-class dispatch, by ``isinstance`` or by probing
+an attribute only a family class has, from coming back outside ``trees`` and
+``weights``.
 """
 
 import ast
+import inspect
+import itertools
 import json
 import math
 import os
@@ -184,6 +189,11 @@ def ref_full_product_positive(weights, model):
         return True  # log-sum is a finite geometric series
     if isinstance(weights, StepWeights):
         return weights.low >= 1.0 and weights.high >= 1.0
+    if isinstance(weights, GeometricWeights):
+        # scale * ratio^|l|: the weights fall to 0 both ways when ratio < 1
+        if weights.ratio != 1.0:
+            return weights.ratio > 1.0
+        return weights.scale >= 1.0
     if isinstance(weights, MapWeights) and weights.default is not None:
         if weights.default >= 1.0:
             return all(v > 0.0 for v in weights.values.values())
@@ -207,6 +217,20 @@ def ref_similar_to_isometry(operator, profile, zero_threshold=1e-9):
     if isinstance(w, ConstantWeights) and isinstance(model, (RootedPath, BilateralPath)):
         if w.value < 1.0:
             return SimilarityAnswer("no", "constant weight < 1 on a chain: limits vanish")
+    vanish = SimilarityAnswer("no", "closed form on a chain: the forward limits vanish")
+    if isinstance(w, GeometricWeights) and isinstance(model, (RootedPath, BilateralPath)):
+        if w.ratio < 1.0 or (w.ratio == 1.0 and w.scale < 1.0):
+            return vanish  # the weights fall to 0 up the chain
+        if w.ratio == 1.0 and w.scale == 1.0:
+            return SimilarityAnswer("yes", "closed-form infimum 1 > 0")
+    if (isinstance(w, StepWeights) and isinstance(model, (RootedPath, BilateralPath))
+            and max(w.low, w.high) <= 1.0):
+        # high above the cut, low at and below it: the limit at level l is the
+        # product of the squared weights above l, least at the lowest level
+        if w.high < 1.0 or (w.low < 1.0 and not model.is_rooted):
+            return vanish
+        inf_value = w.low ** (2 * max(w.cut, 0)) if model.is_rooted else 1.0
+        return SimilarityAnswer("yes", f"closed-form infimum {inf_value:.6g} > 0")
     return SimilarityAnswer("undetermined", "no symbolic infimum for this family")
 
 
@@ -253,7 +277,8 @@ def ref_ratio_bounded(operator, horizon=64, blow_up=1e6):
         k = 1 + max(1, int(math.ceil(math.log(blow_up / first) / math.log(step))))
         return RatioCertificate("unbounded-evidence", first * step ** (k - 1), True,
                                 at=k, value=first * step ** (k - 1))
-    exact = isinstance(w, (ConstantWeights, ExpRayWeights))
+    # a level law gives k and k' the same weight
+    exact = isinstance(w, (ConstantWeights, ExpRayWeights, GeometricWeights, StepWeights))
     if isinstance(w, MapWeights) and w.default is not None:
         support = [abs(int(v[:-1] if v.endswith("'") else v)) for v in w.values]
         horizon = max(horizon, max(support, default=0) + 1)
@@ -315,6 +340,10 @@ WEIGHTS = {
     "geometric": lambda: GeometricWeights(0.9, 0.8),
     "step": lambda: StepWeights(0.5, 1.0, cut=0),
     "step-ones": lambda: StepWeights(1.0, 1.0, cut=0),
+    "step-deep-cut": lambda: StepWeights(0.5, 1.0, cut=3),
+    "step-mixed": lambda: StepWeights(1.5, 0.5, cut=0),
+    "geometric-flat": lambda: GeometricWeights(1.0, 1.0),
+    "geometric-growing": lambda: GeometricWeights(0.9, 1.2),
     "rays": lambda: RayWeights(0.7, 0.6),
     "rays-isometry": lambda: RayWeights(1.0, 1.0, branch_spine=0.6, branch_primed=0.8),
     "rays-growing": lambda: RayWeights(0.5, 0.9, branch_spine=0.4, branch_primed=0.3),
@@ -422,9 +451,21 @@ def test_weight_hooks_match_the_deleted_dispatch(tree, name):
                     == outcome(ref_ratio_bounded, ShiftOperator(model, w), horizon, blow_up))
 
 
+# Every public method of the weights base class is a hook, apart from these.
+# ``convergence_floor_level`` is exempt from the count: a weight map reads the
+# level of each of its keys, one membership query per key, once per analysis.
+NOT_HOOKS = {"weight", "level_weight", "to_json", "convergence_floor_level"}
+
+
 def test_hooks_make_no_counted_queries():
     """No hook asks the tree for children, parents or membership, or the
-    weights for a weight, so the benchmark's traced counters are unchanged."""
+    weights for a weight, so the benchmark's traced counters are unchanged.
+    The weight hooks are read off the base class, so a new one is covered."""
+    hooks = sorted(name for name, attr in vars(WeightAssignment).items()
+                   if inspect.isfunction(attr) and not name.startswith("_")
+                   and name not in NOT_HOOKS)
+    assert {"full_product_positive", "chain_log_infimum", "tail_log_sum",
+            "ratio_settled_from", "isometry_on"} <= set(hooks)
     counts = Counter()
 
     def counting(cls, methods):
@@ -447,10 +488,12 @@ def test_hooks_make_no_counted_queries():
             op = ShiftOperator(model, w)
             op.is_certified_isometry()
             op.is_level_homogeneous()
-            w.full_product_positive()
-            w.chain_log_infimum(model)
-            w.ratio_geometric()
-            w.ratio_settled_from()
+            arguments = {"model": [model], "from_level": [-math.inf, -3, 0, 2]}
+            for hook in hooks:
+                method = getattr(w, hook)
+                names = list(inspect.signature(method).parameters)
+                for args in itertools.product(*(arguments[n] for n in names)):
+                    method(*args)
             model.vertices()
             model.children_bound(window)
             model.branching_in(window)
@@ -547,6 +590,123 @@ def test_bilateral_path_exp_ray_infimum_is_below_start_level():
     assert similar_to_isometry(op, profile) == ref_similar_to_isometry(op, profile)
 
 
+# -- level laws: one tail log-sum, and the hooks derived from it ------------------------
+
+LEVEL_LAWS = {
+    "constant-half": lambda: ConstantWeights(0.5),
+    "constant-one": lambda: ConstantWeights(1.0),
+    "constant-big": lambda: ConstantWeights(1.5),
+    "exp-ray": lambda: ExpRayWeights(2.0, 1),
+    "exp-ray-deep": lambda: ExpRayWeights(2.5, 3),
+    "exp-ray-negative-start": lambda: ExpRayWeights(2.0, -3),
+    "geometric": lambda: GeometricWeights(0.9, 0.8),
+    "geometric-flat-half": lambda: GeometricWeights(0.5, 1.0),
+    "geometric-flat": lambda: GeometricWeights(1.0, 1.0),
+    "geometric-growing": lambda: GeometricWeights(0.9, 1.2),
+    "step": lambda: StepWeights(0.5, 1.0, cut=0),
+    "step-ones": lambda: StepWeights(1.0, 1.0, cut=0),
+    "step-deep-cut": lambda: StepWeights(0.5, 1.0, cut=3),
+    "step-falling": lambda: StepWeights(1.0, 0.5, cut=-2),
+    "step-mixed": lambda: StepWeights(1.5, 0.5, cut=0),
+    "step-mixed-up": lambda: StepWeights(0.5, 1.5, cut=2),
+}
+
+
+def _limit(partial):
+    """The limit of the partial sums ``partial(n)`` as n grows: a float, or
+    -inf / +inf when they fall / rise without bound."""
+    s100, s200, s400, s800 = (partial(n) for n in (100, 200, 400, 800))
+    if abs(s800 - s400) <= 1e-13:
+        return s800
+    if s800 < s400 - 10.0 < s200 - 20.0 < s100 - 30.0:
+        return -math.inf
+    assert s800 > s400 + 10.0 > s200 + 20.0 > s100 + 30.0, (s100, s200, s400, s800)
+    return math.inf
+
+
+def _by_law(w, from_level):
+    """sum over levels l > from_level of log lambda_l, from the partial sums
+    of ``level_weight``: above level 0 and at or below it for -inf."""
+    def above(start):
+        return _limit(lambda n: math.fsum(math.log(w.level_weight(lvl))
+                                          for lvl in range(start + 1, start + n + 1)))
+    if from_level != -math.inf:
+        return above(from_level)
+    below = _limit(lambda n: math.fsum(math.log(w.level_weight(lvl))
+                                       for lvl in range(-n + 1, 1)))
+    return below + above(0)  # NaN when one side falls and the other rises
+
+
+def test_every_level_law_is_covered():
+    level_laws = {cls for cls in vars(weights).values()
+                  if isinstance(cls, type) and issubclass(cls, WeightAssignment)
+                  and cls.level_only}
+    assert {type(make()) for make in LEVEL_LAWS.values()} == level_laws
+
+
+@pytest.mark.parametrize("from_level", [-math.inf, -5, -1, 0, 2])
+@pytest.mark.parametrize("name", LEVEL_LAWS)
+def test_tail_log_sum_is_the_sum_of_the_level_law(name, from_level):
+    w = LEVEL_LAWS[name]()
+    got, want = w.tail_log_sum(from_level), _by_law(w, from_level)
+    if math.isnan(want):
+        assert math.isnan(got)
+    elif math.isinf(want):
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("tree", TREES)
+@pytest.mark.parametrize("name", LEVEL_LAWS)
+def test_derived_hooks_never_return_nan(name, tree):
+    w, model = LEVEL_LAWS[name](), TREES[tree]()
+    assert w.ratio_settled_from() == 0
+    positive = w.full_product_positive()
+    assert positive in (True, False)
+    infimum = w.chain_log_infimum(model)
+    assert infimum is None or not math.isnan(infimum)
+    if model.children_per_vertex != 1:
+        assert infimum is None
+
+
+@pytest.mark.parametrize("low, high", [(1.5, 0.5), (0.5, 1.5)])
+def test_a_tail_that_both_vanishes_and_diverges_has_no_infimum(low, high):
+    w = StepWeights(low, high, cut=0)
+    assert math.isnan(w.tail_log_sum(-math.inf))
+    assert w.full_product_positive() is False
+    assert w.chain_log_infimum(make_family("bilateral-path")) is None
+
+
+@pytest.mark.parametrize("w, root_limit", [
+    (StepWeights(0.5, 1.0, cut=3), 0.5 ** 6),  # three weights of 0.5 above the root
+    (StepWeights(0.5, 1.0, cut=0), 1.0),
+    (GeometricWeights(1.0, 1.0), 1.0),
+])
+def test_rooted_path_level_law_infimum_is_the_root_limit(w, root_limit):
+    op = ShiftOperator(make_family("rooted-path"), w)
+    profile = alpha_profile(op, materialize_window(op.model, 0, 5))
+    closed = math.exp(w.chain_log_infimum(op.model))
+    assert closed == pytest.approx(root_limit, rel=1e-12)
+    assert profile.estimate("0") == pytest.approx(root_limit, rel=0, abs=1e-9)
+    assert similar_to_isometry(op, profile).answer == "yes"
+
+
+@pytest.mark.parametrize("law, line", [
+    ({"name": "geometric", "params": {"scale": 0.9, "ratio": 0.8}},
+     "similar to co-isometry: no (full weight product vanishes (closed form))"),
+    ({"name": "step", "params": {"low": 0.5, "high": 1.0, "cut": 0}},
+     "similar to isometry: no (closed form on a chain: the forward limits vanish)"),
+])
+def test_level_laws_on_the_bilateral_path_get_closed_answers(law, line, tmp_path, capsys):
+    tree, weights_path = tmp_path / "bilateral.json", tmp_path / "weights.json"
+    tree.write_text(json.dumps({"family": "bilateral-path", "params": {}}))
+    weights_path.write_text(json.dumps({"kind": "family", **law}))
+    assert main(["analyze", "--tree", str(tree), "--weights", str(weights_path),
+                 "--levels=-2:2"]) == 0
+    assert line in capsys.readouterr().out.splitlines()
+
+
 # -- no concrete-class dispatch outside trees and weights -------------------------------
 
 # (module, enclosing function, class): the one dispatch site that stays.
@@ -625,8 +785,8 @@ def test_no_family_dispatch_outside_trees_and_weights():
     classes = _family_classes()
     assert {"CombTree", "FiniteTree", "RootedPath", "ConstantWeights"} <= classes
     attributes = _family_attributes(classes)
-    assert {"primed_leaf", "unprimed_leaf", "first", "tail_log_sum"} <= attributes
-    assert not {"children", "leaf_set", "has_last_level", "weight"} & attributes
+    assert {"primed_leaf", "unprimed_leaf", "first"} <= attributes
+    assert not {"children", "leaf_set", "has_last_level", "weight", "tail_log_sum"} & attributes
     found = set()
     for filename in sorted(os.listdir(package)):
         module = filename[:-3]
