@@ -36,6 +36,11 @@ BILATERAL_PLUS = "bilateral-plus-unilateral"
 _USABLE = (CONVERGED, EXACT_ONE)
 
 
+def _beta(weight: float, alpha_child: float, alpha_parent: float) -> float:
+    """beta_v = lambda_v sqrt(alpha(v) / alpha(parent v)), the asymptote's weight."""
+    return weight * math.sqrt(alpha_child / alpha_parent)
+
+
 @dataclass
 class AsymptoteDescriptor:
     """Weights and classification of the isometric asymptote U = S_beta."""
@@ -69,9 +74,8 @@ class AsymptoteDescriptor:
         return mat, members
 
     def _beta_at(self, v):
-        a_child = self.alpha(v)
-        a_parent = self.alpha(self.operator.parent(v))
-        return self.operator.weight(v) * math.sqrt(a_child.estimate / a_parent.estimate)
+        return _beta(self.operator.weight(v), self.alpha(v).estimate,
+                     self.alpha(self.operator.parent(v)).estimate)
 
 
 def cnu_level_value(operator: ShiftOperator, alpha: AlphaEvaluator, members, depth: int,
@@ -83,8 +87,8 @@ def cnu_level_value(operator: ShiftOperator, alpha: AlphaEvaluator, members, dep
     member telescopes to (product of lambda^2) * alpha(member)/alpha(anchor),
     so no per-ancestor beta values are needed.  On a rootless lumped operator
     every member has the level's chain and an anchor depth levels up, so the
-    one term is added once per member; a rooted chain stops at the root, so
-    each member walks its own.
+    one term is added once per member; a rooted chain stops at the root, its
+    anchor, so each member walks its own.
     """
     total = 0.0
     if alpha.lumped and members and not operator.model.is_rooted:
@@ -99,7 +103,7 @@ def cnu_level_value(operator: ShiftOperator, alpha: AlphaEvaluator, members, dep
         return total
     for v in members:
         prods, w = ancestor_products(operator, v, depth)
-        anchor = alpha(w).estimate if w is not None else 1.0
+        anchor = alpha(w if w is not None else operator.model.root).estimate
         if anchor <= threshold:
             continue
         total += (prods[-1] if prods else 1.0) * alpha(v).estimate / anchor
@@ -138,7 +142,7 @@ def isometric_asymptote(operator: ShiftOperator, profile: AsymptoticProfile,
             continue
         rv, rp = profile.record(v), profile.record(p)
         if rv.status in _USABLE and rp.status in _USABLE:
-            beta[v] = operator.weight(v) * math.sqrt(rv.estimate / rp.estimate)
+            beta[v] = _beta(operator.weight(v), rv.estimate, rp.estimate)
 
     br = stable.branching[0]
     if model.is_rooted:
@@ -249,6 +253,9 @@ def similar_to_isometry(operator: ShiftOperator, profile: AsymptoticProfile,
         return SimilarityAnswer("yes", "certified isometry: all forward limits are 1")
     log_infimum = operator.weights.chain_log_infimum(operator.model)
     if log_infimum == -math.inf:
+        if math.isfinite(operator.weights.tail_log_sum(0)):
+            return SimilarityAnswer("no", "closed form on a chain: the forward limits "
+                                          "fall to 0 as the level falls")
         return SimilarityAnswer("no", "closed form on a chain: the forward limits vanish")
     if log_infimum is not None:
         return SimilarityAnswer("yes", f"closed-form infimum {math.exp(log_infimum):.6g} > 0")

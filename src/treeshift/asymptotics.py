@@ -174,7 +174,7 @@ class AlphaEvaluator:
                     return 0.0, 0.0, EXACT_ZERO, n
                 s = sum(nxt.values())
                 frontier = nxt
-            if s > s_prev + 1e-12:
+            if s > s_prev + CONTRACTION_SLACK:
                 raise NotAContraction(s)  # partial sums must be nonincreasing
             if abs(s - s_prev) < self.tol:
                 consecutive += 1
@@ -376,18 +376,15 @@ def _adjoint_level(operator: ShiftOperator, u: str, depth: int, tol: float,
     size, members, gen_exact = _generation(
         operator, u, depth, frontier_cap, model.children_per_vertex if lumped else None)
 
-    # Extend every ancestor product to the full depth; record the partial
-    # sums to certify convergence of the product tails.
+    # A rootless chain never stops at a root, so each holds ``depth`` products;
+    # the partial sums over the members certify convergence of the product tails.
     if lumped:
-        # Every member's chain is the level's chain, and none ends at a root.
+        # Every member's chain is the level's chain.
         chain = operator.level_chain(lvl, depth)
         sums = [size * p for p in chain]
     else:
         chains = {v: ancestor_products(operator, v, depth)[0] for v in members}
-        # A chain that ended at a root holds its last product out to the full
-        # depth; column d then sums p[min(d, len(p) - 1)] in member order.
-        rows = [p + p[-1:] * (depth - len(p)) for p in chains.values()]
-        sums = [sum(col) for col in zip(*rows)]
+        sums = [sum(col) for col in zip(*chains.values())]
     consecutive = 0
     tail_ok = False
     for d in range(1, len(sums)):

@@ -19,12 +19,12 @@ from .asymptotics import require_contraction
 from .errors import ShapeMismatch, WeightError
 from .shifts import ShiftOperator
 from .sparse import SparseVector
-from .trees import CombTree, TreeWindow
+from .trees import TreeWindow, _is_primed, _primed_id, _primed_index
 
 
-def _require_comb(operator: ShiftOperator, need_leaf: bool) -> CombTree:
+def _require_comb(operator: ShiftOperator, need_leaf: bool):
     model = operator.model
-    if not isinstance(model, CombTree):
+    if not model.has_primed_ray:
         raise ShapeMismatch(f"expected a comb/tilde model, got {model.describe()}")
     if need_leaf and model.primed_leaf is None:
         raise ShapeMismatch("construction needs a primed leaf")
@@ -42,23 +42,32 @@ def ray_products(operator: ShiftOperator, upto: int):
     spine, primed = [1.0], [1.0]
     for j in range(1, upto + 1):
         spine.append(spine[-1] * operator.weight(str(j)))
-        primed.append(primed[-1] * operator.weight(f"{j}'"))
+        primed.append(primed[-1] * operator.weight(_primed_id(j)))
         if spine[-1] == 0.0 or primed[-1] == 0.0:
             raise WeightError(f"the weight products down to level {j} underflow to 0")
     return spine, primed
+
+
+def _g_table(operator: ShiftOperator, upto: int) -> tuple:
+    """({k: g_k}, {k: |g_k|}) for k = 1..upto, with |g_0| = 1, from one walk
+    of the ray products."""
+    spine, primed = ray_products(operator, upto)
+    g, norms = {}, {0: 1.0}
+    for k in range(1, upto + 1):
+        g[k] = SparseVector({str(k): 1.0 / spine[k], _primed_id(k): -1.0 / primed[k]})
+        norms[k] = math.hypot(1.0 / spine[k], 1.0 / primed[k])
+    return g, norms
 
 
 def g_vector(operator: ShiftOperator, k: int) -> SparseVector:
     """g_k = (prod 1/lambda_j) e_k - (prod 1/lambda_j') e_k'."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    spine, primed = ray_products(operator, k)
-    return SparseVector({str(k): 1.0 / spine[k], f"{k}'": -1.0 / primed[k]})
+    return _g_table(operator, k)[0][k]
 
 
 def g_norm(operator: ShiftOperator, k: int) -> float:
-    spine, primed = ray_products(operator, k)
-    return math.hypot(1.0 / spine[k], 1.0 / primed[k])
+    return _g_table(operator, k)[1][k]
 
 
 @dataclass
@@ -106,7 +115,7 @@ def ratio_bounded(operator: ShiftOperator, horizon: int = 64,
     ratio = 1.0
     sup = 0.0
     for k in range(1, horizon + 1):
-        ratio *= operator.weight(f"{k}'") / operator.weight(str(k))
+        ratio *= operator.weight(_primed_id(k)) / operator.weight(str(k))
         sup = max(sup, ratio)
         if ratio > blow_up:
             return RatioCertificate("unbounded-evidence", sup, exact, at=k, value=ratio)
@@ -125,7 +134,6 @@ class SimilarityWitness:
     window: TreeWindow
     operator: ShiftOperator = field(repr=False)
     primed_leaf: int | None = None
-    unprimed_leaf: int | None = None
     target_primed_weights: dict = field(default_factory=dict)  # k -> weight into k'
     g_norms: dict = field(default_factory=dict)
     g_vectors: dict = field(default_factory=dict)  # k -> g_k, for the primed columns of X
@@ -142,38 +150,25 @@ class SimilarityWitness:
     # -- dense window realizations (oracle food) --
 
     def x_matrix(self) -> np.ndarray:
+        """X on the window basis, column by column from ``_x_apply``."""
         import numpy as np
         win = self.window
-        n = len(win)
-        mat = np.zeros((n, n))
+        mat = np.zeros((len(win), len(win)))
         for j, u in enumerate(win.order):
-            if u.endswith("'") and int(u[:-1]) in self.g_vectors:
-                k = int(u[:-1])
-                g = self.g_vectors[k].scaled(1.0 / self.g_norms[k])
-                for v, c in g.items():
-                    mat[win.index_of(v), j] = c
-            else:
-                mat[j, j] = 1.0
+            for v, c in _x_apply(self.g_vectors, self.g_norms, SparseVector.basis(u)).items():
+                mat[win.index_of(v), j] = c
         return mat
 
     def target_matrix(self) -> np.ndarray:
-        """W + N (or the tilde analogue) on the window basis: the spine shifts
-        with the original weights, the primed ray shifts with the g-norm
-        ratios, and the branch edge into 1' carries nothing."""
+        """W + N (or the tilde analogue) on the window basis: the transpose of
+        the window compression of ``_target_adjoint``."""
         import numpy as np
         win = self.window
-        n = len(win)
-        mat = np.zeros((n, n))
+        mat = np.zeros((len(win), len(win)))
         for j, u in enumerate(win.order):
-            if u.endswith("'"):
-                k = int(u[:-1])
-                tgt = f"{k + 1}'"
-                if tgt in win and (k + 1) in self.target_primed_weights:
-                    mat[win.index_of(tgt), j] = self.target_primed_weights[k + 1]
-            else:
-                nxt = str(int(u) + 1)
-                if nxt in win and (self.unprimed_leaf is None or int(u) < self.unprimed_leaf):
-                    mat[win.index_of(nxt), j] = self.operator.weight(nxt)
+            for v, c in _target_adjoint(self.operator, self.target_primed_weights, u).items():
+                if v in win:
+                    mat[j, win.index_of(v)] = c
         return mat
 
     def shift_matrix(self) -> np.ndarray:
@@ -184,8 +179,8 @@ def _x_apply(g: dict, norms: dict, x: SparseVector) -> SparseVector:
     """X x, with X e_k' = g_k / |g_k| for the k in ``g`` and X e_u = e_u otherwise."""
     out = SparseVector()
     for u, c in x.items():
-        if u.endswith("'") and int(u[:-1]) in g:
-            k = int(u[:-1])
+        if _is_primed(u) and _primed_index(u) in g:
+            k = _primed_index(u)
             out.add_scaled(g[k], c / norms[k])
         else:
             out.coeffs[u] = out.coeffs.get(u, 0.0) + c
@@ -193,8 +188,17 @@ def _x_apply(g: dict, norms: dict, x: SparseVector) -> SparseVector:
     return out
 
 
-def _witness(operator, window, kind, mode, ratio, primed_max,
-             unprimed_leaf) -> SimilarityWitness:
+def _target_adjoint(operator: ShiftOperator, target_primed: dict, u: str) -> SparseVector:
+    """T* e_u for the decoupled target T: the spine shifts with the original
+    weights, the primed ray with the weights ``target_primed`` (k -> weight
+    into k'), and the branch edge into 1' carries nothing."""
+    if not _is_primed(u):
+        return SparseVector({str(int(u) - 1): operator.weight(u)})
+    k = _primed_index(u)
+    return SparseVector({_primed_id(k - 1): target_primed[k]}) if k > 1 else SparseVector()
+
+
+def _witness(operator, window, kind, mode, ratio, primed_max) -> SimilarityWitness:
     """Assemble the g vectors and their norms, blocks, target weights, and the
     adjoint intertwining residual, all from one table of ray products.
 
@@ -205,41 +209,26 @@ def _witness(operator, window, kind, mode, ratio, primed_max,
     singular value of a 2 x 2 matrix in closed form: no cancellation, and
     no weight ratio is squared.
     """
-    spine, primed = ray_products(operator, primed_max)
-    g = {k: SparseVector({str(k): 1.0 / spine[k], f"{k}'": -1.0 / primed[k]})
-         for k in range(1, primed_max + 1)}
-    norms = {0: 1.0}
-    norms.update((k, math.hypot(1.0 / spine[k], 1.0 / primed[k]))
-                 for k in range(1, primed_max + 1))
+    g, norms = _g_table(operator, primed_max)
     blocks = []
     for k in range(1, primed_max + 1):
-        a, b = 1.0 / spine[k] / norms[k], -1.0 / primed[k] / norms[k]
+        a, b = g[k][str(k)] / norms[k], g[k][_primed_id(k)] / norms[k]
         x, y = -a / b, abs(1.0 / b)
         blocks.append({"k": k, "det": b,
                        "inverse_norm": (math.hypot(1.0 + y, x) + math.hypot(1.0 - y, x)) / 2.0})
     target_primed = {k: norms[k - 1] / norms[k] for k in range(2, primed_max + 1)}
-
-    def target_adjoint(u):
-        if u.endswith("'"):
-            k = int(u[:-1])
-            if k == 1:
-                return SparseVector()
-            return SparseVector({f"{k - 1}'": target_primed[k]})
-        return SparseVector({str(int(u) - 1): operator.weight(u)})
-
     residual = 0.0
     for u in window.order:
         p = window.model.parent(u)
         if p is None or p not in window:
             continue
-        lhs = _x_apply(g, norms, target_adjoint(u))
+        lhs = _x_apply(g, norms, _target_adjoint(operator, target_primed, u))
         rhs = operator.apply_adjoint(_x_apply(g, norms, SparseVector.basis(u)))
         residual = max(residual, (lhs - rhs).norm())
 
     return SimilarityWitness(kind=kind, mode=mode, blocks=blocks, residual=residual,
                              ratio=ratio, window=window, operator=operator,
                              primed_leaf=primed_max if kind == "leaf-similarity" else None,
-                             unprimed_leaf=unprimed_leaf,
                              target_primed_weights=target_primed, g_norms=norms,
                              g_vectors=g)
 
@@ -248,8 +237,7 @@ def build_leaf_similarity(operator: ShiftOperator, window: TreeWindow) -> Simila
     """Similarity of a Br=1 shift with a primed leaf to the direct sum of a
     spine shift and a nilpotent block on the primed ray."""
     model = _require_comb(operator, need_leaf=True)
-    return _witness(operator, window, "leaf-similarity", "similar", None, model.primed_leaf,
-                    model.unprimed_leaf)
+    return _witness(operator, window, "leaf-similarity", "similar", None, model.primed_leaf)
 
 
 def build_tilde_quasiaffinity(operator: ShiftOperator, window: TreeWindow) -> SimilarityWitness:
@@ -257,12 +245,12 @@ def build_tilde_quasiaffinity(operator: ShiftOperator, window: TreeWindow) -> Si
     Br=1 shift to the direct sum of a bilateral and a unilateral shift."""
     _require_comb(operator, need_leaf=False)
     require_contraction(operator, window)
-    primed_max = max((lvl for lvl in window.levels() if f"{lvl}'" in window), default=0)
+    primed_max = max((lvl for lvl in window.levels() if _primed_id(lvl) in window), default=0)
     if primed_max < 1:
         raise ShapeMismatch("window does not reach the primed ray")
     cert = ratio_bounded(operator, horizon=max(64, primed_max))
     mode = "similar" if cert.status == "bounded" else "quasiaffine-only"
-    return _witness(operator, window, "tilde-quasiaffinity", mode, cert, primed_max, None)
+    return _witness(operator, window, "tilde-quasiaffinity", mode, cert, primed_max)
 
 
 @dataclass
@@ -280,31 +268,29 @@ def direct_sum_decomposition(x: SparseVector, operator: ShiftOperator) -> Decomp
     mu_k is the coefficient against the normalized g_k; nu_n the remaining
     spine coefficient.  Reconstruction is exact on finite supports.
     """
-    _require_comb(operator, need_leaf=False)
-    kmax = 0
-    for u in x.support():
-        idx = int(u[:-1]) if u.endswith("'") else int(u)
-        kmax = max(kmax, abs(idx))
-    spine, primed = ray_products(operator, kmax)
+    model = _require_comb(operator, need_leaf=False)
+    levels = {u: model.level(u) for u in x.coeffs}
+    g, norms = _g_table(operator, max((abs(lvl) for lvl in levels.values()), default=0))
 
     mu, nu = {}, {}
     g_part = SparseVector()
     e_part = SparseVector()
-    for k in range(1, kmax + 1):
-        xi_p = x[f"{k}'"]
-        xi_k = x[str(k)]
-        norm_k = math.hypot(1.0 / spine[k], 1.0 / primed[k])
-        mu_k = -xi_p * norm_k * primed[k]
-        nu_k = xi_k + (primed[k] / spine[k]) * xi_p
+    for k in g:
+        # g_k = p e_k - q e_k', so mu_k matches x's e_k' coefficient and
+        # nu_k is what that leaves of x's e_k coefficient
+        p, q = g[k][str(k)], -g[k][_primed_id(k)]
+        xi_p = x[_primed_id(k)]
+        mu_k = -xi_p * norms[k] / q
+        nu_k = x[str(k)] + (p / q) * xi_p
         if mu_k != 0.0:
             mu[k] = mu_k
-            g_part.add_scaled(g_vector(operator, k), mu_k / norm_k)
+            g_part.add_scaled(g[k], mu_k / norms[k])
         if nu_k != 0.0:
             nu[k] = nu_k
             e_part.coeffs[str(k)] = nu_k
-    for u, c in x.items():
-        if not u.endswith("'") and int(u) <= 0:
-            nu[int(u)] = c
-            e_part.coeffs[u] = c
+    for u, lvl in levels.items():
+        if lvl <= 0:
+            nu[lvl] = x[u]
+            e_part.coeffs[u] = x[u]
     residual = (x - (e_part + g_part)).norm()
     return Decomposition(e_part, g_part, mu, nu, residual)

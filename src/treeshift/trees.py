@@ -58,6 +58,10 @@ def _primed_index(v: str) -> int:
     return int(v[:-1])
 
 
+def _primed_id(k: int) -> str:
+    return f"{k}'"
+
+
 def _integer_id(s: str):
     """The integer ``s`` spells canonically, or None (``"03"``, ``"+3"``,
     ``" 3"``, ``"9_9"`` and ``"-0"`` are not canonical)."""
@@ -78,6 +82,7 @@ class DirectedTreeModel:
     # every vertex (then level-only weights give one cone per level):
     children_per_vertex = None
     has_last_level = False  # a deepest level: the adjoint asymptote is unilateral
+    has_primed_ray = False  # a Br=1 comb: an integer spine and a primed ray off "0"
 
     def children(self, u: str) -> tuple[str, ...]:
         raise NotImplementedError
@@ -322,6 +327,7 @@ class CombTree(DirectedTreeModel):
 
     kind = "procedural"
     family = "comb"
+    has_primed_ray = True
 
     def __init__(self, primed_leaf=None, unprimed_leaf=None):
         for name, value in (("primed_leaf", primed_leaf), ("unprimed_leaf", unprimed_leaf)):
@@ -345,19 +351,19 @@ class CombTree(DirectedTreeModel):
             k = _primed_index(u)
             if self.primed_leaf is not None and k >= self.primed_leaf:
                 return ()
-            return (f"{k + 1}'",)
+            return (_primed_id(k + 1),)
         n = int(u)
         if self.unprimed_leaf is not None and n >= self.unprimed_leaf:
             return ()
         if n == 0:
-            return ("1", "1'")
+            return ("1", _primed_id(1))
         return (str(n + 1),)
 
     def parent(self, u):
         self.require_vertex(u)
         if _is_primed(u):
             k = _primed_index(u)
-            return "0" if k == 1 else f"{k - 1}'"
+            return "0" if k == 1 else _primed_id(k - 1)
         return str(int(u) - 1)
 
     def __contains__(self, u):
@@ -387,7 +393,7 @@ class CombTree(DirectedTreeModel):
     def leaf_set(self):
         out = set()
         if self.primed_leaf is not None:
-            out.add(f"{self.primed_leaf}'")
+            out.add(_primed_id(self.primed_leaf))
         if self.unprimed_leaf is not None:
             out.add(str(self.unprimed_leaf))
         return out

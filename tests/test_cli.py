@@ -599,6 +599,7 @@ def test_reader_closing_early_exits_1_without_an_error_line(specs, tmp_path):
     finally:
         proc.kill()
         proc.wait()
+        proc.stderr.close()
     assert err == b""
 
 

@@ -227,8 +227,12 @@ def ref_similar_to_isometry(operator, profile, zero_threshold=1e-9):
             and max(w.low, w.high) <= 1.0):
         # high above the cut, low at and below it: the limit at level l is the
         # product of the squared weights above l, least at the lowest level
-        if w.high < 1.0 or (w.low < 1.0 and not model.is_rooted):
+        if w.high < 1.0:
             return vanish
+        if w.low < 1.0 and not model.is_rooted:
+            # 1 at and above the cut, falling to 0 with the level below it
+            return SimilarityAnswer("no", "closed form on a chain: the forward limits "
+                                          "fall to 0 as the level falls")
         inf_value = w.low ** (2 * max(w.cut, 0)) if model.is_rooted else 1.0
         return SimilarityAnswer("yes", f"closed-form infimum {inf_value:.6g} > 0")
     return SimilarityAnswer("undetermined", "no symbolic infimum for this family")
@@ -696,7 +700,8 @@ def test_rooted_path_level_law_infimum_is_the_root_limit(w, root_limit):
     ({"name": "geometric", "params": {"scale": 0.9, "ratio": 0.8}},
      "similar to co-isometry: no (full weight product vanishes (closed form))"),
     ({"name": "step", "params": {"low": 0.5, "high": 1.0, "cut": 0}},
-     "similar to isometry: no (closed form on a chain: the forward limits vanish)"),
+     "similar to isometry: no (closed form on a chain: the forward limits fall to 0 as the "
+     "level falls)"),
 ])
 def test_level_laws_on_the_bilateral_path_get_closed_answers(law, line, tmp_path, capsys):
     tree, weights_path = tmp_path / "bilateral.json", tmp_path / "weights.json"
@@ -709,8 +714,8 @@ def test_level_laws_on_the_bilateral_path_get_closed_answers(law, line, tmp_path
 
 # -- no concrete-class dispatch outside trees and weights -------------------------------
 
-# (module, enclosing function, class): the one dispatch site that stays.
-ALLOWED_DISPATCH = {("similarity", "_require_comb", "CombTree")}
+# (module, enclosing function, class): no dispatch site is left.
+ALLOWED_DISPATCH = set()
 
 
 def _family_classes():
@@ -741,8 +746,9 @@ def _family_attributes(classes):
     hierarchy does not: probing one of them is family dispatch too."""
     found = set()
     for module, base in ((trees, "DirectedTreeModel"), (weights, "WeightAssignment")):
-        defs = {node.name: node for node in ast.parse(open(module.__file__).read()).body
-                if isinstance(node, ast.ClassDef)}
+        with open(module.__file__) as source:
+            defs = {node.name: node for node in ast.parse(source.read()).body
+                    if isinstance(node, ast.ClassDef)}
         common = _class_attributes(defs[base])
         for name in classes & defs.keys() - {base}:
             found |= _class_attributes(defs[name]) - common
@@ -753,7 +759,8 @@ def _dispatch_sites(path, classes, attributes):
     """(function, class or attribute, line) of every ``isinstance`` test
     against a family class and every ``getattr``/``hasattr`` probe of a
     family attribute in the module at ``path``."""
-    tree = ast.parse(open(path).read())
+    with open(path) as source:
+        tree = ast.parse(source.read())
     sites = set()
 
     def visit(node, function):

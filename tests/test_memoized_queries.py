@@ -322,8 +322,9 @@ def test_an_ancestor_chain_stops_at_the_root():
     alpha = AlphaEvaluator(op)
     prods, stop = ancestor_products(op, "3", DEFAULT_MAX_DEPTH)
     assert stop is None and len(prods) == 3
+    # past the root the walk is anchored at the root itself
     assert cnu_level_value(op, alpha, ["3"], DEFAULT_MAX_DEPTH, 1e-9) == \
-        prods[-1] * alpha("3").estimate
+        prods[-1] * alpha("3").estimate / alpha("0").estimate
     assert cnu_level_value(op, alpha, ["3"], 2, 1e-9) == 0.6561000000000001
 
 
