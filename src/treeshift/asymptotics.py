@@ -325,7 +325,7 @@ def ancestor_products(operator: ShiftOperator, v: str, depth: int) -> tuple:
 def _generation(operator: ShiftOperator, u: str, depth: int, frontier_cap: int,
                 fan: int | None = None) -> tuple:
     """(size, members, gen_exact) of the generation of u that the adjoint
-    sweep materializes.
+    sweep materializes on a rootless model, where every anchor has a parent.
 
     Step d climbs to the d-th ancestor and adds the vertices d levels below
     it that are not below the previous anchor.  The sweep stops before the
@@ -342,8 +342,6 @@ def _generation(operator: ShiftOperator, u: str, depth: int, frontier_cap: int,
     for d in range(1, depth + 1):
         if fan is None:
             parent = operator.parent(anchor)
-            if parent is None:
-                break
             new = dict.fromkeys(v for v in operator.children(parent) if v != anchor)
             for _ in range(d - 1):
                 grown: dict[str, None] = {}

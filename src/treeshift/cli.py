@@ -44,7 +44,7 @@ from .shifts import (CONTRACTION_SLACK, ShiftOperator,
                      vector_to_dense)  # noqa: F401  (perfbench/tracing.py wraps it)
 from .similarity import build_leaf_similarity, build_tilde_quasiaffinity
 from .sparse import SparseVector
-from .trees import branching_index, leaves, load_tree, materialize_window
+from .trees import branching_index, count_text, leaves, load_tree, materialize_window
 from .weights import load_weights
 
 EXIT_BROKEN_PIPE = 1
@@ -90,10 +90,6 @@ def level_range(text):
 _LEVELS = _checked(level_range, lambda levels: levels[0] <= levels[1], "a:b with a <= b")
 
 
-def _branching_text(value):
-    return "inf" if value == math.inf else str(int(value))
-
-
 def cmd_validate(args, out: Reporter) -> int:
     model = load_tree(args.tree)
     window = materialize_window(model, *args.levels, args.breadth)
@@ -104,7 +100,7 @@ def cmd_validate(args, out: Reporter) -> int:
     out.text(f"window [{window.level_lo}:{window.level_hi}] has {len(window)} vertices")
     out.record("tree", {"kind": model.kind, "family": model.family,
                         "rooted": model.is_rooted, "root": model.root,
-                        "leaves": leafset, "branching": _branching_text(br),
+                        "leaves": leafset, "branching": count_text(br),
                         "branching_exact": True, "window_size": len(window)})
     return 0
 
@@ -138,9 +134,9 @@ def cmd_analyze(args, out: Reporter) -> int:
     stable = stable_subtree(profile, args.zero_th)
     br_value, br_exact = stable.branching
     out.text(f"stable subtree: {len(stable.members)}/{len(window)} window vertices, "
-             f"Br(T')={_branching_text(br_value)}{'' if br_exact else ' (window partial)'}")
+             f"Br(T')={count_text(br_value)}{'' if br_exact else ' (window partial)'}")
     out.record("stable-subtree", {"members": sorted(stable.members),
-                                  "branching": _branching_text(br_value),
+                                  "branching": count_text(br_value),
                                   "branching_exact": br_exact})
     out.text("adjoint limits (by level):")
     for lvl in window.levels():
@@ -168,7 +164,7 @@ def cmd_asymptote(args, out: Reporter) -> int:
     descriptor = isometric_asymptote(operator, profile, stable, depth=args.depth)
     out.record("asymptote", descriptor.to_json())
     out.text(f"isometric asymptote: {descriptor.classification}, multiplicity "
-             f"{_branching_text(descriptor.multiplicity)}")
+             f"{count_text(descriptor.multiplicity)}")
     if descriptor.cnu_value is not None:
         out.text(f"cnu diagnostic: {descriptor.cnu_value:.6g}")
     for v in sorted(descriptor.beta):

@@ -37,7 +37,7 @@ from operator import mul
 from .deferred import Deferred
 from .errors import (DimensionCap, ScheduleTooShort, StageUnderflow, TreeSpecError, WeightError,
                      ZeroWeight, decoded, shown)
-from .trees import branching_index, leaves
+from .trees import branching_index, count_text, leaves
 from .weights import _integer, _required, hash_unit, unit_hasher
 
 DIMENSION_CAP = 4096
@@ -641,8 +641,8 @@ def cyclicity_verdict(model, classification) -> CyclicityVerdict:
     if rooted and br > 0:
         return _verdict("non-cyclic", "R1", f"rooted with Br={br}: co-rank of S exceeds 1")
     if not rooted and br > 1:
-        br_txt = "inf" if br == math.inf else str(br)
-        return _verdict("non-cyclic", "R2", f"rootless with Br={br_txt} > 1: co-rank exceeds 1")
+        return _verdict("non-cyclic", "R2",
+                        f"rootless with Br={count_text(br)} > 1: co-rank exceeds 1")
     if not rooted and br == 1 and nleaves == 2:
         return _verdict("cyclic", "R4", "rootless, Br=1, two leaves: similar to a cyclic "
                                         "backward shift plus a nilpotent block")

@@ -185,10 +185,13 @@ class ShiftOperator:
         """sup over u of sqrt(sum of squared children weights).
 
         Explicit models are scanned exhaustively.  For procedural models the
-        scan covers the window and its outside parents, and the tail beyond
-        the window is bounded by max_weight * sqrt(children bound); the
-        result is certified whenever that bound exists.  The bound is
-        computed once per window and then returned from the cache.
+        scan covers the window, its outside parents and the tree's branch
+        points when they are finite.  Every vertex left unscanned then has at
+        most ``children_per_vertex`` children (1 when that is unset and the
+        branch points are finite), so the rest is bounded by max_weight *
+        sqrt(that count), and the result is certified whenever both exist.
+        The bound is computed once per window and then returned from the
+        cache.
         """
         bound = self._norms.get(window)
         if bound is None:
@@ -202,14 +205,19 @@ class ShiftOperator:
             return NormBound(value, value, True)
         if self.is_certified_isometry():
             return NormBound(1.0, 1.0, True)
-        # In window order, then the outside parents: the vertex a WeightError
-        # names does not depend on the string hash seed.
+        # In window order, then the outside parents, then the branch points:
+        # the vertex a WeightError names does not depend on the string hash seed.
         scan = dict.fromkeys(window.order)
         for u in window.top_boundary():
             scan[self.parent(u)] = None
+        points = self.model.branch_points()
+        for v, _, _ in points or ():
+            scan[v] = None
         window_value = max(self._column_norm(u) for u in scan)
         top = self.weights.max_weight()
-        fan = self.model.children_bound(window)
+        fan = self.model.children_per_vertex
+        if fan is None and points is not None:
+            fan = 1
         if top is None or fan is None:
             return NormBound(window_value, window_value, False)
         outside = top * math.sqrt(fan)
@@ -270,7 +278,3 @@ def vector_to_dense(window: TreeWindow, x: SparseVector, strict: bool = True) ->
         elif strict:
             raise UnknownVertex(u)
     return out
-
-
-def dense_to_vector(window: TreeWindow, arr) -> SparseVector:
-    return SparseVector({u: float(arr[i]) for i, u in enumerate(window.order)})

@@ -171,9 +171,6 @@ class SimilarityWitness:
                     mat[j, win.index_of(v)] = c
         return mat
 
-    def shift_matrix(self) -> np.ndarray:
-        return self.operator.dense_truncation(self.window)
-
 
 def _x_apply(g: dict, norms: dict, x: SparseVector) -> SparseVector:
     """X x, with X e_k' = g_k / |g_k| for the k in ``g`` and X e_u = e_u otherwise."""

@@ -72,6 +72,11 @@ def _integer_id(s: str):
     return n if str(n) == s else None
 
 
+def count_text(n) -> str:
+    """A count as printed: ``"inf"`` for INFINITE, else its integer digits."""
+    return "inf" if n == INFINITE else str(int(n))
+
+
 class DirectedTreeModel:
     """Query contract shared by finite and procedural models."""
 
@@ -81,7 +86,6 @@ class DirectedTreeModel:
     # defaults (None, False) mean "no closed form".  One children count for
     # every vertex (then level-only weights give one cone per level):
     children_per_vertex = None
-    has_last_level = False  # a deepest level: the adjoint asymptote is unilateral
     has_primed_ray = False  # a Br=1 comb: an integer spine and a primed ray off "0"
 
     def children(self, u: str) -> tuple[str, ...]:
@@ -111,10 +115,6 @@ class DirectedTreeModel:
         absent too)."""
         raise NotImplementedError
 
-    def branching_total(self):
-        """Br(T), the branching index of the whole tree."""
-        raise NotImplementedError
-
     def leaf_set(self):
         """The leaf set of the whole tree."""
         raise NotImplementedError
@@ -123,17 +123,30 @@ class DirectedTreeModel:
         """Every vertex, level-major, when the tree is explicit; else None."""
         return None
 
-    def children_bound(self, window):
-        """Most children a vertex outside ``window`` can have, or None."""
-        return self.children_per_vertex
+    def branch_points(self):
+        """``(vertex, level, children count)`` of each vertex with two or more
+        children, or None when there are infinitely many: the hooks below."""
+        return ()
+
+    def branching_total(self):
+        """Br(T) = sum over the branch points of (children count - 1)."""
+        points = self.branch_points()
+        return INFINITE if points is None else sum(c - 1 for _, _, c in points)
 
     def generation_complete(self, lvl: int) -> bool:
         """True when no branch vertex lies above level ``lvl``."""
-        return self.branching_total() == 0
+        points = self.branch_points()
+        return points is not None and all(level >= lvl for _, level, _ in points)
 
     def branching_in(self, window) -> bool:
         """True when ``window`` shows every branch vertex of the tree."""
-        return self.branching_total() == 0
+        points = self.branch_points()
+        return points is not None and all(v in window for v, _, _ in points)
+
+    @property
+    def has_last_level(self) -> bool:
+        """A deepest level: all Br + 1 downward ends of a finite-Br tree are leaves."""
+        return len(self.leaf_set()) == self.branching_total() + 1
 
     def require_vertex(self, u: str):
         if u not in self:
@@ -141,8 +154,7 @@ class DirectedTreeModel:
 
     def describe(self) -> str:
         rooted = "rooted" if self.is_rooted else "rootless"
-        br = self.branching_total()
-        br_txt = "inf" if br == INFINITE else str(br)
+        br_txt = count_text(self.branching_total())
         return f"{self.kind}({self.family or 'finite'}): {rooted}, Br={br_txt}"
 
 
@@ -150,7 +162,6 @@ class FiniteTree(DirectedTreeModel):
     """Explicit finite directed tree, always rooted (finite trees cannot be rootless)."""
 
     kind = "finite"
-    has_last_level = True
 
     def __init__(self, vertices, parent_map, root):
         self._vertices = set(vertices)
@@ -168,6 +179,8 @@ class FiniteTree(DirectedTreeModel):
                 self._level[v] = self._level[u] + 1
                 queue.append(v)
         self._order = sorted(self._vertices, key=lambda v: (self._level[v], v))
+        self._branch_points = tuple((u, self._level[u], len(self._children[u]))
+                                    for u in self._order if len(self._children[u]) > 1)
 
     def children(self, u):
         self.require_vertex(u)
@@ -201,8 +214,8 @@ class FiniteTree(DirectedTreeModel):
     def depth(self) -> int:
         return max(self._level.values())
 
-    def branching_total(self):
-        return sum(len(c) - 1 for c in self._children.values() if len(c) > 1)
+    def branch_points(self):
+        return self._branch_points
 
     def leaf_set(self):
         return {u for u in self._vertices if not self._children[u]}
@@ -283,9 +296,6 @@ class BilateralPath(DirectedTreeModel):
     def seeds(self, lvl):
         return [str(lvl)]
 
-    def branching_total(self):
-        return 0
-
     def leaf_set(self):
         return set()
 
@@ -343,7 +353,6 @@ class CombTree(DirectedTreeModel):
                 raise TreeSpecError("unprimed_leaf must be >= primed_leaf")
         self.primed_leaf = primed_leaf
         self.unprimed_leaf = unprimed_leaf
-        self.has_last_level = unprimed_leaf is not None
 
     def children(self, u):
         self.require_vertex(u)
@@ -387,8 +396,8 @@ class CombTree(DirectedTreeModel):
             return []
         return [str(lvl)]
 
-    def branching_total(self):
-        return 1
+    def branch_points(self):
+        return (("0", 0, 2),)  # "0" has the spine's "1" and the primed ray's "1'"
 
     def leaf_set(self):
         out = set()
@@ -397,17 +406,6 @@ class CombTree(DirectedTreeModel):
         if self.unprimed_leaf is not None:
             out.add(str(self.unprimed_leaf))
         return out
-
-    # The only branch vertex is "0"; its two children are the spine's "1" and
-    # the primed ray's "1'".
-    def children_bound(self, window):
-        return 1 if "0" in window else 2
-
-    def generation_complete(self, lvl):
-        return lvl <= 0
-
-    def branching_in(self, window):
-        return "0" in window
 
 
 class TildeTree(CombTree):
@@ -464,8 +462,8 @@ class RootlessBinary(DirectedTreeModel):
     def seeds(self, lvl):
         return [str(lvl)]
 
-    def branching_total(self):
-        return INFINITE
+    def branch_points(self):
+        return None
 
     def leaf_set(self):
         return set()

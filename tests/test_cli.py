@@ -91,6 +91,28 @@ def test_analyze_not_a_contraction(specs, capsys):
     assert "not a contraction" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("levels", ["1:9", "2:9", "-9:-2"])
+def test_analyze_a_contraction_whose_window_misses_the_branch_vertex(tmp_path, capsys,
+                                                                     levels):
+    """The norm scan reads the branch vertex "0" outside the window, so the
+    rest of the tilde tree has one child per vertex and the norm is the
+    column of "0", not max_weight * sqrt(2) = 1.202..."""
+    tilde = write(tmp_path, "tilde.json", {"family": "tilde"})
+    rays = write(tmp_path, "rays.json", {"kind": "family", "name": "rays",
+                                         "params": {"spine": 0.5, "primed": 0.85}})
+    argv = ["analyze", "--tree", tilde, "--weights", rays, f"--levels={levels}"]
+    assert main(argv + ["--json"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    norm = next(r for r in records if r["record"] == "norm")
+    assert norm["certified"] is True
+    assert norm["value"] == math.sqrt(0.5 ** 2 + 0.85 ** 2)
+    assert main(argv) == 0
+    assert "norm: 0.986154146166 (certified)" in capsys.readouterr().out.splitlines()
+    if levels == "1:9":
+        assert main(["similarity", "--tree", tilde, "--weights", rays, "--levels=1:9"]) == 6
+        assert "window does not reach the primed ray" in capsys.readouterr().err
+
+
 def test_analyze_json_stream(specs, capsys):
     assert main(["analyze", "--tree", specs["binary"], "--weights", specs["halves"],
                  "--levels", "0:3", "--json"]) == 0

@@ -126,17 +126,6 @@ def ref_materialize_window(model, level_lo, level_hi, breadth=64):
                       {lvl: list(vs) for lvl, vs in groupby(collected, model.level)})
 
 
-def ref_children_bound_outside(model, window):
-    """Max children count a vertex outside the window can have."""
-    if isinstance(model, FiniteTree):
-        return 0
-    if isinstance(model, CombTree):
-        return 1 if "0" in window else 2
-    if isinstance(model, (RootedPath, BilateralPath)):
-        return 1
-    return ref_max_children(model)
-
-
 def ref_is_certified_isometry(m, w):
     """Family-level isometry certificates (children square-sums all 1)."""
     if isinstance(w, ConstantWeights):
@@ -165,11 +154,13 @@ def ref_operator_norm(op, window):
     scan = dict.fromkeys(window.order)
     for u in window.top_boundary():
         scan[op.parent(u)] = None
+    if isinstance(op.model, CombTree):
+        scan["0"] = None  # the branch vertex: every other vertex has one child
     window_value = max(op._column_norm(u) for u in scan)
     top = op.weights.max_weight()
     if top is None:
         return NormBound(window_value, window_value, False)
-    outside = top * math.sqrt(ref_children_bound_outside(op.model, window))
+    outside = top * math.sqrt(2 if isinstance(op.model, RootlessBinary) else 1)
     return NormBound(max(window_value, outside), window_value, True)
 
 
@@ -244,6 +235,9 @@ def ref_generation_complete(model, anchor_level):
         return True
     if isinstance(model, CombTree):
         return anchor_level <= 0
+    if isinstance(model, FiniteTree):
+        return all(model._level[u] >= anchor_level
+                   for u, kids in model._children.items() if len(kids) > 1)
     return False
 
 
@@ -390,9 +384,6 @@ def test_tree_hooks_match_the_deleted_dispatch(tree):
     if model.children_per_vertex is not None:
         assert model.children_per_vertex == ref_max_children(model)
     assert (model.vertices() is None) == (not isinstance(model, FiniteTree))
-    for window in windows_of(model):
-        if model.vertices() is None:
-            assert model.children_bound(window) == ref_children_bound_outside(model, window)
     for lvl in range(-6, 7):
         assert model.generation_complete(lvl) == ref_generation_complete(model, lvl)
     for lo, hi in ((-3, 3), (-6, -1), (0, 0), (2, 9), (3, 6), (4, 5), (5, 9), (-1, 0)):
@@ -459,17 +450,27 @@ def test_weight_hooks_match_the_deleted_dispatch(tree, name):
 # ``convergence_floor_level`` is exempt from the count: a weight map reads the
 # level of each of its keys, one membership query per key, once per analysis.
 NOT_HOOKS = {"weight", "level_weight", "to_json", "convergence_floor_level"}
+# Every public method and property of the tree base class is a hook, apart
+# from the queries (membership is ``__contains__``, which is not public).
+TREE_QUERIES = {"children", "parent", "level", "require_vertex"}
+
+
+def _public_hooks(cls, exempt):
+    return sorted(name for name, attr in vars(cls).items()
+                  if (inspect.isfunction(attr) or isinstance(attr, property))
+                  and not name.startswith("_") and name not in exempt)
 
 
 def test_hooks_make_no_counted_queries():
     """No hook asks the tree for children, parents or membership, or the
     weights for a weight, so the benchmark's traced counters are unchanged.
-    The weight hooks are read off the base class, so a new one is covered."""
-    hooks = sorted(name for name, attr in vars(WeightAssignment).items()
-                   if inspect.isfunction(attr) and not name.startswith("_")
-                   and name not in NOT_HOOKS)
+    The hooks are read off the base classes, so a new one is covered."""
+    hooks = _public_hooks(WeightAssignment, NOT_HOOKS)
     assert {"full_product_positive", "chain_log_infimum", "tail_log_sum",
             "ratio_settled_from", "isometry_on"} <= set(hooks)
+    tree_hooks = _public_hooks(trees.DirectedTreeModel, TREE_QUERIES)
+    assert {"branch_points", "branching_total", "generation_complete", "branching_in",
+            "has_last_level", "leaf_set", "seeds", "vertices", "describe"} <= set(tree_hooks)
     counts = Counter()
 
     def counting(cls, methods):
@@ -492,19 +493,17 @@ def test_hooks_make_no_counted_queries():
             op = ShiftOperator(model, w)
             op.is_certified_isometry()
             op.is_level_homogeneous()
-            arguments = {"model": [model], "from_level": [-math.inf, -3, 0, 2]}
-            for hook in hooks:
-                method = getattr(w, hook)
-                names = list(inspect.signature(method).parameters)
-                for args in itertools.product(*(arguments[n] for n in names)):
-                    method(*args)
-            model.vertices()
-            model.children_bound(window)
-            model.branching_in(window)
-            model.has_last_level
-            for lvl in range(-4, 5):
-                model.seeds(lvl)
-                model.generation_complete(lvl)
+            arguments = {"model": [model], "from_level": [-math.inf, -3, 0, 2],
+                         "window": [window], "lvl": range(-4, 5)}
+            for obj, names in ((w, hooks), (model, tree_hooks)):
+                for hook in names:
+                    if isinstance(getattr(type(obj), hook), property):
+                        getattr(obj, hook)
+                        continue
+                    method = getattr(obj, hook)
+                    params = list(inspect.signature(method).parameters)
+                    for args in itertools.product(*(arguments[n] for n in params)):
+                        method(*args)
             assert not counts, (tree, name, counts)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from treeshift.cyclicity import cokernel_dimension
 from treeshift.errors import UnknownVertex, WeightError, WindowTooLarge
-from treeshift.shifts import ShiftOperator, dense_to_vector, vector_to_dense
+from treeshift.shifts import ShiftOperator, vector_to_dense
 from treeshift.sparse import SparseVector
 from treeshift.trees import make_family, materialize_window, validate_finite
 from treeshift.weights import (
@@ -233,13 +233,6 @@ def test_window_cokernel_builds_no_matrix(monkeypatch):
 
     monkeypatch.setattr(ShiftOperator, "dense_truncation", refuse)
     assert ShiftOperator(op.model, op.weights).window_cokernel(window) == want
-
-
-def test_dense_to_vector_roundtrip():
-    op = star()
-    window = full_window(op.model)
-    x = SparseVector({"a": 1.5, "r": -2.0})
-    assert dense_to_vector(window, vector_to_dense(window, x)).coeffs == x.coeffs
 
 
 # -- operator laws -----------------------------------------------------------------
