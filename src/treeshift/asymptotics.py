@@ -9,7 +9,11 @@ silently assumed:
 
 * ``exact-zero``  -- the descendant frontier died out (finite trees, leaves);
                      off the lumped path, a window vertex whose children are
-                     all exact-zero is read off them, depth 1 + the deepest's
+                     all exact-zero is read off them, depth 1 + the deepest's;
+                     or, on an infinite tree, the family bound proves it:
+                     past the last branch point each step scales s_n by at
+                     most f * M^2 < 1 (``ShiftOperator.is_certified_vanishing``),
+                     and depth 0 says that no descent step was taken
 * ``exact-one``   -- family-certified isometry, all limits are exactly 1
 * ``converged``   -- three consecutive partial-sum decrements below tol
 * ``max-depth``   -- depth or frontier budget exhausted; the estimate is
@@ -18,7 +22,8 @@ silently assumed:
 Adjoint side: the limit of S^n S*^n has one eigenvector per level, the
 vector h_u supported on the generation of u with infinite-product
 coefficients; its squared norm a_u is estimated from truncated products over
-the materialized generation.
+the materialized generation.  On a rootless tree under the family bound every
+a_u is ``exact-zero`` at depth 0 and every h the zero vector, with no sweep.
 
 Level lumping: when every vertex has the same children count (the tree's
 ``children_per_vertex``) and every weight depends only on its level (the
@@ -76,6 +81,7 @@ EXACT_ONE = "exact-one"
 
 _SETTLED = (CONVERGED, EXACT_ZERO, EXACT_ONE)
 _ONE = (1.0, 1.0, EXACT_ONE, 0)  # every record of a certified isometry
+_ZERO = (0.0, 0.0, EXACT_ZERO, 0)  # every record where the family bound proves 0
 
 
 @dataclass
@@ -96,14 +102,17 @@ class VertexEstimate:
 
 class AlphaEvaluator:
     """Cached per-vertex evaluation of the forward limit eigenvalues; on a
-    certified isometry or a lumped operator, one record per level."""
+    certified isometry, a certified vanishing or a lumped operator, one
+    record per level."""
 
     def __init__(self, operator: ShiftOperator, tol: float = DEFAULT_TOL,
                  max_depth: int = DEFAULT_MAX_DEPTH):
         self.operator = operator
         self.tol = tol
         self.max_depth = max_depth
-        self.isometry = operator.is_certified_isometry()
+        # Every record when the family proves the limits (all 1 or all 0), else None.
+        self.closed = (_ONE if operator.is_certified_isometry()
+                       else _ZERO if operator.is_certified_vanishing() else None)
         self.lumped = operator.is_level_homogeneous()
         self._cache: dict[str, VertexEstimate] = {}
         self._by_level: dict[int, tuple] = {}
@@ -117,18 +126,20 @@ class AlphaEvaluator:
         return hit
 
     def _compute(self, u: str) -> VertexEstimate:
-        if self.isometry:
-            return VertexEstimate(u, *_ONE)
+        if self.closed is not None:
+            return VertexEstimate(u, *self.closed)
         if not self.lumped:
             return VertexEstimate(u, *self._descend(u))
         return VertexEstimate(u, *self.at_level(self.operator.model.level(u)))
 
     def at_level(self, lvl: int) -> tuple:
         """(estimate, upper, status, depth) of every vertex of level ``lvl``,
-        on a certified isometry or a lumped operator."""
+        on a certified isometry, a certified vanishing or a lumped operator."""
+        if self.closed is not None:
+            return self.closed
         hit = self._by_level.get(lvl)
         if hit is None:
-            hit = self._by_level[lvl] = _ONE if self.isometry else self._descend(None, lvl)
+            hit = self._by_level[lvl] = self._descend(None, lvl)
         return hit
 
     @functools.cached_property
@@ -222,7 +233,7 @@ def alpha_profile(operator: ShiftOperator, window: TreeWindow, tol: float = DEFA
     within ``max_depth`` is read off its children's records; the rest descend."""
     require_contraction(operator, window)
     evaluator = AlphaEvaluator(operator, tol, max_depth)
-    if not (evaluator.isometry or evaluator.lumped):
+    if evaluator.closed is None and not evaluator.lumped:
         cache, children = evaluator._cache, operator.children
         for level in reversed(window.by_level.values()):
             for u in level:
@@ -264,6 +275,8 @@ def _stable_branching(profile: AsymptoticProfile, members: set):
             count += len(kids) - 1
     if model.vertices() is not None:
         return (count, True)
+    if profile.evaluator.closed == _ZERO:
+        return (0, True)  # every limit vanishes, so T' is empty everywhere
     symbolic = model.branching_total()
     if members == set(profile.window.order):
         if profile.all_settled() or symbolic == 0:
@@ -422,14 +435,19 @@ def adjoint_profile(operator: ShiftOperator, window: TreeWindow,
                     ) -> AdjointAsymptotics:
     """Adjoint limit eigenvalues a_u per level, plus the h eigenvectors.
 
-    Rooted trees are certified stable with no numerics.  Rootless ones get
-    one computation per window level (the vectors and values are constant
-    along a level by construction).
+    Rooted trees are certified stable with no numerics, and so are rootless
+    ones under ``ShiftOperator.is_certified_vanishing``, where every h is the
+    zero vector.  Other rootless trees get one computation per window level
+    (the vectors and values are constant along a level by construction).
     """
     require_contraction(operator, window)
-    if window.model.is_rooted:
-        records = {u: VertexEstimate(u, 0.0, 0.0, EXACT_ZERO, 0) for u in window.order}
-        return AdjointAsymptotics(AsymptoticProfile(records, window), {}, rooted_certified=True)
+    rooted = window.model.is_rooted
+    if rooted or operator.is_certified_vanishing():
+        records = {u: VertexEstimate(u, *_ZERO) for u in window.order}
+        h_by_level = {} if rooted else {
+            lvl: HVector(lvl, SparseVector(), 0.0, EXACT_ZERO, 0, True) for lvl in window.levels()}
+        return AdjointAsymptotics(AsymptoticProfile(records, window), h_by_level,
+                                  rooted_certified=rooted)
 
     records = {}
     h_by_level = {}

@@ -215,17 +215,31 @@ class ShiftOperator:
             scan[v] = None
         window_value = max(self._column_norm(u) for u in scan)
         top = self.weights.max_weight()
-        fan = self.model.children_per_vertex
-        if fan is None and points is not None:
-            fan = 1
+        fan = self.model.eventual_fan()
         if top is None or fan is None:
             return NormBound(window_value, window_value, False)
         outside = top * math.sqrt(fan)
         return NormBound(max(window_value, outside), window_value, True)
 
     def is_certified_isometry(self) -> bool:
-        """Family-level isometry certificate (children square-sums all 1)."""
-        return self.weights.isometry_on(self.model)
+        """Family-level isometry certificate (children square-sums all 1),
+        never given where ``is_certified_vanishing`` proves the limits 0."""
+        return self.weights.isometry_on(self.model) and not self.is_certified_vanishing()
+
+    def is_certified_vanishing(self) -> bool:
+        """True when f * M^2 < 1, decided exactly on the doubles, proves every
+        forward limit 0 (and every adjoint one, rootless): on an infinite tree
+        past the branch points each step scales the partial sums by at most f
+        = ``eventual_fan()`` squares of at most M = ``max_weight``, and a
+        generation n levels up holds O(f^n) chains of product at most M^(2n).
+        """
+        top = self.weights.max_weight()
+        fan = self.model.eventual_fan()
+        if (self.model.vertices() is not None or not self.weights.weighs_every_vertex
+                or top is None or fan is None):
+            return False
+        num, den = top.as_integer_ratio()
+        return fan * num * num < den * den
 
     def is_level_homogeneous(self) -> bool:
         """True when all vertices of a level share one weighted cone and one

@@ -143,6 +143,14 @@ class DirectedTreeModel:
         points = self.branch_points()
         return points is not None and all(v in window for v, _, _ in points)
 
+    def eventual_fan(self):
+        """A bound on the children count of every vertex past the branch
+        points: ``children_per_vertex``, or 1 when the branch points are
+        finite; None when neither is known."""
+        if self.children_per_vertex is None and self.branch_points() is not None:
+            return 1
+        return self.children_per_vertex
+
     @property
     def has_last_level(self) -> bool:
         """A deepest level: all Br + 1 downward ends of a finite-Br tree are leaves."""

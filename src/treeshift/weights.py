@@ -109,6 +109,8 @@ class WeightAssignment:
     # defaults (None, False) mean "no closed form".  The tree families whose
     # vertex ids the weights read (None: any tree):
     tree_families = None
+    # Every vertex of the tree carries a weight (False: a map with no default).
+    weighs_every_vertex = True
 
     def isometry_on(self, model) -> bool:
         """True when every children square-sum on ``model`` is exactly 1."""
@@ -121,7 +123,11 @@ class WeightAssignment:
         return None
 
     def full_product_positive(self):
-        """Whether the two-sided infinite weight product is positive, or None."""
+        """Whether the two-sided infinite weight product is positive, or None;
+        False whenever every weight is below 1."""
+        top = self.max_weight()
+        if top is not None and top < 1.0:
+            return False
         total = self.tail_log_sum(-math.inf)
         return None if total is None else total > -math.inf  # NaN: a part vanishes
 
@@ -183,6 +189,7 @@ class MapWeights(WeightAssignment):
                        for k, c in values.items()}
         self.default = (None if default is None
                         else _positive(default, "default weight", MAX_WEIGHT))
+        self.weighs_every_vertex = default is not None
 
     def weight(self, model, v):
         self._check_non_root(model, v)

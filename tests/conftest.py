@@ -1,12 +1,28 @@
 """Shared helpers: seeded random finite trees and contractive weight maps."""
 
+import math
 import random
 
 import pytest
 
 from treeshift.shifts import ShiftOperator
 from treeshift.trees import FiniteTree, materialize_window, validate_finite
-from treeshift.weights import MapWeights
+from treeshift.weights import ConstantWeights, MapWeights
+
+# The constant weight of the binary-tree isometry fixtures.  No double c has
+# 2c^2 = 1: 1 / math.sqrt(2) has 2c^2 < 1, so the family bound proves every
+# limit 0, and the next double up, this one, has 2c^2 > 1 by 1.4e-16, inside
+# the tolerance of the constant family's isometry certificate.
+BINARY_ISOMETRY = math.sqrt(0.5)
+
+
+class UnstatedBound(ConstantWeights):
+    """A constant law that does not state its largest weight.  No constant
+    contraction descends otherwise: below the isometry, f * M^2 < 1 proves
+    every limit 0 with no descent."""
+
+    def max_weight(self):
+        return None
 
 
 def random_finite_tree(rng: random.Random, n: int) -> FiniteTree:

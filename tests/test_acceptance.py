@@ -45,7 +45,8 @@ from treeshift.weights import (
     StepWeights,
 )
 
-from conftest import contractive_operator, full_window, random_finite_tree, random_weight_map
+from conftest import (BINARY_ISOMETRY, contractive_operator, full_window, random_finite_tree,
+                      random_weight_map)
 from krylov_reference import candidate_span, dense_truncation, krylov_rank
 
 
@@ -114,7 +115,7 @@ def test_criterion_2_alpha_recursion():
 
 
 def test_criterion_3_isometry_identity_limit():
-    op = ShiftOperator(make_family("rootless-binary"), ConstantWeights(1 / math.sqrt(2)))
+    op = ShiftOperator(make_family("rootless-binary"), ConstantWeights(BINARY_ISOMETRY))
     window = materialize_window(op.model, 0, 4)  # five levels
     profile = alpha_profile(op, window)
     alpha_ok = all(abs(profile.estimate(u) - 1.0) <= 1e-9 for u in window.order)

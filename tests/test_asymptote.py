@@ -23,11 +23,12 @@ from treeshift.weights import (
     BinarySpineWeights,
     ConstantWeights,
     ExpRayWeights,
+    HashRandomWeights,
     MapWeights,
     RayWeights,
 )
 
-from conftest import contractive_operator, full_window, random_finite_tree
+from conftest import BINARY_ISOMETRY, contractive_operator, full_window, random_finite_tree
 
 
 def build(op, lo, hi, **kw):
@@ -49,7 +50,7 @@ def test_beta_is_one_on_c1_chains():
 
 
 def test_binary_isometry_asymptote_is_itself():
-    op = ShiftOperator(make_family("rootless-binary"), ConstantWeights(1 / math.sqrt(2)))
+    op = ShiftOperator(make_family("rootless-binary"), ConstantWeights(BINARY_ISOMETRY))
     window, profile, stable = build(op, 0, 4)
     descriptor = isometric_asymptote(op, profile, stable)
     assert descriptor.classification == "cnu-unilateral"
@@ -144,7 +145,7 @@ def test_cnu_spine_of_ones_forces_unitary_part():
 def test_cnu_level_independence():
     for op in (
         ShiftOperator(make_family("bilateral-path"), ConstantWeights(1.0)),
-        ShiftOperator(make_family("rootless-binary"), ConstantWeights(1 / math.sqrt(2))),
+        ShiftOperator(make_family("rootless-binary"), ConstantWeights(BINARY_ISOMETRY)),
     ):
         window, profile, stable = build(op, 0, 4)
         descriptor = isometric_asymptote(op, profile, stable)
@@ -211,7 +212,7 @@ def test_adjoint_coefficient_telescoping():
 # -- intertwining --------------------------------------------------------------------
 
 def test_intertwining_binary_exact():
-    op = ShiftOperator(make_family("rootless-binary"), ConstantWeights(1 / math.sqrt(2)))
+    op = ShiftOperator(make_family("rootless-binary"), ConstantWeights(BINARY_ISOMETRY))
     window, profile, stable = build(op, 0, 4)
     descriptor = isometric_asymptote(op, profile, stable)
     assert intertwining_residual(op, descriptor, profile, window) <= 1e-12
@@ -320,8 +321,24 @@ def test_similar_to_coisometry_closed_forms():
     assert similar_to_coisometry(leaky, window).answer == "no"
 
 
+def test_similar_to_coisometry_answers_only_from_a_closed_form():
+    path = make_family("bilateral-path")
+    window = materialize_window(path, -2, 2)
+    # every weight at most 0.9 < 1: the full product vanishes
+    hashed = ShiftOperator(path, HashRandomWeights(3, 0.5, 0.9))
+    assert similar_to_coisometry(hashed, window).to_json() == {
+        "answer": "no", "reason": "full weight product vanishes (closed form)"}
+    # weights above 1 give no bound, and a map without default none either:
+    # its window log-sum of -35 says nothing of the weights outside the window
+    unbounded = ShiftOperator(path, HashRandomWeights(3, 0.01, 1.5))
+    sparse = ShiftOperator(path, MapWeights({str(n): 0.001 for n in range(-3, 3)}))
+    for op in (unbounded, sparse):
+        assert similar_to_coisometry(op, window).to_json() == {
+            "answer": "undetermined", "reason": "no closed form for the full weight product"}
+
+
 def test_descriptor_json_shape():
-    op = ShiftOperator(make_family("rootless-binary"), ConstantWeights(1 / math.sqrt(2)))
+    op = ShiftOperator(make_family("rootless-binary"), ConstantWeights(BINARY_ISOMETRY))
     window, profile, stable = build(op, 0, 3)
     doc = isometric_asymptote(op, profile, stable).to_json()
     assert set(doc) == {"beta", "class", "multiplicity", "cnu_test"}

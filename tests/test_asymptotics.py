@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from treeshift.asymptotics import (
     MAX_DEPTH,
 )
 from treeshift.cli import main
-from treeshift.errors import NotAContraction, StructuralViolation
+from treeshift.errors import NotAContraction, StructuralViolation, WeightError
 from treeshift.shifts import ShiftOperator, vector_to_dense
 from treeshift.sparse import SparseVector
 from treeshift.trees import RootlessBinary, make_family, materialize_window, validate_finite
@@ -43,7 +44,8 @@ from treeshift.weights import (
     WeightAssignment,
 )
 
-from conftest import contractive_operator, full_window, random_finite_tree
+from conftest import (BINARY_ISOMETRY, UnstatedBound, contractive_operator, full_window,
+                      random_finite_tree)
 from test_memoized_queries import ref_adjoint_level, ref_descend
 
 
@@ -55,7 +57,7 @@ def exp_path(base=2.0, start=1):
 # -- forward profiles -------------------------------------------------------------
 
 def test_isometry_gives_exact_one():
-    op = ShiftOperator(make_family("rootless-binary"), ConstantWeights(1 / math.sqrt(2)))
+    op = ShiftOperator(make_family("rootless-binary"), ConstantWeights(BINARY_ISOMETRY))
     window = materialize_window(op.model, 0, 4)
     prof = alpha_profile(op, window)
     assert all(r.status == EXACT_ONE and r.estimate == 1.0 for r in prof.records.values())
@@ -174,10 +176,73 @@ def test_a_path_longer_than_the_depth_budget_still_descends():
                                                                           max_depth=10)))
 
 
+# -- the family bound f * M^2 < 1 ---------------------------------------------------
+
+def _ulps(center, k):
+    """The double ``k`` steps from ``center``."""
+    toward = math.inf if k > 0 else -math.inf
+    for _ in range(abs(k)):
+        center = math.nextafter(center, toward)
+    return center
+
+
+@pytest.mark.parametrize("family,fan,center", [("rootless-binary", 2, 1 / math.sqrt(2)),
+                                               ("bilateral-path", 1, 1.0)])
+@pytest.mark.parametrize("k", range(-4, 5))
+def test_the_family_bound_is_decided_exactly_on_the_double(family, fan, center, k):
+    c = _ulps(center, k)
+    op = ShiftOperator(make_family(family), ConstantWeights(c))
+    window = materialize_window(op.model, 0, 2)
+    vanish = Fraction(c) ** 2 * fan < 1
+    assert op.is_certified_vanishing() == vanish
+    forward = alpha_profile(op, window).records.values()
+    adjoint = adjoint_profile(op, window)
+    if vanish:
+        assert not op.is_certified_isometry()
+        for records in (forward, adjoint.profile.records.values()):
+            assert all((r.estimate, r.upper, r.status, r.depth) == (0.0, 0.0, EXACT_ZERO, 0)
+                       for r in records)
+        assert all((h.norm_sq, h.status, h.depth, h.coefficients.coeffs)
+                   == (0.0, EXACT_ZERO, 0, {}) for h in adjoint.h_vectors.values())
+    else:
+        assert not any(r.status == EXACT_ZERO for r in forward)
+
+
+def test_a_map_without_default_proves_nothing_and_still_raises():
+    op = ShiftOperator(make_family("tilde"), MapWeights({"1": 0.5, "1'": 0.5, "2": 0.5}))
+    assert op.weights.max_weight() == 0.5 and not op.is_certified_vanishing()
+    with pytest.raises(WeightError, match="no weight assigned to vertex '3'"):
+        AlphaEvaluator(op)("1")
+    padded = ShiftOperator(make_family("tilde"),
+                           MapWeights({"1": 0.5, "1'": 0.5, "2": 0.5}, default=0.5))
+    assert padded.is_certified_vanishing()
+
+
+def test_finite_tree_alpha_records_are_read_off_the_frontier(rng):
+    # small weights, which the bound would cover on an infinite tree
+    tree = random_finite_tree(rng, 60)
+    op = ShiftOperator(tree, MapWeights(dict.fromkeys(
+        (v for v in tree.vertices() if v != tree.root), 0.3)))
+    assert not op.is_certified_vanishing()
+    height = {}
+    for u in reversed(tree.vertices()):  # level-major: children first
+        height[u] = 1 + max((height[v] for v in tree.children(u)), default=0)
+    window = full_window(tree)
+    assert repr(alpha_profile(op, window).records) == repr(
+        {u: VertexEstimate(u, 0.0, 0.0, EXACT_ZERO, height[u]) for u in window.order})
+
+
+def test_the_family_bound_empties_the_stable_subtree_exactly():
+    op = ShiftOperator(make_family("rootless-binary"), ConstantWeights(0.7))
+    window = materialize_window(op.model, 0, 1)
+    stable = stable_subtree(alpha_profile(op, window))
+    assert stable.members == set() and stable.branching == (0, True)
+
+
 # -- stable subtree ----------------------------------------------------------------
 
 def test_stable_subtree_binary_everything():
-    op = ShiftOperator(make_family("rootless-binary"), ConstantWeights(1 / math.sqrt(2)))
+    op = ShiftOperator(make_family("rootless-binary"), ConstantWeights(BINARY_ISOMETRY))
     window = materialize_window(op.model, 0, 4)
     stable = stable_subtree(alpha_profile(op, window))
     assert stable.members == set(window.order)
@@ -330,7 +395,7 @@ def test_classify_finite_certified(rng):
 
 
 def test_classify_binary_isometry():
-    op = ShiftOperator(make_family("rootless-binary"), ConstantWeights(1 / math.sqrt(2)))
+    op = ShiftOperator(make_family("rootless-binary"), ConstantWeights(BINARY_ISOMETRY))
     window = materialize_window(op.model, 0, 4)
     cls = classify(alpha_profile(op, window), adjoint_profile(op, window))
     assert (cls.forward, cls.adjoint) == ("C1dot", "Cdot0")
@@ -352,9 +417,10 @@ def test_classify_step_weights_c1dot_cdot0():
 
 
 def test_classify_undetermined_when_depth_exhausted():
-    # constant 0.9 decays too slowly for the depth budget: the estimate is an
-    # upper bound that is neither small enough nor converged
-    op = ShiftOperator(make_family("bilateral-path"), ConstantWeights(0.9))
+    # 0.9 above level 0 decays too slowly for the depth budget: the estimate is
+    # an upper bound that is neither small enough nor converged (the unit
+    # weights below the cut keep the family bound from proving the limits 0)
+    op = ShiftOperator(make_family("bilateral-path"), StepWeights(1.0, 0.9, cut=0))
     window = materialize_window(op.model, -3, 3)
     prof = alpha_profile(op, window, max_depth=48)
     assert any(r.status == MAX_DEPTH for r in prof.records.values())
@@ -408,7 +474,11 @@ class CountingConstant(ConstantWeights):
         return super().weight(model, v)
 
 
-LEVEL_ONLY = [ConstantWeights(0.6), GeometricWeights(0.65, 0.9), StepWeights(0.5, 0.7, cut=0)]
+# Laws that still descend on the rootless binary tree: the constant one
+# states no bound, and the largest weight of the other two, BINARY_ISOMETRY,
+# has f * M^2 = 2 * M^2 > 1.
+LEVEL_ONLY = [UnstatedBound(0.6), GeometricWeights(BINARY_ISOMETRY, 0.9),
+              StepWeights(BINARY_ISOMETRY, 0.6, cut=0)]
 
 
 def _weights_id(weights):
@@ -416,7 +486,7 @@ def _weights_id(weights):
 
 
 def _per_vertex(weights):
-    if isinstance(weights, ConstantWeights):
+    if type(weights) is ConstantWeights:
         return MapWeights({}, default=weights.value)
     return PerVertex(weights)
 
@@ -448,7 +518,7 @@ def test_lumped_binary_matches_per_vertex(weights):
 
 
 @pytest.mark.parametrize("family", ["bilateral-path", "rooted-path"])
-@pytest.mark.parametrize("weights", [ConstantWeights(0.9), GeometricWeights(0.95, 0.9),
+@pytest.mark.parametrize("weights", [UnstatedBound(0.9), GeometricWeights(1.0, 0.9),
                                      StepWeights(0.5, 1.0, cut=0), ExpRayWeights(2.0, 1),
                                      ExpRayWeights(2.5, -2)], ids=_weights_id)
 def test_lumped_paths_are_bit_identical(family, weights):
@@ -456,6 +526,7 @@ def test_lumped_paths_are_bit_identical(family, weights):
     lumped = ShiftOperator(model, weights)
     plain = ShiftOperator(model, _per_vertex(weights))
     assert lumped.is_level_homogeneous()
+    assert not (lumped.is_certified_vanishing() or plain.is_certified_vanishing())
     lo = 0 if model.is_rooted else -4
     window = materialize_window(model, lo, 4)
     assert alpha_profile(lumped, window).records == alpha_profile(plain, window).records
@@ -468,12 +539,17 @@ def test_lumped_paths_are_bit_identical(family, weights):
         assert h.coefficients.coeffs == other.coefficients.coeffs
 
 
+class CountingUnstated(CountingConstant, UnstatedBound):
+    """Counted weights of a constant law that states no bound, so it descends."""
+
+
 def test_lumped_levels_share_one_descent():
     model = make_family("rootless-binary")
-    weights = CountingConstant(0.6)
+    weights = CountingUnstated(0.6)
     ev = AlphaEvaluator(ShiftOperator(model, weights))
     window = materialize_window(model, 2, 2)
     first = ev(window.order[0])
+    assert first.depth > 0
     calls = weights.calls
     for u in window.order[1:]:
         rec = ev(u)
@@ -485,20 +561,27 @@ def test_lumped_levels_share_one_descent():
 
 def test_binary_constant_decay_is_c0dot_with_few_weight_calls():
     # lim (2 * 0.6^2)^n = 0; the per-vertex descent stopped at the frontier cap
-    # near n = 13 with an upper bound of about 0.014
+    # near n = 13 with an upper bound of about 0.014, and the lumped one at
+    # --depth with 0.72^64.  The family bound 2 * 0.6^2 < 1 proves the 0 with
+    # no descent and no adjoint sweep.
     model = make_family("rootless-binary")
     weights = CountingConstant(0.6)
     op = ShiftOperator(model, weights)
     window = materialize_window(model, -8, 8)
     profile = alpha_profile(op, window)
-    assert all(r.depth == 64 and r.estimate <= 1e-9 for r in profile.records.values())
+    assert all(repr(r) == repr(VertexEstimate(u, 0.0, 0.0, EXACT_ZERO, 0))
+               for u, r in profile.records.items())
     cls = classify(profile, adjoint_profile(op, window))
-    assert cls.forward == "C0dot"
-    assert weights.calls < 10_000
+    assert (cls.forward, cls.adjoint) == ("C0dot", "Cdot0")
+    assert cls.forward_certified and cls.adjoint_certified
+    # the norm's scan of the window, its children and the outside parents
+    assert weights.calls <= 3 * len(window)
 
 
 def test_frontier_cap_reports_depth_reached():
-    op = ShiftOperator(make_family("rootless-binary"), HashRandomWeights(3, 0.5, 0.7))
+    # 2 * high^2 > 1: the family bound proves nothing, and the cone is walked
+    op = ShiftOperator(make_family("rootless-binary"),
+                       HashRandomWeights(3, 0.5, BINARY_ISOMETRY))
     assert not op.is_level_homogeneous()
     rec = AlphaEvaluator(op)("0")
     assert rec.status == MAX_DEPTH
@@ -551,9 +634,11 @@ def test_analyze_on_a_level_homogeneous_binary_tree_makes_few_children_calls(
         return children(self, u)
 
     monkeypatch.setattr(RootlessBinary, "children", counting)
-    tree, weights = tmp_path / "binary.json", tmp_path / "constant.json"
+    # 2 * scale^2 > 1: the family bound proves nothing, and the limits descend
+    tree, weights = tmp_path / "binary.json", tmp_path / "geometric.json"
     tree.write_text(json.dumps({"family": "rootless-binary", "params": {}}))
-    weights.write_text(json.dumps({"kind": "constant", "value": 0.6}))
+    weights.write_text(json.dumps({"kind": "family", "name": "geometric",
+                                   "params": {"scale": BINARY_ISOMETRY, "ratio": 0.9}}))
     assert main(["analyze", "--tree", str(tree), "--weights", str(weights),
                  "--levels=0:2"]) == 0
     assert "forward limits" in capsys.readouterr().out
@@ -564,9 +649,10 @@ def test_analyze_on_a_level_homogeneous_binary_tree_makes_few_children_calls(
 @pytest.mark.parametrize("command,family,cls,doc,lo,hi", [
     ("analyze", "rootless-binary", ConstantWeights, {"kind": "constant", "value": 0.6}, 0, 2),
     ("analyze", "rootless-binary", GeometricWeights,
-     {"kind": "family", "name": "geometric", "params": {"scale": 0.65, "ratio": 0.9}}, -2, 2),
+     {"kind": "family", "name": "geometric", "params": {"scale": BINARY_ISOMETRY, "ratio": 0.9}},
+     -2, 2),
     ("asymptote", "rootless-binary", ConstantWeights,
-     {"kind": "constant", "value": 1 / math.sqrt(2)}, 0, 2),
+     {"kind": "constant", "value": BINARY_ISOMETRY}, 0, 2),
     ("asymptote", "bilateral-path", ExpRayWeights,
      {"kind": "family", "name": "exp-ray", "params": {"base": 2.0, "start_level": -3}}, -3, 3),
     ("analyze", "rooted-path", StepWeights,
@@ -605,7 +691,7 @@ def test_lumped_runs_ask_for_the_weights_of_the_window_alone(
 
 def test_h_coefficients_are_walked_only_when_read(monkeypatch):
     model = make_family("rootless-binary")
-    op = ShiftOperator(model, ConstantWeights(0.6))
+    op = ShiftOperator(model, GeometricWeights(BINARY_ISOMETRY, 0.9))
     window = materialize_window(model, -1, 1)
     adj = adjoint_profile(op, window)
     walked = {lvl: ref_adjoint_level(op, window.vertices_at(lvl)[0])[3]
@@ -674,7 +760,7 @@ LAW_CASES = [
     pytest.param(family, w, 0 if family == "rooted-path" else -4, 4,
                  id=f"{family}-{_weights_id(w)}")
     for family in ("bilateral-path", "rooted-path")
-    for w in (ConstantWeights(0.9), GeometricWeights(0.95, 0.9), StepWeights(0.5, 1.0, cut=0),
+    for w in (UnstatedBound(0.9), GeometricWeights(1.0, 0.9), StepWeights(0.5, 1.0, cut=0),
               ExpRayWeights(2.5, -2))
 ]
 

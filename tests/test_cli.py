@@ -16,6 +16,8 @@ from treeshift.shifts import ShiftOperator
 from treeshift.sparse import SparseVector
 from treeshift.trees import make_family, materialize_window
 
+from conftest import BINARY_ISOMETRY
+
 
 def write(tmp_path, name, doc):
     path = tmp_path / name
@@ -36,7 +38,7 @@ def specs(tmp_path):
         "bilateral": write(tmp_path, "bilateral.json",
                            {"family": "bilateral-path", "params": {}}),
         "halves": write(tmp_path, "halves.json",
-                        {"kind": "constant", "value": 1 / math.sqrt(2)}),
+                        {"kind": "constant", "value": BINARY_ISOMETRY}),
         "ones": write(tmp_path, "ones.json", {"kind": "constant", "value": 1.0}),
         "star_w": write(tmp_path, "star_w.json",
                         {"kind": "map", "values": {"a": 0.6, "b": 0.8}}),
@@ -70,6 +72,35 @@ def test_analyze_binary(specs, capsys):
                  "--levels", "0:4"]) == 0
     out = capsys.readouterr().out
     assert "C1dot / Cdot0" in out
+
+
+def test_the_family_bound_proves_every_limit_zero(specs, tmp_path, capsys):
+    # 2 * 0.7^2 < 1: no descent, no adjoint sweep, and no asymptote
+    decay = write(tmp_path, "decay.json", {"kind": "constant", "value": 0.7})
+    argv = ["--tree", specs["binary"], "--weights", decay, "--levels", "0:1"]
+    assert main(["analyze", *argv]) == 0
+    out = capsys.readouterr().out
+    limits = [line for line in out.splitlines() if line.startswith(("  alpha[", "  a["))]
+    assert len(limits) == 5 and all("= 0 (exact-zero" in line for line in limits)
+    assert "stable subtree: 0/3 window vertices, Br(T')=0\n" in out
+    assert main(["analyze", "--json", *argv]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    (stable,) = [r for r in records if r["record"] == "stable-subtree"]
+    assert (stable["branching"], stable["branching_exact"]) == ("0", True)
+    assert all(r["depth"] == 0 and r["status"] == "exact-zero"
+               for r in records if r["record"] in ("alpha", "a"))
+    assert main(["asymptote", *argv]) == 4
+    assert "StableSubtreeEmpty" in capsys.readouterr().err
+
+
+def test_hash_weights_below_one_vanish_on_the_tilde_tree(specs, tmp_path, capsys):
+    hashed = write(tmp_path, "hash.json", {"kind": "family", "name": "hash-random",
+                                           "params": {"seed": 3, "low": 0.3, "high": 0.7}})
+    assert main(["analyze", "--json", "--tree", specs["tilde"], "--weights", hashed,
+                 "--levels=-6:6"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    limits = [r for r in records if r["record"] in ("alpha", "a")]
+    assert len(limits) == 2 * 19 and all(r["status"] == "exact-zero" for r in limits)
 
 
 def test_analyze_rooted_star_certified(specs, capsys):
@@ -554,11 +585,13 @@ def test_malformed_tree_doc_exit_code(tmp_path, capsys, doc):
 
 
 @pytest.mark.parametrize("law,levels,line", [
-    # 0.5 * 0.5^1074 underflows to 0: met by the forward descent below a deep
-    # window, and by the adjoint chain above a shallow one
-    ({"name": "geometric", "params": {"scale": 0.5, "ratio": 0.5}}, "1070:1071",
+    # 0.4995^1074 underflows to 0: met by the forward descent below a deep
+    # window, and by the adjoint chain above a shallow one.  The unit weight
+    # at level 0 keeps the family bound M^2 < 1 from proving the limits 0,
+    # which would skip both.
+    ({"name": "geometric", "params": {"scale": 1.0, "ratio": 0.4995}}, "1070:1071",
      "geometric weight at level 1074 is out of range (0.0)"),
-    ({"name": "geometric", "params": {"scale": 0.5, "ratio": 0.5}}, "-1071:-1070",
+    ({"name": "geometric", "params": {"scale": 1.0, "ratio": 0.4995}}, "-1071:-1070",
      "geometric weight at level -1074 is out of range (0.0)"),
     # exp(-2^10) underflows to 0, six levels above the window
     ({"name": "exp-ray", "params": {"base": 2.0, "start_level": -20}}, "-5:-4",
@@ -592,8 +625,11 @@ def test_weight_error_names_the_same_vertex_under_every_hash_seed(specs, tmp_pat
 
 
 def test_structural_violation_names_the_same_vertex_under_every_hash_seed(specs, tmp_path):
+    # 2 * scale^2 > 1: the family bound proves nothing, and the capped
+    # descents' upper bounds are thresholded
     weights = write(tmp_path, "geometric.json", {"kind": "family", "name": "geometric",
-                                                  "params": {"scale": 0.65, "ratio": 0.9}})
+                                                  "params": {"scale": BINARY_ISOMETRY,
+                                                             "ratio": 0.9}})
     argv = [sys.executable, "-m", "treeshift.cli", "analyze", "--tree", specs["binary"],
             "--weights", weights, "--levels=-2:2", "--depth", "12"]
     errs = []

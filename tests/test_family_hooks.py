@@ -3,7 +3,9 @@
 The reference functions below are the module-level dispatch helpers the hooks
 replaced, kept verbatim (``isinstance`` arms and all), with arms for the
 ``geometric`` and ``step`` laws written by hand from each law where the
-derived level-law hooks close a question the old helpers left open.  Every
+derived level-law hooks close a question the old helpers left open, and with
+the family bound f * M^2 < 1 (``ref_certified_vanishing``, written by hand
+from each family) taking precedence where it proves every limit 0.  Every
 hook must give the same answer on every built-in tree, a comb with leaves and
 a finite tree, paired with every weight family and with the subclass patterns
 the suite uses.  The one intended difference, the closed-form infimum of
@@ -21,6 +23,7 @@ import math
 import os
 import re
 from collections import Counter
+from fractions import Fraction
 from itertools import groupby
 
 import pytest
@@ -126,8 +129,22 @@ def ref_materialize_window(model, level_lo, level_hi, breadth=64):
                       {lvl: list(vs) for lvl, vs in groupby(collected, model.level)})
 
 
+def ref_certified_vanishing(m, w):
+    """f * M^2 < 1 in exact arithmetic, with f the children count past the
+    branch points and M the largest weight, on an infinite tree whose every
+    vertex carries a weight."""
+    if isinstance(m, FiniteTree) or (isinstance(w, MapWeights) and w.default is None):
+        return False
+    top = w.max_weight()
+    fan = 2 if isinstance(m, RootlessBinary) else 1
+    return top is not None and Fraction(top) ** 2 * fan < 1
+
+
 def ref_is_certified_isometry(m, w):
-    """Family-level isometry certificates (children square-sums all 1)."""
+    """Family-level isometry certificates (children square-sums all 1), never
+    where the family bound proves the limits 0."""
+    if ref_certified_vanishing(m, w):
+        return False
     if isinstance(w, ConstantWeights):
         if isinstance(m, RootlessBinary):
             return abs(2.0 * w.value ** 2 - 1.0) <= 1e-12
@@ -174,6 +191,8 @@ def ref_has_last_level(model):
 
 def ref_full_product_positive(weights, model):
     """Closed-form sign of the two-sided infinite weight product, or None."""
+    if not isinstance(weights, MapWeights) and (weights.max_weight() or math.inf) < 1.0:
+        return False  # infinitely many factors, each at most M < 1
     if isinstance(weights, ConstantWeights):
         return weights.value >= 1.0
     if isinstance(weights, ExpRayWeights):
@@ -250,6 +269,8 @@ def ref_stable_branching(profile, members):
             count += len(kids) - 1
     if isinstance(model, FiniteTree):
         return (count, True)
+    if ref_certified_vanishing(model, profile.evaluator.operator.weights):
+        return (0, True)  # every limit vanishes: T' is empty everywhere
     symbolic = (model.branching_total(), True)
     if members == set(profile.window.order) and symbolic is not None:
         if profile.all_settled() or symbolic[0] == 0:
@@ -419,6 +440,7 @@ def test_weight_hooks_match_the_deleted_dispatch(tree, name):
             ShiftOperator(model, w)
         return
     op = ShiftOperator(model, w)
+    assert op.is_certified_vanishing() == ref_certified_vanishing(model, w)
     assert op.is_certified_isometry() == ref_is_certified_isometry(model, w)
     assert op.is_level_homogeneous() == (ref_level_homogeneous(model) and w.level_only)
     assert w.full_product_positive() == ref_full_product_positive(w, model)

@@ -20,7 +20,9 @@ from treeshift.similarity import (
 )
 from treeshift.sparse import SparseVector
 from treeshift.trees import make_family, materialize_window
-from treeshift.weights import ConstantWeights, ExpRayWeights, HashRandomWeights, RayWeights
+from treeshift.weights import ExpRayWeights, HashRandomWeights, RayWeights
+
+from conftest import UnstatedBound
 
 
 def reference_target_matrix(witness):
@@ -83,7 +85,7 @@ def test_direct_sum_decomposition_reads_the_ray_products_once(monkeypatch):
     assert dec.residual <= 1e-12
 
 
-@pytest.mark.parametrize("weights", [ConstantWeights(0.9), ExpRayWeights(2.0)])
+@pytest.mark.parametrize("weights", [UnstatedBound(0.9), ExpRayWeights(2.0)])
 def test_rooted_cnu_value_is_the_same_at_every_depth_past_the_member(weights):
     op = ShiftOperator(make_family("rooted-path"), weights)
     alpha = alpha_profile(op, materialize_window(op.model, 0, 5)).evaluator

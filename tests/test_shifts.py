@@ -18,7 +18,7 @@ from treeshift.weights import (
     weights_from_json,
 )
 
-from conftest import full_window, random_finite_tree, random_weight_map
+from conftest import BINARY_ISOMETRY, full_window, random_finite_tree, random_weight_map
 
 
 def star():
@@ -113,7 +113,7 @@ def test_power_supports():
 # -- norm ------------------------------------------------------------------------
 
 def test_norm_binary_isometry():
-    op = ShiftOperator(make_family("rootless-binary"), ConstantWeights(1 / math.sqrt(2)))
+    op = ShiftOperator(make_family("rootless-binary"), ConstantWeights(BINARY_ISOMETRY))
     window = materialize_window(op.model, 0, 4)
     norm = op.operator_norm(window)
     assert norm.value == pytest.approx(1.0)
