@@ -30,18 +30,18 @@ Level lumping: when every vertex has the same children count (the tree's
 weights' ``level_only``; ``ShiftOperator.is_level_homogeneous`` tests both:
 constant, geometric, step or exp-ray weights on the paths and the rootless
 binary tree), all vertices of a level share one weighted cone and one
-ancestor chain, and both sides run on the weights' level law and never form
-a vertex id outside the window.  The forward descent multiplies
+ancestor chain, and both sides run on the weights' level law and never ask
+for the weight of a vertex outside the window.  The forward descent multiplies
 s_n = s_(n-1) * q_l, where q_l, the sum of lambda^2 over the c children of a
 level-l vertex, is c copies of lambda^2 at level l + 1, kept per level on the
 ``AlphaEvaluator`` and summed as a walk of the children would sum them.  The
 frontier cap never binds, s_n is exact out to convergence or the depth
 budget, and one descent serves every vertex of a level.  The adjoint side
-counts the generation by level instead of listing it, (c - 1) * c^(d - 1)
-vertices at step d, and scales the level's chain of lambda^2 products
-(``ShiftOperator.level_chain``) by that count; the vertex ids are walked only
-when the h vector's coefficients are read.  Otherwise every cone that does
-not die inside the window is walked vertex by vertex.
+walks the generation's vertex ids, as on every tree, scales the level's chain
+of lambda^2 products (``ShiftOperator.level_chain``) by the number of
+members, and gives each member the square root of the chain's last product
+as its h coefficient.  Otherwise every cone that does not die inside the
+window is walked vertex by vertex.
 
 Every walk asks the operator, not the model, for weights, children and
 parents.  ``ShiftOperator`` memoizes these per vertex, so the overlapping
@@ -61,7 +61,6 @@ import math
 from dataclasses import dataclass, field
 from operator import mul
 
-from .deferred import Deferred
 from .errors import NotAContraction, StructuralViolation
 from .sparse import SparseVector
 from .shifts import CONTRACTION_SLACK, ShiftOperator
@@ -185,8 +184,11 @@ class AlphaEvaluator:
                     return 0.0, 0.0, EXACT_ZERO, n
                 s = sum(nxt.values())
                 frontier = nxt
-            if s > s_prev + CONTRACTION_SLACK:
-                raise NotAContraction(s)  # partial sums must be nonincreasing
+            if s > s_prev + CONTRACTION_SLACK:  # partial sums must be nonincreasing
+                # A lumped descent has moved ``lvl`` n levels down from its start.
+                below = f"vertex {u!r}" if lvl is None else f"level {lvl - n}"
+                raise NotAContraction(f"the partial sums of S*^n S^n rose from {s_prev} to {s} "
+                                      f"at depth {n} below {below}")
             if abs(s - s_prev) < self.tol:
                 consecutive += 1
                 if consecutive >= CONSECUTIVE_SMALL and n >= min_depth:
@@ -224,7 +226,7 @@ class AsymptoticProfile:
 def require_contraction(operator: ShiftOperator, window: TreeWindow):
     norm = operator.operator_norm(window).value
     if norm > 1.0 + CONTRACTION_SLACK:
-        raise NotAContraction(norm)
+        raise NotAContraction(f"operator norm {norm} exceeds 1")
 
 
 def alpha_profile(operator: ShiftOperator, window: TreeWindow, tol: float = DEFAULT_TOL,
@@ -310,14 +312,9 @@ def stable_subtree(profile: AsymptoticProfile,
 
 
 @dataclass
-class HVector(Deferred):
+class HVector:
     """Adjoint-limit eigenvector of one level: truncated-product coefficients
-    over the materialized generation.
-
-    A record made by ``deferred`` walks its generation for the vertex ids
-    only when ``coefficients`` is first read."""
-
-    pending = ("coefficients",)
+    over the materialized generation."""
 
     level: int
     coefficients: SparseVector
@@ -335,67 +332,56 @@ def ancestor_products(operator: ShiftOperator, v: str, depth: int) -> tuple:
     return list(itertools.accumulate(squares, mul)), ancestors[-1]
 
 
-def _generation(operator: ShiftOperator, u: str, depth: int, frontier_cap: int,
-                fan: int | None = None) -> tuple:
-    """(size, members, gen_exact) of the generation of u that the adjoint
-    sweep materializes on a rootless model, where every anchor has a parent.
+def _generation(operator: ShiftOperator, u: str, depth: int, frontier_cap: int) -> tuple:
+    """(members, gen_exact) of the generation of u that the adjoint sweep
+    materializes on a rootless model, where every anchor has a parent.
 
     Step d climbs to the d-th ancestor and adds the vertices d levels below
     it that are not below the previous anchor.  The sweep stops before the
     members would pass ``frontier_cap`` and once the generation is complete.
-    With ``fan``, the children count of every vertex of a rootless tree,
-    step d adds (fan - 1) * fan^(d - 1) vertices, which are counted by level
-    and not listed: ``members`` is then None and no parent is asked for.
     """
     model = operator.model
     members = [u]
-    size = 1
     anchor, lvl = u, model.level(u)
     gen_exact = model.generation_complete(lvl)
     for d in range(1, depth + 1):
-        if fan is None:
-            parent = operator.parent(anchor)
-            new = dict.fromkeys(v for v in operator.children(parent) if v != anchor)
-            for _ in range(d - 1):
-                grown: dict[str, None] = {}
-                for w in new:
-                    for v in operator.children(w):
-                        grown[v] = None
-                new = grown
-                if size + len(new) > frontier_cap:
-                    break
-            added = len(new)
-        else:
-            parent, new, added = None, (), (fan - 1) * fan ** (d - 1)
-        if size + added > frontier_cap:
+        parent = operator.parent(anchor)
+        new = dict.fromkeys(v for v in operator.children(parent) if v != anchor)
+        for _ in range(d - 1):
+            grown: dict[str, None] = {}
+            for w in new:
+                for v in operator.children(w):
+                    grown[v] = None
+            new = grown
+            if len(members) + len(new) > frontier_cap:
+                break
+        if len(members) + len(new) > frontier_cap:
             break
         members.extend(new)
-        size += added
         anchor, lvl = parent, lvl - 1
         if model.generation_complete(lvl):
             gen_exact = True
             break
-    return size, (members if fan is None else None), gen_exact
+    return members, gen_exact
 
 
 def _adjoint_level(operator: ShiftOperator, u: str, depth: int, tol: float,
                    frontier_cap: int):
     """(estimate record, HVector) for the level of u on a rootless model."""
-    model = operator.model
-    lvl = model.level(u)
-    lumped = operator.is_level_homogeneous()
-    size, members, gen_exact = _generation(
-        operator, u, depth, frontier_cap, model.children_per_vertex if lumped else None)
+    lvl = operator.model.level(u)
+    members, gen_exact = _generation(operator, u, depth, frontier_cap)
 
     # A rootless chain never stops at a root, so each holds ``depth`` products;
     # the partial sums over the members certify convergence of the product tails.
-    if lumped:
+    if operator.is_level_homogeneous():
         # Every member's chain is the level's chain.
         chain = operator.level_chain(lvl, depth)
-        sums = [size * p for p in chain]
+        sums = [len(members) * p for p in chain]
+        coefficients = dict.fromkeys(members, math.sqrt(chain[-1]))
     else:
         chains = {v: ancestor_products(operator, v, depth)[0] for v in members}
         sums = [sum(col) for col in zip(*chains.values())]
+        coefficients = {v: math.sqrt(chains[v][-1]) for v in members}
     consecutive = 0
     tail_ok = False
     for d in range(1, len(sums)):
@@ -407,16 +393,7 @@ def _adjoint_level(operator: ShiftOperator, u: str, depth: int, tol: float,
             consecutive = 0
     estimate = sums[-1] if sums else 0.0
     status = CONVERGED if (gen_exact and tail_ok) else MAX_DEPTH
-    fields = {"level": lvl, "norm_sq": estimate, "status": status,
-              "depth": depth, "gen_exact": gen_exact}
-    if lumped:
-        # One coefficient for every member; their ids are walked on demand.
-        coeff = math.sqrt(chain[-1])
-        h = HVector.deferred(lambda: {"coefficients": SparseVector(dict.fromkeys(
-            _generation(operator, u, depth, frontier_cap)[1], coeff))}, **fields)
-    else:
-        h = HVector(coefficients=SparseVector({v: math.sqrt(chains[v][-1]) for v in members}),
-                    **fields)
+    h = HVector(lvl, SparseVector(coefficients), estimate, status, depth, gen_exact)
     return VertexEstimate(u, estimate, estimate if gen_exact else 1.0, status, depth), h
 
 

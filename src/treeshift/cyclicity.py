@@ -27,6 +27,7 @@ callers; no backward-shift path calls them.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from bisect import bisect_left
@@ -34,7 +35,6 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import mul
 
-from .deferred import Deferred
 from .errors import (DimensionCap, ScheduleTooShort, StageUnderflow, TreeSpecError, WeightError,
                      ZeroWeight, decoded, shown)
 from .trees import branching_index, count_text, leaves
@@ -99,12 +99,10 @@ class BackwardShiftSpec:
             raise TreeSpecError("need at least one branch")
         self.branches = int(branches)
         if callable(weights):
-            rule = self._rule = weights
             self._run = getattr(weights, "run", None) or (
-                lambda j, start, stop: [float(rule(j, k)) for k in range(start, stop)])
+                lambda j, start, stop: [float(weights(j, k)) for k in range(start, stop)])
         else:
             c = float(weights)
-            self._rule = lambda j, k: c
             self._run = lambda j, start, stop: [c] * (stop - start)
         self.zero_positions = frozenset((int(j), int(k)) for j, k in zeros)
         for j, k in self.zero_positions:
@@ -113,16 +111,14 @@ class BackwardShiftSpec:
         self._runs = {}  # branch -> ([w_{j,0}, ...], [P[0], P[1], ...]), extended on demand
 
     def weight(self, j: int, k: int) -> float:
-        """w_{j,k} from the rule, range-checked, on every call."""
-        if (j, k) in self.zero_positions:
-            return 0.0
-        return _checked(j, k, float(self._rule(j, k)))
+        """w_{j,k}, read from the kept run of branch j (see ``_extend``)."""
+        return self._extend(j, k + 1)[0][k]
 
     def _extend(self, j: int, stop: int) -> tuple:
         """The weights w_{j,k} for k < stop and the running products P[0..stop]
         of branch j, as the kept lists themselves (callers must not change
         them).  Each weight is evaluated and range-checked once, in index
-        order; zero positions read 0.0, as in ``weight``.
+        order; zero positions read 0.0.
 
         A run is screened as a whole (its min, max and sum); only a run that
         fails the screen is checked index by index, which names the first bad
@@ -167,19 +163,25 @@ def _checked(j: int, k: int, w: float) -> float:
 
 
 @dataclass
-class CyclicCandidate(Deferred):
+class CyclicCandidate:
     """Support schedule, coefficients, and the rescaling history of the
-    sequential Sigma_m modification loop.
-
-    ``construct_backward_cyclic`` leaves ``sigma_final``, the stage bounds of
-    the final coefficients, to be computed on its first read."""
-
-    pending = ("sigma_final",)
+    sequential Sigma_m modification loop."""
 
     schedule: list  # [(j_l, k_l)] for l = 1..L, stored 0-based in the list
     xi: list  # strictly positive coefficients, same indexing
     modifications: list = field(default_factory=list)  # (m, sigma_before, factor)
-    sigma_final: list = field(default_factory=list)
+    # (schedule, xi, prefix products) as ``construct_backward_cyclic`` built them
+    _built = None
+
+    @functools.cached_property
+    def sigma_final(self) -> list:
+        """The stage bounds of the coefficients as built, computed on the
+        first read, even if a caller has changed the lists since; [] for a
+        candidate that ``construct_backward_cyclic`` did not make."""
+        if self._built is None:
+            return []
+        schedule, xi, prefix = self._built
+        return [_sigma(schedule, xi, prefix, m) for m in range(1, len(schedule) + 1)]
 
     @property
     def length(self):
@@ -317,12 +319,9 @@ def construct_backward_cyclic(spec: BackwardShiftSpec, L: int) -> CyclicCandidat
             for l in range(m + 1, L + 1):
                 xi[l - 1] /= factor
             modifications.append((m, s, factor))
-    # The bounds are those of the candidate as returned, even if a caller
-    # later changes its lists.
-    final = tuple(schedule), tuple(xi)
-    return CyclicCandidate.deferred(
-        lambda: {"sigma_final": [_sigma(*final, prefix, m) for m in range(1, L + 1)]},
-        schedule=schedule, xi=xi, modifications=modifications)
+    candidate = CyclicCandidate(schedule, xi, modifications)
+    candidate._built = tuple(schedule), tuple(xi), prefix
+    return candidate
 
 
 def range_membership_report(spec: BackwardShiftSpec, candidate: CyclicCandidate, n: int) -> float:

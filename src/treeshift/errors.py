@@ -88,11 +88,12 @@ class WindowTooLarge(TreeShiftError):
 
 
 class NotAContraction(TreeShiftError):
+    """``seen`` says what showed it: an operator norm above 1, or partial
+    sums of S*^n S^n that rose."""
     exit_code = 3
 
-    def __init__(self, norm):
-        super().__init__(f"not a contraction: operator norm {norm} exceeds 1")
-        self.norm = norm
+    def __init__(self, seen: str):
+        super().__init__(f"not a contraction: {seen}")
 
 
 class StructuralViolation(TreeShiftError):

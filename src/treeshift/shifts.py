@@ -236,7 +236,7 @@ class ShiftOperator:
         top = self.weights.max_weight()
         fan = self.model.eventual_fan()
         if (self.model.vertices() is not None or not self.weights.weighs_every_vertex
-                or top is None or fan is None):
+                or top is None or not math.isfinite(top) or fan is None):
             return False
         num, den = top.as_integer_ratio()
         return fan * num * num < den * den

@@ -162,7 +162,7 @@ class WeightAssignment:
         raise NotImplementedError
 
     def max_weight(self):
-        """Upper bound on any individual weight, or None when unbounded/unknown."""
+        """Upper bound on any individual weight: inf when unbounded, None when unknown."""
         return None
 
     def convergence_floor_level(self, model):
@@ -322,7 +322,7 @@ class GeometricWeights(FamilyWeights):
         return _computed(lambda: self.scale * self.ratio ** abs(lvl), self.name, lvl)
 
     def max_weight(self):
-        return self.scale if self.ratio <= 1.0 else None
+        return self.scale if self.ratio <= 1.0 else math.inf
 
     def tail_log_sum(self, from_level):
         # log lambda_l = log scale + |l| log ratio, above from_level without end

@@ -122,6 +122,20 @@ def test_analyze_not_a_contraction(specs, capsys):
     assert "not a contraction" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ratio,levels", [(1.5, "0:0"), (1.0001, "0:1")])
+def test_analyze_rejects_growing_geometric_weights(specs, tmp_path, capsys, ratio, levels):
+    """scale * ratio^|level| with ratio > 1 has no largest weight (at ratio
+    1.0001 the weights pass 1 from |level| 6932 on), so the certified norm
+    is inf, whatever the window reads."""
+    weights = write(tmp_path, "growing.json", {"kind": "family", "name": "geometric",
+                                               "params": {"scale": 0.5, "ratio": ratio}})
+    assert main(["analyze", "--tree", specs["bilateral"], "--weights", weights,
+                 f"--levels={levels}"]) == 3
+    captured = capsys.readouterr()
+    assert "not a contraction: operator norm inf exceeds 1" in captured.err
+    assert "contraction: yes" not in captured.out
+
+
 @pytest.mark.parametrize("levels", ["1:9", "2:9", "-9:-2"])
 def test_analyze_a_contraction_whose_window_misses_the_branch_vertex(tmp_path, capsys,
                                                                      levels):

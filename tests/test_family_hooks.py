@@ -137,7 +137,7 @@ def ref_certified_vanishing(m, w):
         return False
     top = w.max_weight()
     fan = 2 if isinstance(m, RootlessBinary) else 1
-    return top is not None and Fraction(top) ** 2 * fan < 1
+    return top is not None and math.isfinite(top) and Fraction(top) ** 2 * fan < 1
 
 
 def ref_is_certified_isometry(m, w):
