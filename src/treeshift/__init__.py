@@ -3,7 +3,6 @@
 from . import errors
 from .asymptote import (
     adjoint_isometric_asymptote,
-    cnu_test,
     intertwining_residual,
     isometric_asymptote,
     similar_to_coisometry,
@@ -55,7 +54,6 @@ __all__ = [
     "build_tilde_quasiaffinity",
     "chi_n",
     "classify",
-    "cnu_test",
     "cokernel_dimension",
     "construct_backward_cyclic",
     "cyclicity_verdict",

@@ -49,7 +49,6 @@ class AsymptoteDescriptor:
     classification: str
     multiplicity: float  # count or math.inf
     cnu_value: float | None
-    cnu_by_level: dict
     stable: StableSubtree
     operator: ShiftOperator = field(repr=False)
     alpha: AlphaEvaluator = field(repr=False)
@@ -85,22 +84,11 @@ def cnu_level_value(operator: ShiftOperator, alpha: AlphaEvaluator, members, dep
 
     The product of beta^2 along the chain from the depth-D ancestor down to a
     member telescopes to (product of lambda^2) * alpha(member)/alpha(anchor),
-    so no per-ancestor beta values are needed.  On a rootless lumped operator
-    every member has the level's chain and an anchor depth levels up, so the
-    one term is added once per member; a rooted chain stops at the root, its
-    anchor, so each member walks its own.
+    so no per-ancestor beta values are needed.  Each member adds the term of
+    its own ancestor chain, in member order; a rooted chain stops at the
+    root, its anchor.
     """
     total = 0.0
-    if alpha.lumped and members and not operator.model.is_rooted:
-        lvl = operator.model.level(members[0])
-        prods = operator.level_chain(lvl, depth)
-        anchor = alpha.at_level(lvl - depth)[0]
-        if anchor <= threshold:
-            return total
-        term = (prods[-1] if prods else 1.0) * alpha.at_level(lvl)[0] / anchor
-        for _ in members:
-            total += term
-        return total
     for v in members:
         prods, w = ancestor_products(operator, v, depth)
         anchor = alpha(w if w is not None else operator.model.root).estimate
@@ -108,20 +96,6 @@ def cnu_level_value(operator: ShiftOperator, alpha: AlphaEvaluator, members, dep
             continue
         total += (prods[-1] if prods else 1.0) * alpha(v).estimate / anchor
     return total
-
-
-def cnu_test(descriptor: AsymptoteDescriptor, window: TreeWindow,
-             depth: int = DEFAULT_MAX_DEPTH) -> float:
-    """Value of the c.n.u. diagnostic at the top window level (the value is
-    level-independent in the limit; per-level truncations are kept on the
-    descriptor for the cross-level consistency check)."""
-    stable = descriptor.stable
-    for lvl in window.levels():
-        members = stable.members_at(lvl)
-        if members:
-            return cnu_level_value(descriptor.operator, descriptor.alpha, members,
-                                   depth, stable.zero_threshold)
-    raise StableSubtreeEmpty("no stable vertices in the window")
 
 
 def isometric_asymptote(operator: ShiftOperator, profile: AsymptoticProfile,
@@ -147,18 +121,15 @@ def isometric_asymptote(operator: ShiftOperator, profile: AsymptoticProfile,
     br = stable.branching[0]
     if model.is_rooted:
         mult = br + 1 if br != math.inf else math.inf
-        cls, cnu_value, by_level = UNILATERAL, None, {}
+        cls, cnu_value = UNILATERAL, None
     else:
-        by_level = {}
-        for lvl in stable.window.levels():
-            members = stable.members_at(lvl)
-            if members:
-                by_level[lvl] = cnu_level_value(operator, alpha, members, depth,
-                                                zero_threshold)
-        cnu_value = by_level[min(by_level)]
+        # The sum is level-independent in the limit; it is taken at the top
+        # window level that holds stable members.
+        members = next(filter(None, map(stable.members_at, stable.window.levels())))
+        cnu_value = cnu_level_value(operator, alpha, members, depth, zero_threshold)
         cls = CNU_UNILATERAL if cnu_value <= zero_threshold else BILATERAL_PLUS
         mult = br
-    return AsymptoteDescriptor(beta, cls, mult, cnu_value, by_level, stable, operator, alpha)
+    return AsymptoteDescriptor(beta, cls, mult, cnu_value, stable, operator, alpha)
 
 
 @dataclass

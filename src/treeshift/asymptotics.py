@@ -37,11 +37,11 @@ level-l vertex, is c copies of lambda^2 at level l + 1, kept per level on the
 ``AlphaEvaluator`` and summed as a walk of the children would sum them.  The
 frontier cap never binds, s_n is exact out to convergence or the depth
 budget, and one descent serves every vertex of a level.  The adjoint side
-walks the generation's vertex ids, as on every tree, scales the level's chain
-of lambda^2 products (``ShiftOperator.level_chain``) by the number of
-members, and gives each member the square root of the chain's last product
-as its h coefficient.  Otherwise every cone that does not die inside the
-window is walked vertex by vertex.
+walks the generation's vertex ids, as on every tree, scales one member's
+chain of lambda^2 products (``ShiftOperator.ancestor_chain``, whose squares
+come from the level law) by the number of members, and gives each member the
+square root of the chain's last product as its h coefficient.  Otherwise
+every cone that does not die inside the window is walked vertex by vertex.
 
 Every walk asks the operator, not the model, for weights, children and
 parents.  ``ShiftOperator`` memoizes these per vertex, so the overlapping
@@ -129,17 +129,11 @@ class AlphaEvaluator:
             return VertexEstimate(u, *self.closed)
         if not self.lumped:
             return VertexEstimate(u, *self._descend(u))
-        return VertexEstimate(u, *self.at_level(self.operator.model.level(u)))
-
-    def at_level(self, lvl: int) -> tuple:
-        """(estimate, upper, status, depth) of every vertex of level ``lvl``,
-        on a certified isometry, a certified vanishing or a lumped operator."""
-        if self.closed is not None:
-            return self.closed
+        lvl = self.operator.model.level(u)
         hit = self._by_level.get(lvl)
         if hit is None:
             hit = self._by_level[lvl] = self._descend(None, lvl)
-        return hit
+        return VertexEstimate(u, *hit)
 
     @functools.cached_property
     def _floor(self):
@@ -375,7 +369,7 @@ def _adjoint_level(operator: ShiftOperator, u: str, depth: int, tol: float,
     # the partial sums over the members certify convergence of the product tails.
     if operator.is_level_homogeneous():
         # Every member's chain is the level's chain.
-        chain = operator.level_chain(lvl, depth)
+        chain = ancestor_products(operator, u, depth)[0]
         sums = [len(members) * p for p in chain]
         coefficients = dict.fromkeys(members, math.sqrt(chain[-1]))
     else:

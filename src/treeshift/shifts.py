@@ -5,8 +5,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import mul
 
 from .errors import UnknownVertex, WeightError, WindowTooLarge
 from .sparse import SparseVector
@@ -38,8 +36,8 @@ class ShiftOperator:
     overlapping cones and ancestor chains evaluates each vertex once, and a
     vertex whose parent's chain is known does not walk its own.  For
     ``level_only`` weights it also keeps lambda^2 per level
-    (``level_square``), from which ``level_chain`` forms a level's ancestor
-    products with no vertex id at all.  The first
+    (``level_square``), and an ancestor chain reads its squares from there,
+    so a walk up past the window asks no vertex for its weight.  The first
     query of a vertex still goes through the model and the weight
     assignment, so its membership check and its weight checks
     run (and raise at the same vertex) as without the memo; later queries
@@ -91,10 +89,10 @@ class ShiftOperator:
         table = self._chains.setdefault(depth, {})
         chain = table.get(v)
         if chain is None:
-            square = self.weight(v) ** 2
             above = table.get(self.parent(v))
             if above is not None:
-                chain = (((square,) + above[0])[:depth], ((v,) + above[1])[:depth + 1])
+                chain = (((self._square(v),) + above[0])[:depth],
+                         ((v,) + above[1])[:depth + 1])
             else:
                 squares, ancestors, w = [], [v], v
                 for _ in range(depth):
@@ -102,11 +100,18 @@ class ShiftOperator:
                     if parent is None:  # w is the root, which carries no weight
                         ancestors.append(None)
                         break
-                    squares.append(self.weight(w) ** 2)
+                    squares.append(self._square(w))
                     ancestors.append(w := parent)
                 chain = (tuple(squares), tuple(ancestors))
             table[v] = chain
         return chain
+
+    def _square(self, v: str) -> float:
+        """lambda_v^2 of a non-root vertex; for ``level_only`` weights the
+        level's square, the same float, asked of no vertex."""
+        if self.weights.level_only:
+            return self.level_square(self.model.level(v))
+        return self.weight(v) ** 2
 
     def level_square(self, lvl: int) -> float:
         """lambda^2 at every vertex of level ``lvl``, for ``level_only``
@@ -115,13 +120,6 @@ class ShiftOperator:
         if square is None:
             square = self._level_squares[lvl] = self.weights.level_weight(lvl) ** 2
         return square
-
-    def level_chain(self, lvl: int, depth: int) -> list:
-        """Running products of lambda^2 at levels lvl, lvl - 1, ..., lvl -
-        depth + 1, formed left to right: on a rootless level-homogeneous
-        operator, the ``ancestor_chain`` products of every vertex of level
-        ``lvl``, bit for bit."""
-        return list(accumulate(map(self.level_square, range(lvl, lvl - depth, -1)), mul))
 
     def apply(self, x: SparseVector) -> SparseVector:
         out = SparseVector()

@@ -1,20 +1,28 @@
 """Isometric asymptotes: weights, classification, cnu diagnostic, intertwining."""
 
+import json
 import math
 
 import pytest
 
+from treeshift import asymptote
 from treeshift.asymptote import (
     adjoint_intertwining_residual,
     adjoint_isometric_asymptote,
     boundary_deficiency,
-    cnu_test,
+    cnu_level_value,
     intertwining_residual,
     isometric_asymptote,
     similar_to_coisometry,
     similar_to_isometry,
 )
-from treeshift.asymptotics import adjoint_profile, alpha_profile, stable_subtree
+from treeshift.asymptotics import (
+    DEFAULT_MAX_DEPTH,
+    adjoint_profile,
+    alpha_profile,
+    stable_subtree,
+)
+from treeshift.cli import main
 from treeshift.cyclicity import cokernel_dimension
 from treeshift.errors import AdjointStable, StableSubtreeEmpty
 from treeshift.shifts import ShiftOperator
@@ -149,15 +157,30 @@ def test_cnu_level_independence():
     ):
         window, profile, stable = build(op, 0, 4)
         descriptor = isometric_asymptote(op, profile, stable)
-        values = list(descriptor.cnu_by_level.values())
+        values = [cnu_level_value(op, profile.evaluator, stable.members_at(lvl),
+                                  DEFAULT_MAX_DEPTH, stable.zero_threshold)
+                  for lvl in window.levels()]
         assert max(values) - min(values) <= 1e-9
+        # the descriptor's value is the top level's, the one it classifies by
+        assert repr(descriptor.cnu_value) == repr(values[0])
 
 
-def test_cnu_test_wrapper_matches_descriptor():
-    op = ShiftOperator(make_family("bilateral-path"), ConstantWeights(1.0))
-    window, profile, stable = build(op, -4, 4)
-    descriptor = isometric_asymptote(op, profile, stable)
-    assert cnu_test(descriptor, window) == pytest.approx(descriptor.cnu_value)
+def test_asymptote_takes_one_cnu_sum(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return cnu_level_value(*args)
+
+    monkeypatch.setattr(asymptote, "cnu_level_value", counted)
+    tree, weights = tmp_path / "tree.json", tmp_path / "weights.json"
+    tree.write_text(json.dumps({"family": "bilateral-path", "params": {}}))
+    weights.write_text(json.dumps({"kind": "family", "name": "exp-ray",
+                                   "params": {"base": 2.0, "start_level": -3}}))
+    assert main(["asymptote", "--tree", str(tree), "--weights", str(weights),
+                 "--levels=-3:3"]) == 0
+    assert "cnu diagnostic: 1.12549e-07" in capsys.readouterr().out
+    assert calls == [["-3"]]
 
 
 # -- the adjoint's asymptote ---------------------------------------------------------

@@ -771,7 +771,7 @@ def walked_cnu_level_value(op, alpha, members, depth, threshold):
     total = 0.0
     for v in members:
         prods, w = ancestor_products(op, v, depth)
-        anchor = alpha(w).estimate if w is not None else 1.0
+        anchor = alpha(w if w is not None else op.model.root).estimate
         if anchor <= threshold:
             continue
         total += (prods[-1] if prods else 1.0) * alpha(v).estimate / anchor
@@ -802,16 +802,15 @@ def test_level_law_adjoint_equals_a_chain_of_ancestor_products(family, weights, 
 def test_level_law_cnu_value_equals_a_walk_of_every_member(family, weights, lo, hi):
     model = make_family(family)
     rooted = model.is_rooted
-    # A rooted chain that reaches the root asks for the root's weight.  Binary
-    # levels 3 and 4 add one term 8 and 16 times, which a product would round
-    # differently.
-    window = materialize_window(model, 3 if rooted else lo, hi + (3 if rooted else 2))
+    # A rooted chain stops at the root, its anchor.  Binary levels 3 and 4 add
+    # one term 8 and 16 times, which a product would round differently.
+    window = materialize_window(model, lo, hi + (3 if rooted else 2))
     op = ShiftOperator(model, weights)
     alpha = AlphaEvaluator(op)
     reference = OldLumpedAlpha(ShiftOperator(model, weights))
     for lvl in window.levels():
         members = window.vertices_at(lvl)
-        for depth in ((1, 3) if rooted else (1, 5, DEFAULT_MAX_DEPTH)):
+        for depth in ((1, 3) if rooted else (1, 5)) + (DEFAULT_MAX_DEPTH,):
             for threshold in (1e-9, 0.5):
                 want = walked_cnu_level_value(ShiftOperator(model, weights), reference,
                                               members, depth, threshold)

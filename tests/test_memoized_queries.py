@@ -38,7 +38,14 @@ from treeshift.errors import NotAContraction, WeightError
 from treeshift.shifts import ShiftOperator, vector_to_dense
 from treeshift.sparse import SparseVector
 from treeshift.trees import make_family, materialize_window
-from treeshift.weights import ConstantWeights, HashRandomWeights, MapWeights
+from treeshift.weights import (
+    ConstantWeights,
+    ExpRayWeights,
+    GeometricWeights,
+    HashRandomWeights,
+    MapWeights,
+    StepWeights,
+)
 
 from conftest import (BINARY_ISOMETRY, UnstatedBound, contractive_operator, full_window,
                       random_finite_tree)
@@ -292,7 +299,17 @@ def chain_cases():
               -6, 8),
              ("bilateral", make_family("bilateral-path"), HashRandomWeights(43, 0.4, 0.95),
               -12, 12),
-             ("binary", make_family("rootless-binary"), HashRandomWeights(44, 0.02, 0.1), -2, 3)]
+             ("binary", make_family("rootless-binary"), HashRandomWeights(44, 0.02, 0.1), -2, 3),
+             # level laws: the squares come from the level, not the vertex
+             ("bilateral-exp-ray", make_family("bilateral-path"), ExpRayWeights(2.0, -3),
+              -12, 12),
+             ("bilateral-step", make_family("bilateral-path"), StepWeights(0.5, 1.0, cut=0),
+              -12, 12),
+             ("binary-geometric", make_family("rootless-binary"),
+              GeometricWeights(BINARY_ISOMETRY, 0.9), -2, 3),
+             ("tilde-constant", make_family("tilde"), ConstantWeights(0.6), -9, 9),
+             ("comb-geometric", make_family("comb", {"primed_leaf": 5}),
+              GeometricWeights(0.9, 0.95), -6, 8)]
     for name, model, weights, lo, hi in cases:
         yield pytest.param(model, weights, lo, hi, id=name)
 
@@ -314,15 +331,17 @@ def test_ancestor_chains_bit_equal_in_any_query_order(model, weights, lo, hi):
 def test_an_ancestor_chain_stops_at_the_root():
     """On a rooted tree the walk never asks for the root's weight: a chain
     that would pass the root ends there, with None as its stop, whether the
-    chain is walked or derived from a parent's."""
-    for order in (range(1, 7), range(6, 0, -1)):  # parents first, children first
-        op = ShiftOperator(make_family("rooted-path"), ConstantWeights(0.9))
-        for level in order:
-            for depth in (1, 2, level, level + 1, DEFAULT_MAX_DEPTH):
-                steps = min(depth, level)
-                walked = tuple(str(level - i) for i in range(steps + 1))
-                assert op.ancestor_chain(str(level), depth) == (
-                    (0.9 ** 2,) * steps, walked + ((None,) if depth > level else ()))
+    chain is walked or derived from a parent's, and the root's own chain,
+    ((), ("0", None)), holds no square."""
+    for weights in (ConstantWeights(0.9), MapWeights({}, default=0.9)):
+        for order in (range(7), range(6, -1, -1)):  # parents first, children first
+            op = ShiftOperator(make_family("rooted-path"), weights)
+            for level in order:
+                for depth in (1, 2, level, level + 1, DEFAULT_MAX_DEPTH):
+                    steps = min(depth, level)
+                    walked = tuple(str(level - i) for i in range(steps + 1))
+                    assert op.ancestor_chain(str(level), depth) == (
+                        (0.9 ** 2,) * steps, walked + ((None,) if depth > level else ()))
     op = ShiftOperator(make_family("rooted-path"), UnstatedBound(0.9))
     alpha = AlphaEvaluator(op)
     prods, stop = ancestor_products(op, "3", DEFAULT_MAX_DEPTH)
