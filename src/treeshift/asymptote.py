@@ -10,7 +10,6 @@ the generation sums of its infinite weight products vanish.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import AdjointStable, StableSubtreeEmpty
 from .asymptotics import (
@@ -25,6 +24,7 @@ from .asymptotics import (
     StableSubtree,
     ancestor_products,
 )
+from .records import Record
 from .shifts import ShiftOperator
 from .sparse import SparseVector
 from .trees import TreeWindow
@@ -41,17 +41,23 @@ def _beta(weight: float, alpha_child: float, alpha_parent: float) -> float:
     return weight * math.sqrt(alpha_child / alpha_parent)
 
 
-@dataclass
-class AsymptoteDescriptor:
+class AsymptoteDescriptor(Record):
     """Weights and classification of the isometric asymptote U = S_beta."""
 
-    beta: dict  # vertex -> weight, on stable-subtree interior window vertices
-    classification: str
-    multiplicity: float  # count or math.inf
-    cnu_value: float | None
-    stable: StableSubtree
-    operator: ShiftOperator = field(repr=False)
-    alpha: AlphaEvaluator = field(repr=False)
+    __slots__ = _fields = ("beta", "classification", "multiplicity", "cnu_value", "stable",
+                           "operator", "alpha")
+    _unshown = ("operator", "alpha")
+
+    def __init__(self, beta: dict, classification: str, multiplicity: float,
+                 cnu_value: float | None, stable: StableSubtree, operator: ShiftOperator,
+                 alpha: AlphaEvaluator):
+        self.beta = beta  # vertex -> weight, on stable-subtree interior window vertices
+        self.classification = classification
+        self.multiplicity = multiplicity  # count or math.inf
+        self.cnu_value = cnu_value
+        self.stable = stable
+        self.operator = operator
+        self.alpha = alpha
 
     def to_json(self):
         mult = "inf" if self.multiplicity == math.inf else int(self.multiplicity)
@@ -132,13 +138,15 @@ def isometric_asymptote(operator: ShiftOperator, profile: AsymptoticProfile,
     return AsymptoteDescriptor(beta, cls, mult, cnu_value, stable, operator, alpha)
 
 
-@dataclass
-class AdjointAsymptoteDescriptor:
+class AdjointAsymptoteDescriptor(Record):
     """The adjoint's asymptote acts level-to-level on the h eigenvectors."""
 
-    shift_type: str  # simple-unilateral | simple-bilateral
-    coefficients: dict  # level -> sqrt(a_level / a_parent_level)
-    h_vectors: dict
+    __slots__ = _fields = ("shift_type", "coefficients", "h_vectors")
+
+    def __init__(self, shift_type: str, coefficients: dict, h_vectors: dict):
+        self.shift_type = shift_type  # simple-unilateral | simple-bilateral
+        self.coefficients = coefficients  # level -> sqrt(a_level / a_parent_level)
+        self.h_vectors = h_vectors
 
     def to_json(self):
         return {"type": self.shift_type,
@@ -201,10 +209,12 @@ def adjoint_intertwining_residual(operator: ShiftOperator,
     return worst
 
 
-@dataclass
-class SimilarityAnswer:
-    answer: str  # yes | no | undetermined
-    reason: str
+class SimilarityAnswer(Record):
+    __slots__ = _fields = ("answer", "reason")
+
+    def __init__(self, answer: str, reason: str):
+        self.answer = answer  # yes | no | undetermined
+        self.reason = reason
 
     def to_json(self):
         return {"answer": self.answer, "reason": self.reason}

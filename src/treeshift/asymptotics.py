@@ -58,10 +58,10 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
 from operator import mul
 
 from .errors import NotAContraction, StructuralViolation
+from .records import Record
 from .sparse import SparseVector
 from .shifts import CONTRACTION_SLACK, ShiftOperator
 from .trees import TreeWindow
@@ -83,13 +83,15 @@ _ONE = (1.0, 1.0, EXACT_ONE, 0)  # every record of a certified isometry
 _ZERO = (0.0, 0.0, EXACT_ZERO, 0)  # every record where the family bound proves 0
 
 
-@dataclass
-class VertexEstimate:
-    vertex: str
-    estimate: float
-    upper: float
-    status: str
-    depth: int
+class VertexEstimate(Record):
+    __slots__ = _fields = ("vertex", "estimate", "upper", "status", "depth")
+
+    def __init__(self, vertex: str, estimate: float, upper: float, status: str, depth: int):
+        self.vertex = vertex
+        self.estimate = estimate
+        self.upper = upper
+        self.status = status
+        self.depth = depth
 
     def settled(self) -> bool:
         return self.status in _SETTLED
@@ -195,14 +197,17 @@ class AlphaEvaluator:
         return s_prev, s_prev, MAX_DEPTH, n
 
 
-@dataclass
-class AsymptoticProfile:
+class AsymptoticProfile(Record):
     """Per-window-vertex estimates of the forward (alpha) or adjoint (a)
     limits; a forward profile carries the evaluator that made it."""
 
-    records: dict
-    window: TreeWindow
-    evaluator: AlphaEvaluator | None = None
+    __slots__ = _fields = ("records", "window", "evaluator")
+
+    def __init__(self, records: dict, window: TreeWindow,
+                 evaluator: AlphaEvaluator | None = None):
+        self.records = records
+        self.window = window
+        self.evaluator = evaluator
 
     def record(self, u: str) -> VertexEstimate:
         return self.records[u]
@@ -245,15 +250,18 @@ def alpha_profile(operator: ShiftOperator, window: TreeWindow, tol: float = DEFA
     return AsymptoticProfile({u: evaluator(u) for u in window.order}, window, evaluator)
 
 
-@dataclass
-class StableSubtree:
+class StableSubtree(Record):
     """Window view of the subtree carrying the non-stable part of the space."""
 
-    members: set
-    window: TreeWindow
-    zero_threshold: float
-    branching: tuple  # (value, exact)
-    model: object
+    __slots__ = _fields = ("members", "window", "zero_threshold", "branching", "model")
+
+    def __init__(self, members: set, window: TreeWindow, zero_threshold: float,
+                 branching: tuple, model):
+        self.members = members
+        self.window = window
+        self.zero_threshold = zero_threshold
+        self.branching = branching  # (value, exact)
+        self.model = model
 
     def members_at(self, lvl):
         return [u for u in self.window.vertices_at(lvl) if u in self.members]
@@ -305,17 +313,20 @@ def stable_subtree(profile: AsymptoticProfile,
                          _stable_branching(profile, members), model)
 
 
-@dataclass
-class HVector:
+class HVector(Record):
     """Adjoint-limit eigenvector of one level: truncated-product coefficients
     over the materialized generation."""
 
-    level: int
-    coefficients: SparseVector
-    norm_sq: float
-    status: str
-    depth: int
-    gen_exact: bool
+    __slots__ = _fields = ("level", "coefficients", "norm_sq", "status", "depth", "gen_exact")
+
+    def __init__(self, level: int, coefficients: SparseVector, norm_sq: float, status: str,
+                 depth: int, gen_exact: bool):
+        self.level = level
+        self.coefficients = coefficients
+        self.norm_sq = norm_sq
+        self.status = status
+        self.depth = depth
+        self.gen_exact = gen_exact
 
 
 def ancestor_products(operator: ShiftOperator, v: str, depth: int) -> tuple:
@@ -391,11 +402,14 @@ def _adjoint_level(operator: ShiftOperator, u: str, depth: int, tol: float,
     return VertexEstimate(u, estimate, estimate if gen_exact else 1.0, status, depth), h
 
 
-@dataclass
-class AdjointAsymptotics:
-    profile: AsymptoticProfile
-    h_vectors: dict  # level -> HVector
-    rooted_certified: bool = False
+class AdjointAsymptotics(Record):
+    __slots__ = _fields = ("profile", "h_vectors", "rooted_certified")
+
+    def __init__(self, profile: AsymptoticProfile, h_vectors: dict,
+                 rooted_certified: bool = False):
+        self.profile = profile
+        self.h_vectors = h_vectors  # level -> HVector
+        self.rooted_certified = rooted_certified
 
 
 ADJOINT_GEN_CAP = 512
@@ -431,15 +445,19 @@ def adjoint_profile(operator: ShiftOperator, window: TreeWindow,
     return AdjointAsymptotics(AsymptoticProfile(records, window), h_by_level)
 
 
-@dataclass
-class ClassificationC:
+class ClassificationC(Record):
     """Forward/adjoint asymptotic class with per-claim provenance."""
 
-    forward: str  # C0dot | C1dot | mixed | undetermined
-    adjoint: str  # Cdot0 | Cdot1 | mixed | undetermined
-    forward_certified: bool
-    adjoint_certified: bool
-    notes: list = field(default_factory=list)
+    __slots__ = _fields = ("forward", "adjoint", "forward_certified", "adjoint_certified",
+                           "notes")
+
+    def __init__(self, forward: str, adjoint: str, forward_certified: bool,
+                 adjoint_certified: bool, notes: list | None = None):
+        self.forward = forward  # C0dot | C1dot | mixed | undetermined
+        self.adjoint = adjoint  # Cdot0 | Cdot1 | mixed | undetermined
+        self.forward_certified = forward_certified
+        self.adjoint_certified = adjoint_certified
+        self.notes = [] if notes is None else notes
 
     def to_json(self):
         return {"forward": self.forward, "adjoint": self.adjoint,

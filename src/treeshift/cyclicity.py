@@ -31,12 +31,12 @@ import functools
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import mul
 
 from .errors import (DimensionCap, ScheduleTooShort, StageUnderflow, TreeSpecError, WeightError,
                      ZeroWeight, decoded, shown)
+from .records import Record
 from .trees import branching_index, count_text, leaves
 from .weights import _integer, _required, hash_unit, unit_hasher
 
@@ -162,16 +162,20 @@ def _checked(j: int, k: int, w: float) -> float:
     return w
 
 
-@dataclass
-class CyclicCandidate:
+class CyclicCandidate(Record):
     """Support schedule, coefficients, and the rescaling history of the
     sequential Sigma_m modification loop."""
 
-    schedule: list  # [(j_l, k_l)] for l = 1..L, stored 0-based in the list
-    xi: list  # strictly positive coefficients, same indexing
-    modifications: list = field(default_factory=list)  # (m, sigma_before, factor)
+    # No __slots__: ``sigma_final`` and ``_built`` live in the instance __dict__.
+    _fields = ("schedule", "xi", "modifications")
     # (schedule, xi, prefix products) as ``construct_backward_cyclic`` built them
     _built = None
+
+    def __init__(self, schedule: list, xi: list, modifications: list | None = None):
+        self.schedule = schedule  # [(j_l, k_l)] for l = 1..L, stored 0-based in the list
+        self.xi = xi  # strictly positive coefficients, same indexing
+        # (m, sigma_before, factor)
+        self.modifications = [] if modifications is None else modifications
 
     @functools.cached_property
     def sigma_final(self) -> list:
@@ -395,16 +399,21 @@ def cokernel_dimension(matrix, rank_tol: float = RANK_TOL, cap: int = DIMENSION_
     return d - ge_rank(mat, rank_tol)
 
 
-@dataclass
-class KrylovVerification:
+class KrylovVerification(Record):
     """The exact record of a window Krylov check."""
 
-    rank: int  # over F_p, p = `modulus`: at most the true rank
-    dimension: int
-    columns: int
-    certified: bool  # rank equals dimension
-    modulus: int
-    support_columns: int  # k_L + 1: the Krylov columns B^k f that can be nonzero
+    __slots__ = _fields = ("rank", "dimension", "columns", "certified", "modulus",
+                           "support_columns")
+
+    def __init__(self, rank: int, dimension: int, columns: int, certified: bool, modulus: int,
+                 support_columns: int):
+        self.rank = rank  # over F_p, p = `modulus`: at most the true rank
+        self.dimension = dimension
+        self.columns = columns
+        self.certified = certified  # rank equals dimension
+        self.modulus = modulus
+        # k_L + 1: the Krylov columns B^k f that can be nonzero
+        self.support_columns = support_columns
 
 
 def _field(x):
@@ -593,13 +602,16 @@ def backward_spec_from_json(doc) -> BackwardShiftSpec:
     return BackwardShiftSpec(branches, rule, zeros=zeros)
 
 
-@dataclass
-class CyclicityVerdict:
-    verdict: str  # cyclic | non-cyclic | adjoint-cyclic | unknown
-    rule: str | None
-    anchors: list
-    reason: str
-    blockers: list = field(default_factory=list)
+class CyclicityVerdict(Record):
+    __slots__ = _fields = ("verdict", "rule", "anchors", "reason", "blockers")
+
+    def __init__(self, verdict: str, rule: str | None, anchors: list, reason: str,
+                 blockers: list | None = None):
+        self.verdict = verdict  # cyclic | non-cyclic | adjoint-cyclic | unknown
+        self.rule = rule
+        self.anchors = anchors
+        self.reason = reason
+        self.blockers = [] if blockers is None else blockers
 
     def to_json(self):
         doc = {"verdict": self.verdict, "rule": self.rule, "anchors": list(self.anchors),

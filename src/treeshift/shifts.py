@@ -4,9 +4,9 @@ and the entries of the window truncation that back the oracle comparisons."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import UnknownVertex, WeightError, WindowTooLarge
+from .records import Record
 from .sparse import SparseVector
 from .trees import TreeWindow
 from .weights import WeightAssignment
@@ -16,14 +16,16 @@ CONTRACTION_SLACK = 1e-12
 _UNSEEN = object()  # parent memo miss; None is a valid parent (the root's)
 
 
-@dataclass
-class NormBound:
+class NormBound(Record):
     """Operator norm report: `value` is the certified sup when `certified`,
     otherwise just the window-restricted lower estimate."""
 
-    value: float
-    window_value: float
-    certified: bool
+    __slots__ = _fields = ("value", "window_value", "certified")
+
+    def __init__(self, value: float, window_value: float, certified: bool):
+        self.value = value
+        self.window_value = window_value
+        self.certified = certified
 
 
 class ShiftOperator:

@@ -13,10 +13,10 @@ bounded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .asymptotics import require_contraction
 from .errors import ShapeMismatch, WeightError
+from .records import Record
 from .shifts import ShiftOperator
 from .sparse import SparseVector
 from .trees import TreeWindow, _is_primed, _primed_id, _primed_index
@@ -70,15 +70,18 @@ def g_norm(operator: ShiftOperator, k: int) -> float:
     return _g_table(operator, k)[1][k]
 
 
-@dataclass
-class RatioCertificate:
+class RatioCertificate(Record):
     """Boundedness report for the primed-to-spine product ratios."""
 
-    status: str  # bounded | unbounded-evidence
-    sup: float
-    exact: bool
-    at: int | None = None
-    value: float | None = None
+    __slots__ = _fields = ("status", "sup", "exact", "at", "value")
+
+    def __init__(self, status: str, sup: float, exact: bool, at: int | None = None,
+                 value: float | None = None):
+        self.status = status  # bounded | unbounded-evidence
+        self.sup = sup
+        self.exact = exact
+        self.at = at
+        self.value = value
 
     def to_json(self):
         doc = {"status": self.status, "sup": self.sup, "exact": self.exact}
@@ -122,21 +125,30 @@ def ratio_bounded(operator: ShiftOperator, horizon: int = 64,
     return RatioCertificate("bounded", sup, exact)
 
 
-@dataclass
-class SimilarityWitness:
+class SimilarityWitness(Record):
     """Intertwining operator X plus the decoupled target it conjugates to."""
 
-    kind: str  # leaf-similarity | tilde-quasiaffinity
-    mode: str  # similar | quasiaffine-only
-    blocks: list  # per-k block reports
-    residual: float
-    ratio: RatioCertificate | None
-    window: TreeWindow
-    operator: ShiftOperator = field(repr=False)
-    primed_leaf: int | None = None
-    target_primed_weights: dict = field(default_factory=dict)  # k -> weight into k'
-    g_norms: dict = field(default_factory=dict)
-    g_vectors: dict = field(default_factory=dict)  # k -> g_k, for the primed columns of X
+    __slots__ = _fields = ("kind", "mode", "blocks", "residual", "ratio", "window", "operator",
+                           "primed_leaf", "target_primed_weights", "g_norms", "g_vectors")
+    _unshown = ("operator",)
+
+    def __init__(self, kind: str, mode: str, blocks: list, residual: float,
+                 ratio: RatioCertificate | None, window: TreeWindow, operator: ShiftOperator,
+                 primed_leaf: int | None = None, target_primed_weights: dict | None = None,
+                 g_norms: dict | None = None, g_vectors: dict | None = None):
+        self.kind = kind  # leaf-similarity | tilde-quasiaffinity
+        self.mode = mode  # similar | quasiaffine-only
+        self.blocks = blocks  # per-k block reports
+        self.residual = residual
+        self.ratio = ratio
+        self.window = window
+        self.operator = operator
+        self.primed_leaf = primed_leaf
+        # k -> weight into k'
+        self.target_primed_weights = {} if target_primed_weights is None else target_primed_weights
+        self.g_norms = {} if g_norms is None else g_norms
+        # k -> g_k, for the primed columns of X
+        self.g_vectors = {} if g_vectors is None else g_vectors
 
     def block_inverse_bound(self) -> float:
         return max((b["inverse_norm"] for b in self.blocks), default=1.0)
@@ -250,13 +262,16 @@ def build_tilde_quasiaffinity(operator: ShiftOperator, window: TreeWindow) -> Si
     return _witness(operator, window, "tilde-quasiaffinity", mode, cert, primed_max)
 
 
-@dataclass
-class Decomposition:
-    e_part: SparseVector
-    g_part: SparseVector
-    mu: dict
-    nu: dict
-    residual: float
+class Decomposition(Record):
+    __slots__ = _fields = ("e_part", "g_part", "mu", "nu", "residual")
+
+    def __init__(self, e_part: SparseVector, g_part: SparseVector, mu: dict, nu: dict,
+                 residual: float):
+        self.e_part = e_part
+        self.g_part = g_part
+        self.mu = mu
+        self.nu = nu
+        self.residual = residual
 
 
 def direct_sum_decomposition(x: SparseVector, operator: ShiftOperator) -> Decomposition:

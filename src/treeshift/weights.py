@@ -9,7 +9,6 @@ type of the cyclicity module.
 
 from __future__ import annotations
 
-import inspect
 import math
 import numbers
 import sys
@@ -49,9 +48,16 @@ def _integer(value, what: str, error=WeightError) -> int:
 
 
 @cache
-def _signature(family: type) -> inspect.Signature:
-    """The constructor signature of a weight family, read once per class."""
-    return inspect.signature(family)
+def _parameters(family: type) -> tuple:
+    """(names, required names) of a weight family's constructor parameters,
+    read once per class from the code of its ``__init__``; a family that
+    defines none takes no parameters."""
+    init = family.__init__
+    if init is object.__init__:
+        return (), ()
+    code = init.__code__
+    names = code.co_varnames[1:code.co_argcount]
+    return names, names[:len(names) - len(init.__defaults__ or ())]
 
 
 def _computed(rule, family: str, lvl: int) -> float:
@@ -261,14 +267,14 @@ class ConstantWeights(WeightAssignment):
 
 class FamilyWeights(WeightAssignment):
     """A named weight law.  The constructor stores each argument under its
-    own name, so ``params`` reads them back by the names of the signature
-    that ``weights_from_json`` binds; an argument left None is omitted."""
+    own name, so ``params`` reads them back by the parameter names that
+    ``weights_from_json`` checks; an argument left None is omitted."""
 
     kind = "family"
     name = "abstract"
 
     def params(self) -> dict:
-        values = {name: getattr(self, name) for name in _signature(type(self)).parameters}
+        values = {name: getattr(self, name) for name in _parameters(type(self))[0]}
         return {name: value for name, value in values.items() if value is not None}
 
     def to_json(self):
@@ -483,12 +489,11 @@ def weights_from_json(doc) -> WeightAssignment:
             raise WeightError(f"unknown weight family {shown(name)}")
         family = _FAMILIES[name]
         params = doc.get("params", {})
-        signature = _signature(family)
-        try:
-            signature.bind(**params)
-        except TypeError:  # unknown, missing or non-mapping params
-            raise WeightError(f"weight family {name!r} takes params "
-                              f"{list(signature.parameters)}, got {shown(params)}") from None
+        names, required = _parameters(family)
+        if not (isinstance(params, dict) and params.keys() <= set(names)
+                and params.keys() >= set(required)):  # non-object, unknown or missing params
+            raise WeightError(f"weight family {name!r} takes params {list(names)}, "
+                              f"got {shown(params)}")
         return family(**params)
     raise WeightError(f"unknown weight kind {shown(kind)}")
 

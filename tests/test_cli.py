@@ -684,6 +684,8 @@ from treeshift.cli import main
 
 assert "numpy" not in sys.modules, "importing treeshift loads numpy"
 assert "hashlib" not in sys.modules, "importing treeshift loads hashlib"
+assert "dataclasses" not in sys.modules, "importing treeshift loads dataclasses"
+assert "inspect" not in sys.modules, "importing treeshift loads inspect"
 star, star_w, binary, decay, tilde, tilde_w, backward = sys.argv[1:]
 for argv, code in (
         (["validate", "--tree", star], 0),
@@ -701,7 +703,8 @@ assert "numpy" in sys.modules, "cyclic --backward ran without numpy"
 
 def test_matrix_free_subcommands_start_without_numpy(specs, tmp_path):
     """A fresh interpreter, as the ``treeshift`` command starts, imports
-    numpy only for ``cyclic --backward``."""
+    numpy only for ``cyclic --backward``, and importing ``treeshift.cli``
+    loads neither hashlib nor dataclasses nor inspect."""
     decay = write(tmp_path, "decay.json", {"kind": "constant", "value": 0.6})
     argv = [sys.executable, "-c", _COLD_START, specs["star"], specs["star_w"], specs["binary"],
             decay, specs["tilde"], specs["tilde_w"], specs["backward"]]

@@ -286,6 +286,43 @@ def test_weights_json_roundtrip():
     ):
         w = weights_from_json(doc)
         assert w.to_json() == doc
+    # defaulted params are written out, params left None are not
+    assert weights_from_json({"kind": "family", "name": "exp-ray"}).to_json()["params"] == {
+        "base": 2.0, "start_level": 1}
+    assert weights_from_json({"kind": "family", "name": "step",
+                              "params": {"low": 0.5, "high": 0.6}}).to_json()["params"] == {
+        "low": 0.5, "high": 0.6, "cut": 0}
+    assert weights_from_json({"kind": "family", "name": "binary-spine"}).to_json()["params"] == {}
+
+
+@pytest.mark.parametrize("name,params,text", [
+    ("geometric", {"scale": 0.5}, "['scale', 'ratio'], got {\"scale\": 0.5}"),
+    ("geometric", {}, "['scale', 'ratio'], got {}"),
+    ("geometric", {"scale": 0.5, "ratio": 0.5, "cut": 1},
+     "['scale', 'ratio'], got {\"scale\": 0.5, \"ratio\": 0.5, \"cut\": 1}"),
+    ("step", {"low": 0.5, "high": 0.6, "self": 1},
+     "['low', 'high', 'cut'], got {\"low\": 0.5, \"high\": 0.6, \"self\": 1}"),
+    ("step", {"high": 0.5}, "['low', 'high', 'cut'], got {\"high\": 0.5}"),
+    ("rays", {"spine": 0.5},
+     "['spine', 'primed', 'branch_spine', 'branch_primed'], got {\"spine\": 0.5}"),
+    ("hash-random", {"seed": 1, "low": 0.5},
+     "['seed', 'low', 'high'], got {\"seed\": 1, \"low\": 0.5}"),
+    ("exp-ray", [2.0], "['base', 'start_level'], got [2.0]"),
+    ("exp-ray", [], "['base', 'start_level'], got []"),
+    ("exp-ray", 3, "['base', 'start_level'], got 3"),
+    ("exp-ray", None, "['base', 'start_level'], got null"),
+    ("exp-ray", "base", "['base', 'start_level'], got \"base\""),
+    ("geometric", True, "['scale', 'ratio'], got true"),
+    ("binary-spine", {"scale": 0.5}, "[], got {\"scale\": 0.5}"),
+    ("binary-spine", {"self": 1}, "[], got {\"self\": 1}"),
+    ("binary-spine", None, "[], got null"),
+])
+def test_family_params_errors_name_the_constructor_params(name, params, text):
+    """Unknown, missing and non-object params raise WeightError naming the
+    family's constructor parameters in order."""
+    with pytest.raises(WeightError) as caught:
+        weights_from_json({"kind": "family", "name": name, "params": params})
+    assert str(caught.value) == f"weight family {name!r} takes params {text}"
 
 
 def test_weights_positivity_enforced():
