@@ -80,7 +80,7 @@ class AsymptoteDescriptor(Record):
 
     def _beta_at(self, v):
         return _beta(self.operator.weight(v), self.alpha(v).estimate,
-                     self.alpha(self.operator.parent(v)).estimate)
+                     self.alpha(self.operator.model.parent(v)).estimate)
 
 
 def cnu_level_value(operator: ShiftOperator, alpha: AlphaEvaluator, members, depth: int,
@@ -117,7 +117,7 @@ def isometric_asymptote(operator: ShiftOperator, profile: AsymptoticProfile,
 
     beta = {}
     for v in stable.members:
-        p = operator.parent(v)
+        p = model.parent(v)
         if p is None or p not in stable.members:
             continue
         rv, rp = profile.record(v), profile.record(p)

@@ -43,13 +43,14 @@ come from the level law) by the number of members, and gives each member the
 square root of the chain's last product as its h coefficient.  Otherwise
 every cone that does not die inside the window is walked vertex by vertex.
 
-Every walk asks the operator, not the model, for weights, children and
-parents.  ``ShiftOperator`` memoizes these per vertex, so the overlapping
-cones and ancestor chains of neighbouring window vertices evaluate each
-vertex once per analysis (the model's membership check and the weight checks
-still run on the first query).  A memoized query returns the very float or
-tuple of the first one, and the loops square, multiply and sum in the same
-order, so every estimate is bit-identical to an un-memoized walk.
+Every walk asks the operator, not the model, for weights and children, and
+the model for parents.  ``ShiftOperator`` memoizes weights and children per
+vertex, so the overlapping cones and ancestor chains of neighbouring window
+vertices evaluate each vertex once per analysis (the model's membership
+check and the weight checks still run on the first query).  A memoized
+query returns the very float or tuple of the first one, and the loops
+square, multiply and sum in the same order, so every estimate is
+bit-identical to an un-memoized walk.
 """
 
 from __future__ import annotations
@@ -350,7 +351,7 @@ def _generation(operator: ShiftOperator, u: str, depth: int, frontier_cap: int) 
     anchor, lvl = u, model.level(u)
     gen_exact = model.generation_complete(lvl)
     for d in range(1, depth + 1):
-        parent = operator.parent(anchor)
+        parent = model.parent(anchor)
         new = dict.fromkeys(v for v in operator.children(parent) if v != anchor)
         for _ in range(d - 1):
             grown: dict[str, None] = {}

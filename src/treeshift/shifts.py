@@ -13,7 +13,6 @@ from .weights import WeightAssignment
 
 DENSE_CAP = 4096
 CONTRACTION_SLACK = 1e-12
-_UNSEEN = object()  # parent memo miss; None is a valid parent (the root's)
 
 
 class NormBound(Record):
@@ -32,12 +31,13 @@ class ShiftOperator:
     """Weighted shift S on a directed tree: e_u -> sum over children v of lambda_v e_v.
 
     The model and the weights are fixed once the operator is built.  The
-    operator memoizes, per vertex, the weight lambda_v and the tree queries
-    ``children(u)`` and ``parent(u)``, ``operator_norm`` per window, and
-    ``ancestor_chain`` per vertex and depth, so an analysis that walks
-    overlapping cones and ancestor chains evaluates each vertex once, and a
-    vertex whose parent's chain is known does not walk its own.  For
-    ``level_only`` weights it also keeps lambda^2 per level
+    operator memoizes, per vertex, the weight lambda_v and the tree query
+    ``children(u)``, ``operator_norm`` per window, and ``ancestor_chain``
+    per vertex and depth, so an analysis that walks overlapping cones and
+    ancestor chains evaluates each vertex once, and a vertex whose parent's
+    chain is known does not walk its own.  Parents are read from the model:
+    most are asked for once per analysis, so a memo of them would mostly
+    miss.  For ``level_only`` weights it also keeps lambda^2 per level
     (``level_square``), and an ancestor chain reads its squares from there,
     so a walk up past the window asks no vertex for its weight.  The first
     query of a vertex still goes through the model and the weight
@@ -58,7 +58,6 @@ class ShiftOperator:
         self.weights = weights
         self._weights: dict[str, float] = {}
         self._children: dict[str, tuple] = {}
-        self._parents: dict[str, str | None] = {}
         self._norms: dict[TreeWindow, NormBound] = {}
         # depth -> vertex -> (squared weights, ancestors) of ``ancestor_chain``
         self._chains: dict[int, dict[str, tuple]] = {}
@@ -76,12 +75,6 @@ class ShiftOperator:
             kids = self._children[u] = self.model.children(u)
         return kids
 
-    def parent(self, u: str):
-        p = self._parents.get(u, _UNSEEN)
-        if p is _UNSEEN:
-            p = self._parents[u] = self.model.parent(u)
-        return p
-
     def ancestor_chain(self, v: str, depth: int) -> tuple:
         """(squares of lambda at v and at up to ``depth`` - 1 ancestors, the
         vertices walked: v first, last the stop, None when the walk would
@@ -91,14 +84,14 @@ class ShiftOperator:
         table = self._chains.setdefault(depth, {})
         chain = table.get(v)
         if chain is None:
-            above = table.get(self.parent(v))
+            above = table.get(self.model.parent(v))
             if above is not None:
                 chain = (((self._square(v),) + above[0])[:depth],
                          ((v,) + above[1])[:depth + 1])
             else:
                 squares, ancestors, w = [], [v], v
                 for _ in range(depth):
-                    parent = self.parent(w)
+                    parent = self.model.parent(w)
                     if parent is None:  # w is the root, which carries no weight
                         ancestors.append(None)
                         break
@@ -138,7 +131,7 @@ class ShiftOperator:
         for u, c in x.items():
             if u not in self.model:
                 raise UnknownVertex(u)
-            p = self.parent(u)
+            p = self.model.parent(u)
             if p is None:
                 continue
             out.coeffs[p] = out.coeffs.get(p, 0.0) + c * self.weight(u)
@@ -171,7 +164,7 @@ class ShiftOperator:
         prod = 1.0
         w = u
         for _ in range(n):
-            p = self.parent(w)
+            p = self.model.parent(w)
             if p is None:
                 return SparseVector()
             prod *= self.weight(w)
@@ -209,7 +202,7 @@ class ShiftOperator:
         # the vertex a WeightError names does not depend on the string hash seed.
         scan = dict.fromkeys(window.order)
         for u in window.top_boundary():
-            scan[self.parent(u)] = None
+            scan[self.model.parent(u)] = None
         points = self.model.branch_points()
         for v, _, _ in points or ():
             scan[v] = None

@@ -22,7 +22,8 @@ sign ``+``, no leading zero, no padding, no ``_``):
 
 A :class:`TreeWindow` is the record of its own breadth-first walk: the walk
 visits one level at a time, each in id order, so it already holds the
-canonical order and every vertex's level.
+canonical order, every vertex's level and the vertices whose children it
+kept.
 """
 
 from __future__ import annotations
@@ -167,26 +168,44 @@ class DirectedTreeModel:
 
 
 class FiniteTree(DirectedTreeModel):
-    """Explicit finite directed tree, always rooted (finite trees cannot be rootless)."""
+    """Explicit finite directed tree, always rooted (finite trees cannot be rootless).
+
+    ``validate_finite`` builds it from a checked parent map.  One walk from
+    every parentless vertex, in input order, gives the levels; a vertex it
+    misses hangs below a circuit (CircuitFound), and then DisconnectedGraph
+    and RootMismatch are raised, in that order.
+    """
 
     kind = "finite"
 
-    def __init__(self, vertices, parent_map, root):
-        self._vertices = set(vertices)
-        self._parent = dict(parent_map)
-        self._root = root
-        kids: dict[str, list[str]] = {v: [] for v in self._vertices}
-        for v, p in self._parent.items():
+    def __init__(self, vertices, parent_map, declared_root=None):
+        self._parent = parent_map
+        kids: dict[str, list[str]] = {v: [] for v in vertices}
+        for v, p in parent_map.items():
             kids[p].append(v)
         self._children = {u: tuple(sorted(vs)) for u, vs in kids.items()}
-        self._level = {root: 0}
-        queue = deque([root])
+        roots = [v for v in vertices if v not in parent_map]
+        self._level = dict.fromkeys(roots, 0)
+        queue = deque(roots)
         while queue:
             u = queue.popleft()
             for v in self._children[u]:
                 self._level[v] = self._level[u] + 1
                 queue.append(v)
-        self._order = sorted(self._vertices, key=lambda v: (self._level[v], v))
+        if len(self._level) < len(vertices):
+            u = next(v for v in vertices if v not in self._level)
+            chain: dict[str, None] = {}
+            while u not in chain:
+                chain[u] = None
+                u = parent_map[u]
+            cycle = list(chain)
+            raise CircuitFound(cycle[cycle.index(u):] + [u])
+        if len(roots) != 1:
+            raise DisconnectedGraph(f"found {len(roots)} parentless vertices: {sorted(roots)[:4]}")
+        self._root = roots[0]
+        if declared_root is not None and declared_root != self._root:
+            raise RootMismatch(declared_root, self._root)
+        self._order = sorted(self._level, key=lambda v: (self._level[v], v))
         self._branch_points = tuple((u, self._level[u], len(self._children[u]))
                                     for u in self._order if len(self._children[u]) > 1)
 
@@ -199,7 +218,7 @@ class FiniteTree(DirectedTreeModel):
         return self._parent.get(u)
 
     def __contains__(self, u):
-        return u in self._vertices
+        return u in self._children
 
     @property
     def is_rooted(self):
@@ -226,13 +245,15 @@ class FiniteTree(DirectedTreeModel):
         return self._branch_points
 
     def leaf_set(self):
-        return {u for u in self._vertices if not self._children[u]}
+        return {u for u, kids in self._children.items() if not kids}
 
 
 def validate_finite(vertices, edges, declared_root=None) -> FiniteTree:
-    """Check connectivity, unique parents and circuit-freeness; return the model.
+    """Check parents here, and circuit-freeness and connectivity in the walk
+    that builds the model; return the model.
 
-    Raises TreeSpecError, DisconnectedGraph, MultipleParents, CircuitFound or RootMismatch.
+    Raises TreeSpecError, VertexNotFound, MultipleParents, CircuitFound,
+    DisconnectedGraph or RootMismatch.
     """
     verts = list(dict.fromkeys(vertices))
     if not verts:
@@ -247,32 +268,7 @@ def validate_finite(vertices, edges, declared_root=None) -> FiniteTree:
         if v in parent and parent[v] != u:
             raise MultipleParents(v)
         parent[v] = u
-
-    # Circuit detection: walk parent chains with a three-color sweep.
-    state = {v: 0 for v in verts}  # 0 unseen, 1 on current chain, 2 done
-    for start in verts:
-        if state[start]:
-            continue
-        chain = []
-        u = start
-        while u is not None and state[u] == 0:
-            state[u] = 1
-            chain.append(u)
-            u = parent.get(u)
-        if u is not None and state[u] == 1:
-            cycle = chain[chain.index(u):]
-            raise CircuitFound(cycle + [u])
-        for w in chain:
-            state[w] = 2
-
-    # No circuit: every parent chain ends at a parentless vertex, so one root means connected.
-    roots = [v for v in verts if v not in parent]
-    if len(roots) != 1:
-        raise DisconnectedGraph(f"found {len(roots)} parentless vertices: {sorted(roots)[:4]}")
-    root = roots[0]
-    if declared_root is not None and declared_root != root:
-        raise RootMismatch(declared_root, root)
-    return FiniteTree(verts, parent, root)
+    return FiniteTree(verts, parent, declared_root)
 
 
 class BilateralPath(DirectedTreeModel):
@@ -526,17 +522,18 @@ class TreeWindow:
     ``by_level`` maps each level, in increasing order, to its vertices in
     id order, so ``order`` (their concatenation) is the canonical
     dense-truncation order, level-major then id-lexicographic, and every
-    level is known without asking the model.
+    level is known without asking the model.  ``interior`` lists, in window
+    order, the vertices whose children the walk kept.
     """
 
-    def __init__(self, model, level_lo, level_hi, by_level):
+    def __init__(self, model, level_lo, level_hi, by_level, interior):
         self.model = model
         self.level_lo = level_lo
         self.level_hi = level_hi
         self.by_level: dict[int, list[str]] = by_level
         self.order = [v for vs in by_level.values() for v in vs]
         self._index = {v: i for i, v in enumerate(self.order)}
-        self._levels = {v: lvl for lvl, vs in by_level.items() for v in vs}
+        self._interior = interior
 
     def __contains__(self, u):
         return u in self._index
@@ -552,11 +549,6 @@ class TreeWindow:
             raise VertexNotFound(u)
         return self._index[u]
 
-    def level_of(self, u) -> int:
-        if u not in self._levels:
-            raise VertexNotFound(u)
-        return self._levels[u]
-
     def levels(self):
         return sorted(self.by_level)
 
@@ -565,34 +557,23 @@ class TreeWindow:
 
     def forward_interior(self):
         """Vertices whose full children set is materialized in the window."""
-        out = []
-        for u in self.order:
-            if all(v in self._index for v in self.model.children(u)):
-                out.append(u)
-        return out
+        return list(self._interior)
 
     def top_boundary(self):
-        """Window vertices whose parent exists in the model but not in the window."""
-        out = []
-        for u in self.order:
-            p = self.model.parent(u)
-            if p is not None and p not in self._index:
-                out.append(u)
-        return out
-
-    def check_parent_closed(self):
-        for u in self.order:
-            p = self.model.parent(u)
-            if p is not None and self._levels[u] > self.level_lo and p not in self._index:
-                return False
-        return True
+        """Window vertices whose parent exists in the model but not in the
+        window: the first level's, as every later vertex is a child the walk
+        kept."""
+        first = next(iter(self.by_level.values()))
+        return [u for u in first if self.model.parent(u) is not None]
 
 
 def materialize_window(model, level_lo, level_hi, breadth=64) -> TreeWindow:
     """BFS a window downward from the model's seeds at ``level_lo``.
 
     Per-level breadth is clamped on the children side only, so the window is
-    parent-closed by construction.  A rooted window starts at level 0 at the
+    parent-closed by construction.  A vertex is interior when the next level
+    keeps all its children; past ``level_hi`` no level is kept, so only
+    leaves are interior there.  A rooted window starts at level 0 at the
     earliest.  An empty first level or range raises EmptyWindow; a level that
     takes the window past WINDOW_CAP vertices raises WindowTooLarge.
     """
@@ -604,18 +585,20 @@ def materialize_window(model, level_lo, level_hi, breadth=64) -> TreeWindow:
     if not current:
         raise EmptyWindow(level_lo, level_hi)
     by_level: dict[int, list[str]] = {}
+    interior: list[str] = []
     size = 0
-    while current and lvl <= level_hi:
+    while current:
         by_level[lvl] = current
         size += len(current)
         if size > WINDOW_CAP:
             raise WindowTooLarge(None, WINDOW_CAP)
-        nxt: list[str] = []
-        for u in current:
-            nxt.extend(model.children(u))
-        current = sorted(set(nxt))[:breadth]
+        kids = [model.children(u) for u in current]
         lvl += 1
-    return TreeWindow(model, level_lo, level_hi, by_level)
+        nxt = sorted({v for vs in kids for v in vs})[:breadth] if lvl <= level_hi else []
+        kept = set(nxt)
+        interior.extend(u for u, vs in zip(current, kids) if kept.issuperset(vs))
+        current = nxt
+    return TreeWindow(model, level_lo, level_hi, by_level, interior)
 
 
 def chi_n(model, verts, n: int) -> set:

@@ -125,8 +125,10 @@ def ref_materialize_window(model, level_lo, level_hi, breadth=64):
     if not collected:
         raise VertexNotFound(f"window [{level_lo},{level_hi}] contains no vertices")
     collected.sort(key=lambda v: (model.level(v), v))
+    kept = set(collected)
+    interior = [u for u in collected if all(v in kept for v in model.children(u))]
     return TreeWindow(model, level_lo, level_hi,
-                      {lvl: list(vs) for lvl, vs in groupby(collected, model.level)})
+                      {lvl: list(vs) for lvl, vs in groupby(collected, model.level)}, interior)
 
 
 def ref_certified_vanishing(m, w):
@@ -170,7 +172,7 @@ def ref_operator_norm(op, window):
         return NormBound(1.0, 1.0, True)
     scan = dict.fromkeys(window.order)
     for u in window.top_boundary():
-        scan[op.parent(u)] = None
+        scan[op.model.parent(u)] = None
     if isinstance(op.model, CombTree):
         scan["0"] = None  # the branch vertex: every other vertex has one child
     window_value = max(op._column_norm(u) for u in scan)

@@ -300,7 +300,7 @@ def test_two_leaf_shift_krylov_verified_cyclic():
     f.coeffs["1'"] = 1.0
     dense_f = vector_to_dense(big, f)
 
-    report = [u for u in big.order if big.level_of(u) >= -40]
+    report = [u for u in big.order if model.level(u) >= -40]
     rows = np.array([big.index_of(u) for u in report])
     n_cols = deepest + j0 + 1
     cols = np.empty((len(report), n_cols))

@@ -13,6 +13,7 @@ from treeshift.errors import (
     VertexNotFound,
 )
 from treeshift.trees import (
+    FAMILY_TAGS,
     branching_index,
     chi_n,
     gen_n,
@@ -56,6 +57,25 @@ def test_validate_root_mismatch_and_disconnected():
 def test_validate_longer_circuit():
     with pytest.raises(CircuitFound):
         validate_finite(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
+
+
+@pytest.mark.parametrize("vertices, edges, error, text", [
+    (["r", "a", "b", "c"], [("r", "a"), ("b", "c"), ("c", "b")],
+     CircuitFound, "directed circuit: b -> c -> b"),  # beside a rooted part
+    (["r", "x", "y", "z"], [("y", "x"), ("z", "y"), ("y", "z")],
+     CircuitFound, "directed circuit: y -> z -> y"),  # with a tail
+    (["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")],
+     CircuitFound, "directed circuit: a -> c -> b -> a"),  # no parentless vertex
+    (["r", "s", "b", "c"], [("b", "c"), ("c", "b")],
+     CircuitFound, "directed circuit: b -> c -> b"),  # before the disconnection
+    (["r", "a"], [("a", "a")], CircuitFound, "directed circuit: a -> a"),
+    (["r", "a", "b", "c"], [("r", "a"), ("b", "c")],
+     DisconnectedGraph, "found 2 parentless vertices: ['b', 'r']"),
+], ids=["beside-rooted", "tail", "no-root", "circuit-first", "self-loop", "two-roots"])
+def test_validate_error_text_and_precedence(vertices, edges, error, text):
+    with pytest.raises(error) as err:
+        validate_finite(vertices, edges)
+    assert type(err.value) is error and str(err.value) == text
 
 
 # -- children / generations --------------------------------------------------
@@ -186,11 +206,17 @@ def test_levels_are_graph_homomorphism(family):
 
 # -- windows -------------------------------------------------------------------
 
+def parent_closed(window):
+    """Every window vertex below the first level has its parent in the window."""
+    model, first = window.model, window.levels()[0]
+    return all(model.level(u) == first or model.parent(u) in window for u in window)
+
+
 def test_window_is_parent_closed_and_level_major():
     model = make_family("tilde")
     window = materialize_window(model, -4, 4, breadth=16)
-    assert window.check_parent_closed()
-    order_keys = [(window.level_of(u), u) for u in window.order]
+    assert parent_closed(window)
+    order_keys = [(model.level(u), u) for u in window.order]
     assert order_keys == sorted(order_keys)
 
 
@@ -198,7 +224,7 @@ def test_window_breadth_cap():
     model = make_family("rootless-binary")
     window = materialize_window(model, 0, 9, breadth=8)
     assert all(len(window.vertices_at(lvl)) <= 8 for lvl in window.levels())
-    assert window.check_parent_closed()
+    assert parent_closed(window)
 
 
 def test_window_top_boundary_and_interior():
@@ -228,10 +254,56 @@ def test_window_takes_its_levels_from_its_own_walk(family, rng):
 
     model.__class__ = LevelCounting
     window = materialize_window(model, -3, 6, breadth=8)
-    assert window.check_parent_closed()
     assert calls == []
+    assert parent_closed(window)
     assert window.order == sorted(window.order, key=lambda v: (model.level(v), v))
-    assert all(window.level_of(u) == model.level(u) for u in window)
+    assert all(u in window.vertices_at(model.level(u)) for u in window)
+
+
+def rewalked(window):
+    """``forward_interior`` and ``top_boundary`` as a re-walk of the model
+    over the finished window finds them."""
+    model = window.model
+    interior = [u for u in window.order if all(v in window for v in model.children(u))]
+    boundary = [u for u in window.order
+                if model.parent(u) is not None and model.parent(u) not in window]
+    return interior, boundary
+
+
+REWALK_WINDOWS = {
+    **{tag: (lambda tag=tag: make_family(tag), -4, 5, 16) for tag in FAMILY_TAGS},
+    "rootless-binary-clipped": (lambda: make_family("rootless-binary"), -2, 7, 8),
+    "rooted-path-below-root": (lambda: make_family("rooted-path"), 3, 8, 16),
+    "finite-below-root": (lambda: validate_finite(
+        ["r", "a", "b", "c", "d", "e"],
+        [("r", "a"), ("r", "b"), ("a", "c"), ("a", "d"), ("d", "e")]), 1, 2, 16),
+    "comb-both-leaves": (lambda: make_family("comb", {"primed_leaf": 3, "unprimed_leaf": 5}),
+                         -2, 8, 16),
+    "finite-stops-early": (lambda: validate_finite(
+        ["r", "a", "b", "c"], [("r", "a"), ("r", "b"), ("b", "c")]), -3, 9, 16),
+    "finite-breadth-clipped": (lambda: validate_finite(
+        ["r", "a", "b", "c", "d"], [("r", "a"), ("r", "b"), ("r", "c"), ("c", "d")]),
+        0, 3, 2),
+}
+
+
+@pytest.mark.parametrize("name", REWALK_WINDOWS)
+def test_window_walk_matches_a_model_rewalk(name):
+    build, lo, hi, breadth = REWALK_WINDOWS[name]
+    window = materialize_window(build(), lo, hi, breadth=breadth)
+    assert (window.forward_interior(), window.top_boundary()) == rewalked(window)
+
+
+@pytest.mark.parametrize("size", [1, 2, 5, 40])
+def test_random_finite_windows_match_a_model_rewalk(size, rng):
+    for _ in range(20):
+        tree = random_finite_tree(rng, size)
+        depth = tree.depth()
+        for lo, hi, breadth in ((0, depth + 2, 64), (1, depth, 3), (0, max(depth - 1, 0), 2)):
+            if lo > hi or not tree.seeds(max(lo, 0)):
+                continue
+            window = materialize_window(tree, lo, hi, breadth=breadth)
+            assert (window.forward_interior(), window.top_boundary()) == rewalked(window)
 
 
 # -- JSON ingestion -------------------------------------------------------------
