@@ -62,7 +62,7 @@ import math
 from operator import mul
 
 from .errors import NotAContraction, StructuralViolation
-from .records import Record
+from .records import Record, json_value
 from .sparse import SparseVector
 from .shifts import CONTRACTION_SLACK, ShiftOperator
 from .trees import TreeWindow
@@ -100,6 +100,15 @@ class VertexEstimate(Record):
     def to_json(self):
         return {"vertex": self.vertex, "estimate": self.estimate, "upper": self.upper,
                 "status": self.status, "depth": self.depth}
+
+    def json_line(self, kind: str) -> str:
+        """``json.dumps({"record": kind, **self.to_json()}, sort_keys=True)``,
+        written field by field in sorted-key order: one line per window
+        vertex is the bulk of ``analyze --json``."""
+        return (f'{{"depth": {json_value(self.depth)}, '
+                f'"estimate": {json_value(self.estimate)}, "record": {json_value(kind)}, '
+                f'"status": {json_value(self.status)}, "upper": {json_value(self.upper)}, '
+                f'"vertex": {json_value(self.vertex)}}}')
 
 
 class AlphaEvaluator:
@@ -273,9 +282,10 @@ class StableSubtree(Record):
 
 def _stable_branching(profile: AsymptoticProfile, members: set):
     model = profile.window.model
+    children = profile.evaluator.operator.children
     count = 0
     for u in members:
-        kids = [v for v in model.children(u) if v in members]
+        kids = [v for v in children(u) if v in members]
         if len(kids) > 1:
             count += len(kids) - 1
     if model.vertices() is not None:
@@ -292,9 +302,12 @@ def _stable_branching(profile: AsymptoticProfile, members: set):
 def stable_subtree(profile: AsymptoticProfile,
                    zero_threshold: float = DEFAULT_ZERO_THRESHOLD) -> StableSubtree:
     """Vertices with forward limit above the threshold, with the structural
-    laws (parent-closed, leafless, root-preserving) asserted on the window."""
+    laws (parent-closed, leafless, root-preserving) asserted on the window.
+    ``profile`` is a forward profile from ``alpha_profile``: its operator's
+    children memo answers every children query."""
     window = profile.window
     model = window.model
+    children = profile.evaluator.operator.children
     # Checked in window order, so the vertex a violation names does not
     # depend on the string hash seed.
     kept = [u for u in window.order if profile.estimate(u) > zero_threshold]
@@ -305,7 +318,7 @@ def stable_subtree(profile: AsymptoticProfile,
             raise StructuralViolation("parent-closed", u)
     interior = set(window.forward_interior())
     for u in kept:
-        if u in interior and not any(v in members for v in model.children(u)):
+        if u in interior and not any(v in members for v in children(u)):
             raise StructuralViolation("leafless", u)
     if model.is_rooted and members and model.root in window and model.root not in members:
         raise StructuralViolation("root-preserving", model.root)

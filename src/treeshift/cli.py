@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -40,6 +39,7 @@ from .cyclicity import (
     range_membership_report,
     verify_cyclic_candidate,
 )
+from .records import dumps_sorted
 from .shifts import (CONTRACTION_SLACK, ShiftOperator,
                      vector_to_dense)  # noqa: F401  (perfbench/tracing.py wraps it)
 from .similarity import build_leaf_similarity, build_tilde_quasiaffinity
@@ -48,8 +48,6 @@ from .trees import branching_index, count_text, leaves, load_tree, materialize_w
 from .weights import load_weights
 
 EXIT_BROKEN_PIPE = 1
-# The bytes of json.dumps(doc, sort_keys=True), without a new encoder per record.
-_ENCODE = json.JSONEncoder(sort_keys=True).encode
 
 
 class Reporter:
@@ -57,8 +55,9 @@ class Reporter:
         self.as_json = as_json
 
     def record(self, kind: str, payload: dict):
+        """One ``json.dumps({"record": kind, **payload}, sort_keys=True)`` line."""
         if self.as_json:
-            print(_ENCODE({"record": kind, **payload}))
+            print(dumps_sorted({"record": kind, **payload}))
 
     def text(self, line: str):
         if not self.as_json:
@@ -127,10 +126,12 @@ def cmd_analyze(args, out: Reporter) -> int:
     out.record("norm", {"value": norm.value, "window_value": norm.window_value,
                         "certified": norm.certified})
     out.text("forward limits:")
-    for u in window.order:
-        rec = profile.record(u)
-        out.text(f"  alpha[{u}] = {rec.estimate:.12g} ({rec.status}, depth {rec.depth})")
-        out.record("alpha", rec.to_json())
+    if out.as_json:  # one line per window vertex, the bulk of the output
+        print("\n".join(profile.record(u).json_line("alpha") for u in window.order))
+    else:
+        for u in window.order:
+            rec = profile.record(u)
+            print(f"  alpha[{u}] = {rec.estimate:.12g} ({rec.status}, depth {rec.depth})")
     stable = stable_subtree(profile, args.zero_th)
     br_value, br_exact = stable.branching
     out.text(f"stable subtree: {len(stable.members)}/{len(window)} window vertices, "
@@ -139,11 +140,12 @@ def cmd_analyze(args, out: Reporter) -> int:
                                   "branching": count_text(br_value),
                                   "branching_exact": br_exact})
     out.text("adjoint limits (by level):")
-    for lvl in window.levels():
-        rep = adjoint.profile.record(window.vertices_at(lvl)[0])
-        out.text(f"  a[level {lvl}] = {rep.estimate:.12g} ({rep.status})")
-    for u in window.order:
-        out.record("a", adjoint.profile.record(u).to_json())
+    if out.as_json:
+        print("\n".join(adjoint.profile.record(u).json_line("a") for u in window.order))
+    else:
+        for lvl in window.levels():
+            rep = adjoint.profile.record(window.vertices_at(lvl)[0])
+            print(f"  a[level {lvl}] = {rep.estimate:.12g} ({rep.status})")
     cls = classify(profile, adjoint, zero_threshold=args.zero_th)
     out.text(f"classification: {cls.forward} / {cls.adjoint}")
     for note in cls.notes:
@@ -214,7 +216,7 @@ def cmd_cyclic(args, out: Reporter) -> int:
                                   "certified": record.certified,
                                   "modulus": record.modulus, "columns": record.columns})
             if args.json:
-                for line in candidate.to_json_lines().splitlines():
+                for line in candidate.to_json_lines():
                     print(line)
             else:
                 for j, k, x in candidate.entries():

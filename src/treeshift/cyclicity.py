@@ -195,11 +195,11 @@ class CyclicCandidate(Record):
         """[(j, k, xi)] with 1-based stage order."""
         return [(j, k, x) for (j, k), x in zip(self.schedule, self.xi)]
 
-    def to_json_lines(self) -> str:
-        return "\n".join(
-            json.dumps({"stage": l + 1, "branch": j, "index": k, "coefficient": x})
-            for l, ((j, k), x) in enumerate(zip(self.schedule, self.xi))
-        )
+    def to_json_lines(self) -> list:
+        """One line per stage: ``json.dumps`` of ``{"stage", "branch",
+        "index", "coefficient"}`` in that key order."""
+        return [json.dumps({"stage": l, "branch": j, "index": k, "coefficient": x})
+                for l, ((j, k), x) in enumerate(zip(self.schedule, self.xi), 1)]
 
 
 def default_schedule(branches: int, L: int):

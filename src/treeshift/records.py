@@ -1,4 +1,29 @@
-"""The base class of the result records that the analyses return."""
+"""The base class of the result records that the analyses return, and the
+JSON spelling of their field values."""
+
+import json
+from json.encoder import encode_basestring_ascii
+
+# json.dumps(doc, sort_keys=True), without a new encoder per call.
+dumps_sorted = json.JSONEncoder(sort_keys=True).encode
+
+
+def json_value(value) -> str:
+    """The bytes ``dumps_sorted(value)`` gives, written directly for the field
+    types of a per-line record: an int or a float as its repr, with json's
+    ``NaN``, ``Infinity`` and ``-Infinity`` for the floats that are not finite,
+    a str through ``encode_basestring_ascii``, the escaper json's C encoder
+    itself uses.  A value of any other type goes to ``dumps_sorted``."""
+    kind = type(value)
+    if kind is float:
+        if value - value == 0.0:  # finite
+            return repr(value)
+        return "NaN" if value != value else "Infinity" if value > 0.0 else "-Infinity"
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return repr(value)
+    return dumps_sorted(value)
 
 
 class Record:

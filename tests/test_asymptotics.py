@@ -314,6 +314,30 @@ def test_stable_subtree_tilde_mixed_rays():
     assert stable.branching == (0, True)
 
 
+def test_stable_subtree_reads_children_through_the_operator_memo():
+    """Each stable member's children come from the operator's memo, so the
+    model is asked at most once per vertex and a second call asks it
+    nothing."""
+    model = make_family("rootless-binary")
+    calls = []
+
+    class ChildrenCounting(type(model)):
+        def children(self, u):
+            calls.append(u)
+            return super().children(u)
+
+    model.__class__ = ChildrenCounting
+    op = ShiftOperator(model, ConstantWeights(BINARY_ISOMETRY))
+    window = materialize_window(model, -3, 4, breadth=16)
+    prof = alpha_profile(op, window)
+    calls.clear()
+    stable = stable_subtree(prof)
+    assert stable.members == set(window.order) and len(window) == 79
+    assert len(calls) == len(set(calls)) <= len(window)
+    calls.clear()
+    assert stable_subtree(prof) == stable and calls == []
+
+
 # -- adjoint profiles ---------------------------------------------------------------
 
 def test_adjoint_rooted_certified_zero(rng):

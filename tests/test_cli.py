@@ -11,6 +11,7 @@ import pytest
 
 import treeshift
 from treeshift import cli, cyclicity
+from treeshift.asymptotics import VertexEstimate
 from treeshift.cli import main
 from treeshift.shifts import ShiftOperator
 from treeshift.sparse import SparseVector
@@ -164,6 +165,40 @@ def test_analyze_json_stream(specs, capsys):
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     kinds = {doc["record"] for doc in lines}
     assert {"norm", "alpha", "a", "stable-subtree", "classification"} <= kinds
+
+
+def test_analyze_text_writes_no_per_vertex_json(specs, monkeypatch, capsys):
+    """Text mode renders each per-vertex fact once, as text: no JSON line
+    and no payload dict is built for it."""
+    def refuse(*args):
+        raise AssertionError("per-vertex JSON built in text mode")
+
+    monkeypatch.setattr(VertexEstimate, "json_line", refuse)
+    monkeypatch.setattr(VertexEstimate, "to_json", refuse)
+    assert main(["analyze", "--tree", specs["tilde"], "--weights", specs["tilde_w"],
+                 "--levels=-3:3"]) == 0
+    assert "alpha[" in capsys.readouterr().out
+
+
+def test_the_generic_encoder_writes_no_per_vertex_or_stage_line(specs, monkeypatch, capsys):
+    """``alpha`` and ``a`` lines come from ``VertexEstimate.json_line`` and
+    stage lines from ``CyclicCandidate.to_json_lines``; the generic encoder
+    keeps the one-per-call records."""
+    encoded = []
+
+    def spy(doc):
+        encoded.append(doc)
+        return json.dumps(doc, sort_keys=True)
+
+    monkeypatch.setattr(cli, "dumps_sorted", spy)
+    assert main(["analyze", "--tree", specs["tilde"], "--weights", specs["tilde_w"],
+                 "--levels=-3:3", "--json"]) == 0
+    assert main(["cyclic", "--backward", specs["backward"], "--window-k", "30", "--json"]) == 0
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    for kind in ("alpha", "a"):
+        assert any(doc.get("record") == kind for doc in lines)
+    assert any("stage" in doc for doc in lines)
+    assert encoded == [doc for doc in lines if doc.get("record") not in (None, "alpha", "a")]
 
 
 def test_asymptote_stable_tree_exit(specs, capsys):

@@ -12,6 +12,11 @@ and with ``--json``, by the benchmark worker's ``call_main``.  The digest
 covers, in run order, the instance, its exit code, its stdout and stderr,
 and any exception that escaped ``main``, with the round directory masked.  Two
 checkouts give the same digest exactly when their outputs are byte-identical.
+
+Every stdout line of a ``--json`` run must also be ``json.dumps(json.loads(line))``:
+the CLI writes its per-vertex ``alpha`` and ``a`` lines without ``json``, and
+this holds them to its spelling.  A line that is not names its run on stderr, and the
+tool exits 1 after printing the digest.
 """
 
 from __future__ import annotations
@@ -34,10 +39,25 @@ from worker import call_main  # noqa: E402
 ROUND_MASK = "<round>"
 
 
+def noncanonical_line(out: str):
+    """The first line of ``out`` that is not ``json.dumps(json.loads(line))``,
+    or None."""
+    for line in out.splitlines():
+        try:
+            if json.dumps(json.loads(line)) == line:
+                continue
+        except ValueError:
+            pass
+        return line
+    return None
+
+
 def digest(names, seeds, rounds) -> tuple:
-    """(run count, sha256 hex digest) over every instance of the rounds."""
+    """(run count, sha256 hex digest, [(run, line)]) over every instance of
+    the rounds; the list names each ``--json`` run with a non-canonical line."""
     total = hashlib.sha256()
     runs = 0
+    bad = []
     for name in names:
         for seed in seeds:
             for index in range(rounds):
@@ -53,9 +73,13 @@ def digest(names, seeds, rounds) -> tuple:
                             masked = json.dumps(record).replace(directory, ROUND_MASK)
                             total.update(masked.encode() + b"\n")
                             runs += 1
+                            line = noncanonical_line(out) if "--json" in argv else None
+                            if line is not None:
+                                bad.append((f"{name} seed {seed} round {index} slot "
+                                            f"{instance['slot']}", line))
                 finally:
                     shutil.rmtree(directory)
-    return runs, total.hexdigest()
+    return runs, total.hexdigest(), bad
 
 
 def main(argv=None) -> int:
@@ -66,9 +90,12 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, required=True,
                         help="rounds 0 .. ROUNDS-1 of every seed")
     args = parser.parse_args(argv)
-    runs, hexdigest = digest(args.workloads, args.seeds, args.rounds)
+    runs, hexdigest, bad = digest(args.workloads, args.seeds, args.rounds)
     print(f"runs {runs} sha256 {hexdigest}")
-    return 0
+    for run, line in bad:
+        print(f"{run}: --json line is not json.dumps(json.loads(line)): {line!r}",
+              file=sys.stderr)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
