@@ -46,8 +46,9 @@ every cone that does not die inside the window is walked vertex by vertex.
 Every walk asks the operator, not the model, for weights and children, and
 the model for parents.  ``ShiftOperator`` memoizes weights and children per
 vertex, so the overlapping cones and ancestor chains of neighbouring window
-vertices evaluate each vertex once per analysis (the model's membership
-check and the weight checks still run on the first query).  A memoized
+vertices evaluate each vertex once per analysis.  The first query still runs
+the weight checks and the model's one lookup or parse of the id, which is
+its membership check: no walk asks ``in`` first.  A memoized
 query returns the very float or tuple of the first one, and the loops
 square, multiply and sum in the same order, so every estimate is
 bit-identical to an un-memoized walk.
@@ -57,7 +58,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from operator import mul
 
@@ -228,9 +228,6 @@ class AsymptoticProfile(Record):
     def all_settled(self) -> bool:
         return all(r.settled() for r in self.records.values())
 
-    def to_json_lines(self) -> str:
-        return "\n".join(json.dumps(self.records[u].to_json()) for u in self.window.order)
-
 
 def require_contraction(operator: ShiftOperator, window: TreeWindow):
     norm = operator.operator_norm(window).value
@@ -261,23 +258,25 @@ def alpha_profile(operator: ShiftOperator, window: TreeWindow, tol: float = DEFA
 
 
 class StableSubtree(Record):
-    """Window view of the subtree carrying the non-stable part of the space."""
+    """Window view of the subtree carrying the non-stable part of the space;
+    children are read from the operator's memo."""
 
-    __slots__ = _fields = ("members", "window", "zero_threshold", "branching", "model")
+    __slots__ = _fields = ("members", "window", "zero_threshold", "branching", "operator")
+    _unshown = ("operator",)
 
     def __init__(self, members: set, window: TreeWindow, zero_threshold: float,
-                 branching: tuple, model):
+                 branching: tuple, operator: ShiftOperator):
         self.members = members
         self.window = window
         self.zero_threshold = zero_threshold
         self.branching = branching  # (value, exact)
-        self.model = model
+        self.operator = operator
 
     def members_at(self, lvl):
         return [u for u in self.window.vertices_at(lvl) if u in self.members]
 
     def children_in(self, u):
-        return [v for v in self.model.children(u) if v in self.members]
+        return [v for v in self.operator.children(u) if v in self.members]
 
 
 def _stable_branching(profile: AsymptoticProfile, members: set):
@@ -307,7 +306,8 @@ def stable_subtree(profile: AsymptoticProfile,
     children memo answers every children query."""
     window = profile.window
     model = window.model
-    children = profile.evaluator.operator.children
+    operator = profile.evaluator.operator
+    children = operator.children
     # Checked in window order, so the vertex a violation names does not
     # depend on the string hash seed.
     kept = [u for u in window.order if profile.estimate(u) > zero_threshold]
@@ -324,7 +324,7 @@ def stable_subtree(profile: AsymptoticProfile,
         raise StructuralViolation("root-preserving", model.root)
 
     return StableSubtree(members, window, zero_threshold,
-                         _stable_branching(profile, members), model)
+                         _stable_branching(profile, members), operator)
 
 
 class HVector(Record):

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import UnknownVertex, WeightError, WindowTooLarge
+from .errors import UnknownVertex, VertexNotFound, WeightError, WindowTooLarge
 from .records import Record
 from .sparse import SparseVector
 from .trees import TreeWindow
@@ -41,12 +41,12 @@ class ShiftOperator:
     (``level_square``), and an ancestor chain reads its squares from there,
     so a walk up past the window asks no vertex for its weight.  The first
     query of a vertex still goes through the model and the weight
-    assignment, so its membership check and its weight checks
-    run (and raise at the same vertex) as without the memo; later queries
-    return the same float or tuple, so every product and sum built from them
-    is unchanged.  The memos live as long as the operator: the CLI builds one
-    per call.  Weights that read family vertex ids reject, here, a tree whose
-    ids they cannot read.
+    assignment, so the model's one lookup or parse of the id, which is its
+    membership check, and the weight checks run (and raise at the same
+    vertex) as without the memo; later queries return the same float or
+    tuple, so every product and sum built from them is unchanged.  The memos
+    live as long as the operator: the CLI builds one per call.  Weights that
+    read family vertex ids reject, here, a tree whose ids they cannot read.
     """
 
     def __init__(self, model, weights: WeightAssignment):
@@ -119,9 +119,11 @@ class ShiftOperator:
     def apply(self, x: SparseVector) -> SparseVector:
         out = SparseVector()
         for u, c in x.items():
-            if u not in self.model:
-                raise UnknownVertex(u)
-            for v in self.children(u):
+            try:
+                kids = self.children(u)
+            except VertexNotFound:
+                raise UnknownVertex(u) from None
+            for v in kids:
                 out.coeffs[v] = out.coeffs.get(v, 0.0) + c * self.weight(v)
         out.coeffs = {k: c for k, c in out.coeffs.items() if c != 0.0}
         return out
@@ -129,9 +131,10 @@ class ShiftOperator:
     def apply_adjoint(self, x: SparseVector) -> SparseVector:
         out = SparseVector()
         for u, c in x.items():
-            if u not in self.model:
-                raise UnknownVertex(u)
-            p = self.model.parent(u)
+            try:
+                p = self.model.parent(u)
+            except VertexNotFound:
+                raise UnknownVertex(u) from None
             if p is None:
                 continue
             out.coeffs[p] = out.coeffs.get(p, 0.0) + c * self.weight(u)

@@ -29,7 +29,6 @@ kept.
 from __future__ import annotations
 
 import math
-from collections import deque
 
 from .errors import (
     CircuitFound,
@@ -73,6 +72,13 @@ def _integer_id(s: str):
     return n if str(n) == s else None
 
 
+class _VertexTable(dict):
+    """A dict keyed by vertex id: a missing id raises VertexNotFound."""
+
+    def __missing__(self, u):
+        raise VertexNotFound(u)
+
+
 def count_text(n) -> str:
     """A count as printed: ``"inf"`` for INFINITE, else its integer digits."""
     return "inf" if n == INFINITE else str(int(n))
@@ -95,8 +101,18 @@ class DirectedTreeModel:
     def parent(self, u: str):
         raise NotImplementedError
 
-    def __contains__(self, u: str) -> bool:
+    def _parse(self, u: str):
+        """The parsed id ``u``; VertexNotFound when the tree holds no such
+        vertex.  A procedural family states its id grammar here alone, and
+        each query parses its id once, which is also its membership check."""
         raise NotImplementedError
+
+    def __contains__(self, u: str) -> bool:
+        try:
+            self._parse(u)
+        except VertexNotFound:
+            return False
+        return True
 
     @property
     def is_rooted(self) -> bool:
@@ -158,6 +174,7 @@ class DirectedTreeModel:
         return len(self.leaf_set()) == self.branching_total() + 1
 
     def require_vertex(self, u: str):
+        """Check an id that comes from outside the tree's own queries."""
         if u not in self:
             raise VertexNotFound(u)
 
@@ -170,28 +187,28 @@ class DirectedTreeModel:
 class FiniteTree(DirectedTreeModel):
     """Explicit finite directed tree, always rooted (finite trees cannot be rootless).
 
-    ``validate_finite`` builds it from a checked parent map.  One walk from
-    every parentless vertex, in input order, gives the levels; a vertex it
-    misses hangs below a circuit (CircuitFound), and then DisconnectedGraph
-    and RootMismatch are raised, in that order.
+    ``validate_finite`` builds it from a checked parent map, whose one pass
+    in id order gives every children list.  One walk, a generation at a time
+    in id order from the parentless vertices, gives each level's vertices; a
+    vertex it misses hangs below a circuit (CircuitFound), and then
+    DisconnectedGraph and RootMismatch are raised, in that order.  A query
+    is one lookup in a ``_VertexTable``, which is also its membership check.
     """
 
     kind = "finite"
 
     def __init__(self, vertices, parent_map, declared_root=None):
-        self._parent = parent_map
         kids: dict[str, list[str]] = {v: [] for v in vertices}
-        for v, p in parent_map.items():
-            kids[p].append(v)
-        self._children = {u: tuple(sorted(vs)) for u, vs in kids.items()}
-        roots = [v for v in vertices if v not in parent_map]
-        self._level = dict.fromkeys(roots, 0)
-        queue = deque(roots)
-        while queue:
-            u = queue.popleft()
-            for v in self._children[u]:
-                self._level[v] = self._level[u] + 1
-                queue.append(v)
+        for v in sorted(parent_map):
+            kids[parent_map[v]].append(v)
+        self._children = _VertexTable({u: tuple(vs) for u, vs in kids.items()})
+        roots = sorted(v for v in vertices if v not in parent_map)
+        self._by_level = []
+        generation = roots
+        while generation:
+            self._by_level.append(generation)
+            generation = sorted(v for u in generation for v in self._children[u])
+        self._level = _VertexTable({v: lvl for lvl, vs in enumerate(self._by_level) for v in vs})
         if len(self._level) < len(vertices):
             u = next(v for v in vertices if v not in self._level)
             chain: dict[str, None] = {}
@@ -201,21 +218,21 @@ class FiniteTree(DirectedTreeModel):
             cycle = list(chain)
             raise CircuitFound(cycle[cycle.index(u):] + [u])
         if len(roots) != 1:
-            raise DisconnectedGraph(f"found {len(roots)} parentless vertices: {sorted(roots)[:4]}")
+            raise DisconnectedGraph(f"found {len(roots)} parentless vertices: {roots[:4]}")
         self._root = roots[0]
         if declared_root is not None and declared_root != self._root:
             raise RootMismatch(declared_root, self._root)
-        self._order = sorted(self._level, key=lambda v: (self._level[v], v))
+        self._parent = _VertexTable(parent_map)
+        self._parent[self._root] = None
+        self._order = [v for vs in self._by_level for v in vs]
         self._branch_points = tuple((u, self._level[u], len(self._children[u]))
                                     for u in self._order if len(self._children[u]) > 1)
 
     def children(self, u):
-        self.require_vertex(u)
         return self._children[u]
 
     def parent(self, u):
-        self.require_vertex(u)
-        return self._parent.get(u)
+        return self._parent[u]
 
     def __contains__(self, u):
         return u in self._children
@@ -229,17 +246,16 @@ class FiniteTree(DirectedTreeModel):
         return self._root
 
     def level(self, u):
-        self.require_vertex(u)
         return self._level[u]
 
     def seeds(self, lvl):
-        return sorted(v for v, l in self._level.items() if l == lvl)
+        return list(self._by_level[lvl]) if 0 <= lvl < len(self._by_level) else []
 
     def vertices(self):
         return list(self._order)
 
     def depth(self) -> int:
-        return max(self._level.values())
+        return len(self._by_level) - 1
 
     def branch_points(self):
         return self._branch_points
@@ -255,20 +271,18 @@ def validate_finite(vertices, edges, declared_root=None) -> FiniteTree:
     Raises TreeSpecError, VertexNotFound, MultipleParents, CircuitFound,
     DisconnectedGraph or RootMismatch.
     """
-    verts = list(dict.fromkeys(vertices))
+    verts = dict.fromkeys(vertices)
     if not verts:
         raise TreeSpecError("a finite tree needs at least one vertex")
-    vset = set(verts)
     parent: dict[str, str] = {}
-    for u, v in dict.fromkeys(tuple(e) for e in edges):
-        if u not in vset or v not in vset:
-            raise VertexNotFound(u if u not in vset else v)
+    for u, v in edges:  # a repeated edge passes the checks it passed before
+        if u not in verts or v not in verts:
+            raise VertexNotFound(u if u not in verts else v)
         if u == v:
             raise CircuitFound([u, v])
-        if v in parent and parent[v] != u:
+        if parent.setdefault(v, u) != u:
             raise MultipleParents(v)
-        parent[v] = u
-    return FiniteTree(verts, parent, declared_root)
+    return FiniteTree(list(verts), parent, declared_root)
 
 
 class BilateralPath(DirectedTreeModel):
@@ -277,28 +291,29 @@ class BilateralPath(DirectedTreeModel):
     kind = "procedural"
     family = "bilateral-path"
     children_per_vertex = 1
+    first = -INFINITE  # the least vertex, as an integer
+
+    def _parse(self, u):
+        n = _integer_id(u)
+        if n is None or n < self.first:
+            raise VertexNotFound(u)
+        return n
 
     def children(self, u):
-        self.require_vertex(u)
-        return (str(int(u) + 1),)
+        return (str(self._parse(u) + 1),)
 
     def parent(self, u):
-        self.require_vertex(u)
-        return str(int(u) - 1)
-
-    def __contains__(self, u):
-        return _integer_id(u) is not None
+        return str(self._parse(u) - 1)
 
     @property
     def is_rooted(self):
         return False
 
     def level(self, u):
-        self.require_vertex(u)
-        return int(u)
+        return self._parse(u)
 
     def seeds(self, lvl):
-        return [str(lvl)]
+        return [str(lvl)] if lvl >= self.first else []
 
     def leaf_set(self):
         return set()
@@ -308,15 +323,11 @@ class RootedPath(BilateralPath):
     """Z+ with root 0 and edges (n, n+1)."""
 
     family = "rooted-path"
+    first = 0
 
     def parent(self, u):
-        self.require_vertex(u)
-        n = int(u)
+        n = self._parse(u)
         return None if n == 0 else str(n - 1)
-
-    def __contains__(self, u):
-        n = _integer_id(u)
-        return n is not None and n >= 0
 
     @property
     def is_rooted(self):
@@ -325,9 +336,6 @@ class RootedPath(BilateralPath):
     @property
     def root(self):
         return "0"
-
-    def seeds(self, lvl):
-        return [str(lvl)] if lvl >= 0 else []
 
 
 class CombTree(DirectedTreeModel):
@@ -358,42 +366,38 @@ class CombTree(DirectedTreeModel):
         self.primed_leaf = primed_leaf
         self.unprimed_leaf = unprimed_leaf
 
-    def children(self, u):
-        self.require_vertex(u)
-        if _is_primed(u):
-            k = _primed_index(u)
-            if self.primed_leaf is not None and k >= self.primed_leaf:
-                return ()
-            return (_primed_id(k + 1),)
-        n = int(u)
-        if self.unprimed_leaf is not None and n >= self.unprimed_leaf:
-            return ()
-        if n == 0:
-            return ("1", _primed_id(1))
-        return (str(n + 1),)
-
-    def parent(self, u):
-        self.require_vertex(u)
-        if _is_primed(u):
-            k = _primed_index(u)
-            return "0" if k == 1 else _primed_id(k - 1)
-        return str(int(u) - 1)
-
-    def __contains__(self, u):
+    def _parse(self, u):
+        """(level, primed) of ``u``."""
         if _is_primed(u):
             k = _integer_id(u[:-1])
-            return k is not None and k >= 1 and (self.primed_leaf is None
-                                                 or k <= self.primed_leaf)
-        n = _integer_id(u)
-        return n is not None and (self.unprimed_leaf is None or n <= self.unprimed_leaf)
+            if k is not None and k >= 1 and (self.primed_leaf is None or k <= self.primed_leaf):
+                return k, True
+        else:
+            n = _integer_id(u)
+            if n is not None and (self.unprimed_leaf is None or n <= self.unprimed_leaf):
+                return n, False
+        raise VertexNotFound(u)
+
+    def children(self, u):
+        k, primed = self._parse(u)
+        if k == (self.primed_leaf if primed else self.unprimed_leaf):
+            return ()
+        if primed:
+            return (_primed_id(k + 1),)
+        return ("1", _primed_id(1)) if k == 0 else (str(k + 1),)
+
+    def parent(self, u):
+        k, primed = self._parse(u)
+        if primed:
+            return "0" if k == 1 else _primed_id(k - 1)
+        return str(k - 1)
 
     @property
     def is_rooted(self):
         return False
 
     def level(self, u):
-        self.require_vertex(u)
-        return _primed_index(u) if _is_primed(u) else int(u)
+        return self._parse(u)[0]
 
     def seeds(self, lvl):
         if self.unprimed_leaf is not None and lvl > self.unprimed_leaf:
@@ -427,39 +431,30 @@ class RootlessBinary(DirectedTreeModel):
 
     @staticmethod
     def _parse(u):
-        if ":" in u:
-            m, w = u.split(":", 1)
-            return int(m), w
-        return int(u), ""
+        """(spine level, binary word) of ``u``; the word is "" on the spine."""
+        m, colon, w = u.partition(":")
+        n = _integer_id(m)
+        if n is None or colon and (w[:1] != "1" or w.strip("01")):
+            raise VertexNotFound(u)
+        return n, w
 
     def children(self, u):
-        self.require_vertex(u)
         m, w = self._parse(u)
         if not w:
-            return (str(m + 1), f"{m}:1")
-        return (f"{m}:{w}0", f"{m}:{w}1")
+            return (str(m + 1), f"{u}:1")
+        return (u + "0", u + "1")
 
     def parent(self, u):
-        self.require_vertex(u)
         m, w = self._parse(u)
         if not w:
             return str(m - 1)
-        if len(w) == 1:
-            return str(m)
-        return f"{m}:{w[:-1]}"
-
-    def __contains__(self, u):
-        m, colon, w = u.partition(":")
-        if _integer_id(m) is None:
-            return False
-        return not colon or (w[:1] == "1" and all(c in "01" for c in w))
+        return u[:-2] if len(w) == 1 else u[:-1]
 
     @property
     def is_rooted(self):
         return False
 
     def level(self, u):
-        self.require_vertex(u)
         m, w = self._parse(u)
         return m + len(w)
 

@@ -191,7 +191,9 @@ class MapWeights(WeightAssignment):
     kind = "map"
 
     def __init__(self, values: dict, default: float | None = None):
-        self.values = {k: _positive(c, f"weight at {k!r}", MAX_WEIGHT)
+        # a map holds one value per vertex: an in-range float skips the checks' call
+        self.values = {k: c if type(c) is float and 0.0 < c <= MAX_WEIGHT
+                       else _positive(c, f"weight at {k!r}", MAX_WEIGHT)
                        for k, c in values.items()}
         self.default = (None if default is None
                         else _positive(default, "default weight", MAX_WEIGHT))
@@ -199,11 +201,10 @@ class MapWeights(WeightAssignment):
 
     def weight(self, model, v):
         self._check_non_root(model, v)
-        if v in self.values:
-            return self.values[v]
-        if self.default is None:
+        w = self.values.get(v, self.default)
+        if w is None:
             raise WeightError(f"no weight assigned to vertex {v!r}")
-        return self.default
+        return w
 
     def max_weight(self):
         top = max(self.values.values(), default=0.0)

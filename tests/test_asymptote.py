@@ -248,6 +248,30 @@ def test_intertwining_exp_bilateral():
     assert intertwining_residual(op, descriptor, profile, window) <= 1e-9
 
 
+def test_intertwining_reads_children_through_the_operator_memo():
+    """After ``stable_subtree`` the stable members' children are in the
+    operator's memo, so the asymptote, its residual and its truncation ask
+    the model for none."""
+    model = make_family("rootless-binary")
+    calls = []
+
+    class ChildrenCounting(type(model)):
+        def children(self, u):
+            calls.append(u)
+            return super().children(u)
+
+    model.__class__ = ChildrenCounting
+    op = ShiftOperator(model, ConstantWeights(BINARY_ISOMETRY))
+    window = materialize_window(model, -3, 4, breadth=16)
+    profile = alpha_profile(op, window)
+    stable = stable_subtree(profile)
+    calls.clear()
+    descriptor = isometric_asymptote(op, profile, stable)
+    assert intertwining_residual(op, descriptor, profile, window) <= 1e-12
+    descriptor.dense_truncation(window)
+    assert calls == []
+
+
 def test_adjoint_intertwining_residual():
     model = make_family("bilateral-path")
     op = ShiftOperator(model, MapWeights({"0": 0.8, "-1": 0.9}, default=1.0))

@@ -473,16 +473,6 @@ def test_classify_undetermined_when_depth_exhausted():
     assert cls.forward == "undetermined"
 
 
-def test_profile_json_lines():
-    op = exp_path()
-    window = materialize_window(op.model, 0, 2)
-    lines = alpha_profile(op, window).to_json_lines().splitlines()
-    assert len(lines) == 3
-    import json
-    doc = json.loads(lines[0])
-    assert set(doc) == {"vertex", "estimate", "upper", "status", "depth"}
-
-
 def test_alpha_evaluator_cache():
     op = exp_path()
     ev = AlphaEvaluator(op)

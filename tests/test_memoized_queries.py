@@ -37,7 +37,7 @@ from treeshift.cli import main
 from treeshift.errors import NotAContraction, WeightError
 from treeshift.shifts import ShiftOperator, vector_to_dense
 from treeshift.sparse import SparseVector
-from treeshift.trees import make_family, materialize_window
+from treeshift.trees import load_tree, make_family, materialize_window
 from treeshift.weights import (
     ConstantWeights,
     ExpRayWeights,
@@ -513,3 +513,45 @@ def test_norm_is_cached_per_window():
     for window, bound in ((low, a), (high, b)):
         assert op.operator_norm(window) is bound
         assert ShiftOperator(model, weights).operator_norm(window) == bound
+
+
+# -- membership checks ----------------------------------------------------------------
+
+def _counting_membership(model, counts):
+    """``model`` with its ``__contains__`` and ``require_vertex`` calls counted."""
+    cls = type(model)
+
+    def counted(name):
+        orig = getattr(cls, name)
+
+        def method(self, *args):
+            counts[name] += 1
+            return orig(self, *args)
+        return method
+
+    model.__class__ = type(cls.__name__, (cls,),
+                           {name: counted(name) for name in ("__contains__", "require_vertex")})
+    return model
+
+
+@pytest.mark.parametrize("command, size, most", [("analyze", 200, 0), ("oracle", 1000, 20)])
+def test_finite_tree_queries_check_no_membership(tmp_path, capsys, monkeypatch, command, size,
+                                                 most):
+    """A query's own dict lookup is its membership check: ``analyze`` makes
+    none, and ``oracle`` makes only those of ``power_closed`` (16 at most),
+    whose vertex ids come from outside the tree."""
+    rng = random.Random(size)
+    tree = random_finite_tree(rng, size)
+    op = contractive_operator(rng, tree)
+    tree_path, weights_path = tmp_path / "tree.json", tmp_path / "weights.json"
+    tree_path.write_text(json.dumps({
+        "vertices": tree.vertices(),
+        "edges": [[tree.parent(v), v] for v in tree.vertices() if v != tree.root]}))
+    weights_path.write_text(json.dumps(op.weights.to_json()))
+    counts = Counter()
+    monkeypatch.setattr(cli, "load_tree",
+                        lambda path: _counting_membership(load_tree(path), counts))
+    assert main([command, "--tree", str(tree_path), "--weights", str(weights_path),
+                 f"--levels=0:{tree.depth()}", "--breadth", str(size), "--json"]) == 0
+    capsys.readouterr()
+    assert counts["__contains__"] <= most and counts["require_vertex"] <= most, counts

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 
 import pytest
 
@@ -10,8 +11,11 @@ from treeshift.errors import (
     DisconnectedGraph,
     MultipleParents,
     RootMismatch,
+    UnknownVertex,
     VertexNotFound,
 )
+from treeshift.shifts import ShiftOperator
+from treeshift.sparse import SparseVector
 from treeshift.trees import (
     FAMILY_TAGS,
     branching_index,
@@ -23,6 +27,7 @@ from treeshift.trees import (
     tree_from_json,
     validate_finite,
 )
+from treeshift.weights import ConstantWeights
 
 from conftest import random_finite_tree
 
@@ -76,6 +81,142 @@ def test_validate_error_text_and_precedence(vertices, edges, error, text):
     with pytest.raises(error) as err:
         validate_finite(vertices, edges)
     assert type(err.value) is error and str(err.value) == text
+
+
+@pytest.mark.parametrize("edges, error, text", [
+    ([("r", "a"), ("r", "a"), ("x", "a")], VertexNotFound, "vertex 'x' is not part of the model"),
+    ([("r", "a"), ("a", "a"), ("a", "a")], CircuitFound, "directed circuit: a -> a"),
+    ([("r", "a"), ("r", "b"), ("r", "a"), ("b", "a")], MultipleParents,
+     "vertex 'a' has more than one parent"),
+    ([("a", "b"), ("b", "a"), ("a", "b"), ("r", "a")], MultipleParents,
+     "vertex 'a' has more than one parent"),
+], ids=["absent-after-repeat", "repeated-self-loop", "second-parent-after-repeat",
+        "repeated-circuit-edge"])
+def test_a_repeated_edge_meets_the_same_checks(edges, error, text):
+    with pytest.raises(error) as err:
+        validate_finite(["r", "a", "b"], edges)
+    assert type(err.value) is error and str(err.value) == text
+
+
+def naive_finite(vertices, edges):
+    """(root, children, parent, level) of a finite tree, computed the plain
+    way: parents from the edges, a level by climbing to the root, children by
+    scanning every vertex."""
+    parent = {v: u for u, v in edges}
+    verts = set(vertices)
+    root, = (v for v in verts if v not in parent)
+    level = {}
+    for v in verts:
+        n, w = 0, v
+        while w != root:
+            n, w = n + 1, parent[w]
+        level[v] = n
+    children = {u: tuple(sorted(v for v in verts if parent.get(v) == u)) for u in verts}
+    return root, children, {v: parent.get(v) for v in verts}, level
+
+
+def random_finite_spec(rng, n):
+    """A random tree on n distinct ids, listed in shuffled order with some
+    ids and edges repeated."""
+    ids = [str(k) if rng.random() < 0.3 else f"v{k}" for k in rng.sample(range(10 ** 4), n)]
+    edges = [(ids[rng.randrange(i)], ids[i]) for i in range(1, n)]
+    edges += [rng.choice(edges) for _ in range(n // 3)] if edges else []
+    vertices = ids + [rng.choice(ids) for _ in range(n // 4)]
+    rng.shuffle(edges)
+    rng.shuffle(vertices)
+    return vertices, edges
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 8, 40, 150])
+def test_random_finite_trees_match_a_naive_reference(size):
+    rng = random.Random(size)
+    for _ in range(12 if size > 1 else 2):
+        vertices, edges = random_finite_spec(rng, size)
+        model = validate_finite(vertices, edges)
+        root, children, parent, level = naive_finite(vertices, edges)
+        assert model.root == root and model.depth() == max(level.values())
+        for v in children:
+            assert v in model
+            assert model.children(v) == children[v]
+            assert model.parent(v) == parent[v]
+            assert model.level(v) == level[v]
+        for lvl in range(-1, model.depth() + 2):
+            assert model.seeds(lvl) == sorted(v for v in level if level[v] == lvl)
+        order = sorted(level, key=lambda v: (level[v], v))
+        assert model.vertices() == order
+        assert model.branch_points() == tuple((u, level[u], len(children[u])) for u in order
+                                              if len(children[u]) > 1)
+        assert model.leaf_set() == {v for v in children if not children[v]}
+
+
+def outcome(query, u):
+    """("value", result) of ``query(u)``, or (exception type, message)."""
+    try:
+        return "value", query(u)
+    except Exception as exc:  # noqa: BLE001  (the type is the result)
+        return type(exc), str(exc)
+
+
+def id_trees():
+    return {
+        "finite": validate_finite(["r", "a", "b", "c"], [("r", "a"), ("r", "b"), ("a", "c")]),
+        "rooted-path": make_family("rooted-path"),
+        "bilateral-path": make_family("bilateral-path"),
+        "tilde": make_family("tilde"),
+        "comb": make_family("comb", {"primed_leaf": 2, "unprimed_leaf": 4}),
+        "rootless-binary": make_family("rootless-binary"),
+    }
+
+
+# Ids that no tree of ``id_trees`` holds: non-canonical integers, empty and
+# malformed binary words, primed indices below 1.
+MALFORMED_IDS = ["03", "+3", "-0", " 3", "", "1:", "1:0", "1:12", "0'", "-1'", "1''", ":1"]
+# Well-formed ids that a tree does not hold, and ids that it does.
+ABSENT_IDS = {"finite": ["x", "0", "r'"], "rooted-path": ["-1", "1'"],
+              "bilateral-path": ["1'", "1:1"], "tilde": ["1:1"], "comb": ["3'", "5", "1:1"],
+              "rootless-binary": ["1'"]}
+PRESENT_IDS = {"finite": ["r", "c"], "rooted-path": ["0", "3"], "bilateral-path": ["-1", "10"],
+               "tilde": ["-1", "3'"], "comb": ["-7", "1'", "2'", "4"],
+               "rootless-binary": ["-1", "1:10", "-2:1"]}
+# A non-str id fails the way the tree's id grammar fails on it: an
+# integer is no canonical id, and the other failures are those of the
+# str method or dict lookup that the grammar starts with.
+NOT_STR_IDS = {
+    "finite": [(3, None), ([1], outcome(lambda u: u in {}, [1]))],
+    "rooted-path": [(3, None), (None, outcome(int, None))],
+    "bilateral-path": [(3, None), (2.0, None), ([1], outcome(int, [1]))],
+    "tilde": [(3, outcome(lambda u: u.endswith("'"), 3))],
+    "comb": [(None, outcome(lambda u: u.endswith("'"), None))],
+    "rootless-binary": [(3, outcome(lambda u: u.partition(":"), 3))],
+}
+
+
+@pytest.mark.parametrize("name", list(id_trees()))
+def test_absent_and_malformed_ids_fail_as_before(name):
+    """``in`` answers False and ``children``, ``parent`` and ``level`` raise
+    VertexNotFound naming the id; an id that is not a str raises what it
+    always raised.  ``apply`` and ``apply_adjoint`` raise UnknownVertex."""
+    model = id_trees()[name]
+    queries = (model.children, model.parent, model.level)
+    for u in PRESENT_IDS[name]:
+        assert u in model
+        assert all(outcome(query, u)[0] == "value" for query in queries)
+    op = ShiftOperator(model, ConstantWeights(0.5))
+    for u in MALFORMED_IDS + ABSENT_IDS[name]:
+        assert (u in model) is False
+        for query in queries:
+            assert outcome(query, u) == (VertexNotFound, f"vertex {u!r} is not part of the model")
+        for image in (op.apply, op.apply_adjoint):
+            assert outcome(image, SparseVector({u: 1.0})) == \
+                (UnknownVertex, f"vertex {u!r} is not part of the model")
+    for u, failure in NOT_STR_IDS[name]:
+        if failure is None:  # no such vertex
+            assert (u in model) is False
+            failure = (VertexNotFound, f"vertex {u!r} is not part of the model")
+        else:
+            assert outcome(model.__contains__, u) == failure
+        for query in queries:
+            assert outcome(query, u) == failure
 
 
 # -- children / generations --------------------------------------------------
