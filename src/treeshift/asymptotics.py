@@ -47,11 +47,10 @@ Every walk asks the operator, not the model, for weights and children, and
 the model for parents.  ``ShiftOperator`` memoizes weights and children per
 vertex, so the overlapping cones and ancestor chains of neighbouring window
 vertices evaluate each vertex once per analysis.  The first query still runs
-the weight checks and the model's one lookup or parse of the id, which is
-its membership check: no walk asks ``in`` first.  A memoized
-query returns the very float or tuple of the first one, and the loops
-square, multiply and sum in the same order, so every estimate is
-bit-identical to an un-memoized walk.
+the weight checks and the model's own membership check of the id: no walk
+asks ``in`` first.  A memoized query returns the very float or tuple of the
+first one, and the loops square, multiply and sum in the same order, so
+every estimate is bit-identical to an un-memoized walk.
 """
 
 from __future__ import annotations

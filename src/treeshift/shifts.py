@@ -41,12 +41,12 @@ class ShiftOperator:
     (``level_square``), and an ancestor chain reads its squares from there,
     so a walk up past the window asks no vertex for its weight.  The first
     query of a vertex still goes through the model and the weight
-    assignment, so the model's one lookup or parse of the id, which is its
-    membership check, and the weight checks run (and raise at the same
-    vertex) as without the memo; later queries return the same float or
-    tuple, so every product and sum built from them is unchanged.  The memos
-    live as long as the operator: the CLI builds one per call.  Weights that
-    read family vertex ids reject, here, a tree whose ids they cannot read.
+    assignment, so the model's own membership check of the id and the
+    weight checks run (and raise at the same vertex) as without the memo;
+    later queries return the same float or tuple, so every product and sum
+    built from them is unchanged.  The memos live as long as the operator:
+    the CLI builds one per call.  Weights that read family vertex ids
+    reject, here, a tree whose ids they cannot read.
     """
 
     def __init__(self, model, weights: WeightAssignment):

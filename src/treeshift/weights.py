@@ -23,10 +23,15 @@ from .trees import TildeTree, _is_primed, _primed_index
 MAX_WEIGHT = math.sqrt(sys.float_info.max)
 
 
-def _positive(value, what: str, top: float = math.inf) -> float:
+def _positive(value, what: str, top: float = sys.float_info.max, key=None) -> float:
     """``value`` as a float in (0, top]; NaN, infinities, non-positive values
-    and non-numbers (booleans and numeric strings among them) are rejected."""
-    # float and int first: the ABC check is slow, and maps call this per value
+    and non-numbers (booleans and numeric strings among them) are rejected.
+    An error names ``what``, and ``at key`` for a map's value at ``key``."""
+    # an in-range float first, as maps call this per value; the ABC check is slow
+    if type(value) is float and 0.0 < value <= top:
+        return value
+    if key is not None:  # formatted only here: maps hold a value per vertex
+        what = f"{what} at {key!r}"
     if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
         raise WeightError(f"{what} must be a number, got {shown(value)}")
     x = float(value)
@@ -191,9 +196,7 @@ class MapWeights(WeightAssignment):
     kind = "map"
 
     def __init__(self, values: dict, default: float | None = None):
-        # a map holds one value per vertex: an in-range float skips the checks' call
-        self.values = {k: c if type(c) is float and 0.0 < c <= MAX_WEIGHT
-                       else _positive(c, f"weight at {k!r}", MAX_WEIGHT)
+        self.values = {k: _positive(c, "weight", MAX_WEIGHT, k)
                        for k, c in values.items()}
         self.default = (None if default is None
                         else _positive(default, "default weight", MAX_WEIGHT))

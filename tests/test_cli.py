@@ -13,9 +13,11 @@ import treeshift
 from treeshift import cli, cyclicity
 from treeshift.asymptotics import VertexEstimate
 from treeshift.cli import main
+from treeshift.errors import WeightError
 from treeshift.shifts import ShiftOperator
 from treeshift.sparse import SparseVector
 from treeshift.trees import make_family, materialize_window
+from treeshift.weights import MapWeights
 
 from conftest import BINARY_ISOMETRY
 
@@ -847,6 +849,25 @@ def test_weight_numbers_reject_booleans_and_strings(tmp_path, capsys, value, sho
         out, err = capsys.readouterr()
         assert out == "" and err.endswith(f"must be a number, got {shown}\n"), (name, err)
         assert err.count("\n") == 1, (name, err)
+
+
+@pytest.mark.parametrize("value,text", [
+    (0.0, "must be finite and strictly positive, got 0.0"),
+    (-0.5, "must be finite and strictly positive, got -0.5"),
+    (math.inf, "must be finite and strictly positive, got inf"),
+    (math.nan, "must be finite and strictly positive, got nan"),
+    (1e200, "must be at most 1.34078e+154, so that its square is finite, got 1e+200"),
+])
+def test_map_weights_name_the_vertex_of_an_out_of_range_value(value, text):
+    """A map's in-range floats skip the generic checks; any other value is
+    rejected with the vertex it sits at, and a default with its own name."""
+    assert MapWeights({"1": 0.5, "1'": 2.0}).values == {"1": 0.5, "1'": 2.0}
+    with pytest.raises(WeightError) as err:
+        MapWeights({"1": 0.5, "1'": value})
+    assert str(err.value) == f"weight at \"1'\" {text}"
+    with pytest.raises(WeightError) as err:
+        MapWeights({"1": 0.5}, default=value)
+    assert str(err.value) == f"default weight {text}"
 
 
 def test_cyclic_backward_reports_the_exact_certificate(tmp_path, capsys):

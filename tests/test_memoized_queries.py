@@ -37,7 +37,7 @@ from treeshift.cli import main
 from treeshift.errors import NotAContraction, WeightError
 from treeshift.shifts import ShiftOperator, vector_to_dense
 from treeshift.sparse import SparseVector
-from treeshift.trees import load_tree, make_family, materialize_window
+from treeshift.trees import load_tree, make_family, materialize_window, validate_finite
 from treeshift.weights import (
     ConstantWeights,
     ExpRayWeights,
@@ -555,3 +555,30 @@ def test_finite_tree_queries_check_no_membership(tmp_path, capsys, monkeypatch, 
                  f"--levels=0:{tree.depth()}", "--breadth", str(size), "--json"]) == 0
     capsys.readouterr()
     assert counts["__contains__"] <= most and counts["require_vertex"] <= most, counts
+
+
+@pytest.mark.parametrize("model, u, checks", [
+    (validate_finite(["r", "a", "b"], [("r", "a"), ("a", "b")]), "a", 0),
+    (make_family("rooted-path"), "3", 1),
+    (make_family("bilateral-path"), "-3", 1),
+    (make_family("tilde"), "2'", 1),
+    (make_family("comb", {"primed_leaf": 2, "unprimed_leaf": 4}), "4", 1),
+    (make_family("rootless-binary"), "0", 1),
+    (make_family("rootless-binary"), "-2:101", 1),
+])
+def test_each_query_checks_its_id_once(model, u, checks):
+    """A finite tree's query is one lookup and calls no ``__contains__``; a
+    procedural family's query calls it once, as perfbench's tracer counts,
+    and takes its parsed id from that call."""
+    counts = Counter()
+    _counting_membership(model, counts)
+    parse = model._parse
+
+    def counted_parse(v):
+        counts["_parse"] += 1
+        return parse(v)
+    model._parse = counted_parse
+    for query in (model.children, model.parent, model.level):
+        counts.clear()
+        query(u)
+        assert counts == Counter({"__contains__": checks, "_parse": checks}), query.__name__
