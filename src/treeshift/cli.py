@@ -6,6 +6,12 @@ Exit codes: 0 ok, 1 standard output closed early (a broken pipe), else the
 not a contraction, 4 asymptote precondition failed, 5 dimension or window
 cap, 6 shape mismatch.  Any other exception is a bug: exit 1, traceback.
 
+Every subcommand and flag is declared once, in ``COMMANDS``.  ``main`` reads
+a well-formed argv against that table in one pass; help, and any argv that
+pass declines, go to the argparse parser built from the same table, which
+prints today's usage and error texts (exit 2).  So argparse and gettext
+load only for help and errors.
+
 This module imports no numpy; the library functions that need it import it
 when they run, so only ``cyclic --backward`` (the exact Krylov rank) loads
 it.
@@ -13,11 +19,11 @@ it.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import math
 import os
 import sys
+import types
 
 from . import errors
 from .asymptote import (
@@ -64,29 +70,17 @@ class Reporter:
             print(line)
 
 
-def _checked(kind, ok, requirement: str):
-    """argparse type: parse with ``kind``, then require ``ok(value)``."""
-    def parse(text):
-        value = kind(text)
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
-        return value
-    parse.__name__ = kind.__name__  # argparse names the type on a parse failure
-    return parse
-
-
-_POSITIVE_INT = _checked(int, lambda n: n >= 1, ">= 1")
-_NONNEGATIVE_INT = _checked(int, lambda n: n >= 0, ">= 0")
-_TOL = _checked(float, lambda x: 0.0 < x < math.inf, "finite and > 0")
-_ZERO_TH = _checked(float, lambda x: 0.0 <= x < math.inf, "finite and >= 0")
-
-
 def level_range(text):
     lo, _, hi = text.partition(":")
     return int(lo), int(hi)
 
 
-_LEVELS = _checked(level_range, lambda levels: levels[0] <= levels[1], "a:b with a <= b")
+# A flag value's check: (parse, test the parsed value must pass, what the test asks).
+_POSITIVE_INT = (int, lambda n: n >= 1, ">= 1")
+_NONNEGATIVE_INT = (int, lambda n: n >= 0, ">= 0")
+_TOL = (float, lambda x: 0.0 < x < math.inf, "finite and > 0")
+_ZERO_TH = (float, lambda x: 0.0 <= x < math.inf, "finite and >= 0")
+_LEVELS = (level_range, lambda levels: levels[0] <= levels[1], "a:b with a <= b")
 
 
 def cmd_validate(args, out: Reporter) -> int:
@@ -304,58 +298,162 @@ def cmd_oracle(args, out: Reporter) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+class _Flag:
+    """One option of a subcommand.  ``check`` is its value's check, or None to
+    keep the text; a ``switch`` takes no value and stores True, argparse's
+    ``store_true``."""
+
+    __slots__ = ("option", "dest", "check", "default", "required", "help", "switch")
+
+    def __init__(self, option, check=None, default=None, required=False, help=None,
+                 switch=False):
+        self.option, self.dest = option, option[2:].replace("-", "_")
+        self.check, self.default, self.required = check, default, required
+        self.help, self.switch = help, switch
+
+    def parse(self, text):
+        """The value of ``text``, or None where the check rejects it."""
+        kind, ok, _ = self.check
+        try:
+            value = kind(text)
+        except ValueError:
+            return None
+        return value if ok(value) else None
+
+
+class _Command:
+    """A subcommand: its ``cmd_*`` function, its help and its flags in the
+    order argparse lists them, with what the table pass reads of them."""
+
+    __slots__ = ("func", "help", "flags", "options", "defaults", "required")
+
+    def __init__(self, func, flags, help=None):
+        self.func, self.flags, self.help = func, flags, help
+        self.options = {flag.option: flag for flag in flags}
+        # argparse passes a string default through the flag's type: "-8:8" -> (-8, 8)
+        self.defaults = {flag.dest: flag.parse(flag.default)
+                         if flag.check and isinstance(flag.default, str) else flag.default
+                         for flag in flags}
+        self.required = {flag.dest for flag in flags if flag.required}
+
+
+def _tree_flags(required):
+    return (_Flag("--tree", required=required, help="tree spec JSON path"),
+            _Flag("--levels", _LEVELS, "-8:8",
+                  help="window level range a:b (use --levels=-8:8 for negatives)"),
+            _Flag("--breadth", _POSITIVE_INT, 64, help="per-level breadth cap"),
+            _Flag("--json", default=False, help="line-delimited JSON output", switch=True))
+
+
+def _analysis_flags(required):
+    return _tree_flags(required) + (
+        _Flag("--weights", required=required, help="weight spec JSON path"),
+        _Flag("--tol", _TOL, 1e-10),
+        _Flag("--zero-th", _ZERO_TH, 1e-9),
+        _Flag("--depth", _POSITIVE_INT, 64))
+
+
+# Every subcommand and flag, declared once: ``build_parser`` builds argparse's
+# parser from this table and ``_read_argv`` reads a well-formed argv against it.
+COMMANDS = {
+    "validate": _Command(cmd_validate, _tree_flags(True),
+                         help="structural validation and summary"),
+    "analyze": _Command(cmd_analyze, _analysis_flags(True)),
+    "asymptote": _Command(cmd_asymptote, _analysis_flags(True)),
+    "adjoint-asymptote": _Command(cmd_adjoint_asymptote, _analysis_flags(True)),
+    "similarity": _Command(cmd_similarity, _analysis_flags(True)),
+    "oracle": _Command(cmd_oracle, _analysis_flags(True)),
+    "cyclic": _Command(cmd_cyclic, _analysis_flags(False) + (
+        _Flag("--backward", help="backward shift spec JSON (instead of a tree)"),
+        _Flag("--schedule", _POSITIVE_INT, 16, help="schedule length L"),
+        _Flag("--window-k", _NONNEGATIVE_INT, 50))),
+}
+
+
+def build_parser():
+    """argparse's parser for ``COMMANDS``, with its help and error texts."""
+    import argparse
+
+    def checked(kind, ok, requirement):
+        def parse(text):
+            value = kind(text)
+            if not ok(value):
+                raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+            return value
+        parse.__name__ = kind.__name__  # argparse names the type on a parse failure
+        return parse
+
     parser = argparse.ArgumentParser(prog="treeshift",
                                      description="weighted shifts on directed trees")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def tree_flags(p, required=True):
-        p.add_argument("--tree", required=required, help="tree spec JSON path")
-        p.add_argument("--levels", type=_LEVELS, default="-8:8",
-                       help="window level range a:b (use --levels=-8:8 for negatives)")
-        p.add_argument("--breadth", type=_POSITIVE_INT, default=64, help="per-level breadth cap")
-        p.add_argument("--json", action="store_true", help="line-delimited JSON output")
-
-    def common(p, required=True):
-        tree_flags(p, required)
-        p.add_argument("--weights", required=required, help="weight spec JSON path")
-        p.add_argument("--tol", type=_TOL, default=1e-10)
-        p.add_argument("--zero-th", dest="zero_th", type=_ZERO_TH, default=1e-9)
-        p.add_argument("--depth", type=_POSITIVE_INT, default=64)
-
-    p = sub.add_parser("validate", help="structural validation and summary")
-    tree_flags(p)
-    p.set_defaults(func=cmd_validate)
-
-    for name, fn in (("analyze", cmd_analyze), ("asymptote", cmd_asymptote),
-                     ("adjoint-asymptote", cmd_adjoint_asymptote),
-                     ("similarity", cmd_similarity), ("oracle", cmd_oracle)):
-        p = sub.add_parser(name)
-        common(p)
-        p.set_defaults(func=fn)
-
-    p = sub.add_parser("cyclic")
-    common(p, required=False)
-    p.add_argument("--backward", help="backward shift spec JSON (instead of a tree)")
-    p.add_argument("--schedule", type=_POSITIVE_INT, default=16, help="schedule length L")
-    p.add_argument("--window-k", dest="window_k", type=_NONNEGATIVE_INT, default=50)
-    p.set_defaults(func=cmd_cyclic)
+    for name, command in COMMANDS.items():
+        # a subcommand given help=None would still get a line of its own in -h
+        p = sub.add_parser(name, **({"help": command.help} if command.help else {}))
+        for flag in command.flags:
+            if flag.switch:
+                p.add_argument(flag.option, dest=flag.dest, action="store_true",
+                               help=flag.help)
+            else:
+                p.add_argument(flag.option, dest=flag.dest,
+                               type=flag.check and checked(*flag.check), default=flag.default,
+                               required=flag.required, help=flag.help)
+        p.set_defaults(func=command.func)
     return parser
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of ``main``, built on first use and kept for the process.
-    The ``func`` defaults are the ``cmd_*`` functions, which look up every
-    layer function in this module's globals at call time."""
+def _parser():
+    """The parser of ``main`` for help and for the argv ``_read_argv``
+    declines, built on first use and kept for the process.  The ``func``
+    defaults are the ``cmd_*`` functions, which look up every layer function
+    in this module's globals at call time."""
     return build_parser()
 
 
+def _read_argv(argv: list):
+    """The namespace ``_parser().parse_args(argv)`` returns, read against
+    ``COMMANDS`` in one pass, for an argv of a command followed by ``--flag
+    value`` (a value not starting with "-"), ``--flag=value`` and bare
+    switches, with every required flag given.  None for any other argv (help,
+    an abbreviation, ``--``, a stray token, a bad or missing value), which
+    argparse then parses or rejects as it always has."""
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    options = command.options
+    values = dict(command.defaults)
+    seen = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        option, eq, value = token.partition("=")
+        flag = options.get(option)
+        if flag is None:
+            return None
+        if flag.switch:
+            if eq:
+                return None
+            value = True
+        else:
+            if not eq:
+                value = next(tokens, "-")  # a flag at the end has no value: decline
+                if value.startswith("-"):
+                    return None
+            if flag.check is not None:
+                value = flag.parse(value)
+                if value is None:
+                    return None
+        values[flag.dest] = value
+        seen.add(flag.dest)
+    if not command.required <= seen:
+        return None
+    return types.SimpleNamespace(command=argv[0], func=command.func, **values)
+
+
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_argv(argv) or _parser().parse_args(argv)
     if args.command == "cyclic" and not args.backward and not (args.tree and args.weights):
-        parser.error("cyclic needs either --backward or both --tree and --weights")
+        _parser().error("cyclic needs either --backward or both --tree and --weights")
     out = Reporter(getattr(args, "json", False))
     try:
         code = args.func(args, out)

@@ -36,7 +36,7 @@ from operator import mul
 
 from .errors import (DimensionCap, ScheduleTooShort, StageUnderflow, TreeSpecError, WeightError,
                      ZeroWeight, decoded, shown)
-from .records import Record
+from .records import Record, json_value
 from .trees import branching_index, count_text, leaves
 from .weights import _integer, _required, hash_unit, unit_hasher
 
@@ -196,9 +196,12 @@ class CyclicCandidate(Record):
         return [(j, k, x) for (j, k), x in zip(self.schedule, self.xi)]
 
     def to_json_lines(self) -> list:
-        """One line per stage: ``json.dumps`` of ``{"stage", "branch",
-        "index", "coefficient"}`` in that key order."""
-        return [json.dumps({"stage": l, "branch": j, "index": k, "coefficient": x})
+        """One line per stage, the bytes ``json.dumps`` gives for ``{"stage",
+        "branch", "index", "coefficient"}`` in that key order, written
+        directly from the fields by ``json_value``."""
+        return [f'{{"stage": {l}, "branch": {json_value(j, json.dumps)}, '
+                f'"index": {json_value(k, json.dumps)}, '
+                f'"coefficient": {json_value(x, json.dumps)}}}'
                 for l, ((j, k), x) in enumerate(zip(self.schedule, self.xi), 1)]
 
 

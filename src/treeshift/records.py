@@ -8,12 +8,14 @@ from json.encoder import encode_basestring_ascii
 dumps_sorted = json.JSONEncoder(sort_keys=True).encode
 
 
-def json_value(value) -> str:
-    """The bytes ``dumps_sorted(value)`` gives, written directly for the field
+def json_value(value, encode=dumps_sorted) -> str:
+    """The bytes ``encode(value)`` gives, written directly for the field
     types of a per-line record: an int or a float as its repr, with json's
     ``NaN``, ``Infinity`` and ``-Infinity`` for the floats that are not finite,
     a str through ``encode_basestring_ascii``, the escaper json's C encoder
-    itself uses.  A value of any other type goes to ``dumps_sorted``."""
+    itself uses.  A value of any other type goes to ``encode``: ``dumps_sorted``
+    for a record with sorted keys, ``json.dumps`` for one whose keys keep
+    their order, as the two differ only inside a dict."""
     kind = type(value)
     if kind is float:
         if value - value == 0.0:  # finite
@@ -23,7 +25,7 @@ def json_value(value) -> str:
         return encode_basestring_ascii(value)
     if kind is int:
         return repr(value)
-    return dumps_sorted(value)
+    return encode(value)
 
 
 class Record:

@@ -723,6 +723,8 @@ assert "numpy" not in sys.modules, "importing treeshift loads numpy"
 assert "hashlib" not in sys.modules, "importing treeshift loads hashlib"
 assert "dataclasses" not in sys.modules, "importing treeshift loads dataclasses"
 assert "inspect" not in sys.modules, "importing treeshift loads inspect"
+for name in ("argparse", "gettext"):
+    assert name not in sys.modules, f"importing treeshift.cli loads {name}"
 star, star_w, binary, decay, tilde, tilde_w, backward = sys.argv[1:]
 for argv, code in (
         (["validate", "--tree", star], 0),
@@ -735,6 +737,14 @@ for argv, code in (
     assert "numpy" not in sys.modules, f"{argv[0]} loads numpy"
 assert main(["cyclic", "--backward", backward, "--window-k", "8"]) == 0
 assert "numpy" in sys.modules, "cyclic --backward ran without numpy"
+for name in ("argparse", "gettext"):
+    assert name not in sys.modules, f"a well-formed call loads {name}"
+try:
+    main(["analyze", "--tree", binary, "--weights", decay, "--depth=0"])
+except SystemExit as exc:
+    assert exc.code == 2, exc.code
+else:
+    raise AssertionError("--depth=0 was accepted")
 """
 
 
@@ -748,6 +758,28 @@ def test_matrix_free_subcommands_start_without_numpy(specs, tmp_path):
     done = subprocess.run(argv, env={**_subprocess_env(), "PYTHONDONTWRITEBYTECODE": "1"},
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    assert "error: argument --depth: must be >= 1, got 0" in done.stderr
+
+
+_TREE_FLAGS = ["--tree", "--levels", "--breadth", "--json"]
+_ANALYSIS_FLAGS = _TREE_FLAGS + ["--weights", "--tol", "--zero-th", "--depth"]
+_HELP = {"validate": _TREE_FLAGS, "analyze": _ANALYSIS_FLAGS, "asymptote": _ANALYSIS_FLAGS,
+         "adjoint-asymptote": _ANALYSIS_FLAGS, "similarity": _ANALYSIS_FLAGS,
+         "oracle": _ANALYSIS_FLAGS,
+         "cyclic": _ANALYSIS_FLAGS + ["--backward", "--schedule", "--window-k"]}
+
+
+@pytest.mark.parametrize("argv,names", [(["-h"], list(_HELP)),
+                                        *(([command, "-h"], flags)
+                                          for command, flags in _HELP.items())])
+def test_help_exits_0_naming_every_command_and_flag(argv, names, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: treeshift {' '.join(argv[:-1])}".rstrip())
+    for name in names:
+        assert name in out, (argv, name)
 
 
 def test_a_file_holding_a_json_string_is_not_decoded_twice(specs, tmp_path, capsys):

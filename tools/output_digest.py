@@ -14,8 +14,8 @@ and any exception that escaped ``main``, with the round directory masked.  Two
 checkouts give the same digest exactly when their outputs are byte-identical.
 
 Every stdout line of a ``--json`` run must also be ``json.dumps(json.loads(line))``:
-the CLI writes its per-vertex ``alpha`` and ``a`` lines without ``json``, and
-this holds them to its spelling.  A line that is not names its run on stderr, and the
+the CLI writes its per-vertex ``alpha`` and ``a`` lines and the ``cyclic
+--backward`` stage lines without ``json``, and this holds them to its spelling.  A line that is not names its run on stderr, and the
 tool exits 1 after printing the digest.
 """
 
