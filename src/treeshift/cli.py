@@ -413,10 +413,10 @@ def _parser():
 def _read_argv(argv: list):
     """The namespace ``_parser().parse_args(argv)`` returns, read against
     ``COMMANDS`` in one pass, for an argv of a command followed by ``--flag
-    value`` (a value not starting with "-"), ``--flag=value`` and bare
-    switches, with every required flag given.  None for any other argv (help,
-    an abbreviation, ``--``, a stray token, a bad or missing value), which
-    argparse then parses or rejects as it always has."""
+    value`` (a value not starting with "-"), ``--flag=value`` (a value other
+    than "--") and bare switches, with every required flag given.  None for
+    any other argv (help, an abbreviation, ``--``, a stray token, a bad or
+    missing value), which argparse then parses or rejects as it always has."""
     command = COMMANDS.get(argv[0]) if argv else None
     if command is None:
         return None
@@ -438,6 +438,8 @@ def _read_argv(argv: list):
                 value = next(tokens, "-")  # a flag at the end has no value: decline
                 if value.startswith("-"):
                     return None
+            elif value == "--":  # argparse drops a "--" value, leaving an empty list
+                return None
             if flag.check is not None:
                 value = flag.parse(value)
                 if value is None:

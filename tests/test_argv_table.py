@@ -104,7 +104,8 @@ TREE = ["--tree", T, "--weights", W]
      "--depth", "9", "--json"],
     ["analyze", *TREE, "--levels", "1:x"], ["analyze", *TREE, "--tol", "nan"],
     ["analyze", *TREE, "--zero-th=inf"], ["analyze", *TREE, "--breadth", " 4 "],
-    ["analyze", *TREE, "--breadth", "1_0"],
+    ["analyze", *TREE, "--breadth", "1_0"], ["cyclic", "--tree=--", "--weights", W],
+    ["validate", "--tree=--"], ["analyze", *TREE, "--levels=--"],
 ])
 def test_the_table_pass_agrees_on_awkward_argv(argv):
     _table_agrees(argv)
@@ -115,6 +116,7 @@ def test_the_table_pass_agrees_on_awkward_argv(argv):
     ["analyze", *TREE, "--json=x"], ["analyze", *TREE, "--dep", "3"], ["analyze", "-h"],
     ["analyze", *TREE, "--", "x"], ["analyze", *TREE, "stray"], ["analyze", "--tree", T],
     ["analyze", *TREE, "--depth=0"], ["cyclic", "--backward", B, "--rank-tol", "1e-8"],
+    ["cyclic", "--tree=--", "--weights", W], ["validate", "--tree=--"],
 ])
 def test_the_table_pass_declines_what_argparse_must_read(argv):
     assert cli._read_argv(argv) is None

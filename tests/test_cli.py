@@ -439,6 +439,41 @@ def test_parser_is_reused_across_calls(specs, capsys):
     assert [code for code, _, _ in cached] == [0, 0, 0, 0, 0, 4, 0]
 
 
+def test_parser_is_reused_across_declined_calls(specs, capsys):
+    """Argv the table pass declines reach the cached argparse parser, which
+    then reads or rejects them as a fresh one would, with well-formed calls
+    in between."""
+    star = ["--tree", specs["star"], "--weights", specs["star_w"]]
+    runs = [["analyze", *star, "--lev=0:2", "--json"],
+            ["validate", "--tree", specs["tilde"], "--levels", "-3:3"],
+            ["validate", "--tree", specs["tilde"], "--levels=-3:3"],
+            ["asymptote", "--tre", specs["star"], "--weights", specs["star_w"], "--levels", "0:2"],
+            ["analyze", *star, "--depth=0"],
+            ["cyclic", "--tree", specs["tilde"], "--levels=-6:6"],
+            ["cyclic", "--tree=--", "--weights", specs["tilde_w"]],
+            ["cyclic", "--backward", specs["backward"], "--window-k", "20", "--json"]]
+    declined = [cli._read_argv(argv) is None for argv in runs]
+    assert declined == [True, True, False, True, True, False, True, False]
+
+    def run_all(fresh):
+        seen = []
+        for argv in runs:
+            if fresh:
+                cli._parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            seen.append((code, captured.out, captured.err))
+        return seen
+
+    cached = run_all(fresh=False)
+    assert cached == run_all(fresh=True)
+    assert [code for code, _, _ in cached] == [0, 2, 0, 4, 2, 2, 2, 0]
+    assert "cyclic needs either --backward" in cached[6][2]
+
+
 def test_constant_nan_weight_exit_code(specs, tmp_path, capsys):
     nan = write(tmp_path, "nan.json", {"kind": "constant", "value": math.nan})
     assert main(["analyze", "--tree", specs["binary"], "--weights", nan,
