@@ -26,7 +26,7 @@ from .asymptotics import (
 )
 from .records import Record
 from .shifts import ShiftOperator
-from .sparse import SparseVector
+from .sparse import SparseVector, nan_max
 from .trees import TreeWindow
 
 UNILATERAL = "unilateral"
@@ -187,7 +187,7 @@ def intertwining_residual(operator: ShiftOperator, descriptor: AsymptoteDescript
         for v in descriptor.stable.children_in(u):
             if v in descriptor.beta:
                 rhs.coeffs[v] = root_a * descriptor.beta[v]
-        worst = max(worst, (lhs - rhs).norm())
+        worst = nan_max(worst, (lhs - rhs).norm())
     return worst
 
 
@@ -205,7 +205,7 @@ def adjoint_intertwining_residual(operator: ShiftOperator,
             continue
         image = operator.apply_adjoint(h.coefficients)
         inner = image.dot(below.coefficients)
-        worst = max(worst, abs(inner - h.norm_sq) / math.sqrt(below.norm_sq))
+        worst = nan_max(worst, abs(inner - h.norm_sq) / math.sqrt(below.norm_sq))
     return worst
 
 

@@ -49,7 +49,7 @@ from .records import dumps_sorted
 from .shifts import (CONTRACTION_SLACK, ShiftOperator,
                      vector_to_dense)  # noqa: F401  (perfbench/tracing.py wraps it)
 from .similarity import build_leaf_similarity, build_tilde_quasiaffinity
-from .sparse import SparseVector
+from .sparse import SparseVector, nan_max
 from .trees import branching_index, count_text, leaves, load_tree, materialize_window
 from .weights import load_weights
 
@@ -245,20 +245,23 @@ def cmd_similarity(args, out: Reporter) -> int:
 
 
 def _worst_residual(lines: dict, window, images) -> float:
-    """Worst entry of |line - image| over the pairs (u, image) in ``images``:
-    the line of u is ``lines[u]``, a dict of truncation entries, and the image
-    a sparse vector compressed to the window.  Outside the union of the two
-    supports both sides are exactly 0."""
+    """Worst entry of |line - image| over the pairs (u, image) in ``images``,
+    NaN if one is: the line of u is ``lines[u]``, a dict of truncation
+    entries, and the image a sparse vector compressed to the window.  Outside
+    the union of the two supports both sides are exactly 0, and an image
+    equal to its line adds 0."""
     worst = 0.0
     for u, vector in images:
         line = lines.get(u, {})
         image = vector.coeffs
+        if image == line:
+            continue
         # Line entries all lie in the window: only image-only entries need the test.
         for v, c in line.items():
-            worst = max(worst, abs(c - image.get(v, 0.0)))
+            worst = nan_max(worst, abs(c - image.get(v, 0.0)))
         for v, c in image.items():
             if v not in line and v in window:
-                worst = max(worst, abs(c))
+                worst = nan_max(worst, abs(c))
     return worst
 
 
@@ -269,8 +272,8 @@ def cmd_oracle(args, out: Reporter) -> int:
     columns, rows = {}, {}
     for v, u, w in operator.window_entries(window):
         columns.setdefault(u, {})[v] = w
-        rows.setdefault(v, {})[u] = w
-    interior = list(window.forward_interior())
+        rows[v] = {u: w}  # v has one parent: its row has a single entry
+    interior = window.forward_interior()
     worst_apply = _worst_residual(columns, window, (
         (u, operator.apply(SparseVector.basis(u))) for u in interior))
     # S* e_u compressed to the window is row u of P_W S P_W: the adjoint
@@ -281,8 +284,10 @@ def cmd_oracle(args, out: Reporter) -> int:
     for u in interior[:16]:
         closed = operator.power_closed(u, 2)
         iterated = operator.apply(operator.apply(SparseVector.basis(u)))
-        worst_power = max(worst_power, (closed - iterated).norm())
-    coker = operator.window_cokernel(window)
+        worst_power = nan_max(worst_power, (closed - iterated).norm())
+    # ``ShiftOperator.window_cokernel`` from the same walk: the columns have
+    # disjoint supports, so the rank is the number with a nonzero entry.
+    coker = len(window) - sum(any(column.values()) for column in columns.values())
     artificial = boundary_deficiency(window)
     truncated = len(window) - len(interior)
     if truncated:

@@ -117,29 +117,27 @@ class ShiftOperator:
         return square
 
     def apply(self, x: SparseVector) -> SparseVector:
-        out = SparseVector()
-        for u, c in x.items():
+        out = {}
+        for u, c in x.coeffs.items():
             try:
                 kids = self.children(u)
             except VertexNotFound:
                 raise UnknownVertex(u) from None
-            for v in kids:
-                out.coeffs[v] = out.coeffs.get(v, 0.0) + c * self.weight(v)
-        out.coeffs = {k: c for k, c in out.coeffs.items() if c != 0.0}
-        return out
+            for v in kids:  # v has one parent, so no other u reaches it
+                out[v] = c * self.weight(v)
+        return SparseVector.wrap(_nonzero(out))
 
     def apply_adjoint(self, x: SparseVector) -> SparseVector:
-        out = SparseVector()
-        for u, c in x.items():
+        out = {}
+        for u, c in x.coeffs.items():
             try:
                 p = self.model.parent(u)
             except VertexNotFound:
                 raise UnknownVertex(u) from None
             if p is None:
                 continue
-            out.coeffs[p] = out.coeffs.get(p, 0.0) + c * self.weight(u)
-        out.coeffs = {k: c for k, c in out.coeffs.items() if c != 0.0}
-        return out
+            out[p] = out.get(p, 0.0) + c * self.weight(u)
+        return SparseVector.wrap(_nonzero(out))
 
     def power_closed(self, u: str, n: int) -> SparseVector:
         """S^n e_u from the closed form: sum over v in Chi^n(u) of the
@@ -272,6 +270,13 @@ class ShiftOperator:
         for v, u, w in self.window_entries(window):
             mat[window.index_of(v), window.index_of(u)] = w
         return mat
+
+
+def _nonzero(coeffs: dict) -> dict:
+    """``coeffs`` without its exact zeros; itself when it has none."""
+    if 0.0 in coeffs.values():
+        return {k: c for k, c in coeffs.items() if c != 0.0}
+    return coeffs
 
 
 def vector_to_dense(window: TreeWindow, x: SparseVector, strict: bool = True) -> np.ndarray:

@@ -18,7 +18,7 @@ from .asymptotics import require_contraction
 from .errors import ShapeMismatch, WeightError
 from .records import Record
 from .shifts import ShiftOperator
-from .sparse import SparseVector
+from .sparse import SparseVector, nan_max
 from .trees import TreeWindow, _is_primed, _primed_id, _primed_index
 
 
@@ -233,7 +233,7 @@ def _witness(operator, window, kind, mode, ratio, primed_max) -> SimilarityWitne
             continue
         lhs = _x_apply(g, norms, _target_adjoint(operator, target_primed, u))
         rhs = operator.apply_adjoint(_x_apply(g, norms, SparseVector.basis(u)))
-        residual = max(residual, (lhs - rhs).norm())
+        residual = nan_max(residual, (lhs - rhs).norm())
 
     return SimilarityWitness(kind=kind, mode=mode, blocks=blocks, residual=residual,
                              ratio=ratio, window=window, operator=operator,

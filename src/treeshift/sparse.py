@@ -18,15 +18,19 @@ class SparseVector:
                     self.coeffs[k] = float(c)
 
     @classmethod
-    def basis(cls, u):
-        v = cls()
-        v.coeffs = {u: 1.0}
+    def wrap(cls, coeffs: dict):
+        """The vector whose ``coeffs`` is ``coeffs`` itself, a dict of nonzero
+        floats, taken without a copy or the constructor's filter."""
+        v = cls.__new__(cls)
+        v.coeffs = coeffs
         return v
 
+    @classmethod
+    def basis(cls, u):
+        return cls.wrap({u: 1.0})
+
     def copy(self):
-        v = SparseVector()
-        v.coeffs = dict(self.coeffs)
-        return v
+        return SparseVector.wrap(dict(self.coeffs))
 
     def __getitem__(self, u):
         return self.coeffs.get(u, 0.0)
@@ -76,3 +80,9 @@ class SparseVector:
     def __repr__(self):
         body = ", ".join(f"{k}: {c:.6g}" for k, c in sorted(self.coeffs.items()))
         return f"SparseVector({{{body}}})"
+
+
+def nan_max(worst: float, x: float) -> float:
+    """max(worst, x), but NaN when either is NaN: ``max(0.0, nan)`` is 0.0,
+    so a running ``max`` of residuals would hide a NaN one."""
+    return x if x > worst or x != x else worst

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from treeshift.shifts import ShiftOperator
+from treeshift.sparse import SparseVector
 from treeshift.trees import FiniteTree, materialize_window, validate_finite
 from treeshift.weights import ConstantWeights, MapWeights
 
@@ -23,6 +24,20 @@ class UnstatedBound(ConstantWeights):
 
     def max_weight(self):
         return None
+
+
+class NaNApply(ShiftOperator):
+    """``apply`` images with NaN in place of every coefficient."""
+
+    def apply(self, x):
+        return SparseVector({v: math.nan for v in super().apply(x).coeffs})
+
+
+class NaNAdjoint(ShiftOperator):
+    """``apply_adjoint`` images with NaN in place of every coefficient."""
+
+    def apply_adjoint(self, x):
+        return SparseVector({v: math.nan for v in super().apply_adjoint(x).coeffs})
 
 
 def random_finite_tree(rng: random.Random, n: int) -> FiniteTree:

@@ -36,7 +36,8 @@ from treeshift.weights import (
     RayWeights,
 )
 
-from conftest import BINARY_ISOMETRY, contractive_operator, full_window, random_finite_tree
+from conftest import (BINARY_ISOMETRY, NaNAdjoint, contractive_operator, full_window,
+                      random_finite_tree)
 
 
 def build(op, lo, hi, **kw):
@@ -279,6 +280,30 @@ def test_adjoint_intertwining_residual():
     adj = adjoint_profile(op, window)
     descriptor = adjoint_isometric_asymptote(op, adj)
     assert adjoint_intertwining_residual(op, descriptor) <= 1e-9
+
+
+class _NaNWeight(ShiftOperator):
+    def weight(self, v):
+        return math.nan
+
+
+def test_intertwining_residual_keeps_a_nan():
+    """``max(0.0, nan)`` is 0.0: a running max would report a NaN term as
+    an exact intertwining."""
+    op = ShiftOperator(make_family("rootless-binary"), ConstantWeights(BINARY_ISOMETRY))
+    window, profile, stable = build(op, 0, 4)
+    descriptor = isometric_asymptote(op, profile, stable)
+    assert math.isnan(intertwining_residual(_NaNWeight(op.model, op.weights), descriptor,
+                                            profile, window))
+
+
+def test_adjoint_intertwining_residual_keeps_a_nan():
+    model = make_family("bilateral-path")
+    op = ShiftOperator(model, MapWeights({"0": 0.8, "-1": 0.9}, default=1.0))
+    descriptor = adjoint_isometric_asymptote(op, adjoint_profile(
+        op, materialize_window(model, -6, 6)))
+    assert math.isnan(adjoint_intertwining_residual(NaNAdjoint(model, op.weights),
+                                                    descriptor))
 
 
 def test_isometry_law_for_beta():

@@ -19,7 +19,7 @@ from treeshift.sparse import SparseVector
 from treeshift.trees import make_family, materialize_window
 from treeshift.weights import MapWeights
 
-from conftest import BINARY_ISOMETRY
+from conftest import BINARY_ISOMETRY, NaNAdjoint, NaNApply
 
 
 def write(tmp_path, name, doc):
@@ -386,6 +386,34 @@ def test_worst_residual_reads_every_entry_it_must(line, image, want):
     # The second pair has no line: its in-window image entry is its residual.
     assert cli._worst_residual({"0": line}, window, images) == max(want, 0.0625)
     assert cli._worst_residual({"0": line}, window, images[:1]) == want
+
+
+@pytest.mark.parametrize("operator_class, apply_nan, adjoint_nan", [
+    (NaNApply, True, False), (NaNAdjoint, False, True)], ids=["apply", "adjoint"])
+def test_oracle_residual_keeps_a_nan(specs, monkeypatch, capsys, operator_class,
+                                     apply_nan, adjoint_nan):
+    """``max(0.0, nan)`` is 0.0: a running max would print a NaN image as a
+    residual of 0."""
+    monkeypatch.setattr(cli, "ShiftOperator", operator_class)
+    argv = ["oracle", "--tree", specs["star"], "--weights", specs["star_w"], "--levels", "0:2"]
+    assert main(argv) == 0
+    text = capsys.readouterr().out.splitlines()
+    assert ("apply vs matrix (interior): nan" in text) is apply_nan
+    assert ("adjoint vs matrix transpose: nan" in text) is adjoint_nan
+    assert main(argv + ["--json"]) == 0
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    doc = next(d for d in lines if d["record"] == "oracle")
+    assert math.isnan(doc["apply_residual"]) is apply_nan
+    assert math.isnan(doc["adjoint_residual"]) is adjoint_nan
+    assert doc["power_residual"] == 0.0  # S^2 = 0 on the star
+
+
+def test_worst_residual_keeps_a_nan_entry():
+    window = materialize_window(make_family("bilateral-path"), -2, 2)
+    images = [("0", SparseVector({"1": math.nan})), ("1", SparseVector({"2": 0.5}))]
+    for lines in ({"0": {"1": 0.5}}, {}):  # NaN against a line entry, and image-only
+        assert math.isnan(cli._worst_residual(lines, window, images))
+        assert math.isnan(cli._worst_residual(lines, window, images[::-1]))
 
 
 def test_oracle_builds_no_matrix(specs, monkeypatch, capsys):

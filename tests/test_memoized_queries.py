@@ -407,6 +407,33 @@ class _WrongAdjoint(ShiftOperator):
         return SparseVector({v: 0.125 for u in x.coeffs for v in self.model.children(u)})
 
 
+class _Swapping(ShiftOperator):
+    """Swaps e_u and e_w in its argument, for u the first vertex of level 0
+    and w its first child: both are interior, their children differ and so
+    do their parents.  Each swapped image is a true column or row of the
+    truncation, but the other vertex's, so only a check per vertex sees it:
+    the sum of the two images is right."""
+
+    def __init__(self, model, weights):
+        super().__init__(model, weights)
+        u = model.seeds(0)[0]
+        w = model.children(u)[0]
+        self.swap = {u: w, w: u}
+
+    def swapped(self, x):
+        return SparseVector({self.swap.get(u, u): c for u, c in x.items()})
+
+
+class _SwappedApply(_Swapping):
+    def apply(self, x):
+        return super().apply(self.swapped(x))
+
+
+class _SwappedAdjoint(_Swapping):
+    def apply_adjoint(self, x):
+        return super().apply_adjoint(self.swapped(x))
+
+
 def _oracle_record(tmp_path, capsys, tree_doc, weights_doc, levels):
     tree = tmp_path / "tree.json"
     tree.write_text(json.dumps(tree_doc))
@@ -431,8 +458,10 @@ def _oracle_cases():
            padded_map(rng, 6, 4).to_json(), "-6:6")
 
 
-@pytest.mark.parametrize("operator_class", [ShiftOperator, _WrongApply, _WrongAdjoint],
-                         ids=["exact", "wrong-apply", "wrong-adjoint"])
+@pytest.mark.parametrize("operator_class", [ShiftOperator, _WrongApply, _WrongAdjoint,
+                                            _SwappedApply, _SwappedAdjoint],
+                         ids=["exact", "wrong-apply", "wrong-adjoint", "swapped-apply",
+                              "swapped-adjoint"])
 def test_oracle_residuals_bit_equal(tmp_path, capsys, monkeypatch, operator_class):
     monkeypatch.setattr(cli, "ShiftOperator", operator_class)
     for tree_doc, weights_doc, levels in _oracle_cases():
@@ -448,8 +477,22 @@ def test_oracle_residuals_bit_equal(tmp_path, capsys, monkeypatch, operator_clas
             assert want_apply > 0.0 and want_adjoint == 0.0
         elif operator_class is _WrongAdjoint:
             assert want_adjoint > 0.0 and want_apply == 0.0
+        elif operator_class is _SwappedApply:
+            assert want_apply > 0.0 and want_adjoint == 0.0
+        elif operator_class is _SwappedAdjoint:
+            assert want_adjoint > 0.0 and want_apply == 0.0
         else:
             assert want_apply == want_adjoint == 0.0
+
+
+def test_oracle_cokernel_is_the_window_cokernel(tmp_path, capsys):
+    """The oracle counts its cokernel from the columns of its own walk."""
+    for tree_doc, weights_doc, levels in _oracle_cases():
+        record = _oracle_record(tmp_path, capsys, tree_doc, weights_doc, levels)
+        model = cli.load_tree(str(tmp_path / "tree.json"))
+        op = ShiftOperator(model, cli.load_weights(str(tmp_path / "weights.json")))
+        lo, hi = (int(x) for x in levels.split(":"))
+        assert record["cokernel"] == op.window_cokernel(materialize_window(model, lo, hi, 1000))
 
 
 # -- memo behaviour ----------------------------------------------------------------------

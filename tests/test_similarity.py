@@ -27,6 +27,7 @@ from treeshift.weights import (
     WeightAssignment,
 )
 
+from conftest import NaNAdjoint
 from krylov_reference import krylov_rank, verify_krylov_span
 
 
@@ -227,6 +228,16 @@ def test_tilde_unit_weights_similar():
     # w_{k'} = |g_{k-1}| / |g_k|, all norms equalish for unit rays
     for k, w in witness.target_primed_weights.items():
         assert 0.0 < w <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("family, build", [("tilde", build_tilde_quasiaffinity),
+                                           ("comb", build_leaf_similarity)])
+def test_witness_residual_keeps_a_nan(family, build):
+    """``max(0.0, nan)`` is 0.0: a running max would report a NaN adjoint
+    image as an exact intertwining."""
+    model = make_family(family, {"primed_leaf": 2} if family == "comb" else None)
+    op = NaNAdjoint(model, ConstantWeights(0.5))
+    assert math.isnan(build(op, materialize_window(model, -6, 6)).residual)
 
 
 def test_tilde_unbounded_ratio_quasiaffine_only():

@@ -11,6 +11,7 @@ from treeshift.errors import (
     DisconnectedGraph,
     MultipleParents,
     RootMismatch,
+    TreeSpecError,
     UnknownVertex,
     VertexNotFound,
 )
@@ -81,6 +82,41 @@ def test_validate_error_text_and_precedence(vertices, edges, error, text):
     with pytest.raises(error) as err:
         validate_finite(vertices, edges)
     assert type(err.value) is error and str(err.value) == text
+
+
+class _Id(str):
+    pass
+
+
+class _Pair(list):
+    pass
+
+
+_NEEDS_VERTICES = "a finite tree needs 'vertices', a list of string ids, got "
+_NEEDS_EDGES = "a finite tree needs 'edges', a list of [parent, child] string id pairs, got "
+
+
+@pytest.mark.parametrize("vertices, edges, text", [
+    ("r", [["r", "a"]], _NEEDS_VERTICES + '"r"'),
+    (["r", 1], [["r", 1]], _NEEDS_VERTICES + '["r", 1]'),  # vertices before edges
+    (["r", "a"], [["r", "a"], ("r", "a")], _NEEDS_EDGES + '[["r", "a"], ["r", "a"]]'),
+    (["r", "a"], [["r", "a"], "ra"], _NEEDS_EDGES + '[["r", "a"], "ra"]'),
+    (["r", "a"], [["r", "a"], ["r"]], _NEEDS_EDGES + '[["r", "a"], ["r"]]'),
+    (["r", "a"], [["r", "a", "a"], 7], _NEEDS_EDGES + '[["r", "a", "a"], 7]'),
+    (["r", "a"], [["r", "a"], [None, "a"]], _NEEDS_EDGES + '[["r", "a"], [null, "a"]]'),
+    (["r", "a"], {"r": "a"}, _NEEDS_EDGES + '{"r": "a"}'),
+], ids=["vertices-not-a-list", "both-bad", "tuple-edge", "string-edge", "short-edge",
+        "long-edge-then-int", "null-id", "edges-not-a-list"])
+def test_tree_from_json_type_error_text_and_precedence(vertices, edges, text):
+    with pytest.raises(TreeSpecError) as err:
+        tree_from_json({"vertices": vertices, "edges": edges})
+    assert type(err.value) is TreeSpecError and str(err.value) == text
+
+
+def test_tree_from_json_accepts_subclasses_of_str_and_list():
+    model = tree_from_json({"vertices": [_Id("r"), "a", _Id("b")],
+                            "edges": [_Pair([_Id("r"), "a"]), ["r", _Id("b")]]})
+    assert model.root == "r" and model.children("r") == ("a", "b")
 
 
 @pytest.mark.parametrize("edges, error, text", [
