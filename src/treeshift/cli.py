@@ -285,9 +285,7 @@ def cmd_oracle(args, out: Reporter) -> int:
         closed = operator.power_closed(u, 2)
         iterated = operator.apply(operator.apply(SparseVector.basis(u)))
         worst_power = nan_max(worst_power, (closed - iterated).norm())
-    # ``ShiftOperator.window_cokernel`` from the same walk: the columns have
-    # disjoint supports, so the rank is the number with a nonzero entry.
-    coker = len(window) - sum(any(column.values()) for column in columns.values())
+    coker = operator.window_cokernel(window)
     artificial = boundary_deficiency(window)
     truncated = len(window) - len(interior)
     if truncated:

@@ -124,8 +124,10 @@ class ShiftOperator:
             except VertexNotFound:
                 raise UnknownVertex(u) from None
             for v in kids:  # v has one parent, so no other u reaches it
-                out[v] = c * self.weight(v)
-        return SparseVector.wrap(_nonzero(out))
+                term = c * self.weight(v)
+                if term != 0.0:
+                    out[v] = term
+        return SparseVector.wrap(out)
 
     def apply_adjoint(self, x: SparseVector) -> SparseVector:
         out = {}
@@ -137,7 +139,9 @@ class ShiftOperator:
             if p is None:
                 continue
             out[p] = out.get(p, 0.0) + c * self.weight(u)
-        return SparseVector.wrap(_nonzero(out))
+        if 0.0 in out.values():  # a zero weight, or siblings' terms that cancel
+            out = {k: c for k, c in out.items() if c != 0.0}
+        return SparseVector.wrap(out)
 
     def power_closed(self, u: str, n: int) -> SparseVector:
         """S^n e_u from the closed form: sum over v in Chi^n(u) of the
@@ -270,13 +274,6 @@ class ShiftOperator:
         for v, u, w in self.window_entries(window):
             mat[window.index_of(v), window.index_of(u)] = w
         return mat
-
-
-def _nonzero(coeffs: dict) -> dict:
-    """``coeffs`` without its exact zeros; itself when it has none."""
-    if 0.0 in coeffs.values():
-        return {k: c for k, c in coeffs.items() if c != 0.0}
-    return coeffs
 
 
 def vector_to_dense(window: TreeWindow, x: SparseVector, strict: bool = True) -> np.ndarray:

@@ -27,10 +27,14 @@ class SparseVector:
 
     @classmethod
     def basis(cls, u):
-        return cls.wrap({u: 1.0})
+        v = cls()
+        v.coeffs = {u: 1.0}
+        return v
 
     def copy(self):
-        return SparseVector.wrap(dict(self.coeffs))
+        v = SparseVector()
+        v.coeffs = dict(self.coeffs)
+        return v
 
     def __getitem__(self, u):
         return self.coeffs.get(u, 0.0)

@@ -581,11 +581,11 @@ def materialize_window(model, level_lo, level_hi, breadth=64) -> TreeWindow:
     parent-closed by construction.  Every vertex has one parent, so the
     children of a level are distinct: the next level is the first
     ``breadth`` of their sorted concatenation.  A vertex is interior when
-    the next level keeps all its children: every vertex of a level whose
-    children the cap does not cut, and past ``level_hi``, where no level is
-    kept, only the leaves.  A rooted window starts at level 0 at the
-    earliest.  An empty first level or range raises EmptyWindow; a level that
-    takes the window past WINDOW_CAP vertices raises WindowTooLarge.
+    the next level keeps all its children; past ``level_hi`` no level is
+    kept, so only leaves are interior there.  A rooted window starts at
+    level 0 at the earliest.  An empty first level or range raises
+    EmptyWindow; a level that takes the window past WINDOW_CAP vertices
+    raises WindowTooLarge.
     """
     if breadth < 1:
         raise ValueError("breadth cap must be positive")
@@ -607,13 +607,9 @@ def materialize_window(model, level_lo, level_hi, breadth=64) -> TreeWindow:
         if lvl > level_hi:
             interior.extend(u for u, vs in zip(current, kids) if not vs)
             break
-        nxt = sorted(chain.from_iterable(kids))
-        if len(nxt) <= breadth:
-            interior.extend(current)
-        else:
-            nxt = nxt[:breadth]
-            kept = set(nxt)
-            interior.extend(u for u, vs in zip(current, kids) if kept.issuperset(vs))
+        nxt = sorted(chain.from_iterable(kids))[:breadth]
+        kept = set(nxt)
+        interior.extend(u for u, vs in zip(current, kids) if kept.issuperset(vs))
         current = nxt
     return TreeWindow(model, level_lo, level_hi, by_level, interior)
 

@@ -485,16 +485,6 @@ def test_oracle_residuals_bit_equal(tmp_path, capsys, monkeypatch, operator_clas
             assert want_apply == want_adjoint == 0.0
 
 
-def test_oracle_cokernel_is_the_window_cokernel(tmp_path, capsys):
-    """The oracle counts its cokernel from the columns of its own walk."""
-    for tree_doc, weights_doc, levels in _oracle_cases():
-        record = _oracle_record(tmp_path, capsys, tree_doc, weights_doc, levels)
-        model = cli.load_tree(str(tmp_path / "tree.json"))
-        op = ShiftOperator(model, cli.load_weights(str(tmp_path / "weights.json")))
-        lo, hi = (int(x) for x in levels.split(":"))
-        assert record["cokernel"] == op.window_cokernel(materialize_window(model, lo, hi, 1000))
-
-
 # -- memo behaviour ----------------------------------------------------------------------
 
 class CountingHash(HashRandomWeights):

@@ -37,6 +37,21 @@ def test_apply_leaf_gives_zero():
     assert not star().apply(SparseVector.basis("a"))
 
 
+def test_apply_and_adjoint_keep_no_exact_zero():
+    """A zero weight, or sibling terms that cancel in the adjoint, leave no
+    0.0 coefficient in the image.  The weight loaders reject zero weights, so
+    the map is edited after loading."""
+    tree = validate_finite(["r", "a", "b"], [("r", "a"), ("r", "b")])
+    weights = MapWeights({"a": 0.5, "b": 0.5})
+    op = ShiftOperator(tree, weights)
+    assert op.apply_adjoint(SparseVector({"a": 1.0, "b": -1.0})).coeffs == {}
+    assert op.apply_adjoint(SparseVector({"a": 1.0, "b": -0.5})).coeffs == {"r": 0.25}
+    weights.values["a"] = 0.0
+    op = ShiftOperator(tree, weights)
+    assert op.apply(SparseVector.basis("r")).coeffs == {"b": 0.5}
+    assert op.apply_adjoint(SparseVector.basis("a")).coeffs == {}
+
+
 def test_apply_linearity_on_bilateral():
     op = ShiftOperator(make_family("bilateral-path"), ConstantWeights(0.5))
     out = op.apply(SparseVector({"0": 1.0, "1": 1.0}))
