@@ -44,20 +44,11 @@ def _beta(weight: float, alpha_child: float, alpha_parent: float) -> float:
 class AsymptoteDescriptor(Record):
     """Weights and classification of the isometric asymptote U = S_beta."""
 
+    # beta: vertex -> weight, on stable-subtree interior window vertices
+    # multiplicity: count or math.inf
     __slots__ = _fields = ("beta", "classification", "multiplicity", "cnu_value", "stable",
                            "operator", "alpha")
     _unshown = ("operator", "alpha")
-
-    def __init__(self, beta: dict, classification: str, multiplicity: float,
-                 cnu_value: float | None, stable: StableSubtree, operator: ShiftOperator,
-                 alpha: AlphaEvaluator):
-        self.beta = beta  # vertex -> weight, on stable-subtree interior window vertices
-        self.classification = classification
-        self.multiplicity = multiplicity  # count or math.inf
-        self.cnu_value = cnu_value
-        self.stable = stable
-        self.operator = operator
-        self.alpha = alpha
 
     def to_json(self):
         mult = "inf" if self.multiplicity == math.inf else int(self.multiplicity)
@@ -141,12 +132,9 @@ def isometric_asymptote(operator: ShiftOperator, profile: AsymptoticProfile,
 class AdjointAsymptoteDescriptor(Record):
     """The adjoint's asymptote acts level-to-level on the h eigenvectors."""
 
+    # shift_type: simple-unilateral | simple-bilateral
+    # coefficients: level -> sqrt(a_level / a_parent_level)
     __slots__ = _fields = ("shift_type", "coefficients", "h_vectors")
-
-    def __init__(self, shift_type: str, coefficients: dict, h_vectors: dict):
-        self.shift_type = shift_type  # simple-unilateral | simple-bilateral
-        self.coefficients = coefficients  # level -> sqrt(a_level / a_parent_level)
-        self.h_vectors = h_vectors
 
     def to_json(self):
         return {"type": self.shift_type,
@@ -210,14 +198,8 @@ def adjoint_intertwining_residual(operator: ShiftOperator,
 
 
 class SimilarityAnswer(Record):
+    # answer: yes | no | undetermined
     __slots__ = _fields = ("answer", "reason")
-
-    def __init__(self, answer: str, reason: str):
-        self.answer = answer  # yes | no | undetermined
-        self.reason = reason
-
-    def to_json(self):
-        return {"answer": self.answer, "reason": self.reason}
 
 
 def similar_to_isometry(operator: ShiftOperator, profile: AsymptoticProfile,

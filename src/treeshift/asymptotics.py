@@ -86,19 +86,8 @@ _ZERO = (0.0, 0.0, EXACT_ZERO, 0)  # every record where the family bound proves 
 class VertexEstimate(Record):
     __slots__ = _fields = ("vertex", "estimate", "upper", "status", "depth")
 
-    def __init__(self, vertex: str, estimate: float, upper: float, status: str, depth: int):
-        self.vertex = vertex
-        self.estimate = estimate
-        self.upper = upper
-        self.status = status
-        self.depth = depth
-
     def settled(self) -> bool:
         return self.status in _SETTLED
-
-    def to_json(self):
-        return {"vertex": self.vertex, "estimate": self.estimate, "upper": self.upper,
-                "status": self.status, "depth": self.depth}
 
     def json_line(self, kind: str) -> str:
         """``json.dumps({"record": kind, **self.to_json()}, sort_keys=True)``,
@@ -211,12 +200,7 @@ class AsymptoticProfile(Record):
     limits; a forward profile carries the evaluator that made it."""
 
     __slots__ = _fields = ("records", "window", "evaluator")
-
-    def __init__(self, records: dict, window: TreeWindow,
-                 evaluator: AlphaEvaluator | None = None):
-        self.records = records
-        self.window = window
-        self.evaluator = evaluator
+    _defaults = {"evaluator": None}
 
     def record(self, u: str) -> VertexEstimate:
         return self.records[u]
@@ -260,16 +244,9 @@ class StableSubtree(Record):
     """Window view of the subtree carrying the non-stable part of the space;
     children are read from the operator's memo."""
 
+    # branching: (value, exact)
     __slots__ = _fields = ("members", "window", "zero_threshold", "branching", "operator")
     _unshown = ("operator",)
-
-    def __init__(self, members: set, window: TreeWindow, zero_threshold: float,
-                 branching: tuple, operator: ShiftOperator):
-        self.members = members
-        self.window = window
-        self.zero_threshold = zero_threshold
-        self.branching = branching  # (value, exact)
-        self.operator = operator
 
     def members_at(self, lvl):
         return [u for u in self.window.vertices_at(lvl) if u in self.members]
@@ -331,15 +308,6 @@ class HVector(Record):
     over the materialized generation."""
 
     __slots__ = _fields = ("level", "coefficients", "norm_sq", "status", "depth", "gen_exact")
-
-    def __init__(self, level: int, coefficients: SparseVector, norm_sq: float, status: str,
-                 depth: int, gen_exact: bool):
-        self.level = level
-        self.coefficients = coefficients
-        self.norm_sq = norm_sq
-        self.status = status
-        self.depth = depth
-        self.gen_exact = gen_exact
 
 
 def ancestor_products(operator: ShiftOperator, v: str, depth: int) -> tuple:
@@ -416,13 +384,9 @@ def _adjoint_level(operator: ShiftOperator, u: str, depth: int, tol: float,
 
 
 class AdjointAsymptotics(Record):
+    # h_vectors: level -> HVector
     __slots__ = _fields = ("profile", "h_vectors", "rooted_certified")
-
-    def __init__(self, profile: AsymptoticProfile, h_vectors: dict,
-                 rooted_certified: bool = False):
-        self.profile = profile
-        self.h_vectors = h_vectors  # level -> HVector
-        self.rooted_certified = rooted_certified
+    _defaults = {"rooted_certified": False}
 
 
 ADJOINT_GEN_CAP = 512
@@ -461,21 +425,11 @@ def adjoint_profile(operator: ShiftOperator, window: TreeWindow,
 class ClassificationC(Record):
     """Forward/adjoint asymptotic class with per-claim provenance."""
 
+    # forward: C0dot | C1dot | mixed | undetermined
+    # adjoint: Cdot0 | Cdot1 | mixed | undetermined
     __slots__ = _fields = ("forward", "adjoint", "forward_certified", "adjoint_certified",
                            "notes")
-
-    def __init__(self, forward: str, adjoint: str, forward_certified: bool,
-                 adjoint_certified: bool, notes: list | None = None):
-        self.forward = forward  # C0dot | C1dot | mixed | undetermined
-        self.adjoint = adjoint  # Cdot0 | Cdot1 | mixed | undetermined
-        self.forward_certified = forward_certified
-        self.adjoint_certified = adjoint_certified
-        self.notes = [] if notes is None else notes
-
-    def to_json(self):
-        return {"forward": self.forward, "adjoint": self.adjoint,
-                "forward_certified": self.forward_certified,
-                "adjoint_certified": self.adjoint_certified, "notes": list(self.notes)}
+    _defaults = {"notes": []}
 
 
 def _classify_side(records, zero_threshold):

@@ -57,15 +57,21 @@ EXIT_BROKEN_PIPE = 1
 
 
 class Reporter:
+    """Prints each fact of a run as text or as one JSON record."""
+
     def __init__(self, as_json: bool):
         self.as_json = as_json
 
-    def record(self, kind: str, payload: dict):
-        """One ``json.dumps({"record": kind, **payload}, sort_keys=True)`` line."""
+    def fact(self, kind: str, payload: dict, *lines: str):
+        """The text ``lines`` of one fact, or with ``--json`` its one
+        ``json.dumps({"record": kind, **payload}, sort_keys=True)`` line."""
         if self.as_json:
             print(dumps_sorted({"record": kind, **payload}))
+        else:
+            print(*lines, sep="\n")
 
     def text(self, line: str):
+        """A line that only the text output has."""
         if not self.as_json:
             print(line)
 
@@ -88,13 +94,13 @@ def cmd_validate(args, out: Reporter) -> int:
     window = materialize_window(model, *args.levels, args.breadth)
     br = branching_index(model)
     leafset = sorted(leaves(model))
-    out.text(f"{model.describe()}")
-    out.text(f"leaves: {leafset if leafset else 'none'}")
-    out.text(f"window [{window.level_lo}:{window.level_hi}] has {len(window)} vertices")
-    out.record("tree", {"kind": model.kind, "family": model.family,
-                        "rooted": model.is_rooted, "root": model.root,
-                        "leaves": leafset, "branching": count_text(br),
-                        "branching_exact": True, "window_size": len(window)})
+    out.fact("tree", {"kind": model.kind, "family": model.family,
+                      "rooted": model.is_rooted, "root": model.root,
+                      "leaves": leafset, "branching": count_text(br),
+                      "branching_exact": True, "window_size": len(window)},
+             model.describe(),
+             f"leaves: {leafset if leafset else 'none'}",
+             f"window [{window.level_lo}:{window.level_hi}] has {len(window)} vertices")
     return 0
 
 
@@ -115,10 +121,9 @@ def _analysis(args, need_adjoint=True):
 def cmd_analyze(args, out: Reporter) -> int:
     model, operator, window, profile, adjoint = _analysis(args)
     norm = operator.operator_norm(window)
-    out.text(f"norm: {norm.value:.12g} ({'certified' if norm.certified else 'window only'})")
+    out.fact("norm", norm.to_json(),
+             f"norm: {norm.value:.12g} ({'certified' if norm.certified else 'window only'})")
     out.text(f"contraction: {'yes' if norm.value <= 1.0 + CONTRACTION_SLACK else 'no'}")
-    out.record("norm", {"value": norm.value, "window_value": norm.window_value,
-                        "certified": norm.certified})
     out.text("forward limits:")
     if out.as_json:  # one line per window vertex, the bulk of the output
         print("\n".join(profile.record(u).json_line("alpha") for u in window.order))
@@ -128,11 +133,11 @@ def cmd_analyze(args, out: Reporter) -> int:
             print(f"  alpha[{u}] = {rec.estimate:.12g} ({rec.status}, depth {rec.depth})")
     stable = stable_subtree(profile, args.zero_th)
     br_value, br_exact = stable.branching
-    out.text(f"stable subtree: {len(stable.members)}/{len(window)} window vertices, "
+    out.fact("stable-subtree", {"members": sorted(stable.members),
+                                "branching": count_text(br_value),
+                                "branching_exact": br_exact},
+             f"stable subtree: {len(stable.members)}/{len(window)} window vertices, "
              f"Br(T')={count_text(br_value)}{'' if br_exact else ' (window partial)'}")
-    out.record("stable-subtree", {"members": sorted(stable.members),
-                                  "branching": count_text(br_value),
-                                  "branching_exact": br_exact})
     out.text("adjoint limits (by level):")
     if out.as_json:
         print("\n".join(adjoint.profile.record(u).json_line("a") for u in window.order))
@@ -141,16 +146,14 @@ def cmd_analyze(args, out: Reporter) -> int:
             rep = adjoint.profile.record(window.vertices_at(lvl)[0])
             print(f"  a[level {lvl}] = {rep.estimate:.12g} ({rep.status})")
     cls = classify(profile, adjoint, zero_threshold=args.zero_th)
-    out.text(f"classification: {cls.forward} / {cls.adjoint}")
-    for note in cls.notes:
-        out.text(f"  {note}")
-    out.record("classification", cls.to_json())
+    out.fact("classification", cls.to_json(), f"classification: {cls.forward} / {cls.adjoint}",
+             *(f"  {note}" for note in cls.notes))
     sim_iso = similar_to_isometry(operator, profile, args.zero_th)
     sim_co = similar_to_coisometry(operator, window)
-    out.text(f"similar to isometry: {sim_iso.answer} ({sim_iso.reason})")
-    out.text(f"similar to co-isometry: {sim_co.answer} ({sim_co.reason})")
-    out.record("similar-to-isometry", sim_iso.to_json())
-    out.record("similar-to-coisometry", sim_co.to_json())
+    out.fact("similar-to-isometry", sim_iso.to_json(),
+             f"similar to isometry: {sim_iso.answer} ({sim_iso.reason})")
+    out.fact("similar-to-coisometry", sim_co.to_json(),
+             f"similar to co-isometry: {sim_co.answer} ({sim_co.reason})")
     return 0
 
 
@@ -158,29 +161,26 @@ def cmd_asymptote(args, out: Reporter) -> int:
     model, operator, window, profile, adjoint = _analysis(args, need_adjoint=False)
     stable = stable_subtree(profile, args.zero_th)
     descriptor = isometric_asymptote(operator, profile, stable, depth=args.depth)
-    out.record("asymptote", descriptor.to_json())
-    out.text(f"isometric asymptote: {descriptor.classification}, multiplicity "
-             f"{count_text(descriptor.multiplicity)}")
-    if descriptor.cnu_value is not None:
-        out.text(f"cnu diagnostic: {descriptor.cnu_value:.6g}")
-    for v in sorted(descriptor.beta):
-        out.text(f"  beta[{v}] = {descriptor.beta[v]:.12g}")
+    cnu = descriptor.cnu_value
+    out.fact("asymptote", descriptor.to_json(),
+             f"isometric asymptote: {descriptor.classification}, multiplicity "
+             f"{count_text(descriptor.multiplicity)}",
+             *([] if cnu is None else [f"cnu diagnostic: {cnu:.6g}"]),
+             *(f"  beta[{v}] = {beta:.12g}" for v, beta in sorted(descriptor.beta.items())))
     residual = intertwining_residual(operator, descriptor, profile, window)
-    out.text(f"intertwining residual: {residual:.3e}")
-    out.record("intertwining", {"residual": residual})
+    out.fact("intertwining", {"residual": residual}, f"intertwining residual: {residual:.3e}")
     return 0
 
 
 def cmd_adjoint_asymptote(args, out: Reporter) -> int:
     model, operator, window, profile, adjoint = _analysis(args)
     descriptor = adjoint_isometric_asymptote(operator, adjoint, args.zero_th)
-    out.record("adjoint-asymptote", descriptor.to_json())
-    out.text(f"adjoint asymptote: {descriptor.shift_type}")
-    for lvl in sorted(descriptor.coefficients):
-        out.text(f"  level {lvl}: coefficient {descriptor.coefficients[lvl]:.12g}")
+    out.fact("adjoint-asymptote", descriptor.to_json(),
+             f"adjoint asymptote: {descriptor.shift_type}",
+             *(f"  level {lvl}: coefficient {c:.12g}"
+               for lvl, c in sorted(descriptor.coefficients.items())))
     residual = adjoint_intertwining_residual(operator, descriptor)
-    out.text(f"intertwining residual: {residual:.3e}")
-    out.record("intertwining", {"residual": residual})
+    out.fact("intertwining", {"residual": residual}, f"intertwining residual: {residual:.3e}")
     return 0
 
 
@@ -188,8 +188,8 @@ def cmd_cyclic(args, out: Reporter) -> int:
     if args.backward:
         spec = backward_spec_from_json(errors.read_input(args.backward, errors.TreeSpecError))
         verdict = backward_shift_verdict(spec)
-        out.text(f"verdict: {verdict.verdict} [{verdict.rule}] {verdict.reason}")
-        out.record("verdict", verdict.to_json())
+        out.fact("verdict", verdict.to_json(),
+                 f"verdict: {verdict.verdict} [{verdict.rule}] {verdict.reason}")
         if not spec.zero_positions:
             candidate = construct_backward_cyclic(spec, args.schedule)
             record = verify_cyclic_candidate(spec, candidate, args.window_k)
@@ -200,30 +200,27 @@ def cmd_cyclic(args, out: Reporter) -> int:
                      f"short by counting ({record.support_columns} columns < "
                      f"{record.dimension} rows)"
                      if record.support_columns < record.dimension else "")
-            out.text(f"candidate verified: rank {record.rank}/{record.dimension} mod "
-                     f"{record.modulus} ({certified}){short}")
             membership = range_membership_report(spec, candidate, 2)
-            out.text(f"range membership partial sum (n=2): {membership:.6g}")
-            out.record("krylov", {"rank": record.rank, "dimension": record.dimension,
-                                  "cyclic": record.certified,
-                                  "range_membership_n2": membership,
-                                  "certified": record.certified,
-                                  "modulus": record.modulus, "columns": record.columns})
-            if args.json:
-                for line in candidate.to_json_lines():
-                    print(line)
+            out.fact("krylov", {"rank": record.rank, "dimension": record.dimension,
+                                "cyclic": record.certified,
+                                "range_membership_n2": membership,
+                                "certified": record.certified,
+                                "modulus": record.modulus, "columns": record.columns},
+                     f"candidate verified: rank {record.rank}/{record.dimension} mod "
+                     f"{record.modulus} ({certified}){short}",
+                     f"range membership partial sum (n=2): {membership:.6g}")
+            if out.as_json:  # one line per stage, like analyze's per-vertex lines
+                print("\n".join(candidate.to_json_lines()))
             else:
                 for j, k, x in candidate.entries():
-                    out.text(f"  f[{j},{k}] = {x:.12g}")
+                    print(f"  f[{j},{k}] = {x:.12g}")
         return 0
     model, operator, window, profile, adjoint = _analysis(args)
     cls = classify(profile, adjoint, zero_threshold=args.zero_th)
     verdict = cyclicity_verdict(model, cls)
-    out.text(f"classification: {cls.forward} / {cls.adjoint}")
-    out.text(f"verdict: {verdict.verdict} [{verdict.rule}] {verdict.reason}")
-    for blocker in verdict.blockers:
-        out.text(f"  blocker: {blocker}")
-    out.record("verdict", verdict.to_json())
+    out.fact("verdict", verdict.to_json(), f"classification: {cls.forward} / {cls.adjoint}",
+             f"verdict: {verdict.verdict} [{verdict.rule}] {verdict.reason}",
+             *(f"  blocker: {blocker}" for blocker in verdict.blockers))
     return 0
 
 
@@ -235,12 +232,11 @@ def cmd_similarity(args, out: Reporter) -> int:
         witness = build_leaf_similarity(operator, window)
     else:
         witness = build_tilde_quasiaffinity(operator, window)
-    out.text(f"witness: {witness.kind}, mode {witness.mode}")
-    out.text(f"intertwining residual: {witness.residual:.3e}")
-    out.text(f"block inverse bound: {witness.block_inverse_bound():.6g}")
-    if witness.ratio is not None:
-        out.text(f"ratio certificate: {witness.ratio.to_json()}")
-    out.record("witness", witness.to_json())
+    out.fact("witness", witness.to_json(), f"witness: {witness.kind}, mode {witness.mode}",
+             f"intertwining residual: {witness.residual:.3e}",
+             f"block inverse bound: {witness.block_inverse_bound():.6g}",
+             *([] if witness.ratio is None else
+               [f"ratio certificate: {witness.ratio.to_json()}"]))
     return 0
 
 
@@ -291,13 +287,13 @@ def cmd_oracle(args, out: Reporter) -> int:
     if truncated:
         out.text(f"boundary truncation: {truncated} window vertices have children "
                  f"outside the window; interior checks exclude them")
-    out.text(f"apply vs matrix (interior): {worst_apply:.3e}")
-    out.text(f"power closed-form vs iteration: {worst_power:.3e}")
-    out.text(f"adjoint vs matrix transpose: {worst_adjoint:.3e}")
-    out.text(f"window cokernel: {coker} (exact count, {artificial} boundary-artificial)")
-    out.record("oracle", {"apply_residual": worst_apply, "power_residual": worst_power,
-                          "adjoint_residual": worst_adjoint, "cokernel": coker,
-                          "boundary_artificial": artificial})
+    out.fact("oracle", {"apply_residual": worst_apply, "power_residual": worst_power,
+                        "adjoint_residual": worst_adjoint, "cokernel": coker,
+                        "boundary_artificial": artificial},
+             f"apply vs matrix (interior): {worst_apply:.3e}",
+             f"power closed-form vs iteration: {worst_power:.3e}",
+             f"adjoint vs matrix transpose: {worst_adjoint:.3e}",
+             f"window cokernel: {coker} (exact count, {artificial} boundary-artificial)")
     return 0
 
 

@@ -167,15 +167,13 @@ class CyclicCandidate(Record):
     sequential Sigma_m modification loop."""
 
     # No __slots__: ``sigma_final`` and ``_built`` live in the instance __dict__.
+    # schedule: [(j_l, k_l)] for l = 1..L, stored 0-based in the list
+    # xi: strictly positive coefficients, same indexing
+    # modifications: [(m, sigma_before, factor)]
     _fields = ("schedule", "xi", "modifications")
+    _defaults = {"modifications": []}
     # (schedule, xi, prefix products) as ``construct_backward_cyclic`` built them
     _built = None
-
-    def __init__(self, schedule: list, xi: list, modifications: list | None = None):
-        self.schedule = schedule  # [(j_l, k_l)] for l = 1..L, stored 0-based in the list
-        self.xi = xi  # strictly positive coefficients, same indexing
-        # (m, sigma_before, factor)
-        self.modifications = [] if modifications is None else modifications
 
     @functools.cached_property
     def sigma_final(self) -> list:
@@ -405,18 +403,11 @@ def cokernel_dimension(matrix, rank_tol: float = RANK_TOL, cap: int = DIMENSION_
 class KrylovVerification(Record):
     """The exact record of a window Krylov check."""
 
+    # rank: over F_p, p = `modulus`: at most the true rank
+    # certified: rank equals dimension
+    # support_columns: k_L + 1, the Krylov columns B^k f that can be nonzero
     __slots__ = _fields = ("rank", "dimension", "columns", "certified", "modulus",
                            "support_columns")
-
-    def __init__(self, rank: int, dimension: int, columns: int, certified: bool, modulus: int,
-                 support_columns: int):
-        self.rank = rank  # over F_p, p = `modulus`: at most the true rank
-        self.dimension = dimension
-        self.columns = columns
-        self.certified = certified  # rank equals dimension
-        self.modulus = modulus
-        # k_L + 1: the Krylov columns B^k f that can be nonzero
-        self.support_columns = support_columns
 
 
 def _field(x):
@@ -606,27 +597,20 @@ def backward_spec_from_json(doc) -> BackwardShiftSpec:
 
 
 class CyclicityVerdict(Record):
+    # verdict: cyclic | non-cyclic | adjoint-cyclic | unknown
     __slots__ = _fields = ("verdict", "rule", "anchors", "reason", "blockers")
-
-    def __init__(self, verdict: str, rule: str | None, anchors: list, reason: str,
-                 blockers: list | None = None):
-        self.verdict = verdict  # cyclic | non-cyclic | adjoint-cyclic | unknown
-        self.rule = rule
-        self.anchors = anchors
-        self.reason = reason
-        self.blockers = [] if blockers is None else blockers
+    _defaults = {"blockers": []}
 
     def to_json(self):
-        doc = {"verdict": self.verdict, "rule": self.rule, "anchors": list(self.anchors),
-               "reason": self.reason}
-        if self.blockers:
-            doc["blockers"] = list(self.blockers)
+        doc = super().to_json()
+        if not self.blockers:
+            del doc["blockers"]
         return doc
 
 
 def _verdict(verdict, rule, reason, blockers=()):
     return CyclicityVerdict(verdict=verdict, rule=rule,
-                            anchors=VERDICT_ANCHORS.get(rule, []), reason=reason,
+                            anchors=list(VERDICT_ANCHORS.get(rule, ())), reason=reason,
                             blockers=list(blockers))
 
 

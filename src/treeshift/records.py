@@ -31,14 +31,21 @@ def json_value(value, encode=dumps_sorted) -> str:
 class Record:
     """A result record compares equal to a record of its own class whose
     fields are equal, as a tuple of the fields in order, and shows them in
-    its repr.  A subclass names its fields, its constructor's parameters in
-    order, in ``_fields`` and the ones its repr leaves out in ``_unshown``.
-    Records are mutable, so they are unhashable."""
+    its repr and its ``to_json``.  A subclass names its fields, its
+    constructor's parameters in order, in ``_fields``; the defaults of the
+    trailing ones in ``_defaults``, where an empty list or dict stands for a
+    fresh one per record; and the fields its repr and JSON leave out in
+    ``_unshown``.  Records are mutable, so they are unhashable."""
 
     __slots__ = ()
     _fields = ()
+    _defaults = {}
     _unshown = ()
     __hash__ = None
+
+    def __init_subclass__(cls):
+        cls.__init__ = _constructor(cls)
+        cls._shown = tuple(name for name in cls._fields if name not in cls._unshown)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -49,6 +56,32 @@ class Record:
         return self._values() == other._values()
 
     def __repr__(self):
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields
-                          if name not in self._unshown)
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
         return f"{type(self).__qualname__}({shown})"
+
+    def to_json(self) -> dict:
+        """The shown fields by name, in field order."""
+        return {name: getattr(self, name) for name in self._shown}
+
+
+def _constructor(cls):
+    """The ``__init__`` of a record class, written as source from its
+    ``_fields`` and ``_defaults`` and compiled once, as ``collections.namedtuple``
+    builds its ``__new__``: a loop of ``setattr`` would cost several times as
+    much per record, and one record is built per window vertex."""
+    params, body = [], []
+    for name in cls._fields:
+        value = name
+        if name not in cls._defaults:
+            params.append(name)
+        elif type(cls._defaults[name]) in (list, dict):  # a fresh empty one when None
+            params.append(f"{name}=None")
+            value = f"{cls._defaults[name]!r} if {name} is None else {name}"
+        else:
+            params.append(f"{name}=_defaults[{name!r}]")
+        body.append(f"\n    self.{name} = {value}")
+    namespace = {"_defaults": cls._defaults}
+    exec(f"def __init__(self, {', '.join(params)}):{''.join(body)}", namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init

@@ -21,11 +21,6 @@ class NormBound(Record):
 
     __slots__ = _fields = ("value", "window_value", "certified")
 
-    def __init__(self, value: float, window_value: float, certified: bool):
-        self.value = value
-        self.window_value = window_value
-        self.certified = certified
-
 
 class ShiftOperator:
     """Weighted shift S on a directed tree: e_u -> sum over children v of lambda_v e_v.

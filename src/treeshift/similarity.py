@@ -73,20 +73,14 @@ def g_norm(operator: ShiftOperator, k: int) -> float:
 class RatioCertificate(Record):
     """Boundedness report for the primed-to-spine product ratios."""
 
+    # status: bounded | unbounded-evidence
     __slots__ = _fields = ("status", "sup", "exact", "at", "value")
-
-    def __init__(self, status: str, sup: float, exact: bool, at: int | None = None,
-                 value: float | None = None):
-        self.status = status  # bounded | unbounded-evidence
-        self.sup = sup
-        self.exact = exact
-        self.at = at
-        self.value = value
+    _defaults = {"at": None, "value": None}
 
     def to_json(self):
-        doc = {"status": self.status, "sup": self.sup, "exact": self.exact}
-        if self.at is not None:
-            doc.update({"at": self.at, "value": self.value})
+        doc = super().to_json()
+        if self.at is None:  # no partial product passed the blow-up bound
+            del doc["at"], doc["value"]
         return doc
 
 
@@ -128,27 +122,16 @@ def ratio_bounded(operator: ShiftOperator, horizon: int = 64,
 class SimilarityWitness(Record):
     """Intertwining operator X plus the decoupled target it conjugates to."""
 
+    # kind: leaf-similarity | tilde-quasiaffinity
+    # mode: similar | quasiaffine-only
+    # blocks: per-k block reports
+    # target_primed_weights: k -> weight into k'
+    # g_vectors: k -> g_k, for the primed columns of X
     __slots__ = _fields = ("kind", "mode", "blocks", "residual", "ratio", "window", "operator",
                            "primed_leaf", "target_primed_weights", "g_norms", "g_vectors")
     _unshown = ("operator",)
-
-    def __init__(self, kind: str, mode: str, blocks: list, residual: float,
-                 ratio: RatioCertificate | None, window: TreeWindow, operator: ShiftOperator,
-                 primed_leaf: int | None = None, target_primed_weights: dict | None = None,
-                 g_norms: dict | None = None, g_vectors: dict | None = None):
-        self.kind = kind  # leaf-similarity | tilde-quasiaffinity
-        self.mode = mode  # similar | quasiaffine-only
-        self.blocks = blocks  # per-k block reports
-        self.residual = residual
-        self.ratio = ratio
-        self.window = window
-        self.operator = operator
-        self.primed_leaf = primed_leaf
-        # k -> weight into k'
-        self.target_primed_weights = {} if target_primed_weights is None else target_primed_weights
-        self.g_norms = {} if g_norms is None else g_norms
-        # k -> g_k, for the primed columns of X
-        self.g_vectors = {} if g_vectors is None else g_vectors
+    _defaults = {"primed_leaf": None, "target_primed_weights": {}, "g_norms": {},
+                 "g_vectors": {}}
 
     def block_inverse_bound(self) -> float:
         return max((b["inverse_norm"] for b in self.blocks), default=1.0)
@@ -264,14 +247,6 @@ def build_tilde_quasiaffinity(operator: ShiftOperator, window: TreeWindow) -> Si
 
 class Decomposition(Record):
     __slots__ = _fields = ("e_part", "g_part", "mu", "nu", "residual")
-
-    def __init__(self, e_part: SparseVector, g_part: SparseVector, mu: dict, nu: dict,
-                 residual: float):
-        self.e_part = e_part
-        self.g_part = g_part
-        self.mu = mu
-        self.nu = nu
-        self.residual = residual
 
 
 def direct_sum_decomposition(x: SparseVector, operator: ShiftOperator) -> Decomposition:

@@ -638,6 +638,14 @@ def test_verdict_unknown_with_blockers():
     assert verdict.blockers
 
 
+def test_verdict_anchors_are_a_copy_of_the_anchor_table():
+    spec = BackwardShiftSpec(2, 0.5)
+    first = backward_shift_verdict(spec)
+    first.anchors.append("changed")
+    first.to_json()["anchors"].append("changed too")
+    assert backward_shift_verdict(spec).anchors == VERDICT_ANCHORS["R3"] == ["Thm 5.4"]
+
+
 def test_backward_spec_json():
     spec = backward_spec_from_json({"branches": 2,
                                     "weights": {"kind": "constant", "value": 0.9},

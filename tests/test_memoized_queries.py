@@ -36,7 +36,7 @@ from treeshift.asymptotics import (
 from treeshift.cli import main
 from treeshift.errors import NotAContraction, WeightError
 from treeshift.shifts import ShiftOperator, vector_to_dense
-from treeshift.sparse import SparseVector
+from treeshift.sparse import SparseVector, nan_max
 from treeshift.trees import load_tree, make_family, materialize_window, validate_finite
 from treeshift.weights import (
     ConstantWeights,
@@ -47,8 +47,8 @@ from treeshift.weights import (
     StepWeights,
 )
 
-from conftest import (BINARY_ISOMETRY, UnstatedBound, contractive_operator, full_window,
-                      random_finite_tree)
+from conftest import (BINARY_ISOMETRY, NaNAdjoint, NaNApply, UnstatedBound,
+                      contractive_operator, full_window, random_finite_tree)
 
 
 # -- the un-memoized reference --------------------------------------------------------
@@ -179,7 +179,7 @@ def ref_cnu_level_value(op, alpha, members, depth, threshold):
 
 def ref_oracle_residuals(op, window):
     """(apply, adjoint) residuals against the dense truncation, with a dense
-    coordinate vector per basis image."""
+    coordinate vector per basis image; NaN where an image has a NaN entry."""
     model, weights = op.model, op.weights
     mat = np.zeros((len(window), len(window)))
     for j, u in enumerate(window.order):
@@ -189,12 +189,12 @@ def ref_oracle_residuals(op, window):
     worst_apply = 0.0
     for u in window.forward_interior():
         image = op.apply(SparseVector.basis(u))
-        worst_apply = max(worst_apply, float(np.max(np.abs(
+        worst_apply = nan_max(worst_apply, float(np.max(np.abs(
             mat[:, window.index_of(u)] - vector_to_dense(window, image, strict=False)))))
     worst_adjoint = 0.0
     for u in window.order:
         image = op.apply_adjoint(SparseVector.basis(u))
-        worst_adjoint = max(worst_adjoint, float(np.max(np.abs(
+        worst_adjoint = nan_max(worst_adjoint, float(np.max(np.abs(
             mat[window.index_of(u)] - vector_to_dense(window, image, strict=False)))))
     return worst_apply, worst_adjoint
 
@@ -459,9 +459,10 @@ def _oracle_cases():
 
 
 @pytest.mark.parametrize("operator_class", [ShiftOperator, _WrongApply, _WrongAdjoint,
-                                            _SwappedApply, _SwappedAdjoint],
+                                            _SwappedApply, _SwappedAdjoint, NaNApply,
+                                            NaNAdjoint],
                          ids=["exact", "wrong-apply", "wrong-adjoint", "swapped-apply",
-                              "swapped-adjoint"])
+                              "swapped-adjoint", "nan-apply", "nan-adjoint"])
 def test_oracle_residuals_bit_equal(tmp_path, capsys, monkeypatch, operator_class):
     monkeypatch.setattr(cli, "ShiftOperator", operator_class)
     for tree_doc, weights_doc, levels in _oracle_cases():
@@ -481,6 +482,10 @@ def test_oracle_residuals_bit_equal(tmp_path, capsys, monkeypatch, operator_clas
             assert want_apply > 0.0 and want_adjoint == 0.0
         elif operator_class is _SwappedAdjoint:
             assert want_adjoint > 0.0 and want_apply == 0.0
+        elif operator_class is NaNApply:
+            assert math.isnan(want_apply) and want_adjoint == 0.0
+        elif operator_class is NaNAdjoint:
+            assert math.isnan(want_adjoint) and want_apply == 0.0
         else:
             assert want_apply == want_adjoint == 0.0
 

@@ -1,5 +1,9 @@
 """Result records: constructors, value equality, repr, fresh mutable defaults."""
 
+import ast
+import inspect
+import textwrap
+
 import pytest
 
 from treeshift.asymptote import (AdjointAsymptoteDescriptor, AsymptoteDescriptor,
@@ -30,6 +34,19 @@ EXAMPLES = {
     RatioCertificate: ("bounded", 1.0, True),
     SimilarityWitness: ("leaf-similarity", "similar", [], 0.0, None, "window", "operator"),
     Decomposition: (SparseVector(), SparseVector(), {}, {}, 0.0),
+}
+
+# The constructor parameters with a default, and the default; None stands for
+# a fresh empty list or dict where the field is a collection.
+DEFAULTS = {
+    AsymptoticProfile: {"evaluator": None},
+    AdjointAsymptotics: {"rooted_certified": False},
+    ClassificationC: {"notes": None},
+    CyclicCandidate: {"modifications": None},
+    CyclicityVerdict: {"blockers": None},
+    RatioCertificate: {"at": None, "value": None},
+    SimilarityWitness: {"primed_leaf": None, "target_primed_weights": None, "g_norms": None,
+                        "g_vectors": None},
 }
 
 
@@ -82,3 +99,34 @@ def test_defaulted_mutable_fields_are_fresh_per_instance():
     given = ["kept"]
     assert ClassificationC("C1dot", "Cdot0", True, False, given).notes is given
     assert ClassificationC("C1dot", "Cdot0", True, False, notes=given).notes is given
+
+
+@pytest.mark.parametrize("cls", EXAMPLES, ids=lambda cls: cls.__name__)
+def test_constructor_parameters_are_the_fields_in_order(cls):
+    params = inspect.signature(cls).parameters.values()
+    assert [p.name for p in params] == list(cls._fields)
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+    assert {p.name: p.default for p in params if p.default is not p.empty} == \
+        DEFAULTS.get(cls, {})
+
+
+@pytest.mark.parametrize("cls", EXAMPLES, ids=lambda cls: cls.__name__)
+def test_keyword_construction_equals_positional(cls):
+    args = EXAMPLES[cls]
+    assert cls(**dict(zip(cls._fields, args))) == cls(*args)
+    required = len(cls._fields) - len(DEFAULTS.get(cls, {}))
+    with pytest.raises(TypeError):  # a missing argument
+        cls(*args[:required - 1])
+    with pytest.raises(TypeError):  # an unknown one
+        cls(*args, unknown=1)
+    with pytest.raises(TypeError):  # one too many
+        cls(*args, *[None] * (len(cls._fields) - len(args) + 1))
+
+
+@pytest.mark.parametrize("cls", EXAMPLES, ids=lambda cls: cls.__name__)
+def test_no_record_class_body_defines_init(cls):
+    """Each field is named once, in ``_fields``: ``Record`` writes the
+    constructor from it."""
+    (node,) = ast.parse(textwrap.dedent(inspect.getsource(cls))).body
+    assert not [item for item in node.body
+                if isinstance(item, ast.FunctionDef) and item.name == "__init__"]
