@@ -17,7 +17,8 @@ s = i + k is a support point on branch j, and 0 otherwise.  Every weight and
 coefficient is a double, hence an exact dyadic rational, so the matrix has
 an image over F_p (p = 2^31 - 1), whose rank is computed exactly without
 forming it: each row is a shift of one polynomial series per branch, and the
-rank is read off a shifted order basis of those series.  Rank mod p never
+rank is read off a shifted order basis of those series (per order: a slice
+per waking series, four int64 ufuncs per series cleared).  Rank mod p never
 exceeds the rank over Q, so full rank mod p is a proof of full rank;
 anything less is "not certified", never "not cyclic".
 That rank is the whole check: no floating-point Krylov matrix is built.
@@ -69,15 +70,18 @@ def uniform_weight_rule(seed: int, low: float, high: float):
     """Deterministic pseudo-random weights in [low, high], keyed by (branch, index).
 
     ``rule(j, k)`` hashes one key; ``rule.run(j, start, stop)`` gives the
-    same floats for k in [start, stop), hashing the key prefix once.
+    same floats for k in [start, stop), hashing the key prefix once and
+    converting the digests in one batch (numpy rounds as Python does).
     """
 
     def rule(j, k):
         return low + (high - low) * hash_unit(f"{seed}:{j}:{k}")
 
     def run(j, start, stop):
-        units = unit_hasher(f"{seed}:{j}:")(map(str, range(start, stop)))
-        return [low + (high - low) * u for u in units]
+        import numpy as np
+        digests = unit_hasher(f"{seed}:{j}:").digests(b"%d" % k for k in range(start, stop))
+        units = np.frombuffer(digests, ">u8").astype(float) / 2.0 ** 64
+        return (low + (high - low) * units).tolist()
 
     rule.run = run
     return rule
@@ -452,7 +456,7 @@ def _rank_from_order_basis(support: dict, steps, window_K: int, depth: int) -> i
     coefficient t from the others, is multiplied by y, and its delta grows
     by 1.  The relations within the bounds number sum max(0, 1 - delta_c).
     delta only grows, so the walk stops once every live delta is positive,
-    and a lone live series takes all remaining orders in one shift.
+    and a pivot alone nonzero at t takes every order up to the next wake.
     """
     import numpy as np
     K, D = window_K, depth
@@ -477,8 +481,8 @@ def _rank_from_order_basis(support: dict, steps, window_K: int, depth: int) -> i
     keys = sorted(components)
     bounds = [components[key][0] for key in keys]
     wake = [min(components[key][1]) for key in keys]  # no live series is nonzero below wake
-    series = np.zeros((len(keys), D + 1), dtype=np.int64)
-    for row, key in zip(series, keys):
+    rows = [np.zeros(D + 1, dtype=np.int64) for _ in keys]  # one array per series
+    for row, key in zip(rows, keys):
         row[list(components[key][1])] = list(components[key][1].values())
     delta = [-d for d in bounds]
     shifted = [0] * len(keys)  # series c holds its coefficient t at t - shifted[c]
@@ -487,39 +491,36 @@ def _rank_from_order_basis(support: dict, steps, window_K: int, depth: int) -> i
     scratch = np.empty(D + 1, dtype=np.int64)
     t = min(wake, default=D + 1)
     while t <= D and needy:
-        if len(live) == 1:
-            delta[live[0]] += D + 1 - t  # the last pivot (or the only series): nonzero at t
-            break
-        hot = []
-        for c in [c for c in live if wake[c] == t]:
-            rest = series[c, t - shifted[c]: D + 1 - shifted[c]]
-            if rest[0]:
-                hot.append(c)
+        hot = []  # (delta, c, coefficient t of c, c from order t on)
+        for c in [c for c in live if wake[c] == t]:  # a copy: a dead series leaves ``live``
+            rest = rows[c][t - shifted[c]: D + 1 - shifted[c]]
+            if x := rest.item(0):
+                hot.append((delta[c], c, x, rest))
                 continue
-            nonzero = np.flatnonzero(rest)
+            nonzero = rest.nonzero()[0]
             if nonzero.size:
-                wake[c] = t + int(nonzero[0])
+                wake[c] = t + nonzero.item(0)
             else:
                 live.remove(c)
                 needy -= delta[c] < 1
-        pivot = min(hot, key=delta.__getitem__)
-        tail = series[pivot, t - shifted[pivot]: D + 1 - shifted[pivot]]
-        head = int(tail[0])
-        product = scratch[: tail.size]
-        for c in hot:
-            if c != pivot:
-                rest = series[c, t - shifted[c]: D + 1 - shifted[c]]
-                # residues are below 2^31: every step fits in int64
-                np.multiply(tail, int(rest[0]), out=product)
-                np.multiply(rest, head, out=rest)
-                np.subtract(rest, product, out=rest)
-                np.remainder(rest, MODULUS, out=rest)
-                wake[c] = t + 1
-        shifted[pivot] += 1
-        wake[pivot] = t + 1
-        delta[pivot] += 1
-        needy -= delta[pivot] == 1
-        t += 1
+        if len(hot) == 1:  # the pivot of every order until another series wakes
+            pivot, step = hot[0][1], min([wake[c] for c in live if wake[c] > t], default=D + 1) - t
+        else:
+            _, pivot, head, tail = min(hot)  # the least delta, then the least c
+            product = scratch[: tail.size]
+            for _, c, x, rest in hot:
+                if c != pivot:
+                    # residues are below 2^31: every step fits in int64
+                    np.multiply(tail, x, out=product)
+                    np.multiply(rest, head, out=rest)
+                    np.subtract(rest, product, out=rest)
+                    np.remainder(rest, MODULUS, out=rest)
+                    wake[c] = t + 1
+            step = 1
+        shifted[pivot] += step
+        delta[pivot] += step
+        needy -= delta[pivot] - step < 1 <= delta[pivot]
+        wake[pivot] = t = t + step
     return sum(bounds) + len(bounds) - sum(max(0, 1 - d) for d in delta)
 
 

@@ -91,7 +91,8 @@ def hash_unit(key: str) -> float:
 
 
 def unit_hasher(prefix: str):
-    """The function ``suffixes -> [hash_unit(prefix + s) for s in suffixes]``.
+    """The function ``suffixes -> [hash_unit(prefix + s) for s in suffixes]``;
+    its ``digests(keys)`` joins the 8-byte digests of ``prefix + key`` (bytes keys).
 
     blake2b is a streaming hash: a copy of the state fed ``prefix``, fed
     ``s``, has the digest of ``prefix + s``.  So the prefix is hashed once,
@@ -109,6 +110,14 @@ def unit_hasher(prefix: str):
             out.append(from_bytes(h.digest(), "big") / 2.0 ** 64)
         return out
 
+    def digests(keys) -> bytes:
+        out = []
+        for key in keys:
+            (h := copy()).update(key)
+            out.append(h.digest())
+        return b"".join(out)
+
+    units.digests = digests
     return units
 
 

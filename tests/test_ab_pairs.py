@@ -1,0 +1,51 @@
+"""tools/ab_pairs.py: alternating run order and the per-metric summary."""
+
+import importlib.util
+import os
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_spec = importlib.util.spec_from_file_location("ab_pairs", os.path.join(ROOT, "tools", "ab_pairs.py"))
+ab_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab_pairs)
+
+
+def _result(rate, p90):
+    return {"correct": True, "attempted": 10, "failed": 0,
+            "metrics": {"analyses_per_s": {"value": rate, "unit": "1/s"},
+                        "latency_p90_ms": {"value": p90, "unit": "ms"}}}
+
+
+def test_sides_alternate_and_each_metric_counts_its_pairs(tmp_path, monkeypatch, capsys):
+    for side in ("base", "head"):
+        os.makedirs(tmp_path / side / "perfbench")
+        (tmp_path / side / "perfbench" / "run.py").write_text("")
+    (tmp_path / "head" / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "analyses_per_s", "better": "higher"},'
+        ' {"name": "latency_p90_ms", "better": "lower"}]}')
+    calls = []
+    values = {"base": [(100.0, 5.0), (110.0, 4.0), (90.0, 6.0)],
+              "head": [(120.0, 4.5), (105.0, 4.2), (130.0, 3.0)]}
+
+    def run_side(root, workload, seed, seconds):
+        side = os.path.basename(root)
+        calls.append(side)
+        assert (workload, seed, seconds) == ("backward-cyclic", 7, 2.0)
+        return _result(*values[side][sum(c == side for c in calls) - 1])
+
+    monkeypatch.setattr(ab_pairs, "run_side", run_side)
+    assert ab_pairs.main(["--base", str(tmp_path / "base"), "--head", str(tmp_path / "head"),
+                          "--workload", "backward-cyclic", "--seed", "7", "--seconds", "2",
+                          "--pairs", "3"]) == 0
+    assert calls == ["head", "base", "base", "head", "head", "base"]
+    out = capsys.readouterr().out.splitlines()
+    rate = next(line for line in out if line.startswith("analyses_per_s"))
+    p90 = next(line for line in out if line.startswith("latency_p90_ms"))
+    assert "base 100 (IQR 10)" in rate and "head 120" in rate and "+20.0%" in rate
+    assert "head higher in 2/3, lower in 1/3" in rate and "head better in 2/3" in rate
+    assert "base 5 (IQR 1)" in p90 and "head 4.2" in p90
+    assert "head higher in 1/3, lower in 2/3" in p90 and "head better in 2/3" in p90
+
+
+def test_quartile_spread():
+    assert ab_pairs.quartile_spread([4.0]) == 0.0
+    assert ab_pairs.quartile_spread([1.0, 2.0, 3.0, 4.0, 5.0]) == 2.0

@@ -788,18 +788,21 @@ assert "dataclasses" not in sys.modules, "importing treeshift loads dataclasses"
 assert "inspect" not in sys.modules, "importing treeshift loads inspect"
 for name in ("argparse", "gettext"):
     assert name not in sys.modules, f"importing treeshift.cli loads {name}"
-star, star_w, binary, decay, tilde, tilde_w, backward = sys.argv[1:]
+star, star_w, binary, decay, hashed, tilde, tilde_w, backward, hashed_backward = sys.argv[1:]
 for argv, code in (
         (["validate", "--tree", star], 0),
         (["similarity", "--tree", tilde, "--weights", tilde_w, "--levels=-4:4"], 0),
         (["analyze", "--tree", binary, "--weights", decay, "--levels=0:2"], 0),
+        (["analyze", "--tree", binary, "--weights", hashed, "--levels=0:2"], 0),
         (["asymptote", "--tree", binary, "--weights", decay, "--levels=0:2"], 4),
         (["cyclic", "--tree", tilde, "--weights", tilde_w, "--levels=-6:6"], 0),
         (["oracle", "--tree", star, "--weights", star_w, "--levels", "0:2"], 0)):
     assert main(argv) == code, argv
     assert "numpy" not in sys.modules, f"{argv[0]} loads numpy"
+assert "hashlib" in sys.modules, "the hash-random analyze run hashed nothing"
 assert main(["cyclic", "--backward", backward, "--window-k", "8"]) == 0
 assert "numpy" in sys.modules, "cyclic --backward ran without numpy"
+assert main(["cyclic", "--backward", hashed_backward, "--window-k", "8"]) == 0
 for name in ("argparse", "gettext"):
     assert name not in sys.modules, f"a well-formed call loads {name}"
 try:
@@ -813,11 +816,17 @@ else:
 
 def test_matrix_free_subcommands_start_without_numpy(specs, tmp_path):
     """A fresh interpreter, as the ``treeshift`` command starts, imports
-    numpy only for ``cyclic --backward``, and importing ``treeshift.cli``
-    loads neither hashlib nor dataclasses nor inspect."""
+    numpy only for ``cyclic --backward`` (hashed tree weights load none),
+    and importing ``treeshift.cli`` loads neither hashlib nor dataclasses
+    nor inspect."""
     decay = write(tmp_path, "decay.json", {"kind": "constant", "value": 0.6})
+    hashed = write(tmp_path, "hashed.json", {"kind": "family", "name": "hash-random",
+                                             "params": {"seed": 3, "low": 0.3, "high": 0.65}})
+    hashed_backward = write(tmp_path, "hashed_backward.json",
+                            {"branches": 2, "weights": {"kind": "hash-random", "seed": 5,
+                                                        "low": 0.5, "high": 0.99}})
     argv = [sys.executable, "-c", _COLD_START, specs["star"], specs["star_w"], specs["binary"],
-            decay, specs["tilde"], specs["tilde_w"], specs["backward"]]
+            decay, hashed, specs["tilde"], specs["tilde_w"], specs["backward"], hashed_backward]
     done = subprocess.run(argv, env={**_subprocess_env(), "PYTHONDONTWRITEBYTECODE": "1"},
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

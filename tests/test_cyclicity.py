@@ -502,6 +502,26 @@ def test_unit_hasher_gives_the_one_shot_units():
                                   for k in range(3, 40)]
 
 
+def test_a_batched_weight_run_is_bit_identical_to_one_key_at_a_time():
+    """``rule.run`` converts a run's digests with numpy in one batch; each
+    value must be the Python float that one ``hash_unit`` call gives, across
+    digit-count boundaries and for digests above 2^63 (the uint64 cast)."""
+    keys = top = 0
+    for seed in (0, 1, 2 ** 31 - 1):
+        for low, high in ((0.5, 0.99), (0.7, 0.7), (1e-300, 1.0)):
+            rule = uniform_weight_rule(seed, low, high)
+            for j in (0, 3):
+                for start, stop in ((0, 13), (95, 106), (995, 1006), (9995, 10006)):
+                    units = [hash_unit(f"{seed}:{j}:{k}") for k in range(start, stop)]
+                    run = rule.run(j, start, stop)
+                    assert all(type(x) is float for x in run)
+                    assert [x.hex() for x in run] == [(low + (high - low) * u).hex()
+                                                      for u in units]
+                    keys += len(units)
+                    top += sum(u >= 0.5 for u in units)  # the digest's top bit is set
+    assert top >= keys / 3
+
+
 def test_a_weight_out_of_range_is_named_by_its_position_in_a_run():
     spec = BackwardShiftSpec(1, lambda j, k: 1.5 if (j, k) == (0, 7) else 0.5)
     with pytest.raises(WeightError, match=r"\(0, 7\)"):
@@ -748,7 +768,8 @@ def _order_basis_rank(spec, cand, K):
 
 def _rank_cases():
     """The window cases plus zero residues, zeros, K = 0 and K past the
-    support, signed zeros, repeated positions and up to four branches."""
+    support, signed zeros, repeated positions, up to four branches and
+    series that die in one scan."""
     cases = list(_window_cases())
     cut = {(0, 5), (0, 21), (1, 0), (1, 33)}
     patchy = BackwardShiftSpec(2, lambda j, k: RESIDUE_ZERO[k % 2] if (j, k) in cut else 0.9)
@@ -765,6 +786,13 @@ def _rank_cases():
                              xi=[-0.5, 0.25, -0.0, 0.0, 0.75, -2.0 ** -40])
     cases.append((BackwardShiftSpec(4, RESIDUE_ZERO[1] * 2.0 ** 8), signed, 5))
     cases.append((BackwardShiftSpec(4, 0.75, zeros=[(3, 4)]), signed, 12))
+    # One point at the same index on three branches with equal weights: three
+    # proportional series, so both non-pivots die in one scan (which reads a
+    # copy of the live list they leave).  With the third point shallower, the
+    # pivot is alone nonzero right after the removal, up to the third's wake.
+    for schedule in ([(0, 6), (1, 6), (2, 6)], [(0, 9), (1, 9), (2, 4)]):
+        same = CyclicCandidate(schedule=schedule, xi=[0.5, 0.25, 0.5])
+        cases += [(BackwardShiftSpec(3, 0.75), same, K) for K in (0, 1, 3, 6, 12)]
     return cases
 
 

@@ -1,0 +1,112 @@
+"""Alternating benchmark pairs: one workload, two checkouts, end-to-end medians.
+
+Run from anywhere, with a second checkout of the code to compare against:
+
+    python3 tools/ab_pairs.py --base ../treeshift-main --workload backward-cyclic \
+        --seed 7 --seconds 10 --pairs 5
+
+Each pair runs ``perfbench/run.py`` once in each checkout (from its root, with
+this interpreter), and the side that runs first alternates from pair to pair,
+the head first on even pairs.  The last line of each run's standard output is
+its JSON result.  For every end-to-end metric the tool prints both medians,
+the quartile spread of the base's runs, and how many pairs moved each way;
+where the head checkout's ``BENCHMARK.json`` says which way is better, it
+also counts the pairs in which the head was better.  It only reads the
+checkouts and runs their benchmark.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+
+def run_side(root: str, workload: str, seed: int, seconds: float) -> dict:
+    """The JSON result of one ``perfbench/run.py`` run in checkout ``root``."""
+    argv = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds)]
+    done = subprocess.run(argv, cwd=root, capture_output=True, text=True)
+    if done.returncode != 0:
+        sys.stderr.write(done.stderr)
+        raise SystemExit(f"error: {root}: perfbench/run.py exited with code {done.returncode}")
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def directions(root: str) -> dict:
+    """{metric: "higher" | "lower"} from the checkout's BENCHMARK.json, or {}."""
+    try:
+        with open(os.path.join(root, "BENCHMARK.json")) as handle:
+            return {m["name"]: m["better"] for m in json.load(handle)["end_to_end"]}
+    except (OSError, ValueError, KeyError, TypeError):
+        return {}
+
+
+def quartile_spread(values: list) -> float:
+    """Upper minus lower quartile (0.0 for fewer than two values)."""
+    if len(values) < 2:
+        return 0.0
+    low, _, high = statistics.quantiles(values, n=4, method="inclusive")
+    return high - low
+
+
+def summary(pairs: list, better: dict) -> list:
+    """One line per end-to-end metric over [(base result, head result)]."""
+    lines = []
+    for name in pairs[0][0]["metrics"]:
+        base = [b["metrics"][name]["value"] for b, _ in pairs]
+        head = [h["metrics"][name]["value"] for _, h in pairs]
+        up = sum(h > b for b, h in zip(base, head))
+        down = sum(h < b for b, h in zip(base, head))
+        mid_b, mid_h = statistics.median(base), statistics.median(head)
+        change = f"{100.0 * (mid_h / mid_b - 1.0):+.1f}%" if mid_b else "n/a"
+        line = (f"{name:<16} base {mid_b:.6g} (IQR {quartile_spread(base):.3g})  "
+                f"head {mid_h:.6g}  {change}  head higher in {up}/{len(pairs)}, "
+                f"lower in {down}/{len(pairs)}")
+        if name in better:
+            wins = up if better[name] == "higher" else down
+            line += f"  (better: {better[name]}; head better in {wins}/{len(pairs)})"
+        lines.append(line)
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, help="root of the checkout to compare against")
+    parser.add_argument("--head", default=".", help="root of the checkout under test")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    sides = {"base": os.path.abspath(args.base), "head": os.path.abspath(args.head)}
+    for root in sides.values():
+        if not os.path.isfile(os.path.join(root, "perfbench", "run.py")):
+            parser.error(f"{root} has no perfbench/run.py")
+    pairs = []
+    for index in range(args.pairs):
+        order = ("head", "base") if index % 2 == 0 else ("base", "head")
+        result = {side: run_side(sides[side], args.workload, args.seed, args.seconds)
+                  for side in order}
+        pairs.append((result["base"], result["head"]))
+        values = "; ".join(
+            f"{name} " + " ".join(f"{side} {result[side]['metrics'][name]['value']:.6g}"
+                                  for side in order)
+            for name in ("analyses_per_s", "latency_p90_ms") if name in pairs[-1][0]["metrics"])
+        print(f"pair {index + 1} ({order[0]} first): {values}; failed "
+              f"base {result['base']['failed']}/{result['base']['attempted']} "
+              f"head {result['head']['failed']}/{result['head']['attempted']}", flush=True)
+    print(f"workload={args.workload} seed={args.seed} seconds={args.seconds} "
+          f"pairs={args.pairs}")
+    for line in summary(pairs, directions(sides["head"])):
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
