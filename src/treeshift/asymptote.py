@@ -27,7 +27,7 @@ from .asymptotics import (
 from .records import Record
 from .shifts import ShiftOperator
 from .sparse import SparseVector, nan_max
-from .trees import TreeWindow
+from .trees import TreeWindow, count_text
 
 UNILATERAL = "unilateral"
 CNU_UNILATERAL = "cnu-unilateral"
@@ -51,9 +51,8 @@ class AsymptoteDescriptor(Record):
     _unshown = ("operator", "alpha")
 
     def to_json(self):
-        mult = "inf" if self.multiplicity == math.inf else int(self.multiplicity)
         return {"beta": {k: v for k, v in sorted(self.beta.items())},
-                "class": self.classification, "multiplicity": mult,
+                "class": self.classification, "multiplicity": count_text(self.multiplicity),
                 "cnu_test": self.cnu_value}
 
     def dense_truncation(self, window: TreeWindow):

@@ -46,8 +46,7 @@ from .cyclicity import (
     verify_cyclic_candidate,
 )
 from .records import dumps_sorted
-from .shifts import (CONTRACTION_SLACK, ShiftOperator,
-                     vector_to_dense)  # noqa: F401  (perfbench/tracing.py wraps it)
+from .shifts import ShiftOperator, vector_to_dense  # noqa: F401  (perfbench/tracing.py wraps it)
 from .similarity import build_leaf_similarity, build_tilde_quasiaffinity
 from .sparse import SparseVector, nan_max
 from .trees import branching_index, count_text, leaves, load_tree, materialize_window
@@ -57,7 +56,8 @@ EXIT_BROKEN_PIPE = 1
 
 
 class Reporter:
-    """Prints each fact of a run as text or as one JSON record."""
+    """Prints each fact of a run as text or as one JSON record, and the bulk
+    rows of a fact as text lines under their header or as JSON lines."""
 
     def __init__(self, as_json: bool):
         self.as_json = as_json
@@ -70,10 +70,14 @@ class Reporter:
         else:
             print(*lines, sep="\n")
 
-    def text(self, line: str):
-        """A line that only the text output has."""
-        if not self.as_json:
-            print(line)
+    def rows(self, header, json_lines, text_lines):
+        """The ``text_lines`` under ``header`` (None for no header), or with
+        ``--json`` the ``json_lines``, one record each; either side in one
+        ``print``, and only that side's iterable is read."""
+        if self.as_json:
+            print("\n".join(json_lines))
+        else:
+            print("\n".join(text_lines if header is None else (header, *text_lines)))
 
 
 def level_range(text):
@@ -118,19 +122,23 @@ def _analysis(args, need_adjoint=True):
     return model, operator, window, profile, adjoint
 
 
+def _classification(profile, adjoint, zero_th, out: Reporter):
+    """The asymptotic class of the shift and its adjoint, reported as the
+    ``classification`` fact that ``analyze`` and tree ``cyclic`` share."""
+    cls = classify(profile, adjoint, zero_threshold=zero_th)
+    out.fact("classification", cls.to_json(), f"classification: {cls.forward} / {cls.adjoint}",
+             *(f"  {note}" for note in cls.notes))
+    return cls
+
+
 def cmd_analyze(args, out: Reporter) -> int:
     model, operator, window, profile, adjoint = _analysis(args)
     norm = operator.operator_norm(window)
     out.fact("norm", norm.to_json(),
              f"norm: {norm.value:.12g} ({'certified' if norm.certified else 'window only'})")
-    out.text(f"contraction: {'yes' if norm.value <= 1.0 + CONTRACTION_SLACK else 'no'}")
-    out.text("forward limits:")
-    if out.as_json:  # one line per window vertex, the bulk of the output
-        print("\n".join(profile.record(u).json_line("alpha") for u in window.order))
-    else:
-        for u in window.order:
-            rec = profile.record(u)
-            print(f"  alpha[{u}] = {rec.estimate:.12g} ({rec.status}, depth {rec.depth})")
+    out.rows("forward limits:", (profile.record(u).json_line("alpha") for u in window.order),
+             (f"  alpha[{u}] = {rec.estimate:.12g} ({rec.status}, depth {rec.depth})"
+              for u in window.order for rec in [profile.record(u)]))
     stable = stable_subtree(profile, args.zero_th)
     br_value, br_exact = stable.branching
     out.fact("stable-subtree", {"members": sorted(stable.members),
@@ -138,16 +146,11 @@ def cmd_analyze(args, out: Reporter) -> int:
                                 "branching_exact": br_exact},
              f"stable subtree: {len(stable.members)}/{len(window)} window vertices, "
              f"Br(T')={count_text(br_value)}{'' if br_exact else ' (window partial)'}")
-    out.text("adjoint limits (by level):")
-    if out.as_json:
-        print("\n".join(adjoint.profile.record(u).json_line("a") for u in window.order))
-    else:
-        for lvl in window.levels():
-            rep = adjoint.profile.record(window.vertices_at(lvl)[0])
-            print(f"  a[level {lvl}] = {rep.estimate:.12g} ({rep.status})")
-    cls = classify(profile, adjoint, zero_threshold=args.zero_th)
-    out.fact("classification", cls.to_json(), f"classification: {cls.forward} / {cls.adjoint}",
-             *(f"  {note}" for note in cls.notes))
+    limits = adjoint.profile
+    out.rows("adjoint limits (by level):", (limits.record(u).json_line("a") for u in window.order),
+             (f"  a[level {lvl}] = {rec.estimate:.12g} ({rec.status})"
+              for lvl in window.levels() for rec in [limits.record(window.vertices_at(lvl)[0])]))
+    _classification(profile, adjoint, args.zero_th, out)
     sim_iso = similar_to_isometry(operator, profile, args.zero_th)
     sim_co = similar_to_coisometry(operator, window)
     out.fact("similar-to-isometry", sim_iso.to_json(),
@@ -202,23 +205,19 @@ def cmd_cyclic(args, out: Reporter) -> int:
                      if record.support_columns < record.dimension else "")
             membership = range_membership_report(spec, candidate, 2)
             out.fact("krylov", {"rank": record.rank, "dimension": record.dimension,
-                                "cyclic": record.certified,
                                 "range_membership_n2": membership,
                                 "certified": record.certified,
                                 "modulus": record.modulus, "columns": record.columns},
                      f"candidate verified: rank {record.rank}/{record.dimension} mod "
                      f"{record.modulus} ({certified}){short}",
                      f"range membership partial sum (n=2): {membership:.6g}")
-            if out.as_json:  # one line per stage, like analyze's per-vertex lines
-                print("\n".join(candidate.to_json_lines()))
-            else:
-                for j, k, x in candidate.entries():
-                    print(f"  f[{j},{k}] = {x:.12g}")
+            out.rows(None, candidate.to_json_lines(),
+                     (f"  f[{j},{k}] = {x:.12g}" for j, k, x in candidate.entries()))
         return 0
     model, operator, window, profile, adjoint = _analysis(args)
-    cls = classify(profile, adjoint, zero_threshold=args.zero_th)
+    cls = _classification(profile, adjoint, args.zero_th, out)
     verdict = cyclicity_verdict(model, cls)
-    out.fact("verdict", verdict.to_json(), f"classification: {cls.forward} / {cls.adjoint}",
+    out.fact("verdict", verdict.to_json(),
              f"verdict: {verdict.verdict} [{verdict.rule}] {verdict.reason}",
              *(f"  blocker: {blocker}" for blocker in verdict.blockers))
     return 0
@@ -284,12 +283,11 @@ def cmd_oracle(args, out: Reporter) -> int:
     coker = operator.window_cokernel(window)
     artificial = boundary_deficiency(window)
     truncated = len(window) - len(interior)
-    if truncated:
-        out.text(f"boundary truncation: {truncated} window vertices have children "
-                 f"outside the window; interior checks exclude them")
     out.fact("oracle", {"apply_residual": worst_apply, "power_residual": worst_power,
                         "adjoint_residual": worst_adjoint, "cokernel": coker,
-                        "boundary_artificial": artificial},
+                        "boundary_artificial": artificial, "truncated": truncated},
+             *([f"boundary truncation: {truncated} window vertices have children "
+                f"outside the window; interior checks exclude them"] if truncated else []),
              f"apply vs matrix (interior): {worst_apply:.3e}",
              f"power closed-form vs iteration: {worst_power:.3e}",
              f"adjoint vs matrix transpose: {worst_adjoint:.3e}",

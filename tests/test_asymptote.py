@@ -95,6 +95,7 @@ def test_rooted_asymptote_is_unilateral():
     descriptor = isometric_asymptote(op, profile, stable)
     assert descriptor.classification == "unilateral"
     assert descriptor.multiplicity == 1
+    assert descriptor.to_json()["multiplicity"] == "1"  # a count is a string, as Br is
 
 
 def test_mixed_subtree_asymptote_is_pure_bilateral():

@@ -136,7 +136,7 @@ def test_analyze_rejects_growing_geometric_weights(specs, tmp_path, capsys, rati
                  f"--levels={levels}"]) == 3
     captured = capsys.readouterr()
     assert "not a contraction: operator norm inf exceeds 1" in captured.err
-    assert "contraction: yes" not in captured.out
+    assert captured.out == ""  # no report of a shift that is not a contraction
 
 
 @pytest.mark.parametrize("levels", ["1:9", "2:9", "-9:-2"])
@@ -238,6 +238,24 @@ def test_cyclic_tree_verdict(specs, capsys):
                  "--levels=-6:6"]) == 0
     out = capsys.readouterr().out
     assert "non-cyclic [R6]" in out
+
+
+def test_tree_cyclic_reports_the_classification_it_rules_on(specs, capsys):
+    """Tree ``cyclic`` writes the ``classification`` fact of ``analyze``, notes
+    included, before its verdict, as text and as one JSON record."""
+    argv = ["--tree", specs["tilde"], "--weights", specs["tilde_w"], "--levels=-6:6"]
+    assert main(["cyclic", *argv, "--json"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["record"] for r in records] == ["classification", "verdict"]
+    assert main(["analyze", *argv, "--json"]) == 0
+    analyzed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r for r in analyzed if r["record"] == "classification"] == records[:1]
+    assert main(["cyclic", *argv]) == 0
+    assert capsys.readouterr().out.splitlines()[:4] == [
+        "classification: C1dot / Cdot1", "  forward: C1dot (numerical)",
+        "  adjoint: Cdot1 (numerical)",
+        "verdict: non-cyclic [R6] rootless Br=1 of class C1·: the isometric asymptote is "
+        "the non-cyclic bilateral+unilateral sum"]
 
 
 def test_cyclic_backward_construct_and_verify(specs, capsys):
@@ -437,6 +455,21 @@ def test_oracle_runs_past_the_dense_cap(specs, capsys):
     doc = next(d for d in lines if d["record"] == "oracle")
     assert doc["apply_residual"] == doc["adjoint_residual"] == doc["power_residual"] == 0.0
     assert doc["cokernel"] == 1
+
+
+def test_oracle_counts_the_truncated_vertices_in_its_record(specs, capsys):
+    """The window vertices with children outside the window: the ``truncated``
+    key of the ``oracle`` record, and the first text line of the fact when
+    there are any."""
+    star = ["oracle", "--tree", specs["star"], "--weights", specs["star_w"], "--levels", "0:2"]
+    tilde = ["oracle", "--tree", specs["tilde"], "--weights", specs["tilde_w"], "--levels=-3:3"]
+    for argv, truncated in ((star, 0), (tilde, 2)):
+        assert main(argv + ["--json"]) == 0
+        (doc,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert doc["truncated"] == truncated
+        assert main(argv) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first.startswith("boundary truncation: 2 window vertices") == bool(truncated)
 
 
 def test_parser_is_reused_across_calls(specs, capsys):
@@ -1001,7 +1034,7 @@ def test_cyclic_backward_certified_window_is_cyclic_whatever_the_float_residual(
                  "--json"]) == 0
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     krylov = next(r for r in records if r.get("record") == "krylov")
-    assert (krylov["certified"], krylov["cyclic"]) == (True, True)
+    assert krylov["certified"] is True
     assert "residual" not in krylov and "numerical_rank" not in krylov
 
 
@@ -1035,7 +1068,6 @@ def test_cyclic_backward_runs_no_svd_where_the_exact_rank_decides(tmp_path, caps
                  "--json"]) == 0
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     krylov = next(r for r in records if r.get("record") == "krylov")
-    assert krylov["cyclic"] == krylov["certified"]
     assert krylov["certified"] == (branches * (K + 1) <= L * (L + 1) // 2 + 1)
 
 
@@ -1049,7 +1081,7 @@ def test_cyclic_backward_says_when_the_window_is_deeper_than_the_support(
     assert main(argv + ["--json"]) == 0
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     krylov = next(r for r in records if r.get("record") == "krylov")
-    assert set(krylov) == {"record", "rank", "dimension", "cyclic", "range_membership_n2",
+    assert set(krylov) == {"record", "rank", "dimension", "range_membership_n2",
                            "certified", "modulus", "columns"}
     assert (krylov["columns"], krylov["dimension"]) == (columns, branches * (K + 1))
     assert main(argv) == 0

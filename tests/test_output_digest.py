@@ -46,6 +46,22 @@ def test_binary_descent_digest_repeats_under_both_hash_seeds():
     assert re.fullmatch(r"runs 22 sha256 [0-9a-f]{64}\n", lines[0])
 
 
+def test_runs_lists_each_run_before_the_same_digest_line():
+    """``--runs`` adds one line per run, each run named once, and leaves the
+    digest line as it is without the flag."""
+    argv = [sys.executable, os.path.join(ROOT, "tools", "output_digest.py"),
+            "--workloads", "backward-cyclic", "--seeds", "1", "--rounds", "1"]
+    plain = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    listed = subprocess.run(argv + ["--runs"], capture_output=True, text=True, timeout=120)
+    assert plain.returncode == listed.returncode == 0, listed.stderr
+    *runs, last = listed.stdout.splitlines()
+    assert last + "\n" == plain.stdout
+    assert len(runs) == 24
+    assert all(re.fullmatch(r"backward-cyclic 1 0 C\d+ (text|json) [0-9a-f]{64}", run)
+               for run in runs)
+    assert len({run.rsplit(" ", 1)[0] for run in runs}) == 24
+
+
 # Runs the tool on one backward-cyclic round with a main that adds one
 # compact line, ``{"record":"extra"}``, to every run.
 EXTRA_LINE_RUN = """

@@ -13,6 +13,10 @@ covers, in run order, the instance, its exit code, its stdout and stderr,
 and any exception that escaped ``main``, with the round directory masked.  Two
 checkouts give the same digest exactly when their outputs are byte-identical.
 
+With ``--runs`` the tool first prints one ``<workload> <seed> <round> <slot>
+<text|json> <sha256>`` line per run, the sha256 of what that run adds to the
+digest, so that the two checkouts' lists can be diffed run by run.
+
 Every stdout line of a ``--json`` run must also be ``json.dumps(json.loads(line))``:
 the CLI writes its per-vertex ``alpha`` and ``a`` lines and the ``cyclic
 --backward`` stage lines without ``json``, and this holds them to its spelling.  A line that is not names its run on stderr, and the
@@ -53,11 +57,11 @@ def noncanonical_line(out: str):
 
 
 def digest(names, seeds, rounds) -> tuple:
-    """(run count, sha256 hex digest, [(run, line)]) over every instance of
-    the rounds; the list names each ``--json`` run with a non-canonical line."""
+    """(sha256 hex digest, [(run, line)], [run line]) over every instance of
+    the rounds; the first list names each ``--json`` run with a non-canonical
+    line, the second holds the ``--runs`` line of every run."""
     total = hashlib.sha256()
-    runs = 0
-    bad = []
+    bad, run_lines = [], []
     for name in names:
         for seed in seeds:
             for index in range(rounds):
@@ -66,20 +70,21 @@ def digest(names, seeds, rounds) -> tuple:
                     manifest = workloads.write_round(name, seed, index, directory)
                     for instance in manifest["instances"]:
                         text = [a for a in instance["argv"] if a != "--json"]
-                        for argv in (text, text + ["--json"]):
+                        for kind, argv in (("text", text), ("json", text + ["--json"])):
                             code, out, err, raised, _ = call_main(cli.main, argv)
                             record = [name, seed, index, instance["slot"], argv, code, out, err,
                                       raised]
-                            masked = json.dumps(record).replace(directory, ROUND_MASK)
-                            total.update(masked.encode() + b"\n")
-                            runs += 1
-                            line = noncanonical_line(out) if "--json" in argv else None
+                            masked = json.dumps(record).replace(directory, ROUND_MASK).encode()
+                            total.update(masked + b"\n")
+                            run = f"{name} {seed} {index} {instance['slot']} {kind}"
+                            run_lines.append(f"{run} {hashlib.sha256(masked).hexdigest()}")
+                            line = noncanonical_line(out) if kind == "json" else None
                             if line is not None:
                                 bad.append((f"{name} seed {seed} round {index} slot "
                                             f"{instance['slot']}", line))
                 finally:
                     shutil.rmtree(directory)
-    return runs, total.hexdigest(), bad
+    return total.hexdigest(), bad, run_lines
 
 
 def main(argv=None) -> int:
@@ -89,9 +94,14 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", nargs="+", type=int, required=True)
     parser.add_argument("--rounds", type=int, required=True,
                         help="rounds 0 .. ROUNDS-1 of every seed")
+    parser.add_argument("--runs", action="store_true",
+                        help="first print one line per run: the run and its own sha256")
     args = parser.parse_args(argv)
-    runs, hexdigest, bad = digest(args.workloads, args.seeds, args.rounds)
-    print(f"runs {runs} sha256 {hexdigest}")
+    hexdigest, bad, run_lines = digest(args.workloads, args.seeds, args.rounds)
+    if args.runs:
+        for line in run_lines:
+            print(line)
+    print(f"runs {len(run_lines)} sha256 {hexdigest}")
     for run, line in bad:
         print(f"{run}: --json line is not json.dumps(json.loads(line)): {line!r}",
               file=sys.stderr)
