@@ -61,7 +61,8 @@ def _run(argv, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)
-def test_every_line_is_a_fact_or_a_row_of_one(workload, tmp_path, monkeypatch, capsys):
+def test_every_text_fact_is_a_json_record_of_the_same_run(workload, tmp_path, monkeypatch,
+                                                          capsys):
     for instance in workloads.write_round(workload, 1, 0, str(tmp_path))["instances"]:
         text_argv = [a for a in instance["argv"] if a != "--json"]
         code, text, text_out = _run(text_argv, monkeypatch, capsys)
