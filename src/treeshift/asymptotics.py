@@ -30,18 +30,17 @@ Level lumping: when every vertex has the same children count (the tree's
 weights' ``level_only``; ``ShiftOperator.is_level_homogeneous`` tests both:
 constant, geometric, step or exp-ray weights on the paths and the rootless
 binary tree), all vertices of a level share one weighted cone and one
-ancestor chain, and both sides run on the weights' level law and never ask
-for the weight of a vertex outside the window.  The forward descent multiplies
+ancestor chain, and the forward descent runs on the weights' level law and
+never asks for the weight of a vertex outside the window.  It multiplies
 s_n = s_(n-1) * q_l, where q_l, the sum of lambda^2 over the c children of a
-level-l vertex, is c copies of lambda^2 at level l + 1, kept per level on the
-``AlphaEvaluator`` and summed as a walk of the children would sum them.  The
-frontier cap never binds, s_n is exact out to convergence or the depth
-budget, and one descent serves every vertex of a level.  The adjoint side
-walks the generation's vertex ids, as on every tree, scales one member's
-chain of lambda^2 products (``ShiftOperator.ancestor_chain``, whose squares
-come from the level law) by the number of members, and gives each member the
-square root of the chain's last product as its h coefficient.  Otherwise
-every cone that does not die inside the window is walked vertex by vertex.
+level-l vertex, is c copies of the square of ``level_weight(l + 1)``, kept per
+level on the ``AlphaEvaluator`` and summed as a walk of the children would sum
+them.  The frontier cap never binds, and s_n is exact out to convergence or
+the depth budget.  Otherwise every cone that does not die inside the window
+is walked vertex by vertex.  The adjoint side is the same for every law: it
+walks the generation's vertex ids, sums the members' chains of lambda^2
+products (``ShiftOperator.ancestor_chain``) column by column, and gives each
+member the square root of its chain's last product as its h coefficient.
 
 Every walk asks the operator, not the model, for weights and children, and
 the model for parents.  ``ShiftOperator`` memoizes weights and children per
@@ -100,9 +99,9 @@ class VertexEstimate(Record):
 
 
 class AlphaEvaluator:
-    """Cached per-vertex evaluation of the forward limit eigenvalues; on a
-    certified isometry, a certified vanishing or a lumped operator, one
-    record per level."""
+    """Cached per-vertex evaluation of the forward limit eigenvalues: the
+    family's record on a certified isometry or vanishing, else a descent;
+    the descents of a lumped operator share one step per level."""
 
     def __init__(self, operator: ShiftOperator, tol: float = DEFAULT_TOL,
                  max_depth: int = DEFAULT_MAX_DEPTH):
@@ -114,7 +113,6 @@ class AlphaEvaluator:
                        else _ZERO if operator.is_certified_vanishing() else None)
         self.lumped = operator.is_level_homogeneous()
         self._cache: dict[str, VertexEstimate] = {}
-        self._by_level: dict[int, tuple] = {}
         self._steps: dict[int, float] = {}  # lumped: level -> q_l of ``_descend``
 
     def __call__(self, u: str) -> VertexEstimate:
@@ -127,29 +125,24 @@ class AlphaEvaluator:
     def _compute(self, u: str) -> VertexEstimate:
         if self.closed is not None:
             return VertexEstimate(u, *self.closed)
-        if not self.lumped:
-            return VertexEstimate(u, *self._descend(u))
-        lvl = self.operator.model.level(u)
-        hit = self._by_level.get(lvl)
-        if hit is None:
-            hit = self._by_level[lvl] = self._descend(None, lvl)
-        return VertexEstimate(u, *hit)
+        return VertexEstimate(u, *self._descend(u))
 
     @functools.cached_property
     def _floor(self):
         """The weights' convergence floor level, read at the first descent."""
         return self.operator.weights.convergence_floor_level(self.operator.model)
 
-    def _descend(self, u: str | None, lvl: int | None = None) -> tuple:
+    def _descend(self, u: str) -> tuple:
         """(estimate, upper, status, depth) from the partial sums s_n(u).
 
-        A lumped operator passes u = None and ``lvl``: every vertex of that
-        level has the same cone, so s_n = s_(n-1) * q_l, where q_l, the sum
-        of lambda^2 over the c children of a level-l vertex, is c copies of
-        the level's square summed as a walk would sum them."""
+        On a lumped operator every vertex of u's level l has the same cone, so
+        s_n = s_(n-1) * q_l, where q_l, the sum of lambda^2 over the c children
+        of a level-l vertex, is c copies of ``level_weight(l + 1) ** 2`` summed
+        as a walk would sum them."""
         op = self.operator
         children, weight = op.children, op.weight
         steps = self._steps
+        lvl = op.model.level(u) if self.lumped else None
         # Flat unit-weight prefixes keep the partial sums exactly constant, so
         # convergence may not be declared before the frontier has passed them.
         min_depth = CONSECUTIVE_SMALL + 5
@@ -165,8 +158,8 @@ class AlphaEvaluator:
             if lvl is not None:
                 q = steps.get(lvl)
                 if q is None:
-                    q = steps[lvl] = sum(itertools.repeat(op.level_square(lvl + 1),
-                                                          op.model.children_per_vertex))
+                    square = op.weights.level_weight(lvl + 1) ** 2
+                    q = steps[lvl] = sum(itertools.repeat(square, op.model.children_per_vertex))
                 s = s_prev * q
                 lvl += 1
             else:
@@ -359,15 +352,9 @@ def _adjoint_level(operator: ShiftOperator, u: str, depth: int, tol: float,
 
     # A rootless chain never stops at a root, so each holds ``depth`` products;
     # the partial sums over the members certify convergence of the product tails.
-    if operator.is_level_homogeneous():
-        # Every member's chain is the level's chain.
-        chain = ancestor_products(operator, u, depth)[0]
-        sums = [len(members) * p for p in chain]
-        coefficients = dict.fromkeys(members, math.sqrt(chain[-1]))
-    else:
-        chains = {v: ancestor_products(operator, v, depth)[0] for v in members}
-        sums = [sum(col) for col in zip(*chains.values())]
-        coefficients = {v: math.sqrt(chains[v][-1]) for v in members}
+    chains = {v: ancestor_products(operator, v, depth)[0] for v in members}
+    sums = [sum(col) for col in zip(*chains.values())]
+    coefficients = {v: math.sqrt(chains[v][-1]) for v in members}
     consecutive = 0
     tail_ok = False
     for d in range(1, len(sums)):

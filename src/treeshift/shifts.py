@@ -32,12 +32,11 @@ class ShiftOperator:
     ancestor chains evaluates each vertex once, and a vertex whose parent's
     chain is known does not walk its own.  Parents are read from the model:
     most are asked for once per analysis, so a memo of them would mostly
-    miss.  For ``level_only`` weights it also keeps lambda^2 per level
-    (``level_square``), and an ancestor chain reads its squares from there,
-    so a walk up past the window asks no vertex for its weight.  The first
-    query of a vertex still goes through the model and the weight
-    assignment, so the model's own membership check of the id and the
-    weight checks run (and raise at the same vertex) as without the memo;
+    miss.  An ancestor chain squares the memoized weight of each vertex it
+    passes, whatever the weight law.  The first query of a vertex still goes
+    through the model and the weight assignment, so the model's own
+    membership check of the id and the weight checks run (and raise at the
+    same vertex) as without the memo;
     later queries return the same float or tuple, so every product and sum
     built from them is unchanged.  The memos live as long as the operator:
     the CLI builds one per call.  Weights that read family vertex ids
@@ -56,7 +55,6 @@ class ShiftOperator:
         self._norms: dict[TreeWindow, NormBound] = {}
         # depth -> vertex -> (squared weights, ancestors) of ``ancestor_chain``
         self._chains: dict[int, dict[str, tuple]] = {}
-        self._level_squares: dict[int, float] = {}
 
     def weight(self, v: str) -> float:
         w = self._weights.get(v)
@@ -81,7 +79,7 @@ class ShiftOperator:
         if chain is None:
             above = table.get(self.model.parent(v))
             if above is not None:
-                chain = (((self._square(v),) + above[0])[:depth],
+                chain = (((self.weight(v) ** 2,) + above[0])[:depth],
                          ((v,) + above[1])[:depth + 1])
             else:
                 squares, ancestors, w = [], [v], v
@@ -90,26 +88,11 @@ class ShiftOperator:
                     if parent is None:  # w is the root, which carries no weight
                         ancestors.append(None)
                         break
-                    squares.append(self._square(w))
+                    squares.append(self.weight(w) ** 2)
                     ancestors.append(w := parent)
                 chain = (tuple(squares), tuple(ancestors))
             table[v] = chain
         return chain
-
-    def _square(self, v: str) -> float:
-        """lambda_v^2 of a non-root vertex; for ``level_only`` weights the
-        level's square, the same float, asked of no vertex."""
-        if self.weights.level_only:
-            return self.level_square(self.model.level(v))
-        return self.weight(v) ** 2
-
-    def level_square(self, lvl: int) -> float:
-        """lambda^2 at every vertex of level ``lvl``, for ``level_only``
-        weights: the square of the very float ``weight`` gives there."""
-        square = self._level_squares.get(lvl)
-        if square is None:
-            square = self._level_squares[lvl] = self.weights.level_weight(lvl) ** 2
-        return square
 
     def apply(self, x: SparseVector) -> SparseVector:
         out = {}

@@ -355,8 +355,8 @@ class StepWeights(FamilyWeights):
     level_only = True
 
     def __init__(self, low: float, high: float, cut: int = 0):
-        self.low = _positive(low, "step low")
-        self.high = _positive(high, "step high")
+        self.low = _positive(low, "step low", MAX_WEIGHT)
+        self.high = _positive(high, "step high", MAX_WEIGHT)
         self.cut = _integer(cut, "step cut")
 
     def level_weight(self, lvl):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from treeshift import cli
 from treeshift.asymptote import cnu_level_value
 from treeshift.asymptotics import (
     AlphaEvaluator,
@@ -649,13 +650,8 @@ def test_counted_generation_matches_the_walked_one(family, weights, vertices, ca
         est, upper, status, coeffs, gen_exact = ref_adjoint_level(op, u, frontier_cap=cap)
         assert repr(h.coefficients.coeffs) == repr(coeffs)
         assert (rec.status, h.status, h.gen_exact) == (status, status, gen_exact)
-        # One chain times the walked generation's size.  The reference adds
-        # the members' equal products one by one, which rounds differently.
-        chain = ancestor_products(op, u, DEFAULT_MAX_DEPTH)[0]
-        lumped = len(coeffs) * chain[min(DEFAULT_MAX_DEPTH, len(chain)) - 1]
-        assert repr((rec.estimate, h.norm_sq, rec.upper)) == \
-            repr((lumped, lumped, lumped if gen_exact else 1.0))
-        assert rec.estimate == pytest.approx(est, rel=1e-12, abs=0)
+        # The members' equal products added one by one, as the reference adds them.
+        assert repr((rec.estimate, h.norm_sq, rec.upper)) == repr((est, est, upper))
 
 
 @pytest.mark.parametrize("command,family,cls,doc,lo,hi", [
@@ -673,17 +669,28 @@ def test_counted_generation_matches_the_walked_one(family, weights, vertices, ca
         "asymptote-bilateral-exp-ray", "analyze-rooted-step"])
 def test_lumped_runs_ask_for_the_weights_of_the_window_alone(
         tmp_path, monkeypatch, capsys, command, family, cls, doc, lo, hi):
-    """Past the window the lumped path reads the level law: the per-vertex
-    weight queries do not grow with --depth, and stay within the window's
-    vertices, their children and the top boundary's parents."""
+    """Past the window the lumped forward descent reads the level law: the
+    per-vertex weight queries made inside ``alpha_profile`` do not grow with
+    --depth, and stay within the window's vertices, their children and the
+    top boundary's parents."""
     calls = []
     weight = cls.weight
+    inside = []
 
     def counting(self, model, v):
-        calls.append(v)
+        if inside:
+            calls.append(v)
         return weight(self, model, v)
 
+    def counted_alpha_profile(*args, **kwargs):
+        inside.append(True)
+        try:
+            return alpha_profile(*args, **kwargs)
+        finally:
+            inside.pop()
+
     monkeypatch.setattr(cls, "weight", counting)
+    monkeypatch.setattr(cli, "alpha_profile", counted_alpha_profile)
     tree, weights = tmp_path / "tree.json", tmp_path / "weights.json"
     tree.write_text(json.dumps({"family": family, "params": {}}))
     weights.write_text(json.dumps(doc))
@@ -802,9 +809,7 @@ def test_level_law_adjoint_equals_a_chain_of_ancestor_products(family, weights, 
     walked = ShiftOperator(model, weights)
     for lvl in window.levels():
         rep = window.vertices_at(lvl)[0]
-        _, _, status, coeffs, gen_exact = ref_adjoint_level(walked, rep)
-        chain = ancestor_products(walked, rep, DEFAULT_MAX_DEPTH)[0]
-        norm_sq = len(coeffs) * chain[-1]
+        norm_sq, _, status, coeffs, gen_exact = ref_adjoint_level(walked, rep)
         assert repr(adjoint.h_vectors[lvl].norm_sq) == repr(norm_sq)
         for u in window.vertices_at(lvl):
             rec = adjoint.profile.record(u)

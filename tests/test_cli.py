@@ -240,6 +240,36 @@ def test_cyclic_tree_verdict(specs, capsys):
     assert "non-cyclic [R6]" in out
 
 
+COMB_MAP = {"kind": "map", "values": {"1": 0.6, "1'": 0.6}, "default": 1.0}
+
+
+@pytest.mark.parametrize("tree,weights,levels,rule,verdict", [
+    ({"vertices": ["r", "a", "b"], "edges": [["r", "a"], ["r", "b"]], "root": "r"},
+     {"kind": "map", "values": {"a": 0.6, "b": 0.6}}, "0:2", "R1", "non-cyclic"),
+    ({"family": "rootless-binary"}, {"kind": "constant", "value": 0.6}, "0:1", "R2",
+     "non-cyclic"),
+    ({"family": "comb", "params": {"primed_leaf": 3, "unprimed_leaf": 5}}, COMB_MAP, "-2:2",
+     "R4", "cyclic"),
+    ({"family": "comb", "params": {"primed_leaf": 3}}, COMB_MAP, "-2:2", "R5", "cyclic"),
+    ({"family": "bilateral-path"}, {"kind": "map", "values": {"1": 0.6}, "default": 1.0},
+     "-2:2", "R5'", "cyclic"),
+    ({"family": "rooted-path"},
+     {"kind": "family", "name": "exp-ray", "params": {"base": 2, "start_level": 1}}, "0:3",
+     "R7", "adjoint-cyclic"),
+    ({"family": "bilateral-path"},
+     {"kind": "family", "name": "step", "params": {"low": 0.5, "high": 1.0, "cut": 0}},
+     "-2:2", "R8", "adjoint-cyclic"),
+], ids=["R1", "R2", "R4", "R5", "R5'", "R7", "R8"])
+def test_cyclic_json_prints_each_tree_rule(tmp_path, capsys, tree, weights, levels, rule,
+                                           verdict):
+    assert main(["cyclic", "--tree", write(tmp_path, "tree.json", tree),
+                 "--weights", write(tmp_path, "weights.json", weights),
+                 f"--levels={levels}", "--json"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["record"] for r in records] == ["classification", "verdict"]
+    assert (records[1]["rule"], records[1]["verdict"]) == (rule, verdict)
+
+
 def test_tree_cyclic_reports_the_classification_it_rules_on(specs, capsys):
     """Tree ``cyclic`` writes the ``classification`` fact of ``analyze``, notes
     included, before its verdict, as text and as one JSON record."""
@@ -603,13 +633,21 @@ def test_smallest_backward_window_is_accepted(specs, capsys):
 
 
 @pytest.mark.parametrize("params", [{"lo": 0.5}, {"low": 0.5, "high": 0.7, "lo": 0.5},
-                                    {"high": 0.7}, [0.5, 0.7]])
+                                    {"high": 0.7}, [0.5, 0.7],
+                                    {"low": 0.5, "high": 1e200}, {"low": 1e200, "high": 0.5}])
 def test_bad_family_params_exit_code(specs, tmp_path, capsys, params):
     path = write(tmp_path, "step.json", {"kind": "family", "name": "step", "params": params})
     assert main(["analyze", "--tree", specs["bilateral"], "--weights", path,
                  "--levels=-2:2"]) == 2
     err = capsys.readouterr().err
-    assert "WeightError" in err and "'step'" in err and "Traceback" not in err
+    # a value whose square overflows is named by its parameter
+    huge = [name for name, value in params.items() if value == 1e200] if isinstance(
+        params, dict) else []
+    if huge:
+        assert err == (f"error: WeightError: step {huge[0]} must be at most 1.34078e+154, "
+                       "so that its square is finite, got 1e+200\n")
+    else:
+        assert "WeightError" in err and "'step'" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("params", [{"primed_leaf": 2.5}, {"primed_leaf": "3"},

@@ -198,6 +198,43 @@ def test_ratio_unbounded_powers_of_two():
     assert cert.value == pytest.approx(2.0 ** cert.at)
 
 
+def walked_blow_up(op, blow_up, horizon=64):
+    """(k, product) of the first partial product of lambda_k'/lambda_k above blow_up."""
+    ratio = 1.0
+    for k in range(1, horizon + 1):
+        ratio *= op.weight(f"{k}'") / op.weight(str(k))
+        if ratio > blow_up:
+            return k, ratio
+    return None
+
+
+@pytest.mark.parametrize("spine,primed,blow_up", [
+    (0.05, 0.5, 1e6), (0.001, 0.1, 1e6), (0.5, 1.0, 1e6), (0.5, 1.0, 2.0 ** 20),
+    (0.3, 0.9, 1e6), (0.01, 0.5, 50.0)])
+def test_geometric_ratio_passes_the_bound_where_the_walk_does(spine, primed, blow_up):
+    """The closed form's ``at`` is the first k whose product exceeds the
+    bound, as the walked ratios of the weights give it, not one that equals it."""
+    op = ShiftOperator(make_family("tilde"), RayWeights(spine=spine, primed=primed))
+    assert op.weights.ratio_geometric() is not None
+    cert = ratio_bounded(op, blow_up=blow_up)
+    at, value = walked_blow_up(op, blow_up)
+    assert (cert.status, cert.exact, cert.at) == ("unbounded-evidence", True, at)
+    assert cert.value == pytest.approx(value, rel=1e-12) and cert.value > blow_up
+
+
+@pytest.mark.parametrize("first", [1.0, 2.0, 999_999.0])
+def test_geometric_ratio_near_one_takes_the_least_k(first):
+    """A step of 1 + 1e-9 passes 1e6 only after some 1e10 levels: the closed
+    form reads the least k with first * step^(k-1) above the bound."""
+    step = 1.0 + 1e-9
+    op = ShiftOperator(make_family("tilde"),
+                       RayWeights(spine=1.0, primed=step, branch_primed=first))
+    assert op.weights.ratio_geometric() == (first, step)
+    cert = ratio_bounded(op)
+    assert cert.value == first * step ** (cert.at - 1)
+    assert first * step ** (cert.at - 2) <= 1e6 < cert.value
+
+
 def test_ratio_decreasing_products_bounded():
     class PrimedExp(WeightAssignment):
         def weight(self, model, v):
