@@ -38,7 +38,7 @@ def defs(path: str) -> list:
 
     def visit(node, prefix, outer):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(child, ast.FunctionDef):
                 name = f"{prefix}.{child.name}"
                 first = min([child.lineno] + [d.lineno for d in child.decorator_list])
                 found.append((name, first, child.end_lineno, outer))
