@@ -102,11 +102,11 @@ def ratio_bounded(operator: ShiftOperator, horizon: int = 64,
             return RatioCertificate("bounded", max(first, first * step), True)
         if first > blow_up:
             return RatioCertificate("unbounded-evidence", first, True, at=1, value=first)
-        # the least k with first * step^(k-1) > blow_up; the log estimate may be one off
+        # the least k with first * step^(k-1) > blow_up; the log estimate may be a few off
         k = 1 + max(1, int(math.ceil(math.log(blow_up / first) / math.log(step))))
-        if first * step ** (k - 1) <= blow_up:
+        while first * step ** (k - 1) <= blow_up:
             k += 1
-        elif k > 2 and first * step ** (k - 2) > blow_up:
+        while k > 2 and first * step ** (k - 2) > blow_up:
             k -= 1
         return RatioCertificate("unbounded-evidence", first * step ** (k - 1), True,
                                 at=k, value=first * step ** (k - 1))

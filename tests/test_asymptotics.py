@@ -7,7 +7,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from treeshift import cli
 from treeshift.asymptote import cnu_level_value
 from treeshift.asymptotics import (
     AlphaEvaluator,
@@ -669,28 +668,30 @@ def test_counted_generation_matches_the_walked_one(family, weights, vertices, ca
         "asymptote-bilateral-exp-ray", "analyze-rooted-step"])
 def test_lumped_runs_ask_for_the_weights_of_the_window_alone(
         tmp_path, monkeypatch, capsys, command, family, cls, doc, lo, hi):
-    """Past the window the lumped forward descent reads the level law: the
-    per-vertex weight queries made inside ``alpha_profile`` do not grow with
-    --depth, and stay within the window's vertices, their children and the
-    top boundary's parents."""
+    """Past the window the lumped path reads the level law: the per-vertex
+    weight queries do not grow with --depth, and stay within the window's
+    vertices, their children and the top boundary's parents.  Ancestor
+    chains walk each vertex's ancestors as for every other law, so the
+    queries they make are not counted."""
     calls = []
     weight = cls.weight
-    inside = []
+    chain = ShiftOperator.ancestor_chain
+    in_chain = []
 
     def counting(self, model, v):
-        if inside:
+        if not in_chain:
             calls.append(v)
         return weight(self, model, v)
 
-    def counted_alpha_profile(*args, **kwargs):
-        inside.append(True)
+    def uncounted_chain(*args, **kwargs):
+        in_chain.append(True)
         try:
-            return alpha_profile(*args, **kwargs)
+            return chain(*args, **kwargs)
         finally:
-            inside.pop()
+            in_chain.pop()
 
     monkeypatch.setattr(cls, "weight", counting)
-    monkeypatch.setattr(cli, "alpha_profile", counted_alpha_profile)
+    monkeypatch.setattr(ShiftOperator, "ancestor_chain", uncounted_chain)
     tree, weights = tmp_path / "tree.json", tmp_path / "weights.json"
     tree.write_text(json.dumps({"family": family, "params": {}}))
     weights.write_text(json.dumps(doc))

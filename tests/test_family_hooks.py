@@ -296,9 +296,9 @@ def ref_ratio_bounded(operator, horizon=64, blow_up=1e6):
         if first > blow_up:
             return RatioCertificate("unbounded-evidence", first, True, at=1, value=first)
         k = 1 + max(1, int(math.ceil(math.log(blow_up / first) / math.log(step))))
-        if first * step ** (k - 1) <= blow_up:
+        while first * step ** (k - 1) <= blow_up:
             k += 1
-        elif k > 2 and first * step ** (k - 2) > blow_up:
+        while k > 2 and first * step ** (k - 2) > blow_up:
             k -= 1
         return RatioCertificate("unbounded-evidence", first * step ** (k - 1), True,
                                 at=k, value=first * step ** (k - 1))

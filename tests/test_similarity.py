@@ -222,11 +222,12 @@ def test_geometric_ratio_passes_the_bound_where_the_walk_does(spine, primed, blo
     assert cert.value == pytest.approx(value, rel=1e-12) and cert.value > blow_up
 
 
+@pytest.mark.parametrize("step", [1.0 + 1e-9, math.nextafter(1.0, 2.0)])
 @pytest.mark.parametrize("first", [1.0, 2.0, 999_999.0])
-def test_geometric_ratio_near_one_takes_the_least_k(first):
-    """A step of 1 + 1e-9 passes 1e6 only after some 1e10 levels: the closed
-    form reads the least k with first * step^(k-1) above the bound."""
-    step = 1.0 + 1e-9
+def test_geometric_ratio_near_one_takes_the_least_k(first, step):
+    """A step of 1 + 1e-9 passes 1e6 only after some 1e10 levels, one ulp
+    above 1 after some 6e16, where the log estimate is several steps off:
+    the closed form reads the least k with first * step^(k-1) above the bound."""
     op = ShiftOperator(make_family("tilde"),
                        RayWeights(spine=1.0, primed=step, branch_primed=first))
     assert op.weights.ratio_geometric() == (first, step)
