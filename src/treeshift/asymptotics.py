@@ -316,8 +316,9 @@ def _generation(operator: ShiftOperator, u: str, depth: int, frontier_cap: int) 
     materializes on a rootless model, where every anchor has a parent.
 
     Step d climbs to the d-th ancestor and adds the vertices d levels below
-    it that are not below the previous anchor.  The sweep stops before the
-    members would pass ``frontier_cap`` and once the generation is complete.
+    it that are not below the previous anchor; a sibling cone that is empty
+    stops growing.  The sweep stops before the members would pass
+    ``frontier_cap`` and once the generation is complete.
     """
     model = operator.model
     members = [u]
@@ -327,6 +328,8 @@ def _generation(operator: ShiftOperator, u: str, depth: int, frontier_cap: int) 
         parent = model.parent(anchor)
         new = dict.fromkeys(v for v in operator.children(parent) if v != anchor)
         for _ in range(d - 1):
+            if not new:
+                break
             grown: dict[str, None] = {}
             for w in new:
                 for v in operator.children(w):
