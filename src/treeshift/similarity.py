@@ -84,6 +84,15 @@ class RatioCertificate(Record):
         return doc
 
 
+def _geometric_term(first: float, step: float, n: int) -> float:
+    """first * step^n; when step^n alone overflows, the power is split in two
+    factors applied one after the other, so a finite product stays finite."""
+    try:
+        return first * step ** n
+    except OverflowError:
+        return first * step ** (n // 2) * step ** (n - n // 2)
+
+
 def ratio_bounded(operator: ShiftOperator, horizon: int = 64,
                   blow_up: float = 1e6) -> RatioCertificate:
     """Track partial maxima of prod_{j<=k} lambda_j'/lambda_j.
@@ -103,13 +112,13 @@ def ratio_bounded(operator: ShiftOperator, horizon: int = 64,
         if first > blow_up:
             return RatioCertificate("unbounded-evidence", first, True, at=1, value=first)
         # the least k with first * step^(k-1) > blow_up; the log estimate may be a few off
-        k = 1 + max(1, int(math.ceil(math.log(blow_up / first) / math.log(step))))
-        while first * step ** (k - 1) <= blow_up:
+        k = 1 + max(1, math.ceil((math.log(blow_up) - math.log(first)) / math.log(step)))
+        while _geometric_term(first, step, k - 1) <= blow_up:
             k += 1
-        while k > 2 and first * step ** (k - 2) > blow_up:
+        while k > 2 and _geometric_term(first, step, k - 2) > blow_up:
             k -= 1
-        return RatioCertificate("unbounded-evidence", first * step ** (k - 1), True,
-                                at=k, value=first * step ** (k - 1))
+        value = _geometric_term(first, step, k - 1)
+        return RatioCertificate("unbounded-evidence", value, True, at=k, value=value)
     settled = w.ratio_settled_from()
     exact = settled is not None
     if exact:

@@ -1,11 +1,14 @@
 """g-vector laws, leaf similarity, tilde quasiaffinity, direct-sum splitting."""
 
+import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from treeshift import similarity
+from treeshift.cli import main
 from treeshift.cyclicity import ge_rank
 from treeshift.errors import NotAContraction, ShapeMismatch
 from treeshift.shifts import ShiftOperator
@@ -234,6 +237,42 @@ def test_geometric_ratio_near_one_takes_the_least_k(first, step):
     cert = ratio_bounded(op)
     assert cert.value == first * step ** (cert.at - 1)
     assert first * step ** (cert.at - 2) <= 1e6 < cert.value
+
+
+def assert_least_finite_blow_up(cert, first, step, blow_up=1e6):
+    """``at`` is the least k with first * step^(k-1) above the bound (exact
+    rational powers, which cannot overflow), and the value is finite."""
+    assert (cert.status, cert.exact) == ("unbounded-evidence", True)
+    assert math.isfinite(cert.value) and cert.value > blow_up
+    assert Fraction(first) * Fraction(step) ** (cert.at - 2) <= blow_up
+
+
+@pytest.mark.parametrize("branch_primed", [1e-300, 5e-324])
+def test_geometric_ratio_whose_power_overflows(branch_primed):
+    """A first ratio of 2e-300 (or 1e-323) and a step of 1e10: step^(at-1)
+    alone overflows, first * step^(at-1) does not."""
+    op = ShiftOperator(make_family("tilde"), RayWeights(1e-10, 1.0, 0.5, branch_primed))
+    first, step = op.weights.ratio_geometric()
+    with pytest.raises(OverflowError):
+        step ** 31
+    assert_least_finite_blow_up(ratio_bounded(op), first, step)
+
+
+def test_similarity_prints_a_ratio_whose_power_overflows(tmp_path, capsys):
+    tree, weights = tmp_path / "tree.json", tmp_path / "weights.json"
+    tree.write_text(json.dumps({"family": "tilde", "params": {}}))
+    weights.write_text(json.dumps({"kind": "family", "name": "rays", "params": {
+        "spine": 1e-10, "primed": 1.0, "branch_spine": 0.5, "branch_primed": 1e-300}}))
+    assert main(["similarity", "--tree", str(tree), "--weights", str(weights),
+                 "--levels=-2:2", "--json"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    ratio = json.loads(out)["ratio"]
+    first, step = 1e-300 / 0.5, 1.0 / 1e-10
+    assert (ratio["at"], ratio["value"]) == (32, first * step ** 15 * step ** 16)
+    cert = similarity.RatioCertificate(ratio["status"], ratio["sup"], ratio["exact"],
+                                       ratio["at"], ratio["value"])
+    assert_least_finite_blow_up(cert, first, step)
 
 
 def test_ratio_decreasing_products_bounded():
