@@ -7,9 +7,7 @@ Monotonicity means every partial sum is a certified upper bound; lower
 bounds do not exist in general, so convergence is reported as a status, not
 silently assumed:
 
-* ``exact-zero``  -- the descendant frontier died out (finite trees, leaves);
-                     off the lumped path, a window vertex whose children are
-                     all exact-zero is read off them, depth 1 + the deepest's;
+* ``exact-zero``  -- the descendant frontier died out (finite trees, leaves),
                      or, on an infinite tree, the family bound proves it:
                      past the last branch point each step scales s_n by at
                      most f * M^2 < 1 (``ShiftOperator.is_certified_vanishing``),
@@ -18,6 +16,16 @@ silently assumed:
 * ``converged``   -- three consecutive partial-sum decrements below tol
 * ``max-depth``   -- depth or frontier budget exhausted; the estimate is
                      still an upper bound, and ``depth`` is the n reached
+
+Window read-off: ``alpha_profile`` fills the window deepest level first and
+reads a vertex whose children all lie in the window off their records, by
+the fixed point S*AS = A, alpha(u)^2 = sum over Chi(u) of lambda_v^2 alpha(v)^2:
+the estimate and the upper bound are those sums, the status is the weakest
+child's (max-depth < converged < exact-zero), and the depth is 1 + the
+deepest child's, the number of levels below u that the record rests on.  A
+vertex with a child outside the window, or whose deepest child already used
+the whole depth budget, descends; so does every direct ``AlphaEvaluator``
+call.
 
 Adjoint side: the limit of S^n S*^n has one eigenvector per level, the
 vector h_u supported on the generation of u with infinite-product
@@ -36,8 +44,9 @@ s_n = s_(n-1) * q_l, where q_l, the sum of lambda^2 over the c children of a
 level-l vertex, is c copies of the square of ``level_weight(l + 1)``, kept per
 level on the ``AlphaEvaluator`` and summed as a walk of the children would sum
 them.  The frontier cap never binds, and s_n is exact out to convergence or
-the depth budget.  Otherwise every cone that does not die inside the window
-is walked vertex by vertex.  The adjoint side is the same for every law: it
+the depth budget.  Otherwise a descent walks its cone vertex by vertex.  On
+either path ``alpha_profile`` descends only from the window's boundary and
+reads the rest off.  The adjoint side is the same for every law: it
 walks the generation's vertex ids, sums the members' chains of lambda^2
 products (``ShiftOperator.ancestor_chain``) column by column, and gives each
 member the square root of its chain's last product as its h coefficient.
@@ -213,23 +222,38 @@ def require_contraction(operator: ShiftOperator, window: TreeWindow):
 
 def alpha_profile(operator: ShiftOperator, window: TreeWindow, tol: float = DEFAULT_TOL,
                   max_depth: int = DEFAULT_MAX_DEPTH) -> AsymptoticProfile:
-    """Forward limit eigenvalue for every window vertex.  A cone that dies
-    within ``max_depth`` is read off its children's records; the rest descend."""
+    """Forward limit eigenvalue for every window vertex, deepest level first.
+
+    Unless the family closes the limits, a vertex whose children all lie in
+    the window, the deepest at depth below ``max_depth``, is read off them
+    (the module's "Window read-off"), summing lambda_v^2 times their
+    estimates and uppers in children order; every other vertex descends."""
     require_contraction(operator, window)
     evaluator = AlphaEvaluator(operator, tol, max_depth)
-    if evaluator.closed is None and not evaluator.lumped:
-        cache, children = evaluator._cache, operator.children
+    if evaluator.closed is None:
+        cache, children, weight = evaluator._cache, operator.children, operator.weight
         for level in reversed(window.by_level.values()):
             for u in level:
-                depth = 0
-                for v in children(u):
+                kids = children(u)
+                depth, weakest = 0, EXACT_ZERO
+                for v in kids:
                     rec = cache.get(v)
-                    if rec is None or rec.status != EXACT_ZERO:
+                    if rec is None:
                         break
                     depth = max(depth, rec.depth)
+                    if rec.status != EXACT_ZERO and weakest != MAX_DEPTH:
+                        weakest = rec.status
                 else:
                     if depth < max_depth:
-                        cache[u] = VertexEstimate(u, 0.0, 0.0, EXACT_ZERO, depth + 1)
+                        if weakest == EXACT_ZERO:
+                            cache[u] = VertexEstimate(u, 0.0, 0.0, EXACT_ZERO, depth + 1)
+                        else:
+                            recs = [(weight(v) ** 2, cache[v]) for v in kids]
+                            cache[u] = VertexEstimate(
+                                u, sum(sq * rec.estimate for sq, rec in recs),
+                                sum(sq * rec.upper for sq, rec in recs), weakest, depth + 1)
+                        continue
+                evaluator(u)
     return AsymptoticProfile({u: evaluator(u) for u in window.order}, window, evaluator)
 
 

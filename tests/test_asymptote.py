@@ -181,7 +181,7 @@ def test_asymptote_takes_one_cnu_sum(tmp_path, monkeypatch, capsys):
                                    "params": {"base": 2.0, "start_level": -3}}))
     assert main(["asymptote", "--tree", str(tree), "--weights", str(weights),
                  "--levels=-3:3"]) == 0
-    assert "cnu diagnostic: 1.12549e-07" in capsys.readouterr().out
+    assert "cnu diagnostic: 1.12535e-07" in capsys.readouterr().out
     assert calls == [["-3"]]
 
 

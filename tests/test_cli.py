@@ -670,7 +670,7 @@ def test_a_map_key_that_is_no_vertex_carries_no_level(specs, tmp_path, capsys):
         assert main(["analyze", "--tree", specs["bilateral"], "--weights", weights,
                      "--levels=0:2"]) == 0
         outputs.append(capsys.readouterr().out)
-    assert "alpha[0] = 0.25 (converged, depth 8)" in outputs[0]
+    assert "alpha[0] = 0.25 (converged, depth 10)" in outputs[0]
     assert outputs[0] == outputs[1]
 
 
