@@ -222,12 +222,9 @@ def require_contraction(operator: ShiftOperator, window: TreeWindow):
 
 def alpha_profile(operator: ShiftOperator, window: TreeWindow, tol: float = DEFAULT_TOL,
                   max_depth: int = DEFAULT_MAX_DEPTH) -> AsymptoticProfile:
-    """Forward limit eigenvalue for every window vertex, deepest level first.
-
-    Unless the family closes the limits, a vertex whose children all lie in
-    the window, the deepest at depth below ``max_depth``, is read off them
-    (the module's "Window read-off"), summing lambda_v^2 times their
-    estimates and uppers in children order; every other vertex descends."""
+    """Forward limit eigenvalue for every window vertex, filled deepest level
+    first: read off the children's records as the module's "Window read-off"
+    says, where they allow it, else by a descent."""
     require_contraction(operator, window)
     evaluator = AlphaEvaluator(operator, tol, max_depth)
     if evaluator.closed is None:
@@ -248,10 +245,10 @@ def alpha_profile(operator: ShiftOperator, window: TreeWindow, tol: float = DEFA
                         if weakest == EXACT_ZERO:
                             cache[u] = VertexEstimate(u, 0.0, 0.0, EXACT_ZERO, depth + 1)
                         else:
-                            recs = [(weight(v) ** 2, cache[v]) for v in kids]
+                            terms = [(weight(v) ** 2, cache[v]) for v in kids]
                             cache[u] = VertexEstimate(
-                                u, sum(sq * rec.estimate for sq, rec in recs),
-                                sum(sq * rec.upper for sq, rec in recs), weakest, depth + 1)
+                                u, sum(sq * r.estimate for sq, r in terms),
+                                sum(sq * r.upper for sq, r in terms), weakest, depth + 1)
                         continue
                 evaluator(u)
     return AsymptoticProfile({u: evaluator(u) for u in window.order}, window, evaluator)

@@ -66,6 +66,30 @@ def test_finite_tree_is_exactly_stable(rng):
     assert all(r.status == EXACT_ZERO and r.estimate == 0.0 for r in prof.records.values())
 
 
+class SplitCones(WeightAssignment):
+    """Rootless binary weights: isometric everywhere but below "0:1", where
+    each step scales the partial sums by 2 * 0.67^2 < 1."""
+
+    def weight(self, model, v):
+        return 0.67 if v.startswith("0:1") else BINARY_ISOMETRY
+
+    def max_weight(self):
+        return BINARY_ISOMETRY
+
+
+def test_a_read_off_record_takes_its_weakest_childs_status():
+    """Below "1" the partial sums are flat and converge; below "0:1" the
+    frontier passes the cap first.  alpha[0] is read off both, and the
+    max-depth child, the second of the two, sets its status."""
+    model = make_family("rootless-binary")
+    window = materialize_window(model, 0, 1)
+    records = alpha_profile(ShiftOperator(model, SplitCones()), window).records
+    assert model.children("0") == ("1", "0:1")
+    assert [(records[v].status, records[v].depth) for v in ("1", "0:1")] == \
+        [(CONVERGED, 8), (MAX_DEPTH, 13)]
+    assert (records["0"].status, records["0"].depth) == (MAX_DEPTH, 14)
+
+
 def test_exp_ray_alpha_closed_form():
     op = exp_path()
     window = materialize_window(op.model, 0, 10)
