@@ -70,7 +70,7 @@ class AsymptoteDescriptor(Record):
 
     def _beta_at(self, v):
         return _beta(self.operator.weight(v), self.alpha(v).estimate,
-                     self.alpha(self.operator.model.parent(v)).estimate)
+                     self.alpha(self.operator.parent(v)).estimate)
 
 
 def cnu_level_value(operator: ShiftOperator, alpha: AlphaEvaluator, members, depth: int,
@@ -107,7 +107,7 @@ def isometric_asymptote(operator: ShiftOperator, profile: AsymptoticProfile,
 
     beta = {}
     for v in stable.members:
-        p = model.parent(v)
+        p = operator.parent(v)
         if p is None or p not in stable.members:
             continue
         rv, rp = profile.record(v), profile.record(p)
@@ -245,8 +245,4 @@ def similar_to_coisometry(operator: ShiftOperator, window: TreeWindow) -> Simila
 def boundary_deficiency(window: TreeWindow, members=None) -> int:
     """Rows of a window truncation unreachable only because their parent lies
     outside the window: the artificial part of a window cokernel."""
-    count = 0
-    for u in window.top_boundary():
-        if members is None or u in members:
-            count += 1
-    return count
+    return sum(members is None or u in members for u in window.top_boundary())

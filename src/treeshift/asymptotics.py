@@ -51,13 +51,10 @@ walks the generation's vertex ids, sums the members' chains of lambda^2
 products (``ShiftOperator.ancestor_chain``) column by column, and gives each
 member the square root of its chain's last product as its h coefficient.
 
-Every walk asks the operator, not the model, for weights and children, and
-the model for parents.  ``ShiftOperator`` memoizes weights and children per
-vertex, so the overlapping cones and ancestor chains of neighbouring window
-vertices evaluate each vertex once per analysis.  The first query still runs
-the weight checks and the model's own membership check of the id: no walk
-asks ``in`` first.  A memoized query returns the very float or tuple of the
-first one, and the loops square, multiply and sum in the same order, so
+Every walk asks the operator, not the model, for weights, children and
+parents, so overlapping cones and ancestor chains evaluate each vertex once
+per analysis (``ShiftOperator``'s memos; no walk asks ``in`` first).  The
+loops square, multiply and sum in the same order on the memoized floats, so
 every estimate is bit-identical to an un-memoized walk.
 """
 
@@ -66,6 +63,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from json.encoder import encode_basestring_ascii as _ascii
 from operator import mul
 
 from .errors import NotAContraction, StructuralViolation
@@ -100,11 +98,15 @@ class VertexEstimate(Record):
     def json_line(self, kind: str) -> str:
         """``json.dumps({"record": kind, **self.to_json()}, sort_keys=True)``,
         written field by field in sorted-key order: one line per window
-        vertex is the bulk of ``analyze --json``."""
-        return (f'{{"depth": {json_value(self.depth)}, '
-                f'"estimate": {json_value(self.estimate)}, "record": {json_value(kind)}, '
-                f'"status": {json_value(self.status)}, "upper": {json_value(self.upper)}, '
-                f'"vertex": {json_value(self.vertex)}}}')
+        vertex is the bulk of ``analyze --json``.  A value of type exactly int,
+        finite float or str is written inline, any other by ``json_value``."""
+        d, e, u, s, v = self.depth, self.estimate, self.upper, self.status, self.vertex
+        return (f'{{"depth": {repr(d) if type(d) is int else json_value(d)}, "estimate": '
+                f'{repr(e) if type(e) is float and e - e == 0.0 else json_value(e)}, "record": '
+                f'{_ascii(kind) if type(kind) is str else json_value(kind)}, "status": '
+                f'{_ascii(s) if type(s) is str else json_value(s)}, "upper": '
+                f'{repr(u) if type(u) is float and u - u == 0.0 else json_value(u)}, "vertex": '
+                f'{_ascii(v) if type(v) is str else json_value(v)}}}')
 
 
 class AlphaEvaluator:
@@ -293,7 +295,7 @@ def stable_subtree(profile: AsymptoticProfile,
     """Vertices with forward limit above the threshold, with the structural
     laws (parent-closed, leafless, root-preserving) asserted on the window.
     ``profile`` is a forward profile from ``alpha_profile``: its operator's
-    children memo answers every children query."""
+    memos answer every children and parent query."""
     window = profile.window
     model = window.model
     operator = profile.evaluator.operator
@@ -303,7 +305,7 @@ def stable_subtree(profile: AsymptoticProfile,
     kept = [u for u in window.order if profile.estimate(u) > zero_threshold]
     members = set(kept)
     for u in kept:
-        p = model.parent(u)
+        p = operator.parent(u)
         if p is not None and p in window and p not in members:
             raise StructuralViolation("parent-closed", u)
     interior = set(window.forward_interior())
@@ -346,7 +348,7 @@ def _generation(operator: ShiftOperator, u: str, depth: int, frontier_cap: int) 
     anchor, lvl = u, model.level(u)
     gen_exact = model.generation_complete(lvl)
     for d in range(1, depth + 1):
-        parent = model.parent(anchor)
+        parent = operator.parent(anchor)
         new = dict.fromkeys(v for v in operator.children(parent) if v != anchor)
         for _ in range(d - 1):
             if not new:

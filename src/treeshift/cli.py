@@ -239,48 +239,47 @@ def cmd_similarity(args, out: Reporter) -> int:
     return 0
 
 
-def _worst_residual(lines: dict, window, images) -> float:
-    """Worst entry of |line - image| over the pairs (u, image) in ``images``,
-    NaN if one is: the line of u is ``lines[u]``, a dict of truncation
-    entries, and the image a sparse vector compressed to the window.  Outside
-    the union of the two supports both sides are exactly 0, and an image
-    equal to its line adds 0."""
-    worst = 0.0
-    for u, vector in images:
-        line = lines.get(u, {})
-        image = vector.coeffs
-        if image == line:
-            continue
-        # Line entries all lie in the window: only image-only entries need the test.
-        for v, c in line.items():
-            worst = nan_max(worst, abs(c - image.get(v, 0.0)))
-        for v, c in image.items():
-            if v not in line and v in window:
-                worst = nan_max(worst, abs(c))
+def _worst_residual(worst: float, line: dict, image: SparseVector, window) -> float:
+    """nan_max of ``worst`` and every entry of |line - image|, ``line`` a dict of
+    truncation entries and ``image`` a sparse vector compressed to the window:
+    outside the union of their supports both sides are exactly 0."""
+    image = image.coeffs
+    # Line entries all lie in the window: only image entries need the test.
+    for v in [*line, *(v for v in image if v not in line and v in window)]:
+        worst = nan_max(worst, abs(line.get(v, 0.0) - image.get(v, 0.0)))
     return worst
 
 
 def cmd_oracle(args, out: Reporter) -> int:
-    """Cross-checks of the closed-form operations against the entries of the
-    window truncation P_W S P_W, grouped by column and by row."""
+    """Cross-checks of the closed-form operations against the columns and
+    rows of the window truncation P_W S P_W, in one walk of its columns."""
     model, operator, window = _operator(args)
-    columns, rows = {}, {}
-    for v, u, w in operator.window_entries(window):
-        columns.setdefault(u, {})[v] = w
-        rows[v] = {u: w}  # v has one parent: its row has a single entry
     interior = window.forward_interior()
-    worst_apply = _worst_residual(columns, window, (
-        (u, operator.apply(SparseVector.basis(u))) for u in interior))
-    # S* e_u compressed to the window is row u of P_W S P_W: the adjoint
-    # checked against the transpose on every window vertex.
-    worst_adjoint = _worst_residual(rows, window, (
-        (u, operator.apply_adjoint(SparseVector.basis(u))) for u in window.order))
+    inner = set(interior)
+    worst_apply, worst_adjoint, coker = 0.0, 0.0, len(window)
+    # An image whose dict equals its line adds 0 and is not read entry by entry.
+    for u, column in operator.window_columns(window):
+        if u in inner:
+            image = operator.apply(SparseVector.basis(u))
+            if image.coeffs != column:
+                worst_apply = _worst_residual(worst_apply, column, image, window)
+        # S* e_v compressed to the window is row v of P_W S P_W, whose one entry
+        # is lambda_v in its parent's column: the adjoint against the transpose.
+        for v, w in column.items():
+            image, row = operator.apply_adjoint(SparseVector.basis(v)), {u: w}
+            if image.coeffs != row:
+                worst_adjoint = _worst_residual(worst_adjoint, row, image, window)
+        coker -= any(column.values())  # the columns have disjoint supports
+    # The first level's rows are empty (their parents lie outside the window);
+    # checked last, so the weights of the columns are asked for first.
+    for u in next(iter(window.by_level.values())):
+        worst_adjoint = _worst_residual(worst_adjoint, {},
+                                        operator.apply_adjoint(SparseVector.basis(u)), window)
     worst_power = 0.0
     for u in interior[:16]:
         closed = operator.power_closed(u, 2)
         iterated = operator.apply(operator.apply(SparseVector.basis(u)))
         worst_power = nan_max(worst_power, (closed - iterated).norm())
-    coker = operator.window_cokernel(window)
     artificial = boundary_deficiency(window)
     truncated = len(window) - len(interior)
     out.fact("oracle", {"apply_residual": worst_apply, "power_residual": worst_power,

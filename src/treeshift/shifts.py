@@ -1,5 +1,5 @@
 """The weighted shift operator: sparse application, closed-form powers, norm,
-and the entries of the window truncation that back the oracle comparisons."""
+and the columns of the window truncation that back the oracle comparisons."""
 
 from __future__ import annotations
 
@@ -26,20 +26,16 @@ class ShiftOperator:
     """Weighted shift S on a directed tree: e_u -> sum over children v of lambda_v e_v.
 
     The model and the weights are fixed once the operator is built.  The
-    operator memoizes, per vertex, the weight lambda_v and the tree query
-    ``children(u)``, ``operator_norm`` per window, and ``ancestor_chain``
-    per vertex and depth, so an analysis that walks overlapping cones and
-    ancestor chains evaluates each vertex once, and a vertex whose parent's
-    chain is known does not walk its own.  Parents are read from the model,
-    with no memo, and an analysis may ask for one parent many times: an
-    ``adjoint-asymptote`` run on a 109-vertex tilde window asks 293 times,
-    up to 17 times for one vertex.  An ancestor chain squares the memoized weight of each vertex it
-    passes, whatever the weight law.  The first query of a vertex still goes
-    through the model and the weight assignment, so the model's own
-    membership check of the id and the weight checks run (and raise at the
-    same vertex) as without the memo;
-    later queries return the same float or tuple, so every product and sum
-    built from them is unchanged.  The memos live as long as the operator:
+    operator memoizes, per vertex, the weight lambda_v and the tree queries
+    ``children(u)`` and ``parent(u)``, ``operator_norm`` per window, and
+    ``ancestor_chain`` per vertex and depth (squaring the memoized weights,
+    whatever the weight law), so an analysis evaluates each vertex once, and a
+    vertex whose parent's chain is known does not walk its own.  The first
+    query of a vertex goes through the model and the weight assignment, so
+    their checks run and raise at the same vertex as without the memo, and a
+    query that raises is not memoized; later queries return the same float,
+    tuple or parent (a root's None too), so every product and sum built from
+    them is unchanged.  The memos live as long as the operator:
     the CLI builds one per call.  Weights that read family vertex ids
     reject, here, a tree whose ids they cannot read.
     """
@@ -53,6 +49,7 @@ class ShiftOperator:
         self.weights = weights
         self._weights: dict[str, float] = {}
         self._children: dict[str, tuple] = {}
+        self._parents: dict[str, str | None] = {}
         self._norms: dict[TreeWindow, NormBound] = {}
         # depth -> vertex -> (squared weights, ancestors) of ``ancestor_chain``
         self._chains: dict[int, dict[str, tuple]] = {}
@@ -69,6 +66,12 @@ class ShiftOperator:
             kids = self._children[u] = self.model.children(u)
         return kids
 
+    def parent(self, u: str):
+        p = self._parents.get(u, u)  # no vertex is its own parent: u itself marks a miss
+        if p is u:
+            p = self._parents[u] = self.model.parent(u)
+        return p
+
     def ancestor_chain(self, v: str, depth: int) -> tuple:
         """(squares of lambda at v and at up to ``depth`` - 1 ancestors, the
         vertices walked: v first, last the stop, None when the walk would
@@ -78,14 +81,14 @@ class ShiftOperator:
         table = self._chains.setdefault(depth, {})
         chain = table.get(v)
         if chain is None:
-            above = table.get(self.model.parent(v))
+            above = table.get(self.parent(v))
             if above is not None:
                 chain = (((self.weight(v) ** 2,) + above[0])[:depth],
                          ((v,) + above[1])[:depth + 1])
             else:
                 squares, ancestors, w = [], [v], v
                 for _ in range(depth):
-                    parent = self.model.parent(w)
+                    parent = self.parent(w)
                     if parent is None:  # w is the root, which carries no weight
                         ancestors.append(None)
                         break
@@ -98,12 +101,15 @@ class ShiftOperator:
     def apply(self, x: SparseVector) -> SparseVector:
         out = {}
         for u, c in x.coeffs.items():
-            try:
-                kids = self.children(u)
-            except VertexNotFound:
-                raise UnknownVertex(u) from None
+            kids = self._children.get(u)
+            if kids is None:
+                try:
+                    kids = self.children(u)
+                except VertexNotFound:
+                    raise UnknownVertex(u) from None
             for v in kids:  # v has one parent, so no other u reaches it
-                term = c * self.weight(v)
+                w = self._weights.get(v)
+                term = c * (self.weight(v) if w is None else w)
                 if term != 0.0:
                     out[v] = term
         return SparseVector.wrap(out)
@@ -112,12 +118,13 @@ class ShiftOperator:
         out = {}
         for u, c in x.coeffs.items():
             try:
-                p = self.model.parent(u)
+                p = self.parent(u)
             except VertexNotFound:
                 raise UnknownVertex(u) from None
             if p is None:
                 continue
-            out[p] = out.get(p, 0.0) + c * self.weight(u)
+            w = self._weights.get(u)
+            out[p] = out.get(p, 0.0) + c * (self.weight(u) if w is None else w)
         if 0.0 in out.values():  # a zero weight, or siblings' terms that cancel
             out = {k: c for k, c in out.items() if c != 0.0}
         return SparseVector.wrap(out)
@@ -148,7 +155,7 @@ class ShiftOperator:
         prod = 1.0
         w = u
         for _ in range(n):
-            p = self.model.parent(w)
+            p = self.parent(w)
             if p is None:
                 return SparseVector()
             prod *= self.weight(w)
@@ -186,7 +193,7 @@ class ShiftOperator:
         # the vertex a WeightError names does not depend on the string hash seed.
         scan = dict.fromkeys(window.order)
         for u in window.top_boundary():
-            scan[self.model.parent(u)] = None
+            scan[self.parent(u)] = None
         points = self.model.branch_points()
         for v, _, _ in points or ():
             scan[v] = None
@@ -224,25 +231,23 @@ class ShiftOperator:
         weight is a function of its vertex's level."""
         return self.model.children_per_vertex is not None and self.weights.level_only
 
-    def window_entries(self, window: TreeWindow):
-        """The entries of the window truncation P_W S P_W: ``(v, u, lambda_v)``
-        for each in-window child v of each window vertex u, column by column
-        in window order.  Each vertex has at most one parent, so there are at
-        most len(window) - 1 of them."""
+    def window_columns(self, window: TreeWindow):
+        """``(u, column)`` for each window vertex u in window order: column u of
+        P_W S P_W, ``{v: lambda_v}`` over u's in-window children v.  A vertex
+        has at most one parent, so row v is the one entry of its parent's column."""
         for u in window.order:
+            column = {}
             for v in self.children(u):
-                if v in window:
-                    yield v, u, self.weight(v)
+                if v in window.index:
+                    column[v] = self.weight(v)
+            yield u, column
 
     def window_cokernel(self, window: TreeWindow) -> int:
-        """Exact dim ker (P_W S P_W)^*: len(window) minus the rank of the
-        window truncation, counted without building it.
-
-        The columns S e_u restricted to the window have disjoint supports, so
-        the rank is the number of columns with a nonzero entry.  No
-        elimination and no tolerance: a tiny positive weight still counts.
-        """
-        return len(window) - len({u for _, u, w in self.window_entries(window) if w != 0.0})
+        """Exact dim ker (P_W S P_W)^*: len(window) minus the rank of the window
+        truncation, counted without building it: the columns have disjoint
+        supports, so the rank is the number of columns with a nonzero entry.
+        No elimination and no tolerance: a tiny positive weight still counts."""
+        return len(window) - sum(any(column.values()) for _, column in self.window_columns(window))
 
     def dense_truncation(self, window: TreeWindow, cap: int = DENSE_CAP) -> np.ndarray:
         """Matrix of the compression P_W S P_W in the level-major basis order."""
@@ -250,8 +255,9 @@ class ShiftOperator:
         if len(window) > cap:
             raise WindowTooLarge(len(window), cap)
         mat = np.zeros((len(window), len(window)))
-        for v, u, w in self.window_entries(window):
-            mat[window.index_of(v), window.index_of(u)] = w
+        for u, column in self.window_columns(window):
+            for v, w in column.items():
+                mat[window.index_of(v), window.index_of(u)] = w
         return mat
 
 

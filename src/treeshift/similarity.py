@@ -225,7 +225,7 @@ def _witness(operator, window, kind, mode, ratio, primed_max) -> SimilarityWitne
     target_primed = {k: norms[k - 1] / norms[k] for k in range(2, primed_max + 1)}
     residual = 0.0
     for u in window.order:
-        p = window.model.parent(u)
+        p = operator.parent(u)
         if p is None or p not in window:
             continue
         lhs = _x_apply(g, norms, _target_adjoint(operator, target_primed, u))

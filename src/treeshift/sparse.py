@@ -11,11 +11,7 @@ class SparseVector:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        self.coeffs = {}
-        if coeffs:
-            for k, c in dict(coeffs).items():
-                if c != 0.0:
-                    self.coeffs[k] = float(c)
+        self.coeffs = {k: float(c) for k, c in dict(coeffs or {}).items() if c != 0.0}
 
     @classmethod
     def wrap(cls, coeffs: dict):
@@ -27,14 +23,12 @@ class SparseVector:
 
     @classmethod
     def basis(cls, u):
-        v = cls()
+        v = cls.__new__(cls)
         v.coeffs = {u: 1.0}
         return v
 
     def copy(self):
-        v = SparseVector()
-        v.coeffs = dict(self.coeffs)
-        return v
+        return SparseVector.wrap(dict(self.coeffs))
 
     def __getitem__(self, u):
         return self.coeffs.get(u, 0.0)

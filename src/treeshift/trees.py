@@ -29,7 +29,7 @@ kept.
 from __future__ import annotations
 
 import math
-from itertools import chain, repeat
+from itertools import chain, filterfalse, repeat
 
 from .errors import (
     CircuitFound,
@@ -197,35 +197,36 @@ class DirectedTreeModel:
 class FiniteTree(DirectedTreeModel):
     """Explicit finite directed tree, always rooted (finite trees cannot be rootless).
 
-    ``validate_finite`` builds it from a checked parent map, whose one pass
-    in id order gives every children list.  One walk, a generation at a time
-    in id order from the parentless vertices, gives each level's vertices; a
-    vertex it misses hangs below a circuit (CircuitFound), and then
-    DisconnectedGraph and RootMismatch are raised, in that order.  A query
-    is one lookup in a ``_VertexTable``, which is also its membership check.
+    ``validate_finite`` builds it from a checked parent map.  The ids are
+    sorted once: a pass of them gives the children lists in id order, and,
+    after a walk a generation at a time from the parentless vertices has
+    found every level, a second pass each level's vertices in id order.  A
+    vertex the walk misses hangs below a circuit (CircuitFound); then
+    DisconnectedGraph and RootMismatch are raised.  A query is one lookup in
+    a ``_VertexTable``, which is also its membership check.
     """
 
     kind = "finite"
 
     def __init__(self, vertices, parent_map, declared_root=None):
+        ids = sorted(vertices)
         kids: dict[str, list[str]] = {v: [] for v in vertices}
-        for v in sorted(parent_map):
+        for v in filter(parent_map.__contains__, ids):
             kids[parent_map[v]].append(v)
-        self._children = _VertexTable({u: tuple(vs) for u, vs in kids.items()})
-        roots = sorted(v for v in vertices if v not in parent_map)
-        self._by_level = []
-        generation = roots
+        self._children = _VertexTable(zip(kids, map(tuple, kids.values())))
+        roots = list(filterfalse(parent_map.__contains__, ids))
+        level, by_level, generation = _VertexTable(), [], roots
         while generation:
-            self._by_level.append(generation)
-            generation = sorted(v for u in generation for v in self._children[u])
-        self._level = _VertexTable({v: lvl for lvl, vs in enumerate(self._by_level) for v in vs})
-        if len(self._level) < len(vertices):
-            u = next(v for v in vertices if v not in self._level)
-            chain: dict[str, None] = {}
-            while u not in chain:
-                chain[u] = None
+            level.update(dict.fromkeys(generation, len(by_level)))
+            by_level.append([])
+            generation = [v for u in generation for v in kids[u]]
+        if len(level) < len(vertices):
+            u = next(v for v in vertices if v not in level)
+            walked: dict[str, None] = {}
+            while u not in walked:
+                walked[u] = None
                 u = parent_map[u]
-            cycle = list(chain)
+            cycle = list(walked)
             raise CircuitFound(cycle[cycle.index(u):] + [u])
         if len(roots) != 1:
             raise DisconnectedGraph(f"found {len(roots)} parentless vertices: {roots[:4]}")
@@ -234,9 +235,12 @@ class FiniteTree(DirectedTreeModel):
             raise RootMismatch(declared_root, self._root)
         self._parent = _VertexTable(parent_map)
         self._parent[self._root] = None
-        self._order = [v for vs in self._by_level for v in vs]
-        self._branch_points = tuple((u, self._level[u], len(self._children[u]))
-                                    for u in self._order if len(self._children[u]) > 1)
+        for v in ids:
+            by_level[level[v]].append(v)
+        self._level, self._by_level = level, by_level
+        self._order = list(chain.from_iterable(by_level))
+        self._branch_points = tuple((u, level[u], len(self._children[u]))
+                                    for u in self._order if len(kids[u]) > 1)
 
     def children(self, u):
         return self._children[u]
@@ -292,7 +296,7 @@ def validate_finite(vertices, edges, declared_root=None) -> FiniteTree:
             raise CircuitFound([u, v])
         if parent.setdefault(v, u) != u:
             raise MultipleParents(v)
-    return FiniteTree(list(verts), parent, declared_root)
+    return FiniteTree(verts, parent, declared_root)
 
 
 class BilateralPath(DirectedTreeModel):
@@ -527,8 +531,8 @@ class TreeWindow:
 
     The window is the record of the breadth-first walk that built it:
     ``by_level`` maps each level, in increasing order, to its vertices in
-    id order, so ``order`` (their concatenation) is the canonical
-    dense-truncation order, level-major then id-lexicographic, and every
+    id order, so ``order`` (their concatenation, each vertex's position in it
+    under ``index``) is the canonical dense-truncation order, and every
     level is known without asking the model.  ``interior`` lists, in window
     order, the vertices whose children the walk kept.
     """
@@ -538,12 +542,12 @@ class TreeWindow:
         self.level_lo = level_lo
         self.level_hi = level_hi
         self.by_level: dict[int, list[str]] = by_level
-        self.order = [v for vs in by_level.values() for v in vs]
-        self._index = {v: i for i, v in enumerate(self.order)}
+        self.order = list(chain.from_iterable(by_level.values()))
+        self.index = _VertexTable(zip(self.order, range(len(self.order))))
         self._interior = interior
 
     def __contains__(self, u):
-        return u in self._index
+        return u in self.index
 
     def __len__(self):
         return len(self.order)
@@ -552,9 +556,7 @@ class TreeWindow:
         return iter(self.order)
 
     def index_of(self, u) -> int:
-        if u not in self._index:
-            raise VertexNotFound(u)
-        return self._index[u]
+        return self.index[u]
 
     def levels(self):
         return sorted(self.by_level)
@@ -569,9 +571,9 @@ class TreeWindow:
     def top_boundary(self):
         """Window vertices whose parent exists in the model but not in the
         window: the first level's, as every later vertex is a child the walk
-        kept."""
-        first = next(iter(self.by_level.values()))
-        return [u for u in first if self.model.parent(u) is not None]
+        kept, but for a root, the one vertex of a rooted tree's level 0."""
+        lvl, first = next(iter(self.by_level.items()))
+        return [] if self.model.is_rooted and lvl == 0 else list(first)
 
 
 def materialize_window(model, level_lo, level_hi, breadth=64) -> TreeWindow:
@@ -602,14 +604,15 @@ def materialize_window(model, level_lo, level_hi, breadth=64) -> TreeWindow:
         size += len(current)
         if size > WINDOW_CAP:
             raise WindowTooLarge(None, WINDOW_CAP)
-        kids = [model.children(u) for u in current]
+        kids = list(map(model.children, current))
         lvl += 1
         if lvl > level_hi:
             interior.extend(u for u, vs in zip(current, kids) if not vs)
             break
-        nxt = sorted(chain.from_iterable(kids))[:breadth]
-        kept = set(nxt)
-        interior.extend(u for u, vs in zip(current, kids) if kept.issuperset(vs))
+        nxt = sorted(chain.from_iterable(kids))
+        kept = set(nxt := nxt[:breadth]) if len(nxt) > breadth else None  # a level cut short
+        interior.extend(current if kept is None else
+                        (u for u, vs in zip(current, kids) if kept.issuperset(vs)))
         current = nxt
     return TreeWindow(model, level_lo, level_hi, by_level, interior)
 

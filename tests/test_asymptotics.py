@@ -497,6 +497,23 @@ def test_classify_undetermined_when_depth_exhausted():
     assert cls.forward == "undetermined"
 
 
+
+def test_classify_counts_an_estimate_at_the_zero_threshold_as_zero():
+    """An estimate is an upper bound, so one equal to the zero threshold is
+    small enough: with the threshold at the largest forward estimate, every
+    record reads zero, numerical as none is exact; one ulp lower, the largest
+    is neither small nor converged."""
+    op = ShiftOperator(make_family("bilateral-path"), StepWeights(1.0, 0.9, cut=0))
+    window = materialize_window(op.model, -3, 3)
+    prof = alpha_profile(op, window, max_depth=48)
+    adjoint = adjoint_profile(op, window, depth=48)
+    top = max(r.estimate for r in prof.records.values())
+    cls = classify(prof, adjoint, zero_threshold=top)
+    assert (cls.forward, cls.forward_certified) == ("C0dot", False)
+    assert "forward: C0dot (numerical)" in cls.notes
+    assert classify(prof, adjoint, zero_threshold=math.nextafter(top, 0.0)).forward == \
+        "undetermined"
+
 def test_alpha_evaluator_cache():
     op = exp_path()
     ev = AlphaEvaluator(op)

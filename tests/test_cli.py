@@ -430,10 +430,11 @@ def test_oracle_apply_residual_catches_a_wrong_apply(specs, monkeypatch, capsys)
 ], ids=["line-only", "image-only", "outside", "shared", "mixed"])
 def test_worst_residual_reads_every_entry_it_must(line, image, want):
     window = materialize_window(make_family("bilateral-path"), -2, 2)
-    images = [("0", SparseVector(image)), ("2", SparseVector({"-2": 0.0625}))]
-    # The second pair has no line: its in-window image entry is its residual.
-    assert cli._worst_residual({"0": line}, window, images) == max(want, 0.0625)
-    assert cli._worst_residual({"0": line}, window, images[:1]) == want
+    worst = cli._worst_residual(0.0, line, SparseVector(image), window)
+    assert worst == want
+    # A second pair with no line: its in-window image entry is its residual.
+    assert cli._worst_residual(worst, {}, SparseVector({"-2": 0.0625}), window) == \
+        max(want, 0.0625)
 
 
 @pytest.mark.parametrize("operator_class, apply_nan, adjoint_nan", [
@@ -458,10 +459,13 @@ def test_oracle_residual_keeps_a_nan(specs, monkeypatch, capsys, operator_class,
 
 def test_worst_residual_keeps_a_nan_entry():
     window = materialize_window(make_family("bilateral-path"), -2, 2)
-    images = [("0", SparseVector({"1": math.nan})), ("1", SparseVector({"2": 0.5}))]
-    for lines in ({"0": {"1": 0.5}}, {}):  # NaN against a line entry, and image-only
-        assert math.isnan(cli._worst_residual(lines, window, images))
-        assert math.isnan(cli._worst_residual(lines, window, images[::-1]))
+    nan, other = SparseVector({"1": math.nan}), SparseVector({"2": 0.5})
+    for line in ({"1": 0.5}, {}):  # NaN against a line entry, and image-only
+        # the NaN pair first, and last after a finite residual
+        assert math.isnan(cli._worst_residual(cli._worst_residual(0.0, line, nan, window),
+                                              {}, other, window))
+        assert math.isnan(cli._worst_residual(cli._worst_residual(0.0, {}, other, window),
+                                              line, nan, window))
 
 
 def test_oracle_builds_no_matrix(specs, monkeypatch, capsys):

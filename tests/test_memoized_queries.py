@@ -34,10 +34,11 @@ from treeshift.asymptotics import (
     ancestor_products,
 )
 from treeshift.cli import main
-from treeshift.errors import NotAContraction, WeightError
+from treeshift.errors import NotAContraction, VertexNotFound, WeightError
 from treeshift.shifts import ShiftOperator, vector_to_dense
 from treeshift.sparse import SparseVector, nan_max
-from treeshift.trees import load_tree, make_family, materialize_window, validate_finite
+from treeshift.trees import (CombTree, load_tree, make_family, materialize_window,
+                             validate_finite)
 from treeshift.weights import (
     ConstantWeights,
     ExpRayWeights,
@@ -521,6 +522,64 @@ def test_oracle_residuals_bit_equal(tmp_path, capsys, monkeypatch, operator_clas
             assert want_apply == want_adjoint == 0.0
 
 
+class _CountingChecks(ShiftOperator):
+    """Records the argument of every ``apply`` and ``apply_adjoint`` call."""
+
+    made = []
+
+    def __init__(self, model, weights):
+        super().__init__(model, weights)
+        self.applied, self.adjoined = [], []
+        self.made.append(self)
+
+    def apply(self, x):
+        self.applied.append(dict(x.coeffs))
+        return super().apply(x)
+
+    def apply_adjoint(self, x):
+        self.adjoined.append(dict(x.coeffs))
+        return super().apply_adjoint(x)
+
+
+def test_oracle_checks_each_vertex_once(tmp_path, capsys, monkeypatch):
+    """One walk of the columns: one ``apply(e_u)`` per interior vertex u, in
+    window order, and one ``apply_adjoint(e_u)`` per window vertex; then the
+    two applies of each power check, on the first 16 interior vertices.  The
+    record's cokernel is ``window_cokernel``'s."""
+    monkeypatch.setattr(cli, "ShiftOperator", _CountingChecks)
+    monkeypatch.setattr(_CountingChecks, "made", [])
+    for tree_doc, weights_doc, levels in _oracle_cases():
+        _CountingChecks.made.clear()
+        record = _oracle_record(tmp_path, capsys, tree_doc, weights_doc, levels)
+        (op,) = _CountingChecks.made
+        lo, hi = (int(x) for x in levels.split(":"))
+        window = materialize_window(op.model, lo, hi, 1000)
+        interior = window.forward_interior()
+        assert op.applied[:len(interior)] == [{u: 1.0} for u in interior]
+        assert len(op.applied) == len(interior) + 2 * min(16, len(interior))
+        assert Counter(tuple(x.items()) for x in op.adjoined) == \
+            Counter(((u, 1.0),) for u in window.order)
+        assert record["cokernel"] == ShiftOperator(op.model, op.weights).window_cokernel(window)
+
+
+@pytest.mark.parametrize("missing, named", [(("-3", "2"), "2"), (("-3",), "-3")],
+                         ids=["deeper-first", "first-level-only"])
+def test_oracle_names_the_weight_its_columns_miss_first(tmp_path, capsys, missing, named):
+    """The columns are read first and the first level's adjoint checks after
+    them, so a missing weight deeper in the window is named before a missing
+    first-level one, as when the columns and the adjoint were separate passes."""
+    vertices = [str(n) for n in range(-3, 5)] + [f"{k}'" for k in range(1, 5)]
+    tree = tmp_path / "tilde.json"
+    tree.write_text(json.dumps({"family": "tilde", "params": {}}))
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps({"kind": "map", "values": {
+        v: 0.5 for v in vertices if v not in missing}}))
+    assert main(["oracle", "--tree", str(tree), "--weights", str(weights),
+                 "--levels=-3:3"]) == 2
+    assert capsys.readouterr().err == \
+        f"error: WeightError: no weight assigned to vertex {named!r}\n"
+
+
 # -- memo behaviour ----------------------------------------------------------------------
 
 class CountingHash(HashRandomWeights):
@@ -582,6 +641,45 @@ def test_norm_is_cached_per_window():
     for window, bound in ((low, a), (high, b)):
         assert op.operator_norm(window) is bound
         assert ShiftOperator(model, weights).operator_norm(window) == bound
+
+
+def test_parent_memo_keeps_a_root_and_no_failure():
+    """A root's None is memoized; a query that raises is not, and raises again."""
+    calls = Counter()
+    model = validate_finite(["r", "a"], [("r", "a")])
+    orig = model.parent
+
+    def parent(u):
+        calls[u] += 1
+        return orig(u)
+    model.parent = parent
+    op = ShiftOperator(model, MapWeights({"a": 0.5}))
+    for _ in range(2):
+        assert (op.parent("r"), op.parent("a")) == (None, "r")
+        with pytest.raises(VertexNotFound):
+            op.parent("x")
+    assert calls == Counter({"r": 1, "a": 1, "x": 2})
+
+
+def test_adjoint_asymptote_asks_each_parent_once(tmp_path, capsys, monkeypatch):
+    """The climbs of the generations, the ancestor chains, the norm's scan
+    and the asymptote's coefficients all read the operator's parent memo."""
+    calls = Counter()
+    orig = CombTree.parent
+
+    def parent(self, u):
+        calls[u] += 1
+        return orig(self, u)
+    monkeypatch.setattr(CombTree, "parent", parent)
+    tree = tmp_path / "tilde.json"
+    tree.write_text(json.dumps({"family": "tilde", "params": {}}))
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps({"kind": "map", "default": 1.0, "values": {
+        "1": 0.8, "1'": 0.55, "-4": 0.7, "3": 0.9, "5'": 0.75}}))
+    assert main(["adjoint-asymptote", "--tree", str(tree), "--weights", str(weights),
+                 "--levels=-12:12", "--json"]) == 0
+    assert '"record": "adjoint-asymptote"' in capsys.readouterr().out
+    assert len(calls) > 25 and max(calls.values()) == 1, calls.most_common(3)
 
 
 # -- membership checks ----------------------------------------------------------------
