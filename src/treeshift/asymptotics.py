@@ -12,7 +12,9 @@ silently assumed:
                      past the last branch point each step scales s_n by at
                      most f * M^2 < 1 (``ShiftOperator.is_certified_vanishing``),
                      and depth 0 says that no descent step was taken
-* ``exact-one``   -- family-certified isometry, all limits are exactly 1
+* ``exact-one``   -- certified isometry, all limits are exactly 1: every
+                     children square-sum is exactly 1 on the doubles, or
+                     by the ``binary-spine`` family law
 * ``converged``   -- three consecutive partial-sum decrements below tol
 * ``max-depth``   -- depth or frontier budget exhausted; the estimate is
                      still an upper bound, and ``depth`` is the n reached
@@ -20,7 +22,7 @@ silently assumed:
 Window read-off: ``alpha_profile`` fills the window deepest level first and
 reads a vertex whose children all lie in the window off their records, by
 the fixed point S*AS = A, alpha(u)^2 = sum over Chi(u) of lambda_v^2 alpha(v)^2:
-the estimate and the upper bound are those sums, the status is the weakest
+the estimate and the upper bound are that sum, the status is the weakest
 child's (max-depth < converged < exact-zero), and the depth is 1 + the
 deepest child's, the number of levels below u that the record rests on.  A
 vertex with a child outside the window, or whose deepest child already used
@@ -247,10 +249,8 @@ def alpha_profile(operator: ShiftOperator, window: TreeWindow, tol: float = DEFA
                         if weakest == EXACT_ZERO:
                             cache[u] = VertexEstimate(u, 0.0, 0.0, EXACT_ZERO, depth + 1)
                         else:
-                            terms = [(weight(v) ** 2, cache[v]) for v in kids]
-                            cache[u] = VertexEstimate(
-                                u, sum(sq * r.estimate for sq, r in terms),
-                                sum(sq * r.upper for sq, r in terms), weakest, depth + 1)
+                            total = sum(weight(v) ** 2 * cache[v].estimate for v in kids)
+                            cache[u] = VertexEstimate(u, total, total, weakest, depth + 1)
                         continue
                 evaluator(u)
     return AsymptoticProfile({u: evaluator(u) for u in window.order}, window, evaluator)

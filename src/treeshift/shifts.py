@@ -206,9 +206,9 @@ class ShiftOperator:
         return NormBound(max(window_value, outside), window_value, True)
 
     def is_certified_isometry(self) -> bool:
-        """Family-level isometry certificate (children square-sums all 1),
-        never given where ``is_certified_vanishing`` proves the limits 0."""
-        return self.weights.isometry_on(self.model) and not self.is_certified_vanishing()
+        """Family-level isometry certificate, the weights' ``isometry_on``: every
+        children square-sum is exactly 1 on the doubles, or by a family law."""
+        return self.weights.isometry_on(self.model)
 
     def is_certified_vanishing(self) -> bool:
         """True when f * M^2 < 1, decided exactly on the doubles, proves every

@@ -36,15 +36,17 @@ def _require_comb(operator: ShiftOperator, need_leaf: bool):
 def ray_products(operator: ShiftOperator, upto: int):
     """(spine, primed) cumulative weight products lambda_1..k and lambda_1'..k'.
 
-    The g vectors need their reciprocals, so a product that underflows to 0
-    raises WeightError.
+    The g vectors need their reciprocals, so a product that is 0, or so small
+    that its reciprocal overflows, raises WeightError.
     """
     spine, primed = [1.0], [1.0]
     for j in range(1, upto + 1):
         spine.append(spine[-1] * operator.weight(str(j)))
         primed.append(primed[-1] * operator.weight(_primed_id(j)))
-        if spine[-1] == 0.0 or primed[-1] == 0.0:
-            raise WeightError(f"the weight products down to level {j} underflow to 0")
+        for name, product in (("spine", spine[-1]), ("primed", primed[-1])):
+            if product == 0.0 or math.isinf(1.0 / product):
+                raise WeightError(f"the {name} weight product down to level {j} is {product!r}, "
+                                  "too small for a finite reciprocal")
     return spine, primed
 
 
@@ -108,7 +110,7 @@ def ratio_bounded(operator: ShiftOperator, horizon: int = 64,
     if law is not None:
         first, step = law
         if step <= 1.0:
-            return RatioCertificate("bounded", max(first, first * step), True)
+            return RatioCertificate("bounded", first, True)
         if first > blow_up:
             return RatioCertificate("unbounded-evidence", first, True, at=1, value=first)
         # the least k with first * step^(k-1) > blow_up; the log estimate may be a few off

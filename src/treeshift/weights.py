@@ -133,7 +133,8 @@ class WeightAssignment:
     weighs_every_vertex = True
 
     def isometry_on(self, model) -> bool:
-        """True when every children square-sum on ``model`` is exactly 1."""
+        """True when every children square-sum on ``model`` is exactly 1,
+        decided on the given doubles with no tolerance."""
         return False
 
     def tail_log_sum(self, from_level: float):
@@ -265,11 +266,7 @@ class ConstantWeights(WeightAssignment):
         return self.value
 
     def isometry_on(self, model):
-        if model.children_per_vertex == 2:
-            return abs(2.0 * self.value ** 2 - 1.0) <= 1e-12
-        if model.children_per_vertex == 1:
-            return abs(self.value - 1.0) <= 1e-12
-        return False
+        return model.children_per_vertex == 1 and self.value == 1.0
 
     def tail_log_sum(self, from_level):
         return _copies(math.inf, math.log(self.value))
@@ -401,13 +398,6 @@ class RayWeights(FamilyWeights):
     def max_weight(self):
         return max(self.spine, self.primed, *self.first)
 
-    def isometry_on(self, model):
-        if model.leaf_set():
-            return False
-        s1, p1 = self.first
-        return (abs(self.spine - 1.0) <= 1e-12 and abs(self.primed - 1.0) <= 1e-12
-                and abs(s1 * s1 + p1 * p1 - 1.0) <= 1e-12)
-
     def ratio_geometric(self):
         return self.first[1] / self.first[0], self.primed / self.spine
 
@@ -416,7 +406,7 @@ class BinarySpineWeights(FamilyWeights):
     """Isometric weights on the rootless binary tree with a distinguished spine.
 
     Spine vertices get exp(-1/(|l|+1)^2); the sibling of each spine child gets
-    the complementary weight so every children-square-sum is exactly 1; all
+    the complementary weight so every children-square-sum of the law is 1; all
     deeper off-spine vertices get 1/sqrt(2).  This isometry has a nontrivial
     unitary part because the spine products stay positive.
     """
@@ -439,6 +429,8 @@ class BinarySpineWeights(FamilyWeights):
         return 1.0
 
     def isometry_on(self, model):
+        """True by the family law, not on the doubles: the sibling weights are
+        computed as sqrt(1 - x^2), so their square-sums are 1 only to rounding."""
         return True
 
 

@@ -10,10 +10,11 @@ from treeshift.sparse import SparseVector
 from treeshift.trees import FiniteTree, materialize_window, validate_finite
 from treeshift.weights import ConstantWeights, MapWeights
 
-# The constant weight of the binary-tree isometry fixtures.  No double c has
-# 2c^2 = 1: 1 / math.sqrt(2) has 2c^2 < 1, so the family bound proves every
-# limit 0, and the next double up, this one, has 2c^2 > 1 by 1.4e-16, inside
-# the tolerance of the constant family's isometry certificate.
+# The constant weight of the binary-tree near-isometry fixtures.  No double c
+# has 2c^2 = 1: 1 / math.sqrt(2) has 2c^2 < 1, so the family bound proves every
+# limit 0, and the next double up, this one, has 2c^2 > 1 by 1.4e-16.  It is
+# not a certified isometry, and not a contraction either: only
+# CONTRACTION_SLACK admits it, and its limits are descended.
 BINARY_ISOMETRY = math.sqrt(0.5)
 
 

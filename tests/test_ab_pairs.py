@@ -1,7 +1,9 @@
 """tools/ab_pairs.py: alternating run order and the per-metric summary."""
 
 import importlib.util
+import json
 import os
+import subprocess
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _spec = importlib.util.spec_from_file_location("ab_pairs", os.path.join(ROOT, "tools", "ab_pairs.py"))
@@ -49,3 +51,23 @@ def test_sides_alternate_and_each_metric_counts_its_pairs(tmp_path, monkeypatch,
 def test_quartile_spread():
     assert ab_pairs.quartile_spread([4.0]) == 0.0
     assert ab_pairs.quartile_spread([1.0, 2.0, 3.0, 4.0, 5.0]) == 2.0
+
+
+def test_each_run_compiles_its_sources_afresh(tmp_path, monkeypatch):
+    """No side reads a bytecode cache left in its checkout: the run writes no
+    bytecode and looks for it under an empty directory outside the checkout."""
+    seen = []
+
+    def run(argv, cwd, env, **kwargs):
+        cache = env["PYTHONPYCACHEPREFIX"]
+        seen.append((cwd, env["PYTHONDONTWRITEBYTECODE"], cache, os.listdir(cache)))
+        return subprocess.CompletedProcess(argv, 0, json.dumps(_result(1.0, 1.0)) + "\n", "")
+
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "stale"))
+    monkeypatch.setattr(ab_pairs.subprocess, "run", run)
+    for _ in range(2):
+        assert ab_pairs.run_side(str(tmp_path), "binary-descent", 7, 1.0) == _result(1.0, 1.0)
+    (cwd, nobytecode, first, listing), (_, _, second, _) = seen
+    assert (cwd, nobytecode, listing) == (str(tmp_path), "1", [])
+    assert first != second and not first.startswith(str(tmp_path))
+    assert not os.path.exists(first)

@@ -31,11 +31,13 @@ from treeshift.errors import NotAContraction, StructuralViolation, WeightError
 from treeshift.shifts import ShiftOperator, vector_to_dense
 from treeshift.trees import make_family, materialize_window, validate_finite
 from treeshift.weights import (
+    BinarySpineWeights,
     ConstantWeights,
     ExpRayWeights,
     GeometricWeights,
     HashRandomWeights,
     MapWeights,
+    RayWeights,
     StepWeights,
     WeightAssignment,
 )
@@ -53,10 +55,12 @@ def exp_path(base=2.0, start=1):
 # -- forward profiles -------------------------------------------------------------
 
 def test_isometry_gives_exact_one():
-    op = ShiftOperator(make_family("rootless-binary"), ConstantWeights(BINARY_ISOMETRY))
-    window = materialize_window(op.model, 0, 4)
-    prof = alpha_profile(op, window)
-    assert all(r.status == EXACT_ONE and r.estimate == 1.0 for r in prof.records.values())
+    for family, weights in (("bilateral-path", ConstantWeights(1.0)),
+                            ("rootless-binary", BinarySpineWeights())):
+        op = ShiftOperator(make_family(family), weights)
+        window = materialize_window(op.model, 0, 4)
+        prof = alpha_profile(op, window)
+        assert all(r.status == EXACT_ONE and r.estimate == 1.0 for r in prof.records.values())
 
 
 def test_finite_tree_is_exactly_stable(rng):
@@ -251,6 +255,60 @@ def test_the_family_bound_is_decided_exactly_on_the_double(family, fan, center, 
                    == (0.0, EXACT_ZERO, 0, {}) for h in adjoint.h_vectors.values())
     else:
         assert not any(r.status == EXACT_ZERO for r in forward)
+
+
+def _every_column_square_sum_is_one(op):
+    """Each column's square-sum in Fractions, on a window that holds every kind
+    of column of the family (the branch vertex and both rays of a tilde)."""
+    window = materialize_window(op.model, -2, 3)
+    return all(sum(Fraction(op.weight(v)) ** 2 for v in op.children(u)) == 1
+               for u in window.order)
+
+
+@pytest.mark.parametrize("family,center", [("rootless-binary", 1 / math.sqrt(2)),
+                                           ("rooted-path", 1.0), ("bilateral-path", 1.0)])
+@pytest.mark.parametrize("k", range(-8, 9))
+def test_a_constant_isometry_is_certified_on_exact_doubles_alone(family, center, k):
+    op = ShiftOperator(make_family(family), ConstantWeights(_ulps(center, k)))
+    assert op.is_certified_isometry() == _every_column_square_sum_is_one(op)
+    assert op.is_certified_isometry() == (family != "rootless-binary" and k == 0)
+    assert not (op.is_certified_isometry() and op.is_certified_vanishing())
+
+
+_NEAR_UNIT_RAYS = [(1.0, 1.0, _ulps(0.6, i), _ulps(0.8, j)) for i in range(-3, 4)
+                   for j in range(-3, 4)]
+_NEAR_UNIT_RAYS += [(1.0, 1.0, _ulps(1 / math.sqrt(2), i), _ulps(1 / math.sqrt(2), j))
+                    for i in range(-3, 4) for j in range(-3, 4)]
+_NEAR_UNIT_RAYS += [(spine, primed, 0.6, 0.8) for spine, primed in
+                    ((_ulps(1.0, -1), 1.0), (_ulps(1.0, 1), 1.0),
+                     (1.0, _ulps(1.0, -1)), (1.0, _ulps(1.0, 1)))]
+
+
+def test_no_rays_law_on_doubles_is_a_certified_isometry():
+    """s^2 + p^2 = 1 has no solution in positive doubles (s = a/2^k, p = b/2^k
+    and a^2 + b^2 = 4^k force a or b to be 0), so no rays law near a unit
+    split of the branch vertex is certified."""
+    for params in _NEAR_UNIT_RAYS:
+        op = ShiftOperator(make_family("tilde"), RayWeights(*params))
+        assert not _every_column_square_sum_is_one(op)
+        assert not op.is_certified_isometry()
+
+
+@pytest.mark.parametrize("family,value,levels", [
+    ("rootless-binary", 0.7071067811866, "0:1"),
+    ("rootless-binary", math.sqrt(0.5), "0:1"),
+    ("bilateral-path", 1.00000000000005, "-1:1")])
+def test_an_isometry_within_rounding_prints_no_certificate(
+        tmp_path, capsys, family, value, levels):
+    tree, weights = tmp_path / "tree.json", tmp_path / "weights.json"
+    tree.write_text(json.dumps({"family": family, "params": {}}))
+    weights.write_text(json.dumps({"kind": "constant", "value": value}))
+    assert main(["analyze", "--tree", str(tree), "--weights", str(weights),
+                 f"--levels={levels}"]) == 0
+    out = capsys.readouterr().out
+    assert "exact-one" not in out
+    assert "forward: C1dot (certified)" not in out
+    assert "certified isometry" not in out
 
 
 def test_a_map_without_default_proves_nothing_and_still_raises():
@@ -468,7 +526,7 @@ def test_classify_binary_isometry():
     window = materialize_window(op.model, 0, 4)
     cls = classify(alpha_profile(op, window), adjoint_profile(op, window))
     assert (cls.forward, cls.adjoint) == ("C1dot", "Cdot0")
-    assert cls.forward_certified
+    assert not cls.forward_certified
 
 
 def test_classify_unitary_bilateral():

@@ -3,7 +3,8 @@
 The reference functions below are the module-level dispatch helpers the hooks
 replaced, kept verbatim (``isinstance`` arms and all), with arms for the
 ``geometric`` and ``step`` laws written by hand from each law where the
-derived level-law hooks close a question the old helpers left open, and with
+derived level-law hooks close a question the old helpers left open, with the
+isometry certificates decided on exact square-sums (``Fraction``), and with
 the family bound f * M^2 < 1 (``ref_certified_vanishing``, written by hand
 from each family) taking precedence where it proves every limit 0.  Every
 hook must give the same answer on every built-in tree, a comb with leaves and
@@ -143,15 +144,16 @@ def ref_certified_vanishing(m, w):
 
 
 def ref_is_certified_isometry(m, w):
-    """Family-level isometry certificates (children square-sums all 1), never
-    where the family bound proves the limits 0."""
+    """Family-level isometry certificates (children square-sums all exactly 1
+    on the given doubles), never where the family bound proves the limits 0.
+    ``binary-spine`` is an isometry by its family law."""
     if ref_certified_vanishing(m, w):
         return False
     if isinstance(w, ConstantWeights):
         if isinstance(m, RootlessBinary):
-            return abs(2.0 * w.value ** 2 - 1.0) <= 1e-12
+            return 2 * Fraction(w.value) ** 2 == 1
         if isinstance(m, (RootedPath, BilateralPath)):
-            return abs(w.value - 1.0) <= 1e-12
+            return Fraction(w.value) ** 2 == 1
     if isinstance(w, BinarySpineWeights) and isinstance(m, RootlessBinary):
         return True
     if isinstance(w, RayWeights) and isinstance(m, CombTree):
@@ -159,8 +161,8 @@ def ref_is_certified_isometry(m, w):
             return False
         s1 = w.branch_spine if w.branch_spine is not None else w.spine
         p1 = w.branch_primed if w.branch_primed is not None else w.primed
-        return (abs(w.spine - 1.0) <= 1e-12 and abs(w.primed - 1.0) <= 1e-12
-                and abs(s1 * s1 + p1 * p1 - 1.0) <= 1e-12)
+        return (Fraction(w.spine) ** 2 == 1 and Fraction(w.primed) ** 2 == 1
+                and Fraction(s1) ** 2 + Fraction(p1) ** 2 == 1)
     return False
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -273,6 +274,38 @@ def test_similarity_prints_a_ratio_whose_power_overflows(tmp_path, capsys):
     cert = similarity.RatioCertificate(ratio["status"], ratio["sup"], ratio["exact"],
                                        ratio["at"], ratio["value"])
     assert_least_finite_blow_up(cert, first, step)
+
+
+@pytest.mark.parametrize("tree", [{"family": "tilde", "params": {}},
+                                  {"family": "comb", "params": {"primed_leaf": 3}}],
+                         ids=["tilde", "comb"])
+def test_similarity_prints_no_witness_from_products_without_a_finite_reciprocal(
+        tmp_path, capsys, tree):
+    """Tiny spine and primed products: each run prints finite numbers, or
+    exits 2 with one WeightError line naming the level, never a NaN witness
+    or a traceback."""
+    tree_path, weights = tmp_path / "tree.json", tmp_path / "weights.json"
+    tree_path.write_text(json.dumps(tree))
+    codes = []
+    for spine in (1e-10, 1e-100, 0.5):
+        for branch_spine in (0.5, 1e-300):
+            for branch_primed in (5e-324, 1e-310, 1e-300):
+                weights.write_text(json.dumps({"kind": "family", "name": "rays", "params": {
+                    "spine": spine, "primed": 1.0, "branch_spine": branch_spine,
+                    "branch_primed": branch_primed}}))
+                code = main(["similarity", "--tree", str(tree_path), "--weights", str(weights),
+                             "--levels=-2:2", "--json"])
+                out, err = capsys.readouterr()
+                assert "NaN" not in out and "Infinity" not in out
+                if code == 2:
+                    assert out == ""
+                    assert re.fullmatch(r"error: WeightError: the (spine|primed) weight product "
+                                        r"down to level \d+ is \S+, too small for a finite "
+                                        r"reciprocal\n", err)
+                else:
+                    assert (code, err) == (0, "")
+                codes.append(code)
+    assert codes.count(2) == 14 and codes.count(0) == 4
 
 
 def test_ratio_decreasing_products_bounded():

@@ -13,6 +13,12 @@ the quartile spread of the base's runs, and how many pairs moved each way;
 where the head checkout's ``BENCHMARK.json`` says which way is better, it
 also counts the pairs in which the head was better.  It only reads the
 checkouts and runs their benchmark.
+
+Each run writes no bytecode and keeps its bytecode cache under a fresh, empty
+temporary directory (``PYTHONPYCACHEPREFIX``), so both sides compile their
+sources on import: a ``src/treeshift/__pycache__`` left in one checkout would
+otherwise let that side skip compilation and read ``setup_s`` about a fifth
+lower for the same code.
 """
 
 from __future__ import annotations
@@ -23,13 +29,16 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 
 
 def run_side(root: str, workload: str, seed: int, seconds: float) -> dict:
     """The JSON result of one ``perfbench/run.py`` run in checkout ``root``."""
     argv = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds)]
-    done = subprocess.run(argv, cwd=root, capture_output=True, text=True)
+    with tempfile.TemporaryDirectory(prefix="ab_pairs_pycache_") as cache:
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=cache)
+        done = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True)
     if done.returncode != 0:
         sys.stderr.write(done.stderr)
         raise SystemExit(f"error: {root}: perfbench/run.py exited with code {done.returncode}")
