@@ -35,23 +35,18 @@ coefficients; its squared norm a_u is estimated from truncated products over
 the materialized generation.  On a rootless tree under the family bound every
 a_u is ``exact-zero`` at depth 0 and every h the zero vector, with no sweep.
 
-Level lumping: when every vertex has the same children count (the tree's
-``children_per_vertex``) and every weight depends only on its level (the
-weights' ``level_only``; ``ShiftOperator.is_level_homogeneous`` tests both:
-constant, geometric, step or exp-ray weights on the paths and the rootless
-binary tree), all vertices of a level share one weighted cone and one
-ancestor chain, and the forward descent runs on the weights' level law and
-never asks for the weight of a vertex outside the window.  It multiplies
-s_n = s_(n-1) * q_l, where q_l, the sum of lambda^2 over the c children of a
-level-l vertex, is c copies of the square of ``level_weight(l + 1)``, kept per
-level on the ``AlphaEvaluator`` and summed as a walk of the children would sum
-them.  The frontier cap never binds, and s_n is exact out to convergence or
-the depth budget.  Otherwise a descent walks its cone vertex by vertex.  On
-either path ``alpha_profile`` descends only from the window's boundary and
-reads the rest off.  The adjoint side is the same for every law: it
-walks the generation's vertex ids, sums the members' chains of lambda^2
-products (``ShiftOperator.ancestor_chain``) column by column, and gives each
-member the square root of its chain's last product as its h coefficient.
+Level lumping: on a chain (the tree's ``children_per_vertex`` is 1: the
+paths) whose weights depend only on their level (the weights'
+``level_only``: constant, geometric, step or exp-ray), the forward descent
+runs on the weights' level law, s_n = s_(n-1) * ``level_weight(l + n)`` ** 2,
+and never asks for the weight of a vertex outside the window.  That is the
+product a walk of the one-vertex frontier forms, so the records are the same
+floats.  Every other descent walks its cone vertex by vertex.  On either path
+``alpha_profile`` descends only from the window's boundary and reads the rest
+off.  The adjoint side is the same for every law: it walks the generation's
+vertex ids, sums the members' chains of lambda^2 products
+(``ShiftOperator.ancestor_chain``) column by column, and gives each member
+the square root of its chain's last product as its h coefficient.
 
 Every walk asks the operator, not the model, for weights, children and
 parents, so overlapping cones and ancestor chains evaluate each vertex once
@@ -113,8 +108,8 @@ class VertexEstimate(Record):
 
 class AlphaEvaluator:
     """Cached per-vertex evaluation of the forward limit eigenvalues: the
-    family's record on a certified isometry or vanishing, else a descent;
-    the descents of a lumped operator share one step per level."""
+    family's record on a certified isometry or vanishing, else a descent,
+    on the level law for a lumped chain."""
 
     def __init__(self, operator: ShiftOperator, tol: float = DEFAULT_TOL,
                  max_depth: int = DEFAULT_MAX_DEPTH):
@@ -124,9 +119,8 @@ class AlphaEvaluator:
         # Every record when the family proves the limits (all 1 or all 0), else None.
         self.closed = (_ONE if operator.is_certified_isometry()
                        else _ZERO if operator.is_certified_vanishing() else None)
-        self.lumped = operator.is_level_homogeneous()
+        self.lumped = operator.model.children_per_vertex == 1 and operator.weights.level_only
         self._cache: dict[str, VertexEstimate] = {}
-        self._steps: dict[int, float] = {}  # lumped: level -> q_l of ``_descend``
 
     def __call__(self, u: str) -> VertexEstimate:
         hit = self._cache.get(u)
@@ -148,13 +142,11 @@ class AlphaEvaluator:
     def _descend(self, u: str) -> tuple:
         """(estimate, upper, status, depth) from the partial sums s_n(u).
 
-        On a lumped operator every vertex of u's level l has the same cone, so
-        s_n = s_(n-1) * q_l, where q_l, the sum of lambda^2 over the c children
-        of a level-l vertex, is c copies of ``level_weight(l + 1) ** 2`` summed
-        as a walk would sum them."""
+        On a lumped chain the one vertex n levels below u, at level l, has
+        weight ``level_weight(l)``, so s_n = s_(n-1) * ``level_weight(l) ** 2``,
+        the product a walk of the frontier forms."""
         op = self.operator
-        children, weight = op.children, op.weight
-        steps = self._steps
+        children, weight, level_weight = op.children, op.weight, op.weights.level_weight
         lvl = op.model.level(u) if self.lumped else None
         # Flat unit-weight prefixes keep the partial sums exactly constant, so
         # convergence may not be declared before the frontier has passed them.
@@ -169,12 +161,8 @@ class AlphaEvaluator:
         n = 0
         for n in range(1, self.max_depth + 1):
             if lvl is not None:
-                q = steps.get(lvl)
-                if q is None:
-                    square = op.weights.level_weight(lvl + 1) ** 2
-                    q = steps[lvl] = sum(itertools.repeat(square, op.model.children_per_vertex))
-                s = s_prev * q
                 lvl += 1
+                s = s_prev * level_weight(lvl) ** 2
             else:
                 nxt = {}
                 for w, prod in frontier.items():
@@ -185,10 +173,8 @@ class AlphaEvaluator:
                 s = sum(nxt.values())
                 frontier = nxt
             if s > s_prev + CONTRACTION_SLACK:  # partial sums must be nonincreasing
-                # A lumped descent has moved ``lvl`` n levels down from its start.
-                below = f"vertex {u!r}" if lvl is None else f"level {lvl - n}"
                 raise NotAContraction(f"the partial sums of S*^n S^n rose from {s_prev} to {s} "
-                                      f"at depth {n} below {below}")
+                                      f"at depth {n} below vertex {u!r}")
             if abs(s - s_prev) < self.tol:
                 consecutive += 1
                 if consecutive >= CONSECUTIVE_SMALL and n >= min_depth:

@@ -35,7 +35,15 @@ from .asymptote import (
     similar_to_coisometry,
     similar_to_isometry,
 )
-from .asymptotics import adjoint_profile, alpha_profile, classify, stable_subtree
+from .asymptotics import (
+    DEFAULT_MAX_DEPTH,
+    DEFAULT_TOL,
+    DEFAULT_ZERO_THRESHOLD,
+    adjoint_profile,
+    alpha_profile,
+    classify,
+    stable_subtree,
+)
 from .cyclicity import (
     backward_shift_verdict,
     backward_spec_from_json,
@@ -341,12 +349,16 @@ def _tree_flags(required):
             _Flag("--json", default=False, help="line-delimited JSON output", switch=True))
 
 
-def _analysis_flags(required):
+def _operator_flags(required):
     return _tree_flags(required) + (
-        _Flag("--weights", required=required, help="weight spec JSON path"),
-        _Flag("--tol", _TOL, 1e-10),
-        _Flag("--zero-th", _ZERO_TH, 1e-9),
-        _Flag("--depth", _POSITIVE_INT, 64))
+        _Flag("--weights", required=required, help="weight spec JSON path"),)
+
+
+def _analysis_flags(required):
+    return _operator_flags(required) + (
+        _Flag("--tol", _TOL, DEFAULT_TOL),
+        _Flag("--zero-th", _ZERO_TH, DEFAULT_ZERO_THRESHOLD),
+        _Flag("--depth", _POSITIVE_INT, DEFAULT_MAX_DEPTH))
 
 
 # Every subcommand and flag, declared once: ``build_parser`` builds argparse's
@@ -357,8 +369,8 @@ COMMANDS = {
     "analyze": _Command(cmd_analyze, _analysis_flags(True)),
     "asymptote": _Command(cmd_asymptote, _analysis_flags(True)),
     "adjoint-asymptote": _Command(cmd_adjoint_asymptote, _analysis_flags(True)),
-    "similarity": _Command(cmd_similarity, _analysis_flags(True)),
-    "oracle": _Command(cmd_oracle, _analysis_flags(True)),
+    "similarity": _Command(cmd_similarity, _operator_flags(True)),
+    "oracle": _Command(cmd_oracle, _operator_flags(True)),
     "cyclic": _Command(cmd_cyclic, _analysis_flags(False) + (
         _Flag("--backward", help="backward shift spec JSON (instead of a tree)"),
         _Flag("--schedule", _POSITIVE_INT, 16, help="schedule length L"),

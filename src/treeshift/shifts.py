@@ -225,12 +225,6 @@ class ShiftOperator:
         num, den = top.as_integer_ratio()
         return fan * num * num < den * den
 
-    def is_level_homogeneous(self) -> bool:
-        """True when all vertices of a level share one weighted cone and one
-        ancestor chain: every vertex has the same children count and every
-        weight is a function of its vertex's level."""
-        return self.model.children_per_vertex is not None and self.weights.level_only
-
     def window_columns(self, window: TreeWindow):
         """``(u, column)`` for each window vertex u in window order: column u of
         P_W S P_W, ``{v: lambda_v}`` over u's in-window children v.  A vertex

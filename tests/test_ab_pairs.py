@@ -22,8 +22,8 @@ def test_sides_alternate_and_each_metric_counts_its_pairs(tmp_path, monkeypatch,
         os.makedirs(tmp_path / side / "perfbench")
         (tmp_path / side / "perfbench" / "run.py").write_text("")
     (tmp_path / "head" / "BENCHMARK.json").write_text(
-        '{"end_to_end": [{"name": "analyses_per_s", "better": "higher"},'
-        ' {"name": "latency_p90_ms", "better": "lower"}]}')
+        '{"end_to_end": [{"name": "analyses_per_s", "better": "higher", "bound": 0.25},'
+        ' {"name": "latency_p90_ms", "better": "lower", "bound": 0.1}]}')
     calls = []
     values = {"base": [(100.0, 5.0), (110.0, 4.0), (90.0, 6.0)],
               "head": [(120.0, 4.5), (105.0, 4.2), (130.0, 3.0)]}
@@ -46,6 +46,27 @@ def test_sides_alternate_and_each_metric_counts_its_pairs(tmp_path, monkeypatch,
     assert "head higher in 2/3, lower in 1/3" in rate and "head better in 2/3" in rate
     assert "base 5 (IQR 1)" in p90 and "head 4.2" in p90
     assert "head higher in 1/3, lower in 2/3" in p90 and "head better in 2/3" in p90
+    assert rate.endswith("; bound 0.25)  within bound")
+    assert p90.endswith("; bound 0.1)  within bound")
+
+
+def test_a_median_worse_by_more_than_the_bound_is_beyond_it():
+    """Worse by exactly bound x the base median is within; any more is beyond,
+    in the metric's own direction.  A metric with no bound gets no verdict."""
+    def pairs(base, heads):
+        return [(_result(*base), _result(*head)) for head in heads]
+
+    metrics = {"analyses_per_s": ("higher", 0.25), "latency_p90_ms": ("lower", 0.25)}
+    cases = [((100.0, 4.0), [(75.0, 5.0)] * 3, ("within", "within")),
+             ((100.0, 4.0), [(74.0, 5.1)] * 3, ("beyond", "beyond")),
+             ((100.0, 4.0), [(80.0, 5.5), (60.0, 3.0), (70.0, 6.0)], ("beyond", "beyond")),
+             ((100.0, 4.0), [(200.0, 1.0)] * 3, ("within", "within"))]
+    for base, heads, verdicts in cases:
+        lines = ab_pairs.summary(pairs(base, heads), metrics)
+        assert [line.rsplit("  ", 1)[1] for line in lines] == [f"{v} bound" for v in verdicts]
+    lines = ab_pairs.summary(pairs((100.0, 4.0), [(10.0, 40.0)]),
+                             {"analyses_per_s": ("higher", None)})
+    assert lines[0].endswith("head better in 0/1)") and "bound" not in "".join(lines)
 
 
 def test_quartile_spread():

@@ -263,7 +263,7 @@ def test_intertwining_reads_children_through_the_operator_memo():
             return super().children(u)
 
     model.__class__ = ChildrenCounting
-    op = ShiftOperator(model, ConstantWeights(BINARY_ISOMETRY))
+    op = ShiftOperator(model, BinarySpineWeights())
     window = materialize_window(model, -3, 4, breadth=16)
     profile = alpha_profile(op, window)
     stable = stable_subtree(profile)

@@ -911,10 +911,11 @@ def test_matrix_free_subcommands_start_without_numpy(specs, tmp_path):
 
 
 _TREE_FLAGS = ["--tree", "--levels", "--breadth", "--json"]
-_ANALYSIS_FLAGS = _TREE_FLAGS + ["--weights", "--tol", "--zero-th", "--depth"]
+_OPERATOR_FLAGS = _TREE_FLAGS + ["--weights"]
+_ANALYSIS_FLAGS = _OPERATOR_FLAGS + ["--tol", "--zero-th", "--depth"]
 _HELP = {"validate": _TREE_FLAGS, "analyze": _ANALYSIS_FLAGS, "asymptote": _ANALYSIS_FLAGS,
-         "adjoint-asymptote": _ANALYSIS_FLAGS, "similarity": _ANALYSIS_FLAGS,
-         "oracle": _ANALYSIS_FLAGS,
+         "adjoint-asymptote": _ANALYSIS_FLAGS, "similarity": _OPERATOR_FLAGS,
+         "oracle": _OPERATOR_FLAGS,
          "cyclic": _ANALYSIS_FLAGS + ["--backward", "--schedule", "--window-k"]}
 
 
@@ -929,6 +930,24 @@ def test_help_exits_0_naming_every_command_and_flag(argv, names, capsys):
     assert out.startswith(f"usage: treeshift {' '.join(argv[:-1])}".rstrip())
     for name in names:
         assert name in out, (argv, name)
+
+
+@pytest.mark.parametrize("command,tree,flag", [("similarity", "tilde", ["--depth", "5"]),
+                                               ("oracle", "star", ["--tol", "1e-3"])])
+def test_similarity_and_oracle_reject_the_analysis_flags(specs, capsys, command, tree, flag):
+    """The two commands read no --tol, --zero-th or --depth, so they take none:
+    argparse names the flag, and their help lists none of the three."""
+    argv = [command, "--tree", specs[tree], "--weights", specs[f"{tree}_w"], "--levels=-3:3"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + flag)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {' '.join(flag)}\n")
+    with pytest.raises(SystemExit):
+        main([command, "-h"])
+    out = capsys.readouterr().out
+    assert not [name for name in ("--tol", "--zero-th", "--depth") if name in out]
 
 
 def test_a_file_holding_a_json_string_is_not_decoded_twice(specs, tmp_path, capsys):

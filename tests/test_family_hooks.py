@@ -35,6 +35,7 @@ from treeshift.asymptote import SimilarityAnswer, similar_to_isometry
 from treeshift.asymptotics import (
     CONVERGED,
     EXACT_ZERO,
+    AlphaEvaluator,
     _stable_branching,
     alpha_profile,
     stable_subtree,
@@ -450,7 +451,8 @@ def test_weight_hooks_match_the_deleted_dispatch(tree, name):
     op = ShiftOperator(model, w)
     assert op.is_certified_vanishing() == ref_certified_vanishing(model, w)
     assert op.is_certified_isometry() == ref_is_certified_isometry(model, w)
-    assert op.is_level_homogeneous() == (ref_level_homogeneous(model) and w.level_only)
+    assert AlphaEvaluator(op).lumped == (ref_level_homogeneous(model)
+                                         and ref_max_children(model) == 1 and w.level_only)
     assert w.full_product_positive() == ref_full_product_positive(w, model)
     for window in windows_of(model):
         op = ShiftOperator(model, w)
@@ -521,8 +523,7 @@ def test_hooks_make_no_counted_queries():
             w.__class__ = counting(type(w), ("weight",))
             counts.clear()
             op = ShiftOperator(model, w)
-            op.is_certified_isometry()
-            op.is_level_homogeneous()
+            AlphaEvaluator(op)
             arguments = {"model": [model], "from_level": [-math.inf, -3, 0, 2],
                          "window": [window], "lvl": range(-4, 5)}
             for obj, names in ((w, hooks), (model, tree_hooks)):

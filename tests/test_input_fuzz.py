@@ -165,6 +165,12 @@ def workdir(tmp_path_factory):
     return path
 
 
+def _depth(command):
+    """``--depth 16`` for a command that takes it: ``oracle`` and
+    ``similarity`` reject the analysis flags."""
+    return [] if command in ("oracle", "similarity") else ["--depth", "16"]
+
+
 def _run(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         return main(argv)
@@ -179,7 +185,7 @@ def test_weight_docs_exit_with_a_documented_code(workdir, doc):
         for command in ("analyze", "asymptote", "adjoint-asymptote", "oracle", "similarity",
                         "cyclic"):
             code = _run([command, "--tree", str(workdir / tree), "--weights", str(weights),
-                         f"--levels={levels}", "--depth", "16"])
+                         f"--levels={levels}", *_depth(command)])
             assert code in EXIT_CODES, (command, tree, doc, code)
 
 
@@ -201,7 +207,7 @@ def test_tree_docs_exit_with_a_documented_code(workdir, doc):
     assert code in EXIT_CODES, ("validate", doc, code)
     for command in ("analyze", "asymptote", "oracle", "similarity", "cyclic"):
         code = _run([command, "--tree", str(tree), "--weights", str(workdir / "half.json"),
-                     "--levels=-3:3", "--depth", "16"])
+                     "--levels=-3:3", *_depth(command)])
         assert code in EXIT_CODES, (command, doc, code)
 
 
@@ -267,9 +273,9 @@ def _assert_documented(argv, code, err):
        flags=st.fixed_dictionaries({}, optional=ANALYSIS_FLAGS))
 def test_tree_flags_exit_with_a_documented_code(workdir, command, tree, flags):
     argv = [command, "--tree", str(workdir / tree)]
-    if command == "validate":
+    if command in ("validate", "oracle", "similarity"):
         flags = {k: v for k, v in flags.items() if k in WINDOW_FLAGS}
-    else:
+    if command != "validate":
         argv += ["--weights", str(workdir / "half.json")]
     argv += [f"{flag}={value}" for flag, value in flags.items()]
     _assert_documented(argv, *_exit(argv))

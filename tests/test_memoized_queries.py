@@ -277,7 +277,7 @@ def finite_operators(count=6):
 # -- bit-equal records -------------------------------------------------------------------
 
 def assert_forward_matches(op, window):
-    assert not op.is_level_homogeneous() and not op.is_certified_vanishing()
+    assert not AlphaEvaluator(op).lumped and not op.is_certified_vanishing()
     profile = alpha_profile(op, window)
     reference = RefAlpha(ShiftOperator(op.model, op.weights))
     assert repr(profile.records) == repr({u: reference(u) for u in window.order})
@@ -299,7 +299,7 @@ def assert_adjoint_matches(op, window):
 @pytest.mark.parametrize("model,weights,lo,hi", WINDOW_CASES)
 def test_window_alpha_records_bit_equal(model, weights, lo, hi):
     op = ShiftOperator(model, weights)
-    assert not op.is_level_homogeneous() and not op.is_certified_vanishing()
+    assert not AlphaEvaluator(op).lumped and not op.is_certified_vanishing()
     window = materialize_window(model, lo, hi)
     reference = ref_read_off(ShiftOperator(model, weights), window, ref_descend)
     assert repr(alpha_profile(op, window).records) == repr(reference)

@@ -11,8 +11,10 @@ the head first on even pairs.  The last line of each run's standard output is
 its JSON result.  For every end-to-end metric the tool prints both medians,
 the quartile spread of the base's runs, and how many pairs moved each way;
 where the head checkout's ``BENCHMARK.json`` says which way is better, it
-also counts the pairs in which the head was better.  It only reads the
-checkouts and runs their benchmark.
+also counts the pairs in which the head was better, and where it also gives
+the metric's ``bound``, the line ends with ``beyond bound`` when the head's
+median is worse than the base's by more than bound x the base's median, else
+with ``within bound``.  It only reads the checkouts and runs their benchmark.
 
 Each run writes no bytecode and keeps its bytecode cache under a fresh, empty
 temporary directory (``PYTHONPYCACHEPREFIX``), so both sides compile their
@@ -45,11 +47,13 @@ def run_side(root: str, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def directions(root: str) -> dict:
-    """{metric: "higher" | "lower"} from the checkout's BENCHMARK.json, or {}."""
+def declared(root: str) -> dict:
+    """{metric: ("higher" | "lower", bound or None)} from the end-to-end
+    metrics of the checkout's BENCHMARK.json, or {}."""
     try:
         with open(os.path.join(root, "BENCHMARK.json")) as handle:
-            return {m["name"]: m["better"] for m in json.load(handle)["end_to_end"]}
+            return {m["name"]: (m["better"], m.get("bound"))
+                    for m in json.load(handle)["end_to_end"]}
     except (OSError, ValueError, KeyError, TypeError):
         return {}
 
@@ -62,8 +66,9 @@ def quartile_spread(values: list) -> float:
     return high - low
 
 
-def summary(pairs: list, better: dict) -> list:
-    """One line per end-to-end metric over [(base result, head result)]."""
+def summary(pairs: list, metrics: dict) -> list:
+    """One line per end-to-end metric over [(base result, head result)], with
+    ``metrics`` as ``declared`` returns it."""
     lines = []
     for name in pairs[0][0]["metrics"]:
         base = [b["metrics"][name]["value"] for b, _ in pairs]
@@ -75,9 +80,16 @@ def summary(pairs: list, better: dict) -> list:
         line = (f"{name:<16} base {mid_b:.6g} (IQR {quartile_spread(base):.3g})  "
                 f"head {mid_h:.6g}  {change}  head higher in {up}/{len(pairs)}, "
                 f"lower in {down}/{len(pairs)}")
-        if name in better:
-            wins = up if better[name] == "higher" else down
-            line += f"  (better: {better[name]}; head better in {wins}/{len(pairs)})"
+        if name in metrics:
+            better, bound = metrics[name]
+            wins = up if better == "higher" else down
+            line += f"  (better: {better}; head better in {wins}/{len(pairs)}"
+            if bound is None:
+                line += ")"
+            else:
+                worse = mid_b - mid_h if better == "higher" else mid_h - mid_b
+                line += (f"; bound {bound:g})  "
+                         f"{'beyond' if worse > bound * mid_b else 'within'} bound")
         lines.append(line)
     return lines
 
@@ -112,7 +124,7 @@ def main(argv=None) -> int:
               f"head {result['head']['failed']}/{result['head']['attempted']}", flush=True)
     print(f"workload={args.workload} seed={args.seed} seconds={args.seconds} "
           f"pairs={args.pairs}")
-    for line in summary(pairs, directions(sides["head"])):
+    for line in summary(pairs, declared(sides["head"])):
         print(line)
     return 0
 
