@@ -144,7 +144,7 @@ def adjoint_isometric_asymptote(operator: ShiftOperator,
                                 adjoint: AdjointAsymptotics,
                                 zero_threshold: float = DEFAULT_ZERO_THRESHOLD
                                 ) -> AdjointAsymptoteDescriptor:
-    if adjoint.rooted_certified:
+    if operator.model.is_rooted:
         raise AdjointStable("rooted tree: the adjoint orbits are stable")
     levels = sorted(adjoint.h_vectors)
     if all(adjoint.h_vectors[lvl].norm_sq <= zero_threshold for lvl in levels):

@@ -57,7 +57,6 @@ every estimate is bit-identical to an un-memoized walk.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from json.encoder import encode_basestring_ascii as _ascii
@@ -121,6 +120,7 @@ class AlphaEvaluator:
                        else _ZERO if operator.is_certified_vanishing() else None)
         self.lumped = operator.model.children_per_vertex == 1 and operator.weights.level_only
         self._cache: dict[str, VertexEstimate] = {}
+        self._floor = ...  # the weights' convergence floor level, read at the first descent
 
     def __call__(self, u: str) -> VertexEstimate:
         hit = self._cache.get(u)
@@ -133,11 +133,6 @@ class AlphaEvaluator:
         if self.closed is not None:
             return VertexEstimate(u, *self.closed)
         return VertexEstimate(u, *self._descend(u))
-
-    @functools.cached_property
-    def _floor(self):
-        """The weights' convergence floor level, read at the first descent."""
-        return self.operator.weights.convergence_floor_level(self.operator.model)
 
     def _descend(self, u: str) -> tuple:
         """(estimate, upper, status, depth) from the partial sums s_n(u).
@@ -152,6 +147,8 @@ class AlphaEvaluator:
         # convergence may not be declared before the frontier has passed them.
         min_depth = CONSECUTIVE_SMALL + 5
         floor = self._floor
+        if floor is ...:
+            floor = self._floor = op.weights.convergence_floor_level(op.model)
         if floor is not None:
             top = op.model.level(u) if lvl is None else lvl
             min_depth = max(min_depth, floor - top + CONSECUTIVE_SMALL + 2)
@@ -307,9 +304,11 @@ def stable_subtree(profile: AsymptoticProfile,
 
 class HVector(Record):
     """Adjoint-limit eigenvector of one level: truncated-product coefficients
-    over the materialized generation."""
+    over the materialized generation, and its squared norm a_level.  The
+    level is its key in ``AdjointAsymptotics.h_vectors``; the level's status
+    and depth are those of its ``a`` record."""
 
-    __slots__ = _fields = ("level", "coefficients", "norm_sq", "status", "depth", "gen_exact")
+    __slots__ = _fields = ("coefficients", "norm_sq")
 
 
 def ancestor_products(operator: ShiftOperator, v: str, depth: int) -> tuple:
@@ -359,7 +358,6 @@ def _generation(operator: ShiftOperator, u: str, depth: int, frontier_cap: int) 
 def _adjoint_level(operator: ShiftOperator, u: str, depth: int, tol: float,
                    frontier_cap: int):
     """(estimate record, HVector) for the level of u on a rootless model."""
-    lvl = operator.model.level(u)
     members, gen_exact = _generation(operator, u, depth, frontier_cap)
 
     # A rootless chain never stops at a root, so each holds ``depth`` products;
@@ -378,14 +376,13 @@ def _adjoint_level(operator: ShiftOperator, u: str, depth: int, tol: float,
             consecutive = 0
     estimate = sums[-1] if sums else 0.0
     status = CONVERGED if (gen_exact and tail_ok) else MAX_DEPTH
-    h = HVector(lvl, SparseVector(coefficients), estimate, status, depth, gen_exact)
+    h = HVector(SparseVector(coefficients), estimate)
     return VertexEstimate(u, estimate, estimate if gen_exact else 1.0, status, depth), h
 
 
 class AdjointAsymptotics(Record):
     # h_vectors: level -> HVector
-    __slots__ = _fields = ("profile", "h_vectors", "rooted_certified")
-    _defaults = {"rooted_certified": False}
+    __slots__ = _fields = ("profile", "h_vectors")
 
 
 ADJOINT_GEN_CAP = 512
@@ -406,9 +403,8 @@ def adjoint_profile(operator: ShiftOperator, window: TreeWindow,
     if rooted or operator.is_certified_vanishing():
         records = {u: VertexEstimate(u, *_ZERO) for u in window.order}
         h_by_level = {} if rooted else {
-            lvl: HVector(lvl, SparseVector(), 0.0, EXACT_ZERO, 0, True) for lvl in window.levels()}
-        return AdjointAsymptotics(AsymptoticProfile(records, window), h_by_level,
-                                  rooted_certified=rooted)
+            lvl: HVector(SparseVector(), 0.0) for lvl in window.levels()}
+        return AdjointAsymptotics(AsymptoticProfile(records, window), h_by_level)
 
     records = {}
     h_by_level = {}
@@ -462,7 +458,7 @@ def classify(forward: AsymptoticProfile, adjoint: AdjointAsymptotics,
     fwd = {"one": "C1dot", "zero": "C0dot"}.get(fwd_side, fwd_side)
     notes.append(f"forward: {fwd} ({'certified' if fwd_cert else 'numerical'})")
 
-    if adjoint.rooted_certified:
+    if forward.window.model.is_rooted:
         adj, adj_cert = "Cdot0", True
         notes.append("adjoint: Cdot0 (certified: rooted tree)")
     else:

@@ -28,7 +28,6 @@ callers; no backward-shift path calls them.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from bisect import bisect_left
@@ -170,28 +169,11 @@ class CyclicCandidate(Record):
     """Support schedule, coefficients, and the rescaling history of the
     sequential Sigma_m modification loop."""
 
-    # No __slots__: ``sigma_final`` and ``_built`` live in the instance __dict__.
     # schedule: [(j_l, k_l)] for l = 1..L, stored 0-based in the list
     # xi: strictly positive coefficients, same indexing
     # modifications: [(m, sigma_before, factor)]
-    _fields = ("schedule", "xi", "modifications")
+    __slots__ = _fields = ("schedule", "xi", "modifications")
     _defaults = {"modifications": []}
-    # (schedule, xi, prefix products) as ``construct_backward_cyclic`` built them
-    _built = None
-
-    @functools.cached_property
-    def sigma_final(self) -> list:
-        """The stage bounds of the coefficients as built, computed on the
-        first read, even if a caller has changed the lists since; [] for a
-        candidate that ``construct_backward_cyclic`` did not make."""
-        if self._built is None:
-            return []
-        schedule, xi, prefix = self._built
-        return [_sigma(schedule, xi, prefix, m) for m in range(1, len(schedule) + 1)]
-
-    @property
-    def length(self):
-        return len(self.schedule)
 
     def entries(self):
         """[(j, k, xi)] with 1-based stage order."""
@@ -215,7 +197,7 @@ def default_schedule(branches: int, L: int):
 def sigma_m(candidate: CyclicCandidate, spec: BackwardShiftSpec, m: int) -> float:
     """Stage-m bound: the max over k in (k_{m-1}, k_m] (k_0 = -1) of the tail
     sum of squared coefficient-times-weight-product ratios."""
-    L = candidate.length
+    L = len(candidate.schedule)
     if not (1 <= m <= L):
         raise ValueError(f"m must be in 1..{L}")
     return _sigma(candidate.schedule, candidate.xi, _schedule_prefix(spec, candidate.schedule), m)
@@ -328,9 +310,7 @@ def construct_backward_cyclic(spec: BackwardShiftSpec, L: int) -> CyclicCandidat
             for l in range(m + 1, L + 1):
                 xi[l - 1] /= factor
             modifications.append((m, s, factor))
-    candidate = CyclicCandidate(schedule, xi, modifications)
-    candidate._built = tuple(schedule), tuple(xi), prefix
-    return candidate
+    return CyclicCandidate(schedule, xi, modifications)
 
 
 def range_membership_report(spec: BackwardShiftSpec, candidate: CyclicCandidate, n: int) -> float:

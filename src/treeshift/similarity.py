@@ -144,10 +144,8 @@ class SimilarityWitness(Record):
     # target_primed_weights: k -> weight into k'
     # g_vectors: k -> g_k, for the primed columns of X
     __slots__ = _fields = ("kind", "mode", "blocks", "residual", "ratio", "window", "operator",
-                           "primed_leaf", "target_primed_weights", "g_norms", "g_vectors")
+                           "target_primed_weights", "g_norms", "g_vectors")
     _unshown = ("operator",)
-    _defaults = {"primed_leaf": None, "target_primed_weights": {}, "g_norms": {},
-                 "g_vectors": {}}
 
     def block_inverse_bound(self) -> float:
         return max((b["inverse_norm"] for b in self.blocks), default=1.0)
@@ -236,7 +234,6 @@ def _witness(operator, window, kind, mode, ratio, primed_max) -> SimilarityWitne
 
     return SimilarityWitness(kind=kind, mode=mode, blocks=blocks, residual=residual,
                              ratio=ratio, window=window, operator=operator,
-                             primed_leaf=primed_max if kind == "leaf-similarity" else None,
                              target_primed_weights=target_primed, g_norms=norms,
                              g_vectors=g)
 

@@ -92,3 +92,35 @@ def test_each_run_compiles_its_sources_afresh(tmp_path, monkeypatch):
     assert (cwd, nobytecode, listing) == (str(tmp_path), "1", [])
     assert first != second and not first.startswith(str(tmp_path))
     assert not os.path.exists(first)
+
+
+def test_each_side_runs_in_a_fresh_copy_at_a_path_of_equal_length(tmp_path, monkeypatch):
+    """The checkouts lie at paths of different length; every run gets a copy
+    of its checkout, without ``__pycache__`` or dot entries, and both copies
+    share one parent, have paths of equal length and are gone afterwards."""
+    checkouts = {"base": tmp_path / "a-longer-base-checkout", "head": tmp_path / "head"}
+    for side, root in checkouts.items():
+        for sub in ("perfbench", ".git", ".hypothesis", "__pycache__"):
+            os.makedirs(root / sub)
+        (root / "perfbench" / "run.py").write_text(side)
+    roots = []
+
+    def run_side(root, workload, seed, seconds):
+        with open(os.path.join(root, "perfbench", "run.py")) as handle:
+            side = handle.read()
+        assert sorted(os.listdir(root)) == ["perfbench"]
+        roots.append((side, root))
+        return _result(1.0, 1.0)
+
+    monkeypatch.setattr(ab_pairs, "run_side", run_side)
+    assert ab_pairs.main(["--base", str(checkouts["base"]), "--head", str(checkouts["head"]),
+                          "--workload", "backward-cyclic", "--seed", "7", "--seconds", "1",
+                          "--pairs", "2"]) == 0
+    copies = dict(roots)
+    assert len(roots) == 4 and sorted(copies) == ["base", "head"]
+    assert all(root == copies[side] for side, root in roots)
+    assert not {os.path.abspath(root) for root in copies.values()} & {
+        str(root) for root in checkouts.values()}
+    assert len({os.path.dirname(root) for root in copies.values()}) == 1
+    assert len(copies["base"]) == len(copies["head"])
+    assert not any(os.path.exists(root) for root in copies.values())

@@ -273,8 +273,11 @@ def test_the_family_bound_is_decided_exactly_on_the_double(family, fan, center, 
         for records in (forward, adjoint.profile.records.values()):
             assert all((r.estimate, r.upper, r.status, r.depth) == (0.0, 0.0, EXACT_ZERO, 0)
                        for r in records)
-        assert all((h.norm_sq, h.status, h.depth, h.coefficients.coeffs)
-                   == (0.0, EXACT_ZERO, 0, {}) for h in adjoint.h_vectors.values())
+        assert sorted(adjoint.h_vectors) == window.levels()
+        for lvl, h in adjoint.h_vectors.items():
+            rec = adjoint.profile.record(window.vertices_at(lvl)[0])
+            assert (h.norm_sq, rec.status, rec.depth, h.coefficients.coeffs) \
+                == (0.0, EXACT_ZERO, 0, {})
     else:
         assert not any(r.status == EXACT_ZERO for r in forward)
 
@@ -446,9 +449,13 @@ def test_stable_subtree_reads_children_through_the_operator_memo():
 
 def test_adjoint_rooted_certified_zero(rng):
     op = contractive_operator(rng, random_finite_tree(rng, 20))
-    adj = adjoint_profile(op, full_window(op.model))
-    assert adj.rooted_certified
+    window = full_window(op.model)
+    adj = adjoint_profile(op, window)
+    assert op.model.is_rooted
     assert all(r.status == EXACT_ZERO for r in adj.profile.records.values())
+    cls = classify(alpha_profile(op, window), adj)
+    assert (cls.adjoint, cls.adjoint_certified) == ("Cdot0", True)
+    assert "adjoint: Cdot0 (certified: rooted tree)" in cls.notes
 
 
 def test_adjoint_bilateral_product_formula(rng):
@@ -664,8 +671,9 @@ def test_lumped_paths_are_bit_identical(family, weights):
     assert fast.profile.records == slow.profile.records
     for lvl, h in fast.h_vectors.items():
         other = slow.h_vectors[lvl]
-        assert (h.norm_sq, h.status, h.gen_exact) == (other.norm_sq, other.status,
-                                                       other.gen_exact)
+        rec, other_rec = (p.profile.record(window.vertices_at(lvl)[0]) for p in (fast, slow))
+        assert (h.norm_sq, rec.status, rec.upper == rec.estimate) == \
+            (other.norm_sq, other_rec.status, other_rec.upper == other_rec.estimate)
         assert h.coefficients.coeffs == other.coefficients.coeffs
 
 
@@ -722,7 +730,8 @@ def test_counted_generation_matches_the_walked_one(family, weights, vertices, ca
         rec, h = _adjoint_level(op, u, DEFAULT_MAX_DEPTH, DEFAULT_TOL, cap)
         est, upper, status, coeffs, gen_exact = ref_adjoint_level(op, u, frontier_cap=cap)
         assert repr(h.coefficients.coeffs) == repr(coeffs)
-        assert (rec.status, h.status, h.gen_exact) == (status, status, gen_exact)
+        # The record's upper is its estimate exactly when the generation was complete.
+        assert (rec.status, rec.upper == rec.estimate) == (status, gen_exact)
         # The members' equal products added one by one, as the reference adds them.
         assert repr((rec.estimate, h.norm_sq, rec.upper)) == repr((est, est, upper))
 

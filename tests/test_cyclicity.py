@@ -86,7 +86,8 @@ def test_a_stage_bound_divisor_that_underflows_names_its_stage():
         construct_backward_cyclic(spec, 39)
     assert caught.value.stage == 38 and caught.value.exit_code == 5
     cand = construct_backward_cyclic(spec, 38)
-    assert cand.sigma_final == [sigma_m(cand, spec, m) for m in range(1, 39)]
+    sigmas = [sigma_m(cand, spec, m) for m in range(1, 39)]
+    assert all(s <= 2.0 ** -m for m, s in enumerate(sigmas, 1))
     tiny = CyclicCandidate(default_schedule(1, 39), [2.0 ** (-l - 400) for l in range(1, 40)])
     with pytest.raises(StageUnderflow):
         sigma_m(tiny, spec, 38)  # xi_38 * 0.5^703 = 2^-1141 is 0.0
@@ -145,7 +146,7 @@ def test_equation_identity_on_truncation():
             e = np.zeros_like(y)
             e[j_m * (depth + 1) + (k_m - k)] = 1.0
             tail = 0.0
-            for l in range(m + 1, cand.length + 1):
+            for l in range(m + 1, len(cand.schedule) + 1):
                 j_l, k_l = cand.schedule[l - 1]
                 num = cand.xi[l - 1] * prefix[j_l][k_l] / prefix[j_l][k_l - k]
                 tail += (num / denom) ** 2
@@ -910,7 +911,8 @@ def test_verify_krylov_span_leaves_its_columns_alone():
 
 
 def _construct_reference(spec, L):
-    """construct_backward_cyclic with Sigma_m recomputed from scratch per stage."""
+    """construct_backward_cyclic with Sigma_m recomputed from scratch per
+    stage: the candidate and its final stage bounds."""
     def sigma(candidate, m):
         sched, xi = candidate.schedule, candidate.xi
         k_m, j_m = sched[m - 1][1], sched[m - 1][0]
@@ -939,8 +941,7 @@ def _construct_reference(spec, L):
             for l in range(m + 1, L + 1):
                 candidate.xi[l - 1] /= factor
             candidate.modifications.append((m, s, factor))
-    candidate.sigma_final = [sigma(candidate, m) for m in range(1, L + 1)]
-    return candidate
+    return candidate, [sigma(candidate, m) for m in range(1, L + 1)]
 
 
 def _hoisted_cases():
@@ -962,15 +963,13 @@ def test_hoisted_sigma_tables_give_bit_identical_candidates():
     """The sweep-guided construction gives the reference's candidate bit for
     bit: every xi, every modification and every final stage bound."""
     for branches, L, weights in _hoisted_cases():
-        fast = construct_backward_cyclic(BackwardShiftSpec(branches, weights), L)
-        slow = _construct_reference(BackwardShiftSpec(branches, weights), L)
+        spec = BackwardShiftSpec(branches, weights)
+        fast = construct_backward_cyclic(spec, L)
+        slow, slow_sigmas = _construct_reference(BackwardShiftSpec(branches, weights), L)
         assert fast.schedule == slow.schedule
         assert repr(fast.xi) == repr(slow.xi)
         assert repr(fast.modifications) == repr(slow.modifications)
-        assert repr(fast.sigma_final) == repr(slow.sigma_final)
-        for m in (1, L // 2, L):
-            assert sigma_m(fast, BackwardShiftSpec(branches, weights), m) == \
-                fast.sigma_final[m - 1]
+        assert repr([sigma_m(fast, spec, m) for m in range(1, L + 1)]) == repr(slow_sigmas)
 
 
 @pytest.mark.parametrize("branches,L,weights", [(1, 39, 0.5), (1, 50, 0.5),
@@ -1032,34 +1031,15 @@ def test_the_sweep_vouches_only_for_stage_totals_in_its_range():
     assert binding(lambda j, k: 2.0 ** -600 if k == 0 else 0.9, 8) == [None] * 7 + [[]]
 
 
-def test_construction_makes_one_sigma_pass_until_sigma_final_is_read(monkeypatch):
+def test_construction_makes_one_sigma_pass(monkeypatch):
     calls = []
     sigma = cyclicity._sigma
     monkeypatch.setattr(cyclicity, "_sigma", lambda *args: calls.append(args[3]) or sigma(*args))
     for branches, L in ((1, 40), (2, 24), (3, 12)):
         calls.clear()
-        cand = construct_backward_cyclic(
+        construct_backward_cyclic(
             BackwardShiftSpec(branches, uniform_weight_rule(branches, 0.5, 0.99)), L)
         assert calls == list(range(1, L + 1))
-        assert len(cand.sigma_final) == L
-        assert calls == 2 * list(range(1, L + 1))
-        assert len(cand.sigma_final) == L and len(calls) == 2 * L  # computed once
-
-
-def test_sigma_final_is_the_same_read_copied_or_pickled():
-    import pickle
-    for branches, L, weights in ((1, 40, uniform_weight_rule(1, 0.5, 0.99)), (2, 16, 0.9),
-                                 (3, 20, uniform_weight_rule(3, 0.1, 1.0))):
-        expected = _construct_reference(BackwardShiftSpec(branches, weights), L).sigma_final
-        build = lambda: construct_backward_cyclic(BackwardShiftSpec(branches, weights), L)
-        assert build().sigma_final == expected
-        assert copy.deepcopy(build()).sigma_final == expected
-        assert pickle.loads(pickle.dumps(build())).sigma_final == expected
-        # the bounds are those of the candidate as built, even after a caller
-        # changes its coefficients
-        changed = build()
-        changed.xi[-1] = 1.0
-        assert changed.sigma_final == expected
 
 
 @pytest.mark.parametrize("branches,L,K,certified", [(1, 40, 200, True), (3, 36, 120, True),

@@ -32,6 +32,7 @@ from treeshift.asymptotics import (
     adjoint_profile,
     alpha_profile,
     ancestor_products,
+    classify,
 )
 from treeshift.cli import main
 from treeshift.errors import NotAContraction, VertexNotFound, WeightError
@@ -288,9 +289,9 @@ def assert_adjoint_matches(op, window):
     adjoint = adjoint_profile(op, window)
     for lvl in window.levels():
         est, upper, status, coeffs, gen_exact = ref_adjoint_level(op, window.vertices_at(lvl)[0])
-        h = adjoint.h_vectors[lvl]
-        assert repr((h.norm_sq, h.status, h.gen_exact, h.coefficients.coeffs)) == \
-            repr((est, status, gen_exact, coeffs))
+        h, rep = adjoint.h_vectors[lvl], adjoint.profile.record(window.vertices_at(lvl)[0])
+        assert repr((h.norm_sq, rep.status, rep.upper == rep.estimate, h.coefficients.coeffs)) \
+            == repr((est, status, gen_exact, coeffs))
         for u in window.vertices_at(lvl):
             rec = adjoint.profile.record(u)
             assert repr((rec.estimate, rec.upper, rec.status)) == repr((est, upper, status))
@@ -413,7 +414,9 @@ def test_random_finite_trees_bit_equal():
     for op in finite_operators():
         window = full_window(op.model)
         assert_forward_matches(op, window)
-        assert adjoint_profile(op, window).rooted_certified
+        assert op.model.is_rooted
+        cls = classify(alpha_profile(op, window), adjoint_profile(op, window))
+        assert "adjoint: Cdot0 (certified: rooted tree)" in cls.notes
 
 
 # -- oracle residuals --------------------------------------------------------------------

@@ -21,7 +21,7 @@ EXAMPLES = {
     VertexEstimate: ("a", 0.5, 0.5, "converged", 3),
     AsymptoticProfile: ({}, "window"),
     StableSubtree: ({"a"}, "window", 1e-9, (0, True), "model"),
-    HVector: (2, SparseVector({"a": 1.0}), 1.0, "exact-zero", 0, True),
+    HVector: (SparseVector({"a": 1.0}), 1.0),
     AdjointAsymptotics: ("profile", {}),
     ClassificationC: ("C1dot", "Cdot0", True, False),
     AsymptoteDescriptor: ({"a": 0.5}, "unilateral", 1, None, "stable", "operator", "alpha"),
@@ -32,7 +32,8 @@ EXAMPLES = {
     CyclicityVerdict: ("cyclic", "R3", [], "backward shift"),
     NormBound: (0.9, 0.8, True),
     RatioCertificate: ("bounded", 1.0, True),
-    SimilarityWitness: ("leaf-similarity", "similar", [], 0.0, None, "window", "operator"),
+    SimilarityWitness: ("leaf-similarity", "similar", [], 0.0, None, "window", "operator",
+                        {}, {}, {}),
     Decomposition: (SparseVector(), SparseVector(), {}, {}, 0.0),
 }
 
@@ -40,13 +41,10 @@ EXAMPLES = {
 # a fresh empty list or dict where the field is a collection.
 DEFAULTS = {
     AsymptoticProfile: {"evaluator": None},
-    AdjointAsymptotics: {"rooted_certified": False},
     ClassificationC: {"notes": None},
     CyclicCandidate: {"modifications": None},
     CyclicityVerdict: {"blockers": None},
     RatioCertificate: {"at": None, "value": None},
-    SimilarityWitness: {"primed_leaf": None, "target_primed_weights": None, "g_norms": None,
-                        "g_vectors": None},
 }
 
 
@@ -72,8 +70,7 @@ def test_records_compare_by_field_and_are_unhashable(cls):
         other = cls(*args)
         setattr(other, name, object())
         assert record != other, name
-    # every class but CyclicCandidate, whose sigma_final caches in __dict__, is slotted
-    assert hasattr(record, "__dict__") == (cls is CyclicCandidate)
+    assert not hasattr(record, "__dict__")
 
 
 def test_record_repr_lists_the_shown_fields():
@@ -90,8 +87,7 @@ def test_record_repr_lists_the_shown_fields():
 
 def test_defaulted_mutable_fields_are_fresh_per_instance():
     for cls, names in ((ClassificationC, ("notes",)), (CyclicityVerdict, ("blockers",)),
-                       (CyclicCandidate, ("modifications",)),
-                       (SimilarityWitness, ("target_primed_weights", "g_norms", "g_vectors"))):
+                       (CyclicCandidate, ("modifications",))):
         first, second = cls(*EXAMPLES[cls]), cls(*EXAMPLES[cls])
         for name in names:
             mine, theirs = getattr(first, name), getattr(second, name)

@@ -128,8 +128,9 @@ def reference_x_matrix(witness):
     top primed level the window and the primed leaf allow."""
     win = witness.window
     top = max((lvl for lvl in win.levels() if f"{lvl}'" in win), default=0)
-    if witness.primed_leaf is not None:
-        top = min(top, witness.primed_leaf)
+    leaf = witness.operator.model.primed_leaf
+    if leaf is not None:
+        top = min(top, leaf)
     mat = np.zeros((len(win), len(win)))
     for j, u in enumerate(win.order):
         if u.endswith("'") and int(u[:-1]) <= top:

@@ -5,16 +5,23 @@ Run from anywhere, with a second checkout of the code to compare against:
     python3 tools/ab_pairs.py --base ../treeshift-main --workload backward-cyclic \
         --seed 7 --seconds 10 --pairs 5
 
-Each pair runs ``perfbench/run.py`` once in each checkout (from its root, with
-this interpreter), and the side that runs first alternates from pair to pair,
-the head first on even pairs.  The last line of each run's standard output is
-its JSON result.  For every end-to-end metric the tool prints both medians,
-the quartile spread of the base's runs, and how many pairs moved each way;
-where the head checkout's ``BENCHMARK.json`` says which way is better, it
-also counts the pairs in which the head was better, and where it also gives
-the metric's ``bound``, the line ends with ``beyond bound`` when the head's
-median is worse than the base's by more than bound x the base's median, else
-with ``within bound``.  It only reads the checkouts and runs their benchmark.
+Both checkouts are first copied, without ``__pycache__`` or any entry whose
+name starts with a dot (``.git``, and the caches that tests and runs leave),
+to ``base`` and ``head`` in one fresh temporary directory, and every run
+reads its copy.  Where a checkout lies moves the normalised figures by a few
+per cent, and two paths of equal length under one parent remove that bias;
+a ``.hypothesis`` and ``.pytest_cache`` left in one checkout alone read
+``setup_s`` about 3 % higher there.  The copies are removed on exit.  Each pair runs ``perfbench/run.py`` once in each
+copy (from its root, with this interpreter), and the side that runs first
+alternates from pair to pair, the head first on even pairs.  The last line
+of each run's standard output is its JSON result.  For every end-to-end
+metric the tool prints both medians, the quartile spread of the base's runs,
+and how many pairs moved each way; where the head's ``BENCHMARK.json`` says
+which way is better, it also counts the pairs in which the head was better,
+and where it also gives the metric's ``bound``, the line ends with ``beyond
+bound`` when the head's median is worse than the base's by more than bound x
+the base's median, else with ``within bound``.  It only reads the checkouts
+and runs their benchmark.
 
 Each run writes no bytecode and keeps its bytecode cache under a fresh, empty
 temporary directory (``PYTHONPYCACHEPREFIX``), so both sides compile their
@@ -28,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -94,21 +102,9 @@ def summary(pairs: list, metrics: dict) -> list:
     return lines
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--base", required=True, help="root of the checkout to compare against")
-    parser.add_argument("--head", default=".", help="root of the checkout under test")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, required=True)
-    parser.add_argument("--pairs", type=int, required=True)
-    args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
-    sides = {"base": os.path.abspath(args.base), "head": os.path.abspath(args.head)}
-    for root in sides.values():
-        if not os.path.isfile(os.path.join(root, "perfbench", "run.py")):
-            parser.error(f"{root} has no perfbench/run.py")
+def _run_pairs(args, sides: dict):
+    """Run ``args.pairs`` alternating pairs in the ``sides`` roots and print
+    each pair and the summary."""
     pairs = []
     for index in range(args.pairs):
         order = ("head", "base") if index % 2 == 0 else ("base", "head")
@@ -126,6 +122,28 @@ def main(argv=None) -> int:
           f"pairs={args.pairs}")
     for line in summary(pairs, declared(sides["head"])):
         print(line)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, help="root of the checkout to compare against")
+    parser.add_argument("--head", default=".", help="root of the checkout under test")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    checkouts = {"base": os.path.abspath(args.base), "head": os.path.abspath(args.head)}
+    for root in checkouts.values():
+        if not os.path.isfile(os.path.join(root, "perfbench", "run.py")):
+            parser.error(f"{root} has no perfbench/run.py")
+    with tempfile.TemporaryDirectory(prefix="ab_pairs_") as work:
+        sides = {side: shutil.copytree(root, os.path.join(work, side),
+                                       ignore=shutil.ignore_patterns(".*", "__pycache__"))
+                 for side, root in checkouts.items()}
+        _run_pairs(args, sides)
     return 0
 
 
