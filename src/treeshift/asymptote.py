@@ -161,14 +161,14 @@ def adjoint_isometric_asymptote(operator: ShiftOperator,
 
 def intertwining_residual(operator: ShiftOperator, descriptor: AsymptoteDescriptor,
                           profile: AsymptoticProfile, window: TreeWindow) -> float:
-    """max over stable interior basis vectors of || A^(1/2) S e_u - U A^(1/2) e_u ||."""
+    """max over stable interior basis vectors of || A^(1/2) S e_u - U A^(1/2) e_u ||;
+    an interior vertex has every child in the window, so in the profile."""
     worst = 0.0
     interior = set(window.forward_interior())
     for u in descriptor.stable.members & interior:
         lhs = SparseVector()
         for v in operator.children(u):
-            rec = profile.record(v) if v in window else descriptor.alpha(v)
-            lhs.coeffs[v] = operator.weight(v) * math.sqrt(max(rec.estimate, 0.0))
+            lhs.coeffs[v] = operator.weight(v) * math.sqrt(max(profile.estimate(v), 0.0))
         rhs = SparseVector()
         root_a = math.sqrt(profile.record(u).estimate)
         for v in descriptor.stable.children_in(u):
@@ -242,7 +242,7 @@ def similar_to_coisometry(operator: ShiftOperator, window: TreeWindow) -> Simila
     return SimilarityAnswer("undetermined", "no closed form for the full weight product")
 
 
-def boundary_deficiency(window: TreeWindow, members=None) -> int:
+def boundary_deficiency(window: TreeWindow) -> int:
     """Rows of a window truncation unreachable only because their parent lies
     outside the window: the artificial part of a window cokernel."""
-    return sum(members is None or u in members for u in window.top_boundary())
+    return len(window.top_boundary())

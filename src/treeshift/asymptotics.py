@@ -73,6 +73,7 @@ DEFAULT_MAX_DEPTH = 64
 DEFAULT_ZERO_THRESHOLD = 1e-9
 DEFAULT_ONE_THRESHOLD = 1e-6
 FRONTIER_CAP = 4096
+ADJOINT_GEN_CAP = 512  # most members an adjoint generation sweep keeps
 CONSECUTIVE_SMALL = 3
 
 CONVERGED = "converged"
@@ -319,14 +320,15 @@ def ancestor_products(operator: ShiftOperator, v: str, depth: int) -> tuple:
     return list(itertools.accumulate(squares, mul)), ancestors[-1]
 
 
-def _generation(operator: ShiftOperator, u: str, depth: int, frontier_cap: int) -> tuple:
+def _generation(operator: ShiftOperator, u: str, depth: int) -> tuple:
     """(members, gen_exact) of the generation of u that the adjoint sweep
     materializes on a rootless model, where every anchor has a parent.
 
     Step d climbs to the d-th ancestor and adds the vertices d levels below
-    it that are not below the previous anchor; a sibling cone that is empty
-    stops growing.  The sweep stops before the members would pass
-    ``frontier_cap`` and once the generation is complete.
+    it that are not below the previous anchor (each has one parent, so none
+    repeats); a sibling cone that is empty stops growing.  The sweep stops
+    before the members would pass ``ADJOINT_GEN_CAP`` and once the
+    generation is complete.
     """
     model = operator.model
     members = [u]
@@ -334,18 +336,14 @@ def _generation(operator: ShiftOperator, u: str, depth: int, frontier_cap: int) 
     gen_exact = model.generation_complete(lvl)
     for d in range(1, depth + 1):
         parent = operator.parent(anchor)
-        new = dict.fromkeys(v for v in operator.children(parent) if v != anchor)
+        new = [v for v in operator.children(parent) if v != anchor]
         for _ in range(d - 1):
             if not new:
                 break
-            grown: dict[str, None] = {}
-            for w in new:
-                for v in operator.children(w):
-                    grown[v] = None
-            new = grown
-            if len(members) + len(new) > frontier_cap:
+            new = [v for w in new for v in operator.children(w)]
+            if len(members) + len(new) > ADJOINT_GEN_CAP:
                 break
-        if len(members) + len(new) > frontier_cap:
+        if len(members) + len(new) > ADJOINT_GEN_CAP:
             break
         members.extend(new)
         anchor, lvl = parent, lvl - 1
@@ -355,10 +353,9 @@ def _generation(operator: ShiftOperator, u: str, depth: int, frontier_cap: int) 
     return members, gen_exact
 
 
-def _adjoint_level(operator: ShiftOperator, u: str, depth: int, tol: float,
-                   frontier_cap: int):
+def _adjoint_level(operator: ShiftOperator, u: str, depth: int, tol: float):
     """(estimate record, HVector) for the level of u on a rootless model."""
-    members, gen_exact = _generation(operator, u, depth, frontier_cap)
+    members, gen_exact = _generation(operator, u, depth)
 
     # A rootless chain never stops at a root, so each holds ``depth`` products;
     # the partial sums over the members certify convergence of the product tails.
@@ -385,9 +382,6 @@ class AdjointAsymptotics(Record):
     __slots__ = _fields = ("profile", "h_vectors")
 
 
-ADJOINT_GEN_CAP = 512
-
-
 def adjoint_profile(operator: ShiftOperator, window: TreeWindow,
                     depth: int = DEFAULT_MAX_DEPTH, tol: float = DEFAULT_TOL
                     ) -> AdjointAsymptotics:
@@ -410,7 +404,7 @@ def adjoint_profile(operator: ShiftOperator, window: TreeWindow,
     h_by_level = {}
     for lvl in window.levels():
         rep = window.vertices_at(lvl)[0]
-        rec, h = _adjoint_level(operator, rep, depth, tol, ADJOINT_GEN_CAP)
+        rec, h = _adjoint_level(operator, rep, depth, tol)
         h_by_level[lvl] = h
         for u in window.vertices_at(lvl):
             records[u] = VertexEstimate(u, rec.estimate, rec.upper, rec.status, rec.depth)

@@ -78,7 +78,7 @@ def uniform_weight_rule(seed: int, low: float, high: float):
 
     def run(j, start, stop):
         import numpy as np
-        digests = unit_hasher(f"{seed}:{j}:").digests(b"%d" % k for k in range(start, stop))
+        digests = unit_hasher(f"{seed}:{j}:")(b"%d" % k for k in range(start, stop))
         units = np.frombuffer(digests, ">u8").astype(float) / 2.0 ** 64
         return (low + (high - low) * units).tolist()
 

@@ -21,6 +21,8 @@ from .shifts import ShiftOperator
 from .sparse import SparseVector, nan_max
 from .trees import TreeWindow, _is_primed, _primed_id, _primed_index
 
+BLOW_UP = 1e6  # a partial ratio product above this is evidence of unbounded ratios
+
 
 def _require_comb(operator: ShiftOperator, need_leaf: bool):
     model = operator.model
@@ -52,12 +54,15 @@ def ray_products(operator: ShiftOperator, upto: int):
 
 def _g_table(operator: ShiftOperator, upto: int) -> tuple:
     """({k: g_k}, {k: |g_k|}) for k = 1..upto, with |g_0| = 1, from one walk
-    of the ray products."""
+    of the ray products; a norm that overflows raises WeightError."""
     spine, primed = ray_products(operator, upto)
     g, norms = {}, {0: 1.0}
     for k in range(1, upto + 1):
         g[k] = SparseVector({str(k): 1.0 / spine[k], _primed_id(k): -1.0 / primed[k]})
         norms[k] = math.hypot(1.0 / spine[k], 1.0 / primed[k])
+        if math.isinf(norms[k]):
+            raise WeightError(f"the g vector at level {k} has no finite norm: the weight "
+                              f"products down to it are {spine[k]!r} and {primed[k]!r}")
     return g, norms
 
 
@@ -95,15 +100,14 @@ def _geometric_term(first: float, step: float, n: int) -> float:
         return first * step ** (n // 2) * step ** (n - n // 2)
 
 
-def ratio_bounded(operator: ShiftOperator, horizon: int = 64,
-                  blow_up: float = 1e6) -> RatioCertificate:
+def ratio_bounded(operator: ShiftOperator, horizon: int = 64) -> RatioCertificate:
     """Track partial maxima of prod_{j<=k} lambda_j'/lambda_j.
 
     A geometric ratio law (the weights' ``ratio_geometric``) is decided in
     closed form.  Otherwise the partial maxima run to the horizon, at least
     past the level where the weights say the ratios settle at 1 (then the
     sup is exact), with an evidence certificate as soon as a partial
-    product exceeds the blow-up bound.
+    product exceeds ``BLOW_UP``.
     """
     w = operator.weights
     law = w.ratio_geometric()
@@ -111,13 +115,13 @@ def ratio_bounded(operator: ShiftOperator, horizon: int = 64,
         first, step = law
         if step <= 1.0:
             return RatioCertificate("bounded", first, True)
-        if first > blow_up:
+        if first > BLOW_UP:
             return RatioCertificate("unbounded-evidence", first, True, at=1, value=first)
-        # the least k with first * step^(k-1) > blow_up; the log estimate may be a few off
-        k = 1 + max(1, math.ceil((math.log(blow_up) - math.log(first)) / math.log(step)))
-        while _geometric_term(first, step, k - 1) <= blow_up:
+        # the least k with first * step^(k-1) > BLOW_UP; the log estimate may be a few off
+        k = 1 + max(1, math.ceil((math.log(BLOW_UP) - math.log(first)) / math.log(step)))
+        while _geometric_term(first, step, k - 1) <= BLOW_UP:
             k += 1
-        while k > 2 and _geometric_term(first, step, k - 2) > blow_up:
+        while k > 2 and _geometric_term(first, step, k - 2) > BLOW_UP:
             k -= 1
         value = _geometric_term(first, step, k - 1)
         return RatioCertificate("unbounded-evidence", value, True, at=k, value=value)
@@ -130,7 +134,7 @@ def ratio_bounded(operator: ShiftOperator, horizon: int = 64,
     for k in range(1, horizon + 1):
         ratio *= operator.weight(_primed_id(k)) / operator.weight(str(k))
         sup = max(sup, ratio)
-        if ratio > blow_up:
+        if ratio > BLOW_UP:
             return RatioCertificate("unbounded-evidence", sup, exact, at=k, value=ratio)
     return RatioCertificate("bounded", sup, exact)
 

@@ -95,6 +95,7 @@ class DirectedTreeModel:
     # every vertex (then level-only weights give one cone per level):
     children_per_vertex = None
     has_primed_ray = False  # a Br=1 comb: an integer spine and a primed ray off "0"
+    root = None  # the root's id; None on a rootless tree
 
     def children(self, u: str) -> tuple[str, ...]:
         raise NotImplementedError
@@ -126,11 +127,7 @@ class DirectedTreeModel:
 
     @property
     def is_rooted(self) -> bool:
-        raise NotImplementedError
-
-    @property
-    def root(self):
-        return None
+        return self.root is not None
 
     def level(self, u: str) -> int:
         """Integer level; 0 at the root (rooted) or the family base vertex."""
@@ -230,11 +227,11 @@ class FiniteTree(DirectedTreeModel):
             raise CircuitFound(cycle[cycle.index(u):] + [u])
         if len(roots) != 1:
             raise DisconnectedGraph(f"found {len(roots)} parentless vertices: {roots[:4]}")
-        self._root = roots[0]
-        if declared_root is not None and declared_root != self._root:
-            raise RootMismatch(declared_root, self._root)
+        self.root = roots[0]
+        if declared_root is not None and declared_root != self.root:
+            raise RootMismatch(declared_root, self.root)
         self._parent = _VertexTable(parent_map)
-        self._parent[self._root] = None
+        self._parent[self.root] = None
         for v in ids:
             by_level[level[v]].append(v)
         self._level, self._by_level = level, by_level
@@ -250,14 +247,6 @@ class FiniteTree(DirectedTreeModel):
 
     def __contains__(self, u):
         return u in self._children
-
-    @property
-    def is_rooted(self):
-        return True
-
-    @property
-    def root(self):
-        return self._root
 
     def level(self, u):
         return self._level[u]
@@ -319,10 +308,6 @@ class BilateralPath(DirectedTreeModel):
     def parent(self, u):
         return str(self._vertex(u) - 1)
 
-    @property
-    def is_rooted(self):
-        return False
-
     def level(self, u):
         return self._vertex(u)
 
@@ -338,18 +323,11 @@ class RootedPath(BilateralPath):
 
     family = "rooted-path"
     first = 0
+    root = "0"
 
     def parent(self, u):
         n = self._vertex(u)
         return None if n == 0 else str(n - 1)
-
-    @property
-    def is_rooted(self):
-        return True
-
-    @property
-    def root(self):
-        return "0"
 
 
 class CombTree(DirectedTreeModel):
@@ -406,10 +384,6 @@ class CombTree(DirectedTreeModel):
             return "0" if k == 1 else _primed_id(k - 1)
         return str(k - 1)
 
-    @property
-    def is_rooted(self):
-        return False
-
     def level(self, u):
         return self._vertex(u)[0]
 
@@ -464,10 +438,6 @@ class RootlessBinary(DirectedTreeModel):
             return str(m - 1)
         return u[:-2] if len(w) == 1 else u[:-1]
 
-    @property
-    def is_rooted(self):
-        return False
-
     def level(self, u):
         m, w = self._vertex(u)
         return m + len(w)
@@ -483,12 +453,16 @@ class RootlessBinary(DirectedTreeModel):
 
 
 def make_family(tag: str, params: dict | None = None) -> DirectedTreeModel:
+    """The family ``tag`` built from ``params``; an unknown family or a
+    param the family does not take raises TreeSpecError."""
     params = params or {}
-    if tag == "comb":
-        return CombTree(params.get("primed_leaf"), params.get("unprimed_leaf"))
-    for family in (RootedPath, BilateralPath, RootlessBinary, TildeTree):
+    for family in (RootedPath, BilateralPath, RootlessBinary, TildeTree, CombTree):
         if family.family == tag:
-            return family()
+            takes = ("primed_leaf", "unprimed_leaf") if family is CombTree else ()
+            if not params.keys() <= set(takes):
+                raise TreeSpecError(f"tree family {tag!r} takes params {list(takes)}, "
+                                    f"got {shown(params)}")
+            return family(**params)
     raise TreeSpecError(f"unknown family {shown(tag)}; expected one of {FAMILY_TAGS}")
 
 
@@ -559,7 +533,7 @@ class TreeWindow:
         return self.index[u]
 
     def levels(self):
-        return sorted(self.by_level)
+        return list(self.by_level)
 
     def vertices_at(self, lvl):
         return list(self.by_level.get(lvl, ()))

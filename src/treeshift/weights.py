@@ -91,24 +91,16 @@ def hash_unit(key: str) -> float:
 
 
 def unit_hasher(prefix: str):
-    """The function ``suffixes -> [hash_unit(prefix + s) for s in suffixes]``;
-    its ``digests(keys)`` joins the 8-byte digests of ``prefix + key`` (bytes keys).
+    """The function ``keys -> bytes`` that joins the 8-byte digests of
+    ``prefix + key`` (bytes keys); a digest read as a big-endian integer
+    over 2^64 is ``hash_unit(prefix + key)``.
 
     blake2b is a streaming hash: a copy of the state fed ``prefix``, fed
-    ``s``, has the digest of ``prefix + s``.  So the prefix is hashed once,
-    here, and each unit costs one state copy.
+    ``key``, has the digest of ``prefix + key``.  So the prefix is hashed
+    once, here, and each digest costs one state copy.
     """
     import hashlib  # loads OpenSSL, which only hashed weights need
     copy = hashlib.blake2b(prefix.encode(), digest_size=8).copy
-    from_bytes = int.from_bytes
-
-    def units(suffixes) -> list[float]:
-        out = []
-        for s in suffixes:
-            h = copy()
-            h.update(s.encode())
-            out.append(from_bytes(h.digest(), "big") / 2.0 ** 64)
-        return out
 
     def digests(keys) -> bytes:
         out = []
@@ -117,8 +109,7 @@ def unit_hasher(prefix: str):
             out.append(h.digest())
         return b"".join(out)
 
-    units.digests = digests
-    return units
+    return digests
 
 
 class WeightAssignment:
@@ -196,7 +187,7 @@ class WeightAssignment:
         raise NotImplementedError
 
     def _check_non_root(self, model, v):
-        if model.is_rooted and v == model.root:
+        if v == model.root:
             raise WeightError(f"the root {v!r} carries no weight")
 
 
@@ -449,13 +440,14 @@ class HashRandomWeights(FamilyWeights):
         self.high = _positive(high, "hash-random high", MAX_WEIGHT)
         if self.low > self.high:
             raise WeightError("need 0 < low <= high")
-        self._units = None  # unit_hasher of f"{seed}:", made on first use
+        self._digests = None  # unit_hasher of f"{seed}:", made on first use
 
     def weight(self, model, v):
         self._check_non_root(model, v)
-        if self._units is None:
-            self._units = unit_hasher(f"{self.seed}:")
-        return self.low + (self.high - self.low) * self._units((str(v),))[0]
+        if self._digests is None:
+            self._digests = unit_hasher(f"{self.seed}:")
+        unit = int.from_bytes(self._digests((str(v).encode(),)), "big") / 2.0 ** 64
+        return self.low + (self.high - self.low) * unit
 
     def max_weight(self):
         return self.high

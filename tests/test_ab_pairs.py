@@ -47,7 +47,8 @@ def test_sides_alternate_and_each_metric_counts_its_pairs(tmp_path, monkeypatch,
     assert "base 5 (IQR 1)" in p90 and "head 4.2" in p90
     assert "head higher in 1/3, lower in 2/3" in p90 and "head better in 2/3" in p90
     assert rate.endswith("; bound 0.25)  within bound")
-    assert p90.endswith("; bound 0.1)  within bound")
+    # the base's p90 spread (1) is wider than 0.1 x its median, and 4.5 > 4
+    assert p90.endswith("; bound 0.1)  unresolved")
 
 
 def test_a_median_worse_by_more_than_the_bound_is_beyond_it():
@@ -67,6 +68,22 @@ def test_a_median_worse_by_more_than_the_bound_is_beyond_it():
     lines = ab_pairs.summary(pairs((100.0, 4.0), [(10.0, 40.0)]),
                              {"analyses_per_s": ("higher", None)})
     assert lines[0].endswith("head better in 0/1)") and "bound" not in "".join(lines)
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved_unless_the_head_sweeps():
+    """Base runs spread by more than bound x their median leave a head within
+    the bound unresolved; a head better in every run than every base run is
+    within the bound however wide the spread."""
+    metrics = {"analyses_per_s": ("higher", 0.1), "latency_p90_ms": ("lower", 0.1)}
+    base = [(60.0, 2.0), (100.0, 4.0), (140.0, 6.0), (80.0, 3.0), (120.0, 5.0)]
+    wide = [(b, h) for b, h in zip(base, [(95.0, 4.1), (150.0, 1.0), (70.0, 7.0),
+                                          (100.0, 4.0), (130.0, 3.5)])]
+    sweep = [(b, h) for b, h in zip(base, [(141.0, 1.9), (150.0, 1.5), (160.0, 1.0),
+                                           (145.0, 1.8), (155.0, 1.2)])]
+    for pairs, verdict in ((wide, "unresolved"), (sweep, "within bound")):
+        lines = ab_pairs.summary([(_result(*b), _result(*h)) for b, h in pairs], metrics)
+        assert [line.rsplit("  ", 1)[1] for line in lines] == [verdict, verdict]
+        assert "(IQR 40)" in lines[0] and "(IQR 2)" in lines[1]
 
 
 def test_quartile_spread():

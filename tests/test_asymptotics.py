@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from treeshift import asymptotics
 from treeshift.asymptote import cnu_level_value
 from treeshift.asymptotics import (
     AlphaEvaluator,
@@ -478,15 +479,16 @@ def test_adjoint_unitary_bilateral():
         assert h.coefficients.coeffs == {str(lvl): pytest.approx(1.0)}
 
 
-def test_adjoint_level_constancy_across_representatives():
+def test_adjoint_level_constancy_across_representatives(monkeypatch):
+    monkeypatch.setattr(asymptotics, "ADJOINT_GEN_CAP", 4096)
     model = make_family("tilde")
     op = ShiftOperator(model, MapWeights({"1": 0.6, "1'": 0.7}, default=1.0))
     window = materialize_window(model, -5, 5)
     lvl = 3
     reps = window.vertices_at(lvl)
     assert len(reps) == 2
-    rec_a, _ = _adjoint_level(op, reps[0], 64, 1e-10, 4096)
-    rec_b, _ = _adjoint_level(op, reps[1], 64, 1e-10, 4096)
+    rec_a, _ = _adjoint_level(op, reps[0], 64, 1e-10)
+    rec_b, _ = _adjoint_level(op, reps[1], 64, 1e-10)
     assert rec_a.estimate == pytest.approx(rec_b.estimate, abs=1e-9)
 
 
@@ -724,10 +726,12 @@ COUNTED_CASES = [
 
 @pytest.mark.parametrize("family,weights,vertices", COUNTED_CASES)
 @pytest.mark.parametrize("cap", [1, 2, 3, 511, 512, 513, 1023, 1024])
-def test_counted_generation_matches_the_walked_one(family, weights, vertices, cap):
+def test_counted_generation_matches_the_walked_one(monkeypatch, family, weights, vertices,
+                                                  cap):
+    monkeypatch.setattr(asymptotics, "ADJOINT_GEN_CAP", cap)
     op = ShiftOperator(make_family(family), weights)
     for u in vertices:
-        rec, h = _adjoint_level(op, u, DEFAULT_MAX_DEPTH, DEFAULT_TOL, cap)
+        rec, h = _adjoint_level(op, u, DEFAULT_MAX_DEPTH, DEFAULT_TOL)
         est, upper, status, coeffs, gen_exact = ref_adjoint_level(op, u, frontier_cap=cap)
         assert repr(h.coefficients.coeffs) == repr(coeffs)
         # The record's upper is its estimate exactly when the generation was complete.

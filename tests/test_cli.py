@@ -665,6 +665,20 @@ def test_non_integer_comb_leaf_exit_code(specs, tmp_path, capsys, params):
     assert "TreeSpecError" in err and "must be an integer" in err
 
 
+@pytest.mark.parametrize("family,params,takes", [
+    ("tilde", {"primed_leaf": 3}, []),
+    ("comb", {"primed_leaf": 3, "unprimed": 4}, ["primed_leaf", "unprimed_leaf"]),
+    ("rooted-path", {"lenght": 5}, []),
+], ids=["tilde", "comb", "rooted-path"])
+def test_a_tree_param_the_family_does_not_take_exit_code(tmp_path, capsys, family, params,
+                                                          takes):
+    """A misspelt or foreign param is an error, not a silently different tree."""
+    tree = write(tmp_path, "tree.json", {"family": family, "params": params})
+    assert main(["validate", "--tree", tree]) == 2
+    assert capsys.readouterr() == ("", f"error: TreeSpecError: tree family {family!r} takes "
+                                       f"params {takes}, got {json.dumps(params)}\n")
+
+
 def test_a_map_key_that_is_no_vertex_carries_no_level(specs, tmp_path, capsys):
     # "9_9" parses as the integer 99 but is no bilateral-path vertex, so it
     # must not deepen the descent's convergence floor.

@@ -30,7 +30,7 @@ from itertools import groupby
 import pytest
 
 import treeshift
-from treeshift import trees, weights
+from treeshift import similarity, trees, weights
 from treeshift.asymptote import SimilarityAnswer, similar_to_isometry
 from treeshift.asymptotics import (
     CONVERGED,
@@ -438,11 +438,33 @@ def test_rooted_path_is_a_bilateral_path_with_a_root():
     assert rooted.children("4") == bilateral.children("4") == ("5",)
 
 
+@pytest.mark.parametrize("tree", TREES)
+def test_a_tree_states_its_root_and_derives_rootedness(tree):
+    """``root`` is the one fact (None when rootless); no tree class restates
+    it or ``is_rooted``, which the base reads off it."""
+    model = TREES[tree]()
+    assert model.is_rooted == (model.root is not None) == (tree in ("rooted-path", "finite"))
+    for cls in type(model).__mro__[:-2]:  # every class below DirectedTreeModel
+        assert "is_rooted" not in vars(cls)
+        assert vars(cls).get("root") in (None, "0")  # a stated id, not a method
+
+
+@pytest.mark.parametrize("tree", ["rooted-path", "finite"])
+def test_no_weight_law_weighs_the_root(tree):
+    model = TREES[tree]()
+    laws = {name: WEIGHTS[name]() for name in WEIGHTS}
+    refused = {name for name, w in laws.items() if not readable(model, w)}
+    assert refused == {"rays", "rays-isometry", "rays-growing", "binary-spine"}
+    for name in laws.keys() - refused:
+        with pytest.raises(WeightError, match="^the root '0' carries no weight$"):
+            laws[name].weight(model, model.root)
+
+
 # -- weight hooks -----------------------------------------------------------------------
 
 @pytest.mark.parametrize("name", WEIGHTS)
 @pytest.mark.parametrize("tree", TREES)
-def test_weight_hooks_match_the_deleted_dispatch(tree, name):
+def test_weight_hooks_match_the_deleted_dispatch(monkeypatch, tree, name):
     model, w = TREES[tree](), WEIGHTS[name]()
     if not readable(model, w):
         with pytest.raises(WeightError):
@@ -474,7 +496,8 @@ def test_weight_hooks_match_the_deleted_dispatch(tree, name):
     if isinstance(model, CombTree):
         assert outcome(ratio_bounded, op) == outcome(ref_ratio_bounded, op)
         for horizon, blow_up in ((1, 1e6), (3, 2.0)):
-            assert (outcome(ratio_bounded, op, horizon, blow_up)
+            monkeypatch.setattr(similarity, "BLOW_UP", blow_up)
+            assert (outcome(ratio_bounded, op, horizon)
                     == outcome(ref_ratio_bounded, ShiftOperator(model, w), horizon, blow_up))
 
 

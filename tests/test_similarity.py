@@ -216,12 +216,14 @@ def walked_blow_up(op, blow_up, horizon=64):
 @pytest.mark.parametrize("spine,primed,blow_up", [
     (0.05, 0.5, 1e6), (0.001, 0.1, 1e6), (0.5, 1.0, 1e6), (0.5, 1.0, 2.0 ** 20),
     (0.3, 0.9, 1e6), (0.01, 0.5, 50.0)])
-def test_geometric_ratio_passes_the_bound_where_the_walk_does(spine, primed, blow_up):
+def test_geometric_ratio_passes_the_bound_where_the_walk_does(monkeypatch, spine, primed,
+                                                              blow_up):
     """The closed form's ``at`` is the first k whose product exceeds the
     bound, as the walked ratios of the weights give it, not one that equals it."""
+    monkeypatch.setattr(similarity, "BLOW_UP", blow_up)
     op = ShiftOperator(make_family("tilde"), RayWeights(spine=spine, primed=primed))
     assert op.weights.ratio_geometric() is not None
-    cert = ratio_bounded(op, blow_up=blow_up)
+    cert = ratio_bounded(op)
     at, value = walked_blow_up(op, blow_up)
     assert (cert.status, cert.exact, cert.at) == ("unbounded-evidence", True, at)
     assert cert.value == pytest.approx(value, rel=1e-12) and cert.value > blow_up
@@ -307,6 +309,23 @@ def test_similarity_prints_no_witness_from_products_without_a_finite_reciprocal(
                     assert (code, err) == (0, "")
                 codes.append(code)
     assert codes.count(2) == 14 and codes.count(0) == 4
+
+
+@pytest.mark.parametrize("tree,levels", [({"family": "tilde", "params": {}}, "-2:2"),
+                                         ({"family": "comb", "params": {"primed_leaf": 3}},
+                                          "-2:3")], ids=["tilde", "comb"])
+def test_similarity_rejects_a_g_vector_whose_norm_overflows(tmp_path, capsys, tree, levels):
+    """Branch weights of 7e-309 have finite reciprocals near 1.4e308, whose
+    hypot overflows: one WeightError line naming level 1, no traceback."""
+    tree_path, weights = tmp_path / "tree.json", tmp_path / "weights.json"
+    tree_path.write_text(json.dumps(tree))
+    weights.write_text(json.dumps({"kind": "family", "name": "rays", "params": {
+        "spine": 1.0, "primed": 1.0, "branch_spine": 7e-309, "branch_primed": 7e-309}}))
+    assert main(["similarity", "--tree", str(tree_path), "--weights", str(weights),
+                 f"--levels={levels}"]) == 2
+    assert capsys.readouterr() == ("", "error: WeightError: the g vector at level 1 has no "
+                                       "finite norm: the weight products down to it are "
+                                       "7e-309 and 7e-309\n")
 
 
 def test_ratio_decreasing_products_bounded():

@@ -20,8 +20,10 @@ and how many pairs moved each way; where the head's ``BENCHMARK.json`` says
 which way is better, it also counts the pairs in which the head was better,
 and where it also gives the metric's ``bound``, the line ends with ``beyond
 bound`` when the head's median is worse than the base's by more than bound x
-the base's median, else with ``within bound``.  It only reads the checkouts
-and runs their benchmark.
+the base's median.  Otherwise it ends with ``unresolved`` when the base's
+quartile spread is wider than bound x the base's median, unless every head
+run beats every base run, and else with ``within bound``.  It only reads the
+checkouts and runs their benchmark.
 
 Each run writes no bytecode and keeps its bytecode cache under a fresh, empty
 temporary directory (``PYTHONPYCACHEPREFIX``), so both sides compile their
@@ -84,8 +86,9 @@ def summary(pairs: list, metrics: dict) -> list:
         up = sum(h > b for b, h in zip(base, head))
         down = sum(h < b for b, h in zip(base, head))
         mid_b, mid_h = statistics.median(base), statistics.median(head)
+        spread = quartile_spread(base)
         change = f"{100.0 * (mid_h / mid_b - 1.0):+.1f}%" if mid_b else "n/a"
-        line = (f"{name:<16} base {mid_b:.6g} (IQR {quartile_spread(base):.3g})  "
+        line = (f"{name:<16} base {mid_b:.6g} (IQR {spread:.3g})  "
                 f"head {mid_h:.6g}  {change}  head higher in {up}/{len(pairs)}, "
                 f"lower in {down}/{len(pairs)}")
         if name in metrics:
@@ -96,8 +99,12 @@ def summary(pairs: list, metrics: dict) -> list:
                 line += ")"
             else:
                 worse = mid_b - mid_h if better == "higher" else mid_h - mid_b
-                line += (f"; bound {bound:g})  "
-                         f"{'beyond' if worse > bound * mid_b else 'within'} bound")
+                sweep = (min(head) > max(base) if better == "higher"
+                         else max(head) < min(base))
+                verdict = ("beyond bound" if worse > bound * mid_b
+                           else "unresolved" if spread > bound * mid_b and not sweep
+                           else "within bound")
+                line += f"; bound {bound:g})  {verdict}"
         lines.append(line)
     return lines
 
