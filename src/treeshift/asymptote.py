@@ -201,21 +201,25 @@ class SimilarityAnswer(Record):
     __slots__ = _fields = ("answer", "reason")
 
 
-def similar_to_isometry(operator: ShiftOperator, profile: AsymptoticProfile,
-                        zero_threshold: float = DEFAULT_ZERO_THRESHOLD) -> SimilarityAnswer:
+def similar_to_isometry(operator: ShiftOperator, profile: AsymptoticProfile) -> SimilarityAnswer:
     """Similarity to an isometry holds iff the forward limits are bounded away
-    from zero; Yes needs a symbolic global infimum, No a vanishing limit."""
+    from zero; Yes needs a symbolic global infimum, No a vanishing limit.
+
+    The infimum is a level law's closed form on a single-child chain: 2 * the
+    log-sum of the weights above the root (rooted) or above every level, when
+    no weight exceeds 1, so that the limits grow with the level."""
     for u in profile.window.order:
-        rec = profile.record(u)
-        if rec.status == EXACT_ZERO:
+        if profile.record(u).status == EXACT_ZERO:
             return SimilarityAnswer("no", f"forward limit vanishes exactly at {u}")
-        if rec.status == CONVERGED and rec.estimate <= zero_threshold:
-            return SimilarityAnswer("no", f"forward limit below {zero_threshold} at {u}")
     if operator.is_certified_isometry():
         return SimilarityAnswer("yes", "certified isometry: all forward limits are 1")
-    log_infimum = operator.weights.chain_log_infimum(operator.model)
+    w, model = operator.weights, operator.model
+    log_infimum = (w.tail_log_sum(0 if model.is_rooted else -math.inf)
+                   if model.children_per_vertex == 1 else None)
+    if log_infimum is not None and log_infimum != -math.inf:  # NaN needs a weight above 1
+        log_infimum = 2.0 * log_infimum if (w.max_weight() or math.inf) <= 1.0 else None
     if log_infimum == -math.inf:
-        if math.isfinite(operator.weights.tail_log_sum(0)):
+        if math.isfinite(w.tail_log_sum(0)):
             return SimilarityAnswer("no", "closed form on a chain: the forward limits "
                                           "fall to 0 as the level falls")
         return SimilarityAnswer("no", "closed form on a chain: the forward limits vanish")
@@ -234,7 +238,13 @@ def similar_to_coisometry(operator: ShiftOperator, window: TreeWindow) -> Simila
         return SimilarityAnswer("no", "branching vertex present: |Chi(u)| <= 1 fails")
     if model.branching_total() > 0:
         return SimilarityAnswer("no", "family has positive branching index")
-    closed = operator.weights.full_product_positive()
+    # The head's finitely many positive factors leave the sign to the tail:
+    # infinitely many factors, each at most M < 1, vanish.
+    tail = operator.weights.tail
+    top = None if tail is None else tail.max_weight()
+    total = None if tail is None else tail.tail_log_sum(-math.inf)
+    closed = (False if top is not None and top < 1.0
+              else None if total is None else total > -math.inf)  # NaN: a part vanishes
     if closed is True:
         return SimilarityAnswer("yes", "full weight product positive (closed form)")
     if closed is False:

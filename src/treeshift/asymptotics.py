@@ -3,9 +3,10 @@
 Forward side: each basis vector e_u is an eigenvector of the limit of
 S*^n S^n, with eigenvalue the limit of the monotone nonincreasing partial
 sums s_n(u) = sum over Chi^n(u) of the squared weight products down from u.
-Monotonicity means every partial sum is a certified upper bound; lower
-bounds do not exist in general, so convergence is reported as a status, not
-silently assumed:
+Monotonicity means every partial sum bounds the limit from above in real
+arithmetic; the sums are not rounded outward, so a double can sit below that
+bound by rounding.  Lower bounds do not exist in general, so convergence is
+reported as a status, not silently assumed:
 
 * ``exact-zero``  -- the descendant frontier died out (finite trees, leaves),
                      or, on an infinite tree, the family bound proves it:

@@ -159,7 +159,7 @@ def cmd_analyze(args, out: Reporter) -> int:
              (f"  a[level {lvl}] = {rec.estimate:.12g} ({rec.status})"
               for lvl in window.levels() for rec in [limits.record(window.vertices_at(lvl)[0])]))
     _classification(profile, adjoint, args.zero_th, out)
-    sim_iso = similar_to_isometry(operator, profile, args.zero_th)
+    sim_iso = similar_to_isometry(operator, profile)
     sim_co = similar_to_coisometry(operator, window)
     out.fact("similar-to-isometry", sim_iso.to_json(),
              f"similar to isometry: {sim_iso.answer} ({sim_iso.reason})")

@@ -17,7 +17,8 @@ CONTRACTION_SLACK = 1e-12
 
 class NormBound(Record):
     """Operator norm report: `value` is the certified sup when `certified`,
-    otherwise just the window-restricted lower estimate."""
+    otherwise the largest scanned column, a lower estimate; `window_value`
+    is the largest column of the window scan alone."""
 
     __slots__ = _fields = ("value", "window_value", "certified")
 
@@ -170,10 +171,11 @@ class ShiftOperator:
 
         Explicit models are scanned exhaustively.  For procedural models the
         scan covers the window, its outside parents and the tree's branch
-        points when they are finite.  Every vertex left unscanned then has at
-        most ``children_per_vertex`` children (1 when that is unset and the
-        branch points are finite), so the rest is bounded by max_weight *
-        sqrt(that count), and the result is certified whenever both exist.
+        points when they are finite, and then the parent of every vertex the
+        weights' ``head`` names.  Every column left unscanned then has at
+        most f = ``eventual_fan()`` children, each weighted by the ``tail``, so
+        the rest is bounded by the tail's ``max_weight`` * sqrt(f), and the
+        result is certified whenever both exist.
         The bound is computed once per window and then returned from the
         cache.
         """
@@ -198,12 +200,19 @@ class ShiftOperator:
         for v, _, _ in points or ():
             scan[v] = None
         window_value = max(self._column_norm(u) for u in scan)
-        top = self.weights.max_weight()
+        keyed = dict.fromkeys(self.parent(v) for v in self.weights.head
+                              if v != self.model.root and v in self.model)
+        value = max([window_value] + [self._column_norm(u) for u in keyed if u not in scan])
+        top = self._tail_bound()
         fan = self.model.eventual_fan()
         if top is None or fan is None:
-            return NormBound(window_value, window_value, False)
-        outside = top * math.sqrt(fan)
-        return NormBound(max(window_value, outside), window_value, True)
+            return NormBound(value, window_value, False)
+        return NormBound(max(value, top * math.sqrt(fan)), window_value, True)
+
+    def _tail_bound(self):
+        """The tail's ``max_weight``, or None when there is no tail."""
+        tail = self.weights.tail
+        return None if tail is None else tail.max_weight()
 
     def is_certified_isometry(self) -> bool:
         """Family-level isometry certificate, the weights' ``isometry_on``: every
@@ -213,14 +222,15 @@ class ShiftOperator:
     def is_certified_vanishing(self) -> bool:
         """True when f * M^2 < 1, decided exactly on the doubles, proves every
         forward limit 0 (and every adjoint one, rootless): on an infinite tree
-        past the branch points each step scales the partial sums by at most f
-        = ``eventual_fan()`` squares of at most M = ``max_weight``, and a
-        generation n levels up holds O(f^n) chains of product at most M^(2n).
+        past the branch points and the finite head each step scales the partial
+        sums by at most f = ``eventual_fan()`` squares of at most M, the tail's
+        ``max_weight``, and a generation n levels up holds O(f^n) chains of
+        product at most M^(2n) times the head's finitely many factors.
         """
-        top = self.weights.max_weight()
+        top = self._tail_bound()
         fan = self.model.eventual_fan()
-        if (self.model.vertices() is not None or not self.weights.weighs_every_vertex
-                or top is None or not math.isfinite(top) or fan is None):
+        if (self.model.vertices() is not None or top is None or not math.isfinite(top)
+                or fan is None):
             return False
         num, den = top.as_integer_ratio()
         return fan * num * num < den * den

@@ -104,10 +104,11 @@ def ratio_bounded(operator: ShiftOperator, horizon: int = 64) -> RatioCertificat
     """Track partial maxima of prod_{j<=k} lambda_j'/lambda_j.
 
     A geometric ratio law (the weights' ``ratio_geometric``) is decided in
-    closed form.  Otherwise the partial maxima run to the horizon, at least
-    past the level where the weights say the ratios settle at 1 (then the
-    sup is exact), with an evidence certificate as soon as a partial
-    product exceeds ``BLOW_UP``.
+    closed form.  Otherwise the partial maxima run to the horizon, with an
+    evidence certificate as soon as a partial product exceeds ``BLOW_UP``.
+    When the tail is a level law, which gives k and k' the same weight, the
+    ratios settle at 1 past the head's levels: the run goes at least that
+    far, and the sup is exact.
     """
     w = operator.weights
     law = w.ratio_geometric()
@@ -125,10 +126,10 @@ def ratio_bounded(operator: ShiftOperator, horizon: int = 64) -> RatioCertificat
             k -= 1
         value = _geometric_term(first, step, k - 1)
         return RatioCertificate("unbounded-evidence", value, True, at=k, value=value)
-    settled = w.ratio_settled_from()
-    exact = settled is not None
+    exact = w.tail is not None and w.tail.level_only
     if exact:
-        horizon = max(horizon, settled)
+        model = operator.model
+        horizon = max([horizon] + [abs(model.level(v)) + 1 for v in w.head if v in model])
     ratio = 1.0
     sup = 0.0
     for k in range(1, horizon + 1):
@@ -217,15 +218,19 @@ def _witness(operator, window, kind, mode, ratio, primed_max) -> SimilarityWitne
     spine and primed weight products), so det B = b exactly, and B^-1 = [[1, x], [0, y]] (x = -a/b, y = 1/b) has
     the 2-norm (hypot(1 + |y|, x) + hypot(1 - |y|, x)) / 2, the largest
     singular value of a 2 x 2 matrix in closed form: no cancellation, and
-    no weight ratio is squared.
+    no weight ratio is squared.  A block whose inverse norm overflows raises
+    WeightError, as ``_g_table`` does for a g norm.
     """
     g, norms = _g_table(operator, primed_max)
     blocks = []
     for k in range(1, primed_max + 1):
         a, b = g[k][str(k)] / norms[k], g[k][_primed_id(k)] / norms[k]
-        x, y = -a / b, abs(1.0 / b)
-        blocks.append({"k": k, "det": b,
-                       "inverse_norm": (math.hypot(1.0 + y, x) + math.hypot(1.0 - y, x)) / 2.0})
+        x, y = (-a / b, abs(1.0 / b)) if b else (math.inf, math.inf)  # b underflowed to 0
+        inverse_norm = (math.hypot(1.0 + y, x) + math.hypot(1.0 - y, x)) / 2.0
+        if math.isinf(inverse_norm):
+            raise WeightError(f"the block at level {k} has no finite inverse norm: its "
+                              f"determinant is {b!r}")
+        blocks.append({"k": k, "det": b, "inverse_norm": inverse_norm})
     target_primed = {k: norms[k - 1] / norms[k] for k in range(2, primed_max + 1)}
     residual = 0.0
     for u in window.order:

@@ -15,7 +15,7 @@ import sys
 from functools import cache
 
 from .errors import VertexNotFound, WeightError, decoded, read_input, shown
-from .trees import TildeTree, _is_primed, _primed_index
+from .trees import _is_primed, _primed_index
 
 
 # The largest weight whose square is a finite double; every analysis squares
@@ -120,8 +120,16 @@ class WeightAssignment:
     # defaults (None, False) mean "no closed form".  The tree families whose
     # vertex ids the weights read (None: any tree):
     tree_families = None
-    # Every vertex of the tree carries a weight (False: a map with no default).
-    weighs_every_vertex = True
+    # The weights the law names one vertex at a time (vertex id -> weight);
+    # every other vertex follows ``tail``.
+    head = {}
+
+    @property
+    def tail(self):
+        """The law every vertex outside ``head`` follows: the law itself when
+        the head is empty, None when those vertices carry no weight.  A closed
+        form the tail states (``max_weight`` among them) holds outside the head."""
+        return self
 
     def isometry_on(self, model) -> bool:
         """True when every children square-sum on ``model`` is exactly 1,
@@ -130,39 +138,14 @@ class WeightAssignment:
 
     def tail_log_sum(self, from_level: float):
         """sum over levels l > from_level (-inf: every level) of log lambda_l for
-        a level law, which the two hooks below read: -inf when the product
-        vanishes, +inf when it diverges, NaN when both; None when unknown."""
+        a level law: -inf when the product vanishes, +inf when it diverges, NaN
+        when both; None when unknown."""
         return None
-
-    def full_product_positive(self):
-        """Whether the two-sided infinite weight product is positive, or None;
-        False whenever every weight is below 1."""
-        top = self.max_weight()
-        if top is not None and top < 1.0:
-            return False
-        total = self.tail_log_sum(-math.inf)
-        return None if total is None else total > -math.inf  # NaN: a part vanishes
-
-    def chain_log_infimum(self, model):
-        """Log of the infimum of the forward limits on ``model`` when it is a
-        single-child chain: -inf when the limits vanish, None when unknown."""
-        tail = (self.tail_log_sum(0 if model.is_rooted else -math.inf)
-                if model.children_per_vertex == 1 else None)
-        if tail is None or tail == -math.inf:
-            return tail  # -inf: the limits vanish, or fall to 0 as the level falls
-        # With no weight above 1 the forward limits grow with the level: the infimum
-        # is the limit at the root of a rooted path, or as the level falls.
-        return 2.0 * tail if (self.max_weight() or math.inf) <= 1.0 else None
 
     def ratio_geometric(self):
         """(first, step): a comb's primed-to-spine weight ratio at level 1 and
         at every deeper level, when that is the whole law; else None."""
         return None
-
-    def ratio_settled_from(self):
-        """A level past which a comb's primed-to-spine ratios are 1, or None
-        (0 for a level law, which gives k and k' the same weight)."""
-        return 0 if self.level_only else None
 
     def weight(self, model, v: str) -> float:
         """lambda_v.  A ``level_only`` law states ``level_weight`` alone."""
@@ -174,7 +157,9 @@ class WeightAssignment:
         raise NotImplementedError
 
     def max_weight(self):
-        """Upper bound on any individual weight: inf when unbounded, None when unknown."""
+        """Upper bound on every weight of a law with an empty head, so the bound
+        outside the head is ``tail.max_weight()``: inf when unbounded, None when
+        unknown."""
         return None
 
     def convergence_floor_level(self, model):
@@ -192,52 +177,37 @@ class WeightAssignment:
 
 
 class MapWeights(WeightAssignment):
-    """Explicit map, optionally padded with a default beyond its support."""
+    """Explicit map (the head), optionally padded with a default beyond it."""
 
     kind = "map"
+    tail = None  # per map: ConstantWeights(default), or None without a default
 
     def __init__(self, values: dict, default: float | None = None):
-        self.values = {k: _positive(c, "weight", MAX_WEIGHT, k)
-                       for k, c in values.items()}
+        self.head = {k: _positive(c, "weight", MAX_WEIGHT, k) for k, c in values.items()}
         self.default = (None if default is None
                         else _positive(default, "default weight", MAX_WEIGHT))
-        self.weighs_every_vertex = default is not None
+        self.tail = None if self.default is None else ConstantWeights(self.default)
 
     def weight(self, model, v):
         self._check_non_root(model, v)
-        w = self.values.get(v, self.default)
+        w = self.head.get(v, self.default)
         if w is None:
             raise WeightError(f"no weight assigned to vertex {v!r}")
         return w
-
-    def max_weight(self):
-        top = max(self.values.values(), default=0.0)
-        if self.default is not None:
-            top = max(top, self.default)
-        return top
 
     def convergence_floor_level(self, model):
         if self.default is None or abs(self.default - 1.0) > 1e-15:
             return None
         levels = []
-        for v in self.values:
+        for v in self.head:
             try:
                 levels.append(model.level(v))
             except VertexNotFound:
                 pass  # a key that is not a vertex carries no weight
         return max(levels) + 1 if levels else None
 
-    def full_product_positive(self):
-        return None if self.default is None else self.default >= 1.0
-
-    def ratio_settled_from(self):
-        if self.default is None:
-            return None
-        tilde = TildeTree()  # holds every comb vertex; other keys carry no weight
-        return max((abs(tilde.level(v)) for v in self.values if v in tilde), default=0) + 1
-
     def to_json(self):
-        doc = {"kind": "map", "values": dict(self.values)}
+        doc = {"kind": "map", "values": dict(self.head)}
         if self.default is not None:
             doc["default"] = self.default
         return doc

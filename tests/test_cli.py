@@ -1075,7 +1075,7 @@ def test_weight_numbers_reject_booleans_and_strings(tmp_path, capsys, value, sho
 def test_map_weights_name_the_vertex_of_an_out_of_range_value(value, text):
     """A map's in-range floats skip the generic checks; any other value is
     rejected with the vertex it sits at, and a default with its own name."""
-    assert MapWeights({"1": 0.5, "1'": 2.0}).values == {"1": 0.5, "1'": 2.0}
+    assert MapWeights({"1": 0.5, "1'": 2.0}).head == {"1": 0.5, "1'": 2.0}
     with pytest.raises(WeightError) as err:
         MapWeights({"1": 0.5, "1'": value})
     assert str(err.value) == f"weight at \"1'\" {text}"

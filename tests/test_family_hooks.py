@@ -26,14 +26,14 @@ import re
 from collections import Counter
 from fractions import Fraction
 from itertools import groupby
+from types import SimpleNamespace
 
 import pytest
 
 import treeshift
 from treeshift import similarity, trees, weights
-from treeshift.asymptote import SimilarityAnswer, similar_to_isometry
+from treeshift.asymptote import SimilarityAnswer, similar_to_coisometry, similar_to_isometry
 from treeshift.asymptotics import (
-    CONVERGED,
     EXACT_ZERO,
     AlphaEvaluator,
     _stable_branching,
@@ -135,11 +135,11 @@ def ref_materialize_window(model, level_lo, level_hi, breadth=64):
 
 def ref_certified_vanishing(m, w):
     """f * M^2 < 1 in exact arithmetic, with f the children count past the
-    branch points and M the largest weight, on an infinite tree whose every
-    vertex carries a weight."""
+    branch points and M the largest weight outside a map's finitely many keys
+    (its default), on an infinite tree whose every vertex carries a weight."""
     if isinstance(m, FiniteTree) or (isinstance(w, MapWeights) and w.default is None):
         return False
-    top = w.max_weight()
+    top = w.default if isinstance(w, MapWeights) else w.max_weight()
     fan = 2 if isinstance(m, RootlessBinary) else 1
     return top is not None and math.isfinite(top) and Fraction(top) ** 2 * fan < 1
 
@@ -180,10 +180,16 @@ def ref_operator_norm(op, window):
         scan["0"] = None  # the branch vertex: every other vertex has one child
     window_value = max(op._column_norm(u) for u in scan)
     top = op.weights.max_weight()
+    if isinstance(op.weights, MapWeights):  # the column of every key vertex's parent
+        for v in op.weights.head:
+            if v in op.model and op.model.parent(v) is not None:
+                scan[op.model.parent(v)] = None
+        top = op.weights.default
+    value = max(op._column_norm(u) for u in scan)
     if top is None:
-        return NormBound(window_value, window_value, False)
+        return NormBound(value, window_value, False)
     outside = top * math.sqrt(2 if isinstance(op.model, RootlessBinary) else 1)
-    return NormBound(max(window_value, outside), window_value, True)
+    return NormBound(max(value, outside), window_value, True)
 
 
 def ref_has_last_level(model):
@@ -211,18 +217,31 @@ def ref_full_product_positive(weights, model):
         return weights.scale >= 1.0
     if isinstance(weights, MapWeights) and weights.default is not None:
         if weights.default >= 1.0:
-            return all(v > 0.0 for v in weights.values.values())
+            return all(v > 0.0 for v in weights.head.values())
         return False
     return None
 
 
-def ref_similar_to_isometry(operator, profile, zero_threshold=1e-9):
+def ref_similar_to_coisometry(operator, window):
+    model = operator.model
+    if model.is_rooted:
+        return SimilarityAnswer("no", "rooted tree cannot carry a co-isometry similarity")
+    if any(len(model.children(u)) > 1 for u in window):
+        return SimilarityAnswer("no", "branching vertex present: |Chi(u)| <= 1 fails")
+    if model.branching_total() > 0:
+        return SimilarityAnswer("no", "family has positive branching index")
+    closed = ref_full_product_positive(operator.weights, model)
+    if closed is True:
+        return SimilarityAnswer("yes", "full weight product positive (closed form)")
+    if closed is False:
+        return SimilarityAnswer("no", "full weight product vanishes (closed form)")
+    return SimilarityAnswer("undetermined", "no closed form for the full weight product")
+
+
+def ref_similar_to_isometry(operator, profile):
     for u in profile.window.order:
-        rec = profile.record(u)
-        if rec.status == EXACT_ZERO:
+        if profile.record(u).status == EXACT_ZERO:
             return SimilarityAnswer("no", f"forward limit vanishes exactly at {u}")
-        if rec.status == CONVERGED and rec.estimate <= zero_threshold:
-            return SimilarityAnswer("no", f"forward limit below {zero_threshold} at {u}")
     if ref_is_certified_isometry(operator.model, operator.weights):
         return SimilarityAnswer("yes", "certified isometry: all forward limits are 1")
     model, w = operator.model, operator.weights
@@ -308,7 +327,7 @@ def ref_ratio_bounded(operator, horizon=64, blow_up=1e6):
     # a level law gives k and k' the same weight
     exact = isinstance(w, (ConstantWeights, ExpRayWeights, GeometricWeights, StepWeights))
     if isinstance(w, MapWeights) and w.default is not None:
-        support = [abs(int(v[:-1] if v.endswith("'") else v)) for v in w.values]
+        support = [abs(int(v[:-1] if v.endswith("'") else v)) for v in w.head]
         horizon = max(horizon, max(support, default=0) + 1)
         exact = True
     ratio = 1.0
@@ -475,11 +494,11 @@ def test_weight_hooks_match_the_deleted_dispatch(monkeypatch, tree, name):
     assert op.is_certified_isometry() == ref_is_certified_isometry(model, w)
     assert AlphaEvaluator(op).lumped == (ref_level_homogeneous(model)
                                          and ref_max_children(model) == 1 and w.level_only)
-    assert w.full_product_positive() == ref_full_product_positive(w, model)
     for window in windows_of(model):
         op = ShiftOperator(model, w)
         assert (outcome(op.operator_norm, window)
                 == outcome(ref_operator_norm, ShiftOperator(model, w), window))
+        assert similar_to_coisometry(op, window) == ref_similar_to_coisometry(op, window)
         profile = outcome(alpha_profile, op, window)
         if profile[0] == "raised":
             continue
@@ -521,11 +540,11 @@ def test_hooks_make_no_counted_queries():
     weights for a weight, so the benchmark's traced counters are unchanged.
     The hooks are read off the base classes, so a new one is covered."""
     hooks = _public_hooks(WeightAssignment, NOT_HOOKS)
-    assert {"full_product_positive", "chain_log_infimum", "tail_log_sum",
-            "ratio_settled_from", "isometry_on"} <= set(hooks)
+    assert hooks == ["isometry_on", "max_weight", "ratio_geometric", "tail", "tail_log_sum"]
     tree_hooks = _public_hooks(trees.DirectedTreeModel, TREE_QUERIES)
-    assert {"branch_points", "branching_total", "generation_complete", "branching_in",
-            "has_last_level", "leaf_set", "seeds", "vertices", "describe"} <= set(tree_hooks)
+    assert tree_hooks == ["branch_points", "branching_in", "branching_total", "describe",
+                          "eventual_fan", "generation_complete", "has_last_level", "is_rooted",
+                          "leaf_set", "seeds", "vertices"]
     counts = Counter()
 
     def counting(cls, methods):
@@ -551,10 +570,9 @@ def test_hooks_make_no_counted_queries():
                          "window": [window], "lvl": range(-4, 5)}
             for obj, names in ((w, hooks), (model, tree_hooks)):
                 for hook in names:
-                    if isinstance(getattr(type(obj), hook), property):
-                        getattr(obj, hook)
-                        continue
                     method = getattr(obj, hook)
+                    if not callable(method):  # a property, or a map's tail
+                        continue
                     params = list(inspect.signature(method).parameters)
                     for args in itertools.product(*(arguments[n] for n in params)):
                         method(*args)
@@ -613,7 +631,7 @@ def test_rooted_path_exp_ray_infimum_is_the_root_limit(start_level):
     op = ShiftOperator(make_family("rooted-path"), ExpRayWeights(2.0, start_level))
     profile = alpha_profile(op, materialize_window(op.model, 0, 2))
     root_limit = profile.estimate("0")
-    closed = math.exp(op.weights.chain_log_infimum(op.model))
+    closed = math.exp(2.0 * op.weights.tail_log_sum(0))  # the weights above the root
     assert closed == pytest.approx(root_limit, rel=0, abs=1e-9)
     assert min(profile.estimate(u) for u in profile.window.order) == root_limit
     answer = similar_to_isometry(op, profile)
@@ -640,7 +658,7 @@ def test_rooted_path_exp_ray_infimum_through_the_cli(tmp_path, capsys):
 def test_bilateral_path_exp_ray_infimum_is_below_start_level():
     op = ShiftOperator(make_family("bilateral-path"), ExpRayWeights(2.0, 0))
     profile = alpha_profile(op, materialize_window(op.model, -3, 1))
-    closed = math.exp(op.weights.chain_log_infimum(op.model))
+    closed = math.exp(2.0 * op.weights.tail_log_sum(-math.inf))
     assert closed == pytest.approx(math.exp(-4.0), rel=1e-12)
     for u in ("-3", "-2", "-1"):
         assert closed == pytest.approx(profile.estimate(u), rel=0, abs=1e-9)
@@ -714,25 +732,39 @@ def test_tail_log_sum_is_the_sum_of_the_level_law(name, from_level):
         assert got == pytest.approx(want, rel=0, abs=1e-12)
 
 
+# A profile with no records: ``similar_to_isometry`` then answers from the
+# closed forms alone.
+NO_RECORDS = SimpleNamespace(window=SimpleNamespace(order=()))
+
+
 @pytest.mark.parametrize("tree", TREES)
 @pytest.mark.parametrize("name", LEVEL_LAWS)
 def test_derived_hooks_never_return_nan(name, tree):
+    """A level law has an empty head and is its own tail, and the answers
+    derived from it are decided (the product's sign, a comb's exact ratio
+    sup) or closed, with no NaN, and closed only on a chain."""
     w, model = LEVEL_LAWS[name](), TREES[tree]()
-    assert w.ratio_settled_from() == 0
-    positive = w.full_product_positive()
-    assert positive in (True, False)
-    infimum = w.chain_log_infimum(model)
-    assert infimum is None or not math.isnan(infimum)
+    assert w.head == {} and w.tail is w
+    op = ShiftOperator(model, w)
+    if isinstance(model, CombTree):
+        assert ratio_bounded(op, 1).exact
+    window = windows_of(model)[0]
+    assert similar_to_coisometry(op, window).answer in ("yes", "no")
+    answer = similar_to_isometry(op, NO_RECORDS)
+    assert "nan" not in answer.reason
     if model.children_per_vertex != 1:
-        assert infimum is None
+        assert not answer.reason.startswith("closed")
 
 
 @pytest.mark.parametrize("low, high", [(1.5, 0.5), (0.5, 1.5)])
 def test_a_tail_that_both_vanishes_and_diverges_has_no_infimum(low, high):
     w = StepWeights(low, high, cut=0)
     assert math.isnan(w.tail_log_sum(-math.inf))
-    assert w.full_product_positive() is False
-    assert w.chain_log_infimum(make_family("bilateral-path")) is None
+    op = ShiftOperator(make_family("bilateral-path"), w)
+    assert similar_to_coisometry(op, materialize_window(op.model, -2, 2)) == SimilarityAnswer(
+        "no", "full weight product vanishes (closed form)")
+    assert similar_to_isometry(op, NO_RECORDS) == SimilarityAnswer(
+        "undetermined", "no symbolic infimum for this family")
 
 
 @pytest.mark.parametrize("w, root_limit", [
@@ -743,10 +775,11 @@ def test_a_tail_that_both_vanishes_and_diverges_has_no_infimum(low, high):
 def test_rooted_path_level_law_infimum_is_the_root_limit(w, root_limit):
     op = ShiftOperator(make_family("rooted-path"), w)
     profile = alpha_profile(op, materialize_window(op.model, 0, 5))
-    closed = math.exp(w.chain_log_infimum(op.model))
+    closed = math.exp(2.0 * w.tail_log_sum(0))  # the weights above the root
     assert closed == pytest.approx(root_limit, rel=1e-12)
     assert profile.estimate("0") == pytest.approx(root_limit, rel=0, abs=1e-9)
-    assert similar_to_isometry(op, profile).answer == "yes"
+    assert similar_to_isometry(op, profile) == SimilarityAnswer(
+        "yes", f"closed-form infimum {closed:.6g} > 0")
 
 
 @pytest.mark.parametrize("law, line", [

@@ -44,7 +44,6 @@ def test_a_non_contraction_is_not_certified_a_contraction(tmp_path, capsys, fami
     assert not (code == 0 and "norm: 1 (certified)" in out.splitlines())
 
 
-@known(2, "the norm bound reads the largest map key, not each column's square-sum")
 def test_a_contraction_whose_largest_key_is_above_the_column_bound_is_analyzed(
         tmp_path, capsys):
     # Every column has square-sum at most 2 * 0.6^2 = 0.72.
@@ -54,13 +53,23 @@ def test_a_contraction_whose_largest_key_is_above_the_column_bound_is_analyzed(
     assert code != 3
 
 
-@known(2, "a map key that is not a vertex enters the certified norm")
 def test_a_key_that_is_not_a_vertex_does_not_set_the_norm(tmp_path, capsys):
     # 1' is not a vertex of the path, so the norm is 0.6.
     _, out = run(tmp_path, capsys, ["analyze", "--levels=-2:2"],
                  tree={"family": "bilateral-path"},
                  weights={"kind": "map", "values": {"1": 0.6, "1'": 0.7}, "default": 0.5})
     assert "norm: 0.7 (certified)" not in out.splitlines()
+
+
+def test_a_numerical_zero_is_not_a_no_to_similarity_to_an_isometry(tmp_path, capsys):
+    # Every forward limit is exactly 1e-10 > 0, the square of the one weight
+    # below 1: a converged estimate below the zero threshold proves no zero.
+    code, out = run(tmp_path, capsys, ["analyze", "--levels=-2:0"],
+                    tree={"family": "bilateral-path"},
+                    weights={"kind": "map", "values": {"1": 1e-5}, "default": 1.0})
+    assert code == 0
+    assert ("similar to isometry: undetermined (no symbolic infimum for this family)"
+            in out.splitlines())
 
 
 @known(5, "an upper bound below the zero threshold cuts the stable subtree")

@@ -46,7 +46,7 @@ def test_apply_and_adjoint_keep_no_exact_zero():
     op = ShiftOperator(tree, weights)
     assert op.apply_adjoint(SparseVector({"a": 1.0, "b": -1.0})).coeffs == {}
     assert op.apply_adjoint(SparseVector({"a": 1.0, "b": -0.5})).coeffs == {"r": 0.25}
-    weights.values["a"] = 0.0
+    weights.head["a"] = 0.0
     op = ShiftOperator(tree, weights)
     assert op.apply(SparseVector.basis("r")).coeffs == {"b": 0.5}
     assert op.apply_adjoint(SparseVector.basis("a")).coeffs == {}
@@ -230,10 +230,10 @@ def test_window_cokernel_drops_the_column_of_a_zero_weight():
     window = full_window(tree)
     base = ShiftOperator(tree, weights)
     assert base.window_cokernel(window) == _float_cokernel(base, window) == 2
-    weights.values["d"] = 0.0
+    weights.head["d"] = 0.0
     zeroed = ShiftOperator(tree, weights)
     assert zeroed.window_cokernel(window) == _float_cokernel(zeroed, window) == 3
-    weights.values["a"] = 0.0  # r keeps its column through b
+    weights.head["a"] = 0.0  # r keeps its column through b
     zeroed = ShiftOperator(tree, weights)
     assert zeroed.window_cokernel(window) == _float_cokernel(zeroed, window) == 3
 

@@ -328,6 +328,27 @@ def test_similarity_rejects_a_g_vector_whose_norm_overflows(tmp_path, capsys, tr
                                        "7e-309 and 7e-309\n")
 
 
+@pytest.mark.parametrize("tree,params,message", [
+    ({"family": "tilde"}, {"spine": 1.0, "primed": 0.999999, "branch_spine": 7e-309,
+                           "branch_primed": 0.9}, "-7.777777777777777e-309"),
+    ({"family": "comb", "params": {"primed_leaf": 1}},
+     {"spine": 1.0, "primed": 1.0, "branch_spine": 7e-309, "branch_primed": 1e150}, "-0.0"),
+], ids=["subnormal-det", "zero-det"])
+def test_similarity_rejects_a_block_whose_inverse_norm_overflows(tmp_path, capsys, tree,
+                                                                 params, message):
+    """A block whose determinant is subnormal has an inverse norm of inf (it
+    printed ``mode similar`` and ``block inverse bound: inf``), and one whose
+    determinant underflows to 0 divided by it (a ZeroDivisionError traceback):
+    each is one WeightError line naming level 1."""
+    tree_path, weights = tmp_path / "tree.json", tmp_path / "weights.json"
+    tree_path.write_text(json.dumps(tree))
+    weights.write_text(json.dumps({"kind": "family", "name": "rays", "params": params}))
+    assert main(["similarity", "--tree", str(tree_path), "--weights", str(weights),
+                 "--levels=-2:2"]) == 2
+    assert capsys.readouterr() == ("", "error: WeightError: the block at level 1 has no "
+                                       f"finite inverse norm: its determinant is {message}\n")
+
+
 def test_ratio_decreasing_products_bounded():
     class PrimedExp(WeightAssignment):
         def weight(self, model, v):
