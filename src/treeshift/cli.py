@@ -12,14 +12,16 @@ pass declines, go to the argparse parser built from the same table, which
 prints today's usage and error texts (exit 2).  So argparse and gettext
 load only for help and errors.
 
-This module imports no numpy; the library functions that need it import it
-when they run, so only ``cyclic --backward`` (the exact Krylov rank) loads
-it.
+Importing this module loads the layers the tree analyses use and no numpy.
+``cyclicity`` and ``similarity``, each used by one command, load when that
+command first runs or a name of theirs is read off this module; numpy loads
+only with ``cyclic --backward`` (the exact Krylov rank).
 """
 
 from __future__ import annotations
 
 import functools
+import importlib
 import math
 import os
 import sys
@@ -44,23 +46,38 @@ from .asymptotics import (
     classify,
     stable_subtree,
 )
-from .cyclicity import (
-    backward_shift_verdict,
-    backward_spec_from_json,
-    cokernel_dimension,  # noqa: F401  (perfbench/tracing.py wraps it)
-    construct_backward_cyclic,
-    cyclicity_verdict,
-    range_membership_report,
-    verify_cyclic_candidate,
-)
 from .records import dumps_sorted
 from .shifts import ShiftOperator, vector_to_dense  # noqa: F401  (perfbench/tracing.py wraps it)
-from .similarity import build_leaf_similarity, build_tilde_quasiaffinity
 from .sparse import SparseVector, nan_max
 from .trees import branching_index, count_text, leaves, load_tree, materialize_window
 from .weights import load_weights
 
 EXIT_BROKEN_PIPE = 1
+
+# The layers that one command alone uses -> the names this module reads of
+# each; ``_load`` binds them when that command first runs.
+_ON_FIRST_USE = {
+    "cyclicity": ("backward_shift_verdict", "backward_spec_from_json", "cokernel_dimension",
+                  "construct_backward_cyclic", "cyclicity_verdict", "range_membership_report",
+                  "verify_cyclic_candidate"),
+    "similarity": ("build_leaf_similarity", "build_tilde_quasiaffinity"),
+}
+
+
+def _load(module):
+    """Import ``module`` and bind its names in ``_ON_FIRST_USE`` here; a name
+    already bound (by a tracer or a test's monkeypatch) keeps its value."""
+    layer = importlib.import_module(f".{module}", __package__)
+    for name in _ON_FIRST_USE[module]:
+        globals().setdefault(name, getattr(layer, name))
+
+
+def __getattr__(name):
+    for module, names in _ON_FIRST_USE.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class Reporter:
@@ -196,6 +213,7 @@ def cmd_adjoint_asymptote(args, out: Reporter) -> int:
 
 
 def cmd_cyclic(args, out: Reporter) -> int:
+    _load("cyclicity")
     if args.backward:
         spec = backward_spec_from_json(errors.read_input(args.backward, errors.TreeSpecError))
         verdict = backward_shift_verdict(spec)
@@ -232,6 +250,7 @@ def cmd_cyclic(args, out: Reporter) -> int:
 
 
 def cmd_similarity(args, out: Reporter) -> int:
+    _load("similarity")
     model, operator, window = _operator(args)
     # A comb has leaves exactly when it has a primed leaf; both builders
     # reject any other model.

@@ -103,15 +103,17 @@ def _geometric_term(first: float, step: float, n: int) -> float:
 def ratio_bounded(operator: ShiftOperator, horizon: int = 64) -> RatioCertificate:
     """Track partial maxima of prod_{j<=k} lambda_j'/lambda_j.
 
-    A geometric ratio law (the weights' ``ratio_geometric``) is decided in
-    closed form.  Otherwise the partial maxima run to the horizon, with an
-    evidence certificate as soon as a partial product exceeds ``BLOW_UP``.
-    When the tail is a level law, which gives k and k' the same weight, the
-    ratios settle at 1 past the head's levels: the run goes at least that
-    far, and the sup is exact.
+    On an endless primed ray, a geometric ratio law (the weights'
+    ``ratio_geometric``) is decided in closed form.  Otherwise the partial
+    maxima run to the horizon, with an evidence certificate as soon as a
+    partial product exceeds ``BLOW_UP``.  When the tail is a level law, which
+    gives k and k' the same weight, the ratios settle at 1 past the head's
+    levels: the run goes at least that far, and the sup is exact.  A primed
+    ray that ends at a leaf within the horizon is walked to its leaf and no
+    further: its sup is a maximum, exact and bounded whatever the law.
     """
-    w = operator.weights
-    law = w.ratio_geometric()
+    w, leaf = operator.weights, operator.model.primed_leaf
+    law = w.ratio_geometric() if leaf is None else None
     if law is not None:
         first, step = law
         if step <= 1.0:
@@ -130,12 +132,15 @@ def ratio_bounded(operator: ShiftOperator, horizon: int = 64) -> RatioCertificat
     if exact:
         model = operator.model
         horizon = max([horizon] + [abs(model.level(v)) + 1 for v in w.head if v in model])
+    ends = leaf is not None and leaf <= horizon
+    if ends:
+        horizon, exact = leaf, True
     ratio = 1.0
     sup = 0.0
     for k in range(1, horizon + 1):
         ratio *= operator.weight(_primed_id(k)) / operator.weight(str(k))
         sup = max(sup, ratio)
-        if ratio > BLOW_UP:
+        if ratio > BLOW_UP and not ends:
             return RatioCertificate("unbounded-evidence", sup, exact, at=k, value=ratio)
     return RatioCertificate("bounded", sup, exact)
 

@@ -879,17 +879,24 @@ assert "dataclasses" not in sys.modules, "importing treeshift loads dataclasses"
 assert "inspect" not in sys.modules, "importing treeshift loads inspect"
 for name in ("argparse", "gettext"):
     assert name not in sys.modules, f"importing treeshift.cli loads {name}"
+# the layers of one command each, loaded by the command that uses it
+lazy = ("treeshift.cyclicity", "treeshift.similarity")
+for name in lazy:
+    assert name not in sys.modules, f"importing treeshift.cli loads {name}"
 star, star_w, binary, decay, hashed, tilde, tilde_w, backward, hashed_backward = sys.argv[1:]
-for argv, code in (
-        (["validate", "--tree", star], 0),
-        (["similarity", "--tree", tilde, "--weights", tilde_w, "--levels=-4:4"], 0),
-        (["analyze", "--tree", binary, "--weights", decay, "--levels=0:2"], 0),
-        (["analyze", "--tree", binary, "--weights", hashed, "--levels=0:2"], 0),
-        (["asymptote", "--tree", binary, "--weights", decay, "--levels=0:2"], 4),
-        (["cyclic", "--tree", tilde, "--weights", tilde_w, "--levels=-6:6"], 0),
-        (["oracle", "--tree", star, "--weights", star_w, "--levels", "0:2"], 0)):
+for argv, code, loaded in (
+        (["validate", "--tree", star], 0, ()),
+        (["analyze", "--tree", binary, "--weights", decay, "--levels=0:2"], 0, ()),
+        (["analyze", "--tree", binary, "--weights", hashed, "--levels=0:2"], 0, ()),
+        (["asymptote", "--tree", binary, "--weights", decay, "--levels=0:2"], 4, ()),
+        (["oracle", "--tree", star, "--weights", star_w, "--levels", "0:2"], 0, ()),
+        (["similarity", "--tree", tilde, "--weights", tilde_w, "--levels=-4:4"], 0,
+         ("treeshift.similarity",)),
+        (["cyclic", "--tree", tilde, "--weights", tilde_w, "--levels=-6:6"], 0, lazy)):
     assert main(argv) == code, argv
     assert "numpy" not in sys.modules, f"{argv[0]} loads numpy"
+    for name in lazy:
+        assert (name in sys.modules) == (name in loaded), f"after {argv[0]}: {name}"
 assert "hashlib" in sys.modules, "the hash-random analyze run hashed nothing"
 assert main(["cyclic", "--backward", backward, "--window-k", "8"]) == 0
 assert "numpy" in sys.modules, "cyclic --backward ran without numpy"
@@ -916,12 +923,87 @@ def test_matrix_free_subcommands_start_without_numpy(specs, tmp_path):
     hashed_backward = write(tmp_path, "hashed_backward.json",
                             {"branches": 2, "weights": {"kind": "hash-random", "seed": 5,
                                                         "low": 0.5, "high": 0.99}})
-    argv = [sys.executable, "-c", _COLD_START, specs["star"], specs["star_w"], specs["binary"],
-            decay, hashed, specs["tilde"], specs["tilde_w"], specs["backward"], hashed_backward]
-    done = subprocess.run(argv, env={**_subprocess_env(), "PYTHONDONTWRITEBYTECODE": "1"},
+    stderr = _run_fresh(_COLD_START, specs["star"], specs["star_w"], specs["binary"], decay,
+                        hashed, specs["tilde"], specs["tilde_w"], specs["backward"],
+                        hashed_backward)
+    assert "error: argument --depth: must be >= 1, got 0" in stderr
+
+
+def _run_fresh(script, *args):
+    """Run ``script`` in a fresh interpreter that imports this checkout, with
+    no bytecode cache, as the ``treeshift`` command starts; it must exit 0.
+    Returns its standard error."""
+    done = subprocess.run([sys.executable, "-c", script, *args],
+                          env={**_subprocess_env(), "PYTHONDONTWRITEBYTECODE": "1"},
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert "error: argument --depth: must be >= 1, got 0" in done.stderr
+    return done.stderr
+
+
+def test_a_name_bound_in_cli_before_its_layer_loads_keeps_its_value(specs):
+    """A tracer binds its wrapper in ``cli`` before the first ``cyclic``
+    run; loading ``cyclicity`` then keeps the wrapper, which the run calls."""
+    _run_fresh("""
+import sys
+import treeshift.cli as cli
+calls = []
+def spy(*args):
+    from treeshift.cyclicity import construct_backward_cyclic
+    calls.append(args)
+    return construct_backward_cyclic(*args)
+cli.construct_backward_cyclic = spy
+assert "treeshift.cyclicity" not in sys.modules
+assert cli.main(["cyclic", "--backward", sys.argv[1], "--window-k", "8"]) == 0
+assert len(calls) == 1, calls
+assert cli.construct_backward_cyclic is spy
+""", specs["backward"])
+
+
+def test_every_traced_name_reads_as_its_home_modules_object():
+    """``getattr(cli, name)`` for each name the benchmark's tracer wraps is
+    the object of that name in its home layer, loaded on first access."""
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "perfbench")
+    _run_fresh("""
+import importlib, sys
+sys.path.insert(0, sys.argv[1])
+from tracing import TRACED_FUNCTIONS
+from treeshift import cli
+for name, layer in TRACED_FUNCTIONS.items():
+    home = importlib.import_module(f"treeshift.{layer}")
+    assert getattr(cli, name) is getattr(home, name), name
+try:
+    cli.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("cli.no_such_name was found")
+""", perfbench)
+
+
+def test_import_treeshift_loads_no_layer():
+    _run_fresh("""
+import sys
+import treeshift
+loaded = sorted(name for name in sys.modules if name.startswith("treeshift"))
+assert loaded == ["treeshift", "treeshift.errors"], loaded
+""")
+
+
+def test_star_import_binds_every_public_name_to_its_home_object():
+    _run_fresh("""
+import sys, types
+import treeshift
+from treeshift import *
+for name in treeshift.__all__:
+    value = globals()[name]
+    if isinstance(value, types.ModuleType):
+        assert value is sys.modules[f"treeshift.{name}"], name
+    else:
+        assert value.__module__.startswith("treeshift."), (name, value.__module__)
+        assert getattr(sys.modules[value.__module__], name) is value, name
+assert len(set(treeshift.__all__)) == len(treeshift.__all__) == 35
+""")
 
 
 _TREE_FLAGS = ["--tree", "--levels", "--breadth", "--json"]

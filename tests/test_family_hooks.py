@@ -308,8 +308,8 @@ def ref_stable_branching(profile, members):
 
 
 def ref_ratio_bounded(operator, horizon=64, blow_up=1e6):
-    w = operator.weights
-    if isinstance(w, RayWeights):
+    w, leaf = operator.weights, operator.model.primed_leaf
+    if isinstance(w, RayWeights) and leaf is None:
         first = ((w.branch_primed if w.branch_primed is not None else w.primed)
                  / (w.branch_spine if w.branch_spine is not None else w.spine))
         step = w.primed / w.spine
@@ -330,12 +330,16 @@ def ref_ratio_bounded(operator, horizon=64, blow_up=1e6):
         support = [abs(int(v[:-1] if v.endswith("'") else v)) for v in w.head]
         horizon = max(horizon, max(support, default=0) + 1)
         exact = True
+    # a primed ray that ends within the horizon is walked to its leaf, and its sup is a max
+    ends = leaf is not None and leaf <= horizon
+    if ends:
+        horizon, exact = leaf, True
     ratio = 1.0
     sup = 0.0
     for k in range(1, horizon + 1):
         ratio *= operator.weight(f"{k}'") / operator.weight(str(k))
         sup = max(sup, ratio)
-        if ratio > blow_up:
+        if ratio > blow_up and not ends:
             return RatioCertificate("unbounded-evidence", sup, exact, at=k, value=ratio)
     return RatioCertificate("bounded", sup, exact)
 

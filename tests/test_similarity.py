@@ -29,6 +29,7 @@ from treeshift.weights import (
     MapWeights,
     RayWeights,
     WeightAssignment,
+    weights_from_json,
 )
 
 from conftest import NaNAdjoint
@@ -201,6 +202,23 @@ def test_ratio_unbounded_powers_of_two():
     cert = ratio_bounded(op)
     assert cert.status == "unbounded-evidence"
     assert cert.value == pytest.approx(2.0 ** cert.at)
+
+
+@pytest.mark.parametrize("doc,sup", [
+    ({"kind": "constant", "value": 0.5}, 1.0),
+    ({"kind": "map", "values": {"5": 1e-7}, "default": 1.0}, 1.0),
+    ({"kind": "map", "values": {"1": 0.5}, "default": 0.9}, 1.8)])
+def test_ratio_stops_at_the_primed_leaf(doc, sup):
+    """A comb's primed ray ends at 3': the walk reads k' for k <= 3 only, so
+    no weight of a vertex outside the tree is asked for or read, and the sup
+    of the three ratios is exact whatever the tail law."""
+    model = make_family("comb", {"primed_leaf": 3})
+    op = ShiftOperator(model, weights_from_json(doc))
+    read, weight = [], op.weight
+    op.weight = lambda v: read.append(v) or weight(v)
+    cert = ratio_bounded(op)
+    assert (cert.status, cert.sup, cert.exact, cert.at) == ("bounded", sup, True, None)
+    assert sorted(read) == ["1", "1'", "2", "2'", "3", "3'"]
 
 
 def walked_blow_up(op, blow_up, horizon=64):
