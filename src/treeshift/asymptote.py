@@ -36,41 +36,17 @@ BILATERAL_PLUS = "bilateral-plus-unilateral"
 _USABLE = (CONVERGED, EXACT_ONE)
 
 
-def _beta(weight: float, alpha_child: float, alpha_parent: float) -> float:
-    """beta_v = lambda_v sqrt(alpha(v) / alpha(parent v)), the asymptote's weight."""
-    return weight * math.sqrt(alpha_child / alpha_parent)
-
-
 class AsymptoteDescriptor(Record):
     """Weights and classification of the isometric asymptote U = S_beta."""
 
     # beta: vertex -> weight, on stable-subtree interior window vertices
     # multiplicity: count or math.inf
-    __slots__ = _fields = ("beta", "classification", "multiplicity", "cnu_value", "stable",
-                           "operator", "alpha")
-    _unshown = ("operator", "alpha")
+    __slots__ = _fields = ("beta", "classification", "multiplicity", "cnu_value", "stable")
 
     def to_json(self):
         return {"beta": {k: v for k, v in sorted(self.beta.items())},
                 "class": self.classification, "multiplicity": count_text(self.multiplicity),
                 "cnu_test": self.cnu_value}
-
-    def dense_truncation(self, window: TreeWindow):
-        """Matrix of U compressed to the stable members of the window; returns
-        (matrix, member order)."""
-        import numpy as np
-        members = [u for u in window.order if u in self.stable.members]
-        index = {u: i for i, u in enumerate(members)}
-        mat = np.zeros((len(members), len(members)))
-        for j, u in enumerate(members):
-            for v in self.stable.children_in(u):
-                if v in index:
-                    mat[index[v], j] = self.beta[v] if v in self.beta else self._beta_at(v)
-        return mat, members
-
-    def _beta_at(self, v):
-        return _beta(self.operator.weight(v), self.alpha(v).estimate,
-                     self.alpha(self.operator.parent(v)).estimate)
 
 
 def cnu_level_value(operator: ShiftOperator, alpha: AlphaEvaluator, members, depth: int,
@@ -102,7 +78,6 @@ def isometric_asymptote(operator: ShiftOperator, profile: AsymptoticProfile,
     if not stable.members:
         raise StableSubtreeEmpty("the shift is stable; no isometric asymptote of interest")
     zero_threshold = stable.zero_threshold
-    alpha = profile.evaluator
     model = operator.model
 
     beta = {}
@@ -111,8 +86,8 @@ def isometric_asymptote(operator: ShiftOperator, profile: AsymptoticProfile,
         if p is None or p not in stable.members:
             continue
         rv, rp = profile.record(v), profile.record(p)
-        if rv.status in _USABLE and rp.status in _USABLE:
-            beta[v] = _beta(operator.weight(v), rv.estimate, rp.estimate)
+        if rv.status in _USABLE and rp.status in _USABLE:  # lambda_v sqrt(alpha(v) / alpha(p))
+            beta[v] = operator.weight(v) * math.sqrt(rv.estimate / rp.estimate)
 
     br = stable.branching[0]
     if model.is_rooted:
@@ -122,10 +97,10 @@ def isometric_asymptote(operator: ShiftOperator, profile: AsymptoticProfile,
         # The sum is level-independent in the limit; it is taken at the top
         # window level that holds stable members.
         members = next(filter(None, map(stable.members_at, stable.window.levels())))
-        cnu_value = cnu_level_value(operator, alpha, members, depth, zero_threshold)
+        cnu_value = cnu_level_value(operator, profile.evaluator, members, depth, zero_threshold)
         cls = CNU_UNILATERAL if cnu_value <= zero_threshold else BILATERAL_PLUS
         mult = br
-    return AsymptoteDescriptor(beta, cls, mult, cnu_value, stable, operator, alpha)
+    return AsymptoteDescriptor(beta, cls, mult, cnu_value, stable)
 
 
 class AdjointAsymptoteDescriptor(Record):
@@ -166,12 +141,10 @@ def intertwining_residual(operator: ShiftOperator, descriptor: AsymptoteDescript
     worst = 0.0
     interior = set(window.forward_interior())
     for u in descriptor.stable.members & interior:
-        lhs = SparseVector()
+        lhs, rhs = SparseVector(), SparseVector()
+        root_a = math.sqrt(profile.record(u).estimate)
         for v in operator.children(u):
             lhs.coeffs[v] = operator.weight(v) * math.sqrt(max(profile.estimate(v), 0.0))
-        rhs = SparseVector()
-        root_a = math.sqrt(profile.record(u).estimate)
-        for v in descriptor.stable.children_in(u):
             if v in descriptor.beta:
                 rhs.coeffs[v] = root_a * descriptor.beta[v]
         worst = nan_max(worst, (lhs - rhs).norm())

@@ -33,8 +33,13 @@ call.
 Adjoint side: the limit of S^n S*^n has one eigenvector per level, the
 vector h_u supported on the generation of u with infinite-product
 coefficients; its squared norm a_u is estimated from truncated products over
-the materialized generation.  On a rootless tree under the family bound every
-a_u is ``exact-zero`` at depth 0 and every h the zero vector, with no sweep.
+the materialized generation.  The estimate is ``converged`` only when the
+generation is complete, the last three decrements of its column sums are
+below tol, and the sweep has climbed past every level the weights' head
+names: a flat run of unit weights above a head weight is not convergence.
+Otherwise it is ``max-depth``.  On a rootless tree under the family bound
+every a_u is ``exact-zero`` at depth 0 and every h the zero vector, with no
+sweep.
 
 Level lumping: on a chain (the tree's ``children_per_vertex`` is 1: the
 paths) whose weights depend only on their level (the weights'
@@ -242,18 +247,13 @@ def alpha_profile(operator: ShiftOperator, window: TreeWindow, tol: float = DEFA
 
 
 class StableSubtree(Record):
-    """Window view of the subtree carrying the non-stable part of the space;
-    children are read from the operator's memo."""
+    """Window view of the subtree carrying the non-stable part of the space."""
 
     # branching: (value, exact)
-    __slots__ = _fields = ("members", "window", "zero_threshold", "branching", "operator")
-    _unshown = ("operator",)
+    __slots__ = _fields = ("members", "window", "zero_threshold", "branching")
 
     def members_at(self, lvl):
         return [u for u in self.window.vertices_at(lvl) if u in self.members]
-
-    def children_in(self, u):
-        return [v for v in self.operator.children(u) if v in self.members]
 
 
 def _stable_branching(profile: AsymptoticProfile, members: set):
@@ -300,8 +300,7 @@ def stable_subtree(profile: AsymptoticProfile,
     if model.is_rooted and members and model.root in window and model.root not in members:
         raise StructuralViolation("root-preserving", model.root)
 
-    return StableSubtree(members, window, zero_threshold,
-                         _stable_branching(profile, members), operator)
+    return StableSubtree(members, window, zero_threshold, _stable_branching(profile, members))
 
 
 class HVector(Record):
@@ -354,8 +353,11 @@ def _generation(operator: ShiftOperator, u: str, depth: int) -> tuple:
     return members, gen_exact
 
 
-def _adjoint_level(operator: ShiftOperator, u: str, depth: int, tol: float):
-    """(estimate record, HVector) for the level of u on a rootless model."""
+def _adjoint_level(operator: ShiftOperator, u: str, depth: int, tol: float,
+                   head_top: int | None = None):
+    """(estimate record, HVector) for the level of u on a rootless model;
+    ``head_top`` is the shallowest level the weights' head names, None for a
+    head that names no vertex."""
     members, gen_exact = _generation(operator, u, depth)
 
     # A rootless chain never stops at a root, so each holds ``depth`` products;
@@ -363,15 +365,11 @@ def _adjoint_level(operator: ShiftOperator, u: str, depth: int, tol: float):
     chains = {v: ancestor_products(operator, v, depth)[0] for v in members}
     sums = [sum(col) for col in zip(*chains.values())]
     coefficients = {v: math.sqrt(chains[v][-1]) for v in members}
-    consecutive = 0
-    tail_ok = False
-    for d in range(1, len(sums)):
-        if abs(sums[d] - sums[d - 1]) < tol:
-            consecutive += 1
-            if consecutive >= CONSECUTIVE_SMALL:
-                tail_ok = True
-        else:
-            consecutive = 0
+    # The chain of u holds the weights of levels down to level(u) - depth + 1.
+    tail_ok = (len(sums) > CONSECUTIVE_SMALL
+               and all(abs(sums[d] - sums[d - 1]) < tol
+                       for d in range(len(sums) - CONSECUTIVE_SMALL, len(sums)))
+               and (head_top is None or operator.model.level(u) - depth < head_top))
     estimate = sums[-1] if sums else 0.0
     status = CONVERGED if (gen_exact and tail_ok) else MAX_DEPTH
     h = HVector(SparseVector(coefficients), estimate)
@@ -401,11 +399,13 @@ def adjoint_profile(operator: ShiftOperator, window: TreeWindow,
             lvl: HVector(SparseVector(), 0.0) for lvl in window.levels()}
         return AdjointAsymptotics(AsymptoticProfile(records, window), h_by_level)
 
+    model = window.model
+    head_top = min((model.level(v) for v in operator.weights.head if v in model), default=None)
     records = {}
     h_by_level = {}
     for lvl in window.levels():
         rep = window.vertices_at(lvl)[0]
-        rec, h = _adjoint_level(operator, rep, depth, tol)
+        rec, h = _adjoint_level(operator, rep, depth, tol, head_top)
         h_by_level[lvl] = h
         for u in window.vertices_at(lvl):
             records[u] = VertexEstimate(u, rec.estimate, rec.upper, rec.status, rec.depth)

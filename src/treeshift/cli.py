@@ -483,6 +483,9 @@ def main(argv=None) -> int:
     args = _read_argv(argv) or _parser().parse_args(argv)
     if args.command == "cyclic" and not args.backward and not (args.tree and args.weights):
         _parser().error("cyclic needs either --backward or both --tree and --weights")
+    if args.command == "cyclic" and args.backward is not None and (
+            args.tree is not None or args.weights is not None):
+        _parser().error("cyclic takes --backward or --tree and --weights, not both")
     out = Reporter(getattr(args, "json", False))
     try:
         code = args.func(args, out)

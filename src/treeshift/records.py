@@ -29,23 +29,21 @@ def json_value(value, encode=dumps_sorted) -> str:
 
 
 class Record:
-    """A result record compares equal to a record of its own class whose
-    fields are equal, as a tuple of the fields in order, and shows them in
-    its repr and its ``to_json``.  A subclass names its fields, its
-    constructor's parameters in order, in ``_fields``; the defaults of the
-    trailing ones in ``_defaults``, where an empty list or dict stands for a
-    fresh one per record; and the fields its repr and JSON leave out in
-    ``_unshown``.  Records are mutable, so they are unhashable."""
+    """A result record holds what it reports: it compares equal to a record
+    of its own class whose fields are equal, as a tuple of the fields in
+    order, and shows every field in its repr and its ``to_json``.  A
+    subclass names its fields, its constructor's parameters in order, in
+    ``_fields``, and the defaults of the trailing ones in ``_defaults``,
+    where an empty list or dict stands for a fresh one per record.  Records
+    are mutable, so they are unhashable."""
 
     __slots__ = ()
     _fields = ()
     _defaults = {}
-    _unshown = ()
     __hash__ = None
 
     def __init_subclass__(cls):
         cls.__init__ = _constructor(cls)
-        cls._shown = tuple(name for name in cls._fields if name not in cls._unshown)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -56,12 +54,12 @@ class Record:
         return self._values() == other._values()
 
     def __repr__(self):
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({shown})"
 
     def to_json(self) -> dict:
-        """The shown fields by name, in field order."""
-        return {name: getattr(self, name) for name in self._shown}
+        """The fields by name, in field order."""
+        return {name: getattr(self, name) for name in self._fields}
 
 
 def _constructor(cls):

@@ -8,6 +8,10 @@ block-diagonal over the two-dimensional spaces spanned by {e_k, e_k'}, so
 invertibility is certified block by block: the blocks have uniformly bounded
 inverses exactly when the primed-to-spine weight-product ratios stay
 bounded.
+
+X and the target act only through sparse vectors here.  A witness reports
+the blocks and the intertwining residual; the dense window matrices of X and
+of the target are test references, built from ``g_vector`` and ``g_norm``.
 """
 
 from __future__ import annotations
@@ -146,16 +150,14 @@ def ratio_bounded(operator: ShiftOperator, horizon: int = 64) -> RatioCertificat
 
 
 class SimilarityWitness(Record):
-    """Intertwining operator X plus the decoupled target it conjugates to."""
+    """The report on an intertwining operator X and the decoupled target it
+    conjugates to: the blocks of X, the adjoint intertwining residual on the
+    window and, for the tilde shape, the ratio certificate."""
 
     # kind: leaf-similarity | tilde-quasiaffinity
     # mode: similar | quasiaffine-only
     # blocks: per-k block reports
-    # target_primed_weights: k -> weight into k'
-    # g_vectors: k -> g_k, for the primed columns of X
-    __slots__ = _fields = ("kind", "mode", "blocks", "residual", "ratio", "window", "operator",
-                           "target_primed_weights", "g_norms", "g_vectors")
-    _unshown = ("operator",)
+    __slots__ = _fields = ("kind", "mode", "blocks", "residual", "ratio")
 
     def block_inverse_bound(self) -> float:
         return max((b["inverse_norm"] for b in self.blocks), default=1.0)
@@ -165,30 +167,6 @@ class SimilarityWitness(Record):
                 "blocks": self.blocks,
                 "ratio": self.ratio.to_json() if self.ratio else None,
                 "block_inverse_bound": self.block_inverse_bound()}
-
-    # -- dense window realizations (oracle food) --
-
-    def x_matrix(self) -> np.ndarray:
-        """X on the window basis, column by column from ``_x_apply``."""
-        import numpy as np
-        win = self.window
-        mat = np.zeros((len(win), len(win)))
-        for j, u in enumerate(win.order):
-            for v, c in _x_apply(self.g_vectors, self.g_norms, SparseVector.basis(u)).items():
-                mat[win.index_of(v), j] = c
-        return mat
-
-    def target_matrix(self) -> np.ndarray:
-        """W + N (or the tilde analogue) on the window basis: the transpose of
-        the window compression of ``_target_adjoint``."""
-        import numpy as np
-        win = self.window
-        mat = np.zeros((len(win), len(win)))
-        for j, u in enumerate(win.order):
-            for v, c in _target_adjoint(self.operator, self.target_primed_weights, u).items():
-                if v in win:
-                    mat[j, win.index_of(v)] = c
-        return mat
 
 
 def _x_apply(g: dict, norms: dict, x: SparseVector) -> SparseVector:
@@ -215,8 +193,8 @@ def _target_adjoint(operator: ShiftOperator, target_primed: dict, u: str) -> Spa
 
 
 def _witness(operator, window, kind, mode, ratio, primed_max) -> SimilarityWitness:
-    """Assemble the g vectors and their norms, blocks, target weights, and the
-    adjoint intertwining residual, all from one table of ray products.
+    """The blocks and the adjoint intertwining residual, from one table of ray
+    products: the g vectors, their norms and the target weights are locals.
 
     Block k is B = [[1, a], [0, b]], the coordinates of e_k and the
     normalized g_k (a = p/|g_k| and b = -q/|g_k|, with p and q the reciprocal
@@ -246,10 +224,7 @@ def _witness(operator, window, kind, mode, ratio, primed_max) -> SimilarityWitne
         rhs = operator.apply_adjoint(_x_apply(g, norms, SparseVector.basis(u)))
         residual = nan_max(residual, (lhs - rhs).norm())
 
-    return SimilarityWitness(kind=kind, mode=mode, blocks=blocks, residual=residual,
-                             ratio=ratio, window=window, operator=operator,
-                             target_primed_weights=target_primed, g_norms=norms,
-                             g_vectors=g)
+    return SimilarityWitness(kind, mode, blocks, residual, ratio)
 
 
 def build_leaf_similarity(operator: ShiftOperator, window: TreeWindow) -> SimilarityWitness:

@@ -299,6 +299,40 @@ def test_cyclic_backward_two_zeros(specs, capsys):
     assert "non-cyclic [R3]" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags", [("--tree", "tilde", "--weights", "tilde_w"),
+                                   ("--tree", "tilde"), ("--weights", "tilde_w")])
+def test_cyclic_refuses_backward_with_a_tree(specs, capsys, flags):
+    """``--backward`` with ``--tree`` or ``--weights`` would report the
+    backward shift alone and ignore the tree: argparse's exit 2 instead."""
+    argv = ["cyclic", "--backward", specs["backward"]]
+    argv += [specs[word] if word in specs else word for word in flags]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "not both" in err
+
+
+@pytest.mark.parametrize("weights, flags", [
+    # the head's -4 is the sixth weight up from level 0, so the depth-6 sweep
+    # ends on the jump, and -8 lies above it
+    ({"-4": 0.5, "-8": 0.5}, ["--levels=0:1", "--depth", "6"]),
+    # 64 unit weights, then the head's -70 above the sweep
+    ({"-70": 0.5}, ["--levels=0:0"]),
+])
+def test_adjoint_unit_run_below_a_head_weight_is_not_convergence(specs, tmp_path, capsys,
+                                                                 weights, flags):
+    """Three flat column sums early in the sweep, or a sweep that never
+    reaches the head weight, leave the true limit (0.0625 and 0.25) unseen:
+    the level reads ``max-depth``, not ``converged``."""
+    law = write(tmp_path, "head.json", {"kind": "map", "values": weights, "default": 1.0})
+    assert main(["analyze", "--tree", specs["bilateral"], "--weights", law, *flags]) == 0
+    out = capsys.readouterr().out
+    levels = [line for line in out.splitlines() if line.startswith("  a[level ")]
+    assert levels and all(line.endswith("(max-depth)") for line in levels)
+    assert "adjoint: Cdot1" not in out
+
+
 def test_cyclic_dimension_cap(specs, capsys):
     assert main(["cyclic", "--backward", specs["backward"], "--window-k", "4000"]) == 5
 

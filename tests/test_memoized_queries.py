@@ -174,15 +174,11 @@ def ref_adjoint_level(op, u, depth=DEFAULT_MAX_DEPTH, tol=DEFAULT_TOL,
             break
     chains = {v: ref_ancestor_products(op, v, depth)[0] for v in members}
     sums = [sum(p[min(d, len(p) - 1)] for p in chains.values()) for d in range(depth)]
-    consecutive = 0
-    tail_ok = False
-    for d in range(1, len(sums)):
-        if abs(sums[d] - sums[d - 1]) < tol:
-            consecutive += 1
-            if consecutive >= CONSECUTIVE_SMALL:
-                tail_ok = True
-        else:
-            consecutive = 0
+    # converged: the last CONSECUTIVE_SMALL decrements are small, and every
+    # head weight lies on the chains (at most depth - 1 levels above u)
+    small = [abs(sums[d] - sums[d - 1]) < tol for d in range(1, len(sums))]
+    climbed = all(model.level(v) > model.level(u) - depth for v in op.weights.head if v in model)
+    tail_ok = len(small) >= CONSECUTIVE_SMALL and all(small[-CONSECUTIVE_SMALL:]) and climbed
     estimate = sums[-1] if sums else 0.0
     status = CONVERGED if (gen_exact and tail_ok) else MAX_DEPTH
     coeffs = {v: math.sqrt(chains[v][-1]) for v in members}

@@ -1,9 +1,9 @@
 """The Br=1 witness operators and the asymptote's rooted c.n.u. value.
 
-The dense window views of the similarity witness read the one sparse
-definition of each operator; the references here write the same matrices
-out by hand.  The c.n.u. value of a rooted chain is anchored at the root
-once the walk reaches it, so it does not depend on the depth past there.
+The sparse witness operators, which the residual applies, give the dense
+reference matrices of ``dense_reference`` on a window.  The c.n.u. value of
+a rooted chain is anchored at the root once the walk reaches it, so it does
+not depend on the depth past there.
 """
 
 import numpy as np
@@ -17,33 +17,14 @@ from treeshift.similarity import (
     build_leaf_similarity,
     build_tilde_quasiaffinity,
     direct_sum_decomposition,
+    g_norm,
 )
 from treeshift.sparse import SparseVector
 from treeshift.trees import make_family, materialize_window
 from treeshift.weights import ExpRayWeights, HashRandomWeights, RayWeights
 
+import dense_reference
 from conftest import UnstatedBound
-
-
-def reference_target_matrix(witness):
-    """W + N (or the tilde analogue) written forward, column by column: the
-    spine shifts with the original weights up to an unprimed leaf, the primed
-    ray shifts with the g-norm ratios, and the branch edge into 1' carries
-    nothing."""
-    win = witness.window
-    unprimed_leaf = win.model.unprimed_leaf
-    mat = np.zeros((len(win), len(win)))
-    for j, u in enumerate(win.order):
-        if u.endswith("'"):
-            k = int(u[:-1])
-            tgt = f"{k + 1}'"
-            if tgt in win and (k + 1) in witness.target_primed_weights:
-                mat[win.index_of(tgt), j] = witness.target_primed_weights[k + 1]
-        else:
-            nxt = str(int(u) + 1)
-            if nxt in win and (unprimed_leaf is None or int(u) < unprimed_leaf):
-                mat[win.index_of(nxt), j] = witness.operator.weight(nxt)
-    return mat
 
 
 @pytest.mark.parametrize("family, params, weights, build, levels", [
@@ -62,9 +43,42 @@ def reference_target_matrix(witness):
     ("tilde", None, RayWeights(spine=0.5, primed=0.85), build_tilde_quasiaffinity, (-2, 9)),
 ])
 def test_target_matrix_is_the_forward_written_target(family, params, weights, build, levels):
+    """``_target_adjoint``, which a witness's residual applies, compressed to
+    the window is the transpose of the forward-written target, with the
+    target weights the witness derives from its g norms."""
     op = ShiftOperator(make_family(family, params), weights)
-    witness = build(op, materialize_window(op.model, *levels))
-    assert np.array_equal(witness.target_matrix(), reference_target_matrix(witness))
+    window = materialize_window(op.model, *levels)
+    assert build(op, window).residual <= 1e-12
+    top = max(lvl for lvl in window.levels() if f"{lvl}'" in window)
+    target_primed = {k: g_norm(op, k - 1) / g_norm(op, k) for k in range(2, top + 1)}
+    adjoint = np.zeros((len(window), len(window)))
+    for j, u in enumerate(window.order):
+        for v, c in similarity._target_adjoint(op, target_primed, u).items():
+            if v in window:
+                adjoint[j, window.index_of(v)] = c
+    assert np.array_equal(adjoint, dense_reference.target_matrix(op, window))
+
+
+@pytest.mark.parametrize("family, params, weights, levels", [
+    ("comb", {"primed_leaf": 6, "unprimed_leaf": 8}, RayWeights(spine=0.6, primed=0.55),
+     (-5, 8)),
+    # the window stops above the primed leaf
+    ("comb", {"primed_leaf": 6, "unprimed_leaf": 8}, RayWeights(spine=0.6, primed=0.55),
+     (-5, 4)),
+    ("tilde", None, RayWeights(spine=0.5, primed=0.85), (-6, 12)),
+])
+def test_x_apply_is_the_matrix_of_one_g_vector_per_column(family, params, weights, levels):
+    """``_x_apply`` with one table of g vectors and norms, on each window
+    basis vector, gives the reference X bit for bit."""
+    op = ShiftOperator(make_family(family, params), weights)
+    window = materialize_window(op.model, *levels)
+    g, norms = similarity._g_table(op, max(lvl for lvl in window.levels()
+                                            if f"{lvl}'" in window))
+    x = np.zeros((len(window), len(window)))
+    for j, u in enumerate(window.order):
+        for v, c in similarity._x_apply(g, norms, SparseVector.basis(u)).items():
+            x[window.index_of(v), j] = c
+    assert np.array_equal(x, dense_reference.x_matrix(op, window))
 
 
 def test_direct_sum_decomposition_reads_the_ray_products_once(monkeypatch):

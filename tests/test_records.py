@@ -20,11 +20,11 @@ from treeshift.sparse import SparseVector
 EXAMPLES = {
     VertexEstimate: ("a", 0.5, 0.5, "converged", 3),
     AsymptoticProfile: ({}, "window"),
-    StableSubtree: ({"a"}, "window", 1e-9, (0, True), "model"),
+    StableSubtree: ({"a"}, "window", 1e-9, (0, True)),
     HVector: (SparseVector({"a": 1.0}), 1.0),
     AdjointAsymptotics: ("profile", {}),
     ClassificationC: ("C1dot", "Cdot0", True, False),
-    AsymptoteDescriptor: ({"a": 0.5}, "unilateral", 1, None, "stable", "operator", "alpha"),
+    AsymptoteDescriptor: ({"a": 0.5}, "unilateral", 1, None, "stable"),
     AdjointAsymptoteDescriptor: ("simple-bilateral", {1: 0.5}, {}),
     SimilarityAnswer: ("yes", "because"),
     CyclicCandidate: ([(0, 1)], [0.5]),
@@ -32,8 +32,7 @@ EXAMPLES = {
     CyclicityVerdict: ("cyclic", "R3", [], "backward shift"),
     NormBound: (0.9, 0.8, True),
     RatioCertificate: ("bounded", 1.0, True),
-    SimilarityWitness: ("leaf-similarity", "similar", [], 0.0, None, "window", "operator",
-                        {}, {}, {}),
+    SimilarityWitness: ("leaf-similarity", "similar", [], 0.0, None),
     Decomposition: (SparseVector(), SparseVector(), {}, {}, 0.0),
 }
 
@@ -82,7 +81,19 @@ def test_record_repr_lists_the_shown_fields():
     assert repr(AsymptoteDescriptor(*EXAMPLES[AsymptoteDescriptor])) == (
         "AsymptoteDescriptor(beta={'a': 0.5}, classification='unilateral', multiplicity=1, "
         "cnu_value=None, stable='stable')")
-    assert "operator" not in repr(SimilarityWitness(*EXAMPLES[SimilarityWitness]))
+    assert repr(SimilarityWitness(*EXAMPLES[SimilarityWitness])) == (
+        "SimilarityWitness(kind='leaf-similarity', mode='similar', blocks=[], residual=0.0, "
+        "ratio=None)")
+
+
+def test_result_records_hold_what_they_report():
+    """No record carries the operator, an evaluator or a table that only a
+    dense matrix would read, and none hides a field from its repr."""
+    assert SimilarityWitness._fields == ("kind", "mode", "blocks", "residual", "ratio")
+    assert AsymptoteDescriptor._fields == ("beta", "classification", "multiplicity",
+                                           "cnu_value", "stable")
+    assert StableSubtree._fields == ("members", "window", "zero_threshold", "branching")
+    assert not hasattr(Record, "_unshown")
 
 
 def test_defaulted_mutable_fields_are_fresh_per_instance():

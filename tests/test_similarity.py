@@ -32,6 +32,7 @@ from treeshift.weights import (
     weights_from_json,
 )
 
+import dense_reference
 from conftest import NaNAdjoint
 from krylov_reference import krylov_rank, verify_krylov_span
 
@@ -72,13 +73,19 @@ def test_g_norm_value():
 
 # -- leaf similarity -------------------------------------------------------------------
 
+def target_weight(op, window, k):
+    """The reference target's weight into k'."""
+    return dense_reference.target_matrix(op, window)[window.index_of(f"{k}'"),
+                                                     window.index_of(f"{k - 1}'")]
+
+
 def test_leaf_similarity_unit_weights():
     model = make_family("comb", {"primed_leaf": 2})
     op = ShiftOperator(model, ConstantWeights(1.0))
     window = materialize_window(model, -6, 6)
     witness = build_leaf_similarity(op, window)
     assert witness.residual <= 1e-12
-    assert witness.target_primed_weights[2] == pytest.approx(1.0)
+    assert target_weight(op, window, 2) == pytest.approx(1.0)
     assert witness.mode == "similar"
 
 
@@ -88,7 +95,7 @@ def test_leaf_similarity_lemma_values():
     window = materialize_window(model, -6, 4)
     witness = build_leaf_similarity(op, window)
     assert witness.residual <= 1e-12
-    assert witness.target_primed_weights[2] == pytest.approx(math.sqrt(5.0 / 17.0))
+    assert target_weight(op, window, 2) == pytest.approx(math.sqrt(5.0 / 17.0))
     assert g_vector(op, 1).coeffs == {"1": pytest.approx(2.0), "1'": pytest.approx(-1.0)}
     assert g_vector(op, 2).coeffs == {"2": pytest.approx(4.0), "2'": pytest.approx(-1.0)}
 
@@ -116,7 +123,7 @@ def test_block_determinants_and_inverse_norms_match_numpy():
         assert len(witness.blocks) >= 6
         for block in witness.blocks:
             k = block["k"]
-            g, norm = g_vector(op, k), witness.g_norms[k]
+            g, norm = g_vector(op, k), g_norm(op, k)
             mat = np.array([[1.0, g[str(k)] / norm], [0.0, g[f"{k}'"] / norm]])
             assert block["det"] == mat[1, 1]
             assert block["det"] == pytest.approx(np.linalg.det(mat), rel=1e-15)
@@ -124,29 +131,10 @@ def test_block_determinants_and_inverse_norms_match_numpy():
                 np.linalg.norm(np.linalg.inv(mat), 2), rel=1e-15)
 
 
-def reference_x_matrix(witness):
-    """X on the window, with one ``g_vector`` per primed column below the
-    top primed level the window and the primed leaf allow."""
-    win = witness.window
-    top = max((lvl for lvl in win.levels() if f"{lvl}'" in win), default=0)
-    leaf = witness.operator.model.primed_leaf
-    if leaf is not None:
-        top = min(top, leaf)
-    mat = np.zeros((len(win), len(win)))
-    for j, u in enumerate(win.order):
-        if u.endswith("'") and int(u[:-1]) <= top:
-            k = int(u[:-1])
-            for v, c in g_vector(witness.operator, k).scaled(1.0 / witness.g_norms[k]).items():
-                mat[win.index_of(v), j] = c
-        else:
-            mat[j, j] = 1.0
-    return mat
-
-
 def test_each_witness_build_reads_the_ray_products_once(monkeypatch):
     """One table of ray products serves the g vectors, their norms, the
-    blocks and the X matrix of a witness; the norms are those of ``g_norm``
-    and X is the matrix of one ``g_vector`` per column, bit for bit."""
+    blocks and the residual of a witness; the blocks are read off the g
+    vectors and the norms of ``g_vector`` and ``g_norm``, bit for bit."""
     calls = []
     original = similarity.ray_products
 
@@ -166,13 +154,9 @@ def test_each_witness_build_reads_the_ray_products_once(monkeypatch):
         calls.clear()
         witness = build(op, materialize_window(op.model, *levels))
         assert len(calls) == 1
-        assert witness.g_norms[0] == 1.0
         for block in witness.blocks:
-            assert witness.g_norms[block["k"]] == g_norm(op, block["k"])
-        calls.clear()
-        x = witness.x_matrix()
-        assert not calls
-        assert np.array_equal(x, reference_x_matrix(witness))
+            k = block["k"]
+            assert block["det"] == g_vector(op, k)[f"{k}'"] / g_norm(op, k)
 
 
 def test_block_structure_invertible():
@@ -182,7 +166,7 @@ def test_block_structure_invertible():
     witness = build_leaf_similarity(op, window)
     for block in witness.blocks:
         assert abs(block["det"]) > 0.0
-    x = witness.x_matrix()
+    x = dense_reference.x_matrix(op, window)
     assert ge_rank(x) == len(window)  # full column rank: injective on the window
     assert np.linalg.cond(x) < 1e3
 
@@ -395,8 +379,8 @@ def test_tilde_unit_weights_similar():
     assert witness.residual <= 1e-12
     assert witness.mode == "similar"
     # w_{k'} = |g_{k-1}| / |g_k|, all norms equalish for unit rays
-    for k, w in witness.target_primed_weights.items():
-        assert 0.0 < w <= 1.0 + 1e-12
+    for k in range(2, 7):
+        assert 0.0 < target_weight(op, window, k) <= 1.0 + 1e-12
 
 
 @pytest.mark.parametrize("family, build", [("tilde", build_tilde_quasiaffinity),
@@ -447,8 +431,8 @@ def test_witness_transfer_preserves_krylov_rank():
         window = materialize_window(op.model, -5, 5)
         witness = build_tilde_quasiaffinity(op, window)
         assert witness.mode == "similar"
-        x_mat = witness.x_matrix()
-        t_mat = witness.target_matrix()
+        x_mat = dense_reference.x_matrix(op, window)
+        t_mat = dense_reference.target_matrix(op, window)
         s_mat = op.dense_truncation(window)
         assert np.linalg.norm(x_mat @ t_mat.T - s_mat.T @ x_mat) <= 1e-12
         rng = np.random.default_rng(seed)

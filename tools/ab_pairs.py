@@ -25,11 +25,14 @@ quartile spread is wider than bound x the base's median, unless every head
 run beats every base run, and else with ``within bound``.  It only reads the
 checkouts and runs their benchmark.
 
-Each run writes no bytecode and keeps its bytecode cache under a fresh, empty
-temporary directory (``PYTHONPYCACHEPREFIX``), so both sides compile their
-sources on import: a ``src/treeshift/__pycache__`` left in one checkout would
-otherwise let that side skip compilation and read ``setup_s`` about a fifth
-lower for the same code.
+Each run writes no bytecode (``PYTHONDONTWRITEBYTECODE=1``), and the copies
+hold no ``__pycache__``, so both sides compile their sources on every import:
+a ``src/treeshift/__pycache__`` left in one checkout would otherwise let that
+side skip compilation and read ``setup_s`` about a fifth lower for the same
+code.  The standard library keeps its installed bytecode, as in a plain
+``perfbench/run.py``: a ``PYTHONPYCACHEPREFIX``, the caller's included, is
+dropped, since it would make every run compile the standard library as well
+and read ``setup_s`` about a fifth higher than the benchmark does.
 """
 
 from __future__ import annotations
@@ -48,9 +51,9 @@ def run_side(root: str, workload: str, seed: int, seconds: float) -> dict:
     """The JSON result of one ``perfbench/run.py`` run in checkout ``root``."""
     argv = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds)]
-    with tempfile.TemporaryDirectory(prefix="ab_pairs_pycache_") as cache:
-        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=cache)
-        done = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONPYCACHEPREFIX", None)
+    done = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True)
     if done.returncode != 0:
         sys.stderr.write(done.stderr)
         raise SystemExit(f"error: {root}: perfbench/run.py exited with code {done.returncode}")
