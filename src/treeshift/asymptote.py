@@ -190,7 +190,7 @@ def similar_to_isometry(operator: ShiftOperator, profile: AsymptoticProfile) -> 
     log_infimum = (w.tail_log_sum(0 if model.is_rooted else -math.inf)
                    if model.children_per_vertex == 1 else None)
     if log_infimum is not None and log_infimum != -math.inf:  # NaN needs a weight above 1
-        log_infimum = 2.0 * log_infimum if (w.max_weight() or math.inf) <= 1.0 else None
+        log_infimum = 2.0 * log_infimum if (operator.tail_bound() or math.inf) <= 1.0 else None
     if log_infimum == -math.inf:
         if math.isfinite(w.tail_log_sum(0)):
             return SimilarityAnswer("no", "closed form on a chain: the forward limits "
@@ -213,8 +213,7 @@ def similar_to_coisometry(operator: ShiftOperator, window: TreeWindow) -> Simila
         return SimilarityAnswer("no", "family has positive branching index")
     # The head's finitely many positive factors leave the sign to the tail:
     # infinitely many factors, each at most M < 1, vanish.
-    tail = operator.weights.tail
-    top = None if tail is None else tail.max_weight()
+    tail, top = operator.weights.tail, operator.tail_bound()
     total = None if tail is None else tail.tail_log_sum(-math.inf)
     closed = (False if top is not None and top < 1.0
               else None if total is None else total > -math.inf)  # NaN: a part vanishes

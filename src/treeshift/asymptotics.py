@@ -127,7 +127,16 @@ class AlphaEvaluator:
                        else _ZERO if operator.is_certified_vanishing() else None)
         self.lumped = operator.model.children_per_vertex == 1 and operator.weights.level_only
         self._cache: dict[str, VertexEstimate] = {}
-        self._floor = ...  # the weights' convergence floor level, read at the first descent
+        # The deepest level a descent passes before flat partial sums count:
+        # the law's own, or one past the head when every tail weight is 1.
+        self._floor = None
+        if self.closed is None:
+            weights = operator.weights
+            self._floor = weights.convergence_floor_level()
+            tail = weights.tail
+            if self._floor is None and tail is not None and tail.tail_log_sum(-math.inf) == 0.0:
+                levels = operator.head_levels().values()
+                self._floor = max(levels) + 1 if levels else None
 
     def __call__(self, u: str) -> VertexEstimate:
         hit = self._cache.get(u)
@@ -153,12 +162,9 @@ class AlphaEvaluator:
         # Flat unit-weight prefixes keep the partial sums exactly constant, so
         # convergence may not be declared before the frontier has passed them.
         min_depth = CONSECUTIVE_SMALL + 5
-        floor = self._floor
-        if floor is ...:
-            floor = self._floor = op.weights.convergence_floor_level(op.model)
-        if floor is not None:
+        if self._floor is not None:
             top = op.model.level(u) if lvl is None else lvl
-            min_depth = max(min_depth, floor - top + CONSECUTIVE_SMALL + 2)
+            min_depth = max(min_depth, self._floor - top + CONSECUTIVE_SMALL + 2)
         frontier = {u: 1.0}
         s_prev = 1.0
         consecutive = 0
@@ -399,8 +405,7 @@ def adjoint_profile(operator: ShiftOperator, window: TreeWindow,
             lvl: HVector(SparseVector(), 0.0) for lvl in window.levels()}
         return AdjointAsymptotics(AsymptoticProfile(records, window), h_by_level)
 
-    model = window.model
-    head_top = min((model.level(v) for v in operator.weights.head if v in model), default=None)
+    head_top = min(operator.head_levels().values(), default=None)
     records = {}
     h_by_level = {}
     for lvl in window.levels():

@@ -353,16 +353,13 @@ class _Command:
     def __init__(self, func, flags, help=None):
         self.func, self.flags, self.help = func, flags, help
         self.options = {flag.option: flag for flag in flags}
-        # argparse passes a string default through the flag's type: "-8:8" -> (-8, 8)
-        self.defaults = {flag.dest: flag.parse(flag.default)
-                         if flag.check and isinstance(flag.default, str) else flag.default
-                         for flag in flags}
+        self.defaults = {flag.dest: flag.default for flag in flags}
         self.required = {flag.dest for flag in flags if flag.required}
 
 
 def _tree_flags(required):
     return (_Flag("--tree", required=required, help="tree spec JSON path"),
-            _Flag("--levels", _LEVELS, "-8:8",
+            _Flag("--levels", _LEVELS, (-8, 8),
                   help="window level range a:b (use --levels=-8:8 for negatives)"),
             _Flag("--breadth", _POSITIVE_INT, 64, help="per-level breadth cap"),
             _Flag("--json", default=False, help="line-delimited JSON output", switch=True))

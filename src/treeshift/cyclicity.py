@@ -38,7 +38,7 @@ from .errors import (DimensionCap, ScheduleTooShort, StageUnderflow, TreeSpecErr
                      ZeroWeight, decoded, shown)
 from .records import Record, json_value
 from .trees import branching_index, count_text, leaves
-from .weights import _integer, _required, hash_unit, unit_hasher
+from .weights import _integer, _required, unit_hasher
 
 DIMENSION_CAP = 4096
 RANK_TOL = 1e-8
@@ -68,13 +68,13 @@ VERDICT_ANCHORS = {
 def uniform_weight_rule(seed: int, low: float, high: float):
     """Deterministic pseudo-random weights in [low, high], keyed by (branch, index).
 
-    ``rule(j, k)`` hashes one key; ``rule.run(j, start, stop)`` gives the
-    same floats for k in [start, stop), hashing the key prefix once and
-    converting the digests in one batch (numpy rounds as Python does).
+    ``rule.run(j, start, stop)`` gives the weights for k in [start, stop),
+    hashing the key prefix once and converting the digests in one batch
+    (numpy rounds as Python does); ``rule(j, k)`` is a run of one.
     """
 
     def rule(j, k):
-        return low + (high - low) * hash_unit(f"{seed}:{j}:{k}")
+        return run(j, k, k + 1)[0]
 
     def run(j, start, stop):
         import numpy as np

@@ -28,10 +28,11 @@ class ShiftOperator:
 
     The model and the weights are fixed once the operator is built.  The
     operator memoizes, per vertex, the weight lambda_v and the tree queries
-    ``children(u)`` and ``parent(u)``, ``operator_norm`` per window, and
-    ``ancestor_chain`` per vertex and depth (squaring the memoized weights,
-    whatever the weight law), so an analysis evaluates each vertex once, and a
-    vertex whose parent's chain is known does not walk its own.  The first
+    ``children(u)`` and ``parent(u)``, ``operator_norm`` per window,
+    ``head_levels`` once, and ``ancestor_chain`` per vertex and depth
+    (squaring the memoized weights, whatever the weight law), so an analysis
+    evaluates each vertex once, reads the head once, and a vertex whose
+    parent's chain is known does not walk its own.  The first
     query of a vertex goes through the model and the weight assignment, so
     their checks run and raise at the same vertex as without the memo, and a
     query that raises is not memoized; later queries return the same float,
@@ -52,6 +53,7 @@ class ShiftOperator:
         self._children: dict[str, tuple] = {}
         self._parents: dict[str, str | None] = {}
         self._norms: dict[TreeWindow, NormBound] = {}
+        self._head_levels: dict[str, int] | None = None
         # depth -> vertex -> (squared weights, ancestors) of ``ancestor_chain``
         self._chains: dict[int, dict[str, tuple]] = {}
 
@@ -72,6 +74,22 @@ class ShiftOperator:
         if p is u:
             p = self._parents[u] = self.model.parent(u)
         return p
+
+    def head_levels(self) -> dict:
+        """{v: level of v} for each key v of the weights' ``head`` that is a
+        non-root vertex of the model, in key order, read on first use and then
+        kept.  A root key or a key that is not a vertex carries no weight."""
+        levels = self._head_levels
+        if levels is None:
+            levels = self._head_levels = {}
+            model = self.model
+            for v in self.weights.head:
+                if v != model.root:
+                    try:
+                        levels[v] = model.level(v)
+                    except VertexNotFound:
+                        pass
+        return levels
 
     def ancestor_chain(self, v: str, depth: int) -> tuple:
         """(squares of lambda at v and at up to ``depth`` - 1 ancestors, the
@@ -200,16 +218,15 @@ class ShiftOperator:
         for v, _, _ in points or ():
             scan[v] = None
         window_value = max(self._column_norm(u) for u in scan)
-        keyed = dict.fromkeys(self.parent(v) for v in self.weights.head
-                              if v != self.model.root and v in self.model)
+        keyed = dict.fromkeys(self.parent(v) for v in self.head_levels())
         value = max([window_value] + [self._column_norm(u) for u in keyed if u not in scan])
-        top = self._tail_bound()
+        top = self.tail_bound()
         fan = self.model.eventual_fan()
         if top is None or fan is None:
             return NormBound(value, window_value, False)
         return NormBound(max(value, top * math.sqrt(fan)), window_value, True)
 
-    def _tail_bound(self):
+    def tail_bound(self):
         """The tail's ``max_weight``, or None when there is no tail."""
         tail = self.weights.tail
         return None if tail is None else tail.max_weight()
@@ -227,7 +244,7 @@ class ShiftOperator:
         ``max_weight``, and a generation n levels up holds O(f^n) chains of
         product at most M^(2n) times the head's finitely many factors.
         """
-        top = self._tail_bound()
+        top = self.tail_bound()
         fan = self.model.eventual_fan()
         if (self.model.vertices() is not None or top is None or not math.isfinite(top)
                 or fan is None):

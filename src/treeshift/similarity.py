@@ -134,8 +134,7 @@ def ratio_bounded(operator: ShiftOperator, horizon: int = 64) -> RatioCertificat
         return RatioCertificate("unbounded-evidence", value, True, at=k, value=value)
     exact = w.tail is not None and w.tail.level_only
     if exact:
-        model = operator.model
-        horizon = max([horizon] + [abs(model.level(v)) + 1 for v in w.head if v in model])
+        horizon = max([horizon] + [abs(lvl) + 1 for lvl in operator.head_levels().values()])
     ends = leaf is not None and leaf <= horizon
     if ends:
         horizon, exact = leaf, True

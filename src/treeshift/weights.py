@@ -14,7 +14,7 @@ import numbers
 import sys
 from functools import cache
 
-from .errors import VertexNotFound, WeightError, decoded, read_input, shown
+from .errors import WeightError, decoded, read_input, shown
 from .trees import _is_primed, _primed_index
 
 
@@ -83,17 +83,10 @@ def _copies(count: float, term: float) -> float:
     return count * term if term else 0.0
 
 
-def hash_unit(key: str) -> float:
-    """Uniform value in [0, 1) from the keyed blake2b digest of ``key``."""
-    import hashlib  # loads OpenSSL, which only hashed weights need
-    digest = hashlib.blake2b(key.encode(), digest_size=8).digest()
-    return int.from_bytes(digest, "big") / 2.0 ** 64
-
-
 def unit_hasher(prefix: str):
     """The function ``keys -> bytes`` that joins the 8-byte digests of
     ``prefix + key`` (bytes keys); a digest read as a big-endian integer
-    over 2^64 is ``hash_unit(prefix + key)``.
+    over 2^64 is the key's uniform value in [0, 1).
 
     blake2b is a streaming hash: a copy of the state fed ``prefix``, fed
     ``key``, has the digest of ``prefix + key``.  So the prefix is hashed
@@ -113,7 +106,6 @@ def unit_hasher(prefix: str):
 
 
 class WeightAssignment:
-    kind = "abstract"
     # The weight of a vertex is a function of its level alone.
     level_only = False
     # Family hooks answer family-specific questions in closed form; the
@@ -162,14 +154,13 @@ class WeightAssignment:
         unknown."""
         return None
 
-    def convergence_floor_level(self, model):
+    def convergence_floor_level(self):
         """Deepest level a descent must pass before flat partial sums are
         trusted: unit-weight prefixes produce exactly-zero decrements that a
-        difference test cannot tell from convergence."""
+        difference test cannot tell from convergence.  Where a law states
+        none and every tail weight is exactly 1, the floor is one past the
+        deepest level the head names (``AlphaEvaluator``)."""
         return None
-
-    def to_json(self) -> dict:
-        raise NotImplementedError
 
     def _check_non_root(self, model, v):
         if v == model.root:
@@ -179,7 +170,6 @@ class WeightAssignment:
 class MapWeights(WeightAssignment):
     """Explicit map (the head), optionally padded with a default beyond it."""
 
-    kind = "map"
     tail = None  # per map: ConstantWeights(default), or None without a default
 
     def __init__(self, values: dict, default: float | None = None):
@@ -195,26 +185,8 @@ class MapWeights(WeightAssignment):
             raise WeightError(f"no weight assigned to vertex {v!r}")
         return w
 
-    def convergence_floor_level(self, model):
-        if self.default is None or abs(self.default - 1.0) > 1e-15:
-            return None
-        levels = []
-        for v in self.head:
-            try:
-                levels.append(model.level(v))
-            except VertexNotFound:
-                pass  # a key that is not a vertex carries no weight
-        return max(levels) + 1 if levels else None
-
-    def to_json(self):
-        doc = {"kind": "map", "values": dict(self.head)}
-        if self.default is not None:
-            doc["default"] = self.default
-        return doc
-
 
 class ConstantWeights(WeightAssignment):
-    kind = "constant"
     level_only = True
 
     def __init__(self, value: float):
@@ -232,27 +204,8 @@ class ConstantWeights(WeightAssignment):
     def tail_log_sum(self, from_level):
         return _copies(math.inf, math.log(self.value))
 
-    def to_json(self):
-        return {"kind": "constant", "value": self.value}
 
-
-class FamilyWeights(WeightAssignment):
-    """A named weight law.  The constructor stores each argument under its
-    own name, so ``params`` reads them back by the parameter names that
-    ``weights_from_json`` checks; an argument left None is omitted."""
-
-    kind = "family"
-    name = "abstract"
-
-    def params(self) -> dict:
-        values = {name: getattr(self, name) for name in _parameters(type(self))[0]}
-        return {name: value for name, value in values.items() if value is not None}
-
-    def to_json(self):
-        return {"kind": "family", "name": self.name, "params": self.params()}
-
-
-class ExpRayWeights(FamilyWeights):
+class ExpRayWeights(WeightAssignment):
     """lambda_v = exp(-base^(-level v)) for levels >= start_level, 1 below.
 
     On a single-child chain the forward limits have closed geometric-series
@@ -276,7 +229,7 @@ class ExpRayWeights(FamilyWeights):
     def max_weight(self):
         return 1.0
 
-    def convergence_floor_level(self, model):
+    def convergence_floor_level(self):
         return self.start_level
 
     def tail_log_sum(self, from_level):
@@ -285,7 +238,7 @@ class ExpRayWeights(FamilyWeights):
         return -(self.base ** (-m)) * self.base / (self.base - 1.0)
 
 
-class GeometricWeights(FamilyWeights):
+class GeometricWeights(WeightAssignment):
     """lambda_v = scale * ratio^{|level v|}: geometric decay away from the base."""
 
     name = "geometric"
@@ -306,7 +259,7 @@ class GeometricWeights(FamilyWeights):
         return _copies(math.inf, math.log(self.ratio) or math.log(self.scale))
 
 
-class StepWeights(FamilyWeights):
+class StepWeights(WeightAssignment):
     """lambda_v = high for levels above the cut, low at and below it."""
 
     name = "step"
@@ -323,7 +276,7 @@ class StepWeights(FamilyWeights):
     def max_weight(self):
         return max(self.low, self.high)
 
-    def convergence_floor_level(self, model):
+    def convergence_floor_level(self):
         return self.cut + 1 if abs(self.low - 1.0) <= 1e-15 else None
 
     def tail_log_sum(self, from_level):
@@ -331,7 +284,7 @@ class StepWeights(FamilyWeights):
                 + _copies(math.inf, math.log(self.high)))
 
 
-class RayWeights(FamilyWeights):
+class RayWeights(WeightAssignment):
     """Per-ray constants for the tilde/comb shape, with optional overrides for
     the two children of the branching vertex."""
 
@@ -363,7 +316,7 @@ class RayWeights(FamilyWeights):
         return self.first[1] / self.first[0], self.primed / self.spine
 
 
-class BinarySpineWeights(FamilyWeights):
+class BinarySpineWeights(WeightAssignment):
     """Isometric weights on the rootless binary tree with a distinguished spine.
 
     Spine vertices get exp(-1/(|l|+1)^2); the sibling of each spine child gets
@@ -395,7 +348,7 @@ class BinarySpineWeights(FamilyWeights):
         return True
 
 
-class HashRandomWeights(FamilyWeights):
+class HashRandomWeights(WeightAssignment):
     """Deterministic pseudo-random weight per vertex, uniform in [low, high].
 
     The value is derived from a keyed blake2b digest of the vertex id, so it

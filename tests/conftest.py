@@ -27,6 +27,18 @@ class UnstatedBound(ConstantWeights):
         return None
 
 
+def reference_floor(weights, model):
+    """The forward descent's convergence floor, restated independently: the
+    level a law states itself, or, for a ``map`` whose default is exactly
+    1.0, one past its deepest key that is a vertex."""
+    if not isinstance(weights, MapWeights):
+        return weights.convergence_floor_level()
+    if weights.default != 1.0:
+        return None
+    levels = [model.level(v) for v in weights.head if v in model]
+    return max(levels) + 1 if levels else None
+
+
 class NaNApply(ShiftOperator):
     """``apply`` images with NaN in place of every coefficient."""
 

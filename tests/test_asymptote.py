@@ -112,7 +112,7 @@ def test_mixed_subtree_asymptote_is_pure_bilateral():
         def max_weight(self):
             return 1.0
 
-        def convergence_floor_level(self, model):
+        def convergence_floor_level(self):
             return 1  # weights are unit at every level below the branch
 
     op = ShiftOperator(make_family("tilde"), SpineAlive())

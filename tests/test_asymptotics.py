@@ -44,7 +44,7 @@ from treeshift.weights import (
 )
 
 from conftest import (BINARY_ISOMETRY, UnstatedBound, contractive_operator, full_window,
-                      random_finite_tree)
+                      random_finite_tree, reference_floor)
 from test_memoized_queries import ref_adjoint_level, ref_descend, ref_read_off
 
 
@@ -625,8 +625,8 @@ class PerVertex(WeightAssignment):
     def max_weight(self):
         return self.inner.max_weight()
 
-    def convergence_floor_level(self, model):
-        return self.inner.convergence_floor_level(model)
+    def convergence_floor_level(self):
+        return self.inner.convergence_floor_level()
 
 
 class CountingConstant(ConstantWeights):
@@ -647,7 +647,7 @@ LEVEL_ONLY = [UnstatedBound(0.6), GeometricWeights(BINARY_ISOMETRY, 0.9),
 
 
 def _weights_id(weights):
-    return getattr(weights, "name", weights.kind)
+    return getattr(weights, "name", "constant")  # the one unnamed law here is constant
 
 
 def _per_vertex(weights):
@@ -795,7 +795,7 @@ def old_lumped_descend(op, u, tol=DEFAULT_TOL, max_depth=DEFAULT_MAX_DEPTH):
     model and the weights about the children of its own representatives."""
     model, weights = op.model, op.weights
     min_depth = CONSECUTIVE_SMALL + 5
-    floor = weights.convergence_floor_level(model)
+    floor = reference_floor(weights, model)
     if floor is not None:
         min_depth = max(min_depth, floor - model.level(u) + CONSECUTIVE_SMALL + 2)
     frontier = {u: 1.0}

@@ -1,6 +1,7 @@
 """Backward-shift cyclic construction, Krylov oracle, verdict engine."""
 
 import copy
+import hashlib
 import math
 
 import numpy as np
@@ -28,7 +29,7 @@ from treeshift.errors import (DimensionCap, ScheduleTooShort, StageUnderflow, We
 from treeshift.shifts import ShiftOperator
 from treeshift.sparse import SparseVector
 from treeshift.trees import make_family, materialize_window, validate_finite
-from treeshift.weights import ConstantWeights, HashRandomWeights, MapWeights, hash_unit, unit_hasher
+from treeshift.weights import ConstantWeights, HashRandomWeights, MapWeights, unit_hasher
 
 from conftest import full_window, random_finite_tree
 from krylov_reference import (
@@ -490,6 +491,13 @@ def test_weight_runs_equal_the_per_index_weights(weights, branches, zeros):
                 _read(spec, plain, order[(step + j + 1) % 3], j, stop // 3)
 
 
+def hash_unit(key: str) -> float:
+    """The reference unit of a key: its 8-byte blake2b digest, one hash per
+    key, read as a big-endian integer over 2^64."""
+    digest = hashlib.blake2b(key.encode(), digest_size=8).digest()
+    return int.from_bytes(digest, "big") / 2.0 ** 64
+
+
 def test_unit_hasher_gives_the_one_shot_units():
     keys = ["0", "1", "-3", "2'", "17'", "5:1", "-4:0", "v001", "root", ""]
     for prefix in ("0:", "929756531:", "3:1:", "-2:0:", ""):
@@ -504,6 +512,9 @@ def test_unit_hasher_gives_the_one_shot_units():
     rule = uniform_weight_rule(929756531, 0.5, 0.99)
     assert rule.run(1, 3, 40) == [0.5 + (0.99 - 0.5) * hash_unit(f"929756531:1:{k}")
                                   for k in range(3, 40)]
+    assert [rule(j, k) for j, k in ((0, 0), (1, 9), (1, 10), (2, 999))] == [
+        0.5 + (0.99 - 0.5) * hash_unit(f"929756531:{j}:{k}")
+        for j, k in ((0, 0), (1, 9), (1, 10), (2, 999))]
 
 
 def test_a_batched_weight_run_is_bit_identical_to_one_key_at_a_time():

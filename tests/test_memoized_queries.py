@@ -50,7 +50,7 @@ from treeshift.weights import (
 )
 
 from conftest import (BINARY_ISOMETRY, NaNAdjoint, NaNApply, UnstatedBound,
-                      contractive_operator, full_window, random_finite_tree)
+                      contractive_operator, full_window, random_finite_tree, reference_floor)
 
 
 # -- the un-memoized reference --------------------------------------------------------
@@ -60,7 +60,7 @@ def ref_descend(op, u, tol=DEFAULT_TOL, max_depth=DEFAULT_MAX_DEPTH,
     """Per-vertex partial sums s_n(u), asking the model and weights on every visit."""
     model, weights = op.model, op.weights
     min_depth = CONSECUTIVE_SMALL + 5
-    floor = weights.convergence_floor_level(model)
+    floor = reference_floor(weights, model)
     if floor is not None:
         min_depth = max(min_depth, floor - model.level(u) + CONSECUTIVE_SMALL + 2)
     frontier = {u: 1.0}
@@ -483,10 +483,12 @@ def _oracle_cases():
     op = contractive_operator(rng, tree)
     finite_doc = {"vertices": sorted(tree.vertices()),
                   "edges": [[tree.parent(v), v] for v in tree.vertices() if v != tree.root]}
-    yield finite_doc, op.weights.to_json(), f"0:{tree.depth()}"
-    yield {"family": "tilde", "params": {}}, HashRandomWeights(3, 0.3, 0.65).to_json(), "-6:6"
+    yield finite_doc, {"kind": "map", "values": op.weights.head}, f"0:{tree.depth()}"
+    yield ({"family": "tilde", "params": {}},
+           {"kind": "family", "name": "hash-random",
+            "params": {"seed": 3, "low": 0.3, "high": 0.65}}, "-6:6")
     yield ({"family": "comb", "params": {"primed_leaf": 4}},
-           padded_map(rng, 6, 4).to_json(), "-6:6")
+           {"kind": "map", "values": padded_map(rng, 6, 4).head, "default": 1.0}, "-6:6")
 
 
 @pytest.mark.parametrize("operator_class", [ShiftOperator, _WrongApply, _WrongAdjoint,
@@ -713,7 +715,7 @@ def test_finite_tree_queries_check_no_membership(tmp_path, capsys, monkeypatch, 
     tree_path.write_text(json.dumps({
         "vertices": tree.vertices(),
         "edges": [[tree.parent(v), v] for v in tree.vertices() if v != tree.root]}))
-    weights_path.write_text(json.dumps(op.weights.to_json()))
+    weights_path.write_text(json.dumps({"kind": "map", "values": op.weights.head}))
     counts = Counter()
     monkeypatch.setattr(cli, "load_tree",
                         lambda path: _counting_membership(load_tree(path), counts))
@@ -748,3 +750,31 @@ def test_each_query_checks_its_id_once(model, u, checks):
         counts.clear()
         query(u)
         assert counts == Counter({"__contains__": checks, "_parse": checks}), query.__name__
+
+
+def test_an_analysis_reads_the_weight_head_once(tmp_path, capsys, monkeypatch):
+    """The operator reads the level of each head key once, for the norm, the
+    forward floor and the adjoint sweep together.  ``1'`` is not a vertex of
+    the path, so that read is its only parse.  ``-3`` lies above the window:
+    besides its level, the norm asks its parent (it is a head vertex) and its
+    children (it is the parent of the window's top vertex)."""
+    tree_path, weights_path = tmp_path / "tree.json", tmp_path / "weights.json"
+    tree_path.write_text(json.dumps({"family": "bilateral-path"}))
+    weights_path.write_text(json.dumps({"kind": "map", "values": {"1": 0.6, "-3": 0.5,
+                                                                  "1'": 0.7}, "default": 1.0}))
+    counts = Counter()
+
+    def load(path):
+        model = load_tree(path)
+        cls = type(model)
+
+        def parse(self, u):
+            counts[u] += 1
+            return cls._parse(self, u)
+        model.__class__ = type(cls.__name__, (cls,), {"_parse": parse})
+        return model
+    monkeypatch.setattr(cli, "load_tree", load)
+    assert main(["analyze", "--tree", str(tree_path), "--weights", str(weights_path),
+                 "--levels=-2:2"]) == 0
+    assert "error" not in capsys.readouterr().err
+    assert (counts["1'"], counts["-3"]) == (1, 3)

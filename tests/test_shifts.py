@@ -284,32 +284,6 @@ def test_same_level_images_are_orthogonal(rng):
 
 # -- weight assignments ---------------------------------------------------------
 
-def test_weights_json_roundtrip():
-    for doc in (
-        {"kind": "map", "values": {"a": 0.5}, "default": 1.0},
-        {"kind": "constant", "value": 0.70710678},
-        {"kind": "family", "name": "exp-ray", "params": {"base": 2.0, "start_level": 1}},
-        {"kind": "family", "name": "geometric", "params": {"scale": 0.9, "ratio": 0.8}},
-        {"kind": "family", "name": "step", "params": {"low": 0.5, "high": 1.0, "cut": -2}},
-        {"kind": "family", "name": "rays", "params": {"spine": 0.7, "primed": 0.6}},
-        {"kind": "family", "name": "rays",
-         "params": {"spine": 1.0, "primed": 1.0, "branch_spine": 0.6, "branch_primed": 0.8}},
-        {"kind": "family", "name": "rays", "params": {"spine": 0.7, "primed": 0.6,
-                                                      "branch_primed": 0.5}},
-        {"kind": "family", "name": "binary-spine", "params": {}},
-        {"kind": "family", "name": "hash-random", "params": {"seed": 7, "low": 0.5, "high": 0.9}},
-    ):
-        w = weights_from_json(doc)
-        assert w.to_json() == doc
-    # defaulted params are written out, params left None are not
-    assert weights_from_json({"kind": "family", "name": "exp-ray"}).to_json()["params"] == {
-        "base": 2.0, "start_level": 1}
-    assert weights_from_json({"kind": "family", "name": "step",
-                              "params": {"low": 0.5, "high": 0.6}}).to_json()["params"] == {
-        "low": 0.5, "high": 0.6, "cut": 0}
-    assert weights_from_json({"kind": "family", "name": "binary-spine"}).to_json()["params"] == {}
-
-
 @pytest.mark.parametrize("name,params,text", [
     ("geometric", {"scale": 0.5}, "['scale', 'ratio'], got {\"scale\": 0.5}"),
     ("geometric", {}, "['scale', 'ratio'], got {}"),
