@@ -47,7 +47,7 @@ from .asymptotics import (
     stable_subtree,
 )
 from .records import dumps_sorted
-from .shifts import ShiftOperator, vector_to_dense  # noqa: F401  (perfbench/tracing.py wraps it)
+from .shifts import ShiftOperator
 from .sparse import SparseVector, nan_max
 from .trees import branching_index, count_text, leaves, load_tree, materialize_window
 from .weights import load_weights
@@ -55,11 +55,13 @@ from .weights import load_weights
 EXIT_BROKEN_PIPE = 1
 
 # The layers that one command alone uses -> the names this module reads of
-# each; ``_load`` binds them when that command first runs.
+# each; ``_load`` binds them when that command first runs.  No command reads
+# ``cokernel_dimension`` or ``vector_to_dense``: only perfbench/tracing.py does.
 _ON_FIRST_USE = {
     "cyclicity": ("backward_shift_verdict", "backward_spec_from_json", "cokernel_dimension",
                   "construct_backward_cyclic", "cyclicity_verdict", "range_membership_report",
                   "verify_cyclic_candidate"),
+    "shifts": ("vector_to_dense",),
     "similarity": ("build_leaf_similarity", "build_tilde_quasiaffinity"),
 }
 

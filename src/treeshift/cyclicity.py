@@ -549,8 +549,6 @@ def backward_spec_from_json(doc) -> BackwardShiftSpec:
     Bad weights raise WeightError; bad JSON or a bad shape TreeSpecError.
     """
     doc = decoded(doc, TreeSpecError, "a backward shift spec")
-    if not isinstance(doc, dict):
-        raise TreeSpecError(f"a backward shift spec must be a JSON object, got {shown(doc)}")
     wdoc = doc.get("weights", {"kind": "constant", "value": 1.0})
     if not isinstance(wdoc, dict):
         raise WeightError(f"backward weights must be a JSON object, got {shown(wdoc)}")

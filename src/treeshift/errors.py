@@ -23,12 +23,16 @@ def read_input(path, error) -> str:
         raise error(f"cannot read {str(path)!r}: {reason}") from None
 
 
-def decoded(doc, error, what: str):
-    """``doc`` decoded when it is JSON text, else ``doc``; bad JSON raises ``error``."""
+def decoded(doc, error, what: str) -> dict:
+    """``doc`` decoded when it is JSON text, else ``doc``; bad JSON, or a doc
+    that is not a JSON object, raises ``error``."""
     try:
-        return json.loads(doc) if isinstance(doc, str) else doc
+        doc = json.loads(doc) if isinstance(doc, str) else doc
     except json.JSONDecodeError as exc:
         raise error(f"{what} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise error(f"{what} must be a JSON object, got {shown(doc)}")
+    return doc
 
 
 class TreeShiftError(Exception):
@@ -63,10 +67,6 @@ class VertexNotFound(TreeShiftError):
     def __init__(self, vertex):
         super().__init__(f"vertex {vertex!r} is not part of the model")
         self.vertex = vertex
-
-
-class UnknownVertex(VertexNotFound):
-    pass
 
 
 class EmptyWindow(VertexNotFound):

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import UnknownVertex, VertexNotFound, WeightError, WindowTooLarge
+from .errors import VertexNotFound, WeightError, WindowTooLarge
 from .records import Record
 from .sparse import SparseVector
 from .trees import TreeWindow
@@ -119,16 +119,10 @@ class ShiftOperator:
 
     def apply(self, x: SparseVector) -> SparseVector:
         out = {}
+        children, weight = self.children, self.weight
         for u, c in x.coeffs.items():
-            kids = self._children.get(u)
-            if kids is None:
-                try:
-                    kids = self.children(u)
-                except VertexNotFound:
-                    raise UnknownVertex(u) from None
-            for v in kids:  # v has one parent, so no other u reaches it
-                w = self._weights.get(v)
-                term = c * (self.weight(v) if w is None else w)
+            for v in children(u):  # v has one parent, so no other u reaches it
+                term = c * weight(v)
                 if term != 0.0:
                     out[v] = term
         return SparseVector.wrap(out)
@@ -136,14 +130,9 @@ class ShiftOperator:
     def apply_adjoint(self, x: SparseVector) -> SparseVector:
         out = {}
         for u, c in x.coeffs.items():
-            try:
-                p = self.parent(u)
-            except VertexNotFound:
-                raise UnknownVertex(u) from None
-            if p is None:
-                continue
-            w = self._weights.get(u)
-            out[p] = out.get(p, 0.0) + c * (self.weight(u) if w is None else w)
+            p = self.parent(u)
+            if p is not None:
+                out[p] = out.get(p, 0.0) + c * self.weight(u)
         if 0.0 in out.values():  # a zero weight, or siblings' terms that cancel
             out = {k: c for k, c in out.items() if c != 0.0}
         return SparseVector.wrap(out)
@@ -294,5 +283,5 @@ def vector_to_dense(window: TreeWindow, x: SparseVector, strict: bool = True) ->
         if u in window:
             out[window.index_of(u)] = c
         elif strict:
-            raise UnknownVertex(u)
+            raise VertexNotFound(u)
     return out

@@ -475,8 +475,6 @@ def tree_from_json(doc) -> DirectedTreeModel:
     raises TreeSpecError, and so does text that is not JSON.
     """
     doc = decoded(doc, TreeSpecError, "a tree spec")
-    if not isinstance(doc, dict):
-        raise TreeSpecError(f"a tree spec must be a JSON object, got {shown(doc)}")
     if "family" in doc:
         params = doc.get("params")
         if params is not None and not isinstance(params, dict):

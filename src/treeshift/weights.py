@@ -393,8 +393,6 @@ def weights_from_json(doc) -> WeightAssignment:
     """Build a weight assignment from its JSON doc (or JSON text); bad JSON,
     a doc of the wrong shape, a missing field or a bad value raises WeightError."""
     doc = decoded(doc, WeightError, "a weight spec")
-    if not isinstance(doc, dict):
-        raise WeightError(f"a weight spec must be a JSON object, got {shown(doc)}")
     kind = doc.get("kind")
     if kind == "map":
         values = _required(doc, "values", "map weights")

@@ -11,6 +11,7 @@ bounded, so the suite stays deterministic and fast.
 """
 
 import contextlib
+import importlib
 import io
 import json
 import math
@@ -323,6 +324,22 @@ def test_unreadable_files_exit_2_with_a_typed_line(workdir, slot, how, data):
     assert err.startswith(f"error: {name}: ") and err.count("\n") == 1, (argv, err)
     # a file error names the path; a JSON error says where the text breaks
     assert (repr(str(bad)) if how != "truncated" else "is not valid JSON: ") in err, err
+
+
+@pytest.mark.parametrize("doc, got", [(None, "null"), ("null", "null"), ("[1, 2]", "[1, 2]"),
+                                      (3, "3"), ('"tilde"', '"tilde"'), ("true", "true")])
+@pytest.mark.parametrize("reader, error, what", [
+    ("treeshift.trees.tree_from_json", errors.TreeSpecError, "a tree spec"),
+    ("treeshift.weights.weights_from_json", errors.WeightError, "a weight spec"),
+    ("treeshift.cyclicity.backward_spec_from_json", errors.TreeSpecError,
+     "a backward shift spec")])
+def test_a_spec_that_is_not_a_json_object_is_named_by_its_kind(reader, error, what, doc, got):
+    """Each spec reader rejects a doc, or JSON text, that is not an object
+    with the one message shape: what the spec is, then the value as JSON."""
+    module, _, name = reader.rpartition(".")
+    with pytest.raises(error) as info:
+        getattr(importlib.import_module(module), name)(doc)
+    assert info.type is error and str(info.value) == f"{what} must be a JSON object, got {got}"
 
 
 # -- anything else is a bug -------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from treeshift.cyclicity import cokernel_dimension
-from treeshift.errors import UnknownVertex, WeightError, WindowTooLarge
+from treeshift.errors import VertexNotFound, WeightError, WindowTooLarge
 from treeshift.shifts import ShiftOperator, vector_to_dense
 from treeshift.sparse import SparseVector
 from treeshift.trees import make_family, materialize_window, validate_finite
@@ -59,8 +59,9 @@ def test_apply_linearity_on_bilateral():
 
 
 def test_apply_unknown_vertex():
-    with pytest.raises(UnknownVertex):
+    with pytest.raises(VertexNotFound) as info:
         star().apply(SparseVector.basis("zz"))
+    assert info.type is VertexNotFound
 
 
 def test_adjoint_kills_root_and_pulls_up():
@@ -164,6 +165,16 @@ def test_dense_matches_apply_on_interior(rng):
         got = mat @ vector_to_dense(window, SparseVector.basis(u))
         want = vector_to_dense(window, op.apply(SparseVector.basis(u)))
         assert np.max(np.abs(got - want)) == 0.0
+
+
+def test_vector_to_dense_outside_the_window_is_vertex_not_found():
+    """A support vertex outside the window fails as an absent vertex does,
+    with exactly VertexNotFound naming it; strict=False drops it."""
+    window = materialize_window(make_family("bilateral-path"), 0, 2)
+    with pytest.raises(VertexNotFound, match="'5'") as info:
+        vector_to_dense(window, SparseVector.basis("5"))
+    assert info.type is VertexNotFound
+    assert not vector_to_dense(window, SparseVector.basis("5"), strict=False).any()
 
 
 def test_dense_nilpotency_depth(rng):

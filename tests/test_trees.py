@@ -12,7 +12,6 @@ from treeshift.errors import (
     MultipleParents,
     RootMismatch,
     TreeSpecError,
-    UnknownVertex,
     VertexNotFound,
 )
 from treeshift.shifts import ShiftOperator
@@ -231,7 +230,7 @@ NOT_STR_IDS = {
 def test_absent_and_malformed_ids_fail_as_before(name):
     """``in`` answers False and ``children``, ``parent`` and ``level`` raise
     VertexNotFound naming the id; an id that is not a str raises what it
-    always raised.  ``apply`` and ``apply_adjoint`` raise UnknownVertex."""
+    always raised.  ``apply`` and ``apply_adjoint`` raise exactly VertexNotFound too."""
     model = id_trees()[name]
     queries = (model.children, model.parent, model.level)
     for u in PRESENT_IDS[name]:
@@ -244,7 +243,7 @@ def test_absent_and_malformed_ids_fail_as_before(name):
             assert outcome(query, u) == (VertexNotFound, f"vertex {u!r} is not part of the model")
         for image in (op.apply, op.apply_adjoint):
             assert outcome(image, SparseVector({u: 1.0})) == \
-                (UnknownVertex, f"vertex {u!r} is not part of the model")
+                (VertexNotFound, f"vertex {u!r} is not part of the model")
     for u, failure in NOT_STR_IDS[name]:
         if failure is None:  # no such vertex
             assert (u in model) is False
