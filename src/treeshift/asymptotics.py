@@ -49,10 +49,11 @@ and never asks for the weight of a vertex outside the window.  That is the
 product a walk of the one-vertex frontier forms, so the records are the same
 floats.  Every other descent walks its cone vertex by vertex.  On either path
 ``alpha_profile`` descends only from the window's boundary and reads the rest
-off.  The adjoint side is the same for every law: it walks the generation's
-vertex ids, sums the members' chains of lambda^2 products
-(``ShiftOperator.ancestor_chain``) column by column, and gives each member
-the square root of its chain's last product as its h coefficient.
+off.  The norm and the ancestor chains lump too (``ShiftOperator``).  The
+adjoint side walks the generation's vertex ids, sums the members' chains of
+lambda^2 products column by column over the last columns, the ones it reads,
+and gives each member the square root of its chain's last product as its h
+coefficient.
 
 Every walk asks the operator, not the model, for weights, children and
 parents, so overlapping cones and ancestor chains evaluate each vertex once
@@ -369,12 +370,15 @@ def _adjoint_level(operator: ShiftOperator, u: str, depth: int, tol: float,
     # A rootless chain never stops at a root, so each holds ``depth`` products;
     # the partial sums over the members certify convergence of the product tails.
     chains = {v: ancestor_products(operator, v, depth)[0] for v in members}
-    sums = [sum(col) for col in zip(*chains.values())]
+    # Only the column sums of the last CONSECUTIVE_SMALL + 1 columns are read,
+    # and the columns end with the shortest chain.
+    n = min(map(len, chains.values()))
+    lo = max(n - CONSECUTIVE_SMALL - 1, 0)
+    sums = [sum(col) for col in zip(*(chain[lo:n] for chain in chains.values()))]
     coefficients = {v: math.sqrt(chains[v][-1]) for v in members}
     # The chain of u holds the weights of levels down to level(u) - depth + 1.
-    tail_ok = (len(sums) > CONSECUTIVE_SMALL
-               and all(abs(sums[d] - sums[d - 1]) < tol
-                       for d in range(len(sums) - CONSECUTIVE_SMALL, len(sums)))
+    tail_ok = (n > CONSECUTIVE_SMALL
+               and all(abs(sums[d] - sums[d - 1]) < tol for d in range(1, len(sums)))
                and (head_top is None or operator.model.level(u) - depth < head_top))
     estimate = sums[-1] if sums else 0.0
     status = CONVERGED if (gen_exact and tail_ok) else MAX_DEPTH

@@ -14,13 +14,15 @@ def shown(value) -> str:
 
 
 def read_input(path, error) -> str:
-    """The text of the file at ``path``; an unreadable one raises ``error`` naming the path."""
+    """The text of the file at ``path`` as a text-mode read gives it: UTF-8, each CRLF
+    and then each lone CR read as LF.  An unreadable one raises ``error`` naming the path."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         reason = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
         raise error(f"cannot read {str(path)!r}: {reason}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def decoded(doc, error, what: str) -> dict:

@@ -29,10 +29,11 @@ class ShiftOperator:
     The model and the weights are fixed once the operator is built.  The
     operator memoizes, per vertex, the weight lambda_v and the tree queries
     ``children(u)`` and ``parent(u)``, ``operator_norm`` per window,
-    ``head_levels`` once, and ``ancestor_chain`` per vertex and depth
-    (squaring the memoized weights, whatever the weight law), so an analysis
-    evaluates each vertex once, reads the head once, and a vertex whose
-    parent's chain is known does not walk its own.  The first
+    ``head_levels`` once, and ``ancestor_chain`` per vertex and depth, so an
+    analysis evaluates each vertex once, reads the head once, and a vertex
+    whose parent's chain is known does not walk its own.  Under a level law
+    (``level_only``) the norm scan and the chains are lumped by level: they ask
+    no vertex weight and give the same floats.  The first
     query of a vertex goes through the model and the weight assignment, so
     their checks run and raise at the same vertex as without the memo, and a
     query that raises is not memoized; later queries return the same float,
@@ -96,22 +97,25 @@ class ShiftOperator:
         vertices walked: v first, last the stop, None when the walk would
         have to pass the root, whose weight it never asks for).  When
         the parent's chain is memoized, v's is its own square and itself
-        prepended to it, cut to length: the same floats, without a walk."""
+        prepended to it, cut to length: the same floats, without a walk.
+        Under a level law step i squares ``level_weight(level(v) - i)``."""
         table = self._chains.setdefault(depth, {})
         chain = table.get(v)
         if chain is None:
             above = table.get(self.parent(v))
+            lvl = self.model.level(v) if self.weights.level_only else None
+            level_weight = self.weights.level_weight
             if above is not None:
-                chain = (((self.weight(v) ** 2,) + above[0])[:depth],
-                         ((v,) + above[1])[:depth + 1])
+                w = self.weight(v) if lvl is None else level_weight(lvl)
+                chain = (((w ** 2,) + above[0])[:depth], ((v,) + above[1])[:depth + 1])
             else:
                 squares, ancestors, w = [], [v], v
-                for _ in range(depth):
+                for i in range(depth):
                     parent = self.parent(w)
                     if parent is None:  # w is the root, which carries no weight
                         ancestors.append(None)
                         break
-                    squares.append(self.weight(w) ** 2)
+                    squares.append((self.weight(w) if lvl is None else level_weight(lvl - i)) ** 2)
                     ancestors.append(w := parent)
                 chain = (tuple(squares), tuple(ancestors))
             table[v] = chain
@@ -206,7 +210,16 @@ class ShiftOperator:
         points = self.model.branch_points()
         for v, _, _ in points or ():
             scan[v] = None
-        window_value = max(self._column_norm(u) for u in scan)
+        per_vertex = self.model.children_per_vertex
+        if per_vertex is not None and self.weights.level_only:
+            # One column per level, the window's, then those of the scan outside it.
+            levels = dict.fromkeys(window.by_level)
+            levels.update(dict.fromkeys(map(self.model.level, list(scan)[len(window.order):])))
+            level_weight = self.weights.level_weight
+            window_value = max(math.sqrt(sum([level_weight(lvl + 1) ** 2] * per_vertex))
+                               for lvl in levels)
+        else:
+            window_value = max(self._column_norm(u) for u in scan)
         keyed = dict.fromkeys(self.parent(v) for v in self.head_levels())
         value = max([window_value] + [self._column_norm(u) for u in keyed if u not in scan])
         top = self.tail_bound()

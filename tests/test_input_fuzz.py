@@ -296,6 +296,15 @@ GOOD_FILES = {"--tree": "tilde.json", "--weights": "half.json", "--backward": "b
 NOT_UTF8 = st.sampled_from([b"\xff", b"\x80", b"\xc3(", b"\xed\xa0\x80"])
 
 
+def _reading(workdir, slot, path):
+    """An argv that reads ``path`` as its ``slot`` file and the good files for the rest."""
+    if slot == "--backward":
+        return ["cyclic", "--backward", str(path)]
+    files = {**GOOD_FILES, slot: path}
+    return ["analyze", "--tree", str(workdir / files["--tree"]),
+            "--weights", str(workdir / files["--weights"])]
+
+
 @FUZZ
 @given(slot=st.sampled_from(sorted(GOOD_FILES)),
        how=st.sampled_from(["missing", "directory", "not-utf8", "truncated"]),
@@ -312,18 +321,74 @@ def test_unreadable_files_exit_2_with_a_typed_line(workdir, slot, how, data):
         bad.write_bytes(text[:cut] + data.draw(NOT_UTF8) + text[cut:])
     else:
         bad.write_bytes(text[:cut])
-    if slot == "--backward":
-        argv = ["cyclic", "--backward", str(bad)]
-    else:
-        files = {**GOOD_FILES, slot: bad}
-        argv = ["analyze", "--tree", str(workdir / files["--tree"]),
-                "--weights", str(workdir / files["--weights"])]
+    argv = _reading(workdir, slot, bad)
     code, err = _exit(argv)
     assert code == 2, (argv, err)
     name = "WeightError" if slot == "--weights" else "TreeSpecError"
     assert err.startswith(f"error: {name}: ") and err.count("\n") == 1, (argv, err)
     # a file error names the path; a JSON error says where the text breaks
     assert (repr(str(bad)) if how != "truncated" else "is not valid JSON: ") in err, err
+
+
+# The error class and the spec's name in each file slot's messages.
+SPEC_OF = {"--tree": (errors.TreeSpecError, "a tree spec"),
+           "--weights": (errors.WeightError, "a weight spec"),
+           "--backward": (errors.TreeSpecError, "a backward shift spec")}
+
+
+def _text_mode_error(path, slot):
+    """The error line for the file at ``path`` in ``slot`` when its text is
+    read in text mode, as ``open(path, encoding="utf-8").read()`` gives it."""
+    error, what = SPEC_OF[slot]
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    with pytest.raises(error) as info:
+        errors.decoded(text, error, what)
+    return f"error: {error.__name__}: {info.value}\n"
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "lone-cr"])
+@pytest.mark.parametrize("slot", sorted(GOOD_FILES))
+def test_a_json_error_past_line_ends_is_placed_as_a_text_mode_read_places_it(
+        workdir, slot, newline):
+    """Each line end counts as one "\\n": the line, the column and the
+    character offset are those of the text-mode read, not of the bytes."""
+    doc = json.loads((workdir / GOOD_FILES[slot]).read_text())
+    text = json.dumps(doc, indent=1)[:-1] + ",\n}"  # a trailing comma on a line of its own
+    bad = workdir / "line-ends.json"
+    bad.write_bytes(text.replace("\n", newline).encode())
+    code, err = _exit(_reading(workdir, slot, bad))
+    assert code == 2 and err == _text_mode_error(bad, slot)
+    with pytest.raises(json.JSONDecodeError) as raw:
+        json.loads(bad.read_bytes().decode())
+    assert "line 1 " not in err and str(raw.value) not in err
+
+
+@pytest.mark.parametrize("slot", sorted(GOOD_FILES))
+def test_a_byte_order_mark_is_reported_as_before(workdir, slot):
+    bad = workdir / "bom.json"
+    bad.write_bytes(b"\xef\xbb\xbf" + (workdir / GOOD_FILES[slot]).read_bytes())
+    error, what = SPEC_OF[slot]
+    code, err = _exit(_reading(workdir, slot, bad))
+    assert code == 2 and err == _text_mode_error(bad, slot) == (
+        f"error: {error.__name__}: {what} is not valid JSON: Unexpected UTF-8 BOM "
+        f"(decode using utf-8-sig): line 1 column 1 (char 0)\n")
+
+
+@pytest.mark.parametrize("slot", sorted(GOOD_FILES))
+def test_bytes_that_are_not_utf8_are_named_so(workdir, slot):
+    bad = workdir / "latin1.json"
+    bad.write_bytes((workdir / GOOD_FILES[slot]).read_bytes()[:-1] + b' "\xe9"}')
+    code, err = _exit(_reading(workdir, slot, bad))
+    assert code == 2 and err == (f"error: {SPEC_OF[slot][0].__name__}: "
+                                 f"cannot read {str(bad)!r}: not UTF-8 text\n")
+
+
+def test_read_input_gives_the_text_of_a_text_mode_read(tmp_path):
+    path = tmp_path / "mixed.txt"
+    path.write_bytes("a\r\nb\rc\n\r\r\nd\r\u00e9\r".encode())
+    with open(path, encoding="utf-8") as fh:
+        assert errors.read_input(path, errors.WeightError) == fh.read() == "a\nb\nc\n\n\nd\n\u00e9\n"
 
 
 @pytest.mark.parametrize("doc, got", [(None, "null"), ("null", "null"), ("[1, 2]", "[1, 2]"),

@@ -81,6 +81,15 @@ def test_a_steep_exp_ray_has_a_parent_closed_stable_subtree(tmp_path, capsys):
     assert code != 2
 
 
+@known(18, "limits of 1e-600 underflow to 0.0, and asymptote calls the shift stable")
+def test_a_limit_below_the_double_range_is_not_called_stable(tmp_path, capsys):
+    # alpha(u) = (1e-300)^2 = 1e-600 > 0 at every window vertex u, below level 20
+    code, _ = run(tmp_path, capsys, ["asymptote", "--levels=-2:2"],
+                  tree={"family": "bilateral-path"},
+                  weights={"kind": "map", "values": {"20": 1e-300}, "default": 1.0})
+    assert code != 4
+
+
 @known(12, "stage 39's bound exceeds 2^-39 by rounding, and the candidate is certified")
 def test_a_certified_candidate_meets_every_stage_bound(tmp_path, capsys):
     doc = {"branches": 1,

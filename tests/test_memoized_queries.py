@@ -36,7 +36,7 @@ from treeshift.asymptotics import (
 )
 from treeshift.cli import main
 from treeshift.errors import NotAContraction, VertexNotFound, WeightError
-from treeshift.shifts import ShiftOperator, vector_to_dense
+from treeshift.shifts import NormBound, ShiftOperator, vector_to_dense
 from treeshift.sparse import SparseVector, nan_max
 from treeshift.trees import (CombTree, load_tree, make_family, materialize_window,
                              validate_finite)
@@ -382,12 +382,19 @@ def test_an_ancestor_chain_stops_at_the_root():
 
 
 class CountingOperator(ShiftOperator):
+    """Counts the vertex weights asked of the operator: ``weighed`` per vertex,
+    ``weight_calls`` in all."""
+
     def __init__(self, *args):
         super().__init__(*args)
-        self.weight_calls = 0
+        self.weighed = Counter()
+
+    @property
+    def weight_calls(self):
+        return sum(self.weighed.values())
 
     def weight(self, v):
-        self.weight_calls += 1
+        self.weighed[v] += 1
         return super().weight(v)
 
 
@@ -404,6 +411,152 @@ def test_adjoint_chains_of_consecutive_levels_share_one_walk():
     # depth, then one new square per level
     assert op.weight_calls <= (levels + 1) + depth + levels
     assert op.weight_calls < levels * depth // 10
+
+
+# -- level lumping ---------------------------------------------------------------------
+
+def ref_operator_norm(op, window):
+    """The norm of a law with no head as it was scanned column by column:
+    each scanned vertex's children, each weight asked of the law."""
+    model, weights = op.model, op.weights
+    assert not weights.head and model.vertices() is None
+    if op.is_certified_isometry():
+        return NormBound(1.0, 1.0, True)
+    scan = dict.fromkeys(window.order)
+    for u in window.top_boundary():
+        scan[model.parent(u)] = None
+    for v, _, _ in model.branch_points() or ():
+        scan[v] = None
+    window_value = max(math.sqrt(sum(weights.weight(model, v) ** 2 for v in model.children(u)))
+                       for u in scan)
+    top, fan = weights.tail.max_weight(), model.eventual_fan()
+    return NormBound(max(window_value, top * math.sqrt(fan)), window_value, True)
+
+
+def ref_ancestor_chain(op, v, depth):
+    """``ShiftOperator.ancestor_chain`` walked up from v alone, asking each
+    ancestor's weight of the law."""
+    model, weights = op.model, op.weights
+    squares, ancestors, w = [], [v], v
+    for _ in range(depth):
+        parent = model.parent(w)
+        if parent is None:
+            ancestors.append(None)
+            break
+        squares.append(weights.weight(model, w) ** 2)
+        ancestors.append(w := parent)
+    return tuple(squares), tuple(ancestors)
+
+
+LEVEL_LAWS = {"constant": ConstantWeights(0.6), "geometric": GeometricWeights(0.7, 0.9),
+              "step": StepWeights(0.5, 0.7, cut=0), "exp-ray": ExpRayWeights(2.0, -1)}
+LUMPED_FAMILIES = ("rootless-binary", "bilateral-path", "rooted-path")
+
+
+def norm_windows(model):
+    """A window from level 0, one starting deeper (rooted: below the root),
+    a single level, and on the binary tree one cut short by its breadth."""
+    windows = [materialize_window(model, 0, 3), materialize_window(model, 2, 5),
+               materialize_window(model, 1, 1)]
+    if model.children_per_vertex == 2:
+        windows.append(materialize_window(model, -1, 4, breadth=3))
+    return windows
+
+
+@pytest.mark.parametrize("law", sorted(LEVEL_LAWS))
+@pytest.mark.parametrize("family", LUMPED_FAMILIES)
+def test_a_level_law_norm_equals_the_per_vertex_scan(family, law):
+    """The norm lumped by level reports the same bound, bit for bit, and
+    asks no vertex weight."""
+    model = make_family(family)
+    for window in norm_windows(model):
+        op = CountingOperator(model, LEVEL_LAWS[law])
+        assert repr(op.operator_norm(window)) == repr(ref_operator_norm(op, window))
+        assert op.weight_calls == 0
+
+
+@pytest.mark.parametrize("family", LUMPED_FAMILIES)
+def test_a_level_weight_out_of_range_is_named_as_the_per_vertex_scan_names_it(family):
+    """The first column whose weight underflows raises the same WeightError,
+    whether it lies in the window or above it (window -2:0, whose columns
+    ask levels -1 to 1, and the parent above it level -2)."""
+    model = make_family(family)
+    weights = GeometricWeights(0.5, 1e-200)  # 0.0 from level 2 on either side
+    windows = norm_windows(model)
+    if not model.is_rooted:
+        windows += [materialize_window(model, -3, 1), materialize_window(model, -2, 0)]
+    for window in windows:
+        op = ShiftOperator(model, weights)
+        with pytest.raises(WeightError) as ref:
+            ref_operator_norm(op, window)
+        with pytest.raises(WeightError) as got:
+            op.operator_norm(window)
+        assert str(got.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("law", sorted(LEVEL_LAWS))
+@pytest.mark.parametrize("model", [
+    make_family("rootless-binary"), make_family("bilateral-path"), make_family("rooted-path"),
+    make_family("tilde"), make_family("comb", {"primed_leaf": 4}),
+    random_finite_tree(random.Random(7), 40)], ids=lambda m: m.family or "finite")
+def test_a_level_law_ancestor_chain_equals_the_per_vertex_walk(model, law):
+    """Under a level law the chain squares level weights: the same floats and
+    the same stops as a walk that asks each ancestor's weight, whether
+    parents or children are asked first, and no vertex weight is asked."""
+    window = (full_window(model) if model.vertices() is not None
+              else materialize_window(model, 0 if model.is_rooted else -3, 4, 8))
+    for order in (window.order, window.order[::-1]):
+        op = CountingOperator(model, LEVEL_LAWS[law])
+        for v in order:
+            for depth in (1, 3, DEFAULT_MAX_DEPTH):
+                assert op.ancestor_chain(v, depth) == ref_ancestor_chain(op, v, depth)
+        assert op.weight_calls == 0
+
+
+def _weighed_by_main(monkeypatch, tmp_path, capsys, tree, weights, levels):
+    """The vertex weights an ``analyze`` run asks its operator, by vertex."""
+    operators = []
+
+    def build(*args):
+        operators.append(CountingOperator(*args))
+        return operators[-1]
+    monkeypatch.setattr(cli, "ShiftOperator", build)
+    tree_path, weights_path = tmp_path / "tree.json", tmp_path / "weights.json"
+    tree_path.write_text(json.dumps(tree))
+    weights_path.write_text(json.dumps(weights))
+    assert main(["analyze", "--tree", str(tree_path), "--weights", str(weights_path),
+                 f"--levels={levels}"]) == 0
+    assert "norm:" in capsys.readouterr().out and len(operators) == 1
+    return operators[0].weighed
+
+
+def test_a_level_law_analysis_weighs_no_vertex_off_the_window(monkeypatch, tmp_path, capsys):
+    """On the binary tree the norm and both limits come from the level law
+    and the family bound: no vertex weight at all (16 when the norm scanned
+    vertex by vertex).  On a bilateral exp-ray window only the read-off of
+    the forward limits asks weights, those of the window's children in the
+    window: 6 vertices (71 when the norm and the chains asked per vertex,
+    64 of them above the window)."""
+    weighed = _weighed_by_main(monkeypatch, tmp_path, capsys, {"family": "rootless-binary"},
+                               {"kind": "constant", "value": 0.6}, "0:2")
+    assert weighed == Counter()
+    weighed = _weighed_by_main(
+        monkeypatch, tmp_path, capsys, {"family": "bilateral-path"},
+        {"kind": "family", "name": "exp-ray", "params": {"base": 2.0, "start_level": -3}},
+        "-3:3")
+    assert set(weighed) == {"-2", "-1", "0", "1", "2", "3"}
+
+
+@pytest.mark.parametrize("key,status", [("-4", CONVERGED), ("-5", MAX_DEPTH)])
+def test_adjoint_convergence_reads_the_last_three_decrements(key, status):
+    """Over depth 8 the chain of level 0 has columns 0 to 7, column d at level
+    -d, and the one weight below 1 makes the only nonzero decrement, at
+    column 4 or 5: outside the last three (5, 6, 7), or inside them."""
+    model = make_family("bilateral-path")
+    op = ShiftOperator(model, MapWeights({key: 0.5}, default=1.0))
+    adjoint = adjoint_profile(op, materialize_window(model, 0, 0), depth=8)
+    assert adjoint.profile.record("0").status == status
+    assert adjoint.h_vectors[0].norm_sq == 0.25
 
 
 def test_random_finite_trees_bit_equal():
