@@ -18,12 +18,12 @@ _EXPORTS = {
     "cyclicity": ("BackwardShiftSpec", "backward_shift_verdict", "cokernel_dimension",
                   "construct_backward_cyclic", "cyclicity_verdict", "sigma_m",
                   "verify_cyclic_candidate"),
-    "similarity": ("build_leaf_similarity", "build_tilde_quasiaffinity",
-                   "direct_sum_decomposition", "g_vector", "ratio_bounded"),
+    "similarity": ("build_leaf_similarity", "build_tilde_quasiaffinity", "g_vector",
+                   "ratio_bounded"),
     "sparse": ("SparseVector",),
     "shifts": ("ShiftOperator",),
-    "trees": ("branching_index", "chi_n", "gen_n", "leaves", "load_tree", "make_family",
-              "materialize_window", "tree_from_json", "validate_finite"),
+    "trees": ("branching_index", "leaves", "load_tree", "make_family", "materialize_window",
+              "tree_from_json", "validate_finite"),
     "weights": ("load_weights", "weights_from_json"),
 }
 

@@ -244,41 +244,3 @@ def build_tilde_quasiaffinity(operator: ShiftOperator, window: TreeWindow) -> Si
     cert = ratio_bounded(operator, horizon=max(64, primed_max))
     mode = "similar" if cert.status == "bounded" else "quasiaffine-only"
     return _witness(operator, window, "tilde-quasiaffinity", mode, cert, primed_max)
-
-
-class Decomposition(Record):
-    __slots__ = _fields = ("e_part", "g_part", "mu", "nu", "residual")
-
-
-def direct_sum_decomposition(x: SparseVector, operator: ShiftOperator) -> Decomposition:
-    """Split x into a spine part and a g-span part on the tilde shape.
-
-    mu_k is the coefficient against the normalized g_k; nu_n the remaining
-    spine coefficient.  Reconstruction is exact on finite supports.
-    """
-    model = _require_comb(operator, need_leaf=False)
-    levels = {u: model.level(u) for u in x.coeffs}
-    g, norms = _g_table(operator, max((abs(lvl) for lvl in levels.values()), default=0))
-
-    mu, nu = {}, {}
-    g_part = SparseVector()
-    e_part = SparseVector()
-    for k in g:
-        # g_k = p e_k - q e_k', so mu_k matches x's e_k' coefficient and
-        # nu_k is what that leaves of x's e_k coefficient
-        p, q = g[k][str(k)], -g[k][_primed_id(k)]
-        xi_p = x[_primed_id(k)]
-        mu_k = -xi_p * norms[k] / q
-        nu_k = x[str(k)] + (p / q) * xi_p
-        if mu_k != 0.0:
-            mu[k] = mu_k
-            g_part.add_scaled(g[k], mu_k / norms[k])
-        if nu_k != 0.0:
-            nu[k] = nu_k
-            e_part.coeffs[str(k)] = nu_k
-    for u, lvl in levels.items():
-        if lvl <= 0:
-            nu[lvl] = x[u]
-            e_part.coeffs[u] = x[u]
-    residual = (x - (e_part + g_part)).norm()
-    return Decomposition(e_part, g_part, mu, nu, residual)

@@ -55,9 +55,6 @@ class SparseVector:
                 self.coeffs[k] = val
         return self
 
-    def __add__(self, other):
-        return self.copy().add_scaled(other)
-
     def __sub__(self, other):
         return self.copy().add_scaled(other, -1.0)
 

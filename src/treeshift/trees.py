@@ -589,40 +589,6 @@ def materialize_window(model, level_lo, level_hi, breadth=64) -> TreeWindow:
     return TreeWindow(model, level_lo, level_hi, by_level, interior)
 
 
-def chi_n(model, verts, n: int) -> set:
-    """n-fold children image of a finite vertex set; chi_0 is the identity."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    current = set(verts)
-    for _ in range(n):
-        nxt = set()
-        for u in current:
-            nxt.update(model.children(u))
-        current = nxt
-        if not current:
-            break
-    return current
-
-
-def gen_n(model, u: str, n: int) -> set:
-    """n-th generation of u: union over j <= n of Chi^j(Par^j(u)).
-
-    Terms with a nonexistent j-fold parent are skipped, so the result always
-    contains u itself.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    model.require_vertex(u)
-    out = {u}
-    anc = u
-    for j in range(1, n + 1):
-        anc = model.parent(anc)
-        if anc is None:
-            break
-        out |= chi_n(model, {anc}, j)
-    return out
-
-
 def branching_index(model):
     """Branching index Br(T) = sum over vertices of (children count - 1)+;
     every model knows it for the whole tree."""

@@ -18,6 +18,7 @@ from treeshift.asymptotics import (
     classify,
     stable_subtree,
     _adjoint_level,
+    _generation,
     CONSECUTIVE_SMALL,
     CONVERGED,
     DEFAULT_MAX_DEPTH,
@@ -708,6 +709,40 @@ def test_frontier_cap_reports_depth_reached():
     assert rec.depth < 64
     # the descent stops at the first depth whose frontier 2^n exceeds the cap
     assert 2 ** (rec.depth - 1) <= FRONTIER_CAP < 2 ** rec.depth
+
+
+# -- generations: Gen^n(u), the union over j <= n of Chi^j(Par^j(u)) ------------------
+
+def generation(family, u, depth):
+    """The members of the generation of u that the adjoint sweep builds, as a
+    set, after checking that none repeats."""
+    members, _ = _generation(ShiftOperator(make_family(family), ConstantWeights(0.5)), u, depth)
+    assert len(set(members)) == len(members)
+    return set(members)
+
+
+def test_generation_on_a_chain_is_the_vertex_alone():
+    assert generation("bilateral-path", "2", 5) == {"2"}
+
+
+def test_generation_on_the_binary_tree_takes_the_sibling():
+    assert generation("rootless-binary", "1", 1) == {"1", "0:1"}
+
+
+@pytest.mark.parametrize("depth, members", [(3, {"3", "3'"}), (2, {"3"})])
+def test_generation_on_tilde_takes_the_primed_ray_at_depth_3(depth, members):
+    # 3' sits three levels below the branch vertex 0, the parent of 1 and 1'
+    assert generation("tilde", "3", depth) == members
+
+
+@pytest.mark.parametrize("u", ["2", "0:11", "1:1"])
+@pytest.mark.parametrize("depth", [1, 2])
+def test_generation_is_an_equivalence_on_each_level_of_leafless_binary_windows(depth, u):
+    model = make_family("rootless-binary")
+    block = generation("rootless-binary", u, depth)
+    for w in block:
+        assert model.level(w) == model.level(u)
+        assert generation("rootless-binary", w, depth) == block
 
 
 # -- level-law adjoint generations and the forward level table ------------------------

@@ -1036,7 +1036,7 @@ for name in treeshift.__all__:
     else:
         assert value.__module__.startswith("treeshift."), (name, value.__module__)
         assert getattr(sys.modules[value.__module__], name) is value, name
-assert len(set(treeshift.__all__)) == len(treeshift.__all__) == 35
+assert len(set(treeshift.__all__)) == len(treeshift.__all__) == 32
 """)
 
 

@@ -102,3 +102,15 @@ def test_a_certified_candidate_meets_every_stage_bound(tmp_path, capsys):
     candidate = construct_backward_cyclic(spec, 40)
     sigmas = [sigma_m(candidate, spec, m) for m in range(1, 41)]
     assert not krylov["certified"] or all(s <= 2.0 ** -m for m, s in enumerate(sigmas, 1))
+
+
+@known(11, "a backward shift with one zero weight is called cyclic, and no candidate is built")
+def test_a_cyclic_backward_shift_with_one_zero_weight_gets_a_checked_candidate(tmp_path,
+                                                                                capsys):
+    doc = {"branches": 2, "weights": {"kind": "constant", "value": 0.5}, "zeros": [[0, 3]]}
+    code, out = run(tmp_path, capsys, ["cyclic", "--json"], backward=doc)
+    records = [json.loads(line) for line in out.splitlines()]
+    assert code == 0
+    (verdict,) = [record for record in records if record.get("record") == "verdict"]
+    assert verdict["verdict"] == "cyclic"
+    assert any(record.get("record") == "krylov" for record in records)

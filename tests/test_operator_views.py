@@ -16,7 +16,6 @@ from treeshift.shifts import ShiftOperator
 from treeshift.similarity import (
     build_leaf_similarity,
     build_tilde_quasiaffinity,
-    direct_sum_decomposition,
     g_norm,
 )
 from treeshift.sparse import SparseVector
@@ -81,7 +80,13 @@ def test_x_apply_is_the_matrix_of_one_g_vector_per_column(family, params, weight
     assert np.array_equal(x, dense_reference.x_matrix(op, window))
 
 
-def test_direct_sum_decomposition_reads_the_ray_products_once(monkeypatch):
+# the deepest primed level of the window: the comb's primed leaf 3', or 4'
+@pytest.mark.parametrize("family, params, build, levels, deepest", [
+    ("comb", {"primed_leaf": 3}, build_leaf_similarity, (-2, 5), 3),
+    ("tilde", None, build_tilde_quasiaffinity, (-2, 4), 4),
+])
+def test_a_witness_reads_the_ray_products_once(monkeypatch, family, params, build, levels,
+                                               deepest):
     calls = []
     original = similarity.ray_products
 
@@ -90,13 +95,10 @@ def test_direct_sum_decomposition_reads_the_ray_products_once(monkeypatch):
         return original(operator, upto)
 
     monkeypatch.setattr(similarity, "ray_products", counted)
-    op = ShiftOperator(make_family("tilde"), RayWeights(spine=0.6, primed=0.55))
-    x = SparseVector({"1'": 0.5, "2": -1.0, "3'": 2.0, "-2": 0.25, "4'": -0.75})
-    dec = direct_sum_decomposition(x, op)
-    assert calls == [4]
-    assert set(dec.mu) == {1, 3, 4}
-    assert set(dec.nu) == {1, 2, 3, 4, -2}
-    assert dec.residual <= 1e-12
+    op = ShiftOperator(make_family(family, params), RayWeights(spine=0.6, primed=0.55))
+    witness = build(op, materialize_window(op.model, *levels))
+    assert calls == [deepest] and len(witness.blocks) == deepest
+    assert witness.residual <= 1e-12
 
 
 @pytest.mark.parametrize("weights", [UnstatedBound(0.9), ExpRayWeights(2.0)])

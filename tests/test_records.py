@@ -13,7 +13,7 @@ from treeshift.asymptotics import (AdjointAsymptotics, AsymptoticProfile, Classi
 from treeshift.cyclicity import CyclicCandidate, CyclicityVerdict, KrylovVerification
 from treeshift.records import Record
 from treeshift.shifts import NormBound
-from treeshift.similarity import Decomposition, RatioCertificate, SimilarityWitness
+from treeshift.similarity import RatioCertificate, SimilarityWitness
 from treeshift.sparse import SparseVector
 
 # Positional constructor arguments of one instance of every record class.
@@ -33,7 +33,6 @@ EXAMPLES = {
     NormBound: (0.9, 0.8, True),
     RatioCertificate: ("bounded", 1.0, True),
     SimilarityWitness: ("leaf-similarity", "similar", [], 0.0, None),
-    Decomposition: (SparseVector(), SparseVector(), {}, {}, 0.0),
 }
 
 # The constructor parameters with a default, and the default; None stands for

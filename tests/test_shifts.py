@@ -119,11 +119,21 @@ def test_adjoint_power_closed_values():
 
 
 def test_power_supports():
-    from treeshift.trees import chi_n
     tree = make_family("rootless-binary")
     op = ShiftOperator(tree, ConstantWeights(0.5))
-    assert op.power_closed("0", 3).support() == chi_n(tree, {"0"}, 3)
+    # the window grown from the seed "0" holds Chi^3("0") at level 3
+    assert op.power_closed("0", 3).support() == \
+        set(materialize_window(tree, 0, 3).vertices_at(3))
     assert op.adjoint_power_closed("0:1", 2).support() == {"-1"}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_power_closed_on_the_binary_tree_reaches_2_to_the_n_children(n):
+    tree = make_family("rootless-binary")
+    support = ShiftOperator(tree, ConstantWeights(0.5)).power_closed("0", n).support()
+    # Chi^n("0") holds 2^n vertices, all n levels below "0"
+    assert len(support) == 2 ** n
+    assert {tree.level(v) for v in support} == {n}
 
 
 # -- norm ------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""g-vector laws, leaf similarity, tilde quasiaffinity, direct-sum splitting."""
+"""g-vector laws, leaf similarity, tilde quasiaffinity."""
 
 import json
 import math
@@ -16,7 +16,6 @@ from treeshift.shifts import ShiftOperator
 from treeshift.similarity import (
     build_leaf_similarity,
     build_tilde_quasiaffinity,
-    direct_sum_decomposition,
     g_norm,
     g_vector,
     ratio_bounded,
@@ -69,6 +68,19 @@ def test_g_vector_laws_random_families():
 def test_g_norm_value():
     op = ShiftOperator(make_family("tilde"), ConstantWeights(1.0))
     assert g_norm(op, 4) == pytest.approx(math.sqrt(2.0))
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_unit_weight_g_vector_is_the_spine_minus_the_primed_basis_vector(k):
+    op = ShiftOperator(make_family("tilde"), ConstantWeights(1.0))
+    assert g_vector(op, k).coeffs == {str(k): 1.0, f"{k}'": -1.0}
+
+
+def test_g_norm_is_the_norm_of_the_g_vector():
+    for seed in range(6):
+        op = random_tilde_operator(seed)
+        for k in range(1, 9):
+            assert g_norm(op, k) == pytest.approx(g_vector(op, k).norm(), rel=1e-14)
 
 
 # -- leaf similarity -------------------------------------------------------------------
@@ -395,27 +407,17 @@ def test_witness_residual_keeps_a_nan(family, build):
 
 def test_tilde_unbounded_ratio_quasiaffine_only():
     op = ShiftOperator(make_family("tilde"), RayWeights(spine=0.5, primed=0.85))
-    window = materialize_window(op.model, -6, 6)
-    witness = build_tilde_quasiaffinity(op, window)
-    assert witness.mode == "quasiaffine-only"
-    assert witness.residual <= 1e-12
-    # the splitting degrades: coefficients m^{-3/2} placed where the product
-    # ratio first exceeds m give a square-summable x whose spine part has
-    # harmonically divergent mass
-    def spine_to_input_ratio(stages):
-        x = SparseVector()
-        ratio, k, m = 1.0, 0, 1
-        while m <= stages:
-            k += 1
-            ratio *= 0.85 / 0.5
-            if ratio > m:
-                x.coeffs[f"{k}'"] = m ** -1.5
-                m += 1
-        dec = direct_sum_decomposition(x, op)
-        return sum(v * v for v in dec.nu.values()) / x.norm_sq()
-
-    assert spine_to_input_ratio(4) > 3.0
-    assert spine_to_input_ratio(16) > spine_to_input_ratio(4) * 1.5
+    bounds = []
+    for half in (6, 12, 18):
+        witness = build_tilde_quasiaffinity(op, materialize_window(op.model, -half, half))
+        assert witness.mode == "quasiaffine-only"
+        assert witness.residual <= 1e-12
+        bounds.append(witness.block_inverse_bound())
+    # the blocks' inverses are not uniformly bounded: their bound grows with
+    # the primed-to-spine product ratio, by (0.85 / 0.5)^6 each six levels
+    assert bounds[0] > 30.0
+    for earlier, later in zip(bounds, bounds[1:]):
+        assert later / earlier == pytest.approx((0.85 / 0.5) ** 6, rel=1e-2)
 
 
 def test_tilde_requires_contraction():
@@ -476,41 +478,3 @@ def test_two_leaf_shift_krylov_verified_cyclic():
     record = verify_krylov_span(cols, len(report), tol=1e-5)
     assert record.cyclic
     assert record.rank == record.dimension == len(report)
-
-
-# -- direct sum decomposition ------------------------------------------------------------
-
-def test_decomposition_primed_basis_vector():
-    op = ShiftOperator(make_family("tilde"), ConstantWeights(1.0))
-    dec = direct_sum_decomposition(SparseVector.basis("1'"), op)
-    assert dec.mu[1] == pytest.approx(-math.sqrt(2.0))
-    assert dec.nu[1] == pytest.approx(1.0)
-    assert dec.residual <= 1e-12
-
-
-def test_decomposition_pure_spine():
-    op = ShiftOperator(make_family("tilde"), ConstantWeights(1.0))
-    dec = direct_sum_decomposition(SparseVector.basis("5"), op)
-    assert not dec.g_part
-    assert dec.e_part.coeffs == {"5": 1.0}
-
-
-def test_decomposition_pure_g():
-    op = random_tilde_operator(9)
-    g3 = g_vector(op, 3)
-    dec = direct_sum_decomposition(g3, op)
-    assert dec.e_part.norm() <= 1e-12
-    assert dec.mu[3] == pytest.approx(g_norm(op, 3))
-    assert dec.residual <= 1e-12
-
-
-def test_decomposition_reconstructs_random_vectors(rng):
-    op = random_tilde_operator(12)
-    for _ in range(10):
-        x = SparseVector()
-        for _ in range(6):
-            k = rng.randint(1, 8)
-            key = f"{k}'" if rng.random() < 0.5 else str(rng.randint(-8, 8))
-            x.coeffs[key] = rng.uniform(-2, 2)
-        dec = direct_sum_decomposition(x, op)
-        assert dec.residual <= 1e-12

@@ -19,8 +19,6 @@ from treeshift.sparse import SparseVector
 from treeshift.trees import (
     FAMILY_TAGS,
     branching_index,
-    chi_n,
-    gen_n,
     leaves,
     make_family,
     materialize_window,
@@ -254,36 +252,6 @@ def test_absent_and_malformed_ids_fail_as_before(name):
             assert outcome(query, u) == failure
 
 
-# -- children / generations --------------------------------------------------
-
-def test_chi_n_binary_powers_of_two():
-    model = make_family("rootless-binary")
-    assert len(chi_n(model, {"0"}, 3)) == 8
-    assert chi_n(model, {"0", "0:1"}, 0) == {"0", "0:1"}
-
-
-def test_chi_n_leaf_empties():
-    model = validate_finite(["r", "a", "b"], [("r", "a"), ("a", "b")])
-    assert chi_n(model, {"b"}, 1) == set()
-
-
-def test_gen_n_single_child_chain_is_singleton():
-    model = make_family("rooted-path")
-    assert gen_n(model, "2", 5) == {"2"}
-
-
-def test_gen_n_binary_sibling():
-    model = make_family("rootless-binary")
-    out = gen_n(model, "1", 1)
-    assert out == {"1", "0:1"}
-
-
-def test_gen_n_tilde_picks_up_primed_ray():
-    model = make_family("tilde")
-    assert gen_n(model, "3", 3) == {"3", "3'"}
-    assert gen_n(model, "3", 2) == {"3"}
-
-
 # -- branching index / levels / leaves ----------------------------------------
 
 def test_branching_symbolic_families():
@@ -355,17 +323,6 @@ def test_children_sets_disjoint(family):
         for v in model.children(u):
             assert v not in seen, f"{v} child of both {seen.get(v)} and {u}"
             seen[v] = u
-
-
-def test_generation_is_level_equivalence_on_leafless_windows():
-    model = make_family("rootless-binary")
-    for u in ["2", "0:11", "1:1"]:
-        for n in (1, 2):
-            block = gen_n(model, u, n)
-            lvl = model.level(u)
-            for w in block:
-                if model.level(w) == lvl:
-                    assert gen_n(model, w, n) == block
 
 
 @pytest.mark.parametrize("family", FAMILIES)
